@@ -62,7 +62,6 @@ from .hyperbolic import (
     poincare_distance,
     reflect_across_vertical,
     sample_arc,
-    shear_image_distance,
 )
 from .model import (
     ConstantGeometry,

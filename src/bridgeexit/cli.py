@@ -33,6 +33,7 @@ from .errors import (
     DegenerateCorrelation,
     DegenerateEstimate,
     IncompleteModel,
+    NotSPD,
     OutsideDomain,
     RejectionBudgetExceeded,
 )
@@ -410,8 +411,9 @@ def main(argv=None) -> int:
         raw = parse_config_text(_resolve_config_text(args.config))
         view = ConfigView(raw)
         return args.func(view, args)
-    except (ConfigError, OutsideDomain, IncompleteModel,
-            DegenerateCorrelation) as exc:
+    except (ConfigError, OutsideDomain, IncompleteModel, DegenerateCorrelation,
+            NotSPD, ValueError) as exc:
+        # the library raises ValueError for arguments it cannot work with
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DegenerateEstimate, RejectionBudgetExceeded) as exc:

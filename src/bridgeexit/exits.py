@@ -17,12 +17,20 @@ meaningless, and such models are refused outright.  Whether the boundary is
 reached at the open or closed exit time makes no difference at this level of
 precision; the two exponents are treated as equal throughout.
 
-Backends: a vertical barrier under the log-price/volatility geometry reduces
-to a half-plane reflection (uncorrelated) or a one-dimensional minimization
-along the barrier in closed-form distances (correlated); a hyperplane under a
-constant metric is a Mahalanobis reflection; everything else is a coarse scan
-plus golden-section refinement over a one-dimensional boundary chart with
-solver distances, warm-starting each solve from its neighbor.
+Engine: one distance oracle per geometry times one boundary chart.  The
+oracle is hw_distance for the log-price/volatility geometry, the whitened
+norm for a constant geometry, and the path optimizer otherwise (or under
+force_numeric).  Reflection formulas answer first where they exist: an
+endpoint on the plane, endpoints on both sides (the geodesic's own
+crossing), a vertical barrier under the uncorrelated volatility geometry
+(half-plane reflection) and a hyperplane under a constant metric (whitened
+reflection).  Every other case is one scan of d(x,z) + d(z,y) over a chart
+-- a log-v window along a correlated vertical barrier, an arclength window
+along any other plane, or the samples of a ParametricCurve -- by coarse
+samples and golden-section refinement; solver legs are solved coarsely and
+warm-started from their neighbors.  The legs and J of the result come from
+the oracle at z_star.  The frozen comparator is the same engine on the
+constant geometry a(z0)^{-1}.
 """
 
 from __future__ import annotations
@@ -32,8 +40,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BothZero, EndpointsStraddleBarrier, IncompleteModel, NotSPD, OutsideDomain
-from .geodesic import SolverOptions, path_energy, solve_geodesic
+from .errors import BothZero, IncompleteModel, NotSPD, OutsideDomain
+from .geodesic import SolverOptions, _energy_of, path_energy, solve_geodesic
 from .hyperbolic import (
     barrier_infimum_vertical,
     hw_distance,
@@ -169,12 +177,26 @@ def exit_probability_equivalent(J: float, t: float) -> float:
     return float(np.exp(-J / t))
 
 
-# ---- Distances with closed-form dispatch ---- #
+# ---- Distance oracles ---- #
 
 
-def _mahalanobis(G: np.ndarray, p, q) -> float:
-    delta = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
-    return float(np.sqrt(max(delta @ G @ delta, 0.0)))
+def _sym_sqrt(G: np.ndarray):
+    w, V = np.linalg.eigh(G)
+    if np.any(w <= 0.0):
+        raise NotSPD("metric is not positive definite")
+    s = np.sqrt(w)
+    return (V * s) @ V.T, (V / s) @ V.T
+
+
+def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None):
+    """d(p, q) under geom; geom None means the path optimizer on the model."""
+    if isinstance(geom, HullWhiteGeometry):
+        sv, rho = geom.sigma_vol, geom.rho
+        return lambda p, q: hw_distance(sv, rho, p, q)
+    if isinstance(geom, ConstantGeometry):
+        W, _ = _sym_sqrt(geom.inv_metric)
+        return lambda p, q: float(np.linalg.norm(W @ (np.asarray(q) - np.asarray(p))))
+    return lambda p, q: solve_geodesic(model, p, q, opts).distance
 
 
 def model_distance(model: DiffusionModel, p, q,
@@ -184,20 +206,16 @@ def model_distance(model: DiffusionModel, p, q,
     Closed form for the volatility and constant geometries, path optimizer
     otherwise.
     """
-    g = model.geometry
-    if isinstance(g, HullWhiteGeometry):
-        return hw_distance(g.sigma_vol, g.rho, p, q)
-    if isinstance(g, ConstantGeometry):
-        return _mahalanobis(g.inv_metric, p, q)
-    return solve_geodesic(model, p, q, opts).distance
+    return _oracle(model, model.geometry, opts)(p, q)
 
 
 def pointwise_exit_cost(model: DiffusionModel, x, y, z,
                         opts: SolverOptions | None = None) -> float:
     """Cost of forcing the bridge through z: ((d_xz + d_zy)^2 - d_xy^2)/2."""
-    d_xz = model_distance(model, x, z, opts)
-    d_zy = model_distance(model, z, y, opts)
-    d_xy = model_distance(model, x, y, opts)
+    dist = _oracle(model, model.geometry, opts)
+    d_xz = dist(x, z)
+    d_zy = dist(z, y)
+    d_xy = dist(x, y)
     return max(0.5 * ((d_xz + d_zy) ** 2 - d_xy**2), 0.0)
 
 
@@ -223,41 +241,6 @@ def bridge_rate(model: DiffusionModel, path: DiscretePath, x, y,
     return energy - 0.5 * d * d
 
 
-# ---- 1-D minimization: coarse grid then golden section ---- #
-
-
-def _golden(f, lo: float, hi: float):
-    """Golden-section minimum of f on [lo, hi]; ties drift to the left."""
-    a, b = lo, hi
-    m1 = b - GOLDEN * (b - a)
-    m2 = a + GOLDEN * (b - a)
-    f1, f2 = f(m1), f(m2)
-    while b - a > GOLDEN_BRACKET:
-        if f1 <= f2:
-            b, m2, f2 = m2, m1, f1
-            m1 = b - GOLDEN * (b - a)
-            f1 = f(m1)
-        else:
-            a, m1, f1 = m1, m2, f2
-            m2 = a + GOLDEN * (b - a)
-            f2 = f(m2)
-    theta = a if f1 <= f2 else m2
-    return theta, f(theta)
-
-
-def _grid_then_golden(f, thetas: np.ndarray):
-    vals = np.array([f(th) for th in thetas])
-    j = int(np.argmin(vals))
-    lo = thetas[max(j - 1, 0)]
-    hi = thetas[min(j + 1, len(thetas) - 1)]
-    if hi <= lo:
-        return float(thetas[j]), float(vals[j])
-    theta, val = _golden(f, float(lo), float(hi))
-    if vals[j] < val:
-        return float(thetas[j]), float(vals[j])
-    return theta, val
-
-
 # ---- Boundary normalization ---- #
 
 
@@ -278,18 +261,29 @@ def _as_plane(boundary: Boundary, dim: int) -> Hyperplane | None:
     return None
 
 
-def _geodesic_plane_crossing(model, x, y, plane: Hyperplane,
+def _side_checks(plane: Hyperplane, x, y):
+    """Returns (s_x, s_y); raises if x sits in the declared exit region."""
+    s_x = float(plane.normal @ x - plane.offset)
+    s_y = float(plane.normal @ y - plane.offset)
+    if plane.exit_side is not None and s_x * plane.exit_side > 0.0:
+        raise ValueError("x lies strictly on the declared exit side")
+    return s_x, s_y
+
+
+# ---- Short-circuits ahead of the scan ---- #
+
+
+def _geodesic_plane_crossing(model, geom, x, y, plane: Hyperplane,
                              opts: SolverOptions | None):
-    """Point where the x-to-y geodesic meets the plane (straddle case)."""
+    """Point where the x-to-y geodesic under geom meets the plane (straddle case)."""
     n, c = plane.normal, plane.offset
-    g = model.geometry
-    if isinstance(g, ConstantGeometry):
+    if isinstance(geom, ConstantGeometry):
         sx = float(n @ x - c)
         sy = float(n @ y - c)
         t = sx / (sx - sy)
         return x + t * (y - x)
-    if isinstance(g, HullWhiteGeometry):
-        pts = hw_geodesic_image(g.sigma_vol, g.rho, x, y, n=4096).path.points
+    if isinstance(geom, HullWhiteGeometry):
+        pts = hw_geodesic_image(geom.sigma_vol, geom.rho, x, y, n=4096).path.points
     else:
         pts = solve_geodesic(model, x, y, opts).path.points
     s = pts @ n - c
@@ -301,93 +295,20 @@ def _geodesic_plane_crossing(model, x, y, plane: Hyperplane,
     return pts[i] + w * (pts[i + 1] - pts[i])
 
 
-# ---- Result assembly ---- #
+def _half_plane_reflection(geom: HullWhiteGeometry, x, y, x0: float):
+    """(z_star, J) for a vertical barrier under the uncorrelated volatility
+    geometry, where the barrier is a geodesic mirror of the half-plane."""
+    sv = geom.sigma_vol
+    A = hw_transform(sv, geom.rho)
+    zs_img, path_sum = barrier_infimum_vertical(A @ x, A @ y, x0)
+    d_img = poincare_distance(A @ x, A @ y)
+    J = (path_sum**2 - d_img**2) / (2.0 * sv**2)
+    return np.array([x0, sv * zs_img[1]]), J
 
 
-def _assemble(dfun, x, y, z_star, J, method, geodesic_exits=False,
-              degenerate=False) -> ExitAsymptotics:
-    d_xy = dfun(x, y)
-    d_xz = dfun(x, z_star)
-    d_zy = dfun(z_star, y)
-    try:
-        u_bar = optimal_crossing_time(d_xz, d_zy)
-    except BothZero:
-        u_bar = np.nan
-    J = max(float(J), 0.0)
-    if J <= EXIT_TOL * max(1.0, d_xy**2):
-        geodesic_exits = True
-    return ExitAsymptotics(
-        J=J,
-        z_star=np.asarray(z_star, dtype=float),
-        u_bar=u_bar,
-        d_xy=d_xy,
-        d_xz=d_xz,
-        d_zy=d_zy,
-        method=method,
-        geodesic_exits=geodesic_exits,
-        degenerate=degenerate,
-    )
-
-
-def _side_checks(plane: Hyperplane, x, y):
-    """Returns (s_x, s_y); raises if x sits in the declared exit region."""
-    s_x = float(plane.normal @ x - plane.offset)
-    s_y = float(plane.normal @ y - plane.offset)
-    if plane.exit_side is not None and s_x * plane.exit_side > 0.0:
-        raise ValueError("x lies strictly on the declared exit side")
-    return s_x, s_y
-
-
-# ---- Hull-White vertical barrier backend ---- #
-
-
-def _hw_vertical(model, x, y, x0: float, opts, geom: HullWhiteGeometry):
-    sv, rho = geom.sigma_vol, geom.rho
-
-    def dfun(p, q):
-        return hw_distance(sv, rho, p, q)
-
-    d_xy = dfun(x, y)
-    if rho == 0.0:
-        A = hw_transform(sv, rho)
-        zs_img, path_sum = barrier_infimum_vertical(A @ x, A @ y, x0)
-        d_img = poincare_distance(A @ x, A @ y)
-        J = (path_sum**2 - d_img**2) / (2.0 * sv**2)
-        z_star = np.array([x0, sv * zs_img[1]])
-        return _assemble(dfun, x, y, z_star, J, "closed_form")
-
-    # Correlated: the barrier is no longer a geodesic mirror in any
-    # transformed picture, but the restriction of the distance sum to the
-    # barrier is a smooth one-variable function of log v.
-    lam_x, lam_y = np.log(x[1]), np.log(y[1])
-    lam0 = 0.5 * (lam_x + lam_y)
-    anchor = np.array([x0, float(np.exp(lam0))])
-    f0 = dfun(x, anchor) + dfun(anchor, y)
-    half = sv * f0 + max(abs(lam_x - lam0), abs(lam_y - lam0)) + 1.0
-
-    def f(lam):
-        z = np.array([x0, float(np.exp(lam))])
-        return dfun(x, z) + dfun(z, y)
-
-    lam_grid = np.linspace(lam0 - half, lam0 + half, 256)
-    lam_star, path_sum = _grid_then_golden(f, lam_grid)
-    J = 0.5 * (path_sum**2 - d_xy**2)
-    z_star = np.array([x0, float(np.exp(lam_star))])
-    return _assemble(dfun, x, y, z_star, J, "numeric_1d")
-
-
-# ---- Constant-metric hyperplane backend ---- #
-
-
-def _sym_sqrt(G: np.ndarray):
-    w, V = np.linalg.eigh(G)
-    if np.any(w <= 0.0):
-        raise NotSPD("metric is not positive definite")
-    s = np.sqrt(w)
-    return (V * s) @ V.T, (V / s) @ V.T
-
-
-def _constant_hyperplane(G, x, y, plane: Hyperplane, method: str):
+def _constant_reflection(G, x, y, plane: Hyperplane):
+    """(z_star, J) for a hyperplane under the constant metric G: a mirror
+    reflection in whitened coordinates."""
     W, Winv = _sym_sqrt(G)
     xw = W @ x
     yw = W @ y
@@ -400,18 +321,29 @@ def _constant_hyperplane(G, x, y, plane: Hyperplane, method: str):
     y_ref = yw - 2.0 * (mhat @ yw - chat) * mhat
     S = float(np.linalg.norm(xw - y_ref))
     d_xy = float(np.linalg.norm(xw - yw))
-    J = 0.5 * (S * S - d_xy * d_xy)
     tstar = delta_x / (delta_x + delta_y)
-    zw = xw + tstar * (y_ref - xw)
-    z_star = Winv @ zw
-
-    def dfun(p, q):
-        return float(np.linalg.norm(W @ (np.asarray(q) - np.asarray(p))))
-
-    return _assemble(dfun, x, y, z_star, J, method)
+    return Winv @ (xw + tstar * (y_ref - xw)), 0.5 * (S * S - d_xy * d_xy)
 
 
-# ---- Generic one-dimensional boundary scan ---- #
+# ---- Boundary charts: (sample parameters, theta -> point) ---- #
+
+
+def _log_v_window(dist, geom: HullWhiteGeometry, x, y, x0: float):
+    """Chart of a correlated vertical barrier by log v.
+
+    The barrier is no longer a geodesic mirror in any transformed picture,
+    but the distance sum along it is a smooth function of log v.
+    """
+    lam_x, lam_y = np.log(x[1]), np.log(y[1])
+    lam0 = 0.5 * (lam_x + lam_y)
+    anchor = np.array([x0, float(np.exp(lam0))])
+    f0 = dist(x, anchor) + dist(anchor, y)
+    half = geom.sigma_vol * f0 + max(abs(lam_x - lam0), abs(lam_y - lam0)) + 1.0
+
+    def chart(lam: float) -> np.ndarray:
+        return np.array([x0, float(np.exp(lam))])
+
+    return np.linspace(lam0 - half, lam0 + half, 256), chart
 
 
 def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
@@ -469,20 +401,73 @@ def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
     return thetas, chart
 
 
-def _numeric_scan(model, x, y, thetas, chart, opts: SolverOptions, workers: int):
-    """Warm-started solver scan over the boundary chart.
+# ---- The scan: coarse samples, then golden section ---- #
 
-    Each worker sweeps a contiguous block of samples, reusing the previous
-    converged paths as initialization.  The reduction over samples is a plain
-    argmin with first-index tie-break, so the minimizer selection does not
-    depend on thread scheduling.  Ranking boundary points needs far less
-    accuracy than the reported exponent, so the sweep runs at a coarse
-    resolution and loose tolerance; the legs at the winning point are then
-    re-solved with the caller's options.
+
+def _golden(f, lo: float, hi: float):
+    """Golden-section minimum of f on [lo, hi]; ties drift to the left."""
+    a, b = lo, hi
+    m1 = b - GOLDEN * (b - a)
+    m2 = a + GOLDEN * (b - a)
+    f1, f2 = f(m1), f(m2)
+    while b - a > GOLDEN_BRACKET:
+        if f1 <= f2:
+            b, m2, f2 = m2, m1, f1
+            m1 = b - GOLDEN * (b - a)
+            f1 = f(m1)
+        else:
+            a, m1, f1 = m1, m2, f2
+            m2 = a + GOLDEN * (b - a)
+            f2 = f(m2)
+    theta = a if f1 <= f2 else m2
+    return theta, f(theta)
+
+
+def _scan(thetas: np.ndarray, make_legsum, workers: int = 1) -> float:
+    """Chart parameter of the smallest leg sum d(x, z) + d(z, y).
+
+    make_legsum() returns a function theta -> leg sum (+inf outside the
+    domain).  Each worker sweeps a contiguous block of samples with its own
+    leg-sum function; the reduction is a plain argmin with first-index
+    tie-break, so the result does not depend on thread scheduling.  Golden
+    section then refines within one sample of the best, with a fresh leg-sum
+    function first evaluated at that sample.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    final_opts = replace(opts, multi_start=1)
+    blocks = np.array_split(np.arange(len(thetas)), max(1, min(workers, len(thetas))))
+
+    def sweep(block):
+        legsum = make_legsum()
+        return [legsum(th) for th in thetas[block]]
+
+    vals = np.empty(len(thetas))
+    if len(blocks) == 1:
+        vals[:] = sweep(blocks[0])
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            for b, out in zip(blocks, pool.map(sweep, blocks)):
+                vals[b] = out
+
+    j = int(np.argmin(vals))
+    lo = float(thetas[max(j - 1, 0)])
+    hi = float(thetas[min(j + 1, len(thetas) - 1)])
+    if hi <= lo:
+        return float(thetas[j])
+    f = make_legsum()
+    f(float(thetas[j]))
+    theta, val = _golden(f, lo, hi)
+    return float(thetas[j]) if vals[j] < val else theta
+
+
+def _solver_legsums(model, x, y, chart, opts: SolverOptions):
+    """Leg-sum factory for the path optimizer.
+
+    Ranking boundary points needs far less accuracy than the reported
+    exponent, so the legs are solved at a coarse resolution and loose
+    tolerance with strict=False, each warm-started from the previous
+    sample's legs while that path stays admissible.
+    """
     opts = replace(
         opts,
         n=min(opts.n, 50),
@@ -493,94 +478,128 @@ def _numeric_scan(model, x, y, thetas, chart, opts: SolverOptions, workers: int)
         strict=False,
     )
 
-    def make_leg_solver():
-        state = {"xz": None, "zy": None}
+    def warm(path, end: int, z):
+        if path is None:
+            return None
+        pts = path.points.copy()
+        pts[end] = z
+        return DiscretePath(pts) if np.isfinite(_energy_of(model, pts)) else None
 
-        def legs(z):
-            init_xz = state["xz"]
-            init_zy = state["zy"]
-            if init_xz is not None:
-                pts = init_xz.points.copy()
-                pts[-1] = z
-                init_xz = DiscretePath(pts) if np.isfinite(
-                    _finite_energy(model, pts)) else None
-            if init_zy is not None:
-                pts = init_zy.points.copy()
-                pts[0] = z
-                init_zy = DiscretePath(pts) if np.isfinite(
-                    _finite_energy(model, pts)) else None
-            r_xz = solve_geodesic(model, x, z, opts, init=init_xz)
-            r_zy = solve_geodesic(model, z, y, opts, init=init_zy)
-            state["xz"] = r_xz.path
-            state["zy"] = r_zy.path
-            return r_xz.distance, r_zy.distance
+    def make_legsum():
+        prev = [None, None]
 
-        return legs
-
-    def sweep(block):
-        legs = make_leg_solver()
-        out = []
-        for th in block:
-            z = np.asarray(chart(float(th)), dtype=float)
+        def legsum(theta):
+            z = np.asarray(chart(float(theta)), dtype=float)
             if not model.domain_test(z):
-                out.append(np.inf)
-                continue
-            d_xz, d_zy = legs(z)
-            out.append(d_xz + d_zy)
-        return out
+                return np.inf
+            r_xz = solve_geodesic(model, x, z, opts, init=warm(prev[0], -1, z))
+            r_zy = solve_geodesic(model, z, y, opts, init=warm(prev[1], 0, z))
+            prev[:] = r_xz.path, r_zy.path
+            return r_xz.distance + r_zy.distance
 
-    blocks = np.array_split(np.arange(len(thetas)), max(1, min(workers, len(thetas))))
-    vals = np.empty(len(thetas))
-    if len(blocks) == 1:
-        vals[:] = sweep(thetas)
+        return legsum
+
+    return make_legsum
+
+
+# ---- The engine ---- #
+
+
+def _assemble(dist, x, y, d_xy: float, z_star, method: str, J=None,
+              geodesic_exits=False, degenerate=False) -> ExitAsymptotics:
+    """Result at z_star with legs from the oracle; J from those legs unless
+    a reflection formula supplies it."""
+    d_xz = dist(x, z_star)
+    d_zy = dist(z_star, y)
+    if J is None:
+        S = d_xz + d_zy
+        J = 0.5 * (S * S - d_xy * d_xy)
+    try:
+        u_bar = optimal_crossing_time(d_xz, d_zy)
+    except BothZero:
+        u_bar = np.nan
+    J = max(float(J), 0.0)
+    if J <= EXIT_TOL * max(1.0, d_xy**2):
+        geodesic_exits = True
+    return ExitAsymptotics(
+        J=J,
+        z_star=np.asarray(z_star, dtype=float),
+        u_bar=u_bar,
+        d_xy=d_xy,
+        d_xz=d_xz,
+        d_zy=d_zy,
+        method=method,
+        geodesic_exits=geodesic_exits,
+        degenerate=degenerate,
+    )
+
+
+def _exit_engine(model, geom, x, y, boundary: Boundary, opts, workers=1,
+                 truncation_factor=4.0, label=None) -> ExitAsymptotics:
+    """Exit exponent under geom (None: the path optimizer on the model).
+
+    The model supplies the dimension and the domain test.  label, when
+    given, replaces the method name of every result.
+    """
+    opts = opts or SolverOptions()
+    dist = _oracle(model, geom, opts)
+    closed = label or ("closed_form" if geom is not None else "numeric_1d")
+    plane = _as_plane(boundary, model.dim)
+    if plane is not None:
+        s_x, s_y = _side_checks(plane, x, y)
+    d_xy = dist(x, y)
+
+    if plane is None:
+        thetas = np.linspace(boundary.theta_min, boundary.theta_max, boundary.samples)
+        chart = boundary.chart
+    elif s_x == 0.0 or s_y == 0.0:
+        z_star = x.copy() if s_x == 0.0 else y.copy()
+        return _assemble(dist, x, y, d_xy, z_star, closed, 0.0,
+                         geodesic_exits=True, degenerate=True)
+    elif (s_x > 0.0) != (s_y > 0.0):
+        z_star = _geodesic_plane_crossing(model, geom, x, y, plane, opts)
+        return _assemble(dist, x, y, d_xy, z_star, closed, 0.0, geodesic_exits=True)
+    elif isinstance(geom, ConstantGeometry):
+        z_star, J = _constant_reflection(geom.inv_metric, x, y, plane)
+        return _assemble(dist, x, y, d_xy, z_star, closed, J)
+    elif isinstance(geom, HullWhiteGeometry) and abs(plane.normal[0]) == 1.0:
+        x0 = plane.offset / plane.normal[0]
+        if geom.rho == 0.0:
+            z_star, J = _half_plane_reflection(geom, x, y, x0)
+            return _assemble(dist, x, y, d_xy, z_star, closed, J)
+        thetas, chart = _log_v_window(dist, geom, x, y, x0)
     else:
-        from concurrent.futures import ThreadPoolExecutor
+        thetas, chart = _arclength_window(model, x, y, plane, d_xy,
+                                          truncation_factor, 256)
 
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            futs = [pool.submit(sweep, thetas[b]) for b in blocks]
-            for b, fut in zip(blocks, futs):
-                vals[b] = fut.result()
+    if geom is None:
+        theta = _scan(thetas, _solver_legsums(model, x, y, chart, opts), workers)
+    else:
+        def legsum(theta):
+            z = np.asarray(chart(float(theta)), dtype=float)
+            return dist(x, z) + dist(z, y) if model.domain_test(z) else np.inf
 
-    j = int(np.argmin(vals))
-    legs = make_leg_solver()
-
-    def f(theta):
-        z = np.asarray(chart(float(theta)), dtype=float)
-        if not model.domain_test(z):
-            return np.inf
-        d_xz, d_zy = legs(z)
-        return d_xz + d_zy
-
-    lo = float(thetas[max(j - 1, 0)])
-    hi = float(thetas[min(j + 1, len(thetas) - 1)])
-    f(float(thetas[j]))  # seed the warm caches near the minimum
-    theta, val = _golden(f, lo, hi) if hi > lo else (float(thetas[j]), float(vals[j]))
-    if vals[j] < val:
-        theta = float(thetas[j])
+        theta = _scan(thetas, lambda: legsum)
     z_star = np.asarray(chart(theta), dtype=float)
-    d_xz = solve_geodesic(model, x, z_star, final_opts).distance
-    d_zy = solve_geodesic(model, z_star, y, final_opts).distance
-    return z_star, d_xz + d_zy
-
-
-def _finite_energy(model, pts) -> float:
-    from .geodesic import _energy_of
-
-    return _energy_of(model, pts)
-
-
-def _closed_form_scan(dfun, x, y, thetas, chart, domain_test):
-    def f(theta):
-        z = np.asarray(chart(float(theta)), dtype=float)
-        if not domain_test(z):
-            return np.inf
-        return dfun(x, z) + dfun(z, y)
-
-    theta, val = _grid_then_golden(f, thetas)
-    return np.asarray(chart(theta), dtype=float), val
+    return _assemble(dist, x, y, d_xy, z_star, label or "numeric_1d")
 
 
 # ---- Public entry points ---- #
+
+
+def _checked_points(model: DiffusionModel, **points):
+    if not model.complete:
+        raise IncompleteModel(
+            "the model declares an incomplete metric (boundary at finite "
+            "distance); exit exponents are not defined for it"
+        )
+    out = []
+    for name, z in points.items():
+        z = np.asarray(z, dtype=float)
+        if not model.domain_test(z):
+            raise OutsideDomain(f"{name} = {z} is outside the model domain")
+        out.append(z)
+    return out
 
 
 def exit_asymptotics(
@@ -595,95 +614,14 @@ def exit_asymptotics(
 ) -> ExitAsymptotics:
     """Exit exponent for the bridge from x to y against the given boundary.
 
-    force_numeric skips the closed-form dispatch and runs the solver-based
-    boundary scan even when an exact backend exists (used for cross-checks).
+    force_numeric replaces the closed-form distance by the path optimizer,
+    so the solver-based boundary scan runs even when an exact backend exists
+    (used for cross-checks).  workers splits the solver scan's samples over
+    that many threads.
     """
-    if not model.complete:
-        raise IncompleteModel(
-            "the model declares an incomplete metric (boundary at finite "
-            "distance); exit exponents are not defined for it"
-        )
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for name, z in (("x", x), ("y", y)):
-        if not model.domain_test(z):
-            raise OutsideDomain(f"{name} = {z} is outside the model domain")
-
-    plane = _as_plane(boundary, model.dim)
-    geom = model.geometry if not force_numeric else None
-
-    if plane is not None:
-        s_x, s_y = _side_checks(plane, x, y)
-        method = "closed_form" if geom is not None else "numeric_1d"
-        if s_x == 0.0 or s_y == 0.0:
-            z_star = x.copy() if s_x == 0.0 else y.copy()
-            dfun = _plain_distance(model, opts, force_numeric)
-            return _assemble(dfun, x, y, z_star, 0.0, method,
-                             geodesic_exits=True, degenerate=True)
-        if (s_x > 0.0) != (s_y > 0.0):
-            z_star = _geodesic_plane_crossing(model, x, y, plane, opts)
-            dfun = _plain_distance(model, opts, force_numeric)
-            return _assemble(dfun, x, y, z_star, 0.0, method, geodesic_exits=True)
-
-        if isinstance(geom, HullWhiteGeometry) and abs(plane.normal[0]) == 1.0:
-            x0 = plane.offset / plane.normal[0]
-            return _hw_vertical(model, x, y, x0, opts, geom)
-        if isinstance(geom, ConstantGeometry):
-            return _constant_hyperplane(geom.inv_metric, x, y, plane, "closed_form")
-        if isinstance(geom, HullWhiteGeometry):
-            # Non-vertical plane under the volatility geometry: scan the
-            # plane in closed-form distances.
-            sv, rho = geom.sigma_vol, geom.rho
-
-            def dfun(p, q):
-                return hw_distance(sv, rho, p, q)
-
-            d_xy = dfun(x, y)
-            thetas, chart = _arclength_window(
-                model, x, y, plane, d_xy, truncation_factor, 256
-            )
-            z_star, S = _closed_form_scan(dfun, x, y, thetas, chart, model.domain_test)
-            return _assemble(dfun, x, y, z_star, 0.5 * (S * S - d_xy * d_xy),
-                             "numeric_1d")
-
-        sopts = opts or SolverOptions()
-        d_xy = solve_geodesic(model, x, y, sopts).distance
-        thetas, chart = _arclength_window(model, x, y, plane, d_xy,
-                                          truncation_factor, 256)
-        z_star, S = _numeric_scan(model, x, y, thetas, chart, sopts, workers)
-        dfun = _plain_distance(model, sopts, force_numeric)
-        return _assemble(dfun, x, y, z_star, 0.5 * (S * S - d_xy * d_xy),
-                         "numeric_1d")
-
-    curve: ParametricCurve = boundary  # type: ignore[assignment]
-    thetas = np.linspace(curve.theta_min, curve.theta_max, curve.samples)
-    if geom is not None:
-        dfun = _plain_distance(model, opts, force_numeric=False)
-        d_xy = dfun(x, y)
-        z_star, S = _closed_form_scan(dfun, x, y, thetas, curve.chart,
-                                      model.domain_test)
-        return _assemble(dfun, x, y, z_star, 0.5 * (S * S - d_xy * d_xy),
-                         "numeric_1d")
-    sopts = opts or SolverOptions()
-    d_xy = solve_geodesic(model, x, y, sopts).distance
-    z_star, S = _numeric_scan(model, x, y, thetas, curve.chart, sopts, workers)
-    dfun = _plain_distance(model, sopts, force_numeric)
-    return _assemble(dfun, x, y, z_star, 0.5 * (S * S - d_xy * d_xy), "numeric_1d")
-
-
-def _plain_distance(model, opts, force_numeric: bool):
-    if force_numeric or model.geometry is None:
-        sopts = opts or SolverOptions()
-
-        def dfun(p, q):
-            return solve_geodesic(model, p, q, sopts).distance
-
-        return dfun
-
-    def dfun(p, q):
-        return model_distance(model, p, q, opts)
-
-    return dfun
+    x, y = _checked_points(model, x=x, y=y)
+    geom = None if force_numeric else model.geometry
+    return _exit_engine(model, geom, x, y, boundary, opts, workers, truncation_factor)
 
 
 def frozen_exit_asymptotics(
@@ -696,59 +634,19 @@ def frozen_exit_asymptotics(
 ) -> ExitAsymptotics:
     """Exit exponent with the metric frozen at z0: a(z)^{-1} := a(z0)^{-1}.
 
-    The frozen geometry is flat, so hyperplanes reduce to a whitened
-    reflection and curves to a closed-form scan.  For a genuinely constant
-    model this coincides with exit_asymptotics for every z0.
+    This is the exit engine on the constant geometry a(z0)^{-1} inside the
+    model's own domain, so hyperplanes reduce to a whitened reflection and
+    curves to a closed-form scan.  For a genuinely constant model the
+    frozen matrix is the model's own, and the result coincides with
+    exit_asymptotics for every z0 in everything but the method name.
     """
-    if not model.complete:
-        raise IncompleteModel(
-            "the model declares an incomplete metric (boundary at finite "
-            "distance); exit exponents are not defined for it"
-        )
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z0 = np.asarray(z0, dtype=float)
-    for name, z in (("x", x), ("y", y), ("z0", z0)):
-        if not model.domain_test(z):
-            raise OutsideDomain(f"{name} = {z} is outside the model domain")
+    x, y, z0 = _checked_points(model, x=x, y=y, z0=z0)
     if isinstance(model.geometry, ConstantGeometry):
-        # same matrix at every state; reusing it keeps frozen == true
-        # bit for bit on constant models
         G = model.geometry.inv_metric
     else:
         G = inverse_metric(model, z0)
-
-    plane = _as_plane(boundary, model.dim)
-    if plane is not None:
-        s_x, s_y = _side_checks(plane, x, y)
-        W, _ = _sym_sqrt(G)
-
-        def dfun(p, q):
-            return float(np.linalg.norm(W @ (np.asarray(q) - np.asarray(p))))
-
-        if s_x == 0.0 or s_y == 0.0:
-            z_star = x.copy() if s_x == 0.0 else y.copy()
-            return _assemble(dfun, x, y, z_star, 0.0, "frozen",
-                             geodesic_exits=True, degenerate=True)
-        if (s_x > 0.0) != (s_y > 0.0):
-            t = s_x / (s_x - s_y)
-            z_star = x + t * (y - x)
-            return _assemble(dfun, x, y, z_star, 0.0, "frozen",
-                             geodesic_exits=True)
-        out = _constant_hyperplane(G, x, y, plane, "frozen")
-        return out
-
-    curve: ParametricCurve = boundary  # type: ignore[assignment]
-    W, _ = _sym_sqrt(G)
-
-    def dfun(p, q):
-        return float(np.linalg.norm(W @ (np.asarray(q) - np.asarray(p))))
-
-    thetas = np.linspace(curve.theta_min, curve.theta_max, curve.samples)
-    d_xy = dfun(x, y)
-    z_star, S = _closed_form_scan(dfun, x, y, thetas, curve.chart,
-                                  model.domain_test)
-    return _assemble(dfun, x, y, z_star, 0.5 * (S * S - d_xy * d_xy), "frozen")
+    return _exit_engine(model, ConstantGeometry(G), x, y, boundary, opts,
+                        label="frozen")
 
 
 # ---- Freezing comparison ---- #

@@ -6,12 +6,14 @@ A path p_0..p_N on the uniform grid s_i = i/N has energy
 
 with m_i the segment midpoint.  The minimizer over interior points (endpoints
 pinned) discretizes the geodesic between x and y, and the induced distance is
-sqrt(2 E_min).  Minimization is Polak-Ribiere nonlinear conjugate gradient
-with Armijo backtracking, restarted every d*(N-1) iterations, run
-coarse-to-fine: the straight chord is solved on a coarse grid first and the
-result interpolated upward, which kills the slow reparametrization modes
-cheaply.  Out-of-domain or non-SPD trial steps read as infinite energy, so
-the line search doubles as a domain barrier.
+sqrt(2 E_min).  Minimization is a line-searched Gauss-Newton iteration: each
+step solves the block-tridiagonal Hessian of the energy with the metric
+frozen at the current midpoints (a banded SPD solve), backtracks under the
+Armijo condition, and falls back to steepest descent when that direction is
+unusable.  It runs coarse-to-fine: the straight chord is solved on a coarse
+grid first and the result interpolated upward, which kills the slow
+reparametrization modes cheaply.  Out-of-domain or non-SPD trial steps read
+as infinite energy, so the line search doubles as a domain barrier.
 
 The gradient is exact for the quadratic-form part; the derivative of
 a(m)^{-1} enters through central finite differences of the inverse metric

@@ -15,7 +15,7 @@ That scaling was checked two ways: pulling the half-plane metric back through A
 reproduces sigma_vol^2 times the inverse diffusion matrix, and the resulting
 distances match the generic path-energy minimizer (see tests).  A tempting
 shear substitution (x, y) -> (rb*x + rho*y, y) does NOT have this property;
-it is kept below only so tests can demonstrate the failure.
+the tests pin that failure down.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "hw_transform",
     "hw_transform_inverse",
     "hw_distance",
-    "shear_image_distance",
     "HwGeodesicImage",
     "hw_geodesic_image",
     "arc_to_csv",
@@ -245,21 +244,6 @@ def hw_distance(sigma_vol: float, rho: float, p, q) -> float:
     p = _check_half_plane(p, "p")
     q = _check_half_plane(q, "q")
     return poincare_distance(A @ p, A @ q) / sigma_vol
-
-
-def shear_image_distance(rho: float, p, q) -> float:
-    """Distance of the shear images (rb*x + rho*y, y); NOT the metric distance.
-
-    This substitution looks plausible but fails the pullback consistency
-    check whenever rho != 0, and misses the 1/sigma_vol scaling entirely.
-    Retained so the comparison test can pin the failure down.
-    """
-    rb = _check_vol_params(1.0, rho)
-    p = _check_half_plane(p, "p")
-    q = _check_half_plane(q, "q")
-    pi = np.array([rb * p[0] + rho * p[1], p[1]])
-    qi = np.array([rb * q[0] + rho * q[1], q[1]])
-    return poincare_distance(pi, qi)
 
 
 @dataclass(frozen=True)

@@ -361,5 +361,39 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     assert "iteration" in capsys.readouterr().err
 
 
+def test_singular_grid_diffusion_exits_2(tmp_path, capsys):
+    # sigma vanishes on the column x = 3, where the barrier sits
+    rows = ["x,v,s11,s12,s21,s22"]
+    for xn in (0.0, 1.5, 3.0):
+        for v in (0.1, 1.0, 2.0):
+            s = 0.0 if xn == 3.0 else v
+            rows.append(f"{xn},{v},{s},0,0,{s}")
+    grid = tmp_path / "grid.csv"
+    grid.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = write_cfg(
+        tmp_path, "grid.cfg",
+        f"model.kind = custom_grid\nmodel.grid_csv = {grid}\n"
+        "x = 1, 0.5\ny = 1.4, 0.5\nbarrier.kind = vertical\nbarrier.x0 = 3\n"
+        "solver.n = 50\n",
+    )
+    assert main(["exit", "--config", cfg]) == 2
+    assert "not positive definite" in capsys.readouterr().err
+
+
+def test_boundary_without_a_numeric_chart_exits_2(tmp_path, capsys):
+    # the solver scan charts planes in two dimensions only
+    cfg = write_cfg(
+        tmp_path, "flat3.cfg",
+        "model.kind = constant\nmodel.sigma = 1, 0, 0, 0, 1, 0, 0, 0, 1\n"
+        "x = 0, 0, 0.5\ny = 1, 0, 0.3\n"
+        "barrier.kind = hyperplane\nbarrier.normal = 0, 0, 1\nbarrier.offset = 0\n"
+        "exit.force_numeric = true\nsolver.n = 50\n",
+    )
+    assert main(["exit", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "two-dimensional" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_figure_requires_an_output_path(capsys):
     assert main(["figure", "--config", "figure1"]) == 2

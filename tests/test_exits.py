@@ -358,13 +358,22 @@ def test_freezing_a_constant_model_changes_nothing():
     model = constant_model(np.linalg.cholesky(a))
     x = np.array([0.0, 0.6])
     y = np.array([1.0, 0.4])
-    plane = Hyperplane(np.array([0.0, 1.0]), 0.0)
-    true = exit_asymptotics(model, x, y, plane)
-    for z0 in ([0.0, 0.6], [5.0, 9.0], [-3.0, 0.1]):
-        frozen = frozen_exit_asymptotics(model, x, y, plane, z0)
-        assert frozen.J == true.J
-        assert (frozen.z_star == true.z_star).all()
-        assert frozen.u_bar == true.u_bar
+    boundaries = (
+        Hyperplane(np.array([0.0, 1.0]), 0.0),
+        Hyperplane(np.array([1.0, 1.0]), 0.9),  # straddled by x and y
+        ParametricCurve(lambda th: np.array([th, 0.1 * th * th - 0.2]), -2.0, 3.0,
+                        samples=64),
+    )
+    for boundary in boundaries:
+        true = exit_asymptotics(model, x, y, boundary)
+        for z0 in ([0.0, 0.6], [5.0, 9.0], [-3.0, 0.1]):
+            frozen = frozen_exit_asymptotics(model, x, y, boundary, z0)
+            for name in ("J", "u_bar", "d_xy", "d_xz", "d_zy", "geodesic_exits",
+                         "degenerate"):
+                assert getattr(frozen, name) == getattr(true, name), name
+            assert (frozen.z_star == true.z_star).all()
+    assert true.J > 0.0
+    assert exit_asymptotics(model, x, y, boundaries[1]).geodesic_exits
 
 
 def test_frozen_with_straddling_endpoints_flags_exit():

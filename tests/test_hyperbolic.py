@@ -15,7 +15,6 @@ from bridgeexit import (
     poincare_distance,
     reflect_across_vertical,
     sample_arc,
-    shear_image_distance,
 )
 from bridgeexit.errors import CoincidentPoints, PointNotOnArc
 from bridgeexit.hyperbolic import arc_from_csv, arc_to_csv
@@ -269,10 +268,21 @@ def test_distance_squared_matches_quadratic_form_locally(sv, rho):
         assert d2 == pytest.approx(q, rel=2e-4)
 
 
+def shear_image_distance(rho: float, p, q) -> float:
+    """Distance of the shear images (rb*x + rho*y, y); NOT the metric distance.
+
+    This substitution looks plausible but fails the pullback consistency
+    check whenever rho != 0, and misses the 1/sigma_vol scaling entirely.
+    """
+    rb = math.sqrt(1.0 - rho * rho)
+    return poincare_distance((rb * p[0] + rho * p[1], p[1]),
+                             (rb * q[0] + rho * q[1], q[1]))
+
+
 def test_shear_image_formula_disagrees_with_the_metric():
     # The plain shear (x, y) -> (rb x + rho y, y) does not pull the
-    # half-plane metric back to the correlated one; kept only to document
-    # the mismatch.  At rho = 0 the two maps coincide.
+    # half-plane metric back to the correlated one.  At rho = 0 the two
+    # maps coincide.
     p, q = (0.3, 0.4), (1.1, 2.0)
     assert shear_image_distance(0.0, p, q) == pytest.approx(
         poincare_distance(p, q), rel=1e-14
