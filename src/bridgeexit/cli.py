@@ -170,7 +170,8 @@ def cmd_exit(view: ConfigView, args) -> int:
 
     if freeze:
         comp = compare_freezing(model, x, y, boundary, freeze, t_list=t_list,
-                                opts=opts, workers=workers)
+                                opts=opts, workers=workers, truncation_factor=trunc,
+                                force_numeric=force)
         rows = comp.rows
     else:
         res = exit_asymptotics(model, x, y, boundary, opts=opts,

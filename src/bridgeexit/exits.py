@@ -28,9 +28,11 @@ reflection).  Every other case is one scan of d(x,z) + d(z,y) over a chart
 -- a log-v window along a correlated vertical barrier, an arclength window
 along any other plane, or the samples of a ParametricCurve -- by coarse
 samples and golden-section refinement; solver legs are solved coarsely and
-warm-started from their neighbors.  The legs and J of the result come from
-the oracle at z_star.  The frozen comparator is the same engine on the
-constant geometry a(z0)^{-1}.
+warm-started from their neighbors.  A window whose best sample sits on an
+end set by the window's length rather than by the domain is doubled and
+scanned again.  The legs and J of the result come from the oracle at
+z_star.  The frozen comparator is the same engine on the constant geometry
+a(z0)^{-1}.
 """
 
 from __future__ import annotations
@@ -75,6 +77,8 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_BRACKET = 1e-10
 # J at or below this times max(1, d_xy^2) is reported as "geodesic exits".
 EXIT_TOL = 1e-12
+# Doublings of a scan window whose best sample sits on a length-limited end.
+MAX_WIDENINGS = 4
 
 
 # ---- Boundary descriptions ---- #
@@ -273,9 +277,9 @@ def _side_checks(plane: Hyperplane, x, y):
 # ---- Short-circuits ahead of the scan ---- #
 
 
-def _geodesic_plane_crossing(model, geom, x, y, plane: Hyperplane,
-                             opts: SolverOptions | None):
-    """Point where the x-to-y geodesic under geom meets the plane (straddle case)."""
+def _geodesic_plane_crossing(geom, x, y, plane: Hyperplane, xy):
+    """Point where the x-to-y geodesic under geom meets the plane (straddle
+    case); xy is the solver's x-to-y GeodesicResult when geom is None."""
     n, c = plane.normal, plane.offset
     if isinstance(geom, ConstantGeometry):
         sx = float(n @ x - c)
@@ -285,7 +289,7 @@ def _geodesic_plane_crossing(model, geom, x, y, plane: Hyperplane,
     if isinstance(geom, HullWhiteGeometry):
         pts = hw_geodesic_image(geom.sigma_vol, geom.rho, x, y, n=4096).path.points
     else:
-        pts = solve_geodesic(model, x, y, opts).path.points
+        pts = xy.path.points
     s = pts @ n - c
     idx = np.nonzero(s[:-1] * s[1:] <= 0.0)[0]
     i = int(idx[0]) if len(idx) else int(np.argmin(np.abs(s)))
@@ -328,22 +332,25 @@ def _constant_reflection(G, x, y, plane: Hyperplane):
 # ---- Boundary charts: (sample parameters, theta -> point) ---- #
 
 
-def _log_v_window(dist, geom: HullWhiteGeometry, x, y, x0: float):
+def _log_v_window(dist, geom: HullWhiteGeometry, x, y, x0: float, widen: float = 1.0):
     """Chart of a correlated vertical barrier by log v.
 
     The barrier is no longer a geodesic mirror in any transformed picture,
-    but the distance sum along it is a smooth function of log v.
+    but the distance sum along it is a smooth function of log v.  Both ends
+    of the window are set by its length (widen times the heuristic half
+    width), never by the domain.
     """
     lam_x, lam_y = np.log(x[1]), np.log(y[1])
     lam0 = 0.5 * (lam_x + lam_y)
     anchor = np.array([x0, float(np.exp(lam0))])
     f0 = dist(x, anchor) + dist(anchor, y)
     half = geom.sigma_vol * f0 + max(abs(lam_x - lam0), abs(lam_y - lam0)) + 1.0
+    half *= widen
 
     def chart(lam: float) -> np.ndarray:
         return np.array([x0, float(np.exp(lam))])
 
-    return np.linspace(lam0 - half, lam0 + half, 256), chart
+    return np.linspace(lam0 - half, lam0 + half, 256), chart, (True, True)
 
 
 def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
@@ -351,10 +358,16 @@ def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
     """Chart and sample grid for a plane boundary, truncated by path length.
 
     The plane (d = 2 only) is parametrized by arclength in the model metric,
-    marching out from the projection of the chord midpoint until the
-    accumulated length exceeds truncation_factor * d(x, y) on each side:
-    boundary points farther away than that cost more than any candidate the
-    window already contains.
+    marching out from the projection of the chord midpoint on each side.  A
+    side stops when the accumulated length reaches truncation_factor *
+    d(x, y), or at the domain edge: a step that would leave the domain is
+    halved until it stays inside, and the march ends once a step no longer
+    moves theta in floating point (or 60 halvings do not bring it back).
+    Arclength along the plane only bounds the metric distance from above,
+    so a length-limited end is no proof that farther points cost more; the
+    third value returned says, per end (low, high), whether the length
+    limit set it, and the engine widens the window when the scan's best
+    sample lands on such an end.
     """
     if model.dim != 2:
         raise ValueError("the numeric boundary scan supports two-dimensional states only")
@@ -370,7 +383,8 @@ def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
     radius = truncation_factor * max(d_xy, 1e-12)
     step_len = radius / (samples * 2.0)
 
-    def march(direction: float) -> float:
+    def march(direction: float):
+        """(theta, whether the length limit stopped the march)."""
         theta = 0.0
         acc = 0.0
         guard = 0
@@ -384,21 +398,21 @@ def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
                 dth *= 0.5
                 znext = anchor + (theta + direction * dth) * tangent
                 shrink += 1
-            if shrink >= 60:
+            if shrink >= 60 or theta + direction * dth == theta:
                 break
             theta += direction * dth
             acc += step_len if shrink == 0 else rate * dth
             guard += 1
-        return theta
+        return theta, acc >= radius
 
-    lo = march(-1.0)
-    hi = march(+1.0)
+    lo, lo_open = march(-1.0)
+    hi, hi_open = march(+1.0)
     thetas = np.linspace(lo, hi, samples)
 
     def chart(theta: float) -> np.ndarray:
         return anchor + theta * tangent
 
-    return thetas, chart
+    return thetas, chart, (lo_open, hi_open)
 
 
 # ---- The scan: coarse samples, then golden section ---- #
@@ -423,8 +437,9 @@ def _golden(f, lo: float, hi: float):
     return theta, f(theta)
 
 
-def _scan(thetas: np.ndarray, make_legsum, workers: int = 1) -> float:
-    """Chart parameter of the smallest leg sum d(x, z) + d(z, y).
+def _scan(thetas: np.ndarray, make_legsum, workers: int = 1):
+    """(chart parameter of the smallest leg sum d(x, z) + d(z, y), index of
+    the best coarse sample).
 
     make_legsum() returns a function theta -> leg sum (+inf outside the
     domain).  Each worker sweeps a contiguous block of samples with its own
@@ -453,11 +468,11 @@ def _scan(thetas: np.ndarray, make_legsum, workers: int = 1) -> float:
     lo = float(thetas[max(j - 1, 0)])
     hi = float(thetas[min(j + 1, len(thetas) - 1)])
     if hi <= lo:
-        return float(thetas[j])
+        return float(thetas[j]), j
     f = make_legsum()
     f(float(thetas[j]))
     theta, val = _golden(f, lo, hi)
-    return float(thetas[j]) if vals[j] < val else theta
+    return (float(thetas[j]) if vals[j] < val else theta), j
 
 
 def _solver_legsums(model, x, y, chart, opts: SolverOptions):
@@ -539,7 +554,10 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts, workers=1,
     """Exit exponent under geom (None: the path optimizer on the model).
 
     The model supplies the dimension and the domain test.  label, when
-    given, replaces the method name of every result.
+    given, replaces the method name of every result.  A scan whose best
+    coarse sample sits on a window end set by the window length, not by
+    the domain, is repeated on a window twice as long, up to MAX_WIDENINGS
+    times.
     """
     opts = opts or SolverOptions()
     dist = _oracle(model, geom, opts)
@@ -547,17 +565,20 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts, workers=1,
     plane = _as_plane(boundary, model.dim)
     if plane is not None:
         s_x, s_y = _side_checks(plane, x, y)
-    d_xy = dist(x, y)
+    # Under the path optimizer the x-to-y solve also locates a straddle's crossing.
+    xy = solve_geodesic(model, x, y, opts) if geom is None else None
+    d_xy = dist(x, y) if xy is None else xy.distance
 
     if plane is None:
-        thetas = np.linspace(boundary.theta_min, boundary.theta_max, boundary.samples)
-        chart = boundary.chart
+        def window(widen):
+            thetas = np.linspace(boundary.theta_min, boundary.theta_max, boundary.samples)
+            return thetas, boundary.chart, (False, False)
     elif s_x == 0.0 or s_y == 0.0:
         z_star = x.copy() if s_x == 0.0 else y.copy()
         return _assemble(dist, x, y, d_xy, z_star, closed, 0.0,
                          geodesic_exits=True, degenerate=True)
     elif (s_x > 0.0) != (s_y > 0.0):
-        z_star = _geodesic_plane_crossing(model, geom, x, y, plane, opts)
+        z_star = _geodesic_plane_crossing(geom, x, y, plane, xy)
         return _assemble(dist, x, y, d_xy, z_star, closed, 0.0, geodesic_exits=True)
     elif isinstance(geom, ConstantGeometry):
         z_star, J = _constant_reflection(geom.inv_metric, x, y, plane)
@@ -567,19 +588,30 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts, workers=1,
         if geom.rho == 0.0:
             z_star, J = _half_plane_reflection(geom, x, y, x0)
             return _assemble(dist, x, y, d_xy, z_star, closed, J)
-        thetas, chart = _log_v_window(dist, geom, x, y, x0)
+
+        def window(widen):
+            return _log_v_window(dist, geom, x, y, x0, widen)
     else:
-        thetas, chart = _arclength_window(model, x, y, plane, d_xy,
-                                          truncation_factor, 256)
+        def window(widen):
+            return _arclength_window(model, x, y, plane, d_xy,
+                                     widen * truncation_factor, 256)
 
     if geom is None:
-        theta = _scan(thetas, _solver_legsums(model, x, y, chart, opts), workers)
+        def scan(thetas, chart):
+            return _scan(thetas, _solver_legsums(model, x, y, chart, opts), workers)
     else:
-        def legsum(theta):
-            z = np.asarray(chart(float(theta)), dtype=float)
-            return dist(x, z) + dist(z, y) if model.domain_test(z) else np.inf
+        def scan(thetas, chart):
+            def legsum(theta):
+                z = np.asarray(chart(float(theta)), dtype=float)
+                return dist(x, z) + dist(z, y) if model.domain_test(z) else np.inf
 
-        theta = _scan(thetas, lambda: legsum)
+            return _scan(thetas, lambda: legsum)
+
+    for k in range(MAX_WIDENINGS + 1):
+        thetas, chart, (lo_open, hi_open) = window(2.0**k)
+        theta, j = scan(thetas, chart)
+        if not ((lo_open and j == 0) or (hi_open and j == len(thetas) - 1)):
+            break
     z_star = np.asarray(chart(theta), dtype=float)
     return _assemble(dist, x, y, d_xy, z_star, label or "numeric_1d")
 
@@ -674,13 +706,17 @@ def compare_freezing(
     t_list=(),
     opts: SolverOptions | None = None,
     workers: int = 1,
+    truncation_factor: float = 4.0,
+    force_numeric: bool = False,
 ) -> FreezingComparison:
     """True exit exponent next to frozen-coefficient surrogates.
 
-    One row per freeze point, after a first row for the true model.  Each row
-    carries exp(-J/t) for every requested horizon.  Where to freeze is the
-    caller's problem: there is no canonical choice, and the candidates can
-    disagree among themselves by more than their distance to the true value.
+    One row per freeze point, after a first row for the true model, which
+    takes workers, truncation_factor and force_numeric as exit_asymptotics
+    does.  Each row carries exp(-J/t) for every requested horizon.  Where to
+    freeze is the caller's problem: there is no canonical choice, and the
+    candidates can disagree among themselves by more than their distance to
+    the true value.
     """
     t_list = tuple(float(t) for t in t_list)
     rows = []
@@ -688,7 +724,9 @@ def compare_freezing(
     def probs(J):
         return tuple(exit_probability_equivalent(J, t) for t in t_list)
 
-    true = exit_asymptotics(model, x, y, boundary, opts=opts, workers=workers)
+    true = exit_asymptotics(model, x, y, boundary, opts=opts, workers=workers,
+                            truncation_factor=truncation_factor,
+                            force_numeric=force_numeric)
     rows.append(FreezingRow("true", true, probs(true.J)))
     for z0 in freeze_points:
         z0 = np.asarray(z0, dtype=float)

@@ -17,7 +17,10 @@ as infinite energy, so the line search doubles as a domain barrier.
 
 The gradient is exact for the quadratic-form part; the derivative of
 a(m)^{-1} enters through central finite differences of the inverse metric
-with step 1e-6 times the local coordinate scale.
+with step 1e-6 times the local coordinate scale.  The midpoints and all 2d
+probes are evaluated in one batch call; when a probe leaves the domain
+(a box edge) the probes are evaluated one direction at a time instead, and
+the failing directions use one-sided differences.
 """
 
 from __future__ import annotations
@@ -126,10 +129,8 @@ def _energy_of(model, pts) -> float:
 
 
 def _segment_q(model, pts) -> np.ndarray:
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    A = inverse_metric_batch(model, mids)
-    deltas = np.diff(pts, axis=0)
-    return np.einsum("nij,ni,nj->n", A, deltas, deltas)
+    A = inverse_metric_batch(model, 0.5 * (pts[:-1] + pts[1:]))
+    return _q_form(A, np.diff(pts, axis=0))
 
 
 def _gradient_of(model, pts) -> np.ndarray:
@@ -140,24 +141,37 @@ def _grad_and_metric(model, pts):
     """Gradient w.r.t. interior points plus the midpoint inverse metrics.
 
     The metrics are returned so the minimizer can reuse them for its
-    Gauss-Newton model without a second batch evaluation.
+    Gauss-Newton model without a second batch evaluation.  Midpoints and
+    all 2d central-difference probes go through one batch evaluation; only
+    when a probe leaves the domain or meets a non-SPD matrix are they
+    evaluated one probe set at a time, so that the failing directions fall
+    back to one-sided differences.
     """
     n = pts.shape[0] - 1
     d = pts.shape[1]
     mids = 0.5 * (pts[:-1] + pts[1:])
     deltas = np.diff(pts, axis=0)
-    A = inverse_metric_batch(model, mids)
+    h = FD_STEP_SCALE * np.maximum(1.0, np.abs(mids).max(axis=1))
+    probes = []
+    for k in range(d):
+        shift = np.zeros(d)
+        shift[k] = 1.0
+        probes += [mids + h[:, None] * shift, mids - h[:, None] * shift]
+    try:
+        stack = inverse_metric_batch(model, np.concatenate([mids, *probes]))
+    except (NotSPD, ValueError):
+        A = inverse_metric_batch(model, mids)
+        q = [_q_shifted(model, p, deltas) for p in probes]
+    else:
+        A, *probe_metrics = np.split(stack, 2 * d + 1)
+        q = [_q_form(P, deltas) for P in probe_metrics]
     Av = np.einsum("nij,nj->ni", A, deltas)
     g = n * (Av[:-1] - Av[1:])
 
     q0 = np.einsum("ni,ni->n", Av, deltas)
-    h = FD_STEP_SCALE * np.maximum(1.0, np.abs(mids).max(axis=1))
     dq = np.empty((n, d))
     for k in range(d):
-        shift = np.zeros(d)
-        shift[k] = 1.0
-        qp = _q_shifted(model, mids + h[:, None] * shift, deltas)
-        qm = _q_shifted(model, mids - h[:, None] * shift, deltas)
+        qp, qm = q[2 * k], q[2 * k + 1]
         if qp is None and qm is None:
             dq[:, k] = 0.0
         elif qp is None:
@@ -170,13 +184,17 @@ def _grad_and_metric(model, pts):
     return g, A
 
 
+def _q_form(A, deltas):
+    return np.einsum("nij,ni,nj->n", A, deltas, deltas)
+
+
 def _q_shifted(model, pts, deltas):
     # One-sided fallback when a tiny probe step leaves the domain (box edges).
     try:
         A = inverse_metric_batch(model, pts)
     except (NotSPD, ValueError):
         return None
-    return np.einsum("nij,ni,nj->n", A, deltas, deltas)
+    return _q_form(A, deltas)
 
 
 def _check_path(model: DiffusionModel, path: DiscretePath) -> np.ndarray:

@@ -12,7 +12,9 @@ declare complete=False.  Nothing here verifies the declaration.
 Built-in models expose optional vectorized hooks (batch_inverse_metric,
 batch_domain_test) that the path optimizer uses to evaluate a whole path's
 midpoints in one call.  Custom callback models work without them, just
-slower.
+slower.  grid_model evaluates its bilinear interpolant directly on the
+lattice arrays, bit for bit as scipy's linear RegularGridInterpolator
+would, without importing scipy.interpolate.
 """
 
 from __future__ import annotations
@@ -230,6 +232,43 @@ def hull_white_model(
     )
 
 
+def _bilinear(x_nodes: np.ndarray, v_nodes: np.ndarray, entries: np.ndarray):
+    """Vectorized bilinear interpolation of entries over the (x, v) lattice.
+
+    pts (n, 2) -> (n,) + entries.shape[2:].  The four corner terms are
+    added to 0.0 in the order (1-tx)(1-tv), (1-tx)tv, tx(1-tv), tx tv, and a
+    point on the last node uses the last cell with weight 1, so the result
+    matches scipy's linear RegularGridInterpolator bit for bit.  A point
+    outside the closed box raises ValueError.
+    """
+    lo = np.array([x_nodes[0], v_nodes[0]])
+    hi = np.array([x_nodes[-1], v_nodes[-1]])
+    nv = len(v_nodes)
+    flat = entries.reshape(len(x_nodes) * nv, -1)
+    # Cell index from the interior nodes alone: the last node lands in the
+    # last cell, the first in the first.
+    inner_x, inner_v = x_nodes[1:-1], v_nodes[1:-1]
+
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        if not ((lo <= pts).all() and (pts <= hi).all()):
+            raise ValueError("point outside the interpolation lattice")
+        px, pv = pts[:, 0], pts[:, 1]
+        ix = inner_x.searchsorted(px, side="right")
+        iv = inner_v.searchsorted(pv, side="right")
+        x0, v0 = x_nodes[ix], v_nodes[iv]
+        tx = (px - x0) / (x_nodes[ix + 1] - x0)
+        tv = (pv - v0) / (v_nodes[iv + 1] - v0)
+        sx, sv = 1 - tx, 1 - tv
+        k = ix * nv + iv
+        out = 0.0 + flat.take(k, axis=0) * (sx * sv)[:, None]
+        out += flat.take(k + 1, axis=0) * (sx * tv)[:, None]
+        out += flat.take(k + nv, axis=0) * (tx * sv)[:, None]
+        out += flat.take(k + nv + 1, axis=0) * (tx * tv)[:, None]
+        return out.reshape(pts.shape[:1] + entries.shape[2:])
+
+    return evaluate
+
+
 def grid_model(x_nodes, v_nodes, entries, complete: bool = True) -> DiffusionModel:
     """Two-dimensional model with sigma bilinearly interpolated on a lattice.
 
@@ -237,8 +276,6 @@ def grid_model(x_nodes, v_nodes, entries, complete: bool = True) -> DiffusionMod
     each lattice node.  The domain is the closed bounding box of the nodes.
     Completeness cannot be inferred from samples, so the caller declares it.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
     x_nodes = np.asarray(x_nodes, dtype=float)
     v_nodes = np.asarray(v_nodes, dtype=float)
     entries = np.asarray(entries, dtype=float)
@@ -251,9 +288,7 @@ def grid_model(x_nodes, v_nodes, entries, complete: bool = True) -> DiffusionMod
     if not np.all(np.isfinite(entries)):
         raise ValueError("sigma samples must be finite")
 
-    interp = RegularGridInterpolator(
-        (x_nodes, v_nodes), entries, method="linear", bounds_error=True
-    )
+    interp = _bilinear(x_nodes, v_nodes, entries)
     lo = np.array([x_nodes[0], v_nodes[0]])
     hi = np.array([x_nodes[-1], v_nodes[-1]])
 

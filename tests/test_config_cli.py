@@ -248,6 +248,31 @@ def test_exit_command_reports_true_and_frozen_rows(capsys, tmp_path):
     assert float(frozen[0][1]) == pytest.approx(6.0, abs=1e-9)
 
 
+def test_exit_keys_reach_the_true_row_when_freeze_points_are_set(tmp_path, capsys):
+    def true_row(text):
+        out = tmp_path / "exit.csv"
+        assert main(["exit", "--config", write_cfg(tmp_path, "e.cfg", text),
+                     "--out", str(out)]) == 0
+        return out.read_text().splitlines()[1]
+
+    # a straddled barrier under the path optimizer
+    straddle = ("model.kind = hull_white_simple\nx = 1, 0.2\ny = 2, 0.5\n"
+                "barrier.kind = vertical\nbarrier.x0 = 1.5\nsolver.n = 50\n"
+                "exit.force_numeric = true\n")
+    row = true_row(straddle + "freeze = 2, 0.5\n")
+    assert row.endswith(",numeric_1d")
+    assert row == true_row(straddle)
+    # a window far too short for the best boundary point
+    slanted = ("model.kind = hull_white\nmodel.sigma_vol = 0.92873\nmodel.rho = 0.15783\n"
+               "x = 1.05609, 0.17776\ny = 0.99883, 0.19572\nbarrier.kind = hyperplane\n"
+               "barrier.normal = 0.99796, -0.06383\nbarrier.offset = 1.93711\n")
+    short = slanted + "exit.truncation_factor = 0.001\n"
+    row = true_row(short + "freeze = 1, 0.2\n")
+    assert row == true_row(short)
+    assert row != true_row(slanted)
+    capsys.readouterr()
+
+
 def test_exit_command_rejects_incomplete_models(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

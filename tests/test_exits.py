@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bridgeexit import (
     exit_probability_equivalent,
     frozen_exit_asymptotics,
     geodesic_arc,
+    grid_model,
     hull_white_model,
     model_distance,
     optimal_crossing_time,
@@ -428,3 +430,100 @@ def test_model_distance_picks_the_closed_form():
     )
     flat = constant_model(np.eye(2))
     assert model_distance(flat, [0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
+
+
+# ---- scan windows and model callbacks ---- #
+
+# Close endpoints, far slanted plane: the default window is too short for
+# the best boundary point, which lies near (1.99886, 0.90358).
+TRUNC_MODEL = dict(sigma_vol=0.92873, rho=0.15783)
+TRUNC_X = np.array([1.05609, 0.17776])
+TRUNC_Y = np.array([0.99883, 0.19572])
+TRUNC_PLANE = Hyperplane(np.array([0.99796, -0.06383]), 1.93711)
+
+
+def diag_v_grid():
+    # sigma = diag(v, v) on 13 x 13 nodes, as perfbench/data/make_grid.py
+    # writes it: the metric of hull_white_simple, reproduced exactly.
+    xs = np.linspace(0.0, 4.0, 13)
+    vs = np.linspace(0.02, 3.0, 13)
+    entries = np.zeros((13, 13, 2, 2))
+    entries[..., 0, 0] = vs[None, :]
+    entries[..., 1, 1] = vs[None, :]
+    return grid_model(xs, vs, entries)
+
+
+def test_scan_window_widens_past_a_length_limited_end():
+    model = hull_white_model(**TRUNC_MODEL)
+    res = exit_asymptotics(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE)
+    assert res.J == pytest.approx(10.8224, abs=1e-4)
+    np.testing.assert_allclose(res.z_star, [1.99886, 0.90358], atol=1e-5)
+    wide = exit_asymptotics(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE, truncation_factor=8.0)
+    assert res.J == wide.J
+    # no boundary point far along the plane costs less
+    n, c = TRUNC_PLANE.normal, TRUNC_PLANE.offset
+    for v in np.geomspace(1e-3, 50.0, 400):
+        z = np.array([(c - n[1] * v) / n[0], v])
+        assert pointwise_exit_cost(model, TRUNC_X, TRUNC_Y, z) >= res.J - 1e-9
+
+
+def test_windows_report_which_ends_the_length_limit_set():
+    from bridgeexit.exits import _arclength_window, _log_v_window
+
+    grid = diag_v_grid()
+    plane = Hyperplane(np.array([1.0, 0.0]), ref.A_BARRIER)
+    thetas, chart, ends = _arclength_window(grid, ref.A_X, ref.A_Y, plane,
+                                            ref.A_D_XY, 4.0, 256)
+    assert ends == (False, False)
+    assert chart(thetas[0])[1] == pytest.approx(0.02, abs=1e-12)
+    assert chart(thetas[-1])[1] == pytest.approx(3.0, abs=1e-12)
+    model = hull_white_model(**TRUNC_MODEL)
+    d_xy = model_distance(model, TRUNC_X, TRUNC_Y)
+    _, _, ends = _arclength_window(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE, d_xy, 4.0, 256)
+    assert ends == (True, True)
+    model = hull_white_model(sigma_vol=1.5, rho=0.5)
+
+    def dist(p, q):
+        return model_distance(model, p, q)
+
+    one, _, ends = _log_v_window(dist, model.geometry, ref.A_X, ref.A_Y, ref.A_BARRIER)
+    two, _, _ = _log_v_window(dist, model.geometry, ref.A_X, ref.A_Y, ref.A_BARRIER, 2.0)
+    assert ends == (True, True)
+    assert np.ptp(two) == pytest.approx(2.0 * np.ptp(one), rel=1e-12)
+
+
+def test_solver_straddle_solves_x_to_y_once(monkeypatch):
+    import bridgeexit.exits as exits
+
+    calls = []
+    solve = exits.solve_geodesic
+
+    def counting(model, p, q, *args, **kw):
+        calls.append((tuple(p), tuple(q)))
+        return solve(model, p, q, *args, **kw)
+
+    monkeypatch.setattr(exits, "solve_geodesic", counting)
+    res = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y, VerticalBarrier(1.5),
+                           opts=SolverOptions(n=50), force_numeric=True)
+    assert res.geodesic_exits and res.method == "numeric_1d"
+    assert len(calls) == 3
+    assert calls.count((tuple(ref.A_X), tuple(ref.A_Y))) == 1
+
+
+def test_grid_exit_model_callback_counts():
+    counts = {"domain_test": 0, "sigma": 0}
+
+    def counted(name, fn):
+        def wrapped(z):
+            counts[name] += 1
+            return fn(z)
+        return wrapped
+
+    grid = diag_v_grid()
+    model = replace(grid, domain_test=counted("domain_test", grid.domain_test),
+                    sigma=counted("sigma", grid.sigma))
+    res = exit_asymptotics(model, ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER))
+    assert res.J == pytest.approx(ref.A_J, rel=1e-4)
+    # the window march once made about 382k scalar domain tests here
+    assert counts["domain_test"] < 10_000
+    assert counts["sigma"] < 1_000

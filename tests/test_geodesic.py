@@ -285,3 +285,72 @@ def test_path_csv_round_trip():
     back = path_from_csv(text)
     assert back.n_segments == 6
     assert np.abs(back.points - path.points).max() < 1e-10
+
+
+def _per_probe_grad_and_metric(model, pts):
+    # The gradient with every central-difference probe set evaluated on its
+    # own, falling back to one-sided differences where a set fails.
+    from bridgeexit.errors import NotSPD
+    from bridgeexit.model import inverse_metric_batch
+
+    def q_of(at, deltas):
+        try:
+            A = inverse_metric_batch(model, at)
+        except (NotSPD, ValueError):
+            return None
+        return np.einsum("nij,ni,nj->n", A, deltas, deltas)
+
+    n, d = pts.shape[0] - 1, pts.shape[1]
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    deltas = np.diff(pts, axis=0)
+    A = inverse_metric_batch(model, mids)
+    Av = np.einsum("nij,nj->ni", A, deltas)
+    g = n * (Av[:-1] - Av[1:])
+    q0 = np.einsum("ni,ni->n", Av, deltas)
+    h = 1e-6 * np.maximum(1.0, np.abs(mids).max(axis=1))
+    dq = np.empty((n, d))
+    for k in range(d):
+        shift = np.zeros(d)
+        shift[k] = 1.0
+        qp = q_of(mids + h[:, None] * shift, deltas)
+        qm = q_of(mids - h[:, None] * shift, deltas)
+        if qp is None and qm is None:
+            dq[:, k] = 0.0
+        elif qp is None:
+            dq[:, k] = (q0 - qm) / h
+        elif qm is None:
+            dq[:, k] = (qp - q0) / h
+        else:
+            dq[:, k] = (qp - qm) / (2.0 * h)
+    return g + 0.25 * n * (dq[:-1] + dq[1:]), A
+
+
+def test_batched_gradient_probes_match_per_probe_evaluation():
+    from bridgeexit.geodesic import _grad_and_metric
+    from bridgeexit.model import grid_model
+
+    rng = np.random.default_rng(23)
+    xs = np.linspace(0.0, 4.0, 13)
+    vs = np.linspace(0.02, 3.0, 13)
+    entries = np.zeros((13, 13, 2, 2))
+    entries[..., 0, 0] = vs[None, :] * (1.0 + 0.1 * xs[:, None])
+    entries[..., 0, 1] = 0.05 * vs[None, :]
+    entries[..., 1, 1] = vs[None, :] + 0.2 * np.sin(xs)[:, None] ** 2
+    grid = grid_model(xs, vs, entries)
+    cases = []
+    for model in (hull_white_model(), hull_white_model(sigma_vol=1.7, rho=0.4),
+                  constant_model(np.array([[1.0, 0.3], [0.0, 0.8]]))):
+        x = np.array([rng.uniform(-1, 1), rng.uniform(0.3, 2.0)])
+        y = np.array([rng.uniform(-1, 1) + 1.5, rng.uniform(0.3, 2.0)])
+        cases.append((model, wiggly_path(rng, x, y, n=30, floor=0.1).points))
+    cases.append((grid, wiggly_path(rng, np.array([0.5, 0.4]), np.array([3.2, 2.1]),
+                                    n=30).points))
+    # midpoints within 1e-7 of the lower and the right edge of the box
+    edge = np.linspace([0.5, 0.02 + 5e-8], [3.5, 0.02 + 5e-8], 31)
+    cases.append((grid, edge))
+    cases.append((grid, np.linspace([4.0 - 5e-8, 0.3], [4.0 - 5e-8, 2.9], 31)))
+    for model, pts in cases:
+        g, A = _grad_and_metric(model, pts)
+        g_ref, A_ref = _per_probe_grad_and_metric(model, pts)
+        assert g.tobytes() == g_ref.tobytes()
+        assert A.tobytes() == A_ref.tobytes()

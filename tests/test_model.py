@@ -219,3 +219,42 @@ def test_grid_model_csv_rejects_ragged_grids():
     text = "x,v,s11,s12,s21,s22\n0,1,1,0,0,1\n1,2,1,0,0,1\n"
     with pytest.raises(ValueError):
         grid_model_from_csv(text)
+
+
+def _lattice_probes(xs, vs, rng):
+    inner = np.column_stack([rng.uniform(xs[0], xs[-1], 400),
+                             rng.uniform(vs[0], vs[-1], 400)])
+    X, V = np.meshgrid(xs, vs, indexing="ij")
+    nodes = np.column_stack([X.ravel(), V.ravel()])
+    k = 40
+    edges = np.concatenate([
+        np.column_stack([np.full(k, xs[0]), rng.uniform(vs[0], vs[-1], k)]),
+        np.column_stack([np.full(k, xs[-1]), rng.uniform(vs[0], vs[-1], k)]),
+        np.column_stack([rng.uniform(xs[0], xs[-1], k), np.full(k, vs[0])]),
+        np.column_stack([rng.uniform(xs[0], xs[-1], k), np.full(k, vs[-1])]),
+    ])
+    return inner, nodes, edges
+
+
+def test_grid_evaluator_matches_scipy_bit_for_bit():
+    from scipy.interpolate import RegularGridInterpolator
+
+    from bridgeexit.model import _bilinear
+
+    rng = np.random.default_rng(5)
+    xs = np.linspace(-1.0, 3.0, 9)
+    vs = np.geomspace(0.02, 3.0, 7)
+    for entries in (sample_field(xs, vs), rng.standard_normal((9, 7, 2, 2))):
+        ours = _bilinear(xs, vs, entries)
+        ref = RegularGridInterpolator((xs, vs), entries, method="linear",
+                                      bounds_error=True)
+        model = grid_model(xs, vs, entries)
+        for pts in _lattice_probes(xs, vs, rng):
+            assert ours(pts).tobytes() == ref(pts).tobytes()
+            for z in pts[:25]:
+                assert model.sigma(z).tobytes() == ref(z[None, :])[0].tobytes()
+        for bad in ([xs[0] - 1e-12, 1.0], [xs[-1] + 1e-9, 1.0],
+                    [0.5, vs[0] - 1e-12], [0.5, vs[-1] + 1e-9], [np.nan, 1.0]):
+            for evaluate in (ours, ref, model.batch_inverse_metric):
+                with pytest.raises(ValueError):
+                    evaluate(np.array([bad]))
