@@ -27,22 +27,25 @@ crossing), a vertical barrier under the uncorrelated volatility geometry
 reflection).  Every other case is one scan of d(x,z) + d(z,y) over a chart
 -- a log-v window along a correlated vertical barrier, an arclength window
 along any other plane, or the samples of a ParametricCurve -- by coarse
-samples and golden-section refinement; solver legs are solved coarsely and
-warm-started from their neighbors.  A window whose best sample sits on an
-end set by the window's length rather than by the domain is doubled and
-scanned again.  The legs and J of the result come from the oracle at
-z_star.  The frozen comparator is the same engine on the constant geometry
-a(z0)^{-1}.
+samples and golden-section refinement.  Charts and the closed-form oracles
+take arrays, so a window's coarse samples are mapped, domain-tested and
+measured in one call each, bit for bit as one point at a time; solver legs
+are solved coarsely and warm-started from their neighbors.  A window whose
+best sample sits on an end set by the window's length rather than by the
+domain is doubled and scanned again, and the result counts the doublings.
+The legs and J of the result come from the oracle at z_star.  The frozen
+comparator is the same engine on the constant geometry a(z0)^{-1}.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import BothZero, IncompleteModel, NotSPD, OutsideDomain
+from .errors import BothZero, IncompleteModel, OutsideDomain
 from .geodesic import SolverOptions, _energy_of, path_energy, solve_geodesic
 from .hyperbolic import (
     barrier_infimum_vertical,
@@ -51,7 +54,14 @@ from .hyperbolic import (
     hw_transform,
     poincare_distance,
 )
-from .model import ConstantGeometry, DiffusionModel, HullWhiteGeometry, inverse_metric
+from .model import (
+    ConstantGeometry,
+    DiffusionModel,
+    HullWhiteGeometry,
+    domain_test_batch,
+    inverse_metric,
+    inverse_metric_batch,
+)
 from .paths import DiscretePath
 
 __all__ = [
@@ -146,6 +156,9 @@ class ExitAsymptotics:
     method: str
     geodesic_exits: bool = False
     degenerate: bool = False
+    # Doublings of the scan window before its best sample left a
+    # length-limited end (MAX_WIDENINGS: the last window may still be short).
+    widenings: int = 0
 
 
 # ---- Scalar pieces ---- #
@@ -184,22 +197,27 @@ def exit_probability_equivalent(J: float, t: float) -> float:
 # ---- Distance oracles ---- #
 
 
-def _sym_sqrt(G: np.ndarray):
-    w, V = np.linalg.eigh(G)
-    if np.any(w <= 0.0):
-        raise NotSPD("metric is not positive definite")
-    s = np.sqrt(w)
-    return (V * s) @ V.T, (V / s) @ V.T
+def _whitened_norm(W: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """|W (q - p)| for points or rows; the stacked matmuls reproduce
+    np.linalg.norm(W @ (q - p)) bit for bit."""
+    v = W @ (q - p)[..., None]
+    s = (v.swapaxes(-1, -2) @ v)[..., 0, 0]
+    return math.sqrt(s) if s.ndim == 0 else np.sqrt(s)
 
 
 def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None):
-    """d(p, q) under geom; geom None means the path optimizer on the model."""
+    """d(p, q) under geom; geom None means the path optimizer on the model.
+
+    The closed-form oracles also take rows: with p or q an (n, d) array
+    they return the n distances, each bit for bit the distance of its two
+    points, so a scan evaluates all its coarse samples in one call.
+    """
     if isinstance(geom, HullWhiteGeometry):
         sv, rho = geom.sigma_vol, geom.rho
         return lambda p, q: hw_distance(sv, rho, p, q)
     if isinstance(geom, ConstantGeometry):
-        W, _ = _sym_sqrt(geom.inv_metric)
-        return lambda p, q: float(np.linalg.norm(W @ (np.asarray(q) - np.asarray(p))))
+        W, _ = geom.whitening
+        return lambda p, q: _whitened_norm(W, p, q)
     return lambda p, q: solve_geodesic(model, p, q, opts).distance
 
 
@@ -210,13 +228,15 @@ def model_distance(model: DiffusionModel, p, q,
     Closed form for the volatility and constant geometries, path optimizer
     otherwise.
     """
-    return _oracle(model, model.geometry, opts)(p, q)
+    return _oracle(model, model.geometry, opts)(np.asarray(p, dtype=float),
+                                                np.asarray(q, dtype=float))
 
 
 def pointwise_exit_cost(model: DiffusionModel, x, y, z,
                         opts: SolverOptions | None = None) -> float:
     """Cost of forcing the bridge through z: ((d_xz + d_zy)^2 - d_xy^2)/2."""
     dist = _oracle(model, model.geometry, opts)
+    x, y, z = (np.asarray(p, dtype=float) for p in (x, y, z))
     d_xz = dist(x, z)
     d_zy = dist(z, y)
     d_xy = dist(x, y)
@@ -310,10 +330,10 @@ def _half_plane_reflection(geom: HullWhiteGeometry, x, y, x0: float):
     return np.array([x0, sv * zs_img[1]]), J
 
 
-def _constant_reflection(G, x, y, plane: Hyperplane):
-    """(z_star, J) for a hyperplane under the constant metric G: a mirror
+def _constant_reflection(geom: ConstantGeometry, x, y, plane: Hyperplane):
+    """(z_star, J) for a hyperplane under a constant metric: a mirror
     reflection in whitened coordinates."""
-    W, Winv = _sym_sqrt(G)
+    W, Winv = geom.whitening
     xw = W @ x
     yw = W @ y
     m = Winv @ plane.normal
@@ -330,6 +350,19 @@ def _constant_reflection(G, x, y, plane: Hyperplane):
 
 
 # ---- Boundary charts: (sample parameters, theta -> point) ---- #
+#
+# A chart maps one parameter to a point, and an array of n parameters to
+# the (n, d) array of their points, row by row the same bits.
+
+
+def _curve_chart(curve: ParametricCurve):
+    """The curve's own chart, mapped over arrays of parameters."""
+    def chart(theta):
+        if np.ndim(theta) == 0:
+            return np.asarray(curve.chart(float(theta)), dtype=float)
+        return np.array([curve.chart(float(t)) for t in theta], dtype=float)
+
+    return chart
 
 
 def _log_v_window(dist, geom: HullWhiteGeometry, x, y, x0: float, widen: float = 1.0):
@@ -347,8 +380,11 @@ def _log_v_window(dist, geom: HullWhiteGeometry, x, y, x0: float, widen: float =
     half = geom.sigma_vol * f0 + max(abs(lam_x - lam0), abs(lam_y - lam0)) + 1.0
     half *= widen
 
-    def chart(lam: float) -> np.ndarray:
-        return np.array([x0, float(np.exp(lam))])
+    def chart(lam) -> np.ndarray:
+        z = np.empty(np.shape(lam) + (2,))
+        z[..., 0] = x0
+        z[..., 1] = np.exp(lam)
+        return z
 
     return np.linspace(lam0 - half, lam0 + half, 256), chart, (True, True)
 
@@ -358,16 +394,18 @@ def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
     """Chart and sample grid for a plane boundary, truncated by path length.
 
     The plane (d = 2 only) is parametrized by arclength in the model metric,
-    marching out from the projection of the chord midpoint on each side.  A
-    side stops when the accumulated length reaches truncation_factor *
-    d(x, y), or at the domain edge: a step that would leave the domain is
-    halved until it stays inside, and the march ends once a step no longer
-    moves theta in floating point (or 60 halvings do not bring it back).
-    Arclength along the plane only bounds the metric distance from above,
-    so a length-limited end is no proof that farther points cost more; the
-    third value returned says, per end (low, high), whether the length
-    limit set it, and the engine widens the window when the scan's best
-    sample lands on such an end.
+    marching out from the projection of the chord midpoint on each side.
+    Each step's length rate comes from the model's vectorised metric hook
+    (inverse_metric_batch on one point), not from a Cholesky solve of
+    sigma.  A side stops when the accumulated length reaches
+    truncation_factor * d(x, y), or at the domain edge: a step that would
+    leave the domain is halved until it stays inside, and the march ends
+    once a step no longer moves theta in floating point (or 60 halvings do
+    not bring it back).  Arclength along the plane only bounds the metric
+    distance from above, so a length-limited end is no proof that farther
+    points cost more; the third value returned says, per end (low, high),
+    whether the length limit set it, and the engine widens the window when
+    the scan's best sample lands on such an end.
     """
     if model.dim != 2:
         raise ValueError("the numeric boundary scan supports two-dimensional states only")
@@ -388,9 +426,10 @@ def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
         theta = 0.0
         acc = 0.0
         guard = 0
+        z = anchor
         while acc < radius and guard < 16 * samples:
-            z = anchor + theta * tangent
-            rate = float(np.sqrt(tangent @ inverse_metric(model, z) @ tangent))
+            G = inverse_metric_batch(model, z[None])[0]
+            rate = math.sqrt(tangent @ G @ tangent)
             dth = step_len / max(rate, 1e-300)
             znext = anchor + (theta + direction * dth) * tangent
             shrink = 0
@@ -401,6 +440,7 @@ def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
             if shrink >= 60 or theta + direction * dth == theta:
                 break
             theta += direction * dth
+            z = znext
             acc += step_len if shrink == 0 else rate * dth
             guard += 1
         return theta, acc >= radius
@@ -409,8 +449,8 @@ def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
     hi, hi_open = march(+1.0)
     thetas = np.linspace(lo, hi, samples)
 
-    def chart(theta: float) -> np.ndarray:
-        return anchor + theta * tangent
+    def chart(theta) -> np.ndarray:
+        return anchor + np.multiply.outer(theta, tangent)
 
     return thetas, chart, (lo_open, hi_open)
 
@@ -437,22 +477,24 @@ def _golden(f, lo: float, hi: float):
     return theta, f(theta)
 
 
-def _scan(thetas: np.ndarray, make_legsum, workers: int = 1):
+def _scan(thetas: np.ndarray, make_legsums, workers: int = 1):
     """(chart parameter of the smallest leg sum d(x, z) + d(z, y), index of
     the best coarse sample).
 
-    make_legsum() returns a function theta -> leg sum (+inf outside the
-    domain).  Each worker sweeps a contiguous block of samples with its own
-    leg-sum function; the reduction is a plain argmin with first-index
-    tie-break, so the result does not depend on thread scheduling.  Golden
-    section then refines within one sample of the best, with a fresh leg-sum
-    function first evaluated at that sample.
+    make_legsums() returns a function from an array of chart parameters to
+    the array of their leg sums (+inf outside the domain).  A closed-form
+    oracle gets all coarse samples in one call; the path optimizer's
+    function solves them in order.  Each worker sweeps a contiguous block
+    of samples with its own function; the reduction is a plain argmin with
+    first-index tie-break, so the result does not depend on thread
+    scheduling.  Golden section then refines within one sample of the
+    best, one parameter per call, with a fresh function first evaluated at
+    that sample.
     """
     blocks = np.array_split(np.arange(len(thetas)), max(1, min(workers, len(thetas))))
 
     def sweep(block):
-        legsum = make_legsum()
-        return [legsum(th) for th in thetas[block]]
+        return make_legsums()(thetas[block])
 
     vals = np.empty(len(thetas))
     if len(blocks) == 1:
@@ -469,10 +511,24 @@ def _scan(thetas: np.ndarray, make_legsum, workers: int = 1):
     hi = float(thetas[min(j + 1, len(thetas) - 1)])
     if hi <= lo:
         return float(thetas[j]), j
-    f = make_legsum()
-    f(float(thetas[j]))
-    theta, val = _golden(f, lo, hi)
+    f = make_legsums()
+    f(thetas[j:j + 1])
+    theta, val = _golden(lambda th: f(np.array([th]))[0], lo, hi)
     return (float(thetas[j]) if vals[j] < val else theta), j
+
+
+def _oracle_legsums(model, dist, x, y, chart):
+    """Leg sums of a closed-form oracle: every point of the chart in one
+    row-batched call per leg."""
+    def legsums(thetas):
+        z = chart(thetas)
+        out = np.full(len(z), np.inf)
+        inside = domain_test_batch(model, z)
+        z = z[inside]
+        out[inside] = dist(x, z) + dist(z, y)
+        return out
+
+    return lambda: legsums
 
 
 def _solver_legsums(model, x, y, chart, opts: SolverOptions):
@@ -500,28 +556,30 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
         pts[end] = z
         return DiscretePath(pts) if np.isfinite(_energy_of(model, pts)) else None
 
-    def make_legsum():
+    def make_legsums():
         prev = [None, None]
 
-        def legsum(theta):
-            z = np.asarray(chart(float(theta)), dtype=float)
-            if not model.domain_test(z):
-                return np.inf
-            r_xz = solve_geodesic(model, x, z, opts, init=warm(prev[0], -1, z))
-            r_zy = solve_geodesic(model, z, y, opts, init=warm(prev[1], 0, z))
-            prev[:] = r_xz.path, r_zy.path
-            return r_xz.distance + r_zy.distance
+        def legsums(thetas):
+            z = chart(thetas)
+            out = np.full(len(z), np.inf)
+            for i in np.flatnonzero(domain_test_batch(model, z)):
+                zi = z[i]
+                r_xz = solve_geodesic(model, x, zi, opts, init=warm(prev[0], -1, zi))
+                r_zy = solve_geodesic(model, zi, y, opts, init=warm(prev[1], 0, zi))
+                prev[:] = r_xz.path, r_zy.path
+                out[i] = r_xz.distance + r_zy.distance
+            return out
 
-        return legsum
+        return legsums
 
-    return make_legsum
+    return make_legsums
 
 
 # ---- The engine ---- #
 
 
 def _assemble(dist, x, y, d_xy: float, z_star, method: str, J=None,
-              geodesic_exits=False, degenerate=False) -> ExitAsymptotics:
+              geodesic_exits=False, degenerate=False, widenings=0) -> ExitAsymptotics:
     """Result at z_star with legs from the oracle; J from those legs unless
     a reflection formula supplies it."""
     d_xz = dist(x, z_star)
@@ -546,6 +604,7 @@ def _assemble(dist, x, y, d_xy: float, z_star, method: str, J=None,
         method=method,
         geodesic_exits=geodesic_exits,
         degenerate=degenerate,
+        widenings=widenings,
     )
 
 
@@ -557,7 +616,7 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts, workers=1,
     given, replaces the method name of every result.  A scan whose best
     coarse sample sits on a window end set by the window length, not by
     the domain, is repeated on a window twice as long, up to MAX_WIDENINGS
-    times.
+    times; the result counts the doublings.
     """
     opts = opts or SolverOptions()
     dist = _oracle(model, geom, opts)
@@ -570,9 +629,11 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts, workers=1,
     d_xy = dist(x, y) if xy is None else xy.distance
 
     if plane is None:
+        curve = _curve_chart(boundary)
+
         def window(widen):
             thetas = np.linspace(boundary.theta_min, boundary.theta_max, boundary.samples)
-            return thetas, boundary.chart, (False, False)
+            return thetas, curve, (False, False)
     elif s_x == 0.0 or s_y == 0.0:
         z_star = x.copy() if s_x == 0.0 else y.copy()
         return _assemble(dist, x, y, d_xy, z_star, closed, 0.0,
@@ -581,7 +642,7 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts, workers=1,
         z_star = _geodesic_plane_crossing(geom, x, y, plane, xy)
         return _assemble(dist, x, y, d_xy, z_star, closed, 0.0, geodesic_exits=True)
     elif isinstance(geom, ConstantGeometry):
-        z_star, J = _constant_reflection(geom.inv_metric, x, y, plane)
+        z_star, J = _constant_reflection(geom, x, y, plane)
         return _assemble(dist, x, y, d_xy, z_star, closed, J)
     elif isinstance(geom, HullWhiteGeometry) and abs(plane.normal[0]) == 1.0:
         x0 = plane.offset / plane.normal[0]
@@ -596,24 +657,16 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts, workers=1,
             return _arclength_window(model, x, y, plane, d_xy,
                                      widen * truncation_factor, 256)
 
-    if geom is None:
-        def scan(thetas, chart):
-            return _scan(thetas, _solver_legsums(model, x, y, chart, opts), workers)
-    else:
-        def scan(thetas, chart):
-            def legsum(theta):
-                z = np.asarray(chart(float(theta)), dtype=float)
-                return dist(x, z) + dist(z, y) if model.domain_test(z) else np.inf
-
-            return _scan(thetas, lambda: legsum)
-
     for k in range(MAX_WIDENINGS + 1):
         thetas, chart, (lo_open, hi_open) = window(2.0**k)
-        theta, j = scan(thetas, chart)
+        if geom is None:
+            theta, j = _scan(thetas, _solver_legsums(model, x, y, chart, opts), workers)
+        else:
+            theta, j = _scan(thetas, _oracle_legsums(model, dist, x, y, chart))
         if not ((lo_open and j == 0) or (hi_open and j == len(thetas) - 1)):
             break
     z_star = np.asarray(chart(theta), dtype=float)
-    return _assemble(dist, x, y, d_xy, z_star, label or "numeric_1d")
+    return _assemble(dist, x, y, d_xy, z_star, label or "numeric_1d", widenings=k)
 
 
 # ---- Public entry points ---- #
@@ -628,6 +681,8 @@ def _checked_points(model: DiffusionModel, **points):
     out = []
     for name, z in points.items():
         z = np.asarray(z, dtype=float)
+        if not all(map(math.isfinite, z.flat)):
+            raise ValueError(f"{name} = {z} must be finite")
         if not model.domain_test(z):
             raise OutsideDomain(f"{name} = {z} is outside the model domain")
         out.append(z)

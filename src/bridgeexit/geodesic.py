@@ -163,8 +163,10 @@ def _grad_and_metric(model, pts):
         A = inverse_metric_batch(model, mids)
         q = [_q_shifted(model, p, deltas) for p in probes]
     else:
-        A, *probe_metrics = np.split(stack, 2 * d + 1)
-        q = [_q_form(P, deltas) for P in probe_metrics]
+        A = stack[:n]
+        # all 2d probe forms in one einsum; per probe set it sums in the
+        # same order as _q_form, bit for bit
+        q = np.einsum("knij,ni,nj->kn", stack[n:].reshape(2 * d, n, d, d), deltas, deltas)
     Av = np.einsum("nij,nj->ni", A, deltas)
     g = n * (Av[:-1] - Av[1:])
 

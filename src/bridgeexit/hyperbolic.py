@@ -53,44 +53,63 @@ __all__ = [
 _ACOSH_SERIES_CUTOFF = 1e-8
 
 
-def _check_half_plane(p, name: str) -> np.ndarray:
+def _check_half_plane(p, name: str, rows: bool = False) -> np.ndarray:
+    """p as a float array: one point of the half-plane, or with rows=True
+    also an (n, 2) array of points."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (2,):
+    if p.shape != (2,) and not (rows and p.ndim == 2 and p.shape[1] == 2):
         raise ValueError(f"{name} must be a point of the plane, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError(f"{name} must be finite")
-    if p[1] <= 0.0:
-        raise ValueError(f"{name} must have positive second coordinate, got {p[1]}")
+    lowest = p[1] if p.ndim == 1 else p[:, 1].min(initial=np.inf)
+    if lowest <= 0.0:
+        raise ValueError(f"{name} must have positive second coordinate, got {lowest}")
     return p
 
 
-def _acosh1p(u: float) -> float:
-    """acosh(1 + u) for u >= 0 without forming 1 + u - 1.
+def _acosh1p(u):
+    """acosh(1 + u), elementwise for u >= 0, without forming 1 + u - 1.
 
-    Uses log(w + sqrt(w^2 - 1)) written as log1p(u + sqrt(u*(u + 2))), with a
-    square-root series below _ACOSH_SERIES_CUTOFF where even the log1p form
-    has nothing left to work with.
+    u is a numpy scalar or array.  Uses log(w + sqrt(w^2 - 1)) written as
+    log1p(u + sqrt(u*(u + 2))), with a square-root series below
+    _ACOSH_SERIES_CUTOFF where even the log1p form has nothing left to
+    work with.
     """
-    if u < 0.0:
-        raise ValueError("acosh argument below 1")
-    if u < _ACOSH_SERIES_CUTOFF:
-        return np.sqrt(2.0 * u) * (1.0 - u / 12.0 + 3.0 * u * u / 160.0)
-    return float(np.log1p(u + np.sqrt(u * (u + 2.0))))
+    out = np.log1p(u + np.sqrt(u * (u + 2.0)))
+    small = u < _ACOSH_SERIES_CUTOFF
+    if small.any() if np.ndim(small) else small:
+        out = np.where(small, np.sqrt(2.0 * u) * (1.0 - u / 12.0 + 3.0 * u * u / 160.0),
+                       out)
+    return out
 
 
-def poincare_distance(p, q) -> float:
+def _poincare(p, q):
+    """The half-plane distance of two points, or row by row, unchecked;
+    for points of the half-plane the acosh argument is >= 1."""
+    px, py = p.T
+    qx, qy = q.T
+    dx = qx - px
+    dy = qy - py
+    return _acosh1p((dx * dx + dy * dy) / (2.0 * py * qy))
+
+
+def _value(d):
+    return float(d) if np.ndim(d) == 0 else d
+
+
+def poincare_distance(p, q):
     """Hyperbolic distance between two points of the upper half-plane.
 
     d(p, q) = acosh(1 + |p - q|^2 / (2 p_y q_y)), with |.| Euclidean.
     The argument of acosh is assembled directly from the squared Euclidean
-    distance so no cancellation occurs for nearby points.
+    distance so no cancellation occurs for nearby points.  p and q may also
+    be (n, 2) arrays of points, or one point against rows: the result is
+    then the array of row-by-row distances, each bit for bit the distance
+    of its two points.
     """
-    p = _check_half_plane(p, "p")
-    q = _check_half_plane(q, "q")
-    dx = q[0] - p[0]
-    dy = q[1] - p[1]
-    u = (dx * dx + dy * dy) / (2.0 * p[1] * q[1])
-    return _acosh1p(u)
+    p = _check_half_plane(p, "p", rows=True)
+    q = _check_half_plane(q, "q", rows=True)
+    return _value(_poincare(p, q))
 
 
 @dataclass(frozen=True)
@@ -233,17 +252,21 @@ def hw_transform_inverse(sigma_vol: float, rho: float) -> np.ndarray:
     return np.array([[rb, rho], [0.0, sigma_vol]])
 
 
-def hw_distance(sigma_vol: float, rho: float, p, q) -> float:
+def hw_distance(sigma_vol: float, rho: float, p, q):
     """Exact distance for the correlated log-price/volatility geometry.
 
     Equals poincare_distance(A p, A q) / sigma_vol with A = hw_transform(...).
     The 1/sigma_vol factor is forced by the pullback: A carries the inverse
-    diffusion matrix onto sigma_vol^2 times the half-plane metric.
+    diffusion matrix onto sigma_vol^2 times the half-plane metric.  Like
+    poincare_distance, it takes rows of points as well and then returns
+    the array of distances.  Each row is mapped by one stacked matmul, the
+    form that reproduces A @ p bit for bit (P @ A.T and einsum do not).
     """
     A = hw_transform(sigma_vol, rho)
-    p = _check_half_plane(p, "p")
-    q = _check_half_plane(q, "q")
-    return poincare_distance(A @ p, A @ q) / sigma_vol
+    p = _check_half_plane(p, "p", rows=True)
+    q = _check_half_plane(q, "q", rows=True)
+    return _value(_poincare((A @ p[..., None])[..., 0], (A @ q[..., None])[..., 0])
+                  / sigma_vol)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ would, without importing scipy.interpolate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -55,6 +56,16 @@ class ConstantGeometry:
     """Tag: the model's coefficients are state independent."""
 
     inv_metric: np.ndarray
+
+    @cached_property
+    def whitening(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, W^{-1}), W the symmetric square root of inv_metric: distances
+        are |W (q - p)|.  Computed once per geometry."""
+        w, V = np.linalg.eigh(self.inv_metric)
+        if np.any(w <= 0.0):
+            raise NotSPD("metric is not positive definite")
+        s = np.sqrt(w)
+        return (V * s) @ V.T, (V / s) @ V.T
 
 
 @dataclass(frozen=True)
@@ -150,7 +161,8 @@ def _inv_2x2_batch(a: np.ndarray, what: str) -> np.ndarray:
     det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
     bad = ~((a[:, 0, 0] > 0) & (det > 0))
     if np.any(bad):
-        raise NotSPD(f"{what}: non-SPD diffusion matrix in batch")
+        raise NotSPD(f"{what}: diffusion matrix is not positive definite at "
+                     f"{np.count_nonzero(bad)} of {len(a)} points")
     inv = np.empty_like(a)
     inv[:, 0, 0] = a[:, 1, 1] / det
     inv[:, 1, 1] = a[:, 0, 0] / det

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bridgeexit import ConfigError, Hyperplane, VerticalBarrier
 from bridgeexit.cli import main
@@ -422,3 +427,69 @@ def test_boundary_without_a_numeric_chart_exits_2(tmp_path, capsys):
 
 def test_figure_requires_an_output_path(capsys):
     assert main(["figure", "--config", "figure1"]) == 2
+
+
+# ---- exit codes over generated configs ---- #
+
+SINGULAR_SIGMAS = ("0, 0, 0, 0", "1, 2, 2, 4", "1, 0, 0, 0")
+
+
+@st.composite
+def exit_configs(draw):
+    """(config text, whether some input is invalid) for the exit command.
+
+    Only closed-form models (constant, hull_white), so no path solve runs.
+    """
+    bad = False
+    if draw(st.booleans()):
+        if draw(st.integers(0, 3)) == 0:
+            sigma = draw(st.sampled_from(SINGULAR_SIGMAS))
+            bad = True
+        else:
+            a, d = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+            b, c = draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3))
+            sigma = f"{a!r}, {b!r}, {c!r}, {d!r}"
+        lines = ["model.kind = constant", f"model.sigma = {sigma}"]
+        v_lo = -3.0  # the whole plane is the domain
+    else:
+        sv = draw(st.one_of(st.floats(0.2, 3.0), st.floats(-1.0, 0.0)))
+        rho = draw(st.one_of(st.floats(-0.95, 0.95),
+                             st.sampled_from([-1.0, 1.0, 1.5, 0.0])))
+        bad |= sv <= 0.0 or abs(rho) >= 1.0
+        lines = ["model.kind = hull_white", f"model.sigma_vol = {sv!r}",
+                 f"model.rho = {rho!r}"]
+        v_lo = 0.05
+    for name in ("x", "y"):
+        u = draw(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([math.inf, -math.inf])))
+        v = draw(st.one_of(st.floats(v_lo, 3.0), st.floats(-2.0, 0.0),
+                           st.sampled_from([math.inf])))
+        bad |= not (math.isfinite(u) and math.isfinite(v)) or v < v_lo
+        lines.append(f"{name} = {u!r}, {v!r}")
+    barrier = draw(st.sampled_from(["vertical", "hyperplane", "hyperplane3"]))
+    offset = draw(st.floats(-4.0, 4.0))
+    if barrier == "vertical":
+        lines += ["barrier.kind = vertical", f"barrier.x0 = {offset!r}"]
+    else:
+        normal = [1.0, draw(st.floats(-0.5, 0.5))] + [0.0] * (barrier == "hyperplane3")
+        bad |= barrier == "hyperplane3"
+        lines += ["barrier.kind = hyperplane",
+                  "barrier.normal = " + ", ".join(map(repr, normal)),
+                  f"barrier.offset = {offset!r}"]
+    return "\n".join(lines) + "\n", bad
+
+
+@given(exit_configs())
+@settings(max_examples=60, deadline=None)
+def test_exit_codes_over_generated_configs(case):
+    text, bad = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "gen.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["exit", "--config", str(cfg)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if bad:
+        assert code == 2, text
+

@@ -22,6 +22,7 @@ from bridgeexit import (
     geodesic_arc,
     grid_model,
     hull_white_model,
+    hw_distance,
     model_distance,
     optimal_crossing_time,
     pointwise_exit_cost,
@@ -527,3 +528,86 @@ def test_grid_exit_model_callback_counts():
     # the window march once made about 382k scalar domain tests here
     assert counts["domain_test"] < 10_000
     assert counts["sigma"] < 1_000
+
+
+def test_slanted_closed_form_exit_callback_counts(monkeypatch):
+    import bridgeexit.exits as exits
+    from bridgeexit import hyperbolic
+
+    counts = {"sigma": 0, "distance": 0}
+    model = hull_white_model(sigma_vol=1.1, rho=0.3)
+    sigma = model.sigma
+
+    def counted_sigma(z):
+        counts["sigma"] += 1
+        return sigma(z)
+
+    def counted_distance(*args):
+        counts["distance"] += 1
+        return hyperbolic.hw_distance(*args)
+
+    monkeypatch.setattr(exits, "hw_distance", counted_distance)
+    plane = Hyperplane(np.array([1.0, 0.2]), 2.6)
+    res = exit_asymptotics(replace(model, sigma=counted_sigma), ref.A_X, ref.A_Y, plane)
+    # the window march once took its rates from sigma (1,024 calls), and the
+    # scan made one distance call per leg of each of its 256 samples
+    assert counts["sigma"] == 0
+    assert counts["distance"] <= 200
+    n, c = plane.normal, plane.offset
+    for v in np.geomspace(1e-2, 20.0, 300):
+        z = np.array([(c - n[1] * v) / n[0], v])
+        assert pointwise_exit_cost(model, ref.A_X, ref.A_Y, z) >= res.J - 1e-9
+
+
+def test_result_counts_window_doublings():
+    model = hull_white_model(**TRUNC_MODEL)
+    res = exit_asymptotics(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE)
+    assert res.widenings >= 1
+    wide = exit_asymptotics(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE, truncation_factor=8.0)
+    assert wide.widenings == res.widenings - 1
+    res = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER))
+    assert res.widenings == 0
+
+
+def _window_case(kind):
+    """(model, oracle, endpoints, coarse samples, chart) of one scan window."""
+    from bridgeexit.exits import _arclength_window, _curve_chart, _log_v_window, _oracle
+
+    x, y = ref.A_X, ref.A_Y
+    if kind == "constant_curve":
+        model = constant_model(np.array([[1.0, 0.3], [0.0, 0.8]]))
+        dist = _oracle(model, model.geometry, None)
+        curve = ParametricCurve(lambda th: np.array([2.5 + 0.3 * np.sin(th), th]),
+                                -2.0, 3.0)
+        thetas = np.linspace(curve.theta_min, curve.theta_max, curve.samples)
+        return model, dist, x, y, thetas, _curve_chart(curve)
+    model = hull_white_model(sigma_vol=1.1, rho=0.3)
+    dist = _oracle(model, model.geometry, None)
+    if kind == "correlated_vertical":
+        thetas, chart, _ = _log_v_window(dist, model.geometry, x, y, ref.A_BARRIER)
+    else:
+        plane = Hyperplane(np.array([1.0, 0.2]), 2.6)
+        thetas, chart, _ = _arclength_window(model, x, y, plane, dist(x, y), 4.0, 256)
+    return model, dist, x, y, thetas, chart
+
+
+@pytest.mark.parametrize("kind", ["correlated_vertical", "slanted_plane", "constant_curve"])
+def test_batched_scan_matches_scalar_distances_bit_for_bit(kind):
+    from bridgeexit.exits import _oracle_legsums
+
+    model, dist, x, y, thetas, chart = _window_case(kind)
+    points = [chart(float(t)) for t in thetas]
+    assert chart(thetas).tobytes() == np.array(points).tobytes()
+    batched = _oracle_legsums(model, dist, x, y, chart)()(thetas)
+    scalar = np.array([dist(x, z) + dist(z, y) for z in points])
+    assert batched.tobytes() == scalar.tobytes()
+    if kind == "constant_curve":
+        # the whitened norm as it was computed one point at a time
+        W, _ = model.geometry.whitening
+        old = np.array([float(np.linalg.norm(W @ (z - x))) + float(np.linalg.norm(W @ (y - z)))
+                        for z in points])
+    else:
+        old = np.array([hw_distance(1.1, 0.3, x, z) + hw_distance(1.1, 0.3, z, y)
+                        for z in points])
+    assert batched.tobytes() == old.tobytes()
+

@@ -338,17 +338,18 @@ def test_batched_gradient_probes_match_per_probe_evaluation():
     entries[..., 1, 1] = vs[None, :] + 0.2 * np.sin(xs)[:, None] ** 2
     grid = grid_model(xs, vs, entries)
     cases = []
-    for model in (hull_white_model(), hull_white_model(sigma_vol=1.7, rho=0.4),
-                  constant_model(np.array([[1.0, 0.3], [0.0, 0.8]]))):
-        x = np.array([rng.uniform(-1, 1), rng.uniform(0.3, 2.0)])
-        y = np.array([rng.uniform(-1, 1) + 1.5, rng.uniform(0.3, 2.0)])
-        cases.append((model, wiggly_path(rng, x, y, n=30, floor=0.1).points))
-    cases.append((grid, wiggly_path(rng, np.array([0.5, 0.4]), np.array([3.2, 2.1]),
-                                    n=30).points))
-    # midpoints within 1e-7 of the lower and the right edge of the box
-    edge = np.linspace([0.5, 0.02 + 5e-8], [3.5, 0.02 + 5e-8], 31)
-    cases.append((grid, edge))
-    cases.append((grid, np.linspace([4.0 - 5e-8, 0.3], [4.0 - 5e-8, 2.9], 31)))
+    for n in (25, 30, 50, 200):
+        for model in (hull_white_model(), hull_white_model(sigma_vol=1.7, rho=0.4),
+                      constant_model(np.array([[1.0, 0.3], [0.0, 0.8]]))):
+            x = np.array([rng.uniform(-1, 1), rng.uniform(0.3, 2.0)])
+            y = np.array([rng.uniform(-1, 1) + 1.5, rng.uniform(0.3, 2.0)])
+            cases.append((model, wiggly_path(rng, x, y, n=n, floor=0.1).points))
+        cases.append((grid, wiggly_path(rng, np.array([0.5, 0.4]), np.array([3.2, 2.1]),
+                                        n=n).points))
+        # midpoints within 1e-7 of the lower and the right edge of the box
+        edge = np.linspace([0.5, 0.02 + 5e-8], [3.5, 0.02 + 5e-8], n + 1)
+        cases.append((grid, edge))
+        cases.append((grid, np.linspace([4.0 - 5e-8, 0.3], [4.0 - 5e-8, 2.9], n + 1)))
     for model, pts in cases:
         g, A = _grad_and_metric(model, pts)
         g_ref, A_ref = _per_probe_grad_and_metric(model, pts)

@@ -73,6 +73,41 @@ def test_distance_rejects_nonpositive_height():
         poincare_distance((0.0, 1.0), (1.0, -0.2))
 
 
+def test_distances_of_points_keep_their_bits_and_rows_match_them():
+    # (p, q, poincare_distance(p, q), hw_distance(1.3, 0.4, p, q),
+    # hw_distance(0.7, -0.55, q, p)) as the scalar-only implementation gave
+    # them; the second pair takes the series branch of acosh
+    pinned = [
+        ((1.0, 0.2), (2.0, 0.5), "0x1.468c83a7bcb58p+1", "0x1.241736ad9db54p+1",
+         "0x1.dca49f96d7f47p+1"),
+        ((0.3, 1.7), (0.300000001, 1.7), "0x1.4362c2969696ap-31",
+         "0x1.60d7c27878788p-31", "0x1.833644b4b4b4cp-31"),
+        ((-2.0, 0.05), (3.0, 4.0), "0x1.54accdfe5e0a2p+2", "0x1.0a70aa4a7819ap+2",
+         "0x1.065793459371dp+3"),
+        ((1.0, 1.0), (1.0, 1.0), "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    ]
+    for p, q, d, hw_a, hw_b in pinned:
+        assert poincare_distance(p, q).hex() == d
+        assert hw_distance(1.3, 0.4, p, q).hex() == hw_a
+        assert hw_distance(0.7, -0.55, q, p).hex() == hw_b
+    rng = np.random.default_rng(31)
+    P = np.column_stack([rng.uniform(-3, 3, 500), rng.uniform(0.01, 3, 500)])
+    P[:50, 1] = P[50:100, 1]
+    P[:50, 0] = P[50:100, 0] + 1e-9  # series branch
+    Q = np.column_stack([rng.uniform(-3, 3, 500), rng.uniform(0.01, 3, 500)])
+    Q[:50] = P[50:100]
+    one = P[7]
+    for fn in (poincare_distance, lambda p, q: hw_distance(1.3, 0.4, p, q)):
+        rows = fn(P, Q)
+        assert rows.tobytes() == np.array([fn(p, q) for p, q in zip(P, Q)]).tobytes()
+        assert fn(one, Q).tobytes() == np.array([fn(one, q) for q in Q]).tobytes()
+        assert fn(Q, one).tobytes() == np.array([fn(q, one) for q in Q]).tobytes()
+    with pytest.raises(ValueError):
+        hw_distance(1.3, 0.4, P[:4], np.vstack([Q[:3], [[0.0, -1.0]]]))
+    with pytest.raises(ValueError):
+        poincare_distance(P[:3, None], Q[:3])
+
+
 @given(p=half_plane_pts, q=half_plane_pts)
 @settings(max_examples=200, deadline=None)
 def test_distance_symmetry(p, q):
