@@ -166,17 +166,15 @@ def cmd_exit(view: ConfigView, args) -> int:
     force = view.get_bool("exit.force_numeric", default=False)
     _consume_shared_extras(view, model)
     view.finish()
-    workers = args.workers or 1
 
     if freeze:
         comp = compare_freezing(model, x, y, boundary, freeze, t_list=t_list,
-                                opts=opts, workers=workers, truncation_factor=trunc,
+                                opts=opts, truncation_factor=trunc,
                                 force_numeric=force)
         rows = comp.rows
     else:
         res = exit_asymptotics(model, x, y, boundary, opts=opts,
-                               workers=workers, truncation_factor=trunc,
-                               force_numeric=force)
+                               truncation_factor=trunc, force_numeric=force)
         from .exits import FreezingRow, exit_probability_equivalent
 
         probs = tuple(exit_probability_equivalent(res.J, t) for t in t_list)
@@ -326,7 +324,6 @@ def cmd_figure(view: ConfigView, args) -> int:
     n = view.get_int("figure.n", default=200)
     _consume_shared_extras(view, model)
     view.finish()
-    workers = args.workers or 1
 
     curves = [Curve(_geodesic_curve(model, x, y, opts, n), "solid", "geodesic")]
     markers = [
@@ -334,7 +331,7 @@ def cmd_figure(view: ConfigView, args) -> int:
         Marker(float(y[0]), float(y[1]), role="end", label="y"),
     ]
     if boundary is not None:
-        res = exit_asymptotics(model, x, y, boundary, opts=opts, workers=workers)
+        res = exit_asymptotics(model, x, y, boundary, opts=opts)
         z = res.z_star
         curves.append(Curve(_geodesic_curve(model, x, z, opts, n), "dotted",
                             "crossing_leg_in", color="#d62728"))
@@ -399,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="config file path or bundled config name")
         p.add_argument("--out", default=None, help="output CSV or SVG path")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: config or 1)")
+                       help="Monte Carlo worker threads (default: config or 1)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the Monte Carlo seed")
         p.set_defaults(func=fn)

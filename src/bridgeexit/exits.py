@@ -29,8 +29,10 @@ reflection).  Every other case is one scan of d(x,z) + d(z,y) over a chart
 along any other plane, or the samples of a ParametricCurve -- by coarse
 samples and golden-section refinement.  Charts and the closed-form oracles
 take arrays, so a window's coarse samples are mapped, domain-tested and
-measured in one call each, bit for bit as one point at a time; solver legs
-are solved coarsely and warm-started from their neighbors.  A window whose
+measured in one call each, bit for bit as one point at a time.  Solver legs
+are solved coarsely along SCAN_CHAINS chains of neighboring samples, each
+sample warm-started from the one before it; the chains advance in lockstep
+as one stack of paths for the optimizer, in one thread.  A window whose
 best sample sits on an end set by the window's length rather than by the
 domain is doubled and scanned again, and the result counts the doublings.
 The legs and J of the result come from the oracle at z_star.  The frozen
@@ -46,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BothZero, IncompleteModel, OutsideDomain
-from .geodesic import SolverOptions, _energy_of, path_energy, solve_geodesic
+from .geodesic import SolverOptions, _energies, _solve_legs, path_energy, solve_geodesic
 from .hyperbolic import (
     barrier_infimum_vertical,
     hw_distance,
@@ -89,6 +91,8 @@ GOLDEN_BRACKET = 1e-10
 EXIT_TOL = 1e-12
 # Doublings of a scan window whose best sample sits on a length-limited end.
 MAX_WIDENINGS = 4
+# Warm-start chains of a solver scan's coarse sweep, advanced in lockstep.
+SCAN_CHAINS = 32
 
 
 # ---- Boundary descriptions ---- #
@@ -159,6 +163,9 @@ class ExitAsymptotics:
     # Doublings of the scan window before its best sample left a
     # length-limited end (MAX_WIDENINGS: the last window may still be short).
     widenings: int = 0
+    # Coarse-sweep solver legs, over every window scanned, that spent their
+    # max_iter above tolerance without stalling.
+    unconverged_legs: int = 0
 
 
 # ---- Scalar pieces ---- #
@@ -477,44 +484,31 @@ def _golden(f, lo: float, hi: float):
     return theta, f(theta)
 
 
-def _scan(thetas: np.ndarray, make_legsums, workers: int = 1):
+def _scan(thetas: np.ndarray, make_legsums):
     """(chart parameter of the smallest leg sum d(x, z) + d(z, y), index of
-    the best coarse sample).
+    the best coarse sample, solver legs of the coarse sweep that stopped
+    short of tolerance).
 
     make_legsums() returns a function from an array of chart parameters to
-    the array of their leg sums (+inf outside the domain).  A closed-form
-    oracle gets all coarse samples in one call; the path optimizer's
-    function solves them in order.  Each worker sweeps a contiguous block
-    of samples with its own function; the reduction is a plain argmin with
-    first-index tie-break, so the result does not depend on thread
-    scheduling.  Golden section then refines within one sample of the
-    best, one parameter per call, with a fresh function first evaluated at
-    that sample.
+    the array of their leg sums (+inf outside the domain); its attribute
+    unconverged counts the solver legs of its calls that stopped short.
+    All coarse samples go to one call, in one thread: a closed-form oracle
+    measures them in one batch, the path optimizer solves them as chains in
+    lockstep.  The argmin takes the first index on ties.  Golden section
+    then refines within one sample of the best, one parameter per call,
+    with a fresh function first evaluated at that sample.
     """
-    blocks = np.array_split(np.arange(len(thetas)), max(1, min(workers, len(thetas))))
-
-    def sweep(block):
-        return make_legsums()(thetas[block])
-
-    vals = np.empty(len(thetas))
-    if len(blocks) == 1:
-        vals[:] = sweep(blocks[0])
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            for b, out in zip(blocks, pool.map(sweep, blocks)):
-                vals[b] = out
-
+    sweep = make_legsums()
+    vals = sweep(thetas)
     j = int(np.argmin(vals))
     lo = float(thetas[max(j - 1, 0)])
     hi = float(thetas[min(j + 1, len(thetas) - 1)])
     if hi <= lo:
-        return float(thetas[j]), j
+        return float(thetas[j]), j, sweep.unconverged
     f = make_legsums()
     f(thetas[j:j + 1])
     theta, val = _golden(lambda th: f(np.array([th]))[0], lo, hi)
-    return (float(thetas[j]) if vals[j] < val else theta), j
+    return (float(thetas[j]) if vals[j] < val else theta), j, sweep.unconverged
 
 
 def _oracle_legsums(model, dist, x, y, chart):
@@ -528,6 +522,7 @@ def _oracle_legsums(model, dist, x, y, chart):
         out[inside] = dist(x, z) + dist(z, y)
         return out
 
+    legsums.unconverged = 0
     return lambda: legsums
 
 
@@ -536,8 +531,14 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
 
     Ranking boundary points needs far less accuracy than the reported
     exponent, so the legs are solved at a coarse resolution and loose
-    tolerance with strict=False, each warm-started from the previous
-    sample's legs while that path stays admissible.
+    tolerance with strict=False.  The samples of a call are split into
+    SCAN_CHAINS contiguous chains.  Along a chain each sample's legs are
+    warm-started from the previous sample's while that path stays
+    admissible; a chain's first sample starts cold, unless an earlier call
+    of the same function left that chain a last sample to continue from.
+    The chains advance in lockstep: the legs of one step of every chain are
+    one stack for the path optimizer, and each leg gets the bits it would
+    get alone.  No threads.
     """
     opts = replace(
         opts,
@@ -549,27 +550,41 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
         strict=False,
     )
 
-    def warm(path, end: int, z):
-        if path is None:
-            return None
-        pts = path.points.copy()
-        pts[end] = z
-        return DiscretePath(pts) if np.isfinite(_energy_of(model, pts)) else None
-
     def make_legsums():
-        prev = [None, None]
+        tails = {}  # chain -> point arrays of its last sample's legs
 
         def legsums(thetas):
             z = chart(thetas)
             out = np.full(len(z), np.inf)
-            for i in np.flatnonzero(domain_test_batch(model, z)):
-                zi = z[i]
-                r_xz = solve_geodesic(model, x, zi, opts, init=warm(prev[0], -1, zi))
-                r_zy = solve_geodesic(model, zi, y, opts, init=warm(prev[1], 0, zi))
-                prev[:] = r_xz.path, r_zy.path
-                out[i] = r_xz.distance + r_zy.distance
+            inside = np.flatnonzero(domain_test_batch(model, z))
+            chains = np.array_split(inside, min(SCAN_CHAINS, len(inside)) or 1)
+            for step in range(len(chains[0])):
+                live = [(c, chain[step]) for c, chain in enumerate(chains)
+                        if step < len(chain)]
+                X = np.array([p for _, i in live for p in (x, z[i])])
+                Y = np.array([p for _, i in live for p in (z[i], y)])
+                inits = [None] * len(X)
+                # warm starts: the chain's last legs with their end moved to z
+                warm = []
+                for k, (c, i) in enumerate(live):
+                    if c in tails:
+                        xz, zy = (pts.copy() for pts in tails[c])
+                        xz[-1] = zy[0] = z[i]
+                        warm += [(2 * k, xz), (2 * k + 1, zy)]
+                if warm:
+                    E0 = _energies(model, np.stack([pts for _, pts in warm]))
+                    for (k, pts), e in zip(warm, E0):
+                        if np.isfinite(e):
+                            inits[k] = pts
+                P, E, _, _, _, unconverged = _solve_legs(model, X, Y, opts, inits)
+                d = np.sqrt(np.maximum(2.0 * E, 0.0))
+                for k, (c, i) in enumerate(live):
+                    tails[c] = P[2 * k], P[2 * k + 1]
+                    out[i] = d[2 * k] + d[2 * k + 1]
+                legsums.unconverged += int(unconverged.sum())
             return out
 
+        legsums.unconverged = 0
         return legsums
 
     return make_legsums
@@ -579,7 +594,8 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
 
 
 def _assemble(dist, x, y, d_xy: float, z_star, method: str, J=None,
-              geodesic_exits=False, degenerate=False, widenings=0) -> ExitAsymptotics:
+              geodesic_exits=False, degenerate=False, widenings=0,
+              unconverged_legs=0) -> ExitAsymptotics:
     """Result at z_star with legs from the oracle; J from those legs unless
     a reflection formula supplies it."""
     d_xz = dist(x, z_star)
@@ -605,10 +621,11 @@ def _assemble(dist, x, y, d_xy: float, z_star, method: str, J=None,
         geodesic_exits=geodesic_exits,
         degenerate=degenerate,
         widenings=widenings,
+        unconverged_legs=unconverged_legs,
     )
 
 
-def _exit_engine(model, geom, x, y, boundary: Boundary, opts, workers=1,
+def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
                  truncation_factor=4.0, label=None) -> ExitAsymptotics:
     """Exit exponent under geom (None: the path optimizer on the model).
 
@@ -616,7 +633,8 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts, workers=1,
     given, replaces the method name of every result.  A scan whose best
     coarse sample sits on a window end set by the window length, not by
     the domain, is repeated on a window twice as long, up to MAX_WIDENINGS
-    times; the result counts the doublings.
+    times; the result counts the doublings and the coarse-sweep solver legs
+    that stopped short of tolerance.
     """
     opts = opts or SolverOptions()
     dist = _oracle(model, geom, opts)
@@ -657,16 +675,20 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts, workers=1,
             return _arclength_window(model, x, y, plane, d_xy,
                                      widen * truncation_factor, 256)
 
+    unconverged = 0
     for k in range(MAX_WIDENINGS + 1):
         thetas, chart, (lo_open, hi_open) = window(2.0**k)
         if geom is None:
-            theta, j = _scan(thetas, _solver_legsums(model, x, y, chart, opts), workers)
+            legsums = _solver_legsums(model, x, y, chart, opts)
         else:
-            theta, j = _scan(thetas, _oracle_legsums(model, dist, x, y, chart))
+            legsums = _oracle_legsums(model, dist, x, y, chart)
+        theta, j, short = _scan(thetas, legsums)
+        unconverged += short
         if not ((lo_open and j == 0) or (hi_open and j == len(thetas) - 1)):
             break
     z_star = np.asarray(chart(theta), dtype=float)
-    return _assemble(dist, x, y, d_xy, z_star, label or "numeric_1d", widenings=k)
+    return _assemble(dist, x, y, d_xy, z_star, label or "numeric_1d", widenings=k,
+                     unconverged_legs=unconverged)
 
 
 # ---- Public entry points ---- #
@@ -703,12 +725,13 @@ def exit_asymptotics(
 
     force_numeric replaces the closed-form distance by the path optimizer,
     so the solver-based boundary scan runs even when an exact backend exists
-    (used for cross-checks).  workers splits the solver scan's samples over
-    that many threads.
+    (used for cross-checks).  workers is accepted for callers that pass it
+    and changes nothing: the solver scan runs its chains in lockstep in one
+    thread.
     """
     x, y = _checked_points(model, x=x, y=y)
     geom = None if force_numeric else model.geometry
-    return _exit_engine(model, geom, x, y, boundary, opts, workers, truncation_factor)
+    return _exit_engine(model, geom, x, y, boundary, opts, truncation_factor)
 
 
 def frozen_exit_asymptotics(
@@ -767,8 +790,8 @@ def compare_freezing(
     """True exit exponent next to frozen-coefficient surrogates.
 
     One row per freeze point, after a first row for the true model, which
-    takes workers, truncation_factor and force_numeric as exit_asymptotics
-    does.  Each row carries exp(-J/t) for every requested horizon.  Where to
+    takes truncation_factor and force_numeric as exit_asymptotics does
+    (workers, as there, changes nothing).  Each row carries exp(-J/t) for every requested horizon.  Where to
     freeze is the caller's problem: there is no canonical choice, and the
     candidates can disagree among themselves by more than their distance to
     the true value.
@@ -779,7 +802,7 @@ def compare_freezing(
     def probs(J):
         return tuple(exit_probability_equivalent(J, t) for t in t_list)
 
-    true = exit_asymptotics(model, x, y, boundary, opts=opts, workers=workers,
+    true = exit_asymptotics(model, x, y, boundary, opts=opts,
                             truncation_factor=truncation_factor,
                             force_numeric=force_numeric)
     rows.append(FreezingRow("true", true, probs(true.J)))

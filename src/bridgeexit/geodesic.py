@@ -15,12 +15,22 @@ grid first and the result interpolated upward, which kills the slow
 reparametrization modes cheaply.  Out-of-domain or non-SPD trial steps read
 as infinite energy, so the line search doubles as a domain barrier.
 
+The minimizer works on a stack of K paths of one resolution, a (K, N+1, d)
+array, and solve_geodesic is the stack at K = 1 (or K = multi_start).  Each
+path keeps its own tolerance, budget, line search and stall rule, and leaves
+the stack when it finishes; an iteration evaluates the metric at every
+running path's midpoints and probes in one batch and solves all
+Gauss-Newton systems in one banded solve of the block-diagonal band.  Every
+path gets the bits it gets alone.  The boundary scan uses this to solve the
+legs of many boundary samples together.
+
 The gradient is exact for the quadratic-form part; the derivative of
 a(m)^{-1} enters through central finite differences of the inverse metric
 with step 1e-6 times the local coordinate scale.  The midpoints and all 2d
-probes are evaluated in one batch call; when a probe leaves the domain
-(a box edge) the probes are evaluated one direction at a time instead, and
-the failing directions use one-sided differences.
+probes are evaluated in one batch call.  When that call raises, the stack
+is split in halves down to single paths; for a single path whose probe
+leaves the domain (a box edge) the probes are evaluated one direction at a
+time, and the failing directions use one-sided differences.
 """
 
 from __future__ import annotations
@@ -109,23 +119,49 @@ class GeodesicResult:
 
 
 # ---- Energy and gradient ---- #
+#
+# Everything below works on a (K, N+1, d) stack of paths, and each path
+# gets the bits it gets alone: batched steps are elementwise or row-wise,
+# and a batch evaluation that raises is split in halves, down to single
+# paths.
+
+
+def _halves(fn, *args):
+    """fn on each half of a stack, the results joined along the stack; the
+    array arguments are the stacked ones."""
+    h = next(a for a in args if isinstance(a, np.ndarray)).shape[0] // 2
+    parts = [fn(*(a[s] if isinstance(a, np.ndarray) else a for a in args))
+             for s in (slice(None, h), slice(h, None))]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(c) for c in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _energies(model, P) -> np.ndarray:
+    """Energy of each path, +inf where a midpoint leaves the domain or the
+    metric fails there."""
+    K, n1, d = P.shape
+    n = n1 - 1
+    mids = 0.5 * (P[:, :-1] + P[:, 1:])
+    E = np.full(K, np.inf)
+    ok = domain_test_batch(model, mids.reshape(-1, d)).reshape(K, n).all(axis=1)
+    if not ok.any():
+        return E
+    try:
+        A = inverse_metric_batch(model, mids[ok].reshape(-1, d))
+    except (NotSPD, ValueError):
+        if K == 1:
+            return E
+        return _halves(_energies, model, P)
+    q = _q_form(A, np.diff(P[ok], axis=1).reshape(-1, d)).reshape(-1, n)
+    finite = np.isfinite(q).all(axis=1)
+    E[np.flatnonzero(ok)[finite]] = 0.5 * n * q[finite].sum(axis=1)
+    return E
 
 
 def _energy_of(model, pts) -> float:
-    """Energy of the point array, +inf if any midpoint leaves the domain."""
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    if not domain_test_batch(model, mids).all():
-        return np.inf
-    try:
-        A = inverse_metric_batch(model, mids)
-    except (NotSPD, ValueError):
-        return np.inf
-    deltas = np.diff(pts, axis=0)
-    q = np.einsum("nij,ni,nj->n", A, deltas, deltas)
-    if not np.all(np.isfinite(q)):
-        return np.inf
-    n = pts.shape[0] - 1
-    return 0.5 * n * float(q.sum())
+    """Energy of one point array, +inf if any midpoint leaves the domain."""
+    return float(_energies(model, pts[None])[0])
 
 
 def _segment_q(model, pts) -> np.ndarray:
@@ -133,24 +169,27 @@ def _segment_q(model, pts) -> np.ndarray:
     return _q_form(A, np.diff(pts, axis=0))
 
 
-def _gradient_of(model, pts) -> np.ndarray:
-    return _grad_and_metric(model, pts)[0]
-
-
 def _grad_and_metric(model, pts):
-    """Gradient w.r.t. interior points plus the midpoint inverse metrics.
+    """Gradient and midpoint inverse metrics of one point array."""
+    g, A = _gradients(model, pts[None])
+    return g[0], A[0]
+
+
+def _gradients(model, P):
+    """Gradients w.r.t. interior points, (K, N-1, d), plus the midpoint
+    inverse metrics, (K, N, d, d).
 
     The metrics are returned so the minimizer can reuse them for its
     Gauss-Newton model without a second batch evaluation.  Midpoints and
-    all 2d central-difference probes go through one batch evaluation; only
-    when a probe leaves the domain or meets a non-SPD matrix are they
-    evaluated one probe set at a time, so that the failing directions fall
-    back to one-sided differences.
+    all 2d central-difference probes of every path go through one batch
+    evaluation; only when a probe of a single path leaves the domain or
+    meets a non-SPD matrix are its probes evaluated one probe set at a
+    time, so that the failing directions fall back to one-sided differences.
     """
-    n = pts.shape[0] - 1
-    d = pts.shape[1]
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    deltas = np.diff(pts, axis=0)
+    K, n1, d = P.shape
+    n = n1 - 1
+    mids = (0.5 * (P[:, :-1] + P[:, 1:])).reshape(-1, d)
+    deltas = np.diff(P, axis=1).reshape(-1, d)
     h = FD_STEP_SCALE * np.maximum(1.0, np.abs(mids).max(axis=1))
     probes = []
     for k in range(d):
@@ -160,18 +199,19 @@ def _grad_and_metric(model, pts):
     try:
         stack = inverse_metric_batch(model, np.concatenate([mids, *probes]))
     except (NotSPD, ValueError):
+        if K > 1:
+            return _halves(_gradients, model, P)
         A = inverse_metric_batch(model, mids)
         q = [_q_shifted(model, p, deltas) for p in probes]
     else:
-        A = stack[:n]
+        A = stack[:K * n]
         # all 2d probe forms in one einsum; per probe set it sums in the
         # same order as _q_form, bit for bit
-        q = np.einsum("knij,ni,nj->kn", stack[n:].reshape(2 * d, n, d, d), deltas, deltas)
+        q = np.einsum("knij,ni,nj->kn", stack[K * n:].reshape(2 * d, K * n, d, d),
+                      deltas, deltas)
     Av = np.einsum("nij,nj->ni", A, deltas)
-    g = n * (Av[:-1] - Av[1:])
-
     q0 = np.einsum("ni,ni->n", Av, deltas)
-    dq = np.empty((n, d))
+    dq = np.empty((K * n, d))
     for k in range(d):
         qp, qm = q[2 * k], q[2 * k + 1]
         if qp is None and qm is None:
@@ -182,8 +222,9 @@ def _grad_and_metric(model, pts):
             dq[:, k] = (qp - q0) / h
         else:
             dq[:, k] = (qp - qm) / (2.0 * h)
-    g = g + 0.25 * n * (dq[:-1] + dq[1:])
-    return g, A
+    Av, dq = Av.reshape(K, n, d), dq.reshape(K, n, d)
+    g = n * (Av[:, :-1] - Av[:, 1:]) + 0.25 * n * (dq[:, :-1] + dq[:, 1:])
+    return g, A.reshape(K, n, d, d)
 
 
 def _q_form(A, deltas):
@@ -224,125 +265,156 @@ def path_energy(model: DiffusionModel, path: DiscretePath) -> float:
 def energy_gradient(model: DiffusionModel, path: DiscretePath) -> np.ndarray:
     """Energy gradient w.r.t. the interior points, shape (N-1, d)."""
     pts = _check_path(model, path)
-    return _gradient_of(model, pts)
+    return _grad_and_metric(model, pts)[0]
 
 
 # ---- Minimization ---- #
 
 
-def _alpha_cap(pts, p) -> float:
-    span = float(np.ptp(pts, axis=0).max())
-    sup = float(np.abs(p).max())
-    if sup == 0.0:
-        return np.inf
-    return 0.25 * max(span, 1e-12) / sup
+def _alpha_cap(P, p) -> np.ndarray:
+    """Steepest-descent step cap per path: a quarter of the path's span over
+    the sup norm of the (nonzero) direction."""
+    span = np.ptp(P, axis=1).max(axis=1)
+    sup = np.abs(p).max(axis=(1, 2))
+    return 0.25 * np.maximum(span, 1e-12) / sup
 
 
 def _gn_direction(A, g, nseg):
-    """Gauss-Newton step: solve the frozen-metric Hessian system H p = -g.
+    """Gauss-Newton steps: solve each frozen-metric Hessian system H p = -g.
 
-    H is the exact Hessian of the energy with the metric held fixed at the
-    current midpoints: block tridiagonal, SPD, with diagonal blocks
-    nseg (A[j] + A[j+1]) and couplings -nseg A[j].  The terms it drops
-    (metric derivatives) are exactly the small ones near a geodesic, so the
-    step behaves like Newton where it matters and the Armijo guard handles
-    the rest.  Returns None when the banded solve fails.
+    A is (K, N, d, d), g is (K, N-1, d).  H is the exact Hessian of the
+    energy with the metric held fixed at the current midpoints: block
+    tridiagonal, SPD, with diagonal blocks nseg (A[j] + A[j+1]) and couplings
+    -nseg A[j].  The terms it drops (metric derivatives) are exactly the
+    small ones near a geodesic, so the step behaves like Newton where it
+    matters and the Armijo guard handles the rest.  All K systems are one
+    banded solve of the block-diagonal band; its blocks do not couple, and
+    each solves bit for bit as it does alone.  Returns the (K, N-1, d)
+    directions and whether each is usable (its solve succeeded and is
+    finite).
     """
-    m1, d = g.shape
-    if m1 == 0:
-        return None
-    D = nseg * (A[:-1] + A[1:])
+    K, m1, d = g.shape
+    D = nseg * (A[:, :-1] + A[:, 1:])
+    U = -nseg * A[:, 1:m1]
     u = 2 * d - 1
-    m = m1 * d
-    ab = np.zeros((u + 1, m))
-    cols = np.arange(m1) * d
+    ab = np.zeros((u + 1, K, m1, d))
     for c in range(d):
-        for cp in range(c, d):
-            ab[u + c - cp, cols + cp] = D[:, c, cp]
-    if m1 > 1:
-        U = -nseg * A[1:m1]
-        cols_off = (np.arange(m1 - 1) + 1) * d
-        for c in range(d):
-            for cp in range(d):
-                ab[u + c - cp - d, cols_off + cp] = U[:, c, cp]
-    try:
-        sol = solveh_banded(ab, -g.reshape(-1), lower=False)
-    except np.linalg.LinAlgError:
-        return None
-    except ValueError:
-        return None
-    if not np.all(np.isfinite(sol)):
-        return None
-    return sol.reshape(m1, d)
+        for cp in range(d):
+            if cp >= c:
+                ab[u + c - cp, :, :, cp] = D[:, :, c, cp]
+            ab[u + c - cp - d, :, 1:, cp] = U[:, :, c, cp]
+    sol = None
+    # scipy's tridiagonal branch (d = 1) refuses a single 1 x 1 system but
+    # not a stack of them: such stacks go one system at a time
+    if K == 1 or m1 * d > 1:
+        try:
+            sol = solveh_banded(ab.reshape(u + 1, -1), -g.reshape(-1), lower=False)
+        except (np.linalg.LinAlgError, ValueError):
+            pass
+    if sol is not None and np.all(np.isfinite(sol)):
+        return sol.reshape(K, m1, d), np.ones(K, dtype=bool)
+    if K == 1:
+        return np.zeros_like(g), np.zeros(1, dtype=bool)
+    return _halves(_gn_direction, A, g, nseg)
 
 
-def _minimize_level(model, pts, tol, max_iter):
-    """Line-searched Gauss-Newton at fixed resolution.
+def _line_search(model, P, E, g, A):
+    """Armijo backtracking from each path: along its Gauss-Newton direction
+    when that is usable (solved, and downhill), then along steepest descent,
+    MAX_BACKTRACKS halvings each.  The paths backtrack in lockstep, one
+    energy batch per round.  Returns the accepted paths, their energies and
+    which paths moved at all."""
+    L = P.shape[0]
+    p, usable = _gn_direction(A, g, P.shape[1] - 1)
+    gTp = (g * p).reshape(L, -1).sum(axis=1)
+    usable &= ~(gTp >= 0.0)
+    alpha = np.ones(L)
 
-    Returns (pts, E, grad_sup, iters, stalled).  Falls back to steepest
-    descent whenever the Gauss-Newton direction is unusable; a failed line
-    search along steepest descent, or a run of accepted steps whose decrease
-    is below double-precision resolution, is reported as a stall (the path
-    is at its floating-point floor).
+    def steepest(idx):
+        if not idx.size:
+            return
+        p[idx] = -g[idx]
+        gTp[idx] = -(g[idx] * g[idx]).reshape(len(idx), -1).sum(axis=1)
+        a = 0.5 * np.maximum(E[idx], 1e-300) / np.abs(gTp[idx])
+        cap = _alpha_cap(P[idx], p[idx])
+        alpha[idx] = np.where(cap < a, cap, a)
+
+    on_sd = ~usable
+    steepest(np.flatnonzero(on_sd))
+    tries = np.zeros(L, dtype=int)
+    searching = np.ones(L, dtype=bool)
+    moved = np.zeros(L, dtype=bool)
+    trial = P.copy()
+    Et = E.copy()
+    while searching.any():
+        s = np.flatnonzero(searching)
+        T = P[s]
+        T[:, 1:-1] += alpha[s, None, None] * p[s]
+        Es = _energies(model, T)
+        ok = Es <= E[s] + ARMIJO_C1 * alpha[s] * gTp[s]
+        done = s[ok]
+        trial[done] = T[ok]
+        Et[done] = Es[ok]
+        moved[done] = True
+        searching[done] = False
+        r = s[~ok]
+        alpha[r] *= BACKTRACK
+        tries[r] += 1
+        out = r[tries[r] == MAX_BACKTRACKS]
+        searching[out[on_sd[out]]] = False
+        out = out[~on_sd[out]]
+        on_sd[out] = True
+        tries[out] = 0
+        steepest(out)
+    return trial, Et, moved
+
+
+def _minimize_level(model, P, tol, max_iter):
+    """Line-searched Gauss-Newton at fixed resolution on a stack of paths.
+
+    P is a (K, N+1, d) stack and tol holds each path's gradient tolerance.
+    Returns (P, E, grad_sup, iters, stalled), one entry per path.  Each path
+    falls back to steepest descent whenever its Gauss-Newton direction is
+    unusable; a failed line search along steepest descent, or a run of
+    accepted steps whose decrease is below double-precision resolution, is
+    reported as a stall (the path is at its floating-point floor).  A path
+    leaves the stack when it converges, stalls or spends max_iter; each
+    iteration takes the gradients of the paths still running in one batch.
     """
-    n = pts.shape[0] - 1
-    if n < 2:
-        return pts, _energy_of(model, pts), 0.0, 0, False
-    E = _energy_of(model, pts)
-    g, A = _grad_and_metric(model, pts)
-    iters = 0
-    stalled = False
-    no_progress = 0
-    while iters < max_iter:
-        gsup = float(np.abs(g).max())
-        if gsup <= tol or gsup == 0.0:
+    K = P.shape[0]
+    P = P.copy()
+    E = _energies(model, P)
+    g, A = _gradients(model, P)
+    iters = np.zeros(K, dtype=int)
+    stalled = np.zeros(K, dtype=bool)
+    no_progress = np.zeros(K, dtype=int)
+    live = np.arange(K)
+    while True:
+        gsup = np.abs(g[live]).max(axis=(1, 2))
+        live = live[(iters[live] < max_iter) & ~((gsup <= tol[live]) | (gsup == 0.0))]
+        if not live.size:
             break
-        moved = False
-        for which in ("gn", "sd"):
-            if which == "gn":
-                p = _gn_direction(A, g, n)
-                if p is None:
-                    continue
-                gTp = float(np.sum(g * p))
-                if gTp >= 0.0:
-                    continue
-                alpha = 1.0
-            else:
-                p = -g
-                gTp = -float(np.sum(g * g))
-                alpha = min(0.5 * max(E, 1e-300) / abs(gTp),
-                            _alpha_cap(pts, p))
-            for _ in range(MAX_BACKTRACKS):
-                trial = pts.copy()
-                trial[1:-1] += alpha * p
-                Et = _energy_of(model, trial)
-                if Et <= E + ARMIJO_C1 * alpha * gTp:
-                    moved = True
-                    break
-                alpha *= BACKTRACK
-            if moved:
-                break
-        if not moved:
-            # Neither direction admits a float-representable decrease: the
-            # energy is at its double-precision floor for this path.
-            stalled = True
+        trial, Et, moved = _line_search(model, P[live], E[live], g[live], A[live])
+        # Neither direction admits a float-representable decrease: the
+        # energy is at its double-precision floor for this path.
+        stalled[live[~moved]] = True
+        live = live[moved]
+        if not live.size:
             break
+        trial, Et = trial[moved], Et[moved]
         # Accepted steps whose decrease is below the double-precision
         # resolution of E are no real progress either; a run of them means
         # the same thing.
-        if E - Et <= 1e-14 * max(abs(E), 1e-300):
-            no_progress += 1
-        else:
-            no_progress = 0
-        pts = trial
-        E = Et
-        iters += 1
-        g, A = _grad_and_metric(model, pts)
-        if no_progress >= STALL_WINDOW:
-            stalled = True
-            break
-    gsup = float(np.abs(g).max()) if g.size else 0.0
-    return pts, E, gsup, iters, stalled
+        small = E[live] - Et <= 1e-14 * np.maximum(np.abs(E[live]), 1e-300)
+        no_progress[live] = np.where(small, no_progress[live] + 1, 0)
+        P[live] = trial
+        E[live] = Et
+        iters[live] += 1
+        g[live], A[live] = _gradients(model, trial)
+        stall = no_progress[live] >= STALL_WINDOW
+        stalled[live[stall]] = True
+        live = live[~stall]
+    return P, E, np.abs(g).max(axis=(1, 2)), iters, stalled
 
 
 def _resample(pts: np.ndarray, new_n: int) -> np.ndarray:
@@ -391,38 +463,67 @@ def _validate_endpoint(model, z, name):
     return z
 
 
-def _solve_single(model, x, y, opts, tol, init_pts):
-    if init_pts is not None:
-        pts = init_pts
-        levels = [opts.n]
-        if pts.shape[0] != opts.n + 1:
-            pts = _resample(pts, opts.n)
-    else:
-        levels = _levels(opts.n, opts.coarse_init)
-        floor = opts.floor if opts.floor is not None else _default_floor(model, x, y)
-        pts = _chord(x, y, levels[0], floor)
-        if not np.isfinite(_energy_of(model, pts)):
+def _solve_legs(model, X, Y, opts: SolverOptions, inits):
+    """Solve the legs X[k] -> Y[k] as one stack.
+
+    inits[k] is a point array to warm-start leg k from, or None for a cold
+    start: the floored chord, minimized coarse to fine over _levels.  Cold
+    legs run their coarse levels as one stack and join the warm legs at the
+    target resolution.  A leg's tolerance is grad_tol, or grad_tol_rel times
+    the energy of its floored chord at the target resolution.  Returns
+    (P, E, grad_sup, iters, stalled, short) per leg; short marks a leg that
+    spent max_iter above its tolerance without stalling, which raises
+    NoConvergence when opts.strict.
+    """
+    n = opts.n
+    K = len(inits)
+    floors = [opts.floor if opts.floor is not None else _default_floor(model, x, y)
+              for x, y in zip(X, Y)]
+
+    def chords(legs, n_l):
+        C = np.stack([_chord(X[k], Y[k], n_l, floors[k]) for k in legs])
+        if not np.all(np.isfinite(_energies(model, C))):
             raise OutsideDomain(
                 "initial chord leaves the domain even after flooring; "
                 "supply an explicit init path"
             )
-    total_iters = 0
-    stalled = False
-    for li, n_l in enumerate(levels):
-        if pts.shape[0] != n_l + 1:
-            pts = _resample(pts, n_l)
-            pts[0] = x
-            pts[-1] = y
-        level_tol = tol * (opts.n / n_l)
-        pts, E, gsup, iters, stalled = _minimize_level(model, pts, level_tol, opts.max_iter)
-        total_iters += iters
-        last = li == len(levels) - 1
-        if (last and opts.strict and iters >= opts.max_iter and gsup > tol
-                and not stalled):
-            raise NoConvergence(
-                f"{total_iters} iterations, gradient sup-norm {gsup:.3e} > {tol:.3e}"
-            )
-    return pts, E, gsup, total_iters, stalled
+        return C
+
+    def resampled(C, legs, n_l):
+        C = np.stack([_resample(c, n_l) for c in C])
+        C[:, 0] = X[legs]
+        C[:, -1] = Y[legs]
+        return C
+
+    if opts.grad_tol is not None:
+        tol = np.full(K, float(opts.grad_tol))
+    else:
+        tol = opts.grad_tol_rel * _energies(model, chords(range(K), n))
+
+    P = np.empty((K, n + 1, X.shape[1]))
+    total = np.zeros(K, dtype=int)
+    cold = np.array([k for k in range(K) if inits[k] is None], dtype=int)
+    if cold.size:
+        levels = _levels(n, opts.coarse_init)
+        C = chords(cold, levels[0])
+        for n_l in levels[:-1]:
+            if C.shape[1] != n_l + 1:
+                C = resampled(C, cold, n_l)
+            C, _, _, iters, _ = _minimize_level(model, C, tol[cold] * (n / n_l),
+                                                opts.max_iter)
+            total[cold] += iters
+        P[cold] = C if C.shape[1] == n + 1 else resampled(C, cold, n)
+    for k, init in enumerate(inits):
+        if init is not None:
+            P[k] = init if init.shape[0] == n + 1 else _resample(init, n)
+    P, E, gsup, iters, stalled = _minimize_level(model, P, tol, opts.max_iter)
+    short = (iters >= opts.max_iter) & (gsup > tol) & ~stalled
+    if opts.strict and short.any():
+        k = int(np.argmax(short))
+        raise NoConvergence(
+            f"{total[k] + iters[k]} iterations, gradient sup-norm {gsup[k]:.3e} > {tol[k]:.3e}"
+        )
+    return P, E, gsup, total + iters, stalled, short
 
 
 def solve_geodesic(
@@ -433,24 +534,12 @@ def solve_geodesic(
 
     A solve that bottoms out at the double-precision energy floor before
     meeting grad_tol is reported as converged with stalled=True rather than
-    raising: no representable step can improve the path further.
+    raising: no representable step can improve the path further.  With
+    multi_start > 1 the chord and its perturbations are solved as one stack.
     """
     opts = opts or SolverOptions()
     x = _validate_endpoint(model, x, "x")
     y = _validate_endpoint(model, y, "y")
-
-    if opts.grad_tol is not None:
-        tol = opts.grad_tol
-    else:
-        floor = opts.floor if opts.floor is not None else _default_floor(model, x, y)
-        chord_full = _chord(x, y, opts.n, floor)
-        E_chord = _energy_of(model, chord_full)
-        if not np.isfinite(E_chord):
-            raise OutsideDomain(
-                "initial chord leaves the domain even after flooring; "
-                "supply an explicit init path"
-            )
-        tol = opts.grad_tol_rel * E_chord
 
     inits: list[np.ndarray | None]
     if init is not None:
@@ -469,27 +558,23 @@ def solve_geodesic(
             if np.isfinite(_energy_of(model, pts)):
                 inits.append(pts)
 
-    best = None
-    dists = []
-    for init_pts in inits:
-        pts, E, gsup, iters, stalled = _solve_single(model, x, y, opts, tol, init_pts)
-        dist = float(np.sqrt(max(2.0 * E, 0.0)))
-        dists.append(dist)
-        if best is None or E < best[1]:
-            best = (pts, E, gsup, iters, stalled)
-    pts, E, gsup, iters, stalled = best
-    dist = float(np.sqrt(max(2.0 * E, 0.0)))
+    K = len(inits)
+    P, E, gsup, iters, stalled, _ = _solve_legs(
+        model, np.tile(x, (K, 1)), np.tile(y, (K, 1)), opts, inits)
+    dists = np.sqrt(np.maximum(2.0 * E, 0.0))
+    best = int(np.argmin(E))
     spread = 0.0
-    if len(dists) > 1:
-        spread = (max(dists) - min(dists)) / max(min(dists), 1e-300)
+    if K > 1:
+        spread = float((dists.max() - dists.min()) / max(dists.min(), 1e-300))
+    pts = P[best]
     lengths = np.sqrt(np.maximum(_segment_q(model, pts), 0.0))
     return GeodesicResult(
         path=DiscretePath(pts),
-        distance=dist,
-        energy=E,
-        grad_sup=gsup,
-        iterations=iters,
-        stalled=stalled,
+        distance=float(dists[best]),
+        energy=float(E[best]),
+        grad_sup=float(gsup[best]),
+        iterations=int(iters[best]),
+        stalled=bool(stalled[best]),
         segment_lengths=lengths,
         multistart_spread=spread,
     )

@@ -6,6 +6,7 @@ import pytest
 
 from bridgeexit import (
     BothZero,
+    DiffusionModel,
     DiscretePath,
     Hyperplane,
     IncompleteModel,
@@ -611,3 +612,172 @@ def test_batched_scan_matches_scalar_distances_bit_for_bit(kind):
                         for z in points])
     assert batched.tobytes() == old.tobytes()
 
+
+
+# ---- solver scan: chains in lockstep ---- #
+
+# Full-precision results of config A through the solver scan, taken when
+# the scan swept its 256 samples as one warm-started chain, one leg at a
+# time.  The lockstep chains must reproduce them bit for bit.
+PINNED_SCANS = {
+    "grid": {
+        "J": "0x1.e7750bdd4d62ep+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e7caaaeb5ap-1"),
+        "u_bar": "0x1.7e7886b439f98p-1",
+        "d_xy": "0x1.468c6d3b8ddf0p+1",
+        "d_xz": "0x1.675c8d57ac0efp+1",
+        "d_zy": "0x1.e6cfc778d917dp-1",
+    },
+    "force_numeric": {
+        "J": "0x1.e7620e7120e07p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e8d50fc8e4p-1"),
+        "u_bar": "0x1.7e772a3581ceep-1",
+        "d_xy": "0x1.468b1c748ee65p+1",
+        "d_xz": "0x1.6756d4da27c6ap+1",
+        "d_zy": "0x1.e6cee0d39a041p-1",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SCANS))
+def test_solver_scan_results_are_pinned_and_worker_independent(case):
+    if case == "grid":
+        model, kw = diag_v_grid(), {}
+    else:
+        model, kw = hull_white_model(), dict(opts=SolverOptions(n=50), force_numeric=True)
+    barrier = VerticalBarrier(ref.A_BARRIER)
+    res = exit_asymptotics(model, ref.A_X, ref.A_Y, barrier, workers=1, **kw)
+    got = {
+        "J": res.J.hex(),
+        "z_star": tuple(float(v).hex() for v in res.z_star),
+        "u_bar": res.u_bar.hex(),
+        "d_xy": res.d_xy.hex(),
+        "d_xz": res.d_xz.hex(),
+        "d_zy": res.d_zy.hex(),
+    }
+    assert got == PINNED_SCANS[case]
+    assert res.method == "numeric_1d"
+    assert res.unconverged_legs == 0
+    two = exit_asymptotics(model, ref.A_X, ref.A_Y, barrier, workers=2, **kw)
+    for name in ("J", "u_bar", "d_xy", "d_xz", "d_zy", "widenings", "unconverged_legs"):
+        assert getattr(two, name) == getattr(res, name)
+    assert two.z_star.tobytes() == res.z_star.tobytes()
+
+
+def test_result_counts_scan_legs_that_ran_out_of_budget():
+    opts = SolverOptions(n=50, max_iter=2, strict=False)
+    res = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y,
+                           VerticalBarrier(ref.A_BARRIER), opts=opts, force_numeric=True)
+    # 256 samples of two legs each, nearly all of them cut short
+    assert 256 < res.unconverged_legs <= 512
+    closed = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y,
+                              VerticalBarrier(ref.A_BARRIER))
+    assert closed.unconverged_legs == 0
+
+
+def _holed_plane():
+    """Flat metric on the plane minus the open disk of radius 0.4 about
+    (2, 1.5): not convex, so a warm start can leave the domain."""
+    center = np.array([2.0, 1.5])
+
+    def inside(pts):
+        return ((pts - center) ** 2).sum(axis=-1) >= 0.16
+
+    eye = np.eye(2)
+    return DiffusionModel(
+        dim=2, drift=lambda z: np.zeros(2), sigma=lambda z: eye,
+        domain_test=lambda z: bool(inside(z)),
+        batch_inverse_metric=lambda pts: np.broadcast_to(eye, (len(pts), 2, 2)).copy(),
+        batch_domain_test=inside,
+    )
+
+
+def _sequential_legsums(model, x, y, chart, thetas, opts, chains):
+    """Leg sums as the scan once computed them: each chain in order, one
+    leg at a time, each sample warm-started from the chain's last legs."""
+    from bridgeexit.geodesic import _energy_of, solve_geodesic
+    from bridgeexit.model import domain_test_batch
+
+    def warm(path, end, z):
+        if path is None:
+            return None
+        pts = path.points.copy()
+        pts[end] = z
+        return DiscretePath(pts) if np.isfinite(_energy_of(model, pts)) else None
+
+    z = chart(thetas)
+    out = np.full(len(z), np.inf)
+    inside = np.flatnonzero(domain_test_batch(model, z))
+    colds = 0
+    for chain in np.array_split(inside, min(chains, len(inside))):
+        prev = [None, None]
+        for i in chain:
+            inits = warm(prev[0], -1, z[i]), warm(prev[1], 0, z[i])
+            colds += prev[0] is not None and None in inits
+            r_xz = solve_geodesic(model, x, z[i], opts, init=inits[0])
+            r_zy = solve_geodesic(model, z[i], y, opts, init=inits[1])
+            prev = [r_xz.path, r_zy.path]
+            out[i] = r_xz.distance + r_zy.distance
+    return out, colds
+
+
+@pytest.mark.parametrize("kind", ["holed_plane", "grid_edge", "volatility"])
+def test_lockstep_chains_match_sequential_legs_bit_for_bit(kind, monkeypatch):
+    import bridgeexit.exits as exits
+    from bridgeexit.exits import _solver_legsums
+
+    monkeypatch.setattr(exits, "SCAN_CHAINS", 3)
+    opts = SolverOptions(n=50, grad_tol_rel=1e-6, max_iter=2000, strict=False)
+    if kind == "holed_plane":
+        # samples alternate above and below the hole: moving a leg's end
+        # across it puts a midpoint inside, and the leg starts cold
+        model = _holed_plane()
+        x0 = 2.0
+        x, y = np.array([0.0, 0.0]), np.array([4.0, 0.0])
+        thetas = np.array([3.0, 0.2, 2.8, 0.3, 3.1, 0.25, 2.9, 0.15, 0.1])
+    elif kind == "grid_edge":
+        # the x-to-z legs run along the right edge of the box, 5e-8 inside:
+        # their gradient probes leave it, and the batch they share with the
+        # interior z-to-y legs raises
+        grid = diag_v_grid()
+        raised = []
+
+        def hook(pts):
+            try:
+                return grid.batch_inverse_metric(pts)
+            except ValueError:
+                raised.append(len(pts))
+                raise
+
+        model = replace(grid, batch_inverse_metric=hook)
+        x0 = 4.0 - 5e-8
+        x, y = np.array([x0, 0.3]), np.array([3.0, 0.5])
+        thetas = np.linspace(0.1, 2.5, 10)
+    else:
+        model = hull_white_model(sigma_vol=1.3, rho=0.4)
+        x0 = 2.5
+        x, y = ref.A_X, ref.A_Y
+        thetas = np.geomspace(0.05, 3.0, 11)
+
+    def chart(theta):
+        z = np.empty(np.shape(theta) + (2,))
+        z[..., 0] = x0
+        z[..., 1] = theta
+        return z
+
+    legsums = _solver_legsums(model, x, y, chart, opts)()
+    got = legsums(thetas)
+    if kind == "grid_edge":
+        # a stacked batch raised, not just one leg's own (5 n points)
+        assert max(raised) > 5 * opts.n
+    want, colds = _sequential_legsums(model, x, y, chart, thetas, opts, 3)
+    assert got.tobytes() == want.tobytes()
+    assert legsums.unconverged == 0
+    if kind == "holed_plane":
+        assert colds >= 3
+    # a later call continues each chain from where the last call left it,
+    # as golden refinement does with its one chain
+    first = np.array_split(np.arange(len(thetas)), 3)[0]
+    more = np.append(thetas[first], 1.7)
+    want = _sequential_legsums(model, x, y, chart, more, opts, 1)[0]
+    assert legsums(more[-1:]).tobytes() == want[-1:].tobytes()

@@ -355,3 +355,96 @@ def test_batched_gradient_probes_match_per_probe_evaluation():
         g_ref, A_ref = _per_probe_grad_and_metric(model, pts)
         assert g.tobytes() == g_ref.tobytes()
         assert A.tobytes() == A_ref.tobytes()
+
+
+# ---- stacks of paths ---- #
+
+
+def _stacked_and_alone(model, P, tol, max_iter):
+    """_minimize_level on the stack, checked leg by leg against each leg
+    minimized alone: every output keeps its bits."""
+    from bridgeexit.geodesic import _minimize_level
+
+    stacked = _minimize_level(model, P, np.asarray(tol, dtype=float), max_iter)
+    for k in range(len(P)):
+        alone = _minimize_level(model, P[k:k + 1], np.asarray(tol[k:k + 1], dtype=float),
+                                max_iter)
+        for a, b in zip(stacked, alone):
+            assert a[k:k + 1].tobytes() == b.tobytes()
+    return stacked
+
+
+def test_a_stack_does_not_change_a_leg():
+    rng = np.random.default_rng(3)
+    model = hull_white_model(sigma_vol=1.2, rho=0.3)
+    x, y = np.array([1.0, 0.2]), np.array([2.0, 0.5])
+    converged = solve_geodesic(model, x, y, SolverOptions(n=30)).path.points
+    P = np.stack([converged, wiggly_path(rng, x, y, n=30, amp=0.1).points,
+                  wiggly_path(rng, x, y + 0.3, n=30, amp=0.2).points])
+
+    # a leg that stalls at its floor while the others continue
+    _, _, _, iters, stalled = _stacked_and_alone(model, P, [0.0, 1e-9, 0.0], 200)
+    assert stalled[0] and not stalled[1]
+    assert iters[0] < iters[1] < iters[2]
+
+    # legs that run out of budget next to one that starts converged
+    _, _, gsup, iters, stalled = _stacked_and_alone(model, P, [1.0, 0.0, 0.0], 3)
+    assert list(iters) == [0, 3, 3]
+    assert not stalled.any() and (gsup[1:] > 0.0).all()
+
+
+def test_a_stack_whose_metric_batch_raises_falls_back_leg_by_leg():
+    from bridgeexit.model import grid_model
+
+    xs = np.linspace(0.0, 4.0, 13)
+    vs = np.linspace(0.02, 3.0, 13)
+    entries = np.zeros((13, 13, 2, 2))
+    entries[..., 0, 0] = vs[None, :]
+    entries[..., 1, 1] = vs[None, :]
+    grid = grid_model(xs, vs, entries)
+    raised = []
+
+    def hook(pts):
+        try:
+            return grid.batch_inverse_metric(pts)
+        except ValueError:
+            raised.append(len(pts))
+            raise
+
+    model = replace(grid, batch_inverse_metric=hook)
+    rng = np.random.default_rng(8)
+    n = 25
+    edge = 4.0 - 5e-8
+    P = np.stack([
+        wiggly_path(rng, np.array([0.5, 0.4]), np.array([3.2, 2.1]), n=n).points,
+        # midpoints within 1e-7 of the right and the bottom edge of the box:
+        # their probes leave it
+        np.linspace([edge, 0.3], [edge, 2.9], n + 1),
+        np.linspace([0.5, 0.02 + 5e-8], [3.5, 0.02 + 5e-8], n + 1),
+        wiggly_path(rng, np.array([1.0, 0.2]), np.array([2.5, 0.9]), n=n).points,
+    ])
+    _, E, _, iters, _ = _stacked_and_alone(model, P, [1e-9] * 4, 100)
+    assert np.isfinite(E).all() and (iters > 0).all()
+    # the batch of the whole stack (5 n points per leg) raised
+    assert max(raised) >= 4 * 5 * n
+
+
+def test_cold_and_warm_legs_solve_together_as_alone():
+    from bridgeexit.geodesic import _solve_legs
+
+    rng = np.random.default_rng(4)
+    model = hull_white_model(sigma_vol=0.8, rho=-0.2)
+    opts = SolverOptions(n=60, strict=False)
+    X = np.array([[1.0, 0.2], [0.0, 1.0], [1.0, 0.2], [-1.0, 0.5]])
+    Y = np.array([[2.0, 0.5], [1.5, 0.3], [2.5, 0.9], [0.5, 2.0]])
+    inits = [None, wiggly_path(rng, X[1], Y[1], n=60).points, None,
+             wiggly_path(rng, X[3], Y[3], n=40).points]
+    stacked = _solve_legs(model, X, Y, opts, inits)
+    for k in range(4):
+        alone = _solve_legs(model, X[k:k + 1], Y[k:k + 1], opts, inits[k:k + 1])
+        for a, b in zip(stacked, alone):
+            assert a[k:k + 1].tobytes() == b.tobytes()
+    # the stack at K = 1 is what solve_geodesic reports
+    res = solve_geodesic(model, X[0], Y[0], opts)
+    assert res.energy == stacked[1][0]
+    assert res.path.points.tobytes() == stacked[0][0].tobytes()

@@ -258,3 +258,19 @@ def test_grid_evaluator_matches_scipy_bit_for_bit():
             for evaluate in (ours, ref, model.batch_inverse_metric):
                 with pytest.raises(ValueError):
                     evaluate(np.array([bad]))
+
+
+def test_grid_metric_hook_keeps_the_bits_of_the_einsum_product():
+    from bridgeexit.model import _bilinear, _inv_2x2_batch
+
+    rng = np.random.default_rng(12)
+    xs = np.linspace(-1.0, 3.0, 9)
+    vs = np.geomspace(0.02, 3.0, 7)
+    for entries in (sample_field(xs, vs), rng.standard_normal((9, 7, 2, 2))):
+        interp = _bilinear(xs, vs, entries)
+        hook = grid_model(xs, vs, entries).batch_inverse_metric
+        for pts in _lattice_probes(xs, vs, rng):
+            s = interp(pts)
+            # a = s s^T as the model once formed it
+            want = _inv_2x2_batch(np.einsum("nij,nkj->nik", s, s), "grid model")
+            assert hook(pts).tobytes() == want.tobytes()
