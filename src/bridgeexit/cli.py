@@ -2,7 +2,9 @@
 
 Subcommands: distance, geodesic, exit, mc, figure.  Every run is driven by a
 flat key = value config (--config takes a file path or the name of a bundled
-config); results go to stdout and, with --out, to CSV or SVG.
+config); results go to stdout and, with --out, to CSV or SVG.  load_run reads
+every block of the config once, whatever the command; a command only states
+what it cannot do without (COMMANDS) and computes from the loaded Run.
 
 Exit codes: 0 success, 2 configuration or input problem, 3 solver failure,
 4 degenerate Monte Carlo estimate.
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +41,17 @@ from .errors import (
     RejectionBudgetExceeded,
 )
 from .exits import (
+    Boundary,
     VerticalBarrier,
     _as_plane,
     compare_freezing,
     exit_asymptotics,
+    frozen_exit_asymptotics,
     model_distance,
 )
-from .geodesic import solve_geodesic
+from .geodesic import SolverOptions, solve_geodesic
 from .hyperbolic import hw_geodesic_image
-from .model import ConstantGeometry, HullWhiteGeometry, diffusion_matrix
+from .model import ConstantGeometry, DiffusionModel, HullWhiteGeometry, diffusion_matrix
 from .montecarlo import (
     RngSpec,
     crossing_curve,
@@ -80,39 +85,71 @@ def _write_out(args, content: str) -> None:
         print(f"wrote {args.out}")
 
 
+# ---- the loaded run ---- #
+
+
+@dataclass(frozen=True)
+class Run:
+    """Every block of one config, read once and checked."""
+
+    model: DiffusionModel
+    x: np.ndarray
+    y: np.ndarray
+    boundary: Boundary | None
+    opts: SolverOptions
+    t_list: tuple[float, ...]
+    freeze: list
+    truncation_factor: float
+    force_numeric: bool
+    n_paths: int
+    n_steps: int
+    batch_size: int
+    per_step_correction: bool
+    seed: int
+    stream: int
+    workers: int
+    eps: float
+    n_attempts: int
+    min_accepted: int
+    figure_n: int
+
+
+def load_run(view: ConfigView, needs=()) -> Run:
+    """Reads every key a command may use, each once with its one default,
+    then rejects any key left over.  needs names the blocks the command
+    cannot do without: "barrier" and "t"."""
+    model = model_from_view(view)
+    x, y = endpoints_from_view(view, model.dim)
+    run = Run(
+        model, x, y,
+        boundary=boundary_from_view(view, model.dim, required="barrier" in needs),
+        opts=solver_from_view(view),
+        t_list=t_list_from_view(view, required="t" in needs),
+        freeze=freeze_points_from_view(view, model.dim),
+        truncation_factor=view.get_float("exit.truncation_factor", default=4.0),
+        force_numeric=view.get_bool("exit.force_numeric", default=False),
+        n_paths=view.get_int("mc.n_paths", default=100000),
+        n_steps=view.get_int("mc.n_steps", default=50),
+        batch_size=view.get_int("mc.batch_size", default=16384),
+        per_step_correction=view.get_bool("mc.per_step_correction", default=True),
+        seed=view.get_int("mc.seed", default=0),
+        stream=view.get_int("mc.stream", default=0),
+        workers=view.get_int("mc.workers", default=1),
+        eps=view.get_float("mc.eps", default=0.02),
+        n_attempts=view.get_int("mc.n_attempts", default=200000),
+        min_accepted=view.get_int("mc.min_accepted", default=50),
+        figure_n=view.get_int("figure.n", default=200),
+    )
+    view.finish()
+    return run
+
+
 # ---- distance ---- #
 
 
-def _consume_shared_extras(view: ConfigView, model) -> None:
-    # Bundled configs carry barrier/freeze/t/mc blocks so one file can drive
-    # every subcommand; commands that do not use a block still accept it.
-    # Keys a command already consumed are simply revisited.
-    boundary_from_view(view, model.dim)
-    freeze_points_from_view(view, model.dim)
-    t_list_from_view(view)
-    view.get_float("exit.truncation_factor", default=4.0)
-    view.get_bool("exit.force_numeric", default=False)
-    view.get_int("mc.n_paths", default=0)
-    view.get_int("mc.n_steps", default=0)
-    view.get_int("mc.batch_size", default=0)
-    view.get_bool("mc.per_step_correction", default=True)
-    view.get_int("mc.seed", default=0)
-    view.get_int("mc.stream", default=0)
-    view.get_int("mc.workers", default=1)
-    view.get_float("mc.eps", default=0.0)
-    view.get_int("mc.n_attempts", default=0)
-    view.get_int("mc.min_accepted", default=0)
-    view.get_int("figure.n", default=0)
-
-
-def cmd_distance(view: ConfigView, args) -> int:
-    model = model_from_view(view)
-    x, y = endpoints_from_view(view, model.dim)
-    opts = solver_from_view(view)
-    _consume_shared_extras(view, model)
-    view.finish()
-
-    numeric = solve_geodesic(model, x, y, opts).distance
+def cmd_distance(run: Run, args) -> int:
+    model, x, y = run.model, run.x, run.y
+    numeric = solve_geodesic(model, x, y, run.opts).distance
     closed = model_distance(model, x, y) if model.geometry is not None else None
     print(f"numeric = {format_sig(numeric)}")
     if closed is not None:
@@ -129,14 +166,8 @@ def cmd_distance(view: ConfigView, args) -> int:
 # ---- geodesic ---- #
 
 
-def cmd_geodesic(view: ConfigView, args) -> int:
-    model = model_from_view(view)
-    x, y = endpoints_from_view(view, model.dim)
-    opts = solver_from_view(view)
-    _consume_shared_extras(view, model)
-    view.finish()
-
-    res = solve_geodesic(model, x, y, opts)
+def cmd_geodesic(run: Run, args) -> int:
+    res = solve_geodesic(run.model, run.x, run.y, run.opts)
     print(f"distance = {format_sig(res.distance)}")
     print(f"energy = {format_sig(res.energy)}")
     print(f"iterations = {res.iterations}")
@@ -155,30 +186,12 @@ def _probability_header(t_list) -> list[str]:
     return [f"p_at_{format(t, 'g')}" for t in t_list]
 
 
-def cmd_exit(view: ConfigView, args) -> int:
-    model = model_from_view(view)
-    x, y = endpoints_from_view(view, model.dim)
-    boundary = boundary_from_view(view, model.dim, required=True)
-    opts = solver_from_view(view)
-    t_list = t_list_from_view(view)
-    freeze = freeze_points_from_view(view, model.dim)
-    trunc = view.get_float("exit.truncation_factor", default=4.0)
-    force = view.get_bool("exit.force_numeric", default=False)
-    _consume_shared_extras(view, model)
-    view.finish()
-
-    if freeze:
-        comp = compare_freezing(model, x, y, boundary, freeze, t_list=t_list,
-                                opts=opts, truncation_factor=trunc,
-                                force_numeric=force)
-        rows = comp.rows
-    else:
-        res = exit_asymptotics(model, x, y, boundary, opts=opts,
-                               truncation_factor=trunc, force_numeric=force)
-        from .exits import FreezingRow, exit_probability_equivalent
-
-        probs = tuple(exit_probability_equivalent(res.J, t) for t in t_list)
-        rows = (FreezingRow("true", res, probs),)
+def cmd_exit(run: Run, args) -> int:
+    t_list = run.t_list
+    rows = compare_freezing(run.model, run.x, run.y, run.boundary, run.freeze,
+                            t_list=t_list, opts=run.opts,
+                            truncation_factor=run.truncation_factor,
+                            force_numeric=run.force_numeric).rows
 
     for row in rows:
         r = row.result
@@ -195,7 +208,7 @@ def cmd_exit(view: ConfigView, args) -> int:
         for t, p in zip(t_list, row.probabilities):
             print(f"  p(t={format(t, 'g')}) ~ {format_sig(p)}")
 
-    d = model.dim
+    d = run.model.dim
     header = (["label", "J"] + [f"z_star_{i}" for i in range(d)]
               + ["u_bar", "d_xy", "d_xz", "d_zy", "method"]
               + _probability_header(t_list))
@@ -220,51 +233,32 @@ def cmd_exit(view: ConfigView, args) -> int:
 # ---- mc ---- #
 
 
-def cmd_mc(view: ConfigView, args) -> int:
-    model = model_from_view(view)
-    x, y = endpoints_from_view(view, model.dim)
-    boundary = boundary_from_view(view, model.dim, required=True)
-    t_list = t_list_from_view(view, required=True)
-    n_paths = view.get_int("mc.n_paths", default=100000)
-    n_steps = view.get_int("mc.n_steps", default=50)
-    batch_size = view.get_int("mc.batch_size", default=16384)
-    per_step = view.get_bool("mc.per_step_correction", default=True)
-    seed = args.seed if args.seed is not None else view.get_int("mc.seed", default=0)
-    stream = view.get_int("mc.stream", default=0)
-    workers = (args.workers if args.workers is not None
-               else view.get_int("mc.workers", default=1))
-    geom = model.geometry
-    is_hw = isinstance(geom, HullWhiteGeometry)
-    if is_hw:
-        eps = view.get_float("mc.eps", default=0.02)
-        n_attempts = view.get_int("mc.n_attempts", default=200000)
-        min_accepted = view.get_int("mc.min_accepted", default=50)
-        b = view.get_float("model.b", default=0.0)
-        mu = view.get_float("model.mu", default=0.0)
-    _consume_shared_extras(view, model)
-    view.finish()
-    if n_paths < 1 or n_steps < 1:
+def cmd_mc(run: Run, args) -> int:
+    model, x, y, boundary, t_list = run.model, run.x, run.y, run.boundary, run.t_list
+    if run.n_paths < 1 or run.n_steps < 1:
         raise ConfigError("mc.n_paths and mc.n_steps must be positive")
-    rng = RngSpec(seed, stream)
-
+    seed = args.seed if args.seed is not None else run.seed
+    workers = args.workers if args.workers is not None else run.workers
+    rng = RngSpec(seed, run.stream)
+    geom = model.geometry
     if isinstance(geom, ConstantGeometry):
         cov = diffusion_matrix(model, np.zeros(model.dim))
         estimates = crossing_curve(
-            x, y, t_list, cov, boundary, n_paths, n_steps, rng,
-            workers=workers, batch_size=batch_size,
-            per_step_correction=per_step,
+            x, y, t_list, cov, boundary, run.n_paths, run.n_steps, rng,
+            workers=workers, batch_size=run.batch_size,
+            per_step_correction=run.per_step_correction,
         )
-    elif is_hw:
-        estimates = []
-        for k, t in enumerate(t_list):
-            estimates.append(
-                hw_crossing_probability(
-                    geom.sigma_vol, geom.rho, b, mu, x, y, t, boundary,
-                    n_attempts, n_steps, rng.with_stream(stream + k), eps,
-                    min_accepted=min_accepted, workers=workers,
-                    batch_size=batch_size, per_step_correction=per_step,
-                )
+    elif isinstance(geom, HullWhiteGeometry):
+        estimates = [
+            hw_crossing_probability(
+                geom.sigma_vol, geom.rho, geom.b, geom.mu, x, y, t, boundary,
+                run.n_attempts, run.n_steps, rng.with_stream(run.stream + k),
+                run.eps, min_accepted=run.min_accepted, workers=workers,
+                batch_size=run.batch_size,
+                per_step_correction=run.per_step_correction,
             )
+            for k, t in enumerate(t_list)
+        ]
     else:
         raise ConfigError(
             "mc supports constant and volatility models only"
@@ -311,20 +305,11 @@ def _geodesic_curve(model, p, q, opts, n):
     return solve_geodesic(model, p, q, opts).path.points
 
 
-def cmd_figure(view: ConfigView, args) -> int:
-    if not args.out:
-        raise ConfigError("figure needs --out <file.svg>")
-    model = model_from_view(view)
+def cmd_figure(run: Run, args) -> int:
+    model, x, y, boundary, opts, n = (run.model, run.x, run.y, run.boundary,
+                                      run.opts, run.figure_n)
     if model.dim != 2:
         raise ConfigError("figure supports two-dimensional models only")
-    x, y = endpoints_from_view(view, model.dim)
-    boundary = boundary_from_view(view, model.dim)
-    opts = solver_from_view(view)
-    freeze = freeze_points_from_view(view, model.dim)
-    n = view.get_int("figure.n", default=200)
-    _consume_shared_extras(view, model)
-    view.finish()
-
     curves = [Curve(_geodesic_curve(model, x, y, opts, n), "solid", "geodesic")]
     markers = [
         Marker(float(x[0]), float(x[1]), role="start", label="x"),
@@ -339,9 +324,7 @@ def cmd_figure(view: ConfigView, args) -> int:
                             "crossing_leg_out", color="#d62728"))
         markers.append(Marker(float(z[0]), float(z[1]), role="crossing",
                               label="z*", color="#d62728"))
-        for k, z0 in enumerate(freeze):
-            from .exits import frozen_exit_asymptotics
-
+        for k, z0 in enumerate(run.freeze):
             fr = frozen_exit_asymptotics(model, x, y, boundary, z0, opts=opts)
             markers.append(
                 Marker(float(fr.z_star[0]), float(fr.z_star[1]),
@@ -375,12 +358,14 @@ def cmd_figure(view: ConfigView, args) -> int:
 # ---- wiring ---- #
 
 
+# name -> (command, what it cannot run without, help).  Every command loads
+# the whole config; "barrier" and "t" are config blocks, "out" is --out.
 COMMANDS = {
-    "distance": (cmd_distance, "geodesic distance between x and y"),
-    "geodesic": (cmd_geodesic, "solve and export the minimizing path"),
-    "exit": (cmd_exit, "exit exponent against a barrier, with freezing rows"),
-    "mc": (cmd_mc, "Monte Carlo barrier-crossing estimates and slope fit"),
-    "figure": (cmd_figure, "render geodesic, barrier and crossing as SVG"),
+    "distance": (cmd_distance, (), "geodesic distance between x and y"),
+    "geodesic": (cmd_geodesic, (), "solve and export the minimizing path"),
+    "exit": (cmd_exit, ("barrier",), "exit exponent against a barrier, with freezing rows"),
+    "mc": (cmd_mc, ("barrier", "t"), "Monte Carlo barrier-crossing estimates and slope fit"),
+    "figure": (cmd_figure, ("out",), "render geodesic, barrier and crossing as SVG"),
 }
 
 
@@ -390,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Small-time exit asymptotics for pinned diffusions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text) in COMMANDS.items():
+    for name, (fn, needs, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True,
                        help="config file path or bundled config name")
@@ -399,16 +384,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte Carlo worker threads (default: config or 1)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the Monte Carlo seed")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, needs=needs)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = parse_config_text(_resolve_config_text(args.config))
-        view = ConfigView(raw)
-        return args.func(view, args)
+        view = ConfigView(parse_config_text(_resolve_config_text(args.config)))
+        if "out" in args.needs and not args.out:
+            raise ConfigError(f"{args.command} needs --out <file>")
+        return args.func(load_run(view, args.needs), args)
     except (ConfigError, OutsideDomain, IncompleteModel, DegenerateCorrelation,
             NotSPD, ValueError) as exc:
         # the library raises ValueError for arguments it cannot work with

@@ -2,9 +2,11 @@
 
 One assignment per line, '#' starts a comment, keys are dotted identifiers,
 values are scalars, comma-separated vectors, or semicolon-separated point
-lists.  Every key is validated against the schema of the command being run
-and unknown or malformed keys are reported with their line number before any
-computation starts.
+lists.  One config drives every command, and every command reads every block
+of it (model, endpoints, barrier, solver, horizons, freeze points, exit, mc,
+figure) before any computation starts; commands differ only in which blocks
+they require.  Each key is read by one call with one default, and unknown or
+malformed keys are reported with their line number.
 """
 
 from __future__ import annotations
@@ -79,6 +81,31 @@ def load_config(path: str) -> RawConfig:
         return parse_config_text(fh.read())
 
 
+def _number(val: str) -> float:
+    out = float(val)
+    if math.isnan(out):
+        raise ValueError
+    return out
+
+
+def _numbers(val: str) -> np.ndarray:
+    return np.array([_number(p) for p in val.split(",")], dtype=float)
+
+
+def _bool(val: str) -> bool:
+    low = val.lower()
+    if low not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError
+    return low in ("true", "yes", "1")
+
+
+def _points(val: str) -> list:
+    pts = [_numbers(chunk) for chunk in val.split(";") if chunk.strip()]
+    if not pts or len({p.shape[0] for p in pts}) != 1:
+        raise ValueError
+    return pts
+
+
 class ConfigView:
     """Typed access to a RawConfig with consumed-key bookkeeping.
 
@@ -97,100 +124,46 @@ class ConfigView:
         ent = self._entries.get(key)
         return ent[1] if ent else None
 
-    def _fetch(self, key: str, default):
+    def _get(self, key: str, default, parse, expected: str):
+        """The one read path: fetch key, mark it used, parse its value, and
+        report a value parse rejects with the key and its line."""
         ent = self._entries.get(key)
         if ent is None:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r}")
-            return None
+            return default
         self._used.add(key)
-        return ent
+        val, lineno = ent
+        try:
+            return parse(val)
+        except ValueError:
+            raise ConfigError(f"{key} must be {expected}; got {val!r}", lineno) from None
 
     def get_str(self, key: str, default=_REQUIRED, choices=None) -> str | None:
-        ent = self._fetch(key, default)
-        if ent is None:
-            return default if default is not _REQUIRED else None
-        val, lineno = ent
-        if choices is not None and val not in choices:
-            raise ConfigError(
-                f"{key} must be one of {', '.join(choices)}; got {val!r}", lineno
-            )
-        return val
+        def parse(val):
+            if choices is not None and val not in choices:
+                raise ValueError
+            return val
+
+        return self._get(key, default, parse, "one of " + ", ".join(choices or ()))
 
     def get_float(self, key: str, default=_REQUIRED) -> float | None:
-        ent = self._fetch(key, default)
-        if ent is None:
-            return default if default is not _REQUIRED else None
-        val, lineno = ent
-        try:
-            out = float(val)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number; got {val!r}", lineno)
-        if math.isnan(out):
-            raise ConfigError(f"{key} must not be NaN", lineno)
-        return out
+        return self._get(key, default, _number, "a number")
 
     def get_int(self, key: str, default=_REQUIRED) -> int | None:
-        ent = self._fetch(key, default)
-        if ent is None:
-            return default if default is not _REQUIRED else None
-        val, lineno = ent
-        try:
-            return int(val)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer; got {val!r}", lineno)
+        return self._get(key, default, int, "an integer")
 
     def get_bool(self, key: str, default=_REQUIRED) -> bool | None:
-        ent = self._fetch(key, default)
-        if ent is None:
-            return default if default is not _REQUIRED else None
-        val, lineno = ent
-        low = val.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"{key} must be true or false; got {val!r}", lineno)
+        return self._get(key, default, _bool, "true or false")
 
     def get_floats(self, key: str, default=_REQUIRED) -> np.ndarray | None:
-        ent = self._fetch(key, default)
-        if ent is None:
-            return default if default is not _REQUIRED else None
-        val, lineno = ent
-        try:
-            out = np.array([float(p) for p in val.split(",")], dtype=float)
-        except ValueError:
-            raise ConfigError(
-                f"{key} must be a comma-separated list of numbers; got {val!r}",
-                lineno,
-            )
-        if np.isnan(out).any():
-            raise ConfigError(f"{key} must not contain NaN", lineno)
-        return out
+        return self._get(key, default, _numbers,
+                         "a comma-separated list of numbers")
 
     def get_points(self, key: str, default=_REQUIRED) -> list | None:
         """Semicolon-separated list of comma-separated points."""
-        ent = self._fetch(key, default)
-        if ent is None:
-            return default if default is not _REQUIRED else None
-        val, lineno = ent
-        pts = []
-        for chunk in val.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                pts.append(np.array([float(p) for p in chunk.split(",")]))
-            except ValueError:
-                raise ConfigError(
-                    f"{key}: could not parse point {chunk!r}", lineno
-                )
-        if not pts:
-            raise ConfigError(f"{key} lists no points", lineno)
-        dims = {p.shape[0] for p in pts}
-        if len(dims) != 1:
-            raise ConfigError(f"{key}: points have mixed dimensions", lineno)
-        return pts
+        return self._get(key, default, _points,
+                         "a semicolon-separated list of points of one dimension")
 
     def finish(self) -> None:
         leftover = set(self._entries) - self._used
@@ -313,8 +286,9 @@ def t_list_from_view(view: ConfigView, required: bool = False):
             raise ConfigError("this command needs a list of horizons t")
         return ()
     ts = view.get_floats("t")
-    if (ts <= 0.0).any():
-        raise ConfigError("every horizon t must be positive", view.lineno("t"))
+    if not ((ts > 0.0) & np.isfinite(ts)).all():
+        raise ConfigError("every horizon t must be finite and positive",
+                          view.lineno("t"))
     return tuple(float(t) for t in ts)
 
 

@@ -725,10 +725,14 @@ def exit_asymptotics(
 
     force_numeric replaces the closed-form distance by the path optimizer,
     so the solver-based boundary scan runs even when an exact backend exists
-    (used for cross-checks).  workers is accepted for callers that pass it
-    and changes nothing: the solver scan runs its chains in lockstep in one
-    thread.
+    (used for cross-checks).  truncation_factor, finite and positive, sets
+    the length of an arclength scan window in units of d(x, y).  workers is
+    accepted for callers that pass it and changes nothing: the solver scan
+    runs its chains in lockstep in one thread.
     """
+    if not (math.isfinite(truncation_factor) and truncation_factor > 0.0):
+        raise ValueError("truncation_factor must be finite and positive; "
+                         f"got {truncation_factor}")
     x, y = _checked_points(model, x=x, y=y)
     geom = None if force_numeric else model.geometry
     return _exit_engine(model, geom, x, y, boundary, opts, truncation_factor)
@@ -783,18 +787,17 @@ def compare_freezing(
     freeze_points,
     t_list=(),
     opts: SolverOptions | None = None,
-    workers: int = 1,
     truncation_factor: float = 4.0,
     force_numeric: bool = False,
 ) -> FreezingComparison:
     """True exit exponent next to frozen-coefficient surrogates.
 
     One row per freeze point, after a first row for the true model, which
-    takes truncation_factor and force_numeric as exit_asymptotics does
-    (workers, as there, changes nothing).  Each row carries exp(-J/t) for every requested horizon.  Where to
-    freeze is the caller's problem: there is no canonical choice, and the
-    candidates can disagree among themselves by more than their distance to
-    the true value.
+    takes truncation_factor and force_numeric as exit_asymptotics does (and
+    raises ValueError for the same factors).  Each row carries exp(-J/t)
+    for every requested horizon.  Where to freeze is the caller's problem:
+    there is no canonical choice, and the candidates can disagree among
+    themselves by more than their distance to the true value.
     """
     t_list = tuple(float(t) for t in t_list)
     rows = []

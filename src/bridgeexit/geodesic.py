@@ -98,6 +98,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least 2 segments")
+        if self.grad_tol is not None and not 0.0 <= self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be finite and nonnegative; got {self.grad_tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.multi_start < 1:

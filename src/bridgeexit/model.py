@@ -45,10 +45,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HullWhiteGeometry:
-    """Tag: the model's metric is the correlated log-price/volatility geometry."""
+    """Tag: the model's metric is the correlated log-price/volatility geometry.
+
+    b and mu are the model's drift parameters, carried for the path sampler;
+    the metric does not depend on them.
+    """
 
     sigma_vol: float
     rho: float
+    b: float = 0.0
+    mu: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -238,7 +244,7 @@ def hull_white_model(
         sigma=sigma,
         domain_test=lambda z: z[1] > 0.0,
         complete=True,
-        geometry=HullWhiteGeometry(float(sigma_vol), float(rho)),
+        geometry=HullWhiteGeometry(float(sigma_vol), float(rho), float(b), float(mu)),
         batch_inverse_metric=batch_inv,
         batch_domain_test=lambda pts: pts[:, 1] > 0.0,
     )

@@ -8,7 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridgeexit import ConfigError, Hyperplane, VerticalBarrier
+from bridgeexit import (
+    ConfigError,
+    Hyperplane,
+    RejectionBudgetExceeded,
+    SolverOptions,
+    VerticalBarrier,
+    compare_freezing,
+    exit_asymptotics,
+    hull_white_model,
+)
+from bridgeexit import cli
 from bridgeexit.cli import main
 from bridgeexit.config import (
     ConfigView,
@@ -493,3 +503,144 @@ def test_exit_codes_over_generated_configs(case):
     if bad:
         assert code == 2, text
 
+
+
+# ---- one loader for every command ---- #
+
+COMMAND_NAMES = ("distance", "geodesic", "exit", "mc", "figure")
+BUNDLED = ("figure1", "figure2", "brownian_barrier")
+# Exit code of every command on every bundled config.  mc on figure1 lands
+# no path within eps of y and exits 4; every other pair succeeds.
+BUNDLED_CODES = {(cmd, cfg): 0 for cmd in COMMAND_NAMES for cfg in BUNDLED}
+BUNDLED_CODES["mc", "figure1"] = 4
+
+
+def run_cli(argv):
+    """main(argv) with captured streams: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_every_command_runs_every_bundled_config(command, tmp_path):
+    for cfg in BUNDLED:
+        out = str(tmp_path / f"{command}_{cfg}.out")
+        # results are bitwise independent of the Monte Carlo thread count
+        code, err = run_cli([command, "--config", cfg, "--out", out, "--workers", "2"])
+        assert code == BUNDLED_CODES[command, cfg], (cfg, err)
+
+
+FIGURE1_TEXT = (
+    "model.kind = hull_white_simple\nx = 1, 0.2\ny = 2, 0.5\n"
+    "barrier.kind = vertical\nbarrier.x0 = 2.5\nfreeze = 2, 0.5\nt = 0.05\n"
+)
+PLANE_TEXT = (
+    "model.kind = constant\nmodel.sigma = 1, 0, 0, 1\nx = 0, 0.5\ny = 1, 0.3\n"
+    "barrier.kind = hyperplane\nbarrier.normal = 0, 1\nbarrier.offset = 0\n"
+    "t = 0.2, 0.1\n"
+)
+STRAY_KEYS = [
+    (FIGURE1_TEXT, "mc.n_path = 1000"),
+    (FIGURE1_TEXT, "exit.truncation_factr = 8"),
+    (FIGURE1_TEXT, "figure.m = 50"),
+    (FIGURE1_TEXT, "solver.nn = 50"),
+    (PLANE_TEXT, "barrier.x0 = 2.5"),
+    (FIGURE1_TEXT, "model.sigma = 1, 0, 0, 1"),
+    (FIGURE1_TEXT, "model.b = 0.3"),
+]
+
+
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+@pytest.mark.parametrize("base, stray", STRAY_KEYS, ids=[k for _, k in STRAY_KEYS])
+def test_every_command_rejects_a_key_no_block_reads(command, base, stray, tmp_path):
+    cfg = write_cfg(tmp_path, "stray.cfg", base + stray + "\n")
+    out = tmp_path / "never.out"
+    code, err = run_cli([command, "--config", cfg, "--out", str(out)])
+    key = stray.split(" =")[0]
+    assert code == 2
+    assert f"line {len(base.splitlines()) + 1}" in err and repr(key) in err
+    assert not out.exists()
+
+
+def test_mc_takes_the_drift_from_the_model(tmp_path, monkeypatch):
+    seen = []
+
+    def sampler(sigma_vol, rho, b, mu, *args, **kwargs):
+        seen.append((sigma_vol, rho, b, mu))
+        raise RejectionBudgetExceeded("stub")
+
+    monkeypatch.setattr(cli, "hw_crossing_probability", sampler)
+    text = FIGURE1_TEXT.replace("hull_white_simple", "hull_white\nmodel.sigma_vol = 1.5\n"
+                                "model.rho = 0.25\nmodel.b = 0.3\nmodel.mu = -0.1")
+    assert run_cli(["mc", "--config", write_cfg(tmp_path, "hw.cfg", text)])[0] == 4
+    assert seen == [(1.5, 0.25, 0.3, -0.1)]
+    seen.clear()
+    assert run_cli(["mc", "--config", write_cfg(tmp_path, "s.cfg", FIGURE1_TEXT)])[0] == 4
+    assert seen == [(1.0, 0.0, 0.0, 0.0)]
+
+
+def test_every_getter_names_the_key_and_line_of_a_bad_value():
+    v = view_of("a = 1\nf = one\ni = 1.5\nb = maybe\nfs = 1, x\np = 1, 2; 3\n"
+                "s = other\nnan = nan\n")
+    cases = [(v.get_float, "f", 2), (v.get_int, "i", 3), (v.get_bool, "b", 4),
+             (v.get_floats, "fs", 5), (v.get_points, "p", 6),
+             (lambda k: v.get_str(k, choices=("one", "two")), "s", 7),
+             (v.get_float, "nan", 8), (v.get_points, "nan", 8)]
+    for get, key, line in cases:
+        with pytest.raises(ConfigError) as err:
+            get(key)
+        assert str(err.value).startswith(f"line {line}: {key} must be ")
+    assert v.get_float("missing", default=2.5) == 2.5
+    assert v.get_points("missing", default=None) is None
+
+
+# ---- values that used to exit 0 with a wrong answer ---- #
+
+SLANTED_CASE = dict(x=np.array([1.0, 0.2]), y=np.array([2.0, 0.5]),
+                    boundary=Hyperplane(np.array([1.0, 0.2]), 2.6))
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.0, math.inf, math.nan])
+def test_exit_entry_points_refuse_a_window_factor_that_is_not_positive(factor):
+    # a zero-width window used to report J = 4.74191 here instead of 2.00879
+    model = hull_white_model(sigma_vol=1.1, rho=0.3)
+    with pytest.raises(ValueError, match="truncation_factor"):
+        exit_asymptotics(model, **SLANTED_CASE, truncation_factor=factor)
+    with pytest.raises(ValueError, match="truncation_factor"):
+        compare_freezing(model, **SLANTED_CASE, freeze_points=[],
+                         truncation_factor=factor)
+    assert exit_asymptotics(model, **SLANTED_CASE).J == pytest.approx(2.00879, abs=1e-5)
+
+
+def test_exit_command_refuses_a_window_factor_that_is_not_positive(tmp_path):
+    text = ("model.kind = hull_white\nmodel.sigma_vol = 1.1\nmodel.rho = 0.3\n"
+            "x = 1, 0.2\ny = 2, 0.5\nbarrier.kind = hyperplane\n"
+            "barrier.normal = 1, 0.2\nbarrier.offset = 2.6\n")
+    for factor in ("0", "-2"):
+        cfg = write_cfg(tmp_path, "w.cfg", text + f"exit.truncation_factor = {factor}\n")
+        code, err = run_cli(["exit", "--config", cfg])
+        assert code == 2 and "truncation_factor" in err
+
+
+def test_solver_options_refuse_an_infinite_or_negative_grad_tol(tmp_path):
+    for tol in (math.inf, -1e-8):
+        with pytest.raises(ValueError, match="grad_tol"):
+            SolverOptions(grad_tol=tol)
+    assert SolverOptions(grad_tol=0.0).grad_tol == 0.0
+    # grad_tol = inf used to return the unminimized chord, rel_gap 0.294
+    cfg = write_cfg(tmp_path, "g.cfg", "model.kind = hull_white_simple\n"
+                    "x = 1, 0.2\ny = 2, 0.5\nsolver.grad_tol = inf\n")
+    code, err = run_cli(["distance", "--config", cfg])
+    assert code == 2 and "grad_tol" in err
+
+
+def test_an_infinite_horizon_is_refused_with_its_line(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        t_list_from_view(view_of("x = 1\nt = 0.1, inf\n"))
+    assert "line 2" in str(err.value)
+    cfg = write_cfg(tmp_path, "inf.cfg", FIGURE1_TEXT.replace("t = 0.05", "t = inf"))
+    for command in ("exit", "mc"):
+        code, err = run_cli([command, "--config", cfg])
+        assert code == 2 and "line 7" in err and "horizon" in err
