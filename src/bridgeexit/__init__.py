@@ -86,6 +86,6 @@ from .montecarlo import (
     sample_gaussian_bridge,
     sample_hw_bridge_rejection,
 )
-from .paths import DiscretePath, load_path_csv, path_from_csv, path_to_csv, save_path_csv
+from .paths import DiscretePath, path_from_csv, path_to_csv
 
 __version__ = "0.1.0"

@@ -46,7 +46,6 @@ from .exits import (
     _as_plane,
     compare_freezing,
     exit_asymptotics,
-    frozen_exit_asymptotics,
     model_distance,
 )
 from .geodesic import SolverOptions, solve_geodesic
@@ -186,12 +185,18 @@ def _probability_header(t_list) -> list[str]:
     return [f"p_at_{format(t, 'g')}" for t in t_list]
 
 
-def cmd_exit(run: Run, args) -> int:
-    t_list = run.t_list
-    rows = compare_freezing(run.model, run.x, run.y, run.boundary, run.freeze,
-                            t_list=t_list, opts=run.opts,
+def _freezing_rows(run: Run):
+    """The true exit and one frozen exit per freeze point, under the run's
+    exit and solver options."""
+    return compare_freezing(run.model, run.x, run.y, run.boundary, run.freeze,
+                            t_list=run.t_list, opts=run.opts,
                             truncation_factor=run.truncation_factor,
                             force_numeric=run.force_numeric).rows
+
+
+def cmd_exit(run: Run, args) -> int:
+    t_list = run.t_list
+    rows = _freezing_rows(run)
 
     for row in rows:
         r = row.result
@@ -235,8 +240,6 @@ def cmd_exit(run: Run, args) -> int:
 
 def cmd_mc(run: Run, args) -> int:
     model, x, y, boundary, t_list = run.model, run.x, run.y, run.boundary, run.t_list
-    if run.n_paths < 1 or run.n_steps < 1:
-        raise ConfigError("mc.n_paths and mc.n_steps must be positive")
     seed = args.seed if args.seed is not None else run.seed
     workers = args.workers if args.workers is not None else run.workers
     rng = RngSpec(seed, run.stream)
@@ -264,7 +267,9 @@ def cmd_mc(run: Run, args) -> int:
             "mc supports constant and volatility models only"
         )
 
-    analytic = exit_asymptotics(model, x, y, boundary).J
+    analytic = exit_asymptotics(model, x, y, boundary, opts=run.opts,
+                                truncation_factor=run.truncation_factor,
+                                force_numeric=run.force_numeric).J
     for e in estimates:
         print(
             f"t = {format(e.t, 'g')}  p_hat = {format_sig(e.p_hat)} "
@@ -316,20 +321,19 @@ def cmd_figure(run: Run, args) -> int:
         Marker(float(y[0]), float(y[1]), role="end", label="y"),
     ]
     if boundary is not None:
-        res = exit_asymptotics(model, x, y, boundary, opts=opts)
-        z = res.z_star
+        true, *frozen = _freezing_rows(run)
+        z = true.result.z_star
         curves.append(Curve(_geodesic_curve(model, x, z, opts, n), "dotted",
                             "crossing_leg_in", color="#d62728"))
         curves.append(Curve(_geodesic_curve(model, z, y, opts, n), "dotted",
                             "crossing_leg_out", color="#d62728"))
         markers.append(Marker(float(z[0]), float(z[1]), role="crossing",
                               label="z*", color="#d62728"))
-        for k, z0 in enumerate(run.freeze):
-            fr = frozen_exit_asymptotics(model, x, y, boundary, z0, opts=opts)
+        for k, row in enumerate(frozen):
+            fz = row.result.z_star
             markers.append(
-                Marker(float(fr.z_star[0]), float(fr.z_star[1]),
-                       role=f"frozen_crossing_{k}", label=f"z*froz{k}",
-                       color="#9467bd")
+                Marker(float(fz[0]), float(fz[1]), role=f"frozen_crossing_{k}",
+                       label=f"z*froz{k}", color="#9467bd")
             )
         pts = np.concatenate([c.points for c in curves])
         ymin, ymax = float(pts[:, 1].min()), float(pts[:, 1].max())

@@ -31,7 +31,6 @@ __all__ = [
     "RawConfig",
     "ConfigView",
     "parse_config_text",
-    "load_config",
     "model_from_view",
     "boundary_from_view",
     "solver_from_view",
@@ -74,11 +73,6 @@ def parse_config_text(text: str) -> RawConfig:
             raise ConfigError(f"empty value for {key!r}", lineno)
         entries[key] = (val, lineno)
     return RawConfig(entries)
-
-
-def load_config(path: str) -> RawConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
 
 
 def _number(val: str) -> float:

@@ -14,6 +14,13 @@ keyed by (seed, stream, batch index), all random numbers for a batch are
 drawn up front in a fixed order, and batches are merged by summing counts.
 Estimates are therefore bitwise identical for any number of worker threads.
 
+Every estimate runs on one batch driver, _map_batches, which calls
+run(gen, n) once per batch and returns the results in batch order.  Each
+sampler is one step generator (_bridge_steps, _hw_steps): it draws its
+normals, then yields the states of the whole batch, start point first.  An
+estimator watches the barrier over those states and a path sampler keeps
+them, so a new sampler plugs in as one more step generator.
+
 Volatility-model bridges have no exact sampler here; they are produced by
 forward simulation (exact lognormal volatility, Euler log-price) and
 rejection onto an endpoint ball of radius eps, which biases results at
@@ -35,7 +42,7 @@ from .errors import (
     NotSPD,
     RejectionBudgetExceeded,
 )
-from .exits import Hyperplane, VerticalBarrier, _as_plane
+from .exits import Hyperplane, _as_plane
 from .paths import DiscretePath, format_sig
 
 __all__ = [
@@ -115,26 +122,52 @@ def _finish_estimate(t, n_paths, hits, seed) -> CrossingEstimate:
     )
 
 
-def _batch_sizes(n_total: int, batch_size: int):
-    out = []
-    done = 0
-    idx = 0
-    while done < n_total:
-        b = min(batch_size, n_total - done)
-        out.append((idx, b))
-        done += b
-        idx += 1
-    return out
+def _require_positive(**counts) -> None:
+    for name, n in counts.items():
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1")
+
+
+def _map_batches(rng: RngSpec, n_total: int, batch_size: int, workers: int,
+                 run):
+    """run(gen, n) over batches of at most batch_size of n_total paths.
+
+    Batch k draws from rng.batch_generator(k).  Results come in batch order:
+    on a thread pool when workers > 1 and there is more than one batch,
+    otherwise lazily, so a serial caller may stop at the first it needs.
+    """
+    _require_positive(batch_size=batch_size)
+    starts = range(0, n_total, batch_size)
+
+    def job(k):
+        return run(rng.batch_generator(k), min(batch_size, n_total - starts[k]))
+
+    if workers <= 1 or len(starts) <= 1:
+        return map(job, range(len(starts)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(job, range(len(starts))))
+
+
+def _barrier_distances(boundary, x, y):
+    """The barrier as a hyperplane, and the signed distances of x and y."""
+    plane = _as_plane(boundary, len(x))
+    if plane is None:
+        raise ValueError("Monte Carlo barriers must be hyperplanes")
+    return (plane, float(plane.normal @ x - plane.offset),
+            float(plane.normal @ y - plane.offset))
+
+
+def _var_rate(plane: Hyperplane, cov: np.ndarray) -> float:
+    """Variance rate of the diffusion along the barrier normal."""
+    var_rate = float(plane.normal @ cov @ plane.normal)
+    if var_rate <= 0.0:
+        raise DegenerateCorrelation(
+            "covariance has no variance along the barrier normal"
+        )
+    return var_rate
 
 
 # ---- Exact Gaussian bridge ---- #
-
-
-def _plane_for(boundary, dim: int) -> Hyperplane:
-    plane = _as_plane(boundary, dim)
-    if plane is None:
-        raise ValueError("Monte Carlo barriers must be hyperplanes")
-    return plane
 
 
 def _chol(cov: np.ndarray) -> np.ndarray:
@@ -146,35 +179,23 @@ def _chol(cov: np.ndarray) -> np.ndarray:
         raise NotSPD("covariance is not positive definite") from None
 
 
-def _bridge_batch_crossings(x, y, t, L, normal, offset, var_rate, n_steps,
-                            n_batch, gen, per_step):
-    """Crossing count for one batch; all draws happen up front in fixed order."""
+def _bridge_steps(x, y, t, L, n_steps, n, gen):
+    """States of n exact bridge paths: x, then the state after each step.
+
+    All normals are drawn before the first state is yielded.
+    """
     d = len(x)
     ds = 1.0 / n_steps
-    xi = gen.standard_normal((n_steps, n_batch, d))
-    uni = gen.random((n_steps, n_batch)) if per_step else None
-
-    z = np.broadcast_to(x, (n_batch, d)).copy()
-    delta_prev = np.full(n_batch, float(normal @ x - offset))
-    crossed = np.zeros(n_batch, dtype=bool)
-    lam = -2.0 * n_steps / (t * var_rate)
-    for i in range(n_steps):
+    xi = gen.standard_normal((n_steps, n, d))
+    z = np.broadcast_to(x, (n, d)).copy()
+    yield z
+    for i in range(n_steps - 1):
         s_i = i * ds
-        frac = ds / (1.0 - s_i)
-        z = z + frac * (y - z)
-        if i == n_steps - 1:
-            z = np.broadcast_to(y, (n_batch, d)).copy()
-        else:
-            step_var = t * ds * (1.0 - (i + 1) * ds) / (1.0 - s_i)
-            z = z + math.sqrt(max(step_var, 0.0)) * (xi[i] @ L.T)
-        delta = z @ normal - offset
-        if per_step:
-            arg = np.minimum(lam * delta_prev * delta, 0.0)
-            crossed |= uni[i] < np.exp(arg)
-        else:
-            crossed |= delta_prev * delta <= 0.0
-        delta_prev = delta
-    return int(crossed.sum())
+        step_var = t * ds * (1.0 - (i + 1) * ds) / (1.0 - s_i)
+        z = (z + (ds / (1.0 - s_i)) * (y - z)
+             + math.sqrt(max(step_var, 0.0)) * (xi[i] @ L.T))
+        yield z
+    yield np.broadcast_to(y, (n, d)).copy()
 
 
 def sample_gaussian_bridge(x, y, t: float, cov, n_steps: int,
@@ -184,26 +205,10 @@ def sample_gaussian_bridge(x, y, t: float, cov, n_steps: int,
     y = np.asarray(y, dtype=float)
     if t <= 0.0:
         raise ValueError("horizon must be positive")
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    L = _chol(cov)
-    d = len(x)
-    gen = rng.batch_generator(0)
-    xi = gen.standard_normal((n_steps, d))
-    pts = np.empty((n_steps + 1, d))
-    pts[0] = x
-    ds = 1.0 / n_steps
-    z = x.copy()
-    for i in range(n_steps):
-        s_i = i * ds
-        z = z + (ds / (1.0 - s_i)) * (y - z)
-        if i == n_steps - 1:
-            z = y.copy()
-        else:
-            step_var = t * ds * (1.0 - (i + 1) * ds) / (1.0 - s_i)
-            z = z + math.sqrt(max(step_var, 0.0)) * (L @ xi[i])
-        pts[i + 1] = z
-    return DiscretePath(pts)
+    _require_positive(n_steps=n_steps)
+    states = _bridge_steps(x, y, t, _chol(cov), n_steps, 1,
+                           rng.batch_generator(0))
+    return DiscretePath(np.concatenate(list(states)))
 
 
 def crossing_probability(
@@ -224,40 +229,33 @@ def crossing_probability(
     y = np.asarray(y, dtype=float)
     if t <= 0.0:
         raise ValueError("horizon must be positive")
-    if n_paths < 1 or n_steps < 1:
-        raise ValueError("need n_paths >= 1 and n_steps >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    plane = _plane_for(boundary, len(x))
-    s_x = float(plane.normal @ x - plane.offset)
-    s_y = float(plane.normal @ y - plane.offset)
+    _require_positive(n_paths=n_paths, n_steps=n_steps, batch_size=batch_size)
+    plane, s_x, s_y = _barrier_distances(boundary, x, y)
     if s_x * s_y <= 0.0:
         # An endpoint touches or the endpoints straddle: every path crosses.
         return CrossingEstimate(float(t), int(n_paths), 1.0, 0.0, 0.0,
                                 int(rng.seed))
     cov = np.asarray(cov, dtype=float)
     L = _chol(cov)
-    var_rate = float(plane.normal @ cov @ plane.normal)
-    if var_rate <= 0.0:
-        raise DegenerateCorrelation(
-            "covariance has no variance along the barrier normal"
-        )
+    lam = -2.0 * n_steps / (t * _var_rate(plane, cov))
 
-    batches = _batch_sizes(n_paths, batch_size)
+    def run(gen, n):
+        states = _bridge_steps(x, y, t, L, n_steps, n, gen)
+        next(states)
+        uni = gen.random((n_steps, n)) if per_step_correction else None
+        delta_prev = np.full(n, s_x)
+        crossed = np.zeros(n, dtype=bool)
+        for i, z in enumerate(states):
+            delta = z @ plane.normal - plane.offset
+            if per_step_correction:
+                arg = np.minimum(lam * delta_prev * delta, 0.0)
+                crossed |= uni[i] < np.exp(arg)
+            else:
+                crossed |= delta_prev * delta <= 0.0
+            delta_prev = delta
+        return int(crossed.sum())
 
-    def run(batch):
-        idx, nb = batch
-        gen = rng.batch_generator(idx)
-        return _bridge_batch_crossings(
-            x, y, t, L, plane.normal, plane.offset, var_rate, n_steps, nb,
-            gen, per_step_correction,
-        )
-
-    if workers <= 1 or len(batches) == 1:
-        hits = sum(run(b) for b in batches)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(run, batches))
+    hits = sum(_map_batches(rng, n_paths, batch_size, workers, run))
     return _finish_estimate(t, n_paths, hits, rng.seed)
 
 
@@ -275,17 +273,14 @@ def crossing_curve(
     per_step_correction: bool = True,
 ) -> list[CrossingEstimate]:
     """One estimate per horizon; horizon k uses stream rng.stream + k."""
-    out = []
-    for k, t in enumerate(t_list):
-        spec = rng.with_stream(rng.stream + k)
-        out.append(
-            crossing_probability(
-                x, y, float(t), cov, boundary, n_paths, n_steps, spec,
-                workers=workers, batch_size=batch_size,
-                per_step_correction=per_step_correction,
-            )
+    return [
+        crossing_probability(
+            x, y, float(t), cov, boundary, n_paths, n_steps,
+            rng.with_stream(rng.stream + k), workers=workers,
+            batch_size=batch_size, per_step_correction=per_step_correction,
         )
-    return out
+        for k, t in enumerate(t_list)
+    ]
 
 
 def brownian_crossing_exact(x, y, t: float, cov, boundary) -> float:
@@ -294,17 +289,10 @@ def brownian_crossing_exact(x, y, t: float, cov, boundary) -> float:
     y = np.asarray(y, dtype=float)
     if t <= 0.0:
         raise ValueError("horizon must be positive")
-    plane = _plane_for(boundary, len(x))
-    s_x = float(plane.normal @ x - plane.offset)
-    s_y = float(plane.normal @ y - plane.offset)
+    plane, s_x, s_y = _barrier_distances(boundary, x, y)
     if s_x * s_y <= 0.0:
         return 1.0
-    cov = np.asarray(cov, dtype=float)
-    var_rate = float(plane.normal @ cov @ plane.normal)
-    if var_rate <= 0.0:
-        raise DegenerateCorrelation(
-            "covariance has no variance along the barrier normal"
-        )
+    var_rate = _var_rate(plane, np.asarray(cov, dtype=float))
     return float(np.exp(-2.0 * s_x * s_y / (t * var_rate)))
 
 
@@ -344,49 +332,30 @@ def ld_slope(estimates) -> LdFit:
 # ---- Volatility-model bridges by rejection ---- #
 
 
-def _hw_forward_batch(sigma_vol, rho, b, mu, x, t, n_steps, n_batch, gen,
-                      x0, per_step, keep_paths):
-    """Forward volatility-model paths; returns (crossed, accepted-ready state).
+def _hw_steps(sigma_vol, rho, b, mu, x, t, n_steps, n, gen):
+    """States (X, v, v at step start) of n forward volatility-model paths:
+    x, then the state after each step.
 
     The volatility factor is advanced by its exact lognormal solution on each
     step, the log-price by Euler with the step-initial volatility; the same
     normal increment drives both, which preserves the instantaneous
-    correlation.
+    correlation.  All normals are drawn before the first state is yielded.
     """
     rho_bar = math.sqrt(1.0 - rho * rho)
     dt = t / n_steps
     sdt = math.sqrt(dt)
-    xi = gen.standard_normal((n_steps, n_batch, 2))
-    uni = gen.random((n_steps, n_batch)) if (per_step and x0 is not None) else None
-
-    X = np.full(n_batch, float(x[0]))
-    v = np.full(n_batch, float(x[1]))
-    paths = None
-    if keep_paths:
-        paths = np.empty((n_steps + 1, n_batch, 2))
-        paths[0, :, 0] = X
-        paths[0, :, 1] = v
-    crossed = np.zeros(n_batch, dtype=bool)
-    delta_prev = X - x0 if x0 is not None else None
+    xi = gen.standard_normal((n_steps, n, 2))
+    X = np.full(n, float(x[0]))
+    v = np.full(n, float(x[1]))
+    yield X, v, v
     vol_drift = (mu - 0.5 * sigma_vol * sigma_vol) * dt
     for i in range(n_steps):
         dW = sdt * xi[i, :, 0]
         dZ = sdt * xi[i, :, 1]
-        X_new = X + (b - 0.5 * v * v) * dt + v * (rho * dW + rho_bar * dZ)
-        v_new = v * np.exp(sigma_vol * dW + vol_drift)
-        if x0 is not None:
-            delta = X_new - x0
-            if per_step:
-                arg = np.minimum(-2.0 * delta_prev * delta / (v * v * dt), 0.0)
-                crossed |= uni[i] < np.exp(arg)
-            else:
-                crossed |= delta_prev * delta <= 0.0
-            delta_prev = delta
-        X, v = X_new, v_new
-        if keep_paths:
-            paths[i + 1, :, 0] = X
-            paths[i + 1, :, 1] = v
-    return X, v, crossed, paths
+        v0 = v
+        X = X + (b - 0.5 * v0 * v0) * dt + v0 * (rho * dW + rho_bar * dZ)
+        v = v0 * np.exp(sigma_vol * dW + vol_drift)
+        yield X, v, v0
 
 
 def sample_hw_bridge_rejection(
@@ -409,21 +378,19 @@ def sample_hw_bridge_rejection(
     y = np.asarray(y, dtype=float)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    attempts = 0
-    idx = 0
-    while attempts < max_attempts:
-        nb = min(batch_size, max_attempts - attempts)
-        gen = rng.batch_generator(idx)
-        X, v, _, paths = _hw_forward_batch(
-            sigma_vol, rho, b, mu, x, t, n_steps, nb, gen,
-            x0=None, per_step=False, keep_paths=True,
-        )
+
+    def run(gen, n):
+        states = list(_hw_steps(sigma_vol, rho, b, mu, x, t, n_steps, n, gen))
+        X, v, _ = states[-1]
         hit = (X - y[0]) ** 2 + (v - y[1]) ** 2 <= eps * eps
-        if hit.any():
-            j = int(np.argmax(hit))
-            return DiscretePath(paths[:, j, :].copy())
-        attempts += nb
-        idx += 1
+        if not hit.any():
+            return None
+        j = int(np.argmax(hit))
+        return DiscretePath(np.array([(Xs[j], vs[j]) for Xs, vs, _ in states]))
+
+    for path in _map_batches(rng, max_attempts, batch_size, 1, run):
+        if path is not None:
+            return path
     raise RejectionBudgetExceeded(
         f"no endpoint landed within eps = {eps:g} of y after {max_attempts} "
         "attempts; widen eps or raise the budget"
@@ -459,35 +426,36 @@ def hw_crossing_probability(
     y = np.asarray(y, dtype=float)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    plane = _plane_for(boundary, 2)
+    _require_positive(n_attempts=n_attempts, n_steps=n_steps,
+                      min_accepted=min_accepted)
+    plane, s_x, s_y = _barrier_distances(boundary, x, y)
     if abs(plane.normal[0]) != 1.0:
         raise ValueError("volatility-model barriers must be vertical")
-    x0 = plane.offset / plane.normal[0]
-    s_x = x[0] - x0
-    s_y = y[0] - x0
     if s_x * s_y <= 0.0:
         return CrossingEstimate(float(t), int(n_attempts), 1.0, 0.0, 0.0,
                                 int(rng.seed))
+    x0 = plane.offset / plane.normal[0]
+    dt = t / n_steps
 
-    batches = _batch_sizes(n_attempts, batch_size)
-
-    def run(batch):
-        idx, nb = batch
-        gen = rng.batch_generator(idx)
-        X, v, crossed, _ = _hw_forward_batch(
-            sigma_vol, rho, b, mu, x, t, n_steps, nb, gen,
-            x0=x0, per_step=per_step_correction, keep_paths=False,
-        )
+    def run(gen, n):
+        states = _hw_steps(sigma_vol, rho, b, mu, x, t, n_steps, n, gen)
+        X = next(states)[0]
+        uni = gen.random((n_steps, n)) if per_step_correction else None
+        delta_prev = X - x0
+        crossed = np.zeros(n, dtype=bool)
+        for i, (X, v, v0) in enumerate(states):
+            delta = X - x0
+            if per_step_correction:
+                arg = np.minimum(-2.0 * delta_prev * delta / (v0 * v0 * dt), 0.0)
+                crossed |= uni[i] < np.exp(arg)
+            else:
+                crossed |= delta_prev * delta <= 0.0
+            delta_prev = delta
         hit = (X - y[0]) ** 2 + (v - y[1]) ** 2 <= eps * eps
         return int(hit.sum()), int((hit & crossed).sum())
 
-    if workers <= 1 or len(batches) == 1:
-        results = [run(bt) for bt in batches]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, batches))
-    accepted = sum(r[0] for r in results)
-    hits = sum(r[1] for r in results)
+    batches = _map_batches(rng, n_attempts, batch_size, workers, run)
+    accepted, hits = map(sum, zip(*batches))
     if accepted < min_accepted:
         raise RejectionBudgetExceeded(
             f"only {accepted} of {n_attempts} attempts landed within "

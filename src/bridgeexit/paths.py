@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DiscretePath", "format_sig", "save_path_csv", "load_path_csv"]
+__all__ = ["DiscretePath", "format_sig"]
 
 # 12 significant digits everywhere a float is serialized.
 CSV_DIGITS = 12
@@ -50,11 +50,6 @@ class DiscretePath:
         return np.arange(n + 1) / n
 
 
-def save_path_csv(path: DiscretePath, fname) -> None:
-    with open(fname, "w", newline="") as fh:
-        fh.write(path_to_csv(path))
-
-
 def path_to_csv(path: DiscretePath) -> str:
     d = path.dim
     header = "s," + ",".join(f"coord_{k}" for k in range(d))
@@ -62,12 +57,6 @@ def path_to_csv(path: DiscretePath) -> str:
     for s, row in zip(path.grid, path.points):
         lines.append(",".join([format_sig(s)] + [format_sig(v) for v in row]))
     return "\n".join(lines) + "\n"
-
-
-def load_path_csv(fname) -> DiscretePath:
-    with open(fname, newline="") as fh:
-        text = fh.read()
-    return path_from_csv(text)
 
 
 def path_from_csv(text: str) -> DiscretePath:

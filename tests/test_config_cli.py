@@ -263,6 +263,11 @@ def test_exit_command_reports_true_and_frozen_rows(capsys, tmp_path):
     assert float(frozen[0][1]) == pytest.approx(6.0, abs=1e-9)
 
 
+SLANTED = ("model.kind = hull_white\nmodel.sigma_vol = 0.92873\nmodel.rho = 0.15783\n"
+           "x = 1.05609, 0.17776\ny = 0.99883, 0.19572\nbarrier.kind = hyperplane\n"
+           "barrier.normal = 0.99796, -0.06383\nbarrier.offset = 1.93711\n")
+
+
 def test_exit_keys_reach_the_true_row_when_freeze_points_are_set(tmp_path, capsys):
     def true_row(text):
         out = tmp_path / "exit.csv"
@@ -278,13 +283,10 @@ def test_exit_keys_reach_the_true_row_when_freeze_points_are_set(tmp_path, capsy
     assert row.endswith(",numeric_1d")
     assert row == true_row(straddle)
     # a window far too short for the best boundary point
-    slanted = ("model.kind = hull_white\nmodel.sigma_vol = 0.92873\nmodel.rho = 0.15783\n"
-               "x = 1.05609, 0.17776\ny = 0.99883, 0.19572\nbarrier.kind = hyperplane\n"
-               "barrier.normal = 0.99796, -0.06383\nbarrier.offset = 1.93711\n")
-    short = slanted + "exit.truncation_factor = 0.001\n"
+    short = SLANTED + "exit.truncation_factor = 0.001\n"
     row = true_row(short + "freeze = 1, 0.2\n")
     assert row == true_row(short)
-    assert row != true_row(slanted)
+    assert row != true_row(SLANTED)
     capsys.readouterr()
 
 
@@ -354,16 +356,24 @@ def test_figure_command_embeds_the_crossing_coordinates(tmp_path):
     assert svg_path.read_bytes() == svg2.read_bytes()
 
 
-def test_exit_table_and_figure_agree(tmp_path):
-    out = str(tmp_path / "exit.csv")
-    svg_path = tmp_path / "fig.svg"
-    assert main(["exit", "--config", "figure1", "--out", out]) == 0
-    assert main(["figure", "--config", "figure1", "--out", str(svg_path)]) == 0
-    rows = (tmp_path / "exit.csv").read_text().strip().splitlines()[1:]
-    true_cells = [r.split(",") for r in rows if r.startswith("true,")][0]
-    markers = extract_markers(svg_path.read_text())
-    assert markers["crossing"][0] == float(true_cells[2])
-    assert markers["crossing"][1] == float(true_cells[3])
+def test_exit_table_and_figure_agree(tmp_path, capsys):
+    # the second config only reaches its exit through exit.* keys
+    short = write_cfg(tmp_path, "short.cfg",
+                      SLANTED + "exit.truncation_factor = 0.001\nfreeze = 1, 0.2\n")
+    for config in ("figure1", short):
+        out = str(tmp_path / "exit.csv")
+        svg_path = tmp_path / "fig.svg"
+        assert main(["exit", "--config", config, "--out", out]) == 0
+        assert main(["figure", "--config", config, "--out", str(svg_path)]) == 0
+        rows = (tmp_path / "exit.csv").read_text().strip().splitlines()[1:]
+        true_cells = [r.split(",") for r in rows if r.startswith("true,")][0]
+        frozen_cells = [r.split(",") for r in rows if r.startswith("frozen")]
+        markers = extract_markers(svg_path.read_text())
+        assert markers["crossing"][0] == float(true_cells[2])
+        assert markers["crossing"][1] == float(true_cells[3])
+        assert markers["frozen_crossing_0"][0] == float(frozen_cells[0][2])
+        assert markers["frozen_crossing_0"][1] == float(frozen_cells[0][3])
+    capsys.readouterr()
 
 
 def test_malformed_config_exits_2_without_output(tmp_path, capsys):
@@ -579,6 +589,36 @@ def test_mc_takes_the_drift_from_the_model(tmp_path, monkeypatch):
     seen.clear()
     assert run_cli(["mc", "--config", write_cfg(tmp_path, "s.cfg", FIGURE1_TEXT)])[0] == 4
     assert seen == [(1.0, 0.0, 0.0, 0.0)]
+
+
+def test_mc_takes_the_exit_and_solver_keys_for_analytic_J(tmp_path, monkeypatch):
+    seen = []
+
+    def exact(model, x, y, boundary, **kwargs):
+        seen.append(kwargs)
+        return exit_asymptotics(model, x, y, boundary, **kwargs)
+
+    monkeypatch.setattr(cli, "exit_asymptotics", exact)
+    text = BROWNIAN.replace("mc.n_paths = 20000", "mc.n_paths = 2000") + (
+        "exit.truncation_factor = 2\nexit.force_numeric = true\nsolver.n = 40\n")
+    assert run_cli(["mc", "--config", write_cfg(tmp_path, "b.cfg", text)])[0] == 0
+    [kw] = seen
+    assert kw["opts"].n == 40
+    assert kw["truncation_factor"] == 2.0
+    assert kw["force_numeric"] is True
+
+
+@pytest.mark.parametrize("keys", [
+    "mc.batch_size = 0",  # looped forever before it was refused
+    "mc.n_attempts = 0\nmc.min_accepted = 0",  # divided by zero
+    "mc.min_accepted = 0",
+    "mc.n_steps = 0",
+])
+def test_mc_refuses_bad_volatility_counts(keys, tmp_path):
+    text = cli._resolve_config_text("figure2") + keys + "\n"
+    code, err = run_cli(["mc", "--config", write_cfg(tmp_path, "m.cfg", text)])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_every_getter_names_the_key_and_line_of_a_bad_value():

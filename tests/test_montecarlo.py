@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -306,6 +307,71 @@ def test_volatility_sampler_insists_on_enough_acceptances():
             VerticalBarrier(ref.B_BARRIER), 2000, 40, RngSpec(25), 1e-6,
             min_accepted=50,
         )
+
+
+def test_volatility_samplers_check_their_own_counts():
+    # a batch size below one used to loop forever, and min_accepted = 0 with
+    # no acceptances to divide by zero
+    args = (1.0, 0.0, 0.0, 0.0, ref.B_X, ref.B_Y, 0.4,
+            VerticalBarrier(ref.B_BARRIER))
+    for bad in ({"n_attempts": 0}, {"n_steps": 0}, {"min_accepted": 0},
+                {"batch_size": 0}):
+        kw = {"n_attempts": 100, "n_steps": 40, "min_accepted": 1, **bad}
+        with pytest.raises(ValueError):
+            hw_crossing_probability(*args, kw.pop("n_attempts"),
+                                    kw.pop("n_steps"), RngSpec(26), 0.05, **kw)
+    with pytest.raises(ValueError):
+        sample_hw_bridge_rejection(1.0, 0.0, 0.0, 0.0, ref.B_X, ref.B_Y, 0.4,
+                                   10, RngSpec(27), 0.05, batch_size=-1)
+
+
+# ---- pinned streams ---- #
+
+# Recorded from the samplers as they stood before their stepping loops were
+# merged; every statistical test above would pass on a changed stream.
+PIN_X = np.array([1.0, 0.2])
+PIN_Y = np.array([1.3, 0.25])
+COV2 = np.array([[1.0, 0.4], [0.4, 0.8]])
+COV3 = np.array([[1.0, 0.3, -0.2], [0.3, 0.9, 0.25], [-0.2, 0.25, 1.2]])
+
+
+def _digest(paths):
+    h = hashlib.sha256()
+    for p in paths:
+        h.update(np.ascontiguousarray(p.points).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_path_samplers_are_bit_for_bit_pinned():
+    two = (sample_gaussian_bridge(X, Y, 0.3, COV2, 12, RngSpec(31, k))
+           for k in range(20))
+    three = (sample_gaussian_bridge([0.1, -0.2, 0.4], [0.7, 0.5, -0.3], 0.2,
+                                    COV3, 9, RngSpec(32, k))
+             for k in range(20))
+    hw = (sample_hw_bridge_rejection(1.1, 0.3, 0.1, 0.05, PIN_X, PIN_Y, 0.3,
+                                     20, RngSpec(33, k), 0.08, batch_size=512)
+          for k in range(5))
+    assert _digest(two) == "0cfc461a2538dcf2"
+    assert _digest(three) == "c15e88bf75992dd1"
+    assert _digest(hw) == "2b4a445f8f441399"
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("per_step, exact_hex, hw_hex", [
+    (False, "0x1.4bc6a7ef9db23p-4", "0x1.4e5e0a72f0539p-6"),
+    (True, "0x1.371758e219653p-3", "0x1.2492492492492p-4"),
+])
+def test_estimators_are_bit_for_bit_pinned(workers, per_step, exact_hex,
+                                           hw_hex):
+    est = crossing_probability(X, Y, 0.2, COV2, FLOOR, 20_000, 16, RngSpec(34),
+                               workers=workers, batch_size=4096,
+                               per_step_correction=per_step)
+    hw = hw_crossing_probability(1.1, 0.3, 0.1, 0.05, PIN_X, PIN_Y, 0.3,
+                                 VerticalBarrier(1.4), 20_000, 16, RngSpec(35),
+                                 0.08, min_accepted=1, workers=workers,
+                                 batch_size=4096, per_step_correction=per_step)
+    assert (est.n_paths, est.p_hat.hex()) == (20_000, exact_hex)
+    assert (hw.n_paths, hw.p_hat.hex()) == (294, hw_hex)
 
 
 # ---- serialization ---- #
