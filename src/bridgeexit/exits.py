@@ -27,16 +27,18 @@ crossing), a vertical barrier under the uncorrelated volatility geometry
 reflection).  Every other case is one scan of d(x,z) + d(z,y) over a chart
 -- a log-v window along a correlated vertical barrier, an arclength window
 along any other plane, or the samples of a ParametricCurve -- by coarse
-samples and golden-section refinement.  Charts and the closed-form oracles
-take arrays, so a window's coarse samples are mapped, domain-tested and
-measured in one call each, bit for bit as one point at a time.  Solver legs
-are solved coarsely along SCAN_CHAINS chains of neighboring samples, each
-sample warm-started from the one before it; the chains advance in lockstep
-as one stack of paths for the optimizer, in one thread.  A window whose
-best sample sits on an end set by the window's length rather than by the
-domain is doubled and scanned again, and the result counts the doublings.
-The legs and J of the result come from the oracle at z_star.  The frozen
-comparator is the same engine on the constant geometry a(z0)^{-1}.
+samples and Brent refinement.  An arclength window's ends are exact under
+the volatility geometry and marched on the metric hook otherwise.  Charts
+and the closed-form oracles take arrays, so a window's coarse samples are
+mapped, domain-tested and measured in one call each, bit for bit as one
+point at a time.  Solver legs are solved coarsely along SCAN_CHAINS chains
+of neighboring samples, each sample warm-started from the one before it;
+the chains advance in lockstep as one stack of paths for the optimizer, in
+one thread.  A window whose best sample sits on an end set by the window's
+length rather than by the domain is doubled and scanned again, and the
+result counts the doublings.  The legs and J of the result come from the
+oracle at z_star.  The frozen comparator is the same engine on the
+constant geometry a(z0)^{-1}.
 """
 
 from __future__ import annotations
@@ -84,9 +86,12 @@ __all__ = [
     "compare_freezing",
 ]
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# Bracket width at which golden-section refinement stops.
+# Share of the larger bracket side taken by a golden-section step.
+GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
+# Absolute part of the bracket width at which refinement stops; the
+# relative part is SQRT_EPS * |theta|.
 GOLDEN_BRACKET = 1e-10
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
 # J at or below this times max(1, d_xy^2) is reported as "geodesic exits".
 EXIT_TOL = 1e-12
 # Doublings of a scan window whose best sample sits on a length-limited end.
@@ -400,12 +405,15 @@ def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
                       truncation_factor: float, samples: int):
     """Chart and sample grid for a plane boundary, truncated by path length.
 
-    The plane (d = 2 only) is parametrized by arclength in the model metric,
-    marching out from the projection of the chord midpoint on each side.
-    Each step's length rate comes from the model's vectorised metric hook
+    The plane (d = 2 only) is the line anchor + theta * tangent through the
+    projection of the chord midpoint, and each side of the window ends
+    where the arclength from the anchor in the model metric reaches
+    truncation_factor * d(x, y).  Under the volatility geometry that
+    arclength has a closed form and the ends are exact
+    (_volatility_line_ends).  Any other model is marched: each step's
+    length rate comes from the model's vectorised metric hook
     (inverse_metric_batch on one point), not from a Cholesky solve of
-    sigma.  A side stops when the accumulated length reaches
-    truncation_factor * d(x, y), or at the domain edge: a step that would
+    sigma, and a side also stops at the domain edge: a step that would
     leave the domain is halved until it stays inside, and the march ends
     once a step no longer moves theta in floating point (or 60 halvings do
     not bring it back).  Arclength along the plane only bounds the metric
@@ -452,36 +460,110 @@ def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
             guard += 1
         return theta, acc >= radius
 
-    lo, lo_open = march(-1.0)
-    hi, hi_open = march(+1.0)
+    if isinstance(model.geometry, HullWhiteGeometry):
+        lo, hi, ends = _volatility_line_ends(model.geometry, x, y, anchor,
+                                             tangent, radius)
+    else:
+        (lo, lo_open), (hi, hi_open) = march(-1.0), march(+1.0)
+        ends = (lo_open, hi_open)
     thetas = np.linspace(lo, hi, samples)
 
     def chart(theta) -> np.ndarray:
         return anchor + np.multiply.outer(theta, tangent)
 
-    return thetas, chart, (lo_open, hi_open)
+    return thetas, chart, ends
 
 
-# ---- The scan: coarse samples, then golden section ---- #
+def _volatility_line_ends(geom: HullWhiteGeometry, x, y, anchor, tangent,
+                          radius: float):
+    """(lo, hi, (lo_open, hi_open)): exact ends of a line window under the
+    volatility metric C / v^2, C = A^T A with A = hw_transform.
+
+    Along anchor + theta * tangent the arclength from the anchor is
+    |A t| * |log(v / v_a)| / |t_v|, or |A t| * |theta| / v_a when t_v = 0,
+    and each end is where it reaches radius.  A sloped line also keeps
+    each end within the log-v band |log v - m| <= sigma_vol * S / 2, m the
+    mean log v of x and y and S the leg sum at the anchor: d(p, q) >=
+    |log(v_q / v_p)| / sigma_vol, so no point outside the band costs less
+    than the anchor.  The band keeps a huge radius from overflowing; an end
+    it sets is not length-limited.
+    """
+    sv, rho = geom.sigma_vol, geom.rho
+    speed = float(np.linalg.norm(hw_transform(sv, rho) @ tangent))
+    v_a, t_v = float(anchor[1]), float(tangent[1])
+    if t_v == 0.0:
+        half = radius * v_a / speed
+        return -half, half, (True, True)
+    reach = radius * abs(t_v) / speed
+    band = 0.5 * sv * (hw_distance(sv, rho, x, anchor) + hw_distance(sv, rho, anchor, y))
+    gap = 0.5 * (math.log(x[1]) + math.log(y[1])) - math.log(v_a)
+    up, down = band + gap, band - gap  # log(v / v_a) up to the band, down to it
+    # (theta, length-limited) of the upward and the downward end, in order
+    ends = sorted([(v_a * math.expm1(min(reach, up)) / t_v, reach < up),
+                   (v_a * math.expm1(-min(reach, down)) / t_v, reach < down)])
+    return ends[0][0], ends[1][0], (ends[0][1], ends[1][1])
 
 
-def _golden(f, lo: float, hi: float):
-    """Golden-section minimum of f on [lo, hi]; ties drift to the left."""
-    a, b = lo, hi
-    m1 = b - GOLDEN * (b - a)
-    m2 = a + GOLDEN * (b - a)
-    f1, f2 = f(m1), f(m2)
-    while b - a > GOLDEN_BRACKET:
-        if f1 <= f2:
-            b, m2, f2 = m2, m1, f1
-            m1 = b - GOLDEN * (b - a)
-            f1 = f(m1)
+# ---- The scan: coarse samples, then Brent refinement ---- #
+
+
+def _brent(f, a: float, b: float, x: float, fx: float):
+    """(theta, f(theta)): minimum of f on [a, b] by Brent's method, started
+    from the inner point x with fx = f(x) (Brent 1973, Algorithms for
+    Minimization without Derivatives, ch. 5).
+
+    Each step is the vertex of the parabola through the three best points
+    so far, or a golden-section step into the larger side when that vertex
+    falls outside the bracket or the step would not shrink fast enough.
+    It stops once x is within 2 * (SQRT_EPS * |x| + GOLDEN_BRACKET / 3) of
+    both bracket ends.  Infinite values (points outside the domain) only
+    ever take golden steps: the parabola through them is not finite.
+    """
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = SQRT_EPS * abs(x) + GOLDEN_BRACKET / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(x - mid) > tol2 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = tol1 if x <= mid else -tol1
+                parabolic = True
+        if not parabolic:
+            e = (a - x) if x >= mid else (b - x)
+            d = GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, m1, f1 = m1, m2, f2
-            m2 = a + GOLDEN * (b - a)
-            f2 = f(m2)
-    theta = a if f1 <= f2 else m2
-    return theta, f(theta)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _scan(thetas: np.ndarray, make_legsums):
@@ -494,21 +576,23 @@ def _scan(thetas: np.ndarray, make_legsums):
     unconverged counts the solver legs of its calls that stopped short.
     All coarse samples go to one call, in one thread: a closed-form oracle
     measures them in one batch, the path optimizer solves them as chains in
-    lockstep.  The argmin takes the first index on ties.  Golden section
+    lockstep.  The argmin takes the first index on ties.  Brent's method
     then refines within one sample of the best, one parameter per call,
-    with a fresh function first evaluated at that sample.
+    starting from that sample as measured by a fresh function, so solver
+    legs warm-start from it.  The coarse sample wins if it is lower.
     """
     sweep = make_legsums()
     vals = sweep(thetas)
     j = int(np.argmin(vals))
     lo = float(thetas[max(j - 1, 0)])
     hi = float(thetas[min(j + 1, len(thetas) - 1)])
-    if hi <= lo:
+    if not (lo < hi and math.isfinite(hi - lo)):
         return float(thetas[j]), j, sweep.unconverged
     f = make_legsums()
-    f(thetas[j:j + 1])
-    theta, val = _golden(lambda th: f(np.array([th]))[0], lo, hi)
-    return (float(thetas[j]) if vals[j] < val else theta), j, sweep.unconverged
+    theta0 = float(thetas[j])
+    theta, val = _brent(lambda th: f(np.array([th]))[0], lo, hi,
+                        theta0, f(thetas[j:j + 1])[0])
+    return (theta0 if vals[j] < val else theta), j, sweep.unconverged
 
 
 def _oracle_legsums(model, dist, x, y, chart):

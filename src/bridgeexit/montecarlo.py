@@ -128,6 +128,11 @@ def _require_positive(**counts) -> None:
             raise ValueError(f"{name} must be at least 1")
 
 
+def _require_horizon(t: float) -> None:
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"horizon must be finite and positive; got {t}")
+
+
 def _map_batches(rng: RngSpec, n_total: int, batch_size: int, workers: int,
                  run):
     """run(gen, n) over batches of at most batch_size of n_total paths.
@@ -203,8 +208,7 @@ def sample_gaussian_bridge(x, y, t: float, cov, n_steps: int,
     """One exact bridge path from x to y over horizon t with covariance cov."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if t <= 0.0:
-        raise ValueError("horizon must be positive")
+    _require_horizon(t)
     _require_positive(n_steps=n_steps)
     states = _bridge_steps(x, y, t, _chol(cov), n_steps, 1,
                            rng.batch_generator(0))
@@ -227,8 +231,7 @@ def crossing_probability(
     """Probability that the bridge from x to y touches the barrier before t."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if t <= 0.0:
-        raise ValueError("horizon must be positive")
+    _require_horizon(t)
     _require_positive(n_paths=n_paths, n_steps=n_steps, batch_size=batch_size)
     plane, s_x, s_y = _barrier_distances(boundary, x, y)
     if s_x * s_y <= 0.0:
@@ -287,8 +290,7 @@ def brownian_crossing_exact(x, y, t: float, cov, boundary) -> float:
     """Exact barrier-touch probability for the constant-covariance bridge."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if t <= 0.0:
-        raise ValueError("horizon must be positive")
+    _require_horizon(t)
     plane, s_x, s_y = _barrier_distances(boundary, x, y)
     if s_x * s_y <= 0.0:
         return 1.0
@@ -378,6 +380,8 @@ def sample_hw_bridge_rejection(
     y = np.asarray(y, dtype=float)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    _require_horizon(t)
+    _require_positive(n_steps=n_steps)
 
     def run(gen, n):
         states = list(_hw_steps(sigma_vol, rho, b, mu, x, t, n_steps, n, gen))
@@ -426,6 +430,7 @@ def hw_crossing_probability(
     y = np.asarray(y, dtype=float)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    _require_horizon(t)
     _require_positive(n_attempts=n_attempts, n_steps=n_steps,
                       min_accepted=min_accepted)
     plane, s_x, s_y = _barrier_distances(boundary, x, y)

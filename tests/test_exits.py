@@ -494,6 +494,101 @@ def test_windows_report_which_ends_the_length_limit_set():
     assert np.ptp(two) == pytest.approx(2.0 * np.ptp(one), rel=1e-12)
 
 
+@pytest.mark.parametrize("plane", [TRUNC_PLANE, Hyperplane(np.array([0.0, 1.0]), 0.1)],
+                         ids=["slanted", "horizontal"])
+def test_exact_volatility_window_matches_the_march(plane):
+    from bridgeexit.exits import _arclength_window
+
+    model = hull_white_model(**TRUNC_MODEL)
+    # the same metric through its callbacks: no geometry tag, so the window
+    # is marched on the metric hook
+    marched = replace(model, geometry=None)
+    d_xy = model_distance(model, TRUNC_X, TRUNC_Y)
+    exact, chart, ends = _arclength_window(model, TRUNC_X, TRUNC_Y, plane, d_xy, 4.0, 256)
+    march, _, march_ends = _arclength_window(marched, TRUNC_X, TRUNC_Y, plane, d_xy,
+                                             4.0, 256)
+    assert ends == march_ends == (True, True)
+    v_a = chart(0.0)[1]
+    for k in (0, -1):
+        if plane.normal[0] == 0.0:
+            # constant rate along a horizontal line: the march is exact
+            assert exact[k] == pytest.approx(march[k], rel=1e-12)
+        else:
+            # log(v / v_a) moves by h = reach / 512 per step; each explicit
+            # step is off by about h^2 / 2, 256 h^2 over the side
+            reach = abs(math.log(chart(exact[k])[1] / v_a))
+            got = abs(math.log(chart(march[k])[1] / v_a))
+            assert got == pytest.approx(reach, abs=512 * (reach / 512) ** 2)
+            assert got != reach
+    # a huge window stays finite: its sloped ends stop at the band outside
+    # which no point beats the anchor, and J keeps its value
+    huge, _, ends = _arclength_window(model, TRUNC_X, TRUNC_Y, plane, d_xy, 1e6, 256)
+    assert np.isfinite(huge).all()
+    assert ends == ((True, True) if plane.normal[0] == 0.0 else (False, False))
+    with np.errstate(all="raise"):
+        res = exit_asymptotics(model, TRUNC_X, TRUNC_Y, plane, truncation_factor=1e6)
+        base = exit_asymptotics(model, TRUNC_X, TRUNC_Y, plane)
+    assert np.isfinite(res.J) and np.isfinite(res.z_star).all()
+    assert res.J == pytest.approx(base.J, rel=1e-9)
+
+
+@pytest.mark.parametrize("case", ["correlated", "slanted"])
+def test_refinement_needs_few_one_point_calls_per_scan(case, monkeypatch):
+    import bridgeexit.exits as exits
+
+    counts = []  # one-point calls of each leg-sum function the scans made
+    real = exits._oracle_legsums
+
+    def counting(*args):
+        make = real(*args)
+
+        def make_counted():
+            f = make()
+            counts.append(0)
+            k = len(counts) - 1
+
+            def legsums(thetas):
+                counts[k] += len(thetas) == 1
+                return f(thetas)
+
+            legsums.unconverged = f.unconverged
+            return legsums
+
+        return make_counted
+
+    monkeypatch.setattr(exits, "_oracle_legsums", counting)
+    if case == "correlated":
+        model = hull_white_model(sigma_vol=1.5, rho=0.5)
+        boundary = VerticalBarrier(ref.A_BARRIER)
+    else:
+        model = hull_white_model(sigma_vol=1.1, rho=0.3)
+        boundary = Hyperplane(np.array([1.0, 0.2]), 2.6)
+    exit_asymptotics(model, ref.A_X, ref.A_Y, boundary)
+    # each scan: one function for the coarse sweep, one for the refinement
+    assert len(counts) >= 2 and len(counts) % 2 == 0
+    assert counts[0::2] == [0] * (len(counts) // 2)
+    # golden section took 48 (correlated) and 60 (slanted) calls here
+    assert all(0 < n <= 25 for n in counts[1::2])
+
+
+def test_scan_keeps_the_coarse_sample_when_its_bracket_is_not_finite():
+    from bridgeexit.exits import _scan
+
+    # a marched window can overflow to inf at a huge truncation factor
+    calls = []
+
+    def make_legsums():
+        def legsums(thetas):
+            calls.append(len(thetas))
+            assert len(calls) < 100, "refinement does not stop"
+            return np.where(np.isfinite(thetas), thetas * thetas, np.inf)
+
+        legsums.unconverged = 0
+        return legsums
+
+    assert _scan(np.array([-1.0, 0.5, np.inf]), make_legsums) == (0.5, 1, 0)
+
+
 def test_solver_straddle_solves_x_to_y_once(monkeypatch):
     import bridgeexit.exits as exits
 
@@ -616,25 +711,26 @@ def test_batched_scan_matches_scalar_distances_bit_for_bit(kind):
 
 # ---- solver scan: chains in lockstep ---- #
 
-# Full-precision results of config A through the solver scan, taken when
-# the scan swept its 256 samples as one warm-started chain, one leg at a
-# time.  The lockstep chains must reproduce them bit for bit.
+# Full-precision results of config A through the solver scan with Brent
+# refinement.  The coarse sweep's lockstep chains reproduce the sweep as one
+# warm-started chain, one leg at a time, bit for bit (see below), so only a
+# change of the refinement or of the solver moves these bits.
 PINNED_SCANS = {
     "grid": {
-        "J": "0x1.e7750bdd4d62ep+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f26e7caaaeb5ap-1"),
-        "u_bar": "0x1.7e7886b439f98p-1",
+        "J": "0x1.e7750bdbbd700p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e5bc728002p-1"),
+        "u_bar": "0x1.7e788a759b741p-1",
         "d_xy": "0x1.468c6d3b8ddf0p+1",
-        "d_xz": "0x1.675c8d57ac0efp+1",
-        "d_zy": "0x1.e6cfc778d917dp-1",
+        "d_xz": "0x1.675c90dea79ddp+1",
+        "d_zy": "0x1.e6cfb95b41313p-1",
     },
     "force_numeric": {
-        "J": "0x1.e7620e7120e07p+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f26e8d50fc8e4p-1"),
-        "u_bar": "0x1.7e772a3581ceep-1",
+        "J": "0x1.e7620e712135fp+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e76c1bd6cbp-1"),
+        "u_bar": "0x1.7e772cc8fbdadp-1",
         "d_xy": "0x1.468b1c748ee65p+1",
-        "d_xz": "0x1.6756d4da27c6ap+1",
-        "d_zy": "0x1.e6cee0d39a041p-1",
+        "d_xz": "0x1.6756d745c196ep+1",
+        "d_zy": "0x1.e6ced725331e1p-1",
     },
 }
 
@@ -776,7 +872,7 @@ def test_lockstep_chains_match_sequential_legs_bit_for_bit(kind, monkeypatch):
     if kind == "holed_plane":
         assert colds >= 3
     # a later call continues each chain from where the last call left it,
-    # as golden refinement does with its one chain
+    # as refinement does with its one chain
     first = np.array_split(np.arange(len(thetas)), 3)[0]
     more = np.append(thetas[first], 1.7)
     want = _sequential_legsums(model, x, y, chart, more, opts, 1)[0]

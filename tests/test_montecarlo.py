@@ -325,6 +325,19 @@ def test_volatility_samplers_check_their_own_counts():
                                    10, RngSpec(27), 0.05, batch_size=-1)
 
 
+@pytest.mark.parametrize("t, n_steps", [(0.4, 0), (-0.3, 30), (math.nan, 30),
+                                        (math.inf, 30), (0.0, 30)])
+def test_volatility_samplers_refuse_a_bad_horizon_or_step_count(t, n_steps):
+    # n_steps = 0 used to divide by zero, t = -0.3 to fail in math.sqrt
+    with pytest.raises(ValueError, match="n_steps|horizon"):
+        sample_hw_bridge_rejection(1.0, 0.0, 0.0, 0.0, ref.B_X, ref.B_Y, t,
+                                   n_steps, RngSpec(28), 0.05)
+    with pytest.raises(ValueError, match="n_steps|horizon"):
+        hw_crossing_probability(1.0, 0.0, 0.0, 0.0, ref.B_X, ref.B_Y, t,
+                                VerticalBarrier(ref.B_BARRIER), 100, n_steps,
+                                RngSpec(28), 0.05, min_accepted=1)
+
+
 # ---- pinned streams ---- #
 
 # Recorded from the samplers as they stood before their stepping loops were
