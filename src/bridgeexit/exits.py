@@ -25,20 +25,22 @@ endpoint on the plane, endpoints on both sides (the geodesic's own
 crossing), a vertical barrier under the uncorrelated volatility geometry
 (half-plane reflection) and a hyperplane under a constant metric (whitened
 reflection).  Every other case is one scan of d(x,z) + d(z,y) over a chart
--- a log-v window along a correlated vertical barrier, an arclength window
-along any other plane, or the samples of a ParametricCurve -- by coarse
-samples and Brent refinement.  An arclength window's ends are exact under
-the volatility geometry and marched on the metric hook otherwise.  Charts
-and the closed-form oracles take arrays, so a window's coarse samples are
-mapped, domain-tested and measured in one call each, bit for bit as one
-point at a time.  Solver legs are solved coarsely along SCAN_CHAINS chains
-of neighboring samples, each sample warm-started from the one before it;
-the chains advance in lockstep as one stack of paths for the optimizer, in
-one thread.  A window whose best sample sits on an end set by the window's
-length rather than by the domain is doubled and scanned again, and the
-result counts the doublings.  The legs and J of the result come from the
-oracle at z_star.  The frozen comparator is the same engine on the
-constant geometry a(z0)^{-1}.
+-- a window along the line of a plane, or the samples of a ParametricCurve
+-- by coarse samples and Brent refinement.  Under the volatility geometry a
+line's window is certified: it is the part of the line within the anchor's
+leg sum of both endpoints, so no point outside it costs less than the
+anchor.  Under any other model the window is marched on the metric hook to
+an arclength of truncation_factor * d(x, y).  Charts and the closed-form
+oracles take arrays, so a window's coarse samples are mapped, domain-tested
+and measured in one call each, bit for bit as one point at a time.  Solver
+legs are solved coarsely along SCAN_CHAINS chains of neighboring samples,
+each sample warm-started from the one before it; the chains advance in
+lockstep as one stack of paths for the optimizer, in one thread.  A marched
+window whose best sample sits on an end set by the window's length rather
+than by the domain is doubled and scanned again, and the result counts the
+doublings.  The legs and J of the result come from the oracle at z_star.
+The frozen comparator is the same engine on the constant geometry
+a(z0)^{-1}.
 """
 
 from __future__ import annotations
@@ -377,46 +379,23 @@ def _curve_chart(curve: ParametricCurve):
     return chart
 
 
-def _log_v_window(dist, geom: HullWhiteGeometry, x, y, x0: float, widen: float = 1.0):
-    """Chart of a correlated vertical barrier by log v.
+def _line_window(model, x, y, plane: Hyperplane, d_xy: float,
+                 truncation_factor: float, samples: int):
+    """Chart and sample grid for a plane boundary (d = 2 only).
 
-    The barrier is no longer a geodesic mirror in any transformed picture,
-    but the distance sum along it is a smooth function of log v.  Both ends
-    of the window are set by its length (widen times the heuristic half
-    width), never by the domain.
-    """
-    lam_x, lam_y = np.log(x[1]), np.log(y[1])
-    lam0 = 0.5 * (lam_x + lam_y)
-    anchor = np.array([x0, float(np.exp(lam0))])
-    f0 = dist(x, anchor) + dist(anchor, y)
-    half = geom.sigma_vol * f0 + max(abs(lam_x - lam0), abs(lam_y - lam0)) + 1.0
-    half *= widen
-
-    def chart(lam) -> np.ndarray:
-        z = np.empty(np.shape(lam) + (2,))
-        z[..., 0] = x0
-        z[..., 1] = np.exp(lam)
-        return z
-
-    return np.linspace(lam0 - half, lam0 + half, 256), chart, (True, True)
-
-
-def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
-                      truncation_factor: float, samples: int):
-    """Chart and sample grid for a plane boundary, truncated by path length.
-
-    The plane (d = 2 only) is the line anchor + theta * tangent through the
-    projection of the chord midpoint, and each side of the window ends
-    where the arclength from the anchor in the model metric reaches
-    truncation_factor * d(x, y).  Under the volatility geometry that
-    arclength has a closed form and the ends are exact
-    (_volatility_line_ends).  Any other model is marched: each step's
-    length rate comes from the model's vectorised metric hook
-    (inverse_metric_batch on one point), not from a Cholesky solve of
-    sigma, and a side also stops at the domain edge: a step that would
-    leave the domain is halved until it stays inside, and the march ends
-    once a step no longer moves theta in floating point (or 60 halvings do
-    not bring it back).  Arclength along the plane only bounds the metric
+    The plane is the line anchor + theta * tangent through the projection
+    of the chord midpoint.  Under the volatility geometry the window is
+    certified (_volatility_line_ends): it holds every point of the line
+    with a lower leg sum than the anchor's, whatever truncation_factor is.
+    Any other model is marched: each side of the window ends where the
+    arclength from the anchor in the model metric reaches
+    truncation_factor * d(x, y).  Each step's length rate comes from the
+    model's vectorised metric hook (inverse_metric_batch on one point),
+    and a side also stops at the domain edge: a step that would leave the
+    domain is halved until it stays inside, and the march ends once a step
+    no longer moves theta in floating point (or 60 halvings do not bring
+    it back), where the rate is not finite and positive, or where theta
+    would not be finite.  Arclength along the plane only bounds the metric
     distance from above, so a length-limited end is no proof that farther
     points cost more; the third value returned says, per end (low, high),
     whether the length limit set it, and the engine widens the window when
@@ -445,24 +424,27 @@ def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
         while acc < radius and guard < 16 * samples:
             G = inverse_metric_batch(model, z[None])[0]
             rate = math.sqrt(tangent @ G @ tangent)
-            dth = step_len / max(rate, 1e-300)
+            if not (math.isfinite(rate) and rate > 0.0):
+                break
+            dth = step_len / rate
             znext = anchor + (theta + direction * dth) * tangent
             shrink = 0
             while not model.domain_test(znext) and shrink < 60:
                 dth *= 0.5
                 znext = anchor + (theta + direction * dth) * tangent
                 shrink += 1
-            if shrink >= 60 or theta + direction * dth == theta:
+            step = theta + direction * dth
+            if shrink >= 60 or step == theta or not math.isfinite(step):
                 break
-            theta += direction * dth
+            theta = step
             z = znext
             acc += step_len if shrink == 0 else rate * dth
             guard += 1
         return theta, acc >= radius
 
     if isinstance(model.geometry, HullWhiteGeometry):
-        lo, hi, ends = _volatility_line_ends(model.geometry, x, y, anchor,
-                                             tangent, radius)
+        lo, hi = _volatility_line_ends(model.geometry, x, y, anchor, tangent)
+        ends = (False, False)
     else:
         (lo, lo_open), (hi, hi_open) = march(-1.0), march(+1.0)
         ends = (lo_open, hi_open)
@@ -474,34 +456,36 @@ def _arclength_window(model, x, y, plane: Hyperplane, d_xy: float,
     return thetas, chart, ends
 
 
-def _volatility_line_ends(geom: HullWhiteGeometry, x, y, anchor, tangent,
-                          radius: float):
-    """(lo, hi, (lo_open, hi_open)): exact ends of a line window under the
-    volatility metric C / v^2, C = A^T A with A = hw_transform.
+def _volatility_line_ends(geom: HullWhiteGeometry, x, y, anchor, tangent):
+    """(lo, hi): the part of the line anchor + theta * tangent that holds
+    every point with a lower leg sum than the anchor's, under the
+    volatility geometry.
 
-    Along anchor + theta * tangent the arclength from the anchor is
-    |A t| * |log(v / v_a)| / |t_v|, or |A t| * |theta| / v_a when t_v = 0,
-    and each end is where it reaches radius.  A sloped line also keeps
-    each end within the log-v band |log v - m| <= sigma_vol * S / 2, m the
-    mean log v of x and y and S the leg sum at the anchor: d(p, q) >=
-    |log(v_q / v_p)| / sigma_vol, so no point outside the band costs less
-    than the anchor.  The band keeps a huge radius from overflowing; an end
-    it sets is not length-limited.
+    Such a point z has d(x, z) < S and d(z, y) < S, S = d(x, a) + d(a, y)
+    the leg sum at the anchor a.  Under A = hw_transform, d is the
+    half-plane distance over sigma_vol, so the ball of radius S about a
+    point with image X is the Euclidean disc of centre (X_u, X_w cosh s)
+    and radius X_w sinh s, s = sigma_vol * S: |Z - X|^2 <= 2 X_w Z_w k with
+    k = cosh s - 1 = 2 sinh^2(s / 2).  Along Z = P + theta * T (P = A a,
+    T = A t) that is a quadratic in theta, negative at theta = 0; its roots,
+    taken in the form that does not cancel, bound each ball, and the
+    window is the overlap of the two.
     """
     sv, rho = geom.sigma_vol, geom.rho
-    speed = float(np.linalg.norm(hw_transform(sv, rho) @ tangent))
-    v_a, t_v = float(anchor[1]), float(tangent[1])
-    if t_v == 0.0:
-        half = radius * v_a / speed
-        return -half, half, (True, True)
-    reach = radius * abs(t_v) / speed
-    band = 0.5 * sv * (hw_distance(sv, rho, x, anchor) + hw_distance(sv, rho, anchor, y))
-    gap = 0.5 * (math.log(x[1]) + math.log(y[1])) - math.log(v_a)
-    up, down = band + gap, band - gap  # log(v / v_a) up to the band, down to it
-    # (theta, length-limited) of the upward and the downward end, in order
-    ends = sorted([(v_a * math.expm1(min(reach, up)) / t_v, reach < up),
-                   (v_a * math.expm1(-min(reach, down)) / t_v, reach < down)])
-    return ends[0][0], ends[1][0], (ends[0][1], ends[1][1])
+    A = hw_transform(sv, rho)
+    S = hw_distance(sv, rho, x, anchor) + hw_distance(sv, rho, anchor, y)
+    k = 2.0 * math.sinh(0.5 * sv * S) ** 2
+    P, T = A @ anchor, A @ tangent
+    a = float(T @ T)
+    lo, hi = -math.inf, math.inf
+    for X in (A @ x, A @ y):
+        D = P - X
+        b = float(T @ D) - X[1] * T[1] * k  # half the linear coefficient
+        c = min(float(D @ D) - 2.0 * X[1] * P[1] * k, 0.0)  # the anchor is in the ball
+        q = -(b + math.copysign(math.hypot(b, math.sqrt(-a * c)), b))
+        r0, r1 = sorted((q / a, c / q))
+        lo, hi = max(lo, r0), min(hi, r1)
+    return lo, hi
 
 
 # ---- The scan: coarse samples, then Brent refinement ---- #
@@ -746,18 +730,13 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
     elif isinstance(geom, ConstantGeometry):
         z_star, J = _constant_reflection(geom, x, y, plane)
         return _assemble(dist, x, y, d_xy, z_star, closed, J)
-    elif isinstance(geom, HullWhiteGeometry) and abs(plane.normal[0]) == 1.0:
-        x0 = plane.offset / plane.normal[0]
-        if geom.rho == 0.0:
-            z_star, J = _half_plane_reflection(geom, x, y, x0)
-            return _assemble(dist, x, y, d_xy, z_star, closed, J)
-
-        def window(widen):
-            return _log_v_window(dist, geom, x, y, x0, widen)
+    elif (isinstance(geom, HullWhiteGeometry) and geom.rho == 0.0
+          and abs(plane.normal[0]) == 1.0):
+        z_star, J = _half_plane_reflection(geom, x, y, plane.offset / plane.normal[0])
+        return _assemble(dist, x, y, d_xy, z_star, closed, J)
     else:
         def window(widen):
-            return _arclength_window(model, x, y, plane, d_xy,
-                                     widen * truncation_factor, 256)
+            return _line_window(model, x, y, plane, d_xy, widen * truncation_factor, 256)
 
     unconverged = 0
     for k in range(MAX_WIDENINGS + 1):
@@ -810,7 +789,9 @@ def exit_asymptotics(
     force_numeric replaces the closed-form distance by the path optimizer,
     so the solver-based boundary scan runs even when an exact backend exists
     (used for cross-checks).  truncation_factor, finite and positive, sets
-    the length of an arclength scan window in units of d(x, y).  workers is
+    the length of a marched scan window in units of d(x, y).  Only grid
+    and callback models, and a constant model under force_numeric, march
+    their windows: a volatility model's window is certified.  workers is
     accepted for callers that pass it and changes nothing: the solver scan
     runs its chains in lockstep in one thread.
     """

@@ -44,8 +44,6 @@ __all__ = [
     "hw_distance",
     "HwGeodesicImage",
     "hw_geodesic_image",
-    "arc_to_csv",
-    "arc_from_csv",
 ]
 
 # Series fallback threshold for acosh(1 + u); below this the log form loses
@@ -310,28 +308,3 @@ def hw_geodesic_image(sigma_vol: float, rho: float, p, q, n: int = 200) -> HwGeo
                                sigma_vol, rho)
     return HwGeodesicImage(DiscretePath(pts), "line", np.nan, np.nan, sigma_vol, rho)
 
-
-# ---- Serialization ---- #
-
-
-def arc_to_csv(arc: GeodesicArc) -> str:
-    from .paths import format_sig
-
-    if arc.kind == "circle":
-        return "kind,center_x,radius\ncircle,{},{}\n".format(
-            format_sig(arc.center_x), format_sig(arc.radius)
-        )
-    return "kind,x\nvertical,{}\n".format(format_sig(arc.center_x))
-
-
-def arc_from_csv(text: str) -> GeodesicArc:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if len(lines) != 2:
-        raise ValueError("arc CSV must have a header line and one data line")
-    header = lines[0].split(",")
-    cells = lines[1].split(",")
-    if header == ["kind", "center_x", "radius"] and cells[0] == "circle":
-        return GeodesicArc("circle", float(cells[1]), float(cells[2]), np.nan, np.nan)
-    if header == ["kind", "x"] and cells[0] == "vertical":
-        return GeodesicArc("vertical", float(cells[1]), np.inf, np.nan, np.nan)
-    raise ValueError(f"unrecognized arc CSV layout: {lines[0]!r}")

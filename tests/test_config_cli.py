@@ -263,9 +263,19 @@ def test_exit_command_reports_true_and_frozen_rows(capsys, tmp_path):
     assert float(frozen[0][1]) == pytest.approx(6.0, abs=1e-9)
 
 
-SLANTED = ("model.kind = hull_white\nmodel.sigma_vol = 0.92873\nmodel.rho = 0.15783\n"
-           "x = 1.05609, 0.17776\ny = 0.99883, 0.19572\nbarrier.kind = hyperplane\n"
-           "barrier.normal = 0.99796, -0.06383\nbarrier.offset = 1.93711\n")
+def diag_v_grid_config(tmp_path):
+    """Config A on a custom_grid model with sigma = diag(v, v) on 3 x 3
+    nodes.  A tabulated model's scan window is marched, so it is the kind
+    of model that exit.truncation_factor reaches."""
+    rows = ["x,v,s11,s12,s21,s22"]
+    for xn in (0.0, 2.0, 4.0):
+        for v in (0.02, 1.51, 3.0):
+            rows.append(f"{xn},{v},{v},0,0,{v}")
+    grid = tmp_path / "diag_v.csv"
+    grid.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return (f"model.kind = custom_grid\nmodel.grid_csv = {grid}\n"
+            "x = 1, 0.2\ny = 2, 0.5\nbarrier.kind = vertical\nbarrier.x0 = 2.5\n"
+            "solver.n = 20\n")
 
 
 def test_exit_keys_reach_the_true_row_when_freeze_points_are_set(tmp_path, capsys):
@@ -282,11 +292,12 @@ def test_exit_keys_reach_the_true_row_when_freeze_points_are_set(tmp_path, capsy
     row = true_row(straddle + "freeze = 2, 0.5\n")
     assert row.endswith(",numeric_1d")
     assert row == true_row(straddle)
-    # a window far too short for the best boundary point
-    short = SLANTED + "exit.truncation_factor = 0.001\n"
+    # a marched window far too short for the best boundary point
+    grid = diag_v_grid_config(tmp_path)
+    short = grid + "exit.truncation_factor = 0.001\n"
     row = true_row(short + "freeze = 1, 0.2\n")
     assert row == true_row(short)
-    assert row != true_row(SLANTED)
+    assert row != true_row(grid)
     capsys.readouterr()
 
 
@@ -358,8 +369,8 @@ def test_figure_command_embeds_the_crossing_coordinates(tmp_path):
 
 def test_exit_table_and_figure_agree(tmp_path, capsys):
     # the second config only reaches its exit through exit.* keys
-    short = write_cfg(tmp_path, "short.cfg",
-                      SLANTED + "exit.truncation_factor = 0.001\nfreeze = 1, 0.2\n")
+    short = write_cfg(tmp_path, "short.cfg", diag_v_grid_config(tmp_path)
+                      + "exit.truncation_factor = 0.001\nfreeze = 1, 0.2\n")
     for config in ("figure1", short):
         out = str(tmp_path / "exit.csv")
         svg_path = tmp_path / "fig.svg"

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bridgeexit import (
     BothZero,
@@ -455,81 +456,128 @@ def diag_v_grid():
     return grid_model(xs, vs, entries)
 
 
-def test_scan_window_widens_past_a_length_limited_end():
+def test_slanted_reproducer_needs_no_widening():
     model = hull_white_model(**TRUNC_MODEL)
-    res = exit_asymptotics(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE)
-    assert res.J == pytest.approx(10.8224, abs=1e-4)
-    np.testing.assert_allclose(res.z_star, [1.99886, 0.90358], atol=1e-5)
-    wide = exit_asymptotics(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE, truncation_factor=8.0)
-    assert res.J == wide.J
-    # no boundary point far along the plane costs less
     n, c = TRUNC_PLANE.normal, TRUNC_PLANE.offset
+    for factor in (0.001, 4.0, 1e6):
+        # the certified window holds the best point whatever the factor
+        res = exit_asymptotics(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE,
+                               truncation_factor=factor)
+        assert res.J == pytest.approx(10.8224, abs=1e-4)
+        assert res.widenings == 0
+        np.testing.assert_allclose(res.z_star, [1.99886, 0.90358], atol=1e-5)
+    # no boundary point far along the plane costs less
     for v in np.geomspace(1e-3, 50.0, 400):
         z = np.array([(c - n[1] * v) / n[0], v])
         assert pointwise_exit_cost(model, TRUNC_X, TRUNC_Y, z) >= res.J - 1e-9
 
 
 def test_windows_report_which_ends_the_length_limit_set():
-    from bridgeexit.exits import _arclength_window, _log_v_window
+    from bridgeexit.exits import _line_window
 
     grid = diag_v_grid()
     plane = Hyperplane(np.array([1.0, 0.0]), ref.A_BARRIER)
-    thetas, chart, ends = _arclength_window(grid, ref.A_X, ref.A_Y, plane,
-                                            ref.A_D_XY, 4.0, 256)
+    thetas, chart, ends = _line_window(grid, ref.A_X, ref.A_Y, plane, ref.A_D_XY, 4.0, 256)
     assert ends == (False, False)
     assert chart(thetas[0])[1] == pytest.approx(0.02, abs=1e-12)
     assert chart(thetas[-1])[1] == pytest.approx(3.0, abs=1e-12)
+    # under the volatility geometry the window is certified, so no end is
+    # length-limited; the same metric through its callbacks alone is
+    # marched, and both ends of that window are set by its length
     model = hull_white_model(**TRUNC_MODEL)
     d_xy = model_distance(model, TRUNC_X, TRUNC_Y)
-    _, _, ends = _arclength_window(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE, d_xy, 4.0, 256)
+    _, _, ends = _line_window(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE, d_xy, 4.0, 256)
+    assert ends == (False, False)
+    _, _, ends = _line_window(replace(model, geometry=None), TRUNC_X, TRUNC_Y,
+                              TRUNC_PLANE, d_xy, 4.0, 256)
     assert ends == (True, True)
-    model = hull_white_model(sigma_vol=1.5, rho=0.5)
-
-    def dist(p, q):
-        return model_distance(model, p, q)
-
-    one, _, ends = _log_v_window(dist, model.geometry, ref.A_X, ref.A_Y, ref.A_BARRIER)
-    two, _, _ = _log_v_window(dist, model.geometry, ref.A_X, ref.A_Y, ref.A_BARRIER, 2.0)
-    assert ends == (True, True)
-    assert np.ptp(two) == pytest.approx(2.0 * np.ptp(one), rel=1e-12)
 
 
-@pytest.mark.parametrize("plane", [TRUNC_PLANE, Hyperplane(np.array([0.0, 1.0]), 0.1)],
-                         ids=["slanted", "horizontal"])
-def test_exact_volatility_window_matches_the_march(plane):
-    from bridgeexit.exits import _arclength_window
+@pytest.mark.parametrize("plane", [TRUNC_PLANE, Hyperplane(np.array([0.0, 1.0]), 0.1),
+                                   Hyperplane(np.array([1.0, 0.0]), 1.93711)],
+                         ids=["slanted", "horizontal", "correlated_vertical"])
+def test_volatility_window_is_certified(plane):
+    from bridgeexit.exits import _line_window
 
     model = hull_white_model(**TRUNC_MODEL)
-    # the same metric through its callbacks: no geometry tag, so the window
-    # is marched on the metric hook
-    marched = replace(model, geometry=None)
-    d_xy = model_distance(model, TRUNC_X, TRUNC_Y)
-    exact, chart, ends = _arclength_window(model, TRUNC_X, TRUNC_Y, plane, d_xy, 4.0, 256)
-    march, _, march_ends = _arclength_window(marched, TRUNC_X, TRUNC_Y, plane, d_xy,
-                                             4.0, 256)
-    assert ends == march_ends == (True, True)
-    v_a = chart(0.0)[1]
-    for k in (0, -1):
-        if plane.normal[0] == 0.0:
-            # constant rate along a horizontal line: the march is exact
-            assert exact[k] == pytest.approx(march[k], rel=1e-12)
-        else:
-            # log(v / v_a) moves by h = reach / 512 per step; each explicit
-            # step is off by about h^2 / 2, 256 h^2 over the side
-            reach = abs(math.log(chart(exact[k])[1] / v_a))
-            got = abs(math.log(chart(march[k])[1] / v_a))
-            assert got == pytest.approx(reach, abs=512 * (reach / 512) ** 2)
-            assert got != reach
-    # a huge window stays finite: its sloped ends stop at the band outside
-    # which no point beats the anchor, and J keeps its value
-    huge, _, ends = _arclength_window(model, TRUNC_X, TRUNC_Y, plane, d_xy, 1e6, 256)
-    assert np.isfinite(huge).all()
-    assert ends == ((True, True) if plane.normal[0] == 0.0 else (False, False))
+    sv, rho = TRUNC_MODEL["sigma_vol"], TRUNC_MODEL["rho"]
+    x, y = TRUNC_X, TRUNC_Y
+    d_xy = model_distance(model, x, y)
+
+    def legsums(z):
+        return hw_distance(sv, rho, x, z) + hw_distance(sv, rho, z, y)
+
+    windows = [_line_window(model, x, y, plane, d_xy, factor, 256)
+               for factor in (0.001, 4.0, 1e300)]
+    thetas, chart, ends = windows[0]
+    assert ends == (False, False)
+    assert all(w[0].tobytes() == thetas.tobytes() and w[2] == ends for w in windows)
+    assert np.isfinite(chart(thetas)).all()
+    # the window is the overlap of the balls of radius S about x and y, S
+    # the leg sum at the anchor: each end lies on the edge of one ball, and
+    # every point of the line beyond it costs more than the anchor
+    S = legsums(chart(0.0))
+    for end, out in ((thetas[0], -1.0), (thetas[-1], 1.0)):
+        z = chart(end)
+        assert max(hw_distance(sv, rho, x, z), hw_distance(sv, rho, z, y)) == (
+            pytest.approx(S, rel=1e-9))
+        beyond = chart(end + out * np.ptp(thetas) * np.geomspace(1e-6, 1e3, 60))
+        beyond = beyond[beyond[:, 1] > 0.0]
+        assert len(beyond) and (legsums(beyond) > S).all()
     with np.errstate(all="raise"):
-        res = exit_asymptotics(model, TRUNC_X, TRUNC_Y, plane, truncation_factor=1e6)
-        base = exit_asymptotics(model, TRUNC_X, TRUNC_Y, plane)
-    assert np.isfinite(res.J) and np.isfinite(res.z_star).all()
-    assert res.J == pytest.approx(base.J, rel=1e-9)
+        res = exit_asymptotics(model, x, y, plane, truncation_factor=1e6)
+        base = exit_asymptotics(model, x, y, plane)
+    assert res.J == base.J and res.widenings == 0
+    assert res.z_star.tobytes() == base.z_star.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sv=st.floats(0.3, 2.5), rho=st.floats(-0.8, 0.8),
+       x=st.tuples(st.floats(-1.0, 1.0), st.floats(0.05, 2.0)),
+       y=st.tuples(st.floats(-1.0, 1.0), st.floats(0.05, 2.0)),
+       angle=st.just(0.0) | st.floats(-1.2, 1.2), gap=st.floats(0.05, 1.5))
+def test_volatility_window_holds_every_cheaper_point(sv, rho, x, y, angle, gap):
+    from bridgeexit.exits import _line_window
+
+    model = hull_white_model(sigma_vol=sv, rho=rho)
+    x, y = np.array(x), np.array(y)
+    normal = np.array([math.cos(angle), math.sin(angle)])  # angle 0: vertical
+    plane = Hyperplane(normal, max(normal @ x, normal @ y) + gap)
+    n, c = plane.normal, plane.offset
+    mid = 0.5 * (x + y)
+    assume((mid - (n @ mid - c) * n)[1] > 0.01)  # the anchor is in the domain
+    d_xy = model_distance(model, x, y)
+    thetas, chart, ends = _line_window(model, x, y, plane, d_xy, 4.0, 256)
+    assert ends == (False, False) and np.isfinite(thetas).all()
+
+    def legsums(z):
+        return hw_distance(sv, rho, x, z) + hw_distance(sv, rho, z, y)
+
+    S = legsums(chart(0.0))
+    width = np.ptp(thetas)
+    offsets = width * np.geomspace(1e-6, 1e3, 80)
+    beyond = chart(np.concatenate([thetas[0] - offsets, thetas[-1] + offsets]))
+    beyond = beyond[beyond[:, 1] > 0.0]
+    assert (legsums(beyond) > S).all()
+    res = exit_asymptotics(model, x, y, plane)
+    for v in np.geomspace(1e-3, 50.0, 200):
+        z = np.array([(c - n[1] * v) / n[0], v])
+        assert pointwise_exit_cost(model, x, y, z) >= res.J - 1e-9 * max(1.0, res.J)
+
+
+@pytest.mark.parametrize("factor", [1e6, 1e300])
+def test_marched_window_stays_finite_at_a_huge_factor(factor):
+    from bridgeexit.exits import _line_window
+
+    # the volatility metric through its callbacks: its rate along the line
+    # falls like 1 / v, so the march would run on to overflow
+    model = hull_white_model(sigma_vol=1.1, rho=0.3)
+    plane = Hyperplane(np.array([1.0, 0.2]), 2.6)
+    d_xy = model_distance(model, ref.A_X, ref.A_Y)
+    with np.errstate(over="ignore"):  # the hook's v * v overflows far out
+        thetas, chart, _ = _line_window(replace(model, geometry=None), ref.A_X,
+                                        ref.A_Y, plane, d_xy, factor, 256)
+    assert np.isfinite(thetas).all() and np.isfinite(chart(thetas)).all()
 
 
 @pytest.mark.parametrize("case", ["correlated", "slanted"])
@@ -574,7 +622,7 @@ def test_refinement_needs_few_one_point_calls_per_scan(case, monkeypatch):
 def test_scan_keeps_the_coarse_sample_when_its_bracket_is_not_finite():
     from bridgeexit.exits import _scan
 
-    # a marched window can overflow to inf at a huge truncation factor
+    # a bracket with a non-finite end, as a window past the float range gives
     calls = []
 
     def make_legsums():
@@ -656,18 +704,22 @@ def test_slanted_closed_form_exit_callback_counts(monkeypatch):
 
 
 def test_result_counts_window_doublings():
-    model = hull_white_model(**TRUNC_MODEL)
-    res = exit_asymptotics(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE)
+    grid = diag_v_grid()
+    barrier = VerticalBarrier(ref.A_BARRIER)
+    opts = SolverOptions(n=20)
+    res = exit_asymptotics(grid, ref.A_X, ref.A_Y, barrier, opts=opts,
+                           truncation_factor=0.15)
     assert res.widenings >= 1
-    wide = exit_asymptotics(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE, truncation_factor=8.0)
+    wide = exit_asymptotics(grid, ref.A_X, ref.A_Y, barrier, opts=opts,
+                            truncation_factor=0.3)
     assert wide.widenings == res.widenings - 1
-    res = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER))
+    res = exit_asymptotics(grid, ref.A_X, ref.A_Y, barrier, opts=opts)
     assert res.widenings == 0
 
 
 def _window_case(kind):
     """(model, oracle, endpoints, coarse samples, chart) of one scan window."""
-    from bridgeexit.exits import _arclength_window, _curve_chart, _log_v_window, _oracle
+    from bridgeexit.exits import _curve_chart, _line_window, _oracle
 
     x, y = ref.A_X, ref.A_Y
     if kind == "constant_curve":
@@ -680,10 +732,10 @@ def _window_case(kind):
     model = hull_white_model(sigma_vol=1.1, rho=0.3)
     dist = _oracle(model, model.geometry, None)
     if kind == "correlated_vertical":
-        thetas, chart, _ = _log_v_window(dist, model.geometry, x, y, ref.A_BARRIER)
+        plane = Hyperplane(np.array([1.0, 0.0]), ref.A_BARRIER)
     else:
         plane = Hyperplane(np.array([1.0, 0.2]), 2.6)
-        thetas, chart, _ = _arclength_window(model, x, y, plane, dist(x, y), 4.0, 256)
+    thetas, chart, _ = _line_window(model, x, y, plane, dist(x, y), 4.0, 256)
     return model, dist, x, y, thetas, chart
 
 
@@ -725,12 +777,12 @@ PINNED_SCANS = {
         "d_zy": "0x1.e6cfb95b41313p-1",
     },
     "force_numeric": {
-        "J": "0x1.e7620e712135fp+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f26e76c1bd6cbp-1"),
-        "u_bar": "0x1.7e772cc8fbdadp-1",
+        "J": "0x1.e7620e7120d87p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e7fd5f750bp-1"),
+        "u_bar": "0x1.7e772bbf94755p-1",
         "d_xy": "0x1.468b1c748ee65p+1",
-        "d_xz": "0x1.6756d745c196ep+1",
-        "d_zy": "0x1.e6ced725331e1p-1",
+        "d_xz": "0x1.6756d64c66695p+1",
+        "d_zy": "0x1.e6cedb0a9f70ep-1",
     },
 }
 

@@ -17,7 +17,6 @@ from bridgeexit import (
     sample_arc,
 )
 from bridgeexit.errors import CoincidentPoints, PointNotOnArc
-from bridgeexit.hyperbolic import arc_from_csv, arc_to_csv
 
 import refvalues as ref
 
@@ -204,17 +203,6 @@ def test_sample_arc_rejects_points_off_the_arc():
     arc = geodesic_arc(ref.A_X, ref.A_Y)
     with pytest.raises(PointNotOnArc):
         sample_arc(arc, ref.A_X, np.array([0.0, 7.0]), 8)
-
-
-def test_arc_csv_round_trip():
-    arc = geodesic_arc(ref.A_X, ref.A_Y)
-    back = arc_from_csv(arc_to_csv(arc))
-    assert back.kind == arc.kind
-    assert back.center_x == pytest.approx(arc.center_x, rel=1e-11)
-    assert back.radius == pytest.approx(arc.radius, rel=1e-11)
-    vert = geodesic_arc((1.5, 0.2), (1.5, 3.0))
-    back = arc_from_csv(arc_to_csv(vert))
-    assert back.kind == "vertical"
 
 
 # ---- barrier infimum by reflection ---- #
