@@ -98,7 +98,6 @@ class Run:
     opts: SolverOptions
     t_list: tuple[float, ...]
     freeze: list
-    truncation_factor: float
     force_numeric: bool
     n_paths: int
     n_steps: int
@@ -125,7 +124,6 @@ def load_run(view: ConfigView, needs=()) -> Run:
         opts=solver_from_view(view),
         t_list=t_list_from_view(view, required="t" in needs),
         freeze=freeze_points_from_view(view, model.dim),
-        truncation_factor=view.get_float("exit.truncation_factor", default=4.0),
         force_numeric=view.get_bool("exit.force_numeric", default=False),
         n_paths=view.get_int("mc.n_paths", default=100000),
         n_steps=view.get_int("mc.n_steps", default=50),
@@ -190,7 +188,6 @@ def _freezing_rows(run: Run):
     exit and solver options."""
     return compare_freezing(run.model, run.x, run.y, run.boundary, run.freeze,
                             t_list=run.t_list, opts=run.opts,
-                            truncation_factor=run.truncation_factor,
                             force_numeric=run.force_numeric).rows
 
 
@@ -268,7 +265,6 @@ def cmd_mc(run: Run, args) -> int:
         )
 
     analytic = exit_asymptotics(model, x, y, boundary, opts=run.opts,
-                                truncation_factor=run.truncation_factor,
                                 force_numeric=run.force_numeric).J
     for e in estimates:
         print(

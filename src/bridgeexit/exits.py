@@ -26,19 +26,17 @@ crossing), a vertical barrier under the uncorrelated volatility geometry
 (half-plane reflection) and a hyperplane under a constant metric (whitened
 reflection).  Every other case is one scan of d(x,z) + d(z,y) over a chart
 -- a window along the line of a plane, or the samples of a ParametricCurve
--- by coarse samples and Brent refinement.  Under the volatility geometry a
-line's window is certified: it is the part of the line within the anchor's
-leg sum of both endpoints, so no point outside it costs less than the
-anchor.  Under any other model the window is marched on the metric hook to
-an arclength of truncation_factor * d(x, y).  Charts and the closed-form
+-- by coarse samples and Brent refinement.  A line's window holds every
+point that could cost less than the anchor: under the volatility and
+constant geometries the part of the line within the anchor's leg sum of
+both endpoints, and under any other model the part of the line inside the
+domain.  No window has a length limit.  Charts and the closed-form
 oracles take arrays, so a window's coarse samples are mapped, domain-tested
 and measured in one call each, bit for bit as one point at a time.  Solver
 legs are solved coarsely along SCAN_CHAINS chains of neighboring samples,
 each sample warm-started from the one before it; the chains advance in
-lockstep as one stack of paths for the optimizer, in one thread.  A marched
-window whose best sample sits on an end set by the window's length rather
-than by the domain is doubled and scanned again, and the result counts the
-doublings.  The legs and J of the result come from the oracle at z_star.
+lockstep as one stack of paths for the optimizer, in one thread.  The legs
+and J of the result come from the oracle at z_star.
 The frozen comparator is the same engine on the constant geometry
 a(z0)^{-1}.
 """
@@ -96,8 +94,6 @@ GOLDEN_BRACKET = 1e-10
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
 # J at or below this times max(1, d_xy^2) is reported as "geodesic exits".
 EXIT_TOL = 1e-12
-# Doublings of a scan window whose best sample sits on a length-limited end.
-MAX_WIDENINGS = 4
 # Warm-start chains of a solver scan's coarse sweep, advanced in lockstep.
 SCAN_CHAINS = 32
 
@@ -167,11 +163,8 @@ class ExitAsymptotics:
     method: str
     geodesic_exits: bool = False
     degenerate: bool = False
-    # Doublings of the scan window before its best sample left a
-    # length-limited end (MAX_WIDENINGS: the last window may still be short).
-    widenings: int = 0
-    # Coarse-sweep solver legs, over every window scanned, that spent their
-    # max_iter above tolerance without stalling.
+    # Coarse-sweep solver legs of the scan that spent their max_iter above
+    # tolerance without stalling.
     unconverged_legs: int = 0
 
 
@@ -379,27 +372,16 @@ def _curve_chart(curve: ParametricCurve):
     return chart
 
 
-def _line_window(model, x, y, plane: Hyperplane, d_xy: float,
-                 truncation_factor: float, samples: int):
-    """Chart and sample grid for a plane boundary (d = 2 only).
+def _line_window(model, x, y, plane: Hyperplane):
+    """(coarse sample parameters, chart) for a plane boundary (d = 2 only).
 
     The plane is the line anchor + theta * tangent through the projection
-    of the chord midpoint.  Under the volatility geometry the window is
-    certified (_volatility_line_ends): it holds every point of the line
-    with a lower leg sum than the anchor's, whatever truncation_factor is.
-    Any other model is marched: each side of the window ends where the
-    arclength from the anchor in the model metric reaches
-    truncation_factor * d(x, y).  Each step's length rate comes from the
-    model's vectorised metric hook (inverse_metric_batch on one point),
-    and a side also stops at the domain edge: a step that would leave the
-    domain is halved until it stays inside, and the march ends once a step
-    no longer moves theta in floating point (or 60 halvings do not bring
-    it back), where the rate is not finite and positive, or where theta
-    would not be finite.  Arclength along the plane only bounds the metric
-    distance from above, so a length-limited end is no proof that farther
-    points cost more; the third value returned says, per end (low, high),
-    whether the length limit set it, and the engine widens the window when
-    the scan's best sample lands on such an end.
+    of the chord midpoint, and the window is every point of that line that
+    could cost less than the anchor.  Under the volatility and constant
+    geometries (with or without force_numeric) those points lie in two
+    balls, and _certified_line_ends gives their overlap.  Any other model
+    has no bound on its distance, so its window is the part of the line
+    about the anchor that lies inside the domain (_domain_line_ends).
     """
     if model.dim != 2:
         raise ValueError("the numeric boundary scan supports two-dimensional states only")
@@ -412,80 +394,89 @@ def _line_window(model, x, y, plane: Hyperplane, d_xy: float,
             "the chord midpoint projects outside the domain; supply a parametric "
             "boundary chart instead"
         )
-    radius = truncation_factor * max(d_xy, 1e-12)
-    step_len = radius / (samples * 2.0)
-
-    def march(direction: float):
-        """(theta, whether the length limit stopped the march)."""
-        theta = 0.0
-        acc = 0.0
-        guard = 0
-        z = anchor
-        while acc < radius and guard < 16 * samples:
-            G = inverse_metric_batch(model, z[None])[0]
-            rate = math.sqrt(tangent @ G @ tangent)
-            if not (math.isfinite(rate) and rate > 0.0):
-                break
-            dth = step_len / rate
-            znext = anchor + (theta + direction * dth) * tangent
-            shrink = 0
-            while not model.domain_test(znext) and shrink < 60:
-                dth *= 0.5
-                znext = anchor + (theta + direction * dth) * tangent
-                shrink += 1
-            step = theta + direction * dth
-            if shrink >= 60 or step == theta or not math.isfinite(step):
-                break
-            theta = step
-            z = znext
-            acc += step_len if shrink == 0 else rate * dth
-            guard += 1
-        return theta, acc >= radius
-
-    if isinstance(model.geometry, HullWhiteGeometry):
-        lo, hi = _volatility_line_ends(model.geometry, x, y, anchor, tangent)
-        ends = (False, False)
+    if isinstance(model.geometry, (HullWhiteGeometry, ConstantGeometry)):
+        lo, hi = _certified_line_ends(model, x, y, anchor, tangent)
     else:
-        (lo, lo_open), (hi, hi_open) = march(-1.0), march(+1.0)
-        ends = (lo_open, hi_open)
-    thetas = np.linspace(lo, hi, samples)
+        lo, hi = _domain_line_ends(model, anchor, tangent)
 
     def chart(theta) -> np.ndarray:
         return anchor + np.multiply.outer(theta, tangent)
 
-    return thetas, chart, ends
+    return np.linspace(lo, hi, 256), chart
 
 
-def _volatility_line_ends(geom: HullWhiteGeometry, x, y, anchor, tangent):
+def _certified_line_ends(model, x, y, anchor, tangent):
     """(lo, hi): the part of the line anchor + theta * tangent that holds
-    every point with a lower leg sum than the anchor's, under the
-    volatility geometry.
+    every point with a lower leg sum than the anchor's, under the model's
+    volatility or constant geometry.
 
     Such a point z has d(x, z) < S and d(z, y) < S, S = d(x, a) + d(a, y)
-    the leg sum at the anchor a.  Under A = hw_transform, d is the
-    half-plane distance over sigma_vol, so the ball of radius S about a
-    point with image X is the Euclidean disc of centre (X_u, X_w cosh s)
-    and radius X_w sinh s, s = sigma_vol * S: |Z - X|^2 <= 2 X_w Z_w k with
-    k = cosh s - 1 = 2 sinh^2(s / 2).  Along Z = P + theta * T (P = A a,
-    T = A t) that is a quadratic in theta, negative at theta = 0; its roots,
-    taken in the form that does not cancel, bound each ball, and the
-    window is the overlap of the two.
+    the leg sum at the anchor a.  A linear map M turns each ball of radius
+    S into a Euclidean disc: |Z - X|^2 <= 2 X_w Z_w k + r^2 for the images
+    Z of z and X of its centre.  A constant geometry maps by its whitening
+    W, with k = 0 and r = S.  The volatility geometry maps by hw_transform,
+    under which d is the half-plane distance over sigma_vol, so the disc
+    has centre (X_u, X_w cosh s) and radius X_w sinh s, s = sigma_vol * S:
+    k = cosh s - 1 = 2 sinh^2(s / 2) and r = 0.  Along Z = P + theta * T
+    (P = M a, T = M t) the disc is a quadratic in theta, negative at
+    theta = 0; its roots, taken in the form that does not cancel, bound
+    each ball, and the window is the overlap of the two.
     """
-    sv, rho = geom.sigma_vol, geom.rho
-    A = hw_transform(sv, rho)
-    S = hw_distance(sv, rho, x, anchor) + hw_distance(sv, rho, anchor, y)
-    k = 2.0 * math.sinh(0.5 * sv * S) ** 2
-    P, T = A @ anchor, A @ tangent
+    geom = model.geometry
+    dist = _oracle(model, geom, None)
+    S = dist(x, anchor) + dist(anchor, y)
+    if isinstance(geom, HullWhiteGeometry):
+        M = hw_transform(geom.sigma_vol, geom.rho)
+        k, r2 = 2.0 * math.sinh(0.5 * geom.sigma_vol * S) ** 2, 0.0
+    else:
+        M = geom.whitening[0]
+        k, r2 = 0.0, S * S
+    P, T = M @ anchor, M @ tangent
     a = float(T @ T)
     lo, hi = -math.inf, math.inf
-    for X in (A @ x, A @ y):
+    for X in (M @ x, M @ y):
         D = P - X
         b = float(T @ D) - X[1] * T[1] * k  # half the linear coefficient
-        c = min(float(D @ D) - 2.0 * X[1] * P[1] * k, 0.0)  # the anchor is in the ball
+        # the anchor is in the ball
+        c = min(float(D @ D) - 2.0 * X[1] * P[1] * k - r2, 0.0)
         q = -(b + math.copysign(math.hypot(b, math.sqrt(-a * c)), b))
         r0, r1 = sorted((q / a, c / q))
         lo, hi = max(lo, r0), min(hi, r1)
     return lo, hi
+
+
+def _domain_line_ends(model, anchor, tangent):
+    """(lo, hi): the part of the line anchor + theta * tangent about the
+    anchor that lies inside the domain.
+
+    Each end is found by doubling theta from the anchor until the domain
+    test fails, then bisecting to float resolution; the end is the last
+    parameter found inside.  A line that does not leave the domain before
+    theta overflows raises ValueError: such a model needs a bounded domain
+    or a ParametricCurve.  The metric is evaluated once at the anchor, so a
+    diffusion matrix that is singular there raises NotSPD.
+    """
+    inverse_metric_batch(model, anchor[None])
+
+    def end(direction: float) -> float:
+        inside, out = 0.0, direction
+        while model.domain_test(anchor + out * tangent):
+            inside, out = out, 2.0 * out
+            if not math.isfinite(out):
+                raise ValueError(
+                    "the boundary line does not leave the model domain; bound the "
+                    "domain or supply a parametric boundary chart instead"
+                )
+        mid = 0.5 * (inside + out)
+        while mid != inside and mid != out:
+            if model.domain_test(anchor + mid * tangent):
+                inside = mid
+            else:
+                out = mid
+            mid = 0.5 * (inside + out)
+        return inside
+
+    return end(-1.0), end(1.0)
 
 
 # ---- The scan: coarse samples, then Brent refinement ---- #
@@ -551,9 +542,8 @@ def _brent(f, a: float, b: float, x: float, fx: float):
 
 
 def _scan(thetas: np.ndarray, make_legsums):
-    """(chart parameter of the smallest leg sum d(x, z) + d(z, y), index of
-    the best coarse sample, solver legs of the coarse sweep that stopped
-    short of tolerance).
+    """(chart parameter of the smallest leg sum d(x, z) + d(z, y), solver
+    legs of the coarse sweep that stopped short of tolerance).
 
     make_legsums() returns a function from an array of chart parameters to
     the array of their leg sums (+inf outside the domain); its attribute
@@ -571,12 +561,12 @@ def _scan(thetas: np.ndarray, make_legsums):
     lo = float(thetas[max(j - 1, 0)])
     hi = float(thetas[min(j + 1, len(thetas) - 1)])
     if not (lo < hi and math.isfinite(hi - lo)):
-        return float(thetas[j]), j, sweep.unconverged
+        return float(thetas[j]), sweep.unconverged
     f = make_legsums()
     theta0 = float(thetas[j])
     theta, val = _brent(lambda th: f(np.array([th]))[0], lo, hi,
                         theta0, f(thetas[j:j + 1])[0])
-    return (theta0 if vals[j] < val else theta), j, sweep.unconverged
+    return (theta0 if vals[j] < val else theta), sweep.unconverged
 
 
 def _oracle_legsums(model, dist, x, y, chart):
@@ -662,7 +652,7 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
 
 
 def _assemble(dist, x, y, d_xy: float, z_star, method: str, J=None,
-              geodesic_exits=False, degenerate=False, widenings=0,
+              geodesic_exits=False, degenerate=False,
               unconverged_legs=0) -> ExitAsymptotics:
     """Result at z_star with legs from the oracle; J from those legs unless
     a reflection formula supplies it."""
@@ -688,21 +678,18 @@ def _assemble(dist, x, y, d_xy: float, z_star, method: str, J=None,
         method=method,
         geodesic_exits=geodesic_exits,
         degenerate=degenerate,
-        widenings=widenings,
         unconverged_legs=unconverged_legs,
     )
 
 
 def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
-                 truncation_factor=4.0, label=None) -> ExitAsymptotics:
+                 label=None) -> ExitAsymptotics:
     """Exit exponent under geom (None: the path optimizer on the model).
 
-    The model supplies the dimension and the domain test.  label, when
-    given, replaces the method name of every result.  A scan whose best
-    coarse sample sits on a window end set by the window length, not by
-    the domain, is repeated on a window twice as long, up to MAX_WIDENINGS
-    times; the result counts the doublings and the coarse-sweep solver legs
-    that stopped short of tolerance.
+    The model supplies the dimension, the domain test and the geometry
+    that bounds a line's window.  label, when given, replaces the method
+    name of every result.  A scan's result counts the coarse-sweep solver
+    legs that stopped short of tolerance.
     """
     opts = opts or SolverOptions()
     dist = _oracle(model, geom, opts)
@@ -715,11 +702,8 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
     d_xy = dist(x, y) if xy is None else xy.distance
 
     if plane is None:
-        curve = _curve_chart(boundary)
-
-        def window(widen):
-            thetas = np.linspace(boundary.theta_min, boundary.theta_max, boundary.samples)
-            return thetas, curve, (False, False)
+        thetas = np.linspace(boundary.theta_min, boundary.theta_max, boundary.samples)
+        chart = _curve_chart(boundary)
     elif s_x == 0.0 or s_y == 0.0:
         z_star = x.copy() if s_x == 0.0 else y.copy()
         return _assemble(dist, x, y, d_xy, z_star, closed, 0.0,
@@ -735,22 +719,15 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
         z_star, J = _half_plane_reflection(geom, x, y, plane.offset / plane.normal[0])
         return _assemble(dist, x, y, d_xy, z_star, closed, J)
     else:
-        def window(widen):
-            return _line_window(model, x, y, plane, d_xy, widen * truncation_factor, 256)
+        thetas, chart = _line_window(model, x, y, plane)
 
-    unconverged = 0
-    for k in range(MAX_WIDENINGS + 1):
-        thetas, chart, (lo_open, hi_open) = window(2.0**k)
-        if geom is None:
-            legsums = _solver_legsums(model, x, y, chart, opts)
-        else:
-            legsums = _oracle_legsums(model, dist, x, y, chart)
-        theta, j, short = _scan(thetas, legsums)
-        unconverged += short
-        if not ((lo_open and j == 0) or (hi_open and j == len(thetas) - 1)):
-            break
+    if geom is None:
+        legsums = _solver_legsums(model, x, y, chart, opts)
+    else:
+        legsums = _oracle_legsums(model, dist, x, y, chart)
+    theta, unconverged = _scan(thetas, legsums)
     z_star = np.asarray(chart(theta), dtype=float)
-    return _assemble(dist, x, y, d_xy, z_star, label or "numeric_1d", widenings=k,
+    return _assemble(dist, x, y, d_xy, z_star, label or "numeric_1d",
                      unconverged_legs=unconverged)
 
 
@@ -781,26 +758,23 @@ def exit_asymptotics(
     boundary: Boundary,
     opts: SolverOptions | None = None,
     workers: int = 1,
-    truncation_factor: float = 4.0,
     force_numeric: bool = False,
 ) -> ExitAsymptotics:
     """Exit exponent for the bridge from x to y against the given boundary.
 
     force_numeric replaces the closed-form distance by the path optimizer,
     so the solver-based boundary scan runs even when an exact backend exists
-    (used for cross-checks).  truncation_factor, finite and positive, sets
-    the length of a marched scan window in units of d(x, y).  Only grid
-    and callback models, and a constant model under force_numeric, march
-    their windows: a volatility model's window is certified.  workers is
-    accepted for callers that pass it and changes nothing: the solver scan
-    runs its chains in lockstep in one thread.
+    (used for cross-checks).  A plane's scan window holds every point of
+    its line that could cost less than the window's anchor: the overlap of
+    two distance balls under the volatility and constant geometries, with
+    or without force_numeric, and otherwise the part of the line inside the
+    domain, which must therefore end (ValueError if it does not).  workers
+    is accepted for callers that pass it and changes nothing: the solver
+    scan runs its chains in lockstep in one thread.
     """
-    if not (math.isfinite(truncation_factor) and truncation_factor > 0.0):
-        raise ValueError("truncation_factor must be finite and positive; "
-                         f"got {truncation_factor}")
     x, y = _checked_points(model, x=x, y=y)
     geom = None if force_numeric else model.geometry
-    return _exit_engine(model, geom, x, y, boundary, opts, truncation_factor)
+    return _exit_engine(model, geom, x, y, boundary, opts)
 
 
 def frozen_exit_asymptotics(
@@ -852,14 +826,12 @@ def compare_freezing(
     freeze_points,
     t_list=(),
     opts: SolverOptions | None = None,
-    truncation_factor: float = 4.0,
     force_numeric: bool = False,
 ) -> FreezingComparison:
     """True exit exponent next to frozen-coefficient surrogates.
 
     One row per freeze point, after a first row for the true model, which
-    takes truncation_factor and force_numeric as exit_asymptotics does (and
-    raises ValueError for the same factors).  Each row carries exp(-J/t)
+    takes force_numeric as exit_asymptotics does.  Each row carries exp(-J/t)
     for every requested horizon.  Where to freeze is the caller's problem:
     there is no canonical choice, and the candidates can disagree among
     themselves by more than their distance to the true value.
@@ -871,7 +843,6 @@ def compare_freezing(
         return tuple(exit_probability_equivalent(J, t) for t in t_list)
 
     true = exit_asymptotics(model, x, y, boundary, opts=opts,
-                            truncation_factor=truncation_factor,
                             force_numeric=force_numeric)
     rows.append(FreezingRow("true", true, probs(true.J)))
     for z0 in freeze_points:

@@ -462,6 +462,7 @@ def _validate_endpoint(model, z, name):
         raise ValueError(f"{name} must be finite")
     if not model.domain_test(z):
         raise OutsideDomain(f"{name} = {z} is outside the model domain")
+    inverse_metric_batch(model, z[None])  # NotSPD where the metric is singular
     return z
 
 

@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 from bridgeexit import (
     ConfigError,
     Hyperplane,
+    NotSPD,
     RejectionBudgetExceeded,
     SolverOptions,
     VerticalBarrier,
-    compare_freezing,
     exit_asymptotics,
+    grid_model_from_csv,
     hull_white_model,
+    solve_geodesic,
 )
 from bridgeexit import cli
 from bridgeexit.cli import main
@@ -263,21 +265,6 @@ def test_exit_command_reports_true_and_frozen_rows(capsys, tmp_path):
     assert float(frozen[0][1]) == pytest.approx(6.0, abs=1e-9)
 
 
-def diag_v_grid_config(tmp_path):
-    """Config A on a custom_grid model with sigma = diag(v, v) on 3 x 3
-    nodes.  A tabulated model's scan window is marched, so it is the kind
-    of model that exit.truncation_factor reaches."""
-    rows = ["x,v,s11,s12,s21,s22"]
-    for xn in (0.0, 2.0, 4.0):
-        for v in (0.02, 1.51, 3.0):
-            rows.append(f"{xn},{v},{v},0,0,{v}")
-    grid = tmp_path / "diag_v.csv"
-    grid.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return (f"model.kind = custom_grid\nmodel.grid_csv = {grid}\n"
-            "x = 1, 0.2\ny = 2, 0.5\nbarrier.kind = vertical\nbarrier.x0 = 2.5\n"
-            "solver.n = 20\n")
-
-
 def test_exit_keys_reach_the_true_row_when_freeze_points_are_set(tmp_path, capsys):
     def true_row(text):
         out = tmp_path / "exit.csv"
@@ -292,12 +279,6 @@ def test_exit_keys_reach_the_true_row_when_freeze_points_are_set(tmp_path, capsy
     row = true_row(straddle + "freeze = 2, 0.5\n")
     assert row.endswith(",numeric_1d")
     assert row == true_row(straddle)
-    # a marched window far too short for the best boundary point
-    grid = diag_v_grid_config(tmp_path)
-    short = grid + "exit.truncation_factor = 0.001\n"
-    row = true_row(short + "freeze = 1, 0.2\n")
-    assert row == true_row(short)
-    assert row != true_row(grid)
     capsys.readouterr()
 
 
@@ -367,11 +348,18 @@ def test_figure_command_embeds_the_crossing_coordinates(tmp_path):
     assert svg_path.read_bytes() == svg2.read_bytes()
 
 
+# A constant metric against a slanted plane, scanned by the path optimizer
+NUMERIC_PLANE_TEXT = (
+    "model.kind = constant\nmodel.sigma = 1, 0, 0.3, 0.8\nx = 0, 0\ny = 0.1, 0.05\n"
+    "barrier.kind = hyperplane\nbarrier.normal = 1, -0.3\nbarrier.offset = 2\n"
+    "freeze = 0, 0\nexit.force_numeric = true\nsolver.n = 20\n"
+)
+
+
 def test_exit_table_and_figure_agree(tmp_path, capsys):
-    # the second config only reaches its exit through exit.* keys
-    short = write_cfg(tmp_path, "short.cfg", diag_v_grid_config(tmp_path)
-                      + "exit.truncation_factor = 0.001\nfreeze = 1, 0.2\n")
-    for config in ("figure1", short):
+    # the second config only reaches the solver scan through exit.* keys
+    numeric = write_cfg(tmp_path, "numeric.cfg", NUMERIC_PLANE_TEXT)
+    for config in ("figure1", numeric):
         out = str(tmp_path / "exit.csv")
         svg_path = tmp_path / "fig.svg"
         assert main(["exit", "--config", config, "--out", out]) == 0
@@ -438,6 +426,27 @@ def test_singular_grid_diffusion_exits_2(tmp_path, capsys):
         "solver.n = 50\n",
     )
     assert main(["exit", "--config", cfg]) == 2
+    assert "not positive definite" in capsys.readouterr().err
+
+
+def test_singular_grid_endpoint_is_refused_as_not_positive_definite(tmp_path, capsys):
+    # the lattice above, with y on the column x = 3 where sigma vanishes:
+    # the solver once failed later with "point outside the interpolation
+    # lattice"
+    rows = ["x,v,s11,s12,s21,s22"]
+    for xn in (0.0, 1.5, 3.0):
+        for v in (0.1, 1.0, 2.0):
+            s = 0.0 if xn == 3.0 else v
+            rows.append(f"{xn},{v},{s},0,0,{s}")
+    text = "\n".join(rows) + "\n"
+    model = grid_model_from_csv(text)
+    with pytest.raises(NotSPD):
+        solve_geodesic(model, (1.0, 0.5), (3.0, 1.0), SolverOptions(n=50))
+    grid = tmp_path / "grid.csv"
+    grid.write_text(text, encoding="utf-8")
+    cfg = write_cfg(tmp_path, "grid.cfg", f"model.kind = custom_grid\n"
+                    f"model.grid_csv = {grid}\nx = 1, 0.5\ny = 3, 1\nsolver.n = 50\n")
+    assert main(["distance", "--config", cfg]) == 2
     assert "not positive definite" in capsys.readouterr().err
 
 
@@ -611,11 +620,10 @@ def test_mc_takes_the_exit_and_solver_keys_for_analytic_J(tmp_path, monkeypatch)
 
     monkeypatch.setattr(cli, "exit_asymptotics", exact)
     text = BROWNIAN.replace("mc.n_paths = 20000", "mc.n_paths = 2000") + (
-        "exit.truncation_factor = 2\nexit.force_numeric = true\nsolver.n = 40\n")
+        "exit.force_numeric = true\nsolver.n = 40\n")
     assert run_cli(["mc", "--config", write_cfg(tmp_path, "b.cfg", text)])[0] == 0
     [kw] = seen
     assert kw["opts"].n == 40
-    assert kw["truncation_factor"] == 2.0
     assert kw["force_numeric"] is True
 
 
@@ -649,30 +657,15 @@ def test_every_getter_names_the_key_and_line_of_a_bad_value():
 
 # ---- values that used to exit 0 with a wrong answer ---- #
 
-SLANTED_CASE = dict(x=np.array([1.0, 0.2]), y=np.array([2.0, 0.5]),
-                    boundary=Hyperplane(np.array([1.0, 0.2]), 2.6))
 
-
-@pytest.mark.parametrize("factor", [0.0, -1.0, math.inf, math.nan])
-def test_exit_entry_points_refuse_a_window_factor_that_is_not_positive(factor):
-    # a zero-width window used to report J = 4.74191 here instead of 2.00879
-    model = hull_white_model(sigma_vol=1.1, rho=0.3)
-    with pytest.raises(ValueError, match="truncation_factor"):
-        exit_asymptotics(model, **SLANTED_CASE, truncation_factor=factor)
-    with pytest.raises(ValueError, match="truncation_factor"):
-        compare_freezing(model, **SLANTED_CASE, freeze_points=[],
-                         truncation_factor=factor)
-    assert exit_asymptotics(model, **SLANTED_CASE).J == pytest.approx(2.00879, abs=1e-5)
-
-
-def test_exit_command_refuses_a_window_factor_that_is_not_positive(tmp_path):
+def test_exit_command_refuses_the_removed_window_factor_key(tmp_path):
+    # every window is bounded by the model's geometry or domain, so no
+    # length factor is read any more
     text = ("model.kind = hull_white\nmodel.sigma_vol = 1.1\nmodel.rho = 0.3\n"
             "x = 1, 0.2\ny = 2, 0.5\nbarrier.kind = hyperplane\n"
-            "barrier.normal = 1, 0.2\nbarrier.offset = 2.6\n")
-    for factor in ("0", "-2"):
-        cfg = write_cfg(tmp_path, "w.cfg", text + f"exit.truncation_factor = {factor}\n")
-        code, err = run_cli(["exit", "--config", cfg])
-        assert code == 2 and "truncation_factor" in err
+            "barrier.normal = 1, 0.2\nbarrier.offset = 2.6\nexit.truncation_factor = 4\n")
+    code, err = run_cli(["exit", "--config", write_cfg(tmp_path, "w.cfg", text)])
+    assert code == 2 and "line 9: unknown key 'exit.truncation_factor'" in err
 
 
 def test_solver_options_refuse_an_infinite_or_negative_grad_tol(tmp_path):

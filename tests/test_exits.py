@@ -32,6 +32,7 @@ from bridgeexit import (
     sample_arc,
     time_profile,
 )
+from bridgeexit.model import domain_test_batch
 
 import refvalues as ref
 
@@ -459,38 +460,62 @@ def diag_v_grid():
 def test_slanted_reproducer_needs_no_widening():
     model = hull_white_model(**TRUNC_MODEL)
     n, c = TRUNC_PLANE.normal, TRUNC_PLANE.offset
-    for factor in (0.001, 4.0, 1e6):
-        # the certified window holds the best point whatever the factor
-        res = exit_asymptotics(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE,
-                               truncation_factor=factor)
-        assert res.J == pytest.approx(10.8224, abs=1e-4)
-        assert res.widenings == 0
-        np.testing.assert_allclose(res.z_star, [1.99886, 0.90358], atol=1e-5)
+    # the certified window holds the best point
+    res = exit_asymptotics(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE)
+    assert res.J == pytest.approx(10.8224, abs=1e-4)
+    np.testing.assert_allclose(res.z_star, [1.99886, 0.90358], atol=1e-5)
     # no boundary point far along the plane costs less
     for v in np.geomspace(1e-3, 50.0, 400):
         z = np.array([(c - n[1] * v) / n[0], v])
         assert pointwise_exit_cost(model, TRUNC_X, TRUNC_Y, z) >= res.J - 1e-9
 
 
-def test_windows_report_which_ends_the_length_limit_set():
+def test_grid_window_ends_at_the_domain_edge():
     from bridgeexit.exits import _line_window
 
     grid = diag_v_grid()
     plane = Hyperplane(np.array([1.0, 0.0]), ref.A_BARRIER)
-    thetas, chart, ends = _line_window(grid, ref.A_X, ref.A_Y, plane, ref.A_D_XY, 4.0, 256)
-    assert ends == (False, False)
+    thetas, chart = _line_window(grid, ref.A_X, ref.A_Y, plane)
     assert chart(thetas[0])[1] == pytest.approx(0.02, abs=1e-12)
     assert chart(thetas[-1])[1] == pytest.approx(3.0, abs=1e-12)
-    # under the volatility geometry the window is certified, so no end is
-    # length-limited; the same metric through its callbacks alone is
-    # marched, and both ends of that window are set by its length
-    model = hull_white_model(**TRUNC_MODEL)
-    d_xy = model_distance(model, TRUNC_X, TRUNC_Y)
-    _, _, ends = _line_window(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE, d_xy, 4.0, 256)
-    assert ends == (False, False)
-    _, _, ends = _line_window(replace(model, geometry=None), TRUNC_X, TRUNC_Y,
-                              TRUNC_PLANE, d_xy, 4.0, 256)
-    assert ends == (True, True)
+    # each end is the last point inside the box: one more step along the
+    # line leaves it
+    for end, out in ((thetas[0], -1e-12), (thetas[-1], 1e-12)):
+        assert grid.domain_test(chart(end)) and not grid.domain_test(chart(end + out))
+    # sigma = 0.5 I on a box much taller than d(x, y): the window runs to
+    # both edges, where one 4 d(x, y) of arclength long ended near [-3, 5]
+    tall = grid_model([0.0, 4.0], [-20.0, 20.0], np.multiply.outer(np.ones((2, 2)), 0.5 * np.eye(2)))
+    thetas, chart = _line_window(tall, np.array([1.0, 1.0]), np.array([2.0, 1.0]),
+                                 Hyperplane(np.array([1.0, 0.0]), 2.5))
+    np.testing.assert_allclose(chart(thetas[[0, -1]]), [[2.5, -20.0], [2.5, 20.0]],
+                               rtol=0.0, atol=1e-12)
+    # the volatility metric through its callbacks alone has no bound on
+    # its distance, and its domain v > 0 does not end up the line
+    model = replace(hull_white_model(**TRUNC_MODEL), geometry=None)
+    with pytest.raises(ValueError, match="does not leave the model domain"):
+        _line_window(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE)
+    with pytest.raises(ValueError, match="does not leave the model domain"):
+        exit_asymptotics(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE, opts=SolverOptions(n=20))
+
+
+def test_grid_exit_finds_the_far_basin():
+    # sigma = 0.2 I on the slab 2.3 <= x <= 2.7, v <= 2 about the barrier,
+    # and I elsewhere: the barrier is dear near the endpoints and cheap
+    # above v = 2.4.  A window 4 d(x, y) of arclength long once ended near
+    # v = 1.8 and returned the near basin, J = 7.453 at v = 1.005.
+    xs = [0.0, 2.1, 2.3, 2.7, 2.9, 4.0]
+    vs = [0.5, 2.0, 2.4, 4.0]
+    scale = [[0.2 if 2.3 <= a <= 2.7 and b <= 2.0 else 1.0 for b in vs] for a in xs]
+    grid = grid_model(xs, vs, np.multiply.outer(scale, np.eye(2)))
+    x, y = np.array([1.0, 1.0]), np.array([2.0, 1.0])
+    # capped legs keep this fast: the basins differ by 0.7 in J, far more
+    # than the legs fall short by (strict legs give J = 6.7182 at v = 2.375)
+    opts = SolverOptions(n=20, max_iter=50, strict=False)
+    res = exit_asymptotics(grid, x, y, VerticalBarrier(2.5), opts=opts)
+    near = pointwise_exit_cost(grid, x, y, np.array([2.5, 1.0]), opts)
+    assert res.z_star[0] == 2.5 and 2.2 < res.z_star[1] < 2.5
+    assert res.J < near - 0.5
+    assert res.J == pytest.approx(6.718, abs=5e-3)
 
 
 @pytest.mark.parametrize("plane", [TRUNC_PLANE, Hyperplane(np.array([0.0, 1.0]), 0.1),
@@ -507,11 +532,7 @@ def test_volatility_window_is_certified(plane):
     def legsums(z):
         return hw_distance(sv, rho, x, z) + hw_distance(sv, rho, z, y)
 
-    windows = [_line_window(model, x, y, plane, d_xy, factor, 256)
-               for factor in (0.001, 4.0, 1e300)]
-    thetas, chart, ends = windows[0]
-    assert ends == (False, False)
-    assert all(w[0].tobytes() == thetas.tobytes() and w[2] == ends for w in windows)
+    thetas, chart = _line_window(model, x, y, plane)
     assert np.isfinite(chart(thetas)).all()
     # the window is the overlap of the balls of radius S about x and y, S
     # the leg sum at the anchor: each end lies on the edge of one ball, and
@@ -525,39 +546,45 @@ def test_volatility_window_is_certified(plane):
         beyond = beyond[beyond[:, 1] > 0.0]
         assert len(beyond) and (legsums(beyond) > S).all()
     with np.errstate(all="raise"):
-        res = exit_asymptotics(model, x, y, plane, truncation_factor=1e6)
-        base = exit_asymptotics(model, x, y, plane)
-    assert res.J == base.J and res.widenings == 0
-    assert res.z_star.tobytes() == base.z_star.tobytes()
+        res = exit_asymptotics(model, x, y, plane)
+    assert res.J <= 0.5 * (S * S - d_xy * d_xy)
+
+
+@st.composite
+def certified_models(draw):
+    """A volatility model, or a constant model with a random SPD sigma."""
+    if draw(st.booleans()):
+        return hull_white_model(sigma_vol=draw(st.floats(0.3, 2.5)),
+                                rho=draw(st.floats(-0.8, 0.8)))
+    l11, l22 = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))
+    return constant_model(np.array([[l11, 0.0], [draw(st.floats(-3.0, 3.0)), l22]]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(sv=st.floats(0.3, 2.5), rho=st.floats(-0.8, 0.8),
+@given(model=certified_models(),
        x=st.tuples(st.floats(-1.0, 1.0), st.floats(0.05, 2.0)),
        y=st.tuples(st.floats(-1.0, 1.0), st.floats(0.05, 2.0)),
        angle=st.just(0.0) | st.floats(-1.2, 1.2), gap=st.floats(0.05, 1.5))
-def test_volatility_window_holds_every_cheaper_point(sv, rho, x, y, angle, gap):
+def test_volatility_window_holds_every_cheaper_point(model, x, y, angle, gap):
     from bridgeexit.exits import _line_window
 
-    model = hull_white_model(sigma_vol=sv, rho=rho)
     x, y = np.array(x), np.array(y)
     normal = np.array([math.cos(angle), math.sin(angle)])  # angle 0: vertical
     plane = Hyperplane(normal, max(normal @ x, normal @ y) + gap)
     n, c = plane.normal, plane.offset
     mid = 0.5 * (x + y)
     assume((mid - (n @ mid - c) * n)[1] > 0.01)  # the anchor is in the domain
-    d_xy = model_distance(model, x, y)
-    thetas, chart, ends = _line_window(model, x, y, plane, d_xy, 4.0, 256)
-    assert ends == (False, False) and np.isfinite(thetas).all()
+    thetas, chart = _line_window(model, x, y, plane)
+    assert np.isfinite(thetas).all()
 
     def legsums(z):
-        return hw_distance(sv, rho, x, z) + hw_distance(sv, rho, z, y)
+        return model_distance(model, x, z) + model_distance(model, z, y)
 
     S = legsums(chart(0.0))
     width = np.ptp(thetas)
     offsets = width * np.geomspace(1e-6, 1e3, 80)
     beyond = chart(np.concatenate([thetas[0] - offsets, thetas[-1] + offsets]))
-    beyond = beyond[beyond[:, 1] > 0.0]
+    beyond = beyond[domain_test_batch(model, beyond)]
     assert (legsums(beyond) > S).all()
     res = exit_asymptotics(model, x, y, plane)
     for v in np.geomspace(1e-3, 50.0, 200):
@@ -565,19 +592,27 @@ def test_volatility_window_holds_every_cheaper_point(sv, rho, x, y, angle, gap):
         assert pointwise_exit_cost(model, x, y, z) >= res.J - 1e-9 * max(1.0, res.J)
 
 
-@pytest.mark.parametrize("factor", [1e6, 1e300])
-def test_marched_window_stays_finite_at_a_huge_factor(factor):
+def test_constant_window_under_force_numeric_is_certified():
+    # a marched window 0.001 * d(x, y) long once gave J = 10.0709 here
+    model = constant_model([[1.0, 0.0], [0.3, 0.8]])
+    x, y = np.array([0.0, 0.0]), np.array([0.1, 0.05])
+    plane = Hyperplane(np.array([1.0, -0.3]), 2.0)
+    # the window is the overlap of the whitened balls of radius S about x
+    # and y, S the leg sum at the anchor: each end is on the edge of one
     from bridgeexit.exits import _line_window
 
-    # the volatility metric through its callbacks: its rate along the line
-    # falls like 1 / v, so the march would run on to overflow
-    model = hull_white_model(sigma_vol=1.1, rho=0.3)
-    plane = Hyperplane(np.array([1.0, 0.2]), 2.6)
-    d_xy = model_distance(model, ref.A_X, ref.A_Y)
-    with np.errstate(over="ignore"):  # the hook's v * v overflows far out
-        thetas, chart, _ = _line_window(replace(model, geometry=None), ref.A_X,
-                                        ref.A_Y, plane, d_xy, factor, 256)
-    assert np.isfinite(thetas).all() and np.isfinite(chart(thetas)).all()
+    thetas, chart = _line_window(model, x, y, plane)
+    S = model_distance(model, x, chart(0.0)) + model_distance(model, chart(0.0), y)
+    for end in thetas[[0, -1]]:
+        z = chart(end)
+        assert max(model_distance(model, x, z), model_distance(model, z, y)) == (
+            pytest.approx(S, rel=1e-12))
+    closed = exit_asymptotics(model, x, y, plane)
+    res = exit_asymptotics(model, x, y, plane, opts=SolverOptions(n=20),
+                           force_numeric=True)
+    assert closed.J == pytest.approx(8.64853, abs=1e-5)
+    assert res.method == "numeric_1d"
+    assert res.J == pytest.approx(closed.J, rel=1e-6)
 
 
 @pytest.mark.parametrize("case", ["correlated", "slanted"])
@@ -634,7 +669,7 @@ def test_scan_keeps_the_coarse_sample_when_its_bracket_is_not_finite():
         legsums.unconverged = 0
         return legsums
 
-    assert _scan(np.array([-1.0, 0.5, np.inf]), make_legsums) == (0.5, 1, 0)
+    assert _scan(np.array([-1.0, 0.5, np.inf]), make_legsums) == (0.5, 0)
 
 
 def test_solver_straddle_solves_x_to_y_once(monkeypatch):
@@ -703,20 +738,6 @@ def test_slanted_closed_form_exit_callback_counts(monkeypatch):
         assert pointwise_exit_cost(model, ref.A_X, ref.A_Y, z) >= res.J - 1e-9
 
 
-def test_result_counts_window_doublings():
-    grid = diag_v_grid()
-    barrier = VerticalBarrier(ref.A_BARRIER)
-    opts = SolverOptions(n=20)
-    res = exit_asymptotics(grid, ref.A_X, ref.A_Y, barrier, opts=opts,
-                           truncation_factor=0.15)
-    assert res.widenings >= 1
-    wide = exit_asymptotics(grid, ref.A_X, ref.A_Y, barrier, opts=opts,
-                            truncation_factor=0.3)
-    assert wide.widenings == res.widenings - 1
-    res = exit_asymptotics(grid, ref.A_X, ref.A_Y, barrier, opts=opts)
-    assert res.widenings == 0
-
-
 def _window_case(kind):
     """(model, oracle, endpoints, coarse samples, chart) of one scan window."""
     from bridgeexit.exits import _curve_chart, _line_window, _oracle
@@ -735,7 +756,7 @@ def _window_case(kind):
         plane = Hyperplane(np.array([1.0, 0.0]), ref.A_BARRIER)
     else:
         plane = Hyperplane(np.array([1.0, 0.2]), 2.6)
-    thetas, chart, _ = _line_window(model, x, y, plane, dist(x, y), 4.0, 256)
+    thetas, chart = _line_window(model, x, y, plane)
     return model, dist, x, y, thetas, chart
 
 
@@ -807,7 +828,7 @@ def test_solver_scan_results_are_pinned_and_worker_independent(case):
     assert res.method == "numeric_1d"
     assert res.unconverged_legs == 0
     two = exit_asymptotics(model, ref.A_X, ref.A_Y, barrier, workers=2, **kw)
-    for name in ("J", "u_bar", "d_xy", "d_xz", "d_zy", "widenings", "unconverged_legs"):
+    for name in ("J", "u_bar", "d_xy", "d_xz", "d_zy", "unconverged_legs"):
         assert getattr(two, name) == getattr(res, name)
     assert two.z_star.tobytes() == res.z_star.tobytes()
 
