@@ -421,27 +421,45 @@ def _certified_line_ends(model, x, y, anchor, tangent):
     (P = M a, T = M t) the disc is a quadratic in theta, negative at
     theta = 0; its roots, taken in the form that does not cancel, bound
     each ball, and the window is the overlap of the two.
+
+    M is scaled by a power of two that brings the coordinates of a, x
+    and y to order one: the disc is homogeneous in the images, so the
+    roots keep their bits, and far-off endpoints do not overflow the
+    coefficients.  A window that overflows all the same (cosh(sigma_vol * S)
+    past the float range) raises ValueError rather than reach the scan as
+    NaN samples.
     """
     geom = model.geometry
     dist = _oracle(model, geom, None)
     S = dist(x, anchor) + dist(anchor, y)
     if isinstance(geom, HullWhiteGeometry):
         M = hw_transform(geom.sigma_vol, geom.rho)
-        k, r2 = 2.0 * math.sinh(0.5 * geom.sigma_vol * S) ** 2, 0.0
+        sh = math.sinh(0.5 * geom.sigma_vol * S)
+        k, r = 2.0 * sh * sh, 0.0  # sh * sh overflows to inf; sh ** 2 raises
     else:
         M = geom.whitening[0]
-        k, r2 = 0.0, S * S
+        k, r = 0.0, S
+    e = -math.frexp(max(map(abs, (*anchor, *x, *y))))[1]
+    M = np.ldexp(M, e)
+    r2 = math.ldexp(r, e) ** 2
     P, T = M @ anchor, M @ tangent
     a = float(T @ T)
-    lo, hi = -math.inf, math.inf
-    for X in (M @ x, M @ y):
-        D = P - X
-        b = float(T @ D) - X[1] * T[1] * k  # half the linear coefficient
-        # the anchor is in the ball
-        c = min(float(D @ D) - 2.0 * X[1] * P[1] * k - r2, 0.0)
-        q = -(b + math.copysign(math.hypot(b, math.sqrt(-a * c)), b))
-        r0, r1 = sorted((q / a, c / q))
-        lo, hi = max(lo, r0), min(hi, r1)
+    roots = []
+    with np.errstate(all="ignore"):  # overflow shows as a root that is not finite
+        for X in (M @ x, M @ y):
+            D = P - X
+            b = float(T @ D) - X[1] * T[1] * k  # half the linear coefficient
+            # the anchor is in the ball
+            c = min(float(D @ D) - 2.0 * X[1] * P[1] * k - r2, 0.0)
+            q = -(b + math.copysign(math.hypot(b, math.sqrt(-a * c)), b))
+            roots.append(sorted((q / a, c / q)))
+        (lo0, hi0), (lo1, hi1) = roots
+        lo, hi = max(lo0, lo1), min(hi0, hi1)
+        if not all(map(math.isfinite, (lo0, hi0, lo1, hi1, hi - lo))):
+            raise ValueError(
+                "the scan window overflows: the leg sum at the boundary anchor is "
+                "too large; supply a parametric boundary chart instead"
+            )
     return lo, hi
 
 

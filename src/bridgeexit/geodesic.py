@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import NoConvergence, NotSPD, OutsideDomain
 from .model import (
@@ -295,6 +294,10 @@ def _gn_direction(A, g, nseg):
     directions and whether each is usable (its solve succeeded and is
     finite).
     """
+    # scipy loads here, on the first Gauss-Newton step, so that commands
+    # which never solve a path start without it
+    from scipy.linalg import solveh_banded
+
     K, m1, d = g.shape
     D = nseg * (A[:, :-1] + A[:, 1:])
     U = -nseg * A[:, 1:m1]

@@ -14,7 +14,8 @@ batch_domain_test) that the path optimizer uses to evaluate a whole path's
 midpoints in one call.  Custom callback models work without them, just
 slower.  grid_model evaluates its bilinear interpolant directly on the
 lattice arrays, bit for bit as scipy's linear RegularGridInterpolator
-would, without importing scipy.interpolate.
+would.  This module imports numpy alone: inverses are numpy's, checked
+positive definite by a numpy Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DegenerateCorrelation, NotSPD, OutsideDomain
 
@@ -117,17 +117,26 @@ def diffusion_matrix(model: DiffusionModel, z) -> np.ndarray:
         raise ValueError(f"sigma(z) must be a {model.dim} x m matrix, got {s.shape}")
     a = s @ s.T
     a = 0.5 * (a + a.T)
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NotSPD(f"diffusion matrix at {z} is not positive definite") from None
+    if not _is_spd(a):
+        raise NotSPD(f"diffusion matrix at {z} is not positive definite")
     return a
 
 
+def _is_spd(a: np.ndarray) -> bool:
+    """Whether a, one matrix or a stack, is finite and passes a Cholesky
+    factorization (numpy's lets NaN through)."""
+    if not np.isfinite(a).all():
+        return False
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def inverse_metric(model: DiffusionModel, z) -> np.ndarray:
-    """a(z)^{-1} via Cholesky solve, symmetrized against roundoff."""
-    a = diffusion_matrix(model, z)
-    inv = cho_solve(cho_factor(a, lower=True), np.eye(model.dim))
+    """a(z)^{-1}, symmetrized against roundoff."""
+    inv = np.linalg.inv(diffusion_matrix(model, z))
     return 0.5 * (inv + inv.T)
 
 
@@ -141,17 +150,15 @@ def inverse_metric_batch(model: DiffusionModel, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     if model.batch_inverse_metric is not None:
         return model.batch_inverse_metric(pts)
-    out = np.empty((pts.shape[0], model.dim, model.dim))
-    for i, z in enumerate(pts):
-        a = np.asarray(model.sigma(z), dtype=float)
-        a = a @ a.T
-        try:
-            c = cho_factor(0.5 * (a + a.T), lower=True)
-        except np.linalg.LinAlgError:
-            raise NotSPD(f"diffusion matrix at {z} is not positive definite") from None
-        out[i] = cho_solve(c, np.eye(model.dim))
-        out[i] = 0.5 * (out[i] + out[i].T)
-    return out
+    if not len(pts):
+        return np.empty((0, model.dim, model.dim))
+    s = np.stack([np.asarray(model.sigma(z), dtype=float) for z in pts])
+    a = s @ s.swapaxes(1, 2)
+    a = 0.5 * (a + a.swapaxes(1, 2))
+    if not _is_spd(a):
+        raise NotSPD(f"diffusion matrix is not positive definite at one of {len(pts)} points")
+    inv = np.linalg.inv(a)
+    return 0.5 * (inv + inv.swapaxes(1, 2))
 
 
 def domain_test_batch(model: DiffusionModel, pts: np.ndarray) -> np.ndarray:
@@ -187,10 +194,8 @@ def constant_model(sigma, complete: bool = True) -> DiffusionModel:
     d = s.shape[0]
     a = s @ s.T
     a = 0.5 * (a + a.T)
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NotSPD("constant sigma gives a singular diffusion matrix") from None
+    if not _is_spd(a):
+        raise NotSPD("constant sigma gives a singular diffusion matrix")
     inv = np.linalg.inv(a)
     inv = 0.5 * (inv + inv.T)
     zero = np.zeros(d)
@@ -259,8 +264,7 @@ def _bilinear(x_nodes: np.ndarray, v_nodes: np.ndarray, entries: np.ndarray):
     matches scipy's linear RegularGridInterpolator bit for bit.  A point
     outside the closed box raises ValueError.
     """
-    lo = np.array([x_nodes[0], v_nodes[0]])
-    hi = np.array([x_nodes[-1], v_nodes[-1]])
+    x_lo, x_hi, v_lo, v_hi = x_nodes[0], x_nodes[-1], v_nodes[0], v_nodes[-1]
     nv = len(v_nodes)
     flat = entries.reshape(len(x_nodes) * nv, -1)
     # Cell index from the interior nodes alone: the last node lands in the
@@ -268,9 +272,12 @@ def _bilinear(x_nodes: np.ndarray, v_nodes: np.ndarray, entries: np.ndarray):
     inner_x, inner_v = x_nodes[1:-1], v_nodes[1:-1]
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
-        if not ((lo <= pts).all() and (pts <= hi).all()):
-            raise ValueError("point outside the interpolation lattice")
         px, pv = pts[:, 0], pts[:, 1]
+        # column extremes, a third of the cost of a broadcast compare; a NaN
+        # propagates into them and fails the test
+        if not (x_lo <= px.min(initial=x_hi) and px.max(initial=x_lo) <= x_hi
+                and v_lo <= pv.min(initial=v_hi) and pv.max(initial=v_lo) <= v_hi):
+            raise ValueError("point outside the interpolation lattice")
         ix = inner_x.searchsorted(px, side="right")
         iv = inner_v.searchsorted(pv, side="right")
         x0, v0 = x_nodes[ix], v_nodes[iv]

@@ -1,6 +1,10 @@
 import contextlib
+import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -688,3 +692,59 @@ def test_an_infinite_horizon_is_refused_with_its_line(tmp_path):
     for command in ("exit", "mc"):
         code, err = run_cli([command, "--config", cfg])
         assert code == 2 and "line 7" in err and "horizon" in err
+
+
+# ---- cold start and output bytes ---- #
+
+# sha256 of the bundled outputs: a change to any number the commands write
+# moves its pin
+BUNDLED_OUTPUT_SHA256 = {
+    ("exit", "figure1"): "f6ba5a2c0bb6c8189bab0b720883d152997c4a9133618bcf6f2c0945f4648428",
+    ("exit", "figure2"): "6771aebcffbf03b5f1a18d918a0ee0989393397c05b712bd4f09640e83443a46",
+    ("exit", "brownian_barrier"):
+        "bdeff9af5d82441b54b69b97961883e8ddfbf32cca49ba4207ed249e3a112710",
+    ("figure", "figure2"): "72d943c45477969f32a6adf6054c305bc56e12ffd1c9a9d19a3808c1729a6754",
+}
+
+
+@pytest.mark.parametrize("command, cfg", sorted(BUNDLED_OUTPUT_SHA256))
+def test_bundled_outputs_keep_their_bytes(command, cfg, tmp_path):
+    out = tmp_path / "out"
+    code, err = run_cli([command, "--config", cfg, "--out", str(out)])
+    assert code == 0, err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUNDLED_OUTPUT_SHA256[command, cfg]
+
+
+COLD_SCRIPT = """\
+import contextlib, io, sys
+from bridgeexit import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+for name in ("figure1", "figure2", "brownian_barrier"):
+    run("exit", "--config", name)
+run("mc", "--config", sys.argv[1])
+print(scipy_modules())
+# the path optimizer does load it: the check above can fail
+run("distance", "--config", "figure1")
+print("scipy.linalg" in scipy_modules())
+"""
+
+
+def test_closed_form_and_monte_carlo_commands_never_import_scipy(tmp_path):
+    # a fresh interpreter, since this one may hold scipy already
+    import bridgeexit
+
+    cfg = write_cfg(tmp_path, "mc.cfg",
+                    BROWNIAN.replace("mc.n_paths = 20000", "mc.n_paths = 2000"))
+    src = str(Path(bridgeexit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", COLD_SCRIPT, cfg], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -613,6 +614,42 @@ def test_constant_window_under_force_numeric_is_certified():
     assert closed.J == pytest.approx(8.64853, abs=1e-5)
     assert res.method == "numeric_1d"
     assert res.J == pytest.approx(closed.J, rel=1e-6)
+
+
+def test_volatility_window_of_far_endpoints_is_finite_or_refused(tmp_path, capsys):
+    # sigma_vol * S = 346: the disc's coefficients once overflowed here and
+    # gave the window [nan, 3.6e149] with invalid-value warnings
+    from bridgeexit.cli import main
+    from bridgeexit.exits import _line_window
+
+    model = hull_white_model(sigma_vol=2.0, rho=0.5)
+    x, y = np.array([0.0, 1.0]), np.array([0.0, 1e150])
+    plane = Hyperplane(np.array([1.0, 0.3]), 1.0 + 0.15 * (1.0 + 1e150))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        thetas, chart = _line_window(model, x, y, plane)
+        S = model_distance(model, x, chart(0.0)) + model_distance(model, chart(0.0), y)
+        for end in thetas[[0, -1]]:
+            z = chart(end)
+            assert max(model_distance(model, x, z), model_distance(model, z, y)) == (
+                pytest.approx(S, rel=1e-9))
+        # the endpoints straddle the plane, which is answered before any window
+        res = exit_asymptotics(model, x, y, plane)
+    assert np.isfinite(thetas).all() and thetas[0] < 0.0 < thetas[-1]
+    assert res.J == 0.0 and res.geodesic_exits
+    # from v = 1e155 the leg sum at the anchor overflows: the window is
+    # refused, never scanned as NaN samples
+    far = np.array([0.0, 1e155])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="scan window overflows"):
+            _line_window(model, x, far, plane)
+        with pytest.raises(ValueError, match="scan window overflows"):
+            exit_asymptotics(model, x, far, VerticalBarrier(3.0))
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("model.kind = hull_white\nmodel.sigma_vol = 2\nmodel.rho = 0.5\n"
+                       "x = 0, 1\ny = 0, 1e155\nbarrier.kind = vertical\nbarrier.x0 = 3\n")
+        assert main(["exit", "--config", str(cfg)]) == 2
+    assert "scan window overflows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["correlated", "slanted"])
