@@ -20,6 +20,7 @@ the tests pin that failure down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,9 @@ __all__ = [
 # Series fallback threshold for acosh(1 + u); below this the log form loses
 # roughly half the significant digits to cancellation.
 _ACOSH_SERIES_CUTOFF = 1e-8
+# Above this, acosh(1 + u) is taken as log(u) + log1p(...): u*(u + 2)
+# overflows once u passes about 1.3e154.
+_ACOSH_LOG_CUTOFF = 2.0**500
 
 
 def _check_half_plane(p, name: str, rows: bool = False) -> np.ndarray:
@@ -68,27 +72,57 @@ def _check_half_plane(p, name: str, rows: bool = False) -> np.ndarray:
 def _acosh1p(u):
     """acosh(1 + u), elementwise for u >= 0, without forming 1 + u - 1.
 
-    u is a numpy scalar or array.  Uses log(w + sqrt(w^2 - 1)) written as
+    u is a float or a numpy array.  Uses log(w + sqrt(w^2 - 1)) written as
     log1p(u + sqrt(u*(u + 2))), with a square-root series below
     _ACOSH_SERIES_CUTOFF where even the log1p form has nothing left to
-    work with.
+    work with, and log(u) + log1p(1/u + sqrt(1 + 2/u)) above
+    _ACOSH_LOG_CUTOFF, where u*(u + 2) would overflow.
     """
-    out = np.log1p(u + np.sqrt(u * (u + 2.0)))
     small = u < _ACOSH_SERIES_CUTOFF
-    if small.any() if np.ndim(small) else small:
-        out = np.where(small, np.sqrt(2.0 * u) * (1.0 - u / 12.0 + 3.0 * u * u / 160.0),
-                       out)
-    return out
+    large = u > _ACOSH_LOG_CUTOFF
+    edge = small | large
+    if not (edge if isinstance(edge, bool) else edge.any()):
+        return np.log1p(u + np.sqrt(u * (u + 2.0)))
+    mid = np.where(edge, 1.0, u)
+    s = np.where(small, u, 0.0)
+    w = np.where(large, u, 1.0)
+    out = np.where(large, np.log(w) + np.log1p(1.0 / w + np.sqrt(1.0 + 2.0 / w)),
+                   np.log1p(mid + np.sqrt(mid * (mid + 2.0))))
+    return np.where(small, np.sqrt(2.0 * s) * (1.0 - s / 12.0 + 3.0 * s * s / 160.0),
+                    out)
 
 
 def _poincare(p, q):
     """The half-plane distance of two points, or row by row, unchecked;
-    for points of the half-plane the acosh argument is >= 1."""
+    for points of the half-plane the acosh argument is >= 1.
+
+    One pair, as points or as one-row arrays (a one-point scan step), is
+    computed in Python floats: they give the bits of numpy scalars sooner,
+    and an overflow is a silent inf (a denominator that underflows to 0 is
+    read as inf too).  Where u reads inf or nan, it is formed again from
+    hypot(dx, dy), which holds every finite u.
+    """
+    if p.size == 2 and q.size == 2:
+        (px, py), (qx, qy) = p.reshape(2).tolist(), q.reshape(2).tolist()
+        dx = qx - px
+        dy = qy - py
+        den = 2.0 * py * qy
+        u = (dx * dx + dy * dy) / den if den else math.inf
+        if not u < math.inf:
+            h = math.hypot(dx, dy)
+            u = 0.5 * (h / py) * (h / qy)
+        d = _acosh1p(u)
+        return d if p.ndim == q.ndim == 1 else np.array([d])
     px, py = p.T
     qx, qy = q.T
     dx = qx - px
     dy = qy - py
-    return _acosh1p((dx * dx + dy * dy) / (2.0 * py * qy))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (dx * dx + dy * dy) / (2.0 * py * qy)
+    if not u.max(initial=0.0) < np.inf:
+        h = np.hypot(dx, dy)
+        u = np.where(u < np.inf, u, 0.5 * (h / py) * (h / qy))
+    return _acosh1p(u)
 
 
 def _value(d):

@@ -1,13 +1,15 @@
 """Monte Carlo validation of exit exponents on pinned diffusions.
 
 Constant-covariance bridges are sampled exactly (sequential Gaussian
-conditioning), so the only bias in the crossing estimate is the discrete
-monitoring of the barrier, and that is removed to leading order by a per-step
-Brownian-bridge correction: between consecutive points with signed barrier
-distances u, u' the bridge crosses with probability exp(-2 u u' N / (t q))
-where q is the variance rate along the barrier normal.  The correction is
-realized as one Bernoulli draw per step, not averaged in, which keeps the
-estimator a plain mean of indicators.
+conditioning).  The crossing estimator needs only the signed distance to the
+barrier, and under a constant covariance that distance is itself an exact
+one-dimensional Brownian bridge with variance rate q along the barrier
+normal, so it is simulated alone.  Between consecutive points with signed
+distances u, u' that bridge crosses with probability exp(-2 u u' N / (t q)),
+so the per-step correction is exact, not leading-order.  It is realized as
+one Bernoulli draw per path, u < 1 - prod_i (1 - p_i), which has the law of
+"some per-step Bernoulli fires" and keeps the estimator a plain mean of
+indicators.
 
 Determinism contract: every batch of paths owns a counter-based generator
 keyed by (seed, stream, batch index), all random numbers for a batch are
@@ -228,35 +230,45 @@ def crossing_probability(
     batch_size: int = DEFAULT_BATCH,
     per_step_correction: bool = True,
 ) -> CrossingEstimate:
-    """Probability that the bridge from x to y touches the barrier before t."""
+    """Probability that the bridge from x to y touches the barrier before t.
+
+    Simulates only the signed distance delta = n.z - c, an exact 1-D bridge
+    with variance rate q = n'.cov.n.  With per_step_correction a path
+    crosses when one uniform u < 1 - prod_i (1 - p_i), where
+    p_i = exp(-2 delta_i delta_{i+1} N / (t q)) is the exact crossing law of
+    step i; without it, when delta changes sign at a step.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _require_horizon(t)
     _require_positive(n_paths=n_paths, n_steps=n_steps, batch_size=batch_size)
+    cov = np.asarray(cov, dtype=float)
+    _chol(cov)  # NotSPD even when every path crosses
     plane, s_x, s_y = _barrier_distances(boundary, x, y)
     if s_x * s_y <= 0.0:
         # An endpoint touches or the endpoints straddle: every path crosses.
         return CrossingEstimate(float(t), int(n_paths), 1.0, 0.0, 0.0,
                                 int(rng.seed))
-    cov = np.asarray(cov, dtype=float)
-    L = _chol(cov)
-    lam = -2.0 * n_steps / (t * _var_rate(plane, cov))
+    var_rate = _var_rate(plane, cov)
+    lam = -2.0 * n_steps / (t * var_rate)
+    root_q = np.array([[math.sqrt(var_rate)]])
 
     def run(gen, n):
-        states = _bridge_steps(x, y, t, L, n_steps, n, gen)
-        next(states)
-        uni = gen.random((n_steps, n)) if per_step_correction else None
-        delta_prev = np.full(n, s_x)
-        crossed = np.zeros(n, dtype=bool)
-        for i, z in enumerate(states):
-            delta = z @ plane.normal - plane.offset
-            if per_step_correction:
-                arg = np.minimum(lam * delta_prev * delta, 0.0)
-                crossed |= uni[i] < np.exp(arg)
-            else:
-                crossed |= delta_prev * delta <= 0.0
-            delta_prev = delta
-        return int(crossed.sum())
+        states = _bridge_steps(np.array([s_x]), np.array([s_y]), t, root_q,
+                               n_steps, n, gen)
+        delta_prev = next(states)[:, 0]
+        if not per_step_correction:
+            crossed = np.zeros(n, dtype=bool)
+            for z in states:
+                crossed |= delta_prev * z[:, 0] <= 0.0
+                delta_prev = z[:, 0]
+            return int(crossed.sum())
+        uni = gen.random(n)
+        survive = np.ones(n)
+        for z in states:
+            survive *= -np.expm1(np.minimum(lam * delta_prev * z[:, 0], 0.0))
+            delta_prev = z[:, 0]
+        return int((uni < 1.0 - survive).sum())
 
     hits = sum(_map_batches(rng, n_paths, batch_size, workers, run))
     return _finish_estimate(t, n_paths, hits, rng.seed)
@@ -291,10 +303,12 @@ def brownian_crossing_exact(x, y, t: float, cov, boundary) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _require_horizon(t)
+    cov = np.asarray(cov, dtype=float)
+    _chol(cov)  # NotSPD even when the endpoints straddle
     plane, s_x, s_y = _barrier_distances(boundary, x, y)
     if s_x * s_y <= 0.0:
         return 1.0
-    var_rate = _var_rate(plane, np.asarray(cov, dtype=float))
+    var_rate = _var_rate(plane, cov)
     return float(np.exp(-2.0 * s_x * s_y / (t * var_rate)))
 
 

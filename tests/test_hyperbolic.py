@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,18 @@ def test_nearby_points_keep_relative_accuracy():
     for h in (1e-5, 1e-7, 1e-9):
         d = poincare_distance((0.0, y0), (h, y0))
         assert d == pytest.approx(h / y0, rel=1e-6)
+
+
+def test_far_vertical_distance_stays_finite():
+    # u * (u + 2) inside acosh(1 + u) used to overflow past a distance of 355
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = poincare_distance((0.0, 1.0), (0.0, 1e155))
+        rows = poincare_distance(np.array([[0.0, 1.0], [0.0, 1.0]]),
+                                 np.array([[0.0, 1e155], [1e-9, 1.0]]))
+    assert d == pytest.approx(math.log(1e155), rel=1e-12)
+    assert rows[0] == d
+    assert rows[1] == poincare_distance((0.0, 1.0), (1e-9, 1.0))
 
 
 def test_distance_rejects_nonpositive_height():

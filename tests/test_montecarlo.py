@@ -124,6 +124,42 @@ def test_straddling_endpoints_cross_surely():
     assert brownian_crossing_exact(X, below, 0.1, EYE, FLOOR) == 1.0
 
 
+def test_straddling_endpoints_still_check_the_covariance():
+    # the straddle shortcut used to return 1.0 before any covariance check
+    below = np.array([1.0, -0.2])
+    bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(NotSPD):
+        crossing_probability(X, below, 0.1, bad, FLOOR, 1000, 10, RngSpec(0))
+    with pytest.raises(NotSPD):
+        brownian_crossing_exact(X, below, 0.1, bad, FLOOR)
+
+
+@pytest.mark.parametrize("n_steps", [1, 50])
+def test_estimate_projects_a_correlated_covariance_on_a_slanted_barrier(
+        n_steps):
+    # every other statistical test uses EYE against FLOOR, where a wrong
+    # variance rate along the normal would go unseen
+    plane = Hyperplane((1.0, -0.3), 0.9)
+    y = np.array([0.4, 0.2])
+    t = 0.5
+    norm = math.hypot(1.0, -0.3)
+    d_x = (X[0] - 0.3 * X[1] - 0.9) / norm
+    d_y = (y[0] - 0.3 * y[1] - 0.9) / norm
+    q = (1.0 - 2 * 0.3 * 0.4 + 0.09 * 0.8) / norm**2
+    exact = brownian_crossing_exact(X, y, t, COV2, plane)
+    assert exact == pytest.approx(math.exp(-2 * d_x * d_y / (t * q)),
+                                  rel=1e-12)
+    # the per-step correction is the exact crossing law of the projected
+    # bridge, so at any n_steps (at one step plainly) p_hat ~ Binomial(n, exact)
+    est = crossing_probability(X, y, t, COV2, plane, 50_000, n_steps,
+                               RngSpec(12), workers=1)
+    assert abs(est.p_hat - exact) <= 3 * est.ci_half_width
+    again = crossing_probability(X, y, t, COV2, plane, 50_000, n_steps,
+                                 RngSpec(12), workers=3)
+    assert again.p_hat == est.p_hat
+    assert again.ci_half_width == est.ci_half_width
+
+
 def test_correction_removes_coarse_grid_bias():
     t = 0.5
     exact = brownian_crossing_exact(X, Y, t, EYE, FLOOR)
@@ -369,10 +405,12 @@ def test_path_samplers_are_bit_for_bit_pinned():
     assert _digest(hw) == "2b4a445f8f441399"
 
 
+# exact_hex was re-recorded when the Gaussian estimator began to simulate the
+# barrier distance alone and to draw one uniform per path.
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("per_step, exact_hex, hw_hex", [
-    (False, "0x1.4bc6a7ef9db23p-4", "0x1.4e5e0a72f0539p-6"),
-    (True, "0x1.371758e219653p-3", "0x1.2492492492492p-4"),
+    (False, "0x1.532617c1bda51p-4", "0x1.4e5e0a72f0539p-6"),
+    (True, "0x1.39db22d0e5604p-3", "0x1.2492492492492p-4"),
 ])
 def test_estimators_are_bit_for_bit_pinned(workers, per_step, exact_hex,
                                            hw_hex):
