@@ -19,18 +19,23 @@ The minimizer works on a stack of K paths of one resolution, a (K, N+1, d)
 array, and solve_geodesic is the stack at K = 1 (or K = multi_start).  Each
 path keeps its own tolerance, budget, line search and stall rule, and leaves
 the stack when it finishes; an iteration evaluates the metric at every
-running path's midpoints and probes in one batch and solves all
-Gauss-Newton systems in one banded solve of the block-diagonal band.  Every
-path gets the bits it gets alone.  The boundary scan uses this to solve the
-legs of many boundary samples together.
+running path's midpoints in one batch and solves all Gauss-Newton systems
+in one banded solve of the block-diagonal band.  Every path gets the bits
+it gets alone.  The boundary scan uses this to solve the legs of many
+boundary samples together.
 
-The gradient is exact for the quadratic-form part; the derivative of
-a(m)^{-1} enters through central finite differences of the inverse metric
-with step 1e-6 times the local coordinate scale.  The midpoints and all 2d
-probes are evaluated in one batch call.  When that call raises, the stack
-is split in halves down to single paths; for a single path whose probe
-leaves the domain (a box edge) the probes are evaluated one direction at a
-time, and the failing directions use one-sided differences.
+The gradient is exact for the quadratic-form part, and the derivative of
+a(m)^{-1} comes from the model's batch_inverse_metric_jet: one call on the
+midpoints returns the metrics and their exact derivatives, with no probes,
+so a box edge needs no special case.  The line search makes that call for
+each trial step, so an accepted step brings its energy, its gradient and
+its Gauss-Newton metrics from one metric evaluation.  A callback model
+without a jet falls back to central finite differences of the inverse
+metric with step 1e-6 times the local coordinate scale: the midpoints and
+all 2d probes are evaluated in one batch call; when that call raises, the
+stack is split in halves down to single paths, and for a single path whose
+probe leaves the domain (a box edge) the probes are evaluated one direction
+at a time, the failing directions with one-sided differences.
 """
 
 from __future__ import annotations
@@ -138,26 +143,42 @@ def _halves(fn, *args):
     return np.concatenate(parts)
 
 
-def _energies(model, P) -> np.ndarray:
+def _energies(model, P, gradients=False):
     """Energy of each path, +inf where a midpoint leaves the domain or the
-    metric fails there."""
+    metric fails there.
+
+    gradients=True, for a model with a metric jet, also returns what
+    _gradients gives for every path, from the same metric evaluation (NaN
+    where the energy is infinite): the line search evaluates the jet once
+    per trial, and an accepted trial brings its gradient along.
+    """
     K, n1, d = P.shape
     n = n1 - 1
     mids = 0.5 * (P[:, :-1] + P[:, 1:])
     E = np.full(K, np.inf)
+    out = E
+    if gradients:
+        out = E, np.full((K, n - 1, d), np.nan), np.full((K, n, d, d), np.nan)
     ok = domain_test_batch(model, mids.reshape(-1, d)).reshape(K, n).all(axis=1)
     if not ok.any():
-        return E
+        return out
     try:
-        A = inverse_metric_batch(model, mids[ok].reshape(-1, d))
+        if gradients:
+            g, A = _gradients(model, P[ok])
+        else:
+            A = inverse_metric_batch(model, mids[ok].reshape(-1, d))
     except (NotSPD, ValueError):
         if K == 1:
-            return E
-        return _halves(_energies, model, P)
-    q = _q_form(A, np.diff(P[ok], axis=1).reshape(-1, d)).reshape(-1, n)
+            return out
+        return _halves(_energies, model, P, gradients)
+    q = _q_form(A.reshape(-1, d, d), np.diff(P[ok], axis=1).reshape(-1, d)).reshape(-1, n)
     finite = np.isfinite(q).all(axis=1)
-    E[np.flatnonzero(ok)[finite]] = 0.5 * n * q[finite].sum(axis=1)
-    return E
+    kept = np.flatnonzero(ok)[finite]
+    E[kept] = 0.5 * n * q[finite].sum(axis=1)
+    if gradients:
+        out[1][kept] = g[finite]
+        out[2][kept] = A[finite]
+    return out
 
 
 def _energy_of(model, pts) -> float:
@@ -181,16 +202,42 @@ def _gradients(model, P):
     inverse metrics, (K, N, d, d).
 
     The metrics are returned so the minimizer can reuse them for its
-    Gauss-Newton model without a second batch evaluation.  Midpoints and
-    all 2d central-difference probes of every path go through one batch
-    evaluation; only when a probe of a single path leaves the domain or
-    meets a non-SPD matrix are its probes evaluated one probe set at a
-    time, so that the failing directions fall back to one-sided differences.
+    Gauss-Newton model without a second batch evaluation.  The derivative
+    of the metric comes from the model's jet, one call on the midpoints of
+    every path, or, for a model without one, from _fd_metric_terms.
     """
     K, n1, d = P.shape
     n = n1 - 1
     mids = (0.5 * (P[:, :-1] + P[:, 1:])).reshape(-1, d)
     deltas = np.diff(P, axis=1).reshape(-1, d)
+    if model.batch_inverse_metric_jet is not None:
+        A, dA = model.batch_inverse_metric_jet(mids)
+        # contracted point axis last, where the built-in jets keep it
+        # contiguous: A delta and d(delta^T A delta)/dz = delta^T dA_k delta
+        D = np.ascontiguousarray(deltas.T)
+        Av = np.einsum("ijm,jm->im", A.transpose(1, 2, 0), D).T
+        dq = np.einsum("kijm,im,jm->km", dA.transpose(1, 2, 3, 0), D, D).T
+    else:
+        terms = _fd_metric_terms(model, mids, deltas, K)
+        if terms is None:
+            return _halves(_gradients, model, P)
+        A, Av, dq = terms
+    Av, dq = Av.reshape(K, n, d), dq.reshape(K, n, d)
+    g = n * (Av[:, :-1] - Av[:, 1:]) + 0.25 * n * (dq[:, :-1] + dq[:, 1:])
+    return g, A.reshape(K, n, d, d)
+
+
+def _fd_metric_terms(model, mids, deltas, K):
+    """(A, A delta, d(delta^T A delta)/dz) at the midpoints of K stacked
+    paths, the derivative by central differences of the metric hook.
+
+    The midpoints and all 2d probes go through one batch evaluation; when
+    it raises, a stack (K > 1) returns None to be split in halves, and a
+    single path evaluates its probes one probe set at a time, so that the
+    directions that leave the domain (a box edge) or meet a non-SPD matrix
+    fall back to one-sided differences.
+    """
+    m, d = mids.shape
     h = FD_STEP_SCALE * np.maximum(1.0, np.abs(mids).max(axis=1))
     probes = []
     for k in range(d):
@@ -201,18 +248,18 @@ def _gradients(model, P):
         stack = inverse_metric_batch(model, np.concatenate([mids, *probes]))
     except (NotSPD, ValueError):
         if K > 1:
-            return _halves(_gradients, model, P)
+            return None
         A = inverse_metric_batch(model, mids)
         q = [_q_shifted(model, p, deltas) for p in probes]
     else:
-        A = stack[:K * n]
+        A = stack[:m]
         # all 2d probe forms in one einsum; per probe set it sums in the
         # same order as _q_form, bit for bit
-        q = np.einsum("knij,ni,nj->kn", stack[K * n:].reshape(2 * d, K * n, d, d),
+        q = np.einsum("knij,ni,nj->kn", stack[m:].reshape(2 * d, m, d, d),
                       deltas, deltas)
     Av = np.einsum("nij,nj->ni", A, deltas)
     q0 = np.einsum("ni,ni->n", Av, deltas)
-    dq = np.empty((K * n, d))
+    dq = np.empty((m, d))
     for k in range(d):
         qp, qm = q[2 * k], q[2 * k + 1]
         if qp is None and qm is None:
@@ -223,9 +270,7 @@ def _gradients(model, P):
             dq[:, k] = (qp - q0) / h
         else:
             dq[:, k] = (qp - qm) / (2.0 * h)
-    Av, dq = Av.reshape(K, n, d), dq.reshape(K, n, d)
-    g = n * (Av[:, :-1] - Av[:, 1:]) + 0.25 * n * (dq[:, :-1] + dq[:, 1:])
-    return g, A.reshape(K, n, d, d)
+    return A, Av, dq
 
 
 def _q_form(A, deltas):
@@ -328,8 +373,10 @@ def _line_search(model, P, E, g, A):
     when that is usable (solved, and downhill), then along steepest descent,
     MAX_BACKTRACKS halvings each.  The paths backtrack in lockstep, one
     energy batch per round.  Returns the accepted paths, their energies and
-    which paths moved at all."""
+    which paths moved at all, and, for a model with a metric jet, the
+    gradients and midpoint metrics of the accepted paths (else None)."""
     L = P.shape[0]
+    jet = model.batch_inverse_metric_jet is not None
     p, usable = _gn_direction(A, g, P.shape[1] - 1)
     gTp = (g * p).reshape(L, -1).sum(axis=1)
     usable &= ~(gTp >= 0.0)
@@ -351,15 +398,22 @@ def _line_search(model, P, E, g, A):
     moved = np.zeros(L, dtype=bool)
     trial = P.copy()
     Et = E.copy()
+    terms = (np.empty_like(g), np.empty_like(A)) if jet else None
     while searching.any():
         s = np.flatnonzero(searching)
         T = P[s]
         T[:, 1:-1] += alpha[s, None, None] * p[s]
-        Es = _energies(model, T)
+        if jet:
+            Es, gs, As = _energies(model, T, gradients=True)
+        else:
+            Es = _energies(model, T)
         ok = Es <= E[s] + ARMIJO_C1 * alpha[s] * gTp[s]
         done = s[ok]
         trial[done] = T[ok]
         Et[done] = Es[ok]
+        if jet:
+            terms[0][done] = gs[ok]
+            terms[1][done] = As[ok]
         moved[done] = True
         searching[done] = False
         r = s[~ok]
@@ -371,7 +425,7 @@ def _line_search(model, P, E, g, A):
         on_sd[out] = True
         tries[out] = 0
         steepest(out)
-    return trial, Et, moved
+    return trial, Et, moved, terms
 
 
 def _minimize_level(model, P, tol, max_iter):
@@ -384,7 +438,8 @@ def _minimize_level(model, P, tol, max_iter):
     accepted steps whose decrease is below double-precision resolution, is
     reported as a stall (the path is at its floating-point floor).  A path
     leaves the stack when it converges, stalls or spends max_iter; each
-    iteration takes the gradients of the paths still running in one batch.
+    iteration takes the gradients of the paths still running in one batch
+    (with a metric jet, the line search brings them along).
     """
     K = P.shape[0]
     P = P.copy()
@@ -399,7 +454,7 @@ def _minimize_level(model, P, tol, max_iter):
         live = live[(iters[live] < max_iter) & ~((gsup <= tol[live]) | (gsup == 0.0))]
         if not live.size:
             break
-        trial, Et, moved = _line_search(model, P[live], E[live], g[live], A[live])
+        trial, Et, moved, terms = _line_search(model, P[live], E[live], g[live], A[live])
         # Neither direction admits a float-representable decrease: the
         # energy is at its double-precision floor for this path.
         stalled[live[~moved]] = True
@@ -415,7 +470,10 @@ def _minimize_level(model, P, tol, max_iter):
         P[live] = trial
         E[live] = Et
         iters[live] += 1
-        g[live], A[live] = _gradients(model, trial)
+        if terms is None:
+            g[live], A[live] = _gradients(model, trial)
+        else:
+            g[live], A[live] = terms[0][moved], terms[1][moved]
         stall = no_progress[live] >= STALL_WINDOW
         stalled[live[stall]] = True
         live = live[~stall]

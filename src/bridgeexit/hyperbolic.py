@@ -100,7 +100,9 @@ def _poincare(p, q):
     computed in Python floats: they give the bits of numpy scalars sooner,
     and an overflow is a silent inf (a denominator that underflows to 0 is
     read as inf too).  Where u reads inf or nan, it is formed again from
-    hypot(dx, dy), which holds every finite u.
+    hypot(h = |p - q|), which holds every finite u; where even that u
+    overflows (distances past about 710), the distance is
+    log(2 u) = 2 log h - log p_y - log q_y, exact to double precision there.
     """
     if p.size == 2 and q.size == 2:
         (px, py), (qx, qy) = p.reshape(2).tolist(), q.reshape(2).tolist()
@@ -111,18 +113,25 @@ def _poincare(p, q):
         if not u < math.inf:
             h = math.hypot(dx, dy)
             u = 0.5 * (h / py) * (h / qy)
-        d = _acosh1p(u)
+        if u < math.inf:
+            d = _acosh1p(u)
+        else:
+            d = 2.0 * math.log(h) - math.log(py) - math.log(qy)
         return d if p.ndim == q.ndim == 1 else np.array([d])
     px, py = p.T
     qx, qy = q.T
     dx = qx - px
     dy = qy - py
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = (dx * dx + dy * dy) / (2.0 * py * qy)
-    if not u.max(initial=0.0) < np.inf:
-        h = np.hypot(dx, dy)
+    if u.max(initial=0.0) < np.inf:
+        return _acosh1p(u)
+    h = np.hypot(dx, dy)
+    with np.errstate(over="ignore", divide="ignore"):
         u = np.where(u < np.inf, u, 0.5 * (h / py) * (h / qy))
-    return _acosh1p(u)
+        far = ~(u < np.inf)
+        log_far = 2.0 * np.log(h) - np.log(py) - np.log(qy)
+    return np.where(far, log_far, _acosh1p(np.where(far, 1.0, u)))
 
 
 def _value(d):

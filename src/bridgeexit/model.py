@@ -11,11 +11,13 @@ declare complete=False.  Nothing here verifies the declaration.
 
 Built-in models expose optional vectorized hooks (batch_inverse_metric,
 batch_domain_test) that the path optimizer uses to evaluate a whole path's
-midpoints in one call.  Custom callback models work without them, just
-slower.  grid_model evaluates its bilinear interpolant directly on the
-lattice arrays, bit for bit as scipy's linear RegularGridInterpolator
-would.  This module imports numpy alone: inverses are numpy's, checked
-positive definite by a numpy Cholesky factorization.
+midpoints in one call, and the grid and volatility models an exact
+derivative of the inverse metric (batch_inverse_metric_jet) for its
+energy gradient.  Custom callback models work without them, just slower.
+grid_model evaluates its bilinear interpolant directly on the lattice
+arrays, bit for bit as scipy's linear RegularGridInterpolator would.  This
+module imports numpy alone: inverses are numpy's, checked positive
+definite by a numpy Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -82,6 +84,14 @@ class DiffusionModel:
     be pure.  domain_test returns True iff the state is inside the open
     domain.  geometry is an optional closed-form tag used for dispatch; the
     batch_* hooks are optional vectorized versions of the pointwise fields.
+
+    batch_inverse_metric_jet, also optional, maps points (n, d) to (A, dA):
+    A is bitwise batch_inverse_metric(pts), shape (n, d, d), and dA[:, k],
+    shape (n, d, d), is the exact derivative dA/dz_k.  The energy gradient
+    uses it in place of finite differences of the metric hook.  Either
+    array may be a view in any memory layout; the built-in jets keep the
+    point axis contiguous, which is the layout the gradient contracts
+    fastest.
     """
 
     dim: int
@@ -96,6 +106,9 @@ class DiffusionModel:
     batch_domain_test: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False
     )
+    batch_inverse_metric_jet: Callable[
+        [np.ndarray], tuple[np.ndarray, np.ndarray]
+    ] | None = field(default=None, repr=False)
 
 
 def _check_point(model: DiffusionModel, z) -> np.ndarray:
@@ -169,20 +182,22 @@ def domain_test_batch(model: DiffusionModel, pts: np.ndarray) -> np.ndarray:
                        count=pts.shape[0])
 
 
-def _inv_2x2_batch(a: np.ndarray, what: str) -> np.ndarray:
-    """Analytic SPD inverse of a batch of symmetric 2x2 matrices."""
-    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    bad = ~((a[:, 0, 0] > 0) & (det > 0))
-    if np.any(bad):
+def _inv_2x2(a00, a01, a11, what: str):
+    """Analytic SPD inverse of symmetric 2x2 matrices given by their entry
+    arrays, shape (n,).  Returns the inverses component by component,
+    shape (2, 2, n), and the determinants."""
+    det = a00 * a11 - a01 * a01
+    ok = (a00 > 0) & (det > 0)
+    if not ok.all():
         raise NotSPD(f"{what}: diffusion matrix is not positive definite at "
-                     f"{np.count_nonzero(bad)} of {len(a)} points")
-    inv = np.empty_like(a)
-    inv[:, 0, 0] = a[:, 1, 1] / det
-    inv[:, 1, 1] = a[:, 0, 0] / det
-    off = -0.5 * (a[:, 0, 1] + a[:, 1, 0]) / det
-    inv[:, 0, 1] = off
-    inv[:, 1, 0] = off
-    return inv
+                     f"{np.count_nonzero(~ok)} of {len(a00)} points")
+    inv = np.empty((2, 2) + a00.shape)
+    np.divide(a11, det, out=inv[0, 0])
+    np.divide(a00, det, out=inv[1, 1])
+    # a10 has the bits of a01, so this is -0.5 (a01 + a10) / det
+    np.divide(-0.5 * (a01 + a01), det, out=inv[0, 1])
+    inv[1, 0] = inv[0, 1]
+    return inv, det
 
 
 # ---- Built-in models ---- #
@@ -243,6 +258,15 @@ def hull_white_model(
         v = pts[:, 1]
         return cmat[None, :, :] / (v * v)[:, None, None]
 
+    def batch_inv_jet(pts):
+        # A = C / v^2 does not depend on xi, and dA/dv = -2 A / v; component
+        # by component, the point axis last
+        v = pts[:, 1]
+        A = cmat[:, :, None] / (v * v)
+        dA = np.zeros((2,) + A.shape)
+        np.divide(-2.0 * A, v, out=dA[1])
+        return A.transpose(2, 0, 1), dA.transpose(3, 0, 1, 2)
+
     return DiffusionModel(
         dim=2,
         drift=drift,
@@ -252,44 +276,85 @@ def hull_white_model(
         geometry=HullWhiteGeometry(float(sigma_vol), float(rho), float(b), float(mu)),
         batch_inverse_metric=batch_inv,
         batch_domain_test=lambda pts: pts[:, 1] > 0.0,
+        batch_inverse_metric_jet=batch_inv_jet,
     )
 
 
 def _bilinear(x_nodes: np.ndarray, v_nodes: np.ndarray, entries: np.ndarray):
     """Vectorized bilinear interpolation of entries over the (x, v) lattice.
 
-    pts (n, 2) -> (n,) + entries.shape[2:].  The four corner terms are
-    added to 0.0 in the order (1-tx)(1-tv), (1-tx)tv, tx(1-tv), tx tv, and a
-    point on the last node uses the last cell with weight 1, so the result
-    matches scipy's linear RegularGridInterpolator bit for bit.  A point
-    outside the closed box raises ValueError.
+    evaluate(pts) maps pts (n, 2) to the interpolant component by component,
+    shape entries.shape[2:] + (n,); evaluate(pts, jet=True) also returns its
+    partial derivatives d/dx and d/dv, stacked on a leading axis of 2.  The
+    four corner terms are added to 0.0 in the order (1-tx)(1-tv), (1-tx)tv,
+    tx(1-tv), tx tv, and a point on the last node uses the last cell with
+    weight 1, so the values match scipy's linear RegularGridInterpolator bit
+    for bit; the derivatives are those of the cell the point falls in.  A
+    point outside the closed box raises ValueError.
     """
     x_lo, x_hi, v_lo, v_hi = x_nodes[0], x_nodes[-1], v_nodes[0], v_nodes[-1]
-    nv = len(v_nodes)
-    flat = entries.reshape(len(x_nodes) * nv, -1)
+    nx, nv = len(x_nodes), len(v_nodes)
+    shape = entries.shape[2:]
+    dx, dv = np.diff(x_nodes)[:, None], np.diff(v_nodes)[None, :]
+    f = entries.reshape(nx, nv, -1).transpose(2, 0, 1)
+    c00, c01, c10, c11 = f[:, :-1, :-1], f[:, :-1, 1:], f[:, 1:, :-1], f[:, 1:, 1:]
+    twist = c11 - c01 - c10 + c00
+
+    def per_cell(*rows):
+        # One column per cell, so that one take gathers the rows at every
+        # point's cell.  numpy gathers tables of up to 8 rows fastest.
+        rows = [np.broadcast_to(r, (1, nx - 1, nv - 1)) if r.ndim == 2 else r for r in rows]
+        return np.concatenate(rows).reshape(-1, (nx - 1) * (nv - 1))
+
+    # a cell's lower node and widths, its corners (x, v), (x, v+), (x+, v),
+    # (x+, v+) component by component, and for the jet the slopes of
+    # d/dx = gx + gxv tv and d/dv = gv + gvx tx
+    geometry = per_cell(x_nodes[:-1, None], dx, v_nodes[None, :-1], dv)
+    corners = per_cell(c00, c01), per_cell(c10, c11)
+    slopes = per_cell((c10 - c00) / dx, twist / dx), per_cell((c01 - c00) / dv, twist / dv)
     # Cell index from the interior nodes alone: the last node lands in the
     # last cell, the first in the first.
     inner_x, inner_v = x_nodes[1:-1], v_nodes[1:-1]
 
-    def evaluate(pts: np.ndarray) -> np.ndarray:
+    def evaluate(pts: np.ndarray, jet: bool = False):
+        n = len(pts)
         px, pv = pts[:, 0], pts[:, 1]
         # column extremes, a third of the cost of a broadcast compare; a NaN
         # propagates into them and fails the test
         if not (x_lo <= px.min(initial=x_hi) and px.max(initial=x_lo) <= x_hi
                 and v_lo <= pv.min(initial=v_hi) and pv.max(initial=v_lo) <= v_hi):
             raise ValueError("point outside the interpolation lattice")
-        ix = inner_x.searchsorted(px, side="right")
-        iv = inner_v.searchsorted(pv, side="right")
-        x0, v0 = x_nodes[ix], v_nodes[iv]
-        tx = (px - x0) / (x_nodes[ix + 1] - x0)
-        tv = (pv - v0) / (v_nodes[iv + 1] - v0)
+        k = inner_x.searchsorted(px, side="right") * (nv - 1)
+        k += inner_v.searchsorted(pv, side="right")
+        x0, hx, v0, hv = geometry.take(k, axis=1)
+        tx = px - x0
+        tx /= hx
+        tv = pv - v0
+        tv /= hv
         sx, sv = 1 - tx, 1 - tv
-        k = ix * nv + iv
-        out = 0.0 + flat.take(k, axis=0) * (sx * sv)[:, None]
-        out += flat.take(k + 1, axis=0) * (sx * tv)[:, None]
-        out += flat.take(k + nv, axis=0) * (tx * sv)[:, None]
-        out += flat.take(k + nv + 1, axis=0) * (tx * tv)[:, None]
-        return out.reshape(pts.shape[:1] + entries.shape[2:])
+        # the corner terms in place: c00 and c01, then c10 and c11
+        c = corners[0].take(k, axis=1)
+        m = len(c) // 2
+        c[:m] *= sx * sv
+        c[m:] *= sx * tv
+        out = 0.0 + c[:m]
+        out += c[m:]
+        corners[1].take(k, axis=1, out=c, mode="clip")
+        c[:m] *= tx * sv
+        c[m:] *= tx * tv
+        out += c[:m]
+        out += c[m:]
+        out = out.reshape(shape + (n,))
+        if not jet:
+            return out
+        ds = np.empty((2, m, n))
+        slopes[0].take(k, axis=1, out=c, mode="clip")
+        np.multiply(c[m:], tv, out=ds[0])
+        ds[0] += c[:m]
+        slopes[1].take(k, axis=1, out=c, mode="clip")
+        np.multiply(c[m:], tx, out=ds[1])
+        ds[1] += c[:m]
+        return out, ds.reshape((2,) + out.shape)
 
     return evaluate
 
@@ -300,6 +365,8 @@ def grid_model(x_nodes, v_nodes, entries, complete: bool = True) -> DiffusionMod
     entries has shape (len(x_nodes), len(v_nodes), 2, 2) and holds sigma at
     each lattice node.  The domain is the closed bounding box of the nodes.
     Completeness cannot be inferred from samples, so the caller declares it.
+    sigma, the metric hook and its jet share one interpolation kernel; the
+    jet differentiates the interpolant of the cell each point falls in.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     v_nodes = np.asarray(v_nodes, dtype=float)
@@ -321,22 +388,40 @@ def grid_model(x_nodes, v_nodes, entries, complete: bool = True) -> DiffusionMod
         return bool(np.all(z >= lo) and np.all(z <= hi))
 
     def batch_inside(pts):
-        return np.all(pts >= lo, axis=1) & np.all(pts <= hi, axis=1)
+        return ((pts >= lo) & (pts <= hi)).all(axis=1)
 
     def sigma(z):
-        return interp(np.asarray(z, dtype=float)[None, :])[0]
+        return interp(np.asarray(z, dtype=float)[None, :])[..., 0]
+
+    def gram(s):
+        # a = s s^T entry by entry (a10 has the bits of a01): the bits of
+        # einsum("nij,nkj->nik") at a fraction of its cost
+        (s00, s01), (s10, s11) = s
+        return s00 * s00 + s01 * s01, s00 * s10 + s01 * s11, s10 * s10 + s11 * s11
 
     def batch_inv(pts):
-        s = interp(pts)
-        s00, s01, s10, s11 = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1]
-        # a = s s^T as explicit products: the bits of einsum("nij,nkj->nik")
-        # at a fraction of its cost
-        a = np.empty_like(s)
-        a[:, 0, 0] = s00 * s00 + s01 * s01
-        a[:, 0, 1] = s00 * s10 + s01 * s11
-        a[:, 1, 0] = s10 * s00 + s11 * s01
-        a[:, 1, 1] = s10 * s10 + s11 * s11
-        return _inv_2x2_batch(a, "grid model")
+        inv, _ = _inv_2x2(*gram(interp(pts)), "grid model")
+        return inv.transpose(2, 0, 1).copy()
+
+    def batch_inv_jet(pts):
+        # component by component, the point axis last; both directions at
+        # once: da = ds s^T + s ds^T, and
+        # dA = -A da A = (adj(da) - A tr(adj(a) da)) / det
+        s, ds = interp(pts, jet=True)
+        a00, a01, a11 = gram(s)
+        A, det = _inv_2x2(a00, a01, a11, "grid model")
+        (s00, s01), (s10, s11) = s
+        d00, d01, d10, d11 = ds[:, 0, 0], ds[:, 0, 1], ds[:, 1, 0], ds[:, 1, 1]
+        da00 = 2.0 * (s00 * d00 + s01 * d01)
+        da01 = s00 * d10 + d00 * s10 + s01 * d11 + d01 * s11
+        da11 = 2.0 * (s10 * d10 + s11 * d11)
+        ddet = a11 * da00 - (a01 + a01) * da01 + a00 * da11
+        dA = np.empty((2,) + A.shape)
+        np.divide(da11 - A[0, 0] * ddet, det, out=dA[:, 0, 0])
+        np.divide(da01 + A[0, 1] * ddet, -det, out=dA[:, 0, 1])
+        dA[:, 1, 0] = dA[:, 0, 1]
+        np.divide(da00 - A[1, 1] * ddet, det, out=dA[:, 1, 1])
+        return A.transpose(2, 0, 1), dA.transpose(3, 0, 1, 2)
 
     zero = np.zeros(2)
     return DiffusionModel(
@@ -348,6 +433,7 @@ def grid_model(x_nodes, v_nodes, entries, complete: bool = True) -> DiffusionMod
         geometry=None,
         batch_inverse_metric=batch_inv,
         batch_domain_test=batch_inside,
+        batch_inverse_metric_jet=batch_inv_jet,
     )
 
 

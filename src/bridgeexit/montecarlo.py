@@ -194,13 +194,17 @@ def _bridge_steps(x, y, t, L, n_steps, n, gen):
     d = len(x)
     ds = 1.0 / n_steps
     xi = gen.standard_normal((n_steps, n, d))
+    if d == 1:
+        # xi[i] @ L.T with the bits of one scalar product per entry, at the
+        # cost of one pass over the draws
+        xi *= L[0, 0]
     z = np.broadcast_to(x, (n, d)).copy()
     yield z
     for i in range(n_steps - 1):
         s_i = i * ds
         step_var = t * ds * (1.0 - (i + 1) * ds) / (1.0 - s_i)
         z = (z + (ds / (1.0 - s_i)) * (y - z)
-             + math.sqrt(max(step_var, 0.0)) * (xi[i] @ L.T))
+             + math.sqrt(max(step_var, 0.0)) * (xi[i] if d == 1 else xi[i] @ L.T))
         yield z
     yield np.broadcast_to(y, (n, d)).copy()
 

@@ -827,20 +827,20 @@ def test_batched_scan_matches_scalar_distances_bit_for_bit(kind):
 # change of the refinement or of the solver moves these bits.
 PINNED_SCANS = {
     "grid": {
-        "J": "0x1.e7750bdbbd700p+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f26e5bc728002p-1"),
-        "u_bar": "0x1.7e788a759b741p-1",
+        "J": "0x1.e7750bdbbd934p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e5bca158cbp-1"),
+        "u_bar": "0x1.7e788a7545dddp-1",
         "d_xy": "0x1.468c6d3b8ddf0p+1",
-        "d_xz": "0x1.675c90dea79ddp+1",
-        "d_zy": "0x1.e6cfb95b41313p-1",
+        "d_xz": "0x1.675c90de573a6p+1",
+        "d_zy": "0x1.e6cfb95c82e48p-1",
     },
     "force_numeric": {
-        "J": "0x1.e7620e7120d87p+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f26e7fd5f750bp-1"),
-        "u_bar": "0x1.7e772bbf94755p-1",
+        "J": "0x1.e7620e7120d95p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e7fafb6bc7p-1"),
+        "u_bar": "0x1.7e772bc3f2acdp-1",
         "d_xy": "0x1.468b1c748ee65p+1",
-        "d_xz": "0x1.6756d64c66695p+1",
-        "d_zy": "0x1.e6cedb0a9f70ep-1",
+        "d_xz": "0x1.6756d6508103bp+1",
+        "d_zy": "0x1.e6cedafa35086p-1",
     },
 }
 
@@ -927,7 +927,7 @@ def _sequential_legsums(model, x, y, chart, thetas, opts, chains):
     return out, colds
 
 
-@pytest.mark.parametrize("kind", ["holed_plane", "grid_edge", "volatility"])
+@pytest.mark.parametrize("kind", ["holed_plane", "grid_edge", "grid_jet", "volatility"])
 def test_lockstep_chains_match_sequential_legs_bit_for_bit(kind, monkeypatch):
     import bridgeexit.exits as exits
     from bridgeexit.exits import _solver_legsums
@@ -943,8 +943,9 @@ def test_lockstep_chains_match_sequential_legs_bit_for_bit(kind, monkeypatch):
         thetas = np.array([3.0, 0.2, 2.8, 0.3, 3.1, 0.25, 2.9, 0.15, 0.1])
     elif kind == "grid_edge":
         # the x-to-z legs run along the right edge of the box, 5e-8 inside:
-        # their gradient probes leave it, and the batch they share with the
-        # interior z-to-y legs raises
+        # on a copy without the metric jet their finite-difference probes
+        # leave it, and the batch they share with the interior z-to-y legs
+        # raises
         grid = diag_v_grid()
         raised = []
 
@@ -955,7 +956,13 @@ def test_lockstep_chains_match_sequential_legs_bit_for_bit(kind, monkeypatch):
                 raised.append(len(pts))
                 raise
 
-        model = replace(grid, batch_inverse_metric=hook)
+        model = replace(grid, batch_inverse_metric=hook, batch_inverse_metric_jet=None)
+        x0 = 4.0 - 5e-8
+        x, y = np.array([x0, 0.3]), np.array([3.0, 0.5])
+        thetas = np.linspace(0.1, 2.5, 10)
+    elif kind == "grid_jet":
+        # the same legs with the exact metric derivative: no probes
+        model = diag_v_grid()
         x0 = 4.0 - 5e-8
         x, y = np.array([x0, 0.3]), np.array([3.0, 0.5])
         thetas = np.linspace(0.1, 2.5, 10)

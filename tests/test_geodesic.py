@@ -75,6 +75,35 @@ def test_gradient_matches_finite_differences():
         assert np.abs(fd - g).max() / denom <= 1e-5
 
 
+def test_exact_gradient_matches_energy_differences_on_a_grid():
+    # the grid model's metric jet in the gradient, against central
+    # differences of the energy; the path's points stay inside lattice cells
+    from bridgeexit.model import grid_model
+
+    xs = np.linspace(0.0, 4.0, 13)
+    vs = np.linspace(0.02, 3.0, 13)
+    entries = np.zeros((13, 13, 2, 2))
+    entries[..., 0, 0] = vs[None, :] * (1.0 + 0.1 * xs[:, None])
+    entries[..., 0, 1] = 0.05 * vs[None, :]
+    entries[..., 1, 0] = 0.1 * np.cos(xs)[:, None]
+    entries[..., 1, 1] = vs[None, :] + 0.2 * np.sin(xs)[:, None] ** 2
+    model = grid_model(xs, vs, entries)
+    assert model.batch_inverse_metric_jet is not None
+    s = np.linspace(0.0, 1.0, 41)
+    pts = np.column_stack([0.4 + 3.0 * s, 0.5 + 1.5 * s + 0.3 * np.sin(np.pi * s)])
+    g = energy_gradient(model, DiscretePath(pts))
+    fd = np.zeros_like(g)
+    h = 1e-6
+    for i in range(1, pts.shape[0] - 1):
+        for c in range(2):
+            up, dn = pts.copy(), pts.copy()
+            up[i, c] += h
+            dn[i, c] -= h
+            fd[i - 1, c] = (path_energy(model, DiscretePath(up))
+                            - path_energy(model, DiscretePath(dn))) / (2 * h)
+    assert np.abs(fd - g).max() / np.abs(g).max() <= 1e-6
+
+
 def test_gradient_vanishes_on_straight_line_in_flat_metric():
     model = constant_model(np.eye(2))
     chord = DiscretePath(np.linspace([0.0, 0.0], [1.0, 2.0], 11))
@@ -351,6 +380,8 @@ def test_batched_gradient_probes_match_per_probe_evaluation():
         cases.append((grid, edge))
         cases.append((grid, np.linspace([4.0 - 5e-8, 0.3], [4.0 - 5e-8, 2.9], n + 1)))
     for model, pts in cases:
+        # the finite-difference path, as a callback model without a jet takes it
+        model = replace(model, batch_inverse_metric_jet=None)
         g, A = _grad_and_metric(model, pts)
         g_ref, A_ref = _per_probe_grad_and_metric(model, pts)
         assert g.tobytes() == g_ref.tobytes()
@@ -375,22 +406,27 @@ def _stacked_and_alone(model, P, tol, max_iter):
 
 
 def test_a_stack_does_not_change_a_leg():
-    rng = np.random.default_rng(3)
-    model = hull_white_model(sigma_vol=1.2, rho=0.3)
+    base = hull_white_model(sigma_vol=1.2, rho=0.3)
     x, y = np.array([1.0, 0.2]), np.array([2.0, 0.5])
-    converged = solve_geodesic(model, x, y, SolverOptions(n=30)).path.points
-    P = np.stack([converged, wiggly_path(rng, x, y, n=30, amp=0.1).points,
-                  wiggly_path(rng, x, y + 0.3, n=30, amp=0.2).points])
+    # with the exact metric derivative, and on a copy without it (finite
+    # differences); the two gradients stall at different sup-norms near
+    # 1e-9, so the leg that must converge first has a tolerance above its
+    # gradient's floor
+    for model, tol in ((base, 1e-8), (replace(base, batch_inverse_metric_jet=None), 1e-9)):
+        rng = np.random.default_rng(3)
+        converged = solve_geodesic(model, x, y, SolverOptions(n=30)).path.points
+        P = np.stack([converged, wiggly_path(rng, x, y, n=30, amp=0.1).points,
+                      wiggly_path(rng, x, y + 0.3, n=30, amp=0.2).points])
 
-    # a leg that stalls at its floor while the others continue
-    _, _, _, iters, stalled = _stacked_and_alone(model, P, [0.0, 1e-9, 0.0], 200)
-    assert stalled[0] and not stalled[1]
-    assert iters[0] < iters[1] < iters[2]
+        # a leg that stalls at its floor while the others continue
+        _, _, _, iters, stalled = _stacked_and_alone(model, P, [0.0, tol, 0.0], 200)
+        assert stalled[0] and not stalled[1]
+        assert iters[0] < iters[1] < iters[2]
 
-    # legs that run out of budget next to one that starts converged
-    _, _, gsup, iters, stalled = _stacked_and_alone(model, P, [1.0, 0.0, 0.0], 3)
-    assert list(iters) == [0, 3, 3]
-    assert not stalled.any() and (gsup[1:] > 0.0).all()
+        # legs that run out of budget next to one that starts converged
+        _, _, gsup, iters, stalled = _stacked_and_alone(model, P, [1.0, 0.0, 0.0], 3)
+        assert list(iters) == [0, 3, 3]
+        assert not stalled.any() and (gsup[1:] > 0.0).all()
 
 
 def test_a_stack_whose_metric_batch_raises_falls_back_leg_by_leg():
@@ -411,7 +447,8 @@ def test_a_stack_whose_metric_batch_raises_falls_back_leg_by_leg():
             raised.append(len(pts))
             raise
 
-    model = replace(grid, batch_inverse_metric=hook)
+    # without the jet, the gradient probes the metric hook
+    model = replace(grid, batch_inverse_metric=hook, batch_inverse_metric_jet=None)
     rng = np.random.default_rng(8)
     n = 25
     edge = 4.0 - 5e-8

@@ -78,6 +78,21 @@ def test_far_vertical_distance_stays_finite():
     assert rows[1] == poincare_distance((0.0, 1.0), (1e-9, 1.0))
 
 
+def test_distance_past_710_stays_finite():
+    # u = |p - q|^2 / (2 p_y q_y) itself overflows here (its denominator
+    # underflows to 0): the distance is 2 log |p - q| - log p_y - log q_y
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = poincare_distance((0.0, 1e-300), (1.0, 1e-300))
+        rows = poincare_distance(np.array([[0.0, 1e-300], [0.0, 1.0], [0.0, 1e-300]]),
+                                 np.array([[1.0, 1e-300], [0.0, 1e155], [0.0, 1e300]]))
+    assert d == pytest.approx(-2.0 * math.log(1e-300), rel=1e-15)
+    assert d == pytest.approx(1381.551055796, rel=1e-12)
+    assert rows[0] == d
+    assert rows[1] == poincare_distance((0.0, 1.0), (0.0, 1e155))
+    assert rows[2] == pytest.approx(math.log(1e300) - math.log(1e-300), rel=1e-15)
+
+
 def test_distance_rejects_nonpositive_height():
     with pytest.raises(ValueError):
         poincare_distance((0.0, 0.0), (1.0, 1.0))

@@ -250,7 +250,8 @@ def test_grid_evaluator_matches_scipy_bit_for_bit():
                                       bounds_error=True)
         model = grid_model(xs, vs, entries)
         for pts in _lattice_probes(xs, vs, rng):
-            assert ours(pts).tobytes() == ref(pts).tobytes()
+            # the kernel puts the point axis last
+            assert np.moveaxis(ours(pts), -1, 0).tobytes() == ref(pts).tobytes()
             for z in pts[:25]:
                 assert model.sigma(z).tobytes() == ref(z[None, :])[0].tobytes()
         for bad in ([xs[0] - 1e-12, 1.0], [xs[-1] + 1e-9, 1.0],
@@ -261,7 +262,7 @@ def test_grid_evaluator_matches_scipy_bit_for_bit():
 
 
 def test_grid_metric_hook_keeps_the_bits_of_the_einsum_product():
-    from bridgeexit.model import _bilinear, _inv_2x2_batch
+    from bridgeexit.model import _bilinear, _inv_2x2
 
     rng = np.random.default_rng(12)
     xs = np.linspace(-1.0, 3.0, 9)
@@ -270,7 +271,59 @@ def test_grid_metric_hook_keeps_the_bits_of_the_einsum_product():
         interp = _bilinear(xs, vs, entries)
         hook = grid_model(xs, vs, entries).batch_inverse_metric
         for pts in _lattice_probes(xs, vs, rng):
-            s = interp(pts)
+            s = np.moveaxis(interp(pts), -1, 0)
             # a = s s^T as the model once formed it
-            want = _inv_2x2_batch(np.einsum("nij,nkj->nik", s, s), "grid model")
-            assert hook(pts).tobytes() == want.tobytes()
+            a = np.einsum("nij,nkj->nik", s, s)
+            assert a[:, 0, 1].tobytes() == a[:, 1, 0].tobytes()
+            want, _ = _inv_2x2(a[:, 0, 0], a[:, 0, 1], a[:, 1, 1], "grid model")
+            assert hook(pts).tobytes() == want.transpose(2, 0, 1).tobytes()
+
+
+def _cell_interiors(xs, vs, rng, n=400):
+    """Points at least a hundredth of a cell from every lattice line."""
+    i = rng.integers(0, len(xs) - 1, n)
+    j = rng.integers(0, len(vs) - 1, n)
+    tx, tv = rng.uniform(0.01, 0.99, (2, n))
+    return np.column_stack([xs[i] + tx * (xs[i + 1] - xs[i]),
+                            vs[j] + tv * (vs[j + 1] - vs[j])])
+
+
+def test_grid_metric_jet_is_the_hook_and_differentiates_it():
+    rng = np.random.default_rng(31)
+    xs = np.linspace(-1.0, 3.0, 9)
+    vs = np.geomspace(0.02, 3.0, 7)
+    for entries in (sample_field(xs, vs), rng.standard_normal((9, 7, 2, 2))):
+        model = grid_model(xs, vs, entries)
+        for pts in _lattice_probes(xs, vs, rng):
+            A, dA = model.batch_inverse_metric_jet(pts)
+            assert A.tobytes() == model.batch_inverse_metric(pts).tobytes()
+            assert dA.shape == (len(pts), 2, 2, 2)
+        with pytest.raises(ValueError):
+            model.batch_inverse_metric_jet(np.array([[xs[-1] + 1e-9, 1.0]]))
+    # central differences inside cells, on well-conditioned fields
+    for entries in (sample_field(xs, vs),
+                    2.0 * np.eye(2) + 0.3 * rng.standard_normal((9, 7, 2, 2))):
+        model = grid_model(xs, vs, entries)
+        pts = _cell_interiors(xs, vs, rng)
+        A, dA = model.batch_inverse_metric_jet(pts)
+        h = 1e-5 * np.array([xs[1] - xs[0], np.diff(vs).min()])
+        for k in range(2):
+            step = np.zeros(2)
+            step[k] = h[k]
+            fd = (model.batch_inverse_metric(pts + step)
+                  - model.batch_inverse_metric(pts - step)) / (2.0 * h[k])
+            scale = np.abs(dA[:, k]).max(axis=(1, 2))
+            assert (np.abs(fd - dA[:, k]).max(axis=(1, 2)) <= 1e-6 * scale).all()
+            # symmetric, as A is
+            assert dA[:, k].tobytes() == dA[:, k].swapaxes(1, 2).tobytes()
+
+
+def test_volatility_metric_jet_is_minus_two_a_over_v():
+    rng = np.random.default_rng(32)
+    pts = random_half_plane_points(rng, 50)
+    model = hull_white_model(sigma_vol=1.7, rho=-0.4)
+    A, dA = model.batch_inverse_metric_jet(pts)
+    assert A.tobytes() == model.batch_inverse_metric(pts).tobytes()
+    assert (dA[:, 0] == 0.0).all()
+    assert dA[:, 1].tobytes() == (-2.0 * A / pts[:, 1, None, None]).tobytes()
+
