@@ -45,9 +45,7 @@ from .geodesic import (
     SolverOptions,
     distance,
     energy_gradient,
-    geodesic_between,
     path_energy,
-    refine,
     solve_geodesic,
 )
 from .hyperbolic import (

@@ -25,22 +25,16 @@ it gets alone.  The boundary scan uses this to solve the legs of many
 boundary samples together.
 
 The gradient is exact for the quadratic-form part, and the derivative of
-a(m)^{-1} comes from the model's batch_inverse_metric_jet: one call on the
-midpoints returns the metrics and their exact derivatives, with no probes,
-so a box edge needs no special case.  The line search makes that call for
-each trial step, so an accepted step brings its energy, its gradient and
-its Gauss-Newton metrics from one metric evaluation.  A callback model
-without a jet falls back to central finite differences of the inverse
-metric with step 1e-6 times the local coordinate scale: the midpoints and
-all 2d probes are evaluated in one batch call; when that call raises, the
-stack is split in halves down to single paths, and for a single path whose
-probe leaves the domain (a box edge) the probes are evaluated one direction
-at a time, the failing directions with one-sided differences.
+a(m)^{-1} comes from model.inverse_metric_jet: one call on the midpoints
+returns the metrics and their derivatives, exact where the model has a jet
+and by finite differences of the metric where it has none.  The line search
+makes that call for each trial step, so an accepted step brings its energy,
+its gradient and its Gauss-Newton metrics from one metric evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +44,7 @@ from .model import (
     HullWhiteGeometry,
     domain_test_batch,
     inverse_metric_batch,
+    inverse_metric_jet,
 )
 from .paths import DiscretePath
 
@@ -59,13 +54,9 @@ __all__ = [
     "path_energy",
     "energy_gradient",
     "solve_geodesic",
-    "geodesic_between",
     "distance",
-    "refine",
 ]
 
-# Step for the central difference of a^{-1} inside the gradient.
-FD_STEP_SCALE = 1e-6
 # Armijo parameters.
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
@@ -147,10 +138,10 @@ def _energies(model, P, gradients=False):
     """Energy of each path, +inf where a midpoint leaves the domain or the
     metric fails there.
 
-    gradients=True, for a model with a metric jet, also returns what
-    _gradients gives for every path, from the same metric evaluation (NaN
-    where the energy is infinite): the line search evaluates the jet once
-    per trial, and an accepted trial brings its gradient along.
+    gradients=True also returns what _gradients gives for every path, from
+    the same metric evaluation (NaN where the energy is infinite): the line
+    search evaluates the jet once per trial, and an accepted trial brings
+    its gradient along.
     """
     K, n1, d = P.shape
     n = n1 - 1
@@ -191,99 +182,29 @@ def _segment_q(model, pts) -> np.ndarray:
     return _q_form(A, np.diff(pts, axis=0))
 
 
-def _grad_and_metric(model, pts):
-    """Gradient and midpoint inverse metrics of one point array."""
-    g, A = _gradients(model, pts[None])
-    return g[0], A[0]
-
-
 def _gradients(model, P):
     """Gradients w.r.t. interior points, (K, N-1, d), plus the midpoint
     inverse metrics, (K, N, d, d).
 
     The metrics are returned so the minimizer can reuse them for its
-    Gauss-Newton model without a second batch evaluation.  The derivative
-    of the metric comes from the model's jet, one call on the midpoints of
-    every path, or, for a model without one, from _fd_metric_terms.
+    Gauss-Newton model without a second batch evaluation.  Both come from
+    one inverse_metric_jet call on the midpoints of every path.
     """
     K, n1, d = P.shape
     n = n1 - 1
-    mids = (0.5 * (P[:, :-1] + P[:, 1:])).reshape(-1, d)
-    deltas = np.diff(P, axis=1).reshape(-1, d)
-    if model.batch_inverse_metric_jet is not None:
-        A, dA = model.batch_inverse_metric_jet(mids)
-        # contracted point axis last, where the built-in jets keep it
-        # contiguous: A delta and d(delta^T A delta)/dz = delta^T dA_k delta
-        D = np.ascontiguousarray(deltas.T)
-        Av = np.einsum("ijm,jm->im", A.transpose(1, 2, 0), D).T
-        dq = np.einsum("kijm,im,jm->km", dA.transpose(1, 2, 3, 0), D, D).T
-    else:
-        terms = _fd_metric_terms(model, mids, deltas, K)
-        if terms is None:
-            return _halves(_gradients, model, P)
-        A, Av, dq = terms
+    A, dA = inverse_metric_jet(model, (0.5 * (P[:, :-1] + P[:, 1:])).reshape(-1, d))
+    # contracted point axis last, where the built-in jets keep it
+    # contiguous: A delta and d(delta^T A delta)/dz = delta^T dA_k delta
+    D = np.ascontiguousarray(np.diff(P, axis=1).reshape(-1, d).T)
+    Av = np.einsum("ijm,jm->im", A.transpose(1, 2, 0), D).T
+    dq = np.einsum("kijm,im,jm->km", dA.transpose(1, 2, 3, 0), D, D).T
     Av, dq = Av.reshape(K, n, d), dq.reshape(K, n, d)
     g = n * (Av[:, :-1] - Av[:, 1:]) + 0.25 * n * (dq[:, :-1] + dq[:, 1:])
     return g, A.reshape(K, n, d, d)
 
 
-def _fd_metric_terms(model, mids, deltas, K):
-    """(A, A delta, d(delta^T A delta)/dz) at the midpoints of K stacked
-    paths, the derivative by central differences of the metric hook.
-
-    The midpoints and all 2d probes go through one batch evaluation; when
-    it raises, a stack (K > 1) returns None to be split in halves, and a
-    single path evaluates its probes one probe set at a time, so that the
-    directions that leave the domain (a box edge) or meet a non-SPD matrix
-    fall back to one-sided differences.
-    """
-    m, d = mids.shape
-    h = FD_STEP_SCALE * np.maximum(1.0, np.abs(mids).max(axis=1))
-    probes = []
-    for k in range(d):
-        shift = np.zeros(d)
-        shift[k] = 1.0
-        probes += [mids + h[:, None] * shift, mids - h[:, None] * shift]
-    try:
-        stack = inverse_metric_batch(model, np.concatenate([mids, *probes]))
-    except (NotSPD, ValueError):
-        if K > 1:
-            return None
-        A = inverse_metric_batch(model, mids)
-        q = [_q_shifted(model, p, deltas) for p in probes]
-    else:
-        A = stack[:m]
-        # all 2d probe forms in one einsum; per probe set it sums in the
-        # same order as _q_form, bit for bit
-        q = np.einsum("knij,ni,nj->kn", stack[m:].reshape(2 * d, m, d, d),
-                      deltas, deltas)
-    Av = np.einsum("nij,nj->ni", A, deltas)
-    q0 = np.einsum("ni,ni->n", Av, deltas)
-    dq = np.empty((m, d))
-    for k in range(d):
-        qp, qm = q[2 * k], q[2 * k + 1]
-        if qp is None and qm is None:
-            dq[:, k] = 0.0
-        elif qp is None:
-            dq[:, k] = (q0 - qm) / h
-        elif qm is None:
-            dq[:, k] = (qp - q0) / h
-        else:
-            dq[:, k] = (qp - qm) / (2.0 * h)
-    return A, Av, dq
-
-
 def _q_form(A, deltas):
     return np.einsum("nij,ni,nj->n", A, deltas, deltas)
-
-
-def _q_shifted(model, pts, deltas):
-    # One-sided fallback when a tiny probe step leaves the domain (box edges).
-    try:
-        A = inverse_metric_batch(model, pts)
-    except (NotSPD, ValueError):
-        return None
-    return _q_form(A, deltas)
 
 
 def _check_path(model: DiffusionModel, path: DiscretePath) -> np.ndarray:
@@ -302,16 +223,12 @@ def _check_path(model: DiffusionModel, path: DiscretePath) -> np.ndarray:
 def path_energy(model: DiffusionModel, path: DiscretePath) -> float:
     """Discrete energy of a path whose points and midpoints lie in the domain."""
     pts = _check_path(model, path)
-    A = inverse_metric_batch(model, 0.5 * (pts[:-1] + pts[1:]))
-    deltas = np.diff(pts, axis=0)
-    q = np.einsum("nij,ni,nj->n", A, deltas, deltas)
-    return 0.5 * path.n_segments * float(q.sum())
+    return 0.5 * path.n_segments * float(_segment_q(model, pts).sum())
 
 
 def energy_gradient(model: DiffusionModel, path: DiscretePath) -> np.ndarray:
     """Energy gradient w.r.t. the interior points, shape (N-1, d)."""
-    pts = _check_path(model, path)
-    return _grad_and_metric(model, pts)[0]
+    return _gradients(model, _check_path(model, path)[None])[0][0]
 
 
 # ---- Minimization ---- #
@@ -372,11 +289,9 @@ def _line_search(model, P, E, g, A):
     """Armijo backtracking from each path: along its Gauss-Newton direction
     when that is usable (solved, and downhill), then along steepest descent,
     MAX_BACKTRACKS halvings each.  The paths backtrack in lockstep, one
-    energy batch per round.  Returns the accepted paths, their energies and
-    which paths moved at all, and, for a model with a metric jet, the
-    gradients and midpoint metrics of the accepted paths (else None)."""
+    energy batch per round.  Returns the accepted paths, their energies,
+    gradients and midpoint metrics, and which paths moved at all."""
     L = P.shape[0]
-    jet = model.batch_inverse_metric_jet is not None
     p, usable = _gn_direction(A, g, P.shape[1] - 1)
     gTp = (g * p).reshape(L, -1).sum(axis=1)
     usable &= ~(gTp >= 0.0)
@@ -398,22 +313,18 @@ def _line_search(model, P, E, g, A):
     moved = np.zeros(L, dtype=bool)
     trial = P.copy()
     Et = E.copy()
-    terms = (np.empty_like(g), np.empty_like(A)) if jet else None
+    gt, At = np.empty_like(g), np.empty_like(A)
     while searching.any():
         s = np.flatnonzero(searching)
         T = P[s]
         T[:, 1:-1] += alpha[s, None, None] * p[s]
-        if jet:
-            Es, gs, As = _energies(model, T, gradients=True)
-        else:
-            Es = _energies(model, T)
+        Es, gs, As = _energies(model, T, gradients=True)
         ok = Es <= E[s] + ARMIJO_C1 * alpha[s] * gTp[s]
         done = s[ok]
         trial[done] = T[ok]
         Et[done] = Es[ok]
-        if jet:
-            terms[0][done] = gs[ok]
-            terms[1][done] = As[ok]
+        gt[done] = gs[ok]
+        At[done] = As[ok]
         moved[done] = True
         searching[done] = False
         r = s[~ok]
@@ -425,7 +336,7 @@ def _line_search(model, P, E, g, A):
         on_sd[out] = True
         tries[out] = 0
         steepest(out)
-    return trial, Et, moved, terms
+    return trial, Et, gt, At, moved
 
 
 def _minimize_level(model, P, tol, max_iter):
@@ -437,14 +348,12 @@ def _minimize_level(model, P, tol, max_iter):
     unusable; a failed line search along steepest descent, or a run of
     accepted steps whose decrease is below double-precision resolution, is
     reported as a stall (the path is at its floating-point floor).  A path
-    leaves the stack when it converges, stalls or spends max_iter; each
-    iteration takes the gradients of the paths still running in one batch
-    (with a metric jet, the line search brings them along).
+    leaves the stack when it converges, stalls or spends max_iter; the line
+    search brings the gradients of the accepted paths along.
     """
     K = P.shape[0]
     P = P.copy()
-    E = _energies(model, P)
-    g, A = _gradients(model, P)
+    E, g, A = _energies(model, P, gradients=True)
     iters = np.zeros(K, dtype=int)
     stalled = np.zeros(K, dtype=bool)
     no_progress = np.zeros(K, dtype=int)
@@ -454,14 +363,14 @@ def _minimize_level(model, P, tol, max_iter):
         live = live[(iters[live] < max_iter) & ~((gsup <= tol[live]) | (gsup == 0.0))]
         if not live.size:
             break
-        trial, Et, moved, terms = _line_search(model, P[live], E[live], g[live], A[live])
+        trial, Et, gt, At, moved = _line_search(model, P[live], E[live], g[live], A[live])
         # Neither direction admits a float-representable decrease: the
         # energy is at its double-precision floor for this path.
         stalled[live[~moved]] = True
         live = live[moved]
         if not live.size:
             break
-        trial, Et = trial[moved], Et[moved]
+        trial, Et, gt, At = trial[moved], Et[moved], gt[moved], At[moved]
         # Accepted steps whose decrease is below the double-precision
         # resolution of E are no real progress either; a run of them means
         # the same thing.
@@ -470,10 +379,7 @@ def _minimize_level(model, P, tol, max_iter):
         P[live] = trial
         E[live] = Et
         iters[live] += 1
-        if terms is None:
-            g[live], A[live] = _gradients(model, trial)
-        else:
-            g[live], A[live] = terms[0][moved], terms[1][moved]
+        g[live], A[live] = gt, At
         stall = no_progress[live] >= STALL_WINDOW
         stalled[live[stall]] = True
         live = live[~stall]
@@ -594,7 +500,7 @@ def solve_geodesic(
     model: DiffusionModel, x, y, opts: SolverOptions | None = None,
     init: DiscretePath | None = None,
 ) -> GeodesicResult:
-    """Full-diagnostics geodesic solve; geodesic_between is the thin wrapper.
+    """Geodesic between x and y with full diagnostics.
 
     A solve that bottoms out at the double-precision energy floor before
     meeting grad_tol is reported as converged with stalled=True rather than
@@ -644,35 +550,5 @@ def solve_geodesic(
     )
 
 
-def geodesic_between(
-    model: DiffusionModel, x, y, opts: SolverOptions | None = None,
-    init: DiscretePath | None = None,
-):
-    """Minimizing path and induced distance between x and y.
-
-    Returns (DiscretePath, distance) with distance = sqrt(2 E_min).
-    """
-    res = solve_geodesic(model, x, y, opts, init)
-    return res.path, res.distance
-
-
 def distance(model: DiffusionModel, x, y, opts: SolverOptions | None = None) -> float:
     return solve_geodesic(model, x, y, opts).distance
-
-
-def refine(model: DiffusionModel, path: DiscretePath, new_n: int,
-           opts: SolverOptions | None = None):
-    """Interpolate a converged path to a finer grid and re-minimize.
-
-    Returns (DiscretePath, distance).  The re-minimized energy never exceeds
-    the energy of the interpolated path (the line search only accepts
-    decreases).
-    """
-    if new_n < 2:
-        raise ValueError("need at least 2 segments")
-    pts = _resample(path.points, new_n)
-    base = opts or SolverOptions()
-    eff = replace(base, n=new_n, multi_start=1, coarse_init=False)
-    res = solve_geodesic(model, pts[0].copy(), pts[-1].copy(), opts=eff,
-                         init=DiscretePath(pts))
-    return res.path, res.distance

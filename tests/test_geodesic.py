@@ -7,16 +7,15 @@ import pytest
 from bridgeexit import (
     DiscretePath,
     NoConvergence,
+    NotSPD,
     OutsideDomain,
     SolverOptions,
     constant_model,
     distance,
     energy_gradient,
-    geodesic_between,
     hull_white_model,
     hw_distance,
     path_energy,
-    refine,
     solve_geodesic,
 )
 from bridgeexit.paths import path_from_csv, path_to_csv
@@ -121,10 +120,10 @@ def test_flat_geodesic_is_the_chord_at_every_resolution():
     y = np.array([4.0, -2.0])
     expect = math.sqrt(float((y - x) @ G @ (y - x)))
     for n in (2, 10, 64):
-        path, d = geodesic_between(model, x, y, SolverOptions(n=n))
-        assert d == pytest.approx(expect, rel=1e-9)
+        res = solve_geodesic(model, x, y, SolverOptions(n=n))
+        assert res.distance == pytest.approx(expect, rel=1e-9)
         chord = np.linspace(x, y, n + 1)
-        assert np.abs(path.points - chord).max() < 1e-6
+        assert np.abs(res.path.points - chord).max() < 1e-6
 
 
 def test_identity_metric_distance_is_euclidean():
@@ -189,14 +188,21 @@ def test_drift_never_affects_the_distance():
     assert d1 == d2
 
 
-# ---- refinement ---- #
+# ---- refinement: a converged path interpolated to a finer grid ---- #
+
+
+def _refined(model, path, n):
+    # solve_geodesic warm-started from a path of another resolution
+    # interpolates it to n segments and minimizes from there
+    pts = path.points
+    return solve_geodesic(model, pts[0], pts[-1], SolverOptions(n=n), init=path)
 
 
 def test_refine_does_not_increase_energy():
     model = hull_white_model()
     res = solve_geodesic(model, ref.A_X, ref.A_Y, SolverOptions(n=50))
-    fine, d_fine = refine(model, res.path, 100)
-    assert fine.n_segments == 100
+    fine = _refined(model, res.path, 100)
+    assert fine.path.n_segments == 100
     interp_E = path_energy(
         model,
         DiscretePath(
@@ -212,39 +218,32 @@ def test_refine_does_not_increase_energy():
             )
         ),
     )
-    assert 0.5 * d_fine**2 <= interp_E + 1e-12
+    assert 0.5 * fine.distance**2 <= interp_E + 1e-12
 
 
 def test_refinement_differences_shrink():
     model = hull_white_model()
     res = solve_geodesic(model, ref.A_X, ref.A_Y, SolverOptions(n=100))
     d100 = res.distance
-    path200, d200 = refine(model, res.path, 200)
-    _, d400 = refine(model, path200, 400)
-    assert abs(d400 - d200) < abs(d200 - d100)
+    res200 = _refined(model, res.path, 200)
+    d400 = _refined(model, res200.path, 400).distance
+    assert abs(d400 - res200.distance) < abs(res200.distance - d100)
 
 
 def test_refine_to_same_resolution_is_a_no_op():
     model = hull_white_model()
     res = solve_geodesic(model, ref.A_X, ref.A_Y, SolverOptions(n=50))
-    again, d = refine(model, res.path, 50)
-    assert d == pytest.approx(res.distance, rel=1e-6)
-    assert np.abs(again.points - res.path.points).max() < 1e-4
+    again = _refined(model, res.path, 50)
+    assert again.distance == pytest.approx(res.distance, rel=1e-6)
+    assert np.abs(again.path.points - res.path.points).max() < 1e-4
 
 
 def test_refine_of_flat_chord_is_exact_at_every_resolution():
     model = constant_model(np.eye(2))
-    path, d = geodesic_between(model, [0.0, 0.0], [3.0, 4.0], SolverOptions(n=4))
+    res = solve_geodesic(model, [0.0, 0.0], [3.0, 4.0], SolverOptions(n=4))
     for n in (8, 32):
-        path, d = refine(model, path, n)
-        assert d == pytest.approx(5.0, rel=1e-10)
-
-
-def test_refine_validates_segment_count():
-    model = constant_model(np.eye(2))
-    path, _ = geodesic_between(model, [0.0, 0.0], [1.0, 1.0], SolverOptions(n=4))
-    with pytest.raises(ValueError):
-        refine(model, path, 1)
+        res = _refined(model, res.path, n)
+        assert res.distance == pytest.approx(5.0, rel=1e-10)
 
 
 # ---- options, failure modes, diagnostics ---- #
@@ -316,46 +315,63 @@ def test_path_csv_round_trip():
     assert np.abs(back.points - path.points).max() < 1e-10
 
 
-def _per_probe_grad_and_metric(model, pts):
-    # The gradient with every central-difference probe set evaluated on its
-    # own, falling back to one-sided differences where a set fails.
-    from bridgeexit.errors import NotSPD
+def _per_point_jet(model, pts):
+    # (A, dA) one point and one probe at a time: central differences of the
+    # metric, one-sided where a probe leaves the domain or its metric
+    # raises, zero where both do
     from bridgeexit.model import inverse_metric_batch
 
-    def q_of(at, deltas):
+    def metric(z):
+        if not model.domain_test(z):
+            return None
         try:
-            A = inverse_metric_batch(model, at)
+            return inverse_metric_batch(model, z[None])[0]
         except (NotSPD, ValueError):
             return None
-        return np.einsum("nij,ni,nj->n", A, deltas, deltas)
 
-    n, d = pts.shape[0] - 1, pts.shape[1]
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    deltas = np.diff(pts, axis=0)
-    A = inverse_metric_batch(model, mids)
-    Av = np.einsum("nij,nj->ni", A, deltas)
-    g = n * (Av[:-1] - Av[1:])
-    q0 = np.einsum("ni,ni->n", Av, deltas)
-    h = 1e-6 * np.maximum(1.0, np.abs(mids).max(axis=1))
-    dq = np.empty((n, d))
-    for k in range(d):
-        shift = np.zeros(d)
-        shift[k] = 1.0
-        qp = q_of(mids + h[:, None] * shift, deltas)
-        qm = q_of(mids - h[:, None] * shift, deltas)
-        if qp is None and qm is None:
-            dq[:, k] = 0.0
-        elif qp is None:
-            dq[:, k] = (q0 - qm) / h
-        elif qm is None:
-            dq[:, k] = (qp - q0) / h
-        else:
-            dq[:, k] = (qp - qm) / (2.0 * h)
-    return g + 0.25 * n * (dq[:-1] + dq[1:]), A
+    n, d = pts.shape
+    A = np.empty((n, d, d))
+    dA = np.empty((n, d, d, d))
+    for i, z in enumerate(pts):
+        A[i] = inverse_metric_batch(model, z[None])[0]
+        h = 1e-6 * max(1.0, np.abs(z).max())
+        for k in range(d):
+            up, dn = z.copy(), z.copy()
+            up[k] += h
+            dn[k] -= h
+            ap, am = metric(up), metric(dn)
+            if ap is None and am is None:
+                dA[i, k] = 0.0
+            elif ap is None:
+                dA[i, k] = (A[i] - am) / h
+            elif am is None:
+                dA[i, k] = (ap - A[i]) / h
+            else:
+                dA[i, k] = (ap - am) / (2.0 * h)
+    return A, dA
+
+
+def _assert_jet_is_per_point(model, P):
+    """The difference jet at the midpoints of the stack P, and P's
+    gradients, keep the bits of each point and each path alone."""
+    from bridgeexit.geodesic import _gradients
+    from bridgeexit.model import inverse_metric_jet
+
+    d = P.shape[2]
+    mids = (0.5 * (P[:, :-1] + P[:, 1:])).reshape(-1, d)
+    A, dA = inverse_metric_jet(model, mids)
+    A_ref, dA_ref = _per_point_jet(model, mids)
+    assert A.tobytes() == A_ref.tobytes()
+    assert dA.tobytes() == dA_ref.tobytes()
+    g, A = _gradients(model, P)
+    for k in range(len(P)):
+        g_k, A_k = _gradients(model, P[k:k + 1])
+        assert g[k:k + 1].tobytes() == g_k.tobytes()
+        assert A[k:k + 1].tobytes() == A_k.tobytes()
+    return g
 
 
 def test_batched_gradient_probes_match_per_probe_evaluation():
-    from bridgeexit.geodesic import _grad_and_metric
     from bridgeexit.model import grid_model
 
     rng = np.random.default_rng(23)
@@ -366,26 +382,57 @@ def test_batched_gradient_probes_match_per_probe_evaluation():
     entries[..., 0, 1] = 0.05 * vs[None, :]
     entries[..., 1, 1] = vs[None, :] + 0.2 * np.sin(xs)[:, None] ** 2
     grid = grid_model(xs, vs, entries)
-    cases = []
     for n in (25, 30, 50, 200):
+        cases = []
         for model in (hull_white_model(), hull_white_model(sigma_vol=1.7, rho=0.4),
                       constant_model(np.array([[1.0, 0.3], [0.0, 0.8]]))):
-            x = np.array([rng.uniform(-1, 1), rng.uniform(0.3, 2.0)])
-            y = np.array([rng.uniform(-1, 1) + 1.5, rng.uniform(0.3, 2.0)])
-            cases.append((model, wiggly_path(rng, x, y, n=n, floor=0.1).points))
-        cases.append((grid, wiggly_path(rng, np.array([0.5, 0.4]), np.array([3.2, 2.1]),
-                                        n=n).points))
-        # midpoints within 1e-7 of the lower and the right edge of the box
-        edge = np.linspace([0.5, 0.02 + 5e-8], [3.5, 0.02 + 5e-8], n + 1)
-        cases.append((grid, edge))
-        cases.append((grid, np.linspace([4.0 - 5e-8, 0.3], [4.0 - 5e-8, 2.9], n + 1)))
-    for model, pts in cases:
-        # the finite-difference path, as a callback model without a jet takes it
-        model = replace(model, batch_inverse_metric_jet=None)
-        g, A = _grad_and_metric(model, pts)
-        g_ref, A_ref = _per_probe_grad_and_metric(model, pts)
-        assert g.tobytes() == g_ref.tobytes()
-        assert A.tobytes() == A_ref.tobytes()
+            paths = []
+            for _ in range(2):
+                x = np.array([rng.uniform(-1, 1), rng.uniform(0.3, 2.0)])
+                y = np.array([rng.uniform(-1, 1) + 1.5, rng.uniform(0.3, 2.0)])
+                paths.append(wiggly_path(rng, x, y, n=n, floor=0.1).points)
+            # midpoints 5e-7 above v = 0: for the volatility models the edge
+            # of the domain, below which the metric is still finite
+            paths.append(np.linspace([0.0, 5e-7], [1.5, 5e-7], n + 1))
+            cases.append((model, np.stack(paths)))
+        # midpoints within 1e-7 of the lower and the right edge of the box:
+        # their probes leave it
+        cases.append((grid, np.stack([
+            wiggly_path(rng, np.array([0.5, 0.4]), np.array([3.2, 2.1]), n=n).points,
+            np.linspace([0.5, 0.02 + 5e-8], [3.5, 0.02 + 5e-8], n + 1),
+            np.linspace([4.0 - 5e-8, 0.3], [4.0 - 5e-8, 2.9], n + 1),
+        ])))
+        for model, P in cases:
+            # the difference jet, as a callback model without a jet gets it
+            _assert_jet_is_per_point(replace(model, batch_inverse_metric_jet=None), P)
+
+
+def test_a_probe_whose_metric_raises_gets_a_one_sided_difference():
+    from bridgeexit.model import DiffusionModel, inverse_metric_batch, inverse_metric_jet
+
+    def sigma(z):
+        # rank one on the strip 1 <= x <= 1 + 1e-6, a line thickened to the
+        # width of one probe step
+        s = np.array([[1.0 + 0.3 * z[1], 0.1], [0.0, 1.0 + 0.5 * z[0] ** 2]])
+        if 1.0 <= z[0] <= 1.0 + 1e-6:
+            s[1] = 0.0
+        return s
+
+    model = DiffusionModel(dim=2, drift=lambda z: np.zeros(2), sigma=sigma,
+                           domain_test=lambda z: True)
+    # the third midpoint lies 5e-7 before the strip, so its probe in +x
+    # (step 1e-6) lands inside it and the batch of all probes raises
+    near = np.array([[0.2, 0.0], [0.6, 0.2], [1.0 - 5e-7, 0.5], [1.0 - 5e-7, 0.6],
+                     [0.6, 0.9], [0.2, 1.1]])
+    far = near - [0.5, 0.0]
+    mid = 0.5 * (near[2] + near[3])
+    with pytest.raises(NotSPD):
+        inverse_metric_batch(model, (mid + [1e-6, 0.0])[None])
+    A, dA = inverse_metric_jet(model, mid[None])
+    A_dn = inverse_metric_batch(model, (mid - [1e-6, 0.0])[None])
+    assert dA[0, 0].tobytes() == ((A[0] - A_dn[0]) / 1e-6).tobytes()
+    g = _assert_jet_is_per_point(model, np.stack([near, far]))
+    assert np.isfinite(g).all()
 
 
 # ---- stacks of paths ---- #
@@ -409,10 +456,11 @@ def test_a_stack_does_not_change_a_leg():
     base = hull_white_model(sigma_vol=1.2, rho=0.3)
     x, y = np.array([1.0, 0.2]), np.array([2.0, 0.5])
     # with the exact metric derivative, and on a copy without it (finite
-    # differences); the two gradients stall at different sup-norms near
-    # 1e-9, so the leg that must converge first has a tolerance above its
-    # gradient's floor
-    for model, tol in ((base, 1e-8), (replace(base, batch_inverse_metric_jet=None), 1e-9)):
+    # differences); both gradients stall at sup-norms between about 1e-10
+    # and 3e-9, so the leg that must converge first has a tolerance above
+    # that floor
+    tol = 1e-8
+    for model in (base, replace(base, batch_inverse_metric_jet=None)):
         rng = np.random.default_rng(3)
         converged = solve_geodesic(model, x, y, SolverOptions(n=30)).path.points
         P = np.stack([converged, wiggly_path(rng, x, y, n=30, amp=0.1).points,
@@ -441,11 +489,11 @@ def test_a_stack_whose_metric_batch_raises_falls_back_leg_by_leg():
     raised = []
 
     def hook(pts):
-        try:
-            return grid.batch_inverse_metric(pts)
-        except ValueError:
+        # not positive definite on the strip 3.9 < x < 3.95 inside the box
+        if ((3.9 < pts[:, 0]) & (pts[:, 0] < 3.95)).any():
             raised.append(len(pts))
-            raise
+            raise NotSPD("strip")
+        return grid.batch_inverse_metric(pts)
 
     # without the jet, the gradient probes the metric hook
     model = replace(grid, batch_inverse_metric=hook, batch_inverse_metric_jet=None)
@@ -454,16 +502,19 @@ def test_a_stack_whose_metric_batch_raises_falls_back_leg_by_leg():
     edge = 4.0 - 5e-8
     P = np.stack([
         wiggly_path(rng, np.array([0.5, 0.4]), np.array([3.2, 2.1]), n=n).points,
+        # midpoints 2e-6 before the strip: their probes in +x land in it
+        np.linspace([3.9 - 2e-6, 0.3], [3.9 - 2e-6, 2.9], n + 1),
         # midpoints within 1e-7 of the right and the bottom edge of the box:
         # their probes leave it
         np.linspace([edge, 0.3], [edge, 2.9], n + 1),
         np.linspace([0.5, 0.02 + 5e-8], [3.5, 0.02 + 5e-8], n + 1),
         wiggly_path(rng, np.array([1.0, 0.2]), np.array([2.5, 0.9]), n=n).points,
     ])
-    _, E, _, iters, _ = _stacked_and_alone(model, P, [1e-9] * 4, 100)
+    _, E, _, iters, _ = _stacked_and_alone(model, P, [1e-9] * 5, 100)
     assert np.isfinite(E).all() and (iters > 0).all()
-    # the batch of the whole stack (5 n points per leg) raised
-    assert max(raised) >= 4 * 5 * n
+    # the batch of the whole stack raised, more points than any 4 legs hold
+    # (5 n each: n midpoints, 4 n probes)
+    assert max(raised) > 4 * 5 * n
 
 
 def test_cold_and_warm_legs_solve_together_as_alone():
