@@ -6,30 +6,35 @@ A path p_0..p_N on the uniform grid s_i = i/N has energy
 
 with m_i the segment midpoint.  The minimizer over interior points (endpoints
 pinned) discretizes the geodesic between x and y, and the induced distance is
-sqrt(2 E_min).  Minimization is a line-searched Gauss-Newton iteration: each
-step solves the block-tridiagonal Hessian of the energy with the metric
-frozen at the current midpoints (a banded SPD solve), backtracks under the
-Armijo condition, and falls back to steepest descent when that direction is
-unusable.  It runs coarse-to-fine: the straight chord is solved on a coarse
-grid first and the result interpolated upward, which kills the slow
-reparametrization modes cheaply.  Out-of-domain or non-SPD trial steps read
-as infinite energy, so the line search doubles as a domain barrier.
+sqrt(2 E_min).  Minimization is a line-searched Newton iteration.  The
+Hessian of E is block tridiagonal, and each step solves it by a banded
+Cholesky factorization.  A path steps along its Newton direction when
+that Hessian is SPD and the step is downhill, else along its Gauss-Newton
+direction (the Hessian with the metric frozen at the current midpoints),
+else along steepest descent, under the Armijo condition.  A Newton step
+that fails Armijo at a few lengths hands over to Gauss-Newton.  It runs
+coarse-to-fine: the straight chord is solved on a coarse grid first
+and the result interpolated upward, which kills the slow reparametrization
+modes cheaply.  Out-of-domain or non-SPD trial steps read as infinite
+energy, so the line search doubles as a domain barrier.
 
 The minimizer works on a stack of K paths of one resolution, a (K, N+1, d)
 array, and solve_geodesic is the stack at K = 1 (or K = multi_start).  Each
 path keeps its own tolerance, budget, line search and stall rule, and leaves
 the stack when it finishes; an iteration evaluates the metric at every
-running path's midpoints in one batch and solves all Gauss-Newton systems
-in one banded solve of the block-diagonal band.  Every path gets the bits
-it gets alone.  The boundary scan uses this to solve the legs of many
+running path's midpoints in one batch and factors all Hessians in one
+banded Cholesky of the block-diagonal band.  Every path gets the bits it
+gets alone.  The boundary scan uses this to solve the legs of many
 boundary samples together.
 
-The gradient is exact for the quadratic-form part, and the derivative of
-a(m)^{-1} comes from model.inverse_metric_jet: one call on the midpoints
-returns the metrics and their derivatives, exact where the model has a jet
-and by finite differences of the metric where it has none.  The line search
-makes that call for each trial step, so an accepted step brings its energy,
-its gradient and its Gauss-Newton metrics from one metric evaluation.
+The gradient is exact for the quadratic-form part, and the derivatives of
+a(m)^{-1} come from model.inverse_metric_jet: one call on the midpoints
+returns the metrics and their first and second derivatives, exact where
+the model has a jet and by finite differences of the metric (first order
+only) where it has none.  Without a second derivative there is no Newton
+direction, and such a model steps by Gauss-Newton.  The line search makes
+that call for each trial step, so an accepted step brings its energy, its
+gradient and its Hessian terms from one metric evaluation.
 """
 
 from __future__ import annotations
@@ -61,10 +66,15 @@ __all__ = [
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 80
+# Lengths a Newton step tries, from 1 down by BACKTRACK, before its path
+# takes the Gauss-Newton direction.
+NEWTON_TRIES = 4
 # Coarsest level of the continuation.
 COARSE_SEGMENTS = 25
 # Consecutive sub-resolution energy decreases before declaring a stall.
 STALL_WINDOW = 15
+# Relative decrease of the energy below which a step is no progress.
+RESOLUTION = 1e-14
 
 
 @dataclass(frozen=True)
@@ -123,25 +133,14 @@ class GeodesicResult:
 # paths.
 
 
-def _halves(fn, *args):
-    """fn on each half of a stack, the results joined along the stack; the
-    array arguments are the stacked ones."""
-    h = next(a for a in args if isinstance(a, np.ndarray)).shape[0] // 2
-    parts = [fn(*(a[s] if isinstance(a, np.ndarray) else a for a in args))
-             for s in (slice(None, h), slice(h, None))]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(c) for c in zip(*parts))
-    return np.concatenate(parts)
-
-
 def _energies(model, P, gradients=False):
     """Energy of each path, +inf where a midpoint leaves the domain or the
     metric fails there.
 
     gradients=True also returns what _gradients gives for every path, from
     the same metric evaluation (NaN where the energy is infinite): the line
-    search evaluates the jet once per trial, and an accepted trial brings
-    its gradient along.
+    search evaluates the jet on a path's first trial, so that a trial
+    accepted there brings its gradient and its Hessian terms along.
     """
     K, n1, d = P.shape
     n = n1 - 1
@@ -149,26 +148,31 @@ def _energies(model, P, gradients=False):
     E = np.full(K, np.inf)
     out = E
     if gradients:
-        out = E, np.full((K, n - 1, d), np.nan), np.full((K, n, d, d), np.nan)
+        out = E, np.full((K, n - 1, d), np.nan), np.full((3, d, d, K, n), np.nan)
     ok = domain_test_batch(model, mids.reshape(-1, d)).reshape(K, n).all(axis=1)
     if not ok.any():
         return out
     try:
         if gradients:
-            g, A = _gradients(model, P[ok])
+            q, g, T = _gradients(model, P[ok])
         else:
             A = inverse_metric_batch(model, mids[ok].reshape(-1, d))
+            q = _q_form(A.transpose(1, 2, 0), _steps(P[ok]))
     except (NotSPD, ValueError):
         if K == 1:
             return out
-        return _halves(_energies, model, P, gradients)
-    q = _q_form(A.reshape(-1, d, d), np.diff(P[ok], axis=1).reshape(-1, d)).reshape(-1, n)
+        # each half of the stack on its own, down to single paths
+        parts = _energies(model, P[:K // 2], gradients), _energies(model, P[K // 2:], gradients)
+        if not gradients:
+            return np.concatenate(parts)
+        return tuple(np.concatenate(c, axis=a) for c, a in zip(zip(*parts), (0, 0, -2)))
+    q = q.reshape(-1, n)
     finite = np.isfinite(q).all(axis=1)
     kept = np.flatnonzero(ok)[finite]
     E[kept] = 0.5 * n * q[finite].sum(axis=1)
     if gradients:
         out[1][kept] = g[finite]
-        out[2][kept] = A[finite]
+        out[2][..., kept, :] = T[..., finite, :]
     return out
 
 
@@ -179,32 +183,53 @@ def _energy_of(model, pts) -> float:
 
 def _segment_q(model, pts) -> np.ndarray:
     A = inverse_metric_batch(model, 0.5 * (pts[:-1] + pts[1:]))
-    return _q_form(A, np.diff(pts, axis=0))
+    return _q_form(A.transpose(1, 2, 0), _steps(pts[None]))
+
+
+def _steps(P):
+    """The steps of a stack of paths, (d, K N), the point axis last."""
+    return np.ascontiguousarray(np.diff(P, axis=1).reshape(-1, P.shape[2]).T)
+
+
+def _q_form(A, D):
+    """delta^T A delta of each step, from A (d, d, m) and the steps D (d, m),
+    contracted with the point axis last and contiguous."""
+    return np.einsum("ijm,im,jm->m", np.ascontiguousarray(A), D, D)
 
 
 def _gradients(model, P):
-    """Gradients w.r.t. interior points, (K, N-1, d), plus the midpoint
-    inverse metrics, (K, N, d, d).
+    """Segment quadratic forms (K N,), gradients w.r.t. interior points
+    (K, N-1, d), and the Hessian terms of each segment (3, d, d, K, N).
 
-    The metrics are returned so the minimizer can reuse them for its
-    Gauss-Newton model without a second batch evaluation.  Both come from
-    one inverse_metric_jet call on the midpoints of every path.
+    The terms of a segment are its midpoint inverse metric A, the matrix
+    B[j, k] = 2 (dA_k delta)_j and F[k, l] = delta^T d2A_kl delta, F NaN
+    where the model's jet has no second order, with the segments last.
+    All come from one inverse_metric_jet call on the midpoints of every
+    path, and the line search keeps them so the next step needs no second
+    evaluation.
     """
     K, n1, d = P.shape
     n = n1 - 1
-    A, dA = inverse_metric_jet(model, (0.5 * (P[:, :-1] + P[:, 1:])).reshape(-1, d))
+    A, dA, d2A = inverse_metric_jet(model, (0.5 * (P[:, :-1] + P[:, 1:])).reshape(-1, d))
     # contracted point axis last, where the built-in jets keep it
-    # contiguous: A delta and d(delta^T A delta)/dz = delta^T dA_k delta
-    D = np.ascontiguousarray(np.diff(P, axis=1).reshape(-1, d).T)
-    Av = np.einsum("ijm,jm->im", A.transpose(1, 2, 0), D).T
-    dq = np.einsum("kijm,im,jm->km", dA.transpose(1, 2, 3, 0), D, D).T
-    Av, dq = Av.reshape(K, n, d), dq.reshape(K, n, d)
-    g = n * (Av[:, :-1] - Av[:, 1:]) + 0.25 * n * (dq[:, :-1] + dq[:, 1:])
-    return g, A.reshape(K, n, d, d)
-
-
-def _q_form(A, deltas):
-    return np.einsum("nij,ni,nj->n", A, deltas, deltas)
+    # contiguous: W[k] = dA_k delta, and d(delta^T A delta)/dz_k =
+    # delta^T dA_k delta
+    D = _steps(P)
+    A = A.transpose(1, 2, 0)
+    q = _q_form(A, D)
+    Av = np.einsum("ijm,jm->im", A, D)
+    W = np.einsum("kijm,jm->kim", dA.transpose(1, 2, 3, 0), D)
+    dq = np.einsum("kim,im->km", W, D)
+    T = np.empty((3, d, d, K * n))
+    T[0] = A
+    np.multiply(W.swapaxes(0, 1), 2.0, out=T[1])
+    if d2A is None:
+        T[2] = np.nan
+    else:
+        np.einsum("klijm,im,jm->klm", d2A.transpose(1, 2, 3, 4, 0), D, D, out=T[2])
+    Av, dq = Av.reshape(d, K, n), dq.reshape(d, K, n)
+    g = n * (Av[..., :-1] - Av[..., 1:]) + 0.25 * n * (dq[..., :-1] + dq[..., 1:])
+    return q, np.ascontiguousarray(g.transpose(1, 2, 0)), T.reshape(3, d, d, K, n)
 
 
 def _check_path(model: DiffusionModel, path: DiscretePath) -> np.ndarray:
@@ -228,10 +253,13 @@ def path_energy(model: DiffusionModel, path: DiscretePath) -> float:
 
 def energy_gradient(model: DiffusionModel, path: DiscretePath) -> np.ndarray:
     """Energy gradient w.r.t. the interior points, shape (N-1, d)."""
-    return _gradients(model, _check_path(model, path)[None])[0][0]
+    return _gradients(model, _check_path(model, path)[None])[1][0]
 
 
 # ---- Minimization ---- #
+
+# A path's step, in the order the line search falls back through them.
+NEWTON, GAUSS_NEWTON, STEEPEST = 0, 1, 2
 
 
 def _alpha_cap(P, p) -> np.ndarray:
@@ -242,60 +270,129 @@ def _alpha_cap(P, p) -> np.ndarray:
     return 0.25 * np.maximum(span, 1e-12) / sup
 
 
-def _gn_direction(A, g, nseg):
-    """Gauss-Newton steps: solve each frozen-metric Hessian system H p = -g.
+def _hessian(T, nseg, newton):
+    """Diagonal blocks (d, d, K, N-1) and couplings (d, d, K, N-2) of the
+    energy's Hessian in the interior points, from the segment terms T.
 
-    A is (K, N, d, d), g is (K, N-1, d).  H is the exact Hessian of the
-    energy with the metric held fixed at the current midpoints: block
-    tridiagonal, SPD, with diagonal blocks nseg (A[j] + A[j+1]) and couplings
-    -nseg A[j].  The terms it drops (metric derivatives) are exactly the
-    small ones near a geodesic, so the step behaves like Newton where it
-    matters and the Armijo guard handles the rest.  All K systems are one
-    banded solve of the block-diagonal band; its blocks do not couple, and
-    each solves bit for bit as it does alone.  Returns the (K, N-1, d)
-    directions and whether each is usable (its solve succeeded and is
-    finite).
+    Segment s adds (N/2)(2A -/+ (B + B^T)/2 + F/4) to the diagonal blocks
+    of p_s and p_{s+1}, and (N/2)(-2A - B/2 + B^T/2 + F/4) to their
+    coupling (rows p_s, columns p_{s+1}).  newton=False drops B and F: the
+    Gauss-Newton Hessian, the metric frozen at the midpoints, which is SPD
+    wherever the metric is.
     """
-    # scipy loads here, on the first Gauss-Newton step, so that commands
-    # which never solve a path start without it
-    from scipy.linalg import solveh_banded
+    A, B, F = T
+    if not newton:
+        return nseg * (A[..., :-1] + A[..., 1:]), -nseg * A[..., 1:-1]
+    Bt = B.swapaxes(0, 1)
+    G = 2.0 * A + 0.25 * F
+    S = 0.5 * (B + Bt)
+    h = 0.5 * nseg
+    return h * ((G + S)[..., :-1] + (G - S)[..., 1:]), h * (G - 4.0 * A + 0.5 * (Bt - B))[..., 1:-1]
 
-    K, m1, d = g.shape
-    D = nseg * (A[:, :-1] + A[:, 1:])
-    U = -nseg * A[:, 1:m1]
+
+def _band_solve(D, U, g):
+    """Solve H p = -g for each path of a stack, H block tridiagonal with
+    diagonal blocks D (d, d, K, N-1), upper triangles read, and couplings
+    U (d, d, K, N-2).
+
+    All K systems are one banded Cholesky factorization of the
+    block-diagonal band; its blocks do not couple, and each factors and
+    solves bit for bit as it does alone.  A path whose band is not finite,
+    or whose factorization fails (LAPACK's info locates it) or leaves a
+    non-finite factor, is set to the identity, and the paths after it are
+    factored again.  Returns the (K, N-1, d) directions and whether each is
+    usable (SPD and finite; the others are zero).
+    """
+    # scipy loads here, on the first step, so that commands which never
+    # solve a path start without it
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+    K, m, d = g.shape
     u = 2 * d - 1
-    ab = np.zeros((u + 1, K, m1, d))
-    for c in range(d):
-        for cp in range(d):
-            if cp >= c:
-                ab[u + c - cp, :, :, cp] = D[:, :, c, cp]
-            ab[u + c - cp - d, :, 1:, cp] = U[:, :, c, cp]
-    sol = None
-    # scipy's tridiagonal branch (d = 1) refuses a single 1 x 1 system but
-    # not a stack of them: such stacks go one system at a time
-    if K == 1 or m1 * d > 1:
-        try:
-            sol = solveh_banded(ab.reshape(u + 1, -1), -g.reshape(-1), lower=False)
-        except (np.linalg.LinAlgError, ValueError):
-            pass
-    if sol is not None and np.all(np.isfinite(sol)):
-        return sol.reshape(K, m1, d), np.ones(K, dtype=bool)
-    if K == 1:
-        return np.zeros_like(g), np.zeros(1, dtype=bool)
-    return _halves(_gn_direction, A, g, nseg)
+    w = m * d
+    # the upper band column by column: band[k, i, c, r] = H[j + r - u, j]
+    # at column j of point i, coordinate c
+    band = np.zeros((K, m, d, u + 1))
+
+    def fill(k):
+        # the band of paths k on, over zeros; the identity where it is not
+        # finite
+        for c in range(d):
+            for cp in range(c, d):
+                band[k:, :, cp, u + c - cp] = D[c, cp, k:]
+            for cp in range(d):
+                band[k:, 1:, cp, u + c - cp - d] = U[c, cp, k:]
+        bad = ~np.isfinite(band[k:]).all(axis=(1, 2, 3))
+        if bad.any():
+            band[k:][bad] = np.eye(1, u + 1, u)
+        return bad
+
+    ok = ~fill(0)
+    ab = band.reshape(K * w, u + 1).T
+    start = 0
+    while start < K:
+        ab[:, start * w:], info = dpbtrf(ab[:, start * w:], overwrite_ab=1)
+        stop = K if info == 0 else start + (info - 1) // w
+        bad = ~np.isfinite(band[start:stop]).all(axis=(1, 2, 3))
+        k = start + int(np.argmax(bad)) if bad.any() else stop
+        if k == K:
+            break
+        ok[k] = False
+        band[k] = np.eye(1, u + 1, u)
+        band[k + 1:] = 0.0
+        fill(k + 1)
+        start = k + 1
+    rhs = np.where(ok[:, None, None], -g, 0.0).reshape(-1, 1)
+    p, _ = dpbtrs(ab, rhs)
+    p = p.reshape(K, m, d)
+    ok &= np.isfinite(p).all(axis=(1, 2))
+    p[~ok] = 0.0
+    return p, ok
 
 
-def _line_search(model, P, E, g, A):
-    """Armijo backtracking from each path: along its Gauss-Newton direction
-    when that is usable (solved, and downhill), then along steepest descent,
-    MAX_BACKTRACKS halvings each.  The paths backtrack in lockstep, one
-    energy batch per round.  Returns the accepted paths, their energies,
-    gradients and midpoint metrics, and which paths moved at all."""
-    L = P.shape[0]
-    p, usable = _gn_direction(A, g, P.shape[1] - 1)
-    gTp = (g * p).reshape(L, -1).sum(axis=1)
-    usable &= ~(gTp >= 0.0)
+def _line_search(model, P, E, g, T):
+    """Armijo line search from each path, with three directions in turn.
+
+    A path starts on its Newton direction (the exact Hessian, from the
+    segment terms T) when that Hessian is SPD and the step is downhill,
+    else on its Gauss-Newton direction (the metric frozen), else on
+    steepest descent.  A Newton step tries NEWTON_TRIES lengths; if all
+    fail Armijo, the path takes its Gauss-Newton direction instead.  A full
+    Newton step whose predicted decrease -g^T p / 2 is below the RESOLUTION
+    of the energy and fails tells that the path is at its floor: it does
+    not move.  Gauss-Newton and steepest descent backtrack MAX_BACKTRACKS
+    halvings each, and a Gauss-Newton search that runs out falls back to
+    steepest descent.  A path accepts the first length of this sequence
+    that passes Armijo.  The paths search in lockstep, with the trials of a
+    round in one energy batch (two, when some are first trials, which take
+    the jet), and each gets the bits it gets alone; a path that keeps failing
+    tries its next lengths in blocks that double each round (1, 2, 4, ...
+    per direction), which takes a long backtrack in few rounds and accepts
+    the length the one-by-one search accepts.  Returns the accepted paths,
+    their energies, gradients and segment terms, and which paths moved at
+    all.
+    """
+    L, n1, _ = P.shape
+    p = np.zeros_like(g)
+    gTp = np.zeros(L)
     alpha = np.ones(L)
+    kind = np.full(L, NEWTON)
+    tries = np.zeros(L, dtype=int)
+    block = np.ones(L, dtype=int)
+
+    def solve(idx, newton):
+        # the Newton or Gauss-Newton direction of each path in idx; returns
+        # the paths where it is unusable
+        if not idx.size:
+            return idx
+        p[idx], ok = _band_solve(*_hessian(T[..., idx, :], n1 - 1, newton), g[idx])
+        gTp[idx] = (g[idx] * p[idx]).reshape(len(idx), -1).sum(axis=1)
+        ok &= gTp[idx] < 0.0
+        alpha[idx] = 1.0
+        kind[idx] = NEWTON if newton else GAUSS_NEWTON
+        tries[idx] = 0
+        block[idx] = 1
+        return idx[~ok]
 
     def steepest(idx):
         if not idx.size:
@@ -305,55 +402,91 @@ def _line_search(model, P, E, g, A):
         a = 0.5 * np.maximum(E[idx], 1e-300) / np.abs(gTp[idx])
         cap = _alpha_cap(P[idx], p[idx])
         alpha[idx] = np.where(cap < a, cap, a)
+        kind[idx] = STEEPEST
+        tries[idx] = 0
+        block[idx] = 1
 
-    on_sd = ~usable
-    steepest(np.flatnonzero(on_sd))
-    tries = np.zeros(L, dtype=int)
+    steepest(solve(solve(np.arange(L), True), False))
     searching = np.ones(L, dtype=bool)
     moved = np.zeros(L, dtype=bool)
     trial = P.copy()
     Et = E.copy()
-    gt, At = np.empty_like(g), np.empty_like(A)
+    gt, Tt = np.empty_like(g), np.empty_like(T)
+    # A path's first trial, the likeliest to be accepted, brings its
+    # gradient and Hessian terms along; later trials take the energy alone,
+    # and an accepted one gets them after the search.
+    first = np.ones(L, dtype=bool)
+    late = np.zeros(L, dtype=bool)
     while searching.any():
         s = np.flatnonzero(searching)
-        T = P[s]
-        T[:, 1:-1] += alpha[s, None, None] * p[s]
-        Es, gs, As = _energies(model, T, gradients=True)
-        ok = Es <= E[s] + ARMIJO_C1 * alpha[s] * gTp[s]
-        done = s[ok]
-        trial[done] = T[ok]
-        Et[done] = Es[ok]
-        gt[done] = gs[ok]
-        At[done] = As[ok]
+        # the next m lengths of each path's search, alpha BACKTRACK^j for
+        # j < m, within the lengths its direction has left
+        width = np.where(kind == NEWTON, NEWTON_TRIES, MAX_BACKTRACKS) - tries
+        np.minimum(width, block, out=width)
+        m = width[s]
+        rows = np.repeat(s, m)
+        a = alpha[rows] * BACKTRACK ** (np.arange(len(rows)) - np.repeat(np.cumsum(m) - m, m))
+        X = P[rows]
+        X[:, 1:-1] += a[:, None, None] * p[rows]
+        f = first[rows]
+        Es = np.empty(len(rows))
+        if f.any():
+            Es[f], gs, Ts = _energies(model, X[f], gradients=True)
+        if not f.all():
+            Es[~f] = _energies(model, X[~f])
+        first[s] = False
+        ok = np.flatnonzero(Es <= E[rows] + ARMIJO_C1 * a * gTp[rows])
+        # each path's first length that passes
+        done, at = np.unique(rows[ok], return_index=True)
+        at = ok[at]
+        trial[done] = X[at]
+        Et[done] = Es[at]
+        if f.any():
+            fresh = f[at]
+            k = (np.cumsum(f) - 1)[at[fresh]]
+            gt[done[fresh]] = gs[k]
+            Tt[..., done[fresh], :] = Ts[..., k, :]
+        late[done[~f[at]]] = True
         moved[done] = True
         searching[done] = False
-        r = s[~ok]
-        alpha[r] *= BACKTRACK
-        tries[r] += 1
-        out = r[tries[r] == MAX_BACKTRACKS]
-        searching[out[on_sd[out]]] = False
-        out = out[~on_sd[out]]
-        on_sd[out] = True
-        tries[out] = 0
-        steepest(out)
-    return trial, Et, gt, At, moved
+        r = s[searching[s]]
+        # A full Newton step whose predicted decrease is below the
+        # resolution of E fails by roundoff alone: the path is at its floor.
+        full = r[(kind[r] == NEWTON) & (tries[r] == 0)]
+        floor = -0.5 * gTp[full] <= RESOLUTION * np.maximum(np.abs(E[full]), 1e-300)
+        searching[full[floor]] = False
+        r = r[searching[r]]
+        alpha[r] *= BACKTRACK ** width[r]
+        tries[r] += width[r]
+        block[r] *= 2
+        # the last Newton length failed: Gauss-Newton takes over
+        newton = r[(kind[r] == NEWTON) & (tries[r] == NEWTON_TRIES)]
+        out = r[(kind[r] != NEWTON) & (tries[r] == MAX_BACKTRACKS)]
+        searching[out[kind[out] == STEEPEST]] = False
+        steepest(out[kind[out] == GAUSS_NEWTON])
+        steepest(solve(newton, False))
+    late = np.flatnonzero(late)
+    if late.size:
+        Et[late], gt[late], Tt[..., late, :] = _energies(model, trial[late], gradients=True)
+    return trial, Et, gt, Tt, moved
 
 
 def _minimize_level(model, P, tol, max_iter):
-    """Line-searched Gauss-Newton at fixed resolution on a stack of paths.
+    """Line-searched Newton at fixed resolution on a stack of paths.
 
     P is a (K, N+1, d) stack and tol holds each path's gradient tolerance.
-    Returns (P, E, grad_sup, iters, stalled), one entry per path.  Each path
-    falls back to steepest descent whenever its Gauss-Newton direction is
-    unusable; a failed line search along steepest descent, or a run of
-    accepted steps whose decrease is below double-precision resolution, is
-    reported as a stall (the path is at its floating-point floor).  A path
-    leaves the stack when it converges, stalls or spends max_iter; the line
-    search brings the gradients of the accepted paths along.
+    Returns (P, E, grad_sup, iters, stalled), one entry per path.  Each
+    step falls back from Newton to Gauss-Newton to steepest descent as
+    _line_search says; a line search that moves nowhere (steepest descent
+    failed, or a Newton step below the energy's resolution failed), or a
+    run of accepted steps whose decrease is below that resolution, is
+    reported as a stall (the path is at its floating-point floor).  A path leaves the stack when it converges, stalls or spends
+    max_iter; the line search brings the gradients and the Hessian terms
+    of the accepted paths along.
     """
     K = P.shape[0]
     P = P.copy()
-    E, g, A = _energies(model, P, gradients=True)
+    E, g, T = _energies(model, P, gradients=True)
     iters = np.zeros(K, dtype=int)
     stalled = np.zeros(K, dtype=bool)
     no_progress = np.zeros(K, dtype=int)
@@ -363,23 +496,24 @@ def _minimize_level(model, P, tol, max_iter):
         live = live[(iters[live] < max_iter) & ~((gsup <= tol[live]) | (gsup == 0.0))]
         if not live.size:
             break
-        trial, Et, gt, At, moved = _line_search(model, P[live], E[live], g[live], A[live])
-        # Neither direction admits a float-representable decrease: the
-        # energy is at its double-precision floor for this path.
+        trial, Et, gt, Tt, moved = _line_search(model, P[live], E[live], g[live],
+                                                T[..., live, :])
+        # No direction admits a float-representable decrease: the energy
+        # is at its double-precision floor for this path.
         stalled[live[~moved]] = True
         live = live[moved]
         if not live.size:
             break
-        trial, Et, gt, At = trial[moved], Et[moved], gt[moved], At[moved]
+        trial, Et, gt, Tt = trial[moved], Et[moved], gt[moved], Tt[..., moved, :]
         # Accepted steps whose decrease is below the double-precision
         # resolution of E are no real progress either; a run of them means
         # the same thing.
-        small = E[live] - Et <= 1e-14 * np.maximum(np.abs(E[live]), 1e-300)
+        small = E[live] - Et <= RESOLUTION * np.maximum(np.abs(E[live]), 1e-300)
         no_progress[live] = np.where(small, no_progress[live] + 1, 0)
         P[live] = trial
         E[live] = Et
         iters[live] += 1
-        g[live], A[live] = gt, At
+        g[live], T[..., live, :] = gt, Tt
         stall = no_progress[live] >= STALL_WINDOW
         stalled[live[stall]] = True
         live = live[~stall]
@@ -513,7 +647,13 @@ def solve_geodesic(
 
     inits: list[np.ndarray | None]
     if init is not None:
-        inits = [np.asarray(init.points, dtype=float).copy()]
+        pts = np.array(_check_path(model, init), dtype=float)
+        if pts.shape[0] != opts.n + 1:
+            pts = _resample(pts, opts.n)
+        if not np.isfinite(_energy_of(model, pts)):
+            raise OutsideDomain(f"init path at {opts.n} segments leaves the domain "
+                                "or meets a singular metric")
+        inits = [pts]
     else:
         inits = [None]
         floor = opts.floor if opts.floor is not None else _default_floor(model, x, y)

@@ -11,11 +11,12 @@ declare complete=False.  Nothing here verifies the declaration.
 
 Built-in models expose optional vectorized hooks (batch_inverse_metric,
 batch_domain_test) that the path optimizer uses to evaluate a whole path's
-midpoints in one call, and the grid and volatility models an exact
-derivative of the inverse metric (batch_inverse_metric_jet).  Custom
-callback models work without them, just slower.  inverse_metric_jet is
-where the optimizer's energy gradient gets the metric's derivative: the
-model's jet, or finite differences of the metric for a model without one.
+midpoints in one call, and the grid and volatility models the exact first
+and second derivatives of the inverse metric (batch_inverse_metric_jet).
+Custom callback models work without them, just slower.  inverse_metric_jet
+is where the optimizer's energy gradient and Hessian get the metric's
+derivatives: the model's jet, or finite differences of the metric, to the
+first order only, for a model without one.
 grid_model evaluates its bilinear interpolant directly on the lattice
 arrays, bit for bit as scipy's linear RegularGridInterpolator would.  This
 module imports numpy alone: inverses are numpy's, checked positive
@@ -91,14 +92,18 @@ class DiffusionModel:
     domain.  geometry is an optional closed-form tag used for dispatch; the
     batch_* hooks are optional vectorized versions of the pointwise fields.
 
-    batch_inverse_metric_jet, also optional, maps points (n, d) to (A, dA):
-    A is bitwise batch_inverse_metric(pts), shape (n, d, d), and dA[:, k],
-    shape (n, d, d), is the exact derivative dA/dz_k.  inverse_metric_jet
-    returns it, and takes finite differences of the metric hook for a model
-    without one.  Either
-    array may be a view in any memory layout; the built-in jets keep the
-    point axis contiguous, which is the layout the gradient contracts
-    fastest.
+    batch_inverse_metric_jet, also optional, maps points (n, d) to
+    (A, dA, d2A): A is bitwise batch_inverse_metric(pts), shape (n, d, d),
+    dA[:, k], shape (n, d, d), is the exact derivative dA/dz_k, and
+    d2A[:, k, l], shape (n, d, d), is the exact second derivative
+    d2A/dz_k dz_l, or d2A is None for a jet of the first order.
+    inverse_metric_jet returns it, and takes finite differences of the
+    metric hook for a model without one.  Each array, and the metric hook's
+    output, may be a view in any memory layout; the built-in hooks and jets
+    keep the point axis contiguous, which is the layout the energy, the
+    gradient and the Hessian contract fastest.  The path
+    optimizer takes Newton steps where it has d2A and Gauss-Newton steps
+    where it does not.
     """
 
     dim: int
@@ -190,11 +195,13 @@ def domain_test_batch(model: DiffusionModel, pts: np.ndarray) -> np.ndarray:
 
 
 def inverse_metric_jet(model: DiffusionModel, pts: np.ndarray):
-    """(A, dA) at each row of pts: A is inverse_metric_batch(pts), shape
-    (n, d, d), and dA[:, k], shape (n, d, d), is dA/dz_k.
+    """(A, dA, d2A) at each row of pts: A is inverse_metric_batch(pts),
+    shape (n, d, d), dA[:, k], shape (n, d, d), is dA/dz_k, and d2A[:, k, l]
+    is d2A/dz_k dz_l, or None.
 
-    A model's batch_inverse_metric_jet gives the exact derivative.  For a
-    model without one, dA is the central difference of the metric hook with
+    A model's batch_inverse_metric_jet gives the exact derivatives, and
+    d2A where it has a second order.  For a model without one, d2A is None
+    and dA is the central difference of the metric hook with
     step FD_STEP_SCALE times the point's coordinate scale.  A probe outside
     the domain is left out: one probe out gives a one-sided difference, both
     out give zero.  The points and their probes go through one batch call;
@@ -231,7 +238,7 @@ def inverse_metric_jet(model: DiffusionModel, pts: np.ndarray):
     # both are left out and the difference is zero
     span = h * np.maximum(ok.sum(axis=1), 1)
     dA = (Q[:, 0] - Q[:, 1]) / span[..., None, None]
-    return A, dA.transpose(1, 0, 2, 3)
+    return A, dA.transpose(1, 0, 2, 3), None
 
 
 def _inv_2x2(a00, a01, a11, what: str):
@@ -308,16 +315,19 @@ def hull_white_model(
 
     def batch_inv(pts):
         v = pts[:, 1]
-        return cmat[None, :, :] / (v * v)[:, None, None]
+        return (cmat[:, :, None] / (v * v)).transpose(2, 0, 1)
 
     def batch_inv_jet(pts):
-        # A = C / v^2 does not depend on xi, and dA/dv = -2 A / v; component
-        # by component, the point axis last
+        # A = C / v^2 does not depend on xi, dA/dv = -2 A / v and
+        # d2A/dv2 = 6 A / v^2; component by component, the point axis last
         v = pts[:, 1]
-        A = cmat[:, :, None] / (v * v)
+        v2 = v * v
+        A = cmat[:, :, None] / v2
         dA = np.zeros((2,) + A.shape)
         np.divide(-2.0 * A, v, out=dA[1])
-        return A.transpose(2, 0, 1), dA.transpose(3, 0, 1, 2)
+        d2A = np.zeros((2, 2) + A.shape)
+        np.divide(6.0 * A, v2, out=d2A[1, 1])
+        return A.transpose(2, 0, 1), dA.transpose(3, 0, 1, 2), d2A.transpose(4, 0, 1, 2, 3)
 
     return DiffusionModel(
         dim=2,
@@ -337,7 +347,8 @@ def _bilinear(x_nodes: np.ndarray, v_nodes: np.ndarray, entries: np.ndarray):
 
     evaluate(pts) maps pts (n, 2) to the interpolant component by component,
     shape entries.shape[2:] + (n,); evaluate(pts, jet=True) also returns its
-    partial derivatives d/dx and d/dv, stacked on a leading axis of 2.  The
+    partial derivatives d/dx and d/dv, stacked on a leading axis of 2, and
+    its one second derivative d2/dx dv (d2/dx2 and d2/dv2 vanish).  The
     four corner terms are added to 0.0 in the order (1-tx)(1-tv), (1-tx)tv,
     tx(1-tv), tx tv, and a point on the last node uses the last cell with
     weight 1, so the values match scipy's linear RegularGridInterpolator bit
@@ -406,10 +417,12 @@ def _bilinear(x_nodes: np.ndarray, v_nodes: np.ndarray, entries: np.ndarray):
         slopes[0].take(k, axis=1, out=c, mode="clip")
         np.multiply(c[m:], tv, out=ds[0])
         ds[0] += c[:m]
+        # d2/dx dv = twist / (dx dv), from the slope twist / dx at hand
+        dxv = c[m:] / hv
         slopes[1].take(k, axis=1, out=c, mode="clip")
         np.multiply(c[m:], tx, out=ds[1])
         ds[1] += c[:m]
-        return out, ds.reshape((2,) + out.shape)
+        return out, ds.reshape((2,) + out.shape), dxv.reshape(out.shape)
 
     return evaluate
 
@@ -421,7 +434,8 @@ def grid_model(x_nodes, v_nodes, entries, complete: bool = True) -> DiffusionMod
     each lattice node.  The domain is the closed bounding box of the nodes.
     Completeness cannot be inferred from samples, so the caller declares it.
     sigma, the metric hook and its jet share one interpolation kernel; the
-    jet differentiates the interpolant of the cell each point falls in.
+    jet differentiates the interpolant of the cell each point falls in, to
+    the second order.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     v_nodes = np.asarray(v_nodes, dtype=float)
@@ -457,29 +471,56 @@ def grid_model(x_nodes, v_nodes, entries, complete: bool = True) -> DiffusionMod
         (s00, s01), (s10, s11) = s
         return s00 * s00 + s01 * s01, s00 * s10 + s01 * s11, s10 * s10 + s11 * s11
 
+    def cross(s, t):
+        # the entries of s t^T + t s^T
+        (s00, s01), (s10, s11) = s
+        (t00, t01), (t10, t11) = t
+        return (2.0 * (s00 * t00 + s01 * t01), s00 * t10 + t00 * s10 + s01 * t11 + t01 * s11,
+                2.0 * (s10 * t10 + s11 * t11))
+
+    def mixed(a, b):
+        # tr(adj(a) b) of symmetric a and b, the derivative of det along b
+        return a[2] * b[0] - (a[1] + a[1]) * b[1] + a[0] * b[2]
+
     def batch_inv(pts):
         inv, _ = _inv_2x2(*gram(interp(pts)), "grid model")
-        return inv.transpose(2, 0, 1).copy()
+        return inv.transpose(2, 0, 1)
 
     def batch_inv_jet(pts):
-        # component by component, the point axis last; both directions at
-        # once: da = ds s^T + s ds^T, and
-        # dA = -A da A = (adj(da) - A tr(adj(a) da)) / det
-        s, ds = interp(pts, jet=True)
-        a00, a01, a11 = gram(s)
-        A, det = _inv_2x2(a00, a01, a11, "grid model")
-        (s00, s01), (s10, s11) = s
-        d00, d01, d10, d11 = ds[:, 0, 0], ds[:, 0, 1], ds[:, 1, 0], ds[:, 1, 1]
-        da00 = 2.0 * (s00 * d00 + s01 * d01)
-        da01 = s00 * d10 + d00 * s10 + s01 * d11 + d01 * s11
-        da11 = 2.0 * (s10 * d10 + s11 * d11)
-        ddet = a11 * da00 - (a01 + a01) * da01 + a00 * da11
+        # component by component, the point axis last, both directions at
+        # once.  With da_k = ds_k s^T + s ds_k^T and t_k = tr(adj(a) da_k),
+        # dA_k = -A da_k A = (adj(da_k) - A t_k) / det, and its derivative
+        # d2A_kl = (adj(d2a_kl) - dA_k t_l - dA_l t_k
+        #           - A (tr(adj(da_k) da_l) + tr(adj(a) d2a_kl))) / det,
+        # where d2a_kl = ds_k ds_l^T + ds_l ds_k^T, plus s T^T + T s^T for
+        # k != l, T = d2s/dx dv
+        s, ds, T = interp(pts, jet=True)
+        a = gram(s)
+        A, det = _inv_2x2(*a, "grid model")
+        ds = ds.transpose(1, 2, 0, 3)
+        da = cross(s, ds)
+        t = mixed(a, da)
         dA = np.empty((2,) + A.shape)
-        np.divide(da11 - A[0, 0] * ddet, det, out=dA[:, 0, 0])
-        np.divide(da01 + A[0, 1] * ddet, -det, out=dA[:, 0, 1])
+        np.divide(da[2] - A[0, 0] * t, det, out=dA[:, 0, 0])
+        np.divide(da[1] + A[0, 1] * t, -det, out=dA[:, 0, 1])
         dA[:, 1, 0] = dA[:, 0, 1]
-        np.divide(da00 - A[1, 1] * ddet, det, out=dA[:, 1, 1])
-        return A.transpose(2, 0, 1), dA.transpose(3, 0, 1, 2)
+        np.divide(da[0] - A[1, 1] * t, det, out=dA[:, 1, 1])
+        # the pairs (k, l) on two axes, by broadcasting
+        d2a = cross(ds[:, :, :, None], ds[:, :, None])
+        for e, f in zip(d2a, cross(s, T)):
+            e[0, 1] += f
+            e[1, 0] += f
+        c = mixed([e[:, None] for e in da], [e[None] for e in da]) + mixed(a, d2a)
+        d2A = np.empty((2, 2) + c.shape)
+        for (i, j), adj in (((0, 0), d2a[2]), ((0, 1), -d2a[1]), ((1, 1), d2a[0])):
+            e = adj - A[i, j] * c
+            e -= dA[:, None, i, j] * t[None]
+            e -= dA[None, :, i, j] * t[:, None]
+            np.divide(e, det, out=d2A[i, j])
+        # symmetric in (i, j) and, bit for bit, in (k, l)
+        d2A[1, 0] = d2A[0, 1]
+        d2A[:, :, 1, 0] = d2A[:, :, 0, 1]
+        return A.transpose(2, 0, 1), dA.transpose(3, 0, 1, 2), d2A.transpose(4, 2, 3, 0, 1)
 
     zero = np.zeros(2)
     return DiffusionModel(

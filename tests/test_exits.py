@@ -828,20 +828,20 @@ def test_batched_scan_matches_scalar_distances_bit_for_bit(kind):
 # change of the refinement or of the solver moves these bits.
 PINNED_SCANS = {
     "grid": {
-        "J": "0x1.e7750bdbbd934p+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f26e5bca158cbp-1"),
-        "u_bar": "0x1.7e788a7545dddp-1",
-        "d_xy": "0x1.468c6d3b8ddf0p+1",
-        "d_xz": "0x1.675c90de573a6p+1",
-        "d_zy": "0x1.e6cfb95c82e48p-1",
+        "J": "0x1.e7750bddbde3ep+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e85ed0adf8p-1"),
+        "u_bar": "0x1.7e7885a5913c5p-1",
+        "d_xy": "0x1.468c6d3b8dca8p+1",
+        "d_xz": "0x1.675c8c597422ep+1",
+        "d_zy": "0x1.e6cfcb72304d9p-1",
     },
     "force_numeric": {
-        "J": "0x1.e7620e7120d95p+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f26e7fafb6bc7p-1"),
-        "u_bar": "0x1.7e772bc3f2acdp-1",
-        "d_xy": "0x1.468b1c748ee65p+1",
-        "d_xz": "0x1.6756d6508103bp+1",
-        "d_zy": "0x1.e6cedafa35086p-1",
+        "J": "0x1.e7620e7120bb9p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e85d87abf8p-1"),
+        "u_bar": "0x1.7e772b0fe58dfp-1",
+        "d_xy": "0x1.468b1c748ee56p+1",
+        "d_xz": "0x1.6756d5a756f3fp+1",
+        "d_zy": "0x1.e6cedd9edd251p-1",
     },
 }
 
@@ -872,7 +872,8 @@ def test_solver_scan_results_are_pinned_and_worker_independent(case):
 
 
 def test_result_counts_scan_legs_that_ran_out_of_budget():
-    opts = SolverOptions(n=50, max_iter=2, strict=False)
+    # one iteration: a warm-started Newton leg can converge in two
+    opts = SolverOptions(n=50, max_iter=1, strict=False)
     res = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y,
                            VerticalBarrier(ref.A_BARRIER), opts=opts, force_numeric=True)
     # 256 samples of two legs each, nearly all of them cut short

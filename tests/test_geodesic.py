@@ -77,16 +77,7 @@ def test_gradient_matches_finite_differences():
 def test_exact_gradient_matches_energy_differences_on_a_grid():
     # the grid model's metric jet in the gradient, against central
     # differences of the energy; the path's points stay inside lattice cells
-    from bridgeexit.model import grid_model
-
-    xs = np.linspace(0.0, 4.0, 13)
-    vs = np.linspace(0.02, 3.0, 13)
-    entries = np.zeros((13, 13, 2, 2))
-    entries[..., 0, 0] = vs[None, :] * (1.0 + 0.1 * xs[:, None])
-    entries[..., 0, 1] = 0.05 * vs[None, :]
-    entries[..., 1, 0] = 0.1 * np.cos(xs)[:, None]
-    entries[..., 1, 1] = vs[None, :] + 0.2 * np.sin(xs)[:, None] ** 2
-    model = grid_model(xs, vs, entries)
+    model = _twisted_grid()
     assert model.batch_inverse_metric_jet is not None
     s = np.linspace(0.0, 1.0, 41)
     pts = np.column_stack([0.4 + 3.0 * s, 0.5 + 1.5 * s + 0.3 * np.sin(np.pi * s)])
@@ -101,6 +92,54 @@ def test_exact_gradient_matches_energy_differences_on_a_grid():
             fd[i - 1, c] = (path_energy(model, DiscretePath(up))
                             - path_energy(model, DiscretePath(dn))) / (2 * h)
     assert np.abs(fd - g).max() / np.abs(g).max() <= 1e-6
+
+
+def _twisted_grid():
+    # a 13 x 13 grid whose sigma has a nonzero mixed derivative d2/dx dv
+    from bridgeexit.model import grid_model
+
+    xs = np.linspace(0.0, 4.0, 13)
+    vs = np.linspace(0.02, 3.0, 13)
+    entries = np.zeros((13, 13, 2, 2))
+    entries[..., 0, 0] = vs[None, :] * (1.0 + 0.1 * xs[:, None])
+    entries[..., 0, 1] = 0.05 * vs[None, :]
+    entries[..., 1, 0] = 0.1 * np.cos(xs)[:, None]
+    entries[..., 1, 1] = vs[None, :] + 0.2 * np.sin(xs)[:, None] ** 2
+    return grid_model(xs, vs, entries)
+
+
+def test_newton_hessian_matches_gradient_differences():
+    # the assembled band, the exact Hessian of the energy, against central
+    # differences of energy_gradient on curved paths; the grid path's
+    # midpoints and their shifted copies stay inside lattice cells
+    from bridgeexit.geodesic import _gradients, _hessian
+
+    s = np.linspace(0.0, 1.0, 41)
+    curved = np.column_stack([0.4 + 3.0 * s, 0.5 + 1.5 * s + 0.3 * np.sin(np.pi * s)])
+    for model in (_twisted_grid(), hull_white_model(sigma_vol=1.3, rho=0.4)):
+        n = len(curved) - 1
+        _, _, T = _gradients(model, curved[None])
+        D, U = _hessian(T, n, True)
+        m = n - 1
+        H = np.zeros((m, 2, m, 2))
+        for i in range(m):
+            H[i, :, i, :] = np.triu(D[..., 0, i]) + np.triu(D[..., 0, i], 1).T
+        for i in range(m - 1):
+            H[i, :, i + 1, :] = U[..., 0, i]
+            H[i + 1, :, i, :] = U[..., 0, i].T
+        fd = np.zeros_like(H)
+        h = 1e-6
+        for i in range(m):
+            for c in range(2):
+                up, dn = curved.copy(), curved.copy()
+                up[i + 1, c] += h
+                dn[i + 1, c] -= h
+                fd[:, :, i, c] = (energy_gradient(model, DiscretePath(up))
+                                  - energy_gradient(model, DiscretePath(dn))) / (2 * h)
+        assert np.abs(fd - H).max() <= 1e-6 * np.abs(H).max()
+        # the upper triangle of each diagonal block is what the solve reads;
+        # the lower one agrees with it to roundoff
+        assert np.allclose(D[0, 1], D[1, 0], rtol=1e-12, atol=1e-12 * np.abs(D).max())
 
 
 def test_gradient_vanishes_on_straight_line_in_flat_metric():
@@ -282,6 +321,24 @@ def test_endpoint_outside_domain_is_rejected():
         solve_geodesic(model, [0.0, -1.0], [1.0, 1.0])
 
 
+def test_init_path_outside_domain_is_rejected():
+    from bridgeexit.model import grid_model
+
+    vs = np.linspace(0.02, 3.0, 13)
+    entries = np.zeros((13, 13, 2, 2))
+    entries[..., 0, 0] = entries[..., 1, 1] = vs[None, :]
+    grid = grid_model(np.linspace(0.0, 4.0, 13), vs, entries)
+    x, y = np.array([1.0, 0.5]), np.array([2.0, 0.5])
+    for model in (hull_white_model(), grid):
+        # the middle point at v = -0.5, at the target resolution and at one
+        # that is resampled to it
+        for m in (20, 10):
+            pts = np.linspace(x, y, m + 1)
+            pts[m // 2, 1] = -0.5
+            with pytest.raises(OutsideDomain, match="outside the model domain"):
+                solve_geodesic(model, x, y, SolverOptions(n=20), init=DiscretePath(pts))
+
+
 def test_multi_start_reports_spread_and_keeps_the_best():
     model = hull_white_model()
     single = solve_geodesic(model, ref.A_X, ref.A_Y, SolverOptions(n=60))
@@ -359,15 +416,18 @@ def _assert_jet_is_per_point(model, P):
 
     d = P.shape[2]
     mids = (0.5 * (P[:, :-1] + P[:, 1:])).reshape(-1, d)
-    A, dA = inverse_metric_jet(model, mids)
+    A, dA, d2A = inverse_metric_jet(model, mids)
     A_ref, dA_ref = _per_point_jet(model, mids)
     assert A.tobytes() == A_ref.tobytes()
     assert dA.tobytes() == dA_ref.tobytes()
-    g, A = _gradients(model, P)
+    assert d2A is None
+    q, g, T = _gradients(model, P)
+    q = q.reshape(len(P), -1)
     for k in range(len(P)):
-        g_k, A_k = _gradients(model, P[k:k + 1])
+        q_k, g_k, T_k = _gradients(model, P[k:k + 1])
+        assert q[k].tobytes() == q_k.tobytes()
         assert g[k:k + 1].tobytes() == g_k.tobytes()
-        assert A[k:k + 1].tobytes() == A_k.tobytes()
+        assert T[..., k:k + 1, :].tobytes() == T_k.tobytes()
     return g
 
 
@@ -428,7 +488,7 @@ def test_a_probe_whose_metric_raises_gets_a_one_sided_difference():
     mid = 0.5 * (near[2] + near[3])
     with pytest.raises(NotSPD):
         inverse_metric_batch(model, (mid + [1e-6, 0.0])[None])
-    A, dA = inverse_metric_jet(model, mid[None])
+    A, dA, _ = inverse_metric_jet(model, mid[None])
     A_dn = inverse_metric_batch(model, (mid - [1e-6, 0.0])[None])
     assert dA[0, 0].tobytes() == ((A[0] - A_dn[0]) / 1e-6).tobytes()
     g = _assert_jet_is_per_point(model, np.stack([near, far]))
@@ -455,10 +515,10 @@ def _stacked_and_alone(model, P, tol, max_iter):
 def test_a_stack_does_not_change_a_leg():
     base = hull_white_model(sigma_vol=1.2, rho=0.3)
     x, y = np.array([1.0, 0.2]), np.array([2.0, 0.5])
-    # with the exact metric derivative, and on a copy without it (finite
-    # differences); both gradients stall at sup-norms between about 1e-10
-    # and 3e-9, so the leg that must converge first has a tolerance above
-    # that floor
+    # with the exact metric jet (Newton steps), and on a copy without it
+    # (finite differences, Gauss-Newton steps); legs run with tolerance 0
+    # stall at gradient sup-norms up to 5e-9 with the jet and 1e-9 without,
+    # so the leg that must converge first has a tolerance above that floor
     tol = 1e-8
     for model in (base, replace(base, batch_inverse_metric_jet=None)):
         rng = np.random.default_rng(3)
@@ -536,3 +596,47 @@ def test_cold_and_warm_legs_solve_together_as_alone():
     res = solve_geodesic(model, X[0], Y[0], opts)
     assert res.energy == stacked[1][0]
     assert res.path.points.tobytes() == stacked[0][0].tobytes()
+
+
+def test_newton_gauss_newton_and_steepest_legs_share_a_round(monkeypatch):
+    import bridgeexit.geodesic as geodesic
+
+    base = hull_white_model(sigma_vol=1.2, rho=0.3)
+    flip = np.array([[-1.0, 1.0], [1.0, 1.0]])
+
+    def inv(pts):
+        # past x = 5 the hook is indefinite: no Cholesky factors a Hessian
+        # there, and the leg takes steepest descent
+        A = base.batch_inverse_metric(pts)
+        return np.where((pts[:, 0] > 5.0)[:, None, None], A * flip, A)
+
+    def jet(pts):
+        # past x = 3 the jet has no usable second order: Gauss-Newton
+        _, dA, d2A = base.batch_inverse_metric_jet(pts)
+        dA = np.where((pts[:, 0] > 5.0)[:, None, None, None], dA * flip, dA)
+        return inv(pts), dA, np.where((pts[:, 0] > 3.0)[:, None, None, None, None], np.nan, d2A)
+
+    model = replace(base, batch_inverse_metric=inv, batch_inverse_metric_jet=jet)
+    rng = np.random.default_rng(9)
+    n = 20
+    x, y = np.array([1.0, 0.2]), np.array([2.0, 0.5])
+    near = solve_geodesic(base, x, y, SolverOptions(n=n)).path.points
+    near[1:-1] += 1e-3 * rng.standard_normal((n - 1, 2))
+    P = np.stack([near,
+                  wiggly_path(rng, np.array([3.5, 0.4]), np.array([4.5, 0.6]), n=n).points,
+                  wiggly_path(rng, np.array([6.0, 0.4]), np.array([7.0, 0.6]), n=n).points])
+    usable = []
+    band_solve = geodesic._band_solve
+
+    def spy(D, U, g):
+        p, ok = band_solve(D, U, g)
+        usable.append(ok.tolist())
+        return p, ok
+
+    monkeypatch.setattr(geodesic, "_band_solve", spy)
+    _, E, _, iters, _ = geodesic._minimize_level(model, P, np.full(3, 1e-9), 1)
+    # the first round: Newton for all three, then Gauss-Newton for the two
+    # it failed, which fails the third
+    assert usable[:2] == [[True, False, False], [True, False]]
+    assert (iters == 1).all() and np.isfinite(E).all()
+    _stacked_and_alone(model, P, [1e-9] * 3, 4)

@@ -295,7 +295,7 @@ def test_grid_metric_jet_is_the_hook_and_differentiates_it():
     for entries in (sample_field(xs, vs), rng.standard_normal((9, 7, 2, 2))):
         model = grid_model(xs, vs, entries)
         for pts in _lattice_probes(xs, vs, rng):
-            A, dA = model.batch_inverse_metric_jet(pts)
+            A, dA, _ = model.batch_inverse_metric_jet(pts)
             assert A.tobytes() == model.batch_inverse_metric(pts).tobytes()
             assert dA.shape == (len(pts), 2, 2, 2)
         with pytest.raises(ValueError):
@@ -305,7 +305,7 @@ def test_grid_metric_jet_is_the_hook_and_differentiates_it():
                     2.0 * np.eye(2) + 0.3 * rng.standard_normal((9, 7, 2, 2))):
         model = grid_model(xs, vs, entries)
         pts = _cell_interiors(xs, vs, rng)
-        A, dA = model.batch_inverse_metric_jet(pts)
+        A, dA, _ = model.batch_inverse_metric_jet(pts)
         h = 1e-5 * np.array([xs[1] - xs[0], np.diff(vs).min()])
         for k in range(2):
             step = np.zeros(2)
@@ -322,8 +322,55 @@ def test_volatility_metric_jet_is_minus_two_a_over_v():
     rng = np.random.default_rng(32)
     pts = random_half_plane_points(rng, 50)
     model = hull_white_model(sigma_vol=1.7, rho=-0.4)
-    A, dA = model.batch_inverse_metric_jet(pts)
+    A, dA, _ = model.batch_inverse_metric_jet(pts)
     assert A.tobytes() == model.batch_inverse_metric(pts).tobytes()
     assert (dA[:, 0] == 0.0).all()
     assert dA[:, 1].tobytes() == (-2.0 * A / pts[:, 1, None, None]).tobytes()
 
+
+
+def test_grid_metric_jet_second_order_differentiates_its_first():
+    # d2A against central differences of the jet's own dA, inside cells,
+    # on the fields of the first-order test
+    rng = np.random.default_rng(33)
+    xs = np.linspace(-1.0, 3.0, 9)
+    vs = np.geomspace(0.02, 3.0, 7)
+    for entries in (sample_field(xs, vs),
+                    2.0 * np.eye(2) + 0.3 * rng.standard_normal((9, 7, 2, 2))):
+        model = grid_model(xs, vs, entries)
+        pts = _cell_interiors(xs, vs, rng)
+        A, dA, d2A = model.batch_inverse_metric_jet(pts)
+        assert d2A.shape == (len(pts), 2, 2, 2, 2)
+        h = 1e-5 * np.array([xs[1] - xs[0], np.diff(vs).min()])
+        for l in range(2):
+            step = np.zeros(2)
+            step[l] = h[l]
+            fd = (model.batch_inverse_metric_jet(pts + step)[1]
+                  - model.batch_inverse_metric_jet(pts - step)[1]) / (2.0 * h[l])
+            for k in range(2):
+                scale = np.abs(d2A[:, k, l]).max(axis=(1, 2))
+                assert (np.abs(fd[:, k] - d2A[:, k, l]).max(axis=(1, 2)) <= 1e-6 * scale).all()
+                # symmetric in the entries, as A is
+                assert d2A[:, k, l].tobytes() == d2A[:, k, l].swapaxes(1, 2).tobytes()
+        assert d2A[:, 0, 1].tobytes() == d2A[:, 1, 0].tobytes()
+
+
+def test_volatility_metric_jet_second_order_is_six_a_over_v_squared():
+    rng = np.random.default_rng(34)
+    pts = random_half_plane_points(rng, 50)
+    model = hull_white_model(sigma_vol=1.7, rho=-0.4)
+    A, _, d2A = model.batch_inverse_metric_jet(pts)
+    v = pts[:, 1]
+    assert d2A[:, 1, 1].tobytes() == (6.0 * A / (v * v)[:, None, None]).tobytes()
+    assert (d2A[:, 0] == 0.0).all() and (d2A[:, 1, 0] == 0.0).all()
+
+
+def test_a_model_without_a_jet_has_no_second_order():
+    from dataclasses import replace
+
+    from bridgeexit.model import inverse_metric_jet
+
+    model = replace(hull_white_model(), batch_inverse_metric_jet=None)
+    pts = random_half_plane_points(np.random.default_rng(35), 5)
+    A, dA, d2A = inverse_metric_jet(model, pts)
+    assert d2A is None and dA.shape == (5, 2, 2, 2)
