@@ -249,14 +249,12 @@ def solver_from_view(view: ConfigView) -> SolverOptions:
     grad_tol = view.get_float("solver.grad_tol", default=None)
     max_iter = view.get_int("solver.max_iter", default=5000)
     multi_start = view.get_int("solver.multi_start", default=1)
-    coarse_init = view.get_bool("solver.coarse_init", default=True)
     try:
         return SolverOptions(
             n=n,
             grad_tol=grad_tol,
             max_iter=max_iter,
             multi_start=multi_start,
-            coarse_init=coarse_init,
         )
     except ValueError as exc:
         raise ConfigError(f"solver options: {exc}")

@@ -12,11 +12,11 @@ Cholesky factorization.  A path steps along its Newton direction when
 that Hessian is SPD and the step is downhill, else along its Gauss-Newton
 direction (the Hessian with the metric frozen at the current midpoints),
 else along steepest descent, under the Armijo condition.  A Newton step
-that fails Armijo at a few lengths hands over to Gauss-Newton.  It runs
-coarse-to-fine: the straight chord is solved on a coarse grid first
-and the result interpolated upward, which kills the slow reparametrization
-modes cheaply.  Out-of-domain or non-SPD trial steps read as infinite
-energy, so the line search doubles as a domain barrier.
+that fails Armijo at a few lengths hands over to Gauss-Newton.  A cold
+path starts from the straight chord at the target resolution; the Newton
+steps resolve its slow reparametrization modes.  Out-of-domain or non-SPD
+trial steps read as infinite energy, so the line search doubles as a
+domain barrier.
 
 The minimizer works on a stack of K paths of one resolution, a (K, N+1, d)
 array, and solve_geodesic is the stack at K = 1 (or K = multi_start).  Each
@@ -69,8 +69,6 @@ MAX_BACKTRACKS = 80
 # Lengths a Newton step tries, from 1 down by BACKTRACK, before its path
 # takes the Gauss-Newton direction.
 NEWTON_TRIES = 4
-# Coarsest level of the continuation.
-COARSE_SEGMENTS = 25
 # Consecutive sub-resolution energy decreases before declaring a stall.
 STALL_WINDOW = 15
 # Relative decrease of the energy below which a step is no progress.
@@ -82,22 +80,17 @@ class SolverOptions:
     """Knobs for the path optimizer.
 
     grad_tol None means grad_tol_rel times the initial chord energy at the
-    target resolution.  floor, when given, clamps chord/perturbation initializations
-    coordinatewise from below; for volatility-type models it defaults to
-    1e-3 times the smaller endpoint volatility on the second coordinate.
-    multi_start > 1 adds perturbed-chord restarts and records their spread.
-    strict=False returns the best path found instead of raising NoConvergence
-    when the iteration budget runs out; grad_sup in the result says how far
-    the run got.
+    target resolution.  multi_start > 1 adds perturbed-chord restarts and
+    records their spread.  strict=False returns the best path found instead
+    of raising NoConvergence when the iteration budget runs out; grad_sup in
+    the result says how far the run got.
     """
 
     n: int = 200
     grad_tol: float | None = None
     grad_tol_rel: float = 1e-8
     max_iter: int = 5000
-    floor: np.ndarray | None = None
     multi_start: int = 1
-    coarse_init: bool = True
     strict: bool = True
 
     def __post_init__(self):
@@ -526,7 +519,8 @@ def _resample(pts: np.ndarray, new_n: int) -> np.ndarray:
     return np.column_stack([np.interp(new, old, pts[:, k]) for k in range(pts.shape[1])])
 
 
-def _default_floor(model: DiffusionModel, x, y) -> np.ndarray | None:
+def _chord_floor(model: DiffusionModel, x, y) -> np.ndarray | None:
+    """Coordinatewise lower bound of the chords from x to y, or None."""
     if isinstance(model.geometry, HullWhiteGeometry):
         f = np.full(model.dim, -np.inf)
         f[1] = 1e-3 * min(x[1], y[1])
@@ -543,18 +537,6 @@ def _chord(x, y, n, floor) -> np.ndarray:
     return pts
 
 
-def _levels(n: int, coarse: bool) -> list[int]:
-    if not coarse or n <= COARSE_SEGMENTS:
-        return [n]
-    out = []
-    for k in (8, 4, 2):
-        m = max(COARSE_SEGMENTS, int(np.ceil(n / k)))
-        if m < n and (not out or m > out[-1]):
-            out.append(m)
-    out.append(n)
-    return out
-
-
 def _validate_endpoint(model, z, name):
     z = np.asarray(z, dtype=float)
     if z.shape != (model.dim,):
@@ -568,55 +550,34 @@ def _validate_endpoint(model, z, name):
 
 
 def _solve_legs(model, X, Y, opts: SolverOptions, inits):
-    """Solve the legs X[k] -> Y[k] as one stack.
+    """Solve the legs X[k] -> Y[k] as one stack at opts.n segments.
 
-    inits[k] is a point array to warm-start leg k from, or None for a cold
-    start: the floored chord, minimized coarse to fine over _levels.  Cold
-    legs run their coarse levels as one stack and join the warm legs at the
-    target resolution.  A leg's tolerance is grad_tol, or grad_tol_rel times
-    the energy of its floored chord at the target resolution.  Returns
-    (P, E, grad_sup, iters, stalled, short) per leg; short marks a leg that
-    spent max_iter above its tolerance without stalling, which raises
-    NoConvergence when opts.strict.
+    inits[k] is a point array to warm-start leg k from, resampled to opts.n
+    segments, or None for a cold start from the floored chord.  A leg's
+    tolerance is grad_tol, or grad_tol_rel times the energy of its floored
+    chord.  Returns (P, E, grad_sup, iters, stalled, short) per leg; short
+    marks a leg that spent max_iter above its tolerance without stalling,
+    which raises NoConvergence when opts.strict.
     """
     n = opts.n
     K = len(inits)
-    floors = [opts.floor if opts.floor is not None else _default_floor(model, x, y)
-              for x, y in zip(X, Y)]
-
-    def chords(legs, n_l):
-        C = np.stack([_chord(X[k], Y[k], n_l, floors[k]) for k in legs])
-        if not np.all(np.isfinite(_energies(model, C))):
+    P = np.empty((K, n + 1, X.shape[1]))
+    # the chords in use: every leg's when the tolerances come from them,
+    # else the cold legs', which start there
+    legs = [k for k in range(K) if opts.grad_tol is None or inits[k] is None]
+    if legs:
+        P[legs] = np.stack([_chord(X[k], Y[k], n, _chord_floor(model, X[k], Y[k]))
+                            for k in legs])
+        E = _energies(model, P[legs])
+        if not np.all(np.isfinite(E)):
             raise OutsideDomain(
                 "initial chord leaves the domain even after flooring; "
                 "supply an explicit init path"
             )
-        return C
-
-    def resampled(C, legs, n_l):
-        C = np.stack([_resample(c, n_l) for c in C])
-        C[:, 0] = X[legs]
-        C[:, -1] = Y[legs]
-        return C
-
     if opts.grad_tol is not None:
         tol = np.full(K, float(opts.grad_tol))
     else:
-        tol = opts.grad_tol_rel * _energies(model, chords(range(K), n))
-
-    P = np.empty((K, n + 1, X.shape[1]))
-    total = np.zeros(K, dtype=int)
-    cold = np.array([k for k in range(K) if inits[k] is None], dtype=int)
-    if cold.size:
-        levels = _levels(n, opts.coarse_init)
-        C = chords(cold, levels[0])
-        for n_l in levels[:-1]:
-            if C.shape[1] != n_l + 1:
-                C = resampled(C, cold, n_l)
-            C, _, _, iters, _ = _minimize_level(model, C, tol[cold] * (n / n_l),
-                                                opts.max_iter)
-            total[cold] += iters
-        P[cold] = C if C.shape[1] == n + 1 else resampled(C, cold, n)
+        tol = opts.grad_tol_rel * E
     for k, init in enumerate(inits):
         if init is not None:
             P[k] = init if init.shape[0] == n + 1 else _resample(init, n)
@@ -625,9 +586,9 @@ def _solve_legs(model, X, Y, opts: SolverOptions, inits):
     if opts.strict and short.any():
         k = int(np.argmax(short))
         raise NoConvergence(
-            f"{total[k] + iters[k]} iterations, gradient sup-norm {gsup[k]:.3e} > {tol[k]:.3e}"
+            f"{iters[k]} iterations, gradient sup-norm {gsup[k]:.3e} > {tol[k]:.3e}"
         )
-    return P, E, gsup, total + iters, stalled, short
+    return P, E, gsup, iters, stalled, short
 
 
 def solve_geodesic(
@@ -656,7 +617,7 @@ def solve_geodesic(
         inits = [pts]
     else:
         inits = [None]
-        floor = opts.floor if opts.floor is not None else _default_floor(model, x, y)
+        floor = _chord_floor(model, x, y)
         for j in range(1, opts.multi_start):
             rng = np.random.Generator(np.random.Philox(key=[0x9E3779B9, j]))
             pts = _chord(x, y, opts.n, floor)

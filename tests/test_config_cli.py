@@ -389,13 +389,14 @@ def test_malformed_config_exits_2_without_output(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    cfg = write_cfg(
-        tmp_path, "odd.cfg",
-        "model.kind = hull_white_simple\nx = 1, 0.2\ny = 2, 0.5\n"
-        "mystery.knob = 1\n",
-    )
-    assert main(["distance", "--config", cfg]) == 2
-    assert "mystery.knob" in capsys.readouterr().err
+    # solver.coarse_init named a deleted option
+    for key in ("mystery.knob", "solver.coarse_init"):
+        cfg = write_cfg(
+            tmp_path, "odd.cfg",
+            f"model.kind = hull_white_simple\nx = 1, 0.2\ny = 2, 0.5\n{key} = 1\n",
+        )
+        assert main(["distance", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(capsys):
@@ -407,7 +408,7 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path, "hard.cfg",
         "model.kind = hull_white_simple\nx = 1, 0.2\ny = 2, 0.5\n"
-        "solver.max_iter = 1\nsolver.coarse_init = false\n",
+        "solver.max_iter = 1\n",
     )
     code = main(["distance", "--config", cfg])
     assert code == 3

@@ -301,14 +301,14 @@ def test_option_validation():
 
 def test_strict_mode_raises_when_budget_is_too_small():
     model = hull_white_model()
-    opts = SolverOptions(n=200, max_iter=2, coarse_init=False)
+    opts = SolverOptions(n=200, max_iter=2)
     with pytest.raises(NoConvergence):
         solve_geodesic(model, ref.A_X, ref.A_Y, opts)
 
 
 def test_relaxed_mode_returns_best_effort():
     model = hull_white_model()
-    opts = SolverOptions(n=200, max_iter=2, coarse_init=False, strict=False)
+    opts = SolverOptions(n=200, max_iter=2, strict=False)
     res = solve_geodesic(model, ref.A_X, ref.A_Y, opts)
     assert res.iterations == 2
     assert res.distance > 0.0
@@ -526,10 +526,13 @@ def test_a_stack_does_not_change_a_leg():
         P = np.stack([converged, wiggly_path(rng, x, y, n=30, amp=0.1).points,
                       wiggly_path(rng, x, y + 0.3, n=30, amp=0.2).points])
 
-        # a leg that stalls at its floor while the others continue
+        # a leg that stalls at its floor and one that converges, each
+        # leaving while the third continues; with Newton steps the stalled
+        # leg's steps are accepted with zero decrease until STALL_WINDOW
+        # stops it, which can be after the other leg has converged
         _, _, _, iters, stalled = _stacked_and_alone(model, P, [0.0, tol, 0.0], 200)
         assert stalled[0] and not stalled[1]
-        assert iters[0] < iters[1] < iters[2]
+        assert max(iters[0], iters[1]) < iters[2]
 
         # legs that run out of budget next to one that starts converged
         _, _, gsup, iters, stalled = _stacked_and_alone(model, P, [1.0, 0.0, 0.0], 3)
