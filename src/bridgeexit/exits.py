@@ -34,9 +34,13 @@ domain.  No window has a length limit.  Charts and the closed-form
 oracles take arrays, so a window's coarse samples are mapped, domain-tested
 and measured in one call each, bit for bit as one point at a time.  Solver
 legs are solved coarsely along SCAN_CHAINS chains of neighboring samples,
-each sample warm-started from the one before it; the chains advance in
-lockstep as one stack of paths for the optimizer, in one thread.  The legs
-and J of the result come from the oracle at z_star.
+each a predictor-corrector continuation: a sample's legs start from the
+chain's last two solutions extrapolated linearly in the chart parameter,
+their miss of the new point spread along them, and the optimizer corrects
+them.  The chains advance in lockstep as one stack of paths for the
+optimizer, in one thread, and Brent's refinement continues from the
+sweep's legs at the best sample.  The legs and J of the result come from
+the oracle at z_star.
 The frozen comparator is the same engine on the constant geometry
 a(z0)^{-1}.
 """
@@ -563,15 +567,19 @@ def _scan(thetas: np.ndarray, make_legsums):
     """(chart parameter of the smallest leg sum d(x, z) + d(z, y), solver
     legs of the coarse sweep that stopped short of tolerance).
 
-    make_legsums() returns a function from an array of chart parameters to
-    the array of their leg sums (+inf outside the domain); its attribute
-    unconverged counts the solver legs of its calls that stopped short.
-    All coarse samples go to one call, in one thread: a closed-form oracle
-    measures them in one batch, the path optimizer solves them as chains in
-    lockstep.  The argmin takes the first index on ties.  Brent's method
-    then refines within one sample of the best, one parameter per call,
-    starting from that sample as measured by a fresh function, so solver
-    legs warm-start from it.  The coarse sample wins if it is lower.
+    make_legsums(start=None) returns a function from an array of chart
+    parameters to the array of their leg sums (+inf outside the domain);
+    its attribute unconverged counts the solver legs of its calls that
+    stopped short.  start, when given, is (f, i): a function made earlier
+    and a sample of its last call, whose solver legs the new function
+    continues from.  All coarse samples go to one call, in one thread: a
+    closed-form oracle measures them in one batch, the path optimizer
+    solves them as chains in lockstep.  The argmin takes the first index
+    on ties.  Brent's method then refines within one sample of the best,
+    one parameter per call, starting from that sample as measured again by
+    a function that continues from the sweep's legs there: a converged leg
+    reads its sweep value back with no iteration, and each later leg is
+    predicted from the last two.  The coarse sample wins if it is lower.
     """
     sweep = make_legsums()
     vals = sweep(thetas)
@@ -580,7 +588,7 @@ def _scan(thetas: np.ndarray, make_legsums):
     hi = float(thetas[min(j + 1, len(thetas) - 1)])
     if not (lo < hi and math.isfinite(hi - lo)):
         return float(thetas[j]), sweep.unconverged
-    f = make_legsums()
+    f = make_legsums((sweep, j))
     theta0 = float(thetas[j])
     theta, val = _brent(lambda th: f(np.array([th]))[0], lo, hi,
                         theta0, f(thetas[j:j + 1])[0])
@@ -599,7 +607,35 @@ def _oracle_legsums(model, dist, x, y, chart):
         return out
 
     legsums.unconverged = 0
-    return lambda: legsums
+    return lambda start=None: legsums
+
+
+def _predicted_legs(tails, theta, z, x, y):
+    """Warm starts (W, 2, N+1, d) of the x-to-z and z-to-y legs at the
+    chart parameters theta[w], points z[w], from the last solved samples
+    tails[w] of each chain, oldest first, as (theta, x-to-z, z-to-y).
+
+    The prediction continues the chain's two last legs L0 and L1 at theta0
+    and theta1 linearly: L1 + r (L1 - L0) with r = (theta - theta1) /
+    (theta1 - theta0), and L1 alone after one sample (the secant predictor
+    of Allgower & Georg 1990, Introduction to Numerical Continuation
+    Methods).  What it misses of z is spread along each leg linearly, with
+    weight k/N at point k of the x-to-z leg and 1 - k/N on the z-to-y leg,
+    and the ends are pinned to x, z and y.  All of it is elementwise per
+    leg, so each leg gets the bits it gets alone.
+    """
+    L1 = np.array([t[-1][1:] for t in tails])
+    L0 = np.array([t[0][1:] for t in tails])
+    r = np.array([(th - t[-1][0]) / (t[-1][0] - t[0][0]) if len(t) == 2 else 0.0
+                  for th, t in zip(theta, tails)])
+    P = L1 + r[:, None, None, None] * (L1 - L0)
+    w = np.arange(P.shape[2]) / (P.shape[2] - 1.0)
+    P[:, 0] += w[:, None] * (z - P[:, 0, -1])[:, None]
+    P[:, 1] += (1.0 - w)[:, None] * (z - P[:, 1, 0])[:, None]
+    P[:, 0, 0] = x
+    P[:, 0, -1] = P[:, 1, 0] = z
+    P[:, 1, -1] = y
+    return P
 
 
 def _solver_legsums(model, x, y, chart, opts: SolverOptions):
@@ -608,13 +644,17 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
     Ranking boundary points needs far less accuracy than the reported
     exponent, so the legs are solved at a coarse resolution and loose
     tolerance with strict=False.  The samples of a call are split into
-    SCAN_CHAINS contiguous chains.  Along a chain each sample's legs are
-    warm-started from the previous sample's while that path stays
-    admissible; a chain's first sample starts cold, unless an earlier call
-    of the same function left that chain a last sample to continue from.
-    The chains advance in lockstep: the legs of one step of every chain are
-    one stack for the path optimizer, and each leg gets the bits it would
-    get alone.  No threads.
+    SCAN_CHAINS contiguous chains, and the boundary scan along a chain is
+    a continuation: each sample's legs start from their prediction by
+    _predicted_legs from the chain's last two solved samples, or cold from
+    the chord where that prediction's energy is not finite.  A chain's
+    first sample starts cold, unless an earlier call of the same function
+    left that chain samples to continue from, or the function was made
+    with start=(f, i) and its one chain continues from the legs of sample
+    i of f's last call (kept in f.solved).  The chains advance in
+    lockstep: the legs of one step of every chain are one stack for the
+    path optimizer, and each leg gets the bits it would get alone.  No
+    threads.
     """
     opts = replace(
         opts,
@@ -626,12 +666,17 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
         strict=False,
     )
 
-    def make_legsums():
-        tails = {}  # chain -> point arrays of its last sample's legs
+    def make_legsums(start=None):
+        # chain -> its last one or two solved samples, oldest first; a
+        # start sample outside the domain has no legs
+        tails = {}
+        if start is not None and start[1] in start[0].solved:
+            tails[0] = [start[0].solved[start[1]]]
 
         def legsums(thetas):
             z = chart(thetas)
             out = np.full(len(z), np.inf)
+            legsums.solved = {}
             inside = np.flatnonzero(domain_test_batch(model, z))
             chains = np.array_split(inside, min(SCAN_CHAINS, len(inside)) or 1)
             for step in range(len(chains[0])):
@@ -640,22 +685,23 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
                 X = np.array([p for _, i in live for p in (x, z[i])])
                 Y = np.array([p for _, i in live for p in (z[i], y)])
                 inits = [None] * len(X)
-                # warm starts: the chain's last legs with their end moved to z
-                warm = []
-                for k, (c, i) in enumerate(live):
-                    if c in tails:
-                        xz, zy = (pts.copy() for pts in tails[c])
-                        xz[-1] = zy[0] = z[i]
-                        warm += [(2 * k, xz), (2 * k + 1, zy)]
+                warm = [k for k, (c, _) in enumerate(live) if c in tails]
                 if warm:
-                    E0 = _energies(model, np.stack([pts for _, pts in warm]))
-                    for (k, pts), e in zip(warm, E0):
-                        if np.isfinite(e):
-                            inits[k] = pts
+                    idx = [live[k][1] for k in warm]
+                    pred = _predicted_legs([tails[live[k][0]] for k in warm],
+                                           thetas[idx], z[idx], x, y)
+                    E0 = _energies(model, pred.reshape(-1, *pred.shape[2:]))
+                    for k, pts, e in zip(warm, pred, E0.reshape(-1, 2)):
+                        for leg in (0, 1):
+                            if np.isfinite(e[leg]):
+                                inits[2 * k + leg] = pts[leg]
                 P, E, _, _, _, unconverged = _solve_legs(model, X, Y, opts, inits)
                 d = np.sqrt(np.maximum(2.0 * E, 0.0))
                 for k, (c, i) in enumerate(live):
-                    tails[c] = P[2 * k], P[2 * k + 1]
+                    # a sample solved again replaces its last solve
+                    last = [t for t in tails.get(c, [])[-1:] if t[0] != thetas[i]]
+                    tails[c] = last + [(thetas[i], P[2 * k], P[2 * k + 1])]
+                    legsums.solved[i] = tails[c][-1]
                     out[i] = d[2 * k] + d[2 * k + 1]
                 legsums.unconverged += int(unconverged.sum())
             return out

@@ -519,22 +519,34 @@ def _resample(pts: np.ndarray, new_n: int) -> np.ndarray:
     return np.column_stack([np.interp(new, old, pts[:, k]) for k in range(pts.shape[1])])
 
 
-def _chord_floor(model: DiffusionModel, x, y) -> np.ndarray | None:
-    """Coordinatewise lower bound of the chords from x to y, or None."""
+def _chord_floor(model: DiffusionModel, X, Y) -> np.ndarray | None:
+    """Coordinatewise lower bound (K, d) of the chords from X[k] to Y[k],
+    or None."""
     if isinstance(model.geometry, HullWhiteGeometry):
-        f = np.full(model.dim, -np.inf)
-        f[1] = 1e-3 * min(x[1], y[1])
+        f = np.full(X.shape, -np.inf)
+        f[:, 1] = 1e-3 * np.minimum(X[:, 1], Y[:, 1])
         return f
     return None
 
 
-def _chord(x, y, n, floor) -> np.ndarray:
-    pts = np.linspace(x, y, n + 1)
+def _chords(model: DiffusionModel, X, Y, n) -> np.ndarray:
+    """The floored chords from X[k] to Y[k] at n segments, (K, n+1, d).
+
+    Each chord has the bits of np.linspace(X[k], Y[k], n + 1), whose
+    branch for a zero step in any coordinate is taken leg by leg here.
+    """
+    D = Y - X
+    step = D / n
+    k = np.arange(n + 1.0)[:, None]
+    P = np.where((step == 0).any(axis=1)[:, None, None], k / n * D[:, None],
+                 k * step[:, None]) + X[:, None]
+    P[:, -1] = Y
+    floor = _chord_floor(model, X, Y)
     if floor is not None:
-        pts = np.maximum(pts, floor)
-        pts[0] = x
-        pts[-1] = y
-    return pts
+        P = np.maximum(P, floor[:, None])
+        P[:, 0] = X
+        P[:, -1] = Y
+    return P
 
 
 def _validate_endpoint(model, z, name):
@@ -566,8 +578,7 @@ def _solve_legs(model, X, Y, opts: SolverOptions, inits):
     # else the cold legs', which start there
     legs = [k for k in range(K) if opts.grad_tol is None or inits[k] is None]
     if legs:
-        P[legs] = np.stack([_chord(X[k], Y[k], n, _chord_floor(model, X[k], Y[k]))
-                            for k in legs])
+        P[legs] = _chords(model, X[legs], Y[legs], n)
         E = _energies(model, P[legs])
         if not np.all(np.isfinite(E)):
             raise OutsideDomain(
@@ -617,10 +628,10 @@ def solve_geodesic(
         inits = [pts]
     else:
         inits = [None]
-        floor = _chord_floor(model, x, y)
+        floor = _chord_floor(model, x[None], y[None])
         for j in range(1, opts.multi_start):
             rng = np.random.Generator(np.random.Philox(key=[0x9E3779B9, j]))
-            pts = _chord(x, y, opts.n, floor)
+            pts = _chords(model, x[None], y[None], opts.n)[0]
             scale = 0.05 * max(float(np.abs(y - x).max()), 1e-6)
             bump = np.sin(np.pi * np.linspace(0, 1, opts.n + 1))[1:-1, None]
             pts[1:-1] += scale * bump * rng.standard_normal((opts.n - 1, pts.shape[1]))
