@@ -66,6 +66,7 @@ from .model import (
     ConstantGeometry,
     DiffusionModel,
     HullWhiteGeometry,
+    _check_point,
     domain_test_batch,
     inverse_metric,
     inverse_metric_batch,
@@ -576,10 +577,11 @@ def _scan(thetas: np.ndarray, make_legsums):
     closed-form oracle measures them in one batch, the path optimizer
     solves them as chains in lockstep.  The argmin takes the first index
     on ties.  Brent's method then refines within one sample of the best,
-    one parameter per call, starting from that sample as measured again by
-    a function that continues from the sweep's legs there: a converged leg
-    reads its sweep value back with no iteration, and each later leg is
-    predicted from the last two.  The coarse sample wins if it is lower.
+    one parameter per call, starting from that sample's sweep value, by a
+    function that continues from the sweep's legs there: its first leg is
+    predicted from them, and each later one from the last two.  Brent only
+    moves to a point that is no higher, so the coarse sample stays unless
+    a refined one is as low.
     """
     sweep = make_legsums()
     vals = sweep(thetas)
@@ -589,10 +591,8 @@ def _scan(thetas: np.ndarray, make_legsums):
     if not (lo < hi and math.isfinite(hi - lo)):
         return float(thetas[j]), sweep.unconverged
     f = make_legsums((sweep, j))
-    theta0 = float(thetas[j])
-    theta, val = _brent(lambda th: f(np.array([th]))[0], lo, hi,
-                        theta0, f(thetas[j:j + 1])[0])
-    return (theta0 if vals[j] < val else theta), sweep.unconverged
+    theta, _ = _brent(lambda th: f(np.array([th]))[0], lo, hi, float(thetas[j]), vals[j])
+    return theta, sweep.unconverged
 
 
 def _oracle_legsums(model, dist, x, y, chart):
@@ -804,15 +804,7 @@ def _checked_points(model: DiffusionModel, **points):
             "the model declares an incomplete metric (boundary at finite "
             "distance); exit exponents are not defined for it"
         )
-    out = []
-    for name, z in points.items():
-        z = np.asarray(z, dtype=float)
-        if not all(map(math.isfinite, z.flat)):
-            raise ValueError(f"{name} = {z} must be finite")
-        if not model.domain_test(z):
-            raise OutsideDomain(f"{name} = {z} is outside the model domain")
-        out.append(z)
-    return out
+    return [_check_point(model, z, name) for name, z in points.items()]
 
 
 def exit_asymptotics(

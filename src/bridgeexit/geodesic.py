@@ -11,12 +11,13 @@ Hessian of E is block tridiagonal, and each step solves it by a banded
 Cholesky factorization.  A path steps along its Newton direction when
 that Hessian is SPD and the step is downhill, else along its Gauss-Newton
 direction (the Hessian with the metric frozen at the current midpoints),
-else along steepest descent, under the Armijo condition.  A Newton step
-that fails Armijo at a few lengths hands over to Gauss-Newton.  A cold
-path starts from the straight chord at the target resolution; the Newton
-steps resolve its slow reparametrization modes.  Out-of-domain or non-SPD
-trial steps read as infinite energy, so the line search doubles as a
-domain barrier.
+under the Armijo condition.  A Newton step that fails Armijo at a few
+lengths hands over to Gauss-Newton.  A path with neither direction left,
+or whose step changes no point, has stalled at its floating-point floor.
+A cold path starts from the straight chord at the target resolution; the
+Newton steps resolve its slow reparametrization modes.  Out-of-domain or
+non-SPD trial steps read as infinite energy, so the line search doubles
+as a domain barrier.
 
 The minimizer works on a stack of K paths of one resolution, a (K, N+1, d)
 array, and solve_geodesic is the stack at K = 1 (or K = multi_start).  Each
@@ -47,6 +48,7 @@ from .errors import NoConvergence, NotSPD, OutsideDomain
 from .model import (
     DiffusionModel,
     HullWhiteGeometry,
+    _check_point,
     domain_test_batch,
     inverse_metric_batch,
     inverse_metric_jet,
@@ -251,17 +253,6 @@ def energy_gradient(model: DiffusionModel, path: DiscretePath) -> np.ndarray:
 
 # ---- Minimization ---- #
 
-# A path's step, in the order the line search falls back through them.
-NEWTON, GAUSS_NEWTON, STEEPEST = 0, 1, 2
-
-
-def _alpha_cap(P, p) -> np.ndarray:
-    """Steepest-descent step cap per path: a quarter of the path's span over
-    the sup norm of the (nonzero) direction."""
-    span = np.ptp(P, axis=1).max(axis=1)
-    sup = np.abs(p).max(axis=(1, 2))
-    return 0.25 * np.maximum(span, 1e-12) / sup
-
 
 def _hessian(T, nseg, newton):
     """Diagonal blocks (d, d, K, N-1) and couplings (d, d, K, N-2) of the
@@ -344,63 +335,52 @@ def _band_solve(D, U, g):
 
 
 def _line_search(model, P, E, g, T):
-    """Armijo line search from each path, with three directions in turn.
+    """Armijo line search from each path, on its Newton or Gauss-Newton
+    direction.
 
     A path starts on its Newton direction (the exact Hessian, from the
     segment terms T) when that Hessian is SPD and the step is downhill,
-    else on its Gauss-Newton direction (the metric frozen), else on
-    steepest descent.  A Newton step tries NEWTON_TRIES lengths; if all
-    fail Armijo, the path takes its Gauss-Newton direction instead.  A full
-    Newton step whose predicted decrease -g^T p / 2 is below the RESOLUTION
-    of the energy and fails tells that the path is at its floor: it does
-    not move.  Gauss-Newton and steepest descent backtrack MAX_BACKTRACKS
-    halvings each, and a Gauss-Newton search that runs out falls back to
-    steepest descent.  A path accepts the first length of this sequence
-    that passes Armijo.  The paths search in lockstep, with the trials of a
-    round in one energy batch (two, when some are first trials, which take
-    the jet), and each gets the bits it gets alone; a path that keeps failing
-    tries its next lengths in blocks that double each round (1, 2, 4, ...
-    per direction), which takes a long backtrack in few rounds and accepts
-    the length the one-by-one search accepts.  Returns the accepted paths,
-    their energies, gradients and segment terms, and which paths moved at
-    all.
+    else on its Gauss-Newton direction (the metric frozen).  A Newton step
+    tries NEWTON_TRIES lengths; if all fail Armijo, the path takes its
+    Gauss-Newton direction instead.  A full Newton step whose predicted
+    decrease -g^T p / 2 is below the RESOLUTION of the energy and fails
+    tells that the path is at its floor.  Gauss-Newton backtracks
+    MAX_BACKTRACKS halvings.  A path accepts the first length of this
+    sequence that passes Armijo; one with no usable direction left, at its
+    floor, or whose accepted trial equals the path, does not move.  The
+    paths search in lockstep, with the trials of a round in one energy
+    batch (two, when some are first trials, which take the jet), and each
+    gets the bits it gets alone; a path that keeps failing tries its next
+    lengths in blocks that double each round (1, 2, 4, ... per direction),
+    which takes a long backtrack in few rounds and accepts the length the
+    one-by-one search accepts.  Returns the accepted paths, their energies,
+    gradients and segment terms, and which paths moved.
     """
     L, n1, _ = P.shape
     p = np.zeros_like(g)
     gTp = np.zeros(L)
     alpha = np.ones(L)
-    kind = np.full(L, NEWTON)
+    newton = np.ones(L, dtype=bool)
     tries = np.zeros(L, dtype=int)
     block = np.ones(L, dtype=int)
+    searching = np.ones(L, dtype=bool)
 
-    def solve(idx, newton):
-        # the Newton or Gauss-Newton direction of each path in idx; returns
-        # the paths where it is unusable
+    def solve(idx, exact):
+        # the Newton (exact) or Gauss-Newton direction of each path in idx;
+        # returns the paths where it is unusable
         if not idx.size:
             return idx
-        p[idx], ok = _band_solve(*_hessian(T[..., idx, :], n1 - 1, newton), g[idx])
+        p[idx], ok = _band_solve(*_hessian(T[..., idx, :], n1 - 1, exact), g[idx])
         gTp[idx] = (g[idx] * p[idx]).reshape(len(idx), -1).sum(axis=1)
         ok &= gTp[idx] < 0.0
         alpha[idx] = 1.0
-        kind[idx] = NEWTON if newton else GAUSS_NEWTON
+        newton[idx] = exact
         tries[idx] = 0
         block[idx] = 1
         return idx[~ok]
 
-    def steepest(idx):
-        if not idx.size:
-            return
-        p[idx] = -g[idx]
-        gTp[idx] = -(g[idx] * g[idx]).reshape(len(idx), -1).sum(axis=1)
-        a = 0.5 * np.maximum(E[idx], 1e-300) / np.abs(gTp[idx])
-        cap = _alpha_cap(P[idx], p[idx])
-        alpha[idx] = np.where(cap < a, cap, a)
-        kind[idx] = STEEPEST
-        tries[idx] = 0
-        block[idx] = 1
-
-    steepest(solve(solve(np.arange(L), True), False))
-    searching = np.ones(L, dtype=bool)
+    # a path with neither direction usable has nothing to search
+    searching[solve(solve(np.arange(L), True), False)] = False
     moved = np.zeros(L, dtype=bool)
     trial = P.copy()
     Et = E.copy()
@@ -414,7 +394,7 @@ def _line_search(model, P, E, g, T):
         s = np.flatnonzero(searching)
         # the next m lengths of each path's search, alpha BACKTRACK^j for
         # j < m, within the lengths its direction has left
-        width = np.where(kind == NEWTON, NEWTON_TRIES, MAX_BACKTRACKS) - tries
+        width = np.where(newton, NEWTON_TRIES, MAX_BACKTRACKS) - tries
         np.minimum(width, block, out=width)
         m = width[s]
         rows = np.repeat(s, m)
@@ -429,7 +409,8 @@ def _line_search(model, P, E, g, T):
             Es[~f] = _energies(model, X[~f])
         first[s] = False
         ok = np.flatnonzero(Es <= E[rows] + ARMIJO_C1 * a * gTp[rows])
-        # each path's first length that passes
+        # each path's first length that passes; a step too short to change
+        # any point leaves the path where it was
         done, at = np.unique(rows[ok], return_index=True)
         at = ok[at]
         trial[done] = X[at]
@@ -439,25 +420,23 @@ def _line_search(model, P, E, g, T):
             k = (np.cumsum(f) - 1)[at[fresh]]
             gt[done[fresh]] = gs[k]
             Tt[..., done[fresh], :] = Ts[..., k, :]
-        late[done[~f[at]]] = True
-        moved[done] = True
+        moved[done] = (X[at] != P[done]).any(axis=(1, 2))
+        late[done[~f[at] & moved[done]]] = True
         searching[done] = False
         r = s[searching[s]]
         # A full Newton step whose predicted decrease is below the
         # resolution of E fails by roundoff alone: the path is at its floor.
-        full = r[(kind[r] == NEWTON) & (tries[r] == 0)]
+        full = r[newton[r] & (tries[r] == 0)]
         floor = -0.5 * gTp[full] <= RESOLUTION * np.maximum(np.abs(E[full]), 1e-300)
         searching[full[floor]] = False
         r = r[searching[r]]
         alpha[r] *= BACKTRACK ** width[r]
         tries[r] += width[r]
         block[r] *= 2
-        # the last Newton length failed: Gauss-Newton takes over
-        newton = r[(kind[r] == NEWTON) & (tries[r] == NEWTON_TRIES)]
-        out = r[(kind[r] != NEWTON) & (tries[r] == MAX_BACKTRACKS)]
-        searching[out[kind[out] == STEEPEST]] = False
-        steepest(out[kind[out] == GAUSS_NEWTON])
-        steepest(solve(newton, False))
+        # the last Newton length failed: Gauss-Newton takes over; the last
+        # Gauss-Newton length failed: the search ends
+        searching[r[~newton[r] & (tries[r] == MAX_BACKTRACKS)]] = False
+        searching[solve(r[newton[r] & (tries[r] == NEWTON_TRIES)], False)] = False
     late = np.flatnonzero(late)
     if late.size:
         Et[late], gt[late], Tt[..., late, :] = _energies(model, trial[late], gradients=True)
@@ -469,13 +448,15 @@ def _minimize_level(model, P, tol, max_iter):
 
     P is a (K, N+1, d) stack and tol holds each path's gradient tolerance.
     Returns (P, E, grad_sup, iters, stalled), one entry per path.  Each
-    step falls back from Newton to Gauss-Newton to steepest descent as
-    _line_search says; a line search that moves nowhere (steepest descent
-    failed, or a Newton step below the energy's resolution failed), or a
-    run of accepted steps whose decrease is below that resolution, is
-    reported as a stall (the path is at its floating-point floor).  A path leaves the stack when it converges, stalls or spends
-    max_iter; the line search brings the gradients and the Hessian terms
-    of the accepted paths along.
+    step is a Newton or a Gauss-Newton step as _line_search says.  A line
+    search that leaves the path as it was (no usable direction, a failed
+    Newton step below the energy's resolution, a Gauss-Newton search out
+    of lengths, or an accepted step that changes no point), or a run of
+    STALL_WINDOW accepted steps whose decrease is below that resolution,
+    is reported as a stall (the path is at its floating-point floor).  A
+    path leaves the stack when it converges, stalls or spends max_iter;
+    the line search brings the gradients and the Hessian terms of the
+    accepted paths along.
     """
     K = P.shape[0]
     P = P.copy()
@@ -491,8 +472,8 @@ def _minimize_level(model, P, tol, max_iter):
             break
         trial, Et, gt, Tt, moved = _line_search(model, P[live], E[live], g[live],
                                                 T[..., live, :])
-        # No direction admits a float-representable decrease: the energy
-        # is at its double-precision floor for this path.
+        # No step changes the path: the energy is at its double-precision
+        # floor for this path.
         stalled[live[~moved]] = True
         live = live[moved]
         if not live.size:
@@ -519,18 +500,18 @@ def _resample(pts: np.ndarray, new_n: int) -> np.ndarray:
     return np.column_stack([np.interp(new, old, pts[:, k]) for k in range(pts.shape[1])])
 
 
-def _chord_floor(model: DiffusionModel, X, Y) -> np.ndarray | None:
-    """Coordinatewise lower bound (K, d) of the chords from X[k] to Y[k],
+def _chord_floor(model: DiffusionModel, x, y) -> np.ndarray | None:
+    """Coordinatewise lower bound (d,) of the perturbed chords from x to y,
     or None."""
     if isinstance(model.geometry, HullWhiteGeometry):
-        f = np.full(X.shape, -np.inf)
-        f[:, 1] = 1e-3 * np.minimum(X[:, 1], Y[:, 1])
+        f = np.full(x.shape, -np.inf)
+        f[1] = 1e-3 * min(x[1], y[1])
         return f
     return None
 
 
-def _chords(model: DiffusionModel, X, Y, n) -> np.ndarray:
-    """The floored chords from X[k] to Y[k] at n segments, (K, n+1, d).
+def _chords(X, Y, n) -> np.ndarray:
+    """The chords from X[k] to Y[k] at n segments, (K, n+1, d).
 
     Each chord has the bits of np.linspace(X[k], Y[k], n + 1), whose
     branch for a zero step in any coordinate is taken leg by leg here.
@@ -541,22 +522,11 @@ def _chords(model: DiffusionModel, X, Y, n) -> np.ndarray:
     P = np.where((step == 0).any(axis=1)[:, None, None], k / n * D[:, None],
                  k * step[:, None]) + X[:, None]
     P[:, -1] = Y
-    floor = _chord_floor(model, X, Y)
-    if floor is not None:
-        P = np.maximum(P, floor[:, None])
-        P[:, 0] = X
-        P[:, -1] = Y
     return P
 
 
 def _validate_endpoint(model, z, name):
-    z = np.asarray(z, dtype=float)
-    if z.shape != (model.dim,):
-        raise ValueError(f"{name} must have dimension {model.dim}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError(f"{name} must be finite")
-    if not model.domain_test(z):
-        raise OutsideDomain(f"{name} = {z} is outside the model domain")
+    z = _check_point(model, z, name)
     inverse_metric_batch(model, z[None])  # NotSPD where the metric is singular
     return z
 
@@ -565,11 +535,11 @@ def _solve_legs(model, X, Y, opts: SolverOptions, inits):
     """Solve the legs X[k] -> Y[k] as one stack at opts.n segments.
 
     inits[k] is a point array to warm-start leg k from, resampled to opts.n
-    segments, or None for a cold start from the floored chord.  A leg's
-    tolerance is grad_tol, or grad_tol_rel times the energy of its floored
-    chord.  Returns (P, E, grad_sup, iters, stalled, short) per leg; short
-    marks a leg that spent max_iter above its tolerance without stalling,
-    which raises NoConvergence when opts.strict.
+    segments, or None for a cold start from the chord.  A leg's tolerance
+    is grad_tol, or grad_tol_rel times the energy of its chord.  Returns
+    (P, E, grad_sup, iters, stalled, short) per leg; short marks a leg that
+    spent max_iter above its tolerance without stalling, which raises
+    NoConvergence when opts.strict.
     """
     n = opts.n
     K = len(inits)
@@ -578,13 +548,10 @@ def _solve_legs(model, X, Y, opts: SolverOptions, inits):
     # else the cold legs', which start there
     legs = [k for k in range(K) if opts.grad_tol is None or inits[k] is None]
     if legs:
-        P[legs] = _chords(model, X[legs], Y[legs], n)
+        P[legs] = _chords(X[legs], Y[legs], n)
         E = _energies(model, P[legs])
         if not np.all(np.isfinite(E)):
-            raise OutsideDomain(
-                "initial chord leaves the domain even after flooring; "
-                "supply an explicit init path"
-            )
+            raise OutsideDomain("initial chord leaves the domain; supply an explicit init path")
     if opts.grad_tol is not None:
         tol = np.full(K, float(opts.grad_tol))
     else:
@@ -628,10 +595,10 @@ def solve_geodesic(
         inits = [pts]
     else:
         inits = [None]
-        floor = _chord_floor(model, x[None], y[None])
+        floor = _chord_floor(model, x, y)
         for j in range(1, opts.multi_start):
             rng = np.random.Generator(np.random.Philox(key=[0x9E3779B9, j]))
-            pts = _chords(model, x[None], y[None], opts.n)[0]
+            pts = _chords(x[None], y[None], opts.n)[0]
             scale = 0.05 * max(float(np.abs(y - x).max()), 1e-6)
             bump = np.sin(np.pi * np.linspace(0, 1, opts.n + 1))[1:-1, None]
             pts[1:-1] += scale * bump * rng.standard_normal((opts.n - 1, pts.shape[1]))

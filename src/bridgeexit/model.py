@@ -25,6 +25,7 @@ definite by a numpy Cholesky factorization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable
@@ -123,14 +124,18 @@ class DiffusionModel:
     ] | None = field(default=None, repr=False)
 
 
-def _check_point(model: DiffusionModel, z) -> np.ndarray:
+def _check_point(model: DiffusionModel, z, name: str = "point") -> np.ndarray:
+    """z as a float array: a finite point of the model's dimension inside
+    its domain (ValueError, or OutsideDomain, if not)."""
     z = np.asarray(z, dtype=float)
     if z.shape != (model.dim,):
-        raise ValueError(f"expected a point of dimension {model.dim}, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("point must be finite")
+        raise ValueError(f"{name} must be a point of dimension {model.dim}, got shape {z.shape}")
+    # in Python floats: np.isfinite would cost more than the rest of the
+    # check, which closed-form queries pay on every call
+    if not all(map(math.isfinite, z.flat)):
+        raise ValueError(f"{name} = {z} must be finite")
     if not model.domain_test(z):
-        raise OutsideDomain(f"point {z} is outside the model domain")
+        raise OutsideDomain(f"{name} = {z} is outside the model domain")
     return z
 
 

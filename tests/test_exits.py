@@ -32,6 +32,7 @@ from bridgeexit import (
     pointwise_exit_cost,
     poincare_distance,
     sample_arc,
+    solve_geodesic,
     time_profile,
 )
 from bridgeexit.model import domain_test_batch
@@ -290,6 +291,19 @@ def test_endpoints_must_lie_inside_the_domain():
     model = hull_white_model()
     with pytest.raises(OutsideDomain):
         exit_asymptotics(model, [1.0, -0.2], [2.0, 0.5], VerticalBarrier(2.5))
+
+
+@pytest.mark.parametrize("x", [1.0, [1.0, 0.2, 0.3]], ids=["scalar", "three_vector"])
+def test_a_point_of_the_wrong_shape_is_refused(x):
+    model = hull_white_model()
+    y = np.array([2.0, 0.5])
+    barrier = VerticalBarrier(2.5)
+    calls = (lambda: exit_asymptotics(model, x, y, barrier),
+             lambda: frozen_exit_asymptotics(model, x, y, barrier, y),
+             lambda: solve_geodesic(model, x, y))
+    for call in calls:
+        with pytest.raises(ValueError, match="x must be a point of dimension 2"):
+            call()
 
 
 # ---- numeric backends ---- #
@@ -899,7 +913,6 @@ def test_scan_continuation_takes_few_iterations(case, monkeypatch):
     # legs warm-started by moving only their end took 2.40 (grid) and 2.23
     # iterations each, and the refinement 27 and 38 in all
     assert warm_iters <= 1.2 * warm_legs
-    assert refine[0][1].tolist() == [0, 0]  # the sweep's converged legs
     assert sum(int(iters.sum()) for _, iters in refine) <= 15
 
 

@@ -580,6 +580,58 @@ def test_a_stack_whose_metric_batch_raises_falls_back_leg_by_leg():
     assert max(raised) > 4 * 5 * n
 
 
+def test_a_path_whose_metric_raises_reads_infinite_in_its_stack():
+    from bridgeexit.geodesic import _energies
+    from bridgeexit.model import grid_model
+
+    xs = np.linspace(0.0, 4.0, 13)
+    vs = np.linspace(0.02, 3.0, 13)
+    entries = np.zeros((13, 13, 2, 2))
+    entries[..., 0, 0] = vs[None, :]
+    entries[..., 1, 1] = vs[None, :]
+    grid = grid_model(xs, vs, entries)
+    raised = []
+
+    def strip(pts):
+        # not positive definite on the strip 3.9 < x < 3.95 inside the box
+        if ((3.9 < pts[:, 0]) & (pts[:, 0] < 3.95)).any():
+            raised.append(len(pts))
+            raise NotSPD("strip")
+
+    def hook(pts):
+        strip(pts)
+        return grid.batch_inverse_metric(pts)
+
+    def jet(pts):
+        strip(pts)
+        return grid.batch_inverse_metric_jet(pts)
+
+    model = replace(grid, batch_inverse_metric=hook, batch_inverse_metric_jet=jet)
+    rng = np.random.default_rng(5)
+    n = 12
+    ends = [([0.5, 0.4], [3.2, 2.1]), ([1.0, 0.2], [2.5, 0.9]),
+            ([3.8, 1.0], [3.98, 1.5]),  # midpoints at x = 3.9125, 3.9275, 3.9425
+            ([0.2, 2.5], [1.5, 0.3]), ([2.0, 1.0], [3.5, 2.8])]
+    P = np.stack([wiggly_path(rng, np.array(a), np.array(b), n=n).points for a, b in ends])
+    P[2] = np.linspace(*ends[2], n + 1)
+    # the energies, the gradients and the segment terms have their path
+    # axis at 0, 0 and -2
+    axes = (0, 0, -2)
+    for gradients in (False, True):
+        raised.clear()
+        stacked = _energies(model, P, gradients)
+        # the whole stack's batch raised, with every path's midpoints
+        assert max(raised) >= 5 * n
+        stacked = stacked if gradients else (stacked,)
+        assert stacked[0][2] == np.inf
+        for out, axis in zip(stacked[1:], axes[1:]):
+            assert np.isnan(np.take(out, 2, axis=axis)).all()
+        for k in (0, 1, 3, 4):
+            alone = _energies(model, P[k:k + 1], gradients)
+            for out, one, axis in zip(stacked, alone if gradients else (alone,), axes):
+                assert np.take(out, [k], axis=axis).tobytes() == one.tobytes()
+
+
 def test_cold_and_warm_legs_solve_together_as_alone():
     from bridgeexit.geodesic import _solve_legs
 
@@ -601,7 +653,7 @@ def test_cold_and_warm_legs_solve_together_as_alone():
     assert res.path.points.tobytes() == stacked[0][0].tobytes()
 
 
-def test_newton_gauss_newton_and_steepest_legs_share_a_round(monkeypatch):
+def test_newton_and_gauss_newton_legs_share_a_round_with_a_stuck_leg(monkeypatch):
     import bridgeexit.geodesic as geodesic
 
     base = hull_white_model(sigma_vol=1.2, rho=0.3)
@@ -609,7 +661,7 @@ def test_newton_gauss_newton_and_steepest_legs_share_a_round(monkeypatch):
 
     def inv(pts):
         # past x = 5 the hook is indefinite: no Cholesky factors a Hessian
-        # there, and the leg takes steepest descent
+        # there, and the leg has no direction to search
         A = base.batch_inverse_metric(pts)
         return np.where((pts[:, 0] > 5.0)[:, None, None], A * flip, A)
 
@@ -637,9 +689,38 @@ def test_newton_gauss_newton_and_steepest_legs_share_a_round(monkeypatch):
         return p, ok
 
     monkeypatch.setattr(geodesic, "_band_solve", spy)
-    _, E, _, iters, _ = geodesic._minimize_level(model, P, np.full(3, 1e-9), 1)
+    _, E, _, iters, stalled = geodesic._minimize_level(model, P, np.full(3, 1e-9), 1)
     # the first round: Newton for all three, then Gauss-Newton for the two
-    # it failed, which fails the third
+    # it failed, which fails the third: that leg stalls where it starts
     assert usable[:2] == [[True, False, False], [True, False]]
-    assert (iters == 1).all() and np.isfinite(E).all()
+    assert iters.tolist() == [1, 1, 0] and stalled.tolist() == [False, False, True]
+    assert np.isfinite(E).all()
     _stacked_and_alone(model, P, [1e-9] * 3, 4)
+
+
+def test_a_step_that_changes_no_point_stalls_the_path(monkeypatch):
+    import bridgeexit.geodesic as geodesic
+
+    model = hull_white_model(sigma_vol=1.2, rho=0.3)
+    x, y = np.array([1.0, 0.2]), np.array([2.0, 0.5])
+    opts = SolverOptions(n=30, grad_tol=0.0)
+    converged = solve_geodesic(model, x, y, SolverOptions(n=30))
+    # at tolerance 0 the path is at its floor: its accepted steps leave the
+    # energy as it is, and at most STALL_WINDOW of them stop it
+    res = solve_geodesic(model, x, y, opts, init=converged.path)
+    assert res.stalled and res.iterations <= geodesic.STALL_WINDOW
+    assert res.energy.hex() == "0x1.5b63006c0499cp+1"
+    # a direction too short to change any point passes Armijo on equal
+    # energies; the path stalls at once instead of taking that step until
+    # STALL_WINDOW
+    band_solve = geodesic._band_solve
+
+    def negligible(D, U, g):
+        p, ok = band_solve(D, U, g)
+        return 1e-30 * p, ok
+
+    monkeypatch.setattr(geodesic, "_band_solve", negligible)
+    res = solve_geodesic(model, x, y, opts, init=converged.path)
+    assert res.stalled and res.iterations == 0
+    assert res.energy == converged.energy
+    assert res.path.points.tobytes() == converged.path.points.tobytes()
