@@ -230,7 +230,10 @@ def boundary_from_view(view: ConfigView, dim: int,
                 "barrier.kind = vertical needs a two-dimensional model",
                 view.lineno("barrier.kind"),
             )
-        return VerticalBarrier(view.get_float("barrier.x0"))
+        try:
+            return VerticalBarrier(view.get_float("barrier.x0"))
+        except ValueError as exc:
+            raise ConfigError(str(exc), view.lineno("barrier.x0"))
     normal = view.get_floats("barrier.normal")
     if normal.shape[0] != dim:
         raise ConfigError(
@@ -241,7 +244,8 @@ def boundary_from_view(view: ConfigView, dim: int,
     try:
         return Hyperplane(normal, offset)
     except ValueError as exc:
-        raise ConfigError(str(exc), view.lineno("barrier.normal"))
+        key = "barrier.normal" if "normal" in str(exc) else "barrier.offset"
+        raise ConfigError(str(exc), view.lineno(key))
 
 
 def solver_from_view(view: ConfigView) -> SolverOptions:

@@ -18,12 +18,15 @@ reached at the open or closed exit time makes no difference at this level of
 precision; the two exponents are treated as equal throughout.
 
 Engine: one distance oracle per geometry times one boundary chart.  The
-oracle is hw_distance for the log-price/volatility geometry, the whitened
-norm for a constant geometry, and the path optimizer otherwise (or under
-force_numeric).  Reflection formulas answer first where they exist: an
-endpoint on the plane, endpoints on both sides (the geodesic's own
-crossing), a vertical barrier under the uncorrelated volatility geometry
-(half-plane reflection) and a hyperplane under a constant metric (whitened
+oracle is hw_distance's kernel for the log-price/volatility geometry, the
+whitened norm for a constant geometry, and the path optimizer otherwise
+(or under force_numeric).  The closed-form oracles check nothing: the
+entry points check the endpoints once, the boundary is checked when it
+is built, and a scan only measures points that pass the domain test.
+Reflection formulas answer first where they exist: an endpoint on the
+plane, endpoints on both sides (the geodesic's own crossing), a vertical
+barrier under the uncorrelated volatility geometry (half-plane
+reflection) and a hyperplane under a constant metric (whitened
 reflection).  Every other case is one scan of d(x,z) + d(z,y) over a chart
 -- a window along the line of a plane, or the samples of a ParametricCurve
 -- by coarse samples and Brent refinement.  A line's window holds every
@@ -56,11 +59,11 @@ import numpy as np
 from .errors import BothZero, IncompleteModel, OutsideDomain
 from .geodesic import SolverOptions, _energies, _solve_legs, path_energy, solve_geodesic
 from .hyperbolic import (
-    barrier_infimum_vertical,
-    hw_distance,
+    _barrier_infimum_vertical,
+    _hw_distance,
+    _poincare,
     hw_geodesic_image,
     hw_transform,
-    poincare_distance,
 )
 from .model import (
     ConstantGeometry,
@@ -123,8 +126,11 @@ class Hyperplane:
         norm = float(np.linalg.norm(n))
         if not np.isfinite(norm) or norm == 0.0:
             raise ValueError("hyperplane normal must be nonzero and finite")
+        offset = float(self.offset)
+        if not math.isfinite(offset):
+            raise ValueError(f"hyperplane offset must be finite, got {offset}")
         object.__setattr__(self, "normal", n / norm)
-        object.__setattr__(self, "offset", float(self.offset) / norm)
+        object.__setattr__(self, "offset", offset / norm)
         if self.exit_side is not None and self.exit_side not in (-1, 1):
             raise ValueError("exit_side must be -1, +1, or None")
 
@@ -134,6 +140,10 @@ class VerticalBarrier:
     """The line {first coordinate = x0} in a two-dimensional state space."""
 
     x0: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.x0):
+            raise ValueError(f"vertical barrier x0 must be finite, got {self.x0}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +156,8 @@ class ParametricCurve:
     samples: int = 256
 
     def __post_init__(self):
+        if not (math.isfinite(self.theta_min) and math.isfinite(self.theta_max)):
+            raise ValueError("theta_min and theta_max must be finite")
         if not self.theta_min < self.theta_max:
             raise ValueError("need theta_min < theta_max")
         if self.samples < 3:
@@ -222,11 +234,15 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None):
 
     The closed-form oracles also take rows: with p or q an (n, d) array
     they return the n distances, each bit for bit the distance of its two
-    points, so a scan evaluates all its coarse samples in one call.
+    points, so a scan evaluates all its coarse samples in one call.  They
+    check nothing: p and q are float arrays of points of the domain, as
+    the engine's callers check them once at entry.  The volatility oracle
+    is hw_distance's kernel with hw_transform built once, the same bits.
     """
     if isinstance(geom, HullWhiteGeometry):
-        sv, rho = geom.sigma_vol, geom.rho
-        return lambda p, q: hw_distance(sv, rho, p, q)
+        sv = geom.sigma_vol
+        A = hw_transform(sv, geom.rho)
+        return lambda p, q: _hw_distance(A, sv, p, q)
     if isinstance(geom, ConstantGeometry):
         W, _ = geom.whitening
         return lambda p, q: _whitened_norm(W, p, q)
@@ -240,15 +256,15 @@ def model_distance(model: DiffusionModel, p, q,
     Closed form for the volatility and constant geometries, path optimizer
     otherwise.
     """
-    return _oracle(model, model.geometry, opts)(np.asarray(p, dtype=float),
-                                                np.asarray(q, dtype=float))
+    p, q = (_check_point(model, z, name) for name, z in (("p", p), ("q", q)))
+    return _oracle(model, model.geometry, opts)(p, q)
 
 
 def pointwise_exit_cost(model: DiffusionModel, x, y, z,
                         opts: SolverOptions | None = None) -> float:
     """Cost of forcing the bridge through z: ((d_xz + d_zy)^2 - d_xy^2)/2."""
     dist = _oracle(model, model.geometry, opts)
-    x, y, z = (np.asarray(p, dtype=float) for p in (x, y, z))
+    x, y, z = (_check_point(model, p, name) for name, p in (("x", x), ("y", y), ("z", z)))
     d_xz = dist(x, z)
     d_zy = dist(z, y)
     d_xy = dist(x, y)
@@ -336,8 +352,13 @@ def _half_plane_reflection(geom: HullWhiteGeometry, x, y, x0: float):
     geometry, where the barrier is a geodesic mirror of the half-plane."""
     sv = geom.sigma_vol
     A = hw_transform(sv, geom.rho)
-    zs_img, path_sum = barrier_infimum_vertical(A @ x, A @ y, x0)
-    d_img = poincare_distance(A @ x, A @ y)
+    X, Y = A @ x, A @ y
+    # in Python floats, where an overflow is a silent inf
+    Y_ref = np.array([2.0 * float(x0) - Y[0], Y[1]])
+    if not math.isfinite(Y_ref[0]):
+        raise ValueError("the mirror image of y across the barrier overflows")
+    zs_img, path_sum = _barrier_infimum_vertical(X, Y_ref, x0)
+    d_img = float(_poincare(X, Y))
     J = (path_sum**2 - d_img**2) / (2.0 * sv**2)
     return np.array([x0, sv * zs_img[1]]), J
 
@@ -581,11 +602,15 @@ def _scan(thetas: np.ndarray, make_legsums):
     function that continues from the sweep's legs there: its first leg is
     predicted from them, and each later one from the last two.  Brent only
     moves to a point that is no higher, so the coarse sample stays unless
-    a refined one is as low.
+    a refined one is as low.  A sweep without a finite leg sum raises
+    OutsideDomain: the distance oracles are only asked about points of the
+    domain, and the chart gave none.
     """
     sweep = make_legsums()
     vals = sweep(thetas)
     j = int(np.argmin(vals))
+    if not math.isfinite(vals[j]):
+        raise OutsideDomain("no sample of the boundary lies inside the model domain")
     lo = float(thetas[max(j - 1, 0)])
     hi = float(thetas[min(j + 1, len(thetas) - 1)])
     if not (lo < hi and math.isfinite(hi - lo)):

@@ -57,9 +57,20 @@ _ACOSH_LOG_CUTOFF = 2.0**500
 
 def _check_half_plane(p, name: str, rows: bool = False) -> np.ndarray:
     """p as a float array: one point of the half-plane, or with rows=True
-    also an (n, 2) array of points."""
+    also an (n, 2) array of points.
+
+    One point, or one row, is checked in Python floats: the numpy checks
+    would cost more than the distance itself.
+    """
     p = np.asarray(p, dtype=float)
-    if p.shape != (2,) and not (rows and p.ndim == 2 and p.shape[1] == 2):
+    if p.shape == (2,) or rows and p.shape == (1, 2):
+        px, py = p.reshape(2).tolist()
+        if not (math.isfinite(px) and math.isfinite(py)):
+            raise ValueError(f"{name} must be finite")
+        if py <= 0.0:
+            raise ValueError(f"{name} must have positive second coordinate, got {py}")
+        return p
+    if not (rows and p.ndim == 2 and p.shape[1] == 2):
         raise ValueError(f"{name} must be a point of the plane, got shape {p.shape}")
     if not np.isfinite(p).all():
         raise ValueError(f"{name} must be finite")
@@ -188,6 +199,11 @@ def geodesic_arc(p, q) -> GeodesicArc:
     q = _check_half_plane(q, "q")
     if np.array_equal(p, q):
         raise CoincidentPoints("geodesic through a single point is not defined")
+    return _geodesic_arc(p, q)
+
+
+def _geodesic_arc(p: np.ndarray, q: np.ndarray) -> GeodesicArc:
+    """geodesic_arc of two distinct points of the half-plane, unchecked."""
     if p[0] == q[0]:
         return GeodesicArc("vertical", p[0], np.inf, p[1], q[1])
     cx = (q[0] ** 2 + q[1] ** 2 - p[0] ** 2 - p[1] ** 2) / (2.0 * (q[0] - p[0]))
@@ -262,9 +278,16 @@ def barrier_infimum_vertical(x, y, x0: float):
         raise EndpointsStraddleBarrier(
             f"endpoints must lie strictly on one side of x = {x0}"
         )
-    y_ref = reflect_across_vertical(y, x0)
-    path_sum = poincare_distance(x, y_ref)
-    arc = geodesic_arc(x, y_ref)
+    # the mirror image overflows for a line near the float range
+    y_ref = _check_half_plane(reflect_across_vertical(y, x0), "q")
+    return _barrier_infimum_vertical(x, y_ref, x0)
+
+
+def _barrier_infimum_vertical(x: np.ndarray, y_ref: np.ndarray, x0: float):
+    """barrier_infimum_vertical from x and the mirror image y_ref of y, two
+    points of the half-plane strictly on either side of x = x0, unchecked."""
+    path_sum = _value(_poincare(x, y_ref))
+    arc = _geodesic_arc(x, y_ref)
     # The endpoints sit on opposite sides of the line, so the circle crosses it.
     h2 = arc.radius**2 - (x0 - arc.center_x) ** 2
     z_star = np.array([x0, np.sqrt(h2)])
@@ -275,11 +298,12 @@ def barrier_infimum_vertical(x, y, x0: float):
 
 
 def _check_vol_params(sigma_vol: float, rho: float) -> float:
-    if not np.isfinite(sigma_vol) or sigma_vol <= 0.0:
+    """sqrt(1 - rho^2), once sigma_vol and rho are checked."""
+    if not math.isfinite(sigma_vol) or sigma_vol <= 0.0:
         raise ValueError(f"sigma_vol must be positive, got {sigma_vol}")
-    if not np.isfinite(rho) or abs(rho) >= 1.0:
+    if not math.isfinite(rho) or abs(rho) >= 1.0:
         raise DegenerateCorrelation(f"need |rho| < 1, got {rho}")
-    return float(np.sqrt(1.0 - rho * rho))
+    return math.sqrt(1.0 - rho * rho)
 
 
 def hw_transform(sigma_vol: float, rho: float) -> np.ndarray:
@@ -306,6 +330,12 @@ def hw_distance(sigma_vol: float, rho: float, p, q):
     A = hw_transform(sigma_vol, rho)
     p = _check_half_plane(p, "p", rows=True)
     q = _check_half_plane(q, "q", rows=True)
+    return _hw_distance(A, sigma_vol, p, q)
+
+
+def _hw_distance(A: np.ndarray, sigma_vol: float, p: np.ndarray, q: np.ndarray):
+    """hw_distance with A = hw_transform(sigma_vol, rho), unchecked: p and
+    q are float arrays of points or rows of the geometry's domain."""
     return _value(_poincare((A @ p[..., None])[..., 0], (A @ q[..., None])[..., 0])
                   / sigma_vol)
 

@@ -685,6 +685,32 @@ def test_solver_options_refuse_an_infinite_or_negative_grad_tol(tmp_path):
     assert code == 2 and "grad_tol" in err
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf"])
+def test_an_infinite_barrier_is_refused_with_its_line(bad, tmp_path):
+    with pytest.raises(ConfigError) as err:
+        boundary_from_view(view_of(f"barrier.kind = vertical\nbarrier.x0 = {bad}\n"), 2)
+    assert str(err.value) == f"line 2: vertical barrier x0 must be finite, got {bad}"
+    with pytest.raises(ConfigError) as err:
+        boundary_from_view(view_of("barrier.kind = hyperplane\nbarrier.normal = 1, 0.2\n"
+                                   f"barrier.offset = {bad}\n"), 2)
+    assert str(err.value) == f"line 3: hyperplane offset must be finite, got {bad}"
+    # a bad normal is still reported at its own line
+    with pytest.raises(ConfigError) as err:
+        boundary_from_view(view_of("barrier.kind = hyperplane\nbarrier.normal = inf, 0\n"
+                                   f"barrier.offset = {bad}\n"), 2)
+    assert str(err.value) == "line 2: hyperplane normal must be nonzero and finite"
+    vertical = write_cfg(tmp_path, "x0.cfg", FIGURE1_TEXT.replace("x0 = 2.5", f"x0 = {bad}"))
+    slanted = write_cfg(tmp_path, "offset.cfg", (
+        "model.kind = hull_white\nmodel.sigma_vol = 1\nmodel.rho = 0.3\n"
+        "x = 1, 0.2\ny = 2, 0.5\nbarrier.kind = hyperplane\n"
+        f"barrier.normal = 1, 0.2\nbarrier.offset = {bad}\n"))
+    for cfg, line, key in ((vertical, 5, "x0"), (slanted, 8, "offset")):
+        for command in ("exit", "figure"):
+            code, err = run_cli([command, "--config", cfg, "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert f"line {line}: " in err and f"{key} must be finite" in err
+
+
 def test_an_infinite_horizon_is_refused_with_its_line(tmp_path):
     with pytest.raises(ConfigError) as err:
         t_list_from_view(view_of("x = 1\nt = 0.1, inf\n"))

@@ -187,6 +187,70 @@ def test_parametric_curve_validation():
         ParametricCurve(chart, 0.0, 1.0, samples=2)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_boundaries_refuse_numbers_that_are_not_finite(bad):
+    with pytest.raises(ValueError, match="vertical barrier x0 must be finite"):
+        VerticalBarrier(bad)
+    with pytest.raises(ValueError, match="hyperplane offset must be finite"):
+        Hyperplane(np.array([1.0, 0.2]), bad)
+    chart = lambda th: np.array([2.5, th])
+    for lo, hi in ((bad, 1.0), (0.0, bad)):
+        with pytest.raises(ValueError, match="theta_min and theta_max must be finite"):
+            ParametricCurve(chart, lo, hi)
+
+
+def test_a_barrier_whose_mirror_image_overflows_is_refused():
+    # the half-plane reflection of y across x = 1e308 is not finite
+    model = hull_white_model(sigma_vol=1.5)
+    for x0 in (1e308, -1e308):
+        with pytest.raises(ValueError, match="mirror image of y across the barrier"):
+            exit_asymptotics(model, ref.A_X, ref.A_Y, VerticalBarrier(x0))
+
+
+def test_a_curve_outside_the_domain_is_refused():
+    # every sample reads +inf, so no point of the curve has a distance
+    model = hull_white_model(sigma_vol=1.5, rho=0.5)
+    below = ParametricCurve(lambda th: np.array([2.5, -1.0 - th]), 0.0, 1.0)
+    runs = [
+        lambda: exit_asymptotics(model, ref.A_X, ref.A_Y, below),
+        lambda: exit_asymptotics(model, ref.A_X, ref.A_Y, below,
+                                 opts=SolverOptions(n=20), force_numeric=True),
+        # the frozen comparator's whitened norm is defined off the domain,
+        # but its scan keeps to the domain all the same
+        lambda: frozen_exit_asymptotics(model, ref.A_X, ref.A_Y, below, ref.A_Y),
+    ]
+    for run in runs:
+        with pytest.raises(OutsideDomain, match="no sample of the boundary"):
+            run()
+
+
+@pytest.mark.parametrize("kind", ["volatility", "constant"])
+def test_distance_wrappers_check_their_points(kind):
+    if kind == "volatility":
+        model = hull_white_model(sigma_vol=1.5, rho=0.5)
+    else:
+        model = constant_model(np.array([[1.0, 0.0], [0.3, 0.8]]))
+    bad = [((math.nan, 0.5), ValueError, "must be finite"),
+           ((1.0, math.inf), ValueError, "must be finite"),
+           ((1.0, 0.5, 2.0), ValueError, "must be a point of dimension 2")]
+    if kind == "volatility":
+        bad += [((1.0, 0.0), OutsideDomain, "is outside the model domain"),
+                ((1.0, -0.5), OutsideDomain, "is outside the model domain")]
+    good = [ref.A_X, ref.A_Y, np.array([2.5, 1.0])]
+    calls = [(lambda p, q, z: model_distance(model, p, q), "pq"),
+             (lambda x, y, z: pointwise_exit_cost(model, x, y, z), "xyz")]
+    for fn, names in calls:
+        fn(*good)
+        for k, name in enumerate(names):
+            for point, exc, message in bad:
+                args = list(good)
+                args[k] = point
+                with pytest.raises(exc) as info:
+                    fn(*args)
+                assert str(info.value).startswith(name + " ")
+                assert message in str(info.value)
+
+
 def test_vertical_barrier_needs_two_dimensions():
     model = constant_model(np.eye(3))
     x = np.zeros(3)
@@ -593,15 +657,15 @@ def test_volatility_window_holds_every_cheaper_point(model, x, y, angle, gap):
     thetas, chart = _line_window(model, x, y, plane)
     assert np.isfinite(thetas).all()
 
-    def legsums(z):
+    def legsum(z):
         return model_distance(model, x, z) + model_distance(model, z, y)
 
-    S = legsums(chart(0.0))
+    S = legsum(chart(0.0))
     width = np.ptp(thetas)
     offsets = width * np.geomspace(1e-6, 1e3, 80)
     beyond = chart(np.concatenate([thetas[0] - offsets, thetas[-1] + offsets]))
     beyond = beyond[domain_test_batch(model, beyond)]
-    assert (legsums(beyond) > S).all()
+    assert all(legsum(z) > S for z in beyond)
     res = exit_asymptotics(model, x, y, plane)
     for v in np.geomspace(1e-3, 50.0, 200):
         z = np.array([(c - n[1] * v) / n[0], v])
@@ -775,15 +839,16 @@ def test_slanted_closed_form_exit_callback_counts(monkeypatch):
 
     def counted_distance(*args):
         counts["distance"] += 1
-        return hyperbolic.hw_distance(*args)
+        return hyperbolic._hw_distance(*args)
 
-    monkeypatch.setattr(exits, "hw_distance", counted_distance)
+    # the engine measures with hw_distance's unchecked kernel
+    monkeypatch.setattr(exits, "_hw_distance", counted_distance)
     plane = Hyperplane(np.array([1.0, 0.2]), 2.6)
     res = exit_asymptotics(replace(model, sigma=counted_sigma), ref.A_X, ref.A_Y, plane)
     # the window march once took its rates from sigma (1,024 calls), and the
     # scan made one distance call per leg of each of its 256 samples
     assert counts["sigma"] == 0
-    assert counts["distance"] <= 200
+    assert 0 < counts["distance"] <= 200
     n, c = plane.normal, plane.offset
     for v in np.geomspace(1e-2, 20.0, 300):
         z = np.array([(c - n[1] * v) / n[0], v])
@@ -832,6 +897,53 @@ def test_batched_scan_matches_scalar_distances_bit_for_bit(kind):
                         for z in points])
     assert batched.tobytes() == old.tobytes()
 
+
+# Full-precision results of config A's endpoints through the closed-form
+# scan (certified window, coarse samples, Brent refinement) under the
+# volatility geometry: a correlated vertical barrier and a slanted plane.
+# The engine measures with unchecked distance kernels, so these pins and
+# the public hw_distance at z_star hold them to the checked bits.
+PINNED_CLOSED_FORM_SCANS = {
+    "correlated": {
+        "J": "0x1.469940651cd08p+0",
+        "z_star": ("0x1.4000000000000p+1", "0x1.8e3437e220abcp+0"),
+        "u_bar": "0x1.6dd2983bfa372p-1",
+        "d_xy": "0x1.19c249e8791bap+1",
+        "d_xz": "0x1.f178e759591e9p+0",
+        "d_zy": "0x1.8d90b556a9230p-1",
+    },
+    "slanted": {
+        "J": "0x1.01200adb42754p+1",
+        "z_star": ("0x1.2f41a96c94a1ap+1", "0x1.276f61c231aefp+0"),
+        "u_bar": "0x1.7d17ee2a4dd98p-1",
+        "d_xy": "0x1.33694314691c1p+1",
+        "d_xz": "0x1.2a083a0b4f099p+1",
+        "d_zy": "0x1.997fbf0b7cd8ep-1",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CLOSED_FORM_SCANS))
+def test_closed_form_scan_results_are_pinned(case):
+    if case == "correlated":
+        sv, rho, boundary = 1.5, 0.5, VerticalBarrier(ref.A_BARRIER)
+    else:
+        sv, rho, boundary = 1.1, 0.3, Hyperplane(np.array([1.0, 0.2]), 2.6)
+    res = exit_asymptotics(hull_white_model(sigma_vol=sv, rho=rho), ref.A_X, ref.A_Y,
+                           boundary)
+    got = {
+        "J": res.J.hex(),
+        "z_star": tuple(float(v).hex() for v in res.z_star),
+        "u_bar": res.u_bar.hex(),
+        "d_xy": res.d_xy.hex(),
+        "d_xz": res.d_xz.hex(),
+        "d_zy": res.d_zy.hex(),
+    }
+    assert got == PINNED_CLOSED_FORM_SCANS[case]
+    assert res.method == "numeric_1d"
+    assert res.d_xz == hw_distance(sv, rho, ref.A_X, res.z_star)
+    assert res.d_zy == hw_distance(sv, rho, res.z_star, ref.A_Y)
+    assert res.d_xy == hw_distance(sv, rho, ref.A_X, ref.A_Y)
 
 
 # ---- solver scan: chains in lockstep ---- #

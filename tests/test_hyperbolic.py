@@ -353,3 +353,88 @@ def test_geodesic_image_endpoints_and_implicit_equation():
     assert img.kind == "circle"
     res = np.array([img.implicit_residual(z) for z in pts])
     assert np.abs(res).max() < 1e-9 * img.radius**2
+
+
+# ---- input validation of the public functions ---- #
+
+# Each public function checks its inputs on every call, whatever path the
+# check takes inside; these are the exceptions and messages it raises.
+# (bad point, message after the argument's name)
+BAD_POINTS = [
+    ((math.nan, 0.5), "must be finite"),
+    ((1.0, math.nan), "must be finite"),
+    ((math.inf, 0.5), "must be finite"),
+    ((1.0, -math.inf), "must be finite"),
+    ((-math.inf, -1.0), "must be finite"),
+    ((1.0, 0.0), "must have positive second coordinate, got 0.0"),
+    ((1.0, -0.0), "must have positive second coordinate, got -0.0"),
+    ((1.0, -0.3), "must have positive second coordinate, got -0.3"),
+]
+# function, names of its two point arguments, whether it takes rows
+CHECKED = {
+    "poincare_distance": (poincare_distance, ("p", "q"), True),
+    "hw_distance": (lambda p, q: hw_distance(1.3, 0.4, p, q), ("p", "q"), True),
+    "barrier_infimum_vertical": (lambda x, y: barrier_infimum_vertical(x, y, 2.5),
+                                 ("x", "y"), False),
+    "geodesic_arc": (geodesic_arc, ("p", "q"), False),
+}
+GOOD = ((1.0, 0.2), (2.0, 0.5))
+
+
+def _form(point, form):
+    """point as itself, as a one-row array or as the middle of three rows."""
+    if form == "point":
+        return np.array(point)
+    if form == "one_row":
+        return np.array([point])
+    if len(point) != 2:
+        return np.full((3, len(point)), 0.5)
+    return np.array([(1.5, 0.4), point, (0.5, 1.0)])
+
+
+def _raises(exc, message, fn, *args):
+    with pytest.raises(exc) as info:
+        fn(*args)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("form", ["point", "one_row", "rows"])
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_public_functions_reject_bad_points_with_their_messages(name, form):
+    fn, names, rows = CHECKED[name]
+    for k in (0, 1):
+        # a function of single points gets the other one as a point
+        args = [_form(p, form if rows or i == k else "point") for i, p in enumerate(GOOD)]
+        if rows or form == "point":
+            fn(*args)
+        for bad, message in BAD_POINTS:
+            args[k] = _form(bad, form)
+            if not (rows or form == "point"):
+                message = f"must be a point of the plane, got shape {args[k].shape}"
+            _raises(ValueError, f"{names[k]} {message}", fn, *args)
+        args[k] = _form((1.0, 0.5, 2.0), form)
+        _raises(ValueError, f"{names[k]} must be a point of the plane, "
+                f"got shape {args[k].shape}", fn, *args)
+        if form == "point":
+            args[k] = np.ones((2, 2, 2))
+            _raises(ValueError, f"{names[k]} must be a point of the plane, "
+                    "got shape (2, 2, 2)", fn, *args)
+
+
+@pytest.mark.parametrize("form", ["point", "one_row", "rows"])
+def test_volatility_parameters_are_rejected_with_their_messages(form):
+    from bridgeexit import DegenerateCorrelation
+
+    p, q = (_form(g, form) for g in GOOD)
+    for sv in (0.0, -1.0, math.inf, math.nan, np.float64(-2.0)):
+        for fn in (lambda: hw_distance(sv, 0.4, p, q), lambda: hw_transform(sv, 0.4),
+                   lambda: hw_transform_inverse(sv, 0.4)):
+            _raises(ValueError, f"sigma_vol must be positive, got {sv}", fn)
+    for rho in (1.0, -1.0, math.nan, math.inf, -math.inf, np.float64(1.5)):
+        for fn in (lambda: hw_distance(1.3, rho, p, q), lambda: hw_transform(1.3, rho),
+                   lambda: hw_transform_inverse(1.3, rho)):
+            _raises(DegenerateCorrelation, f"need |rho| < 1, got {rho}", fn)
+    # the parameters are checked before the points
+    _raises(ValueError, "sigma_vol must be positive, got 0.0",
+            lambda: hw_distance(0.0, 0.4, (math.nan, 1.0), q))
