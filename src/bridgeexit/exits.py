@@ -34,16 +34,21 @@ point that could cost less than the anchor: under the volatility and
 constant geometries the part of the line within the anchor's leg sum of
 both endpoints, and under any other model the part of the line inside the
 domain.  No window has a length limit.  Charts and the closed-form
-oracles take arrays, so a window's coarse samples are mapped, domain-tested
-and measured in one call each, bit for bit as one point at a time.  Solver
-legs are solved coarsely along SCAN_CHAINS chains of neighboring samples,
-each a predictor-corrector continuation: a sample's legs start from the
-chain's last two solutions extrapolated linearly in the chart parameter,
-their miss of the new point spread along them, and the optimizer corrects
-them.  The chains advance in lockstep as one stack of paths for the
-optimizer, in one thread, and Brent's refinement continues from the
-sweep's legs at the best sample.  The legs and J of the result come from
-the oracle at z_star.
+oracles take arrays, so a window's 256 samples are mapped, domain-tested
+and measured in one call each, bit for bit as one point at a time.  The
+path optimizer measures only the samples that could still beat the best
+one: the leg sum f is 2-Lipschitz in distance along the boundary, so
+between samples i and j, l_ij apart along the chart, f >= (f_i + f_j) / 2
+- l_ij (the Piyavskii-Shubert bound).  Its scan solves every SCAN_STRIDE-th
+sample cold, then bisects in rounds every gap whose bound lies below the
+best sample's f* (1 - SCAN_GAP), the gaps beside the best sample and those
+with an end outside the domain, down to one sample; each round's legs are
+one lockstep stack for the optimizer, in one thread, and a new sample's
+legs start interpolated from its two neighbors' (a predictor-corrector
+continuation).  The result's scan_gap is the relative gap the bound
+certifies over the samples skipped.  Brent's refinement continues from the
+legs at the best sample.  The legs and J of the result come from the
+oracle at z_star.
 The frozen comparator is the same engine on the constant geometry
 a(z0)^{-1}.
 """
@@ -102,8 +107,14 @@ GOLDEN_BRACKET = 1e-10
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
 # J at or below this times max(1, d_xy^2) is reported as "geodesic exits".
 EXIT_TOL = 1e-12
-# Warm-start chains of a solver scan's coarse sweep, advanced in lockstep.
-SCAN_CHAINS = 32
+TOO_FAR = "the endpoints and the boundary are too far apart for float arithmetic"
+# A solver scan first solves every SCAN_STRIDE-th sample of its window
+# (and the last), then bisects the gaps whose Lipschitz bound comes within
+# SCAN_GAP (relative) of the best sample; SCAN_PIECES pieces of an
+# inscribed polygon measure a gap's length.
+SCAN_STRIDE = 8
+SCAN_GAP = 1e-3
+SCAN_PIECES = 16
 
 
 # ---- Boundary descriptions ---- #
@@ -180,9 +191,16 @@ class ExitAsymptotics:
     method: str
     geodesic_exits: bool = False
     degenerate: bool = False
-    # Coarse-sweep solver legs of the scan that spent their max_iter above
+    # Solver legs of the scan's samples that spent their max_iter above
     # tolerance without stalling.
     unconverged_legs: int = 0
+    # Relative gap certified by a solver scan: every sample of its window
+    # that it skipped has a leg sum of at least (1 - scan_gap) times the
+    # best sample's, so scan_gap <= SCAN_GAP.  The bound holds for true
+    # distances; loose solver legs and the polygon quadrature of the chart
+    # lengths carry their own error.  NaN for closed-form scans and
+    # reflections.
+    scan_gap: float = math.nan
 
 
 # ---- Scalar pieces ---- #
@@ -353,10 +371,12 @@ def _half_plane_reflection(geom: HullWhiteGeometry, x, y, x0: float):
     sv = geom.sigma_vol
     A = hw_transform(sv, geom.rho)
     X, Y = A @ x, A @ y
-    # in Python floats, where an overflow is a silent inf
+    # in Python floats, where an overflow is a silent inf: the arc through
+    # X and the image squares their coordinates
     Y_ref = np.array([2.0 * float(x0) - Y[0], Y[1]])
-    if not math.isfinite(Y_ref[0]):
-        raise ValueError("the mirror image of y across the barrier overflows")
+    (xu, xv), (yu, yv) = X.tolist(), Y_ref.tolist()
+    if not math.isfinite(xu * xu + xv * xv + yu * yu + yv * yv):
+        raise ValueError(f"the mirror image of y across the barrier overflows: {TOO_FAR}")
     zs_img, path_sum = _barrier_infimum_vertical(X, Y_ref, x0)
     d_img = float(_poincare(X, Y))
     J = (path_sum**2 - d_img**2) / (2.0 * sv**2)
@@ -460,7 +480,10 @@ def _certified_line_ends(model, x, y, anchor, tangent):
     S = dist(x, anchor) + dist(anchor, y)
     if isinstance(geom, HullWhiteGeometry):
         M = hw_transform(geom.sigma_vol, geom.rho)
-        sh = math.sinh(0.5 * geom.sigma_vol * S)
+        try:
+            sh = math.sinh(0.5 * geom.sigma_vol * S)
+        except OverflowError:  # read as inf, and the window refused below
+            sh = math.inf
         k, r = 2.0 * sh * sh, 0.0  # sh * sh overflows to inf; sh ** 2 raises
     else:
         M = geom.whitening[0]
@@ -585,45 +608,114 @@ def _brent(f, a: float, b: float, x: float, fx: float):
                 v, fv = u, fu
 
 
-def _scan(thetas: np.ndarray, make_legsums):
+def _scan(thetas: np.ndarray, legsums, lengths=None):
     """(chart parameter of the smallest leg sum d(x, z) + d(z, y), solver
-    legs of the coarse sweep that stopped short of tolerance).
+    legs of the sampling rounds that stopped short of tolerance, relative
+    gap certified over the skipped samples).
 
-    make_legsums(start=None) returns a function from an array of chart
-    parameters to the array of their leg sums (+inf outside the domain);
-    its attribute unconverged counts the solver legs of its calls that
-    stopped short.  start, when given, is (f, i): a function made earlier
-    and a sample of its last call, whose solver legs the new function
-    continues from.  All coarse samples go to one call, in one thread: a
-    closed-form oracle measures them in one batch, the path optimizer
-    solves them as chains in lockstep.  The argmin takes the first index
-    on ties.  Brent's method then refines within one sample of the best,
-    one parameter per call, starting from that sample's sweep value, by a
-    function that continues from the sweep's legs there: its first leg is
-    predicted from them, and each later one from the last two.  Brent only
-    moves to a point that is no higher, so the coarse sample stays unless
-    a refined one is as low.  A sweep without a finite leg sum raises
-    OutsideDomain: the distance oracles are only asked about points of the
-    domain, and the chart gave none.
+    legsums(thetas, near=None) maps an array of chart parameters to the
+    array of their leg sums (+inf outside the domain), each call one batch
+    (one lockstep stack of solver legs); its attribute unconverged counts
+    the solver legs that stopped short.  near[k], when given, names up to
+    two parameters measured earlier whose solver legs the legs at thetas[k]
+    continue from.
+
+    Without lengths (a closed-form oracle) every sample is measured in one
+    call and the gap is NaN.  With lengths(lo, hi), the Riemannian lengths
+    of the chart over the gaps [lo[k], hi[k]], the scan runs in rounds:
+    round 0 measures every SCAN_STRIDE-th sample and the last, cold, and
+    each later round bisects every open gap between measured neighbors,
+    its new samples continuing from the legs of both ends.  As the leg sum
+    f is 2-Lipschitz in distance, f >= (f_i + f_j) / 2 - l_ij on the gap
+    between samples i and j (Piyavskii 1972; Shubert 1972), and a gap is
+    open while that bound lies below the best sample's f* (1 - SCAN_GAP),
+    while it borders the best sample, or while an end lies outside the
+    domain, and it is wider than one sample.  The gap returned is
+    (f* - the lowest bound over the gaps left) / f*, at least 0.
+
+    The argmin takes the first index on ties.  Brent's method then refines
+    within one sample of the best, one parameter per call, starting from
+    that sample's value and continuing from its legs: each refined point's
+    legs are predicted from the last two measured.  Brent only moves to a
+    point that is no higher, so the sample stays unless a refined one is as
+    low.  A scan without a finite leg sum raises OutsideDomain: the
+    distance oracles are only asked about points of the domain, and the
+    chart gave none.
     """
-    sweep = make_legsums()
-    vals = sweep(thetas)
-    j = int(np.argmin(vals))
-    if not math.isfinite(vals[j]):
+    if lengths is None:
+        f = legsums(thetas)
+        j = int(np.argmin(f))
+        gap = math.nan
+    else:
+        f, j, gap = _rounds(thetas, legsums, lengths)
+    if not math.isfinite(f[j]):
         raise OutsideDomain("no sample of the boundary lies inside the model domain")
+    unconverged = legsums.unconverged
     lo = float(thetas[max(j - 1, 0)])
     hi = float(thetas[min(j + 1, len(thetas) - 1)])
     if not (lo < hi and math.isfinite(hi - lo)):
-        return float(thetas[j]), sweep.unconverged
-    f = make_legsums((sweep, j))
-    theta, _ = _brent(lambda th: f(np.array([th]))[0], lo, hi, float(thetas[j]), vals[j])
-    return theta, sweep.unconverged
+        return float(thetas[j]), unconverged, gap
+    last = [float(thetas[j])]  # measured points, for the warm starts
+
+    def refine(theta):
+        value = legsums(np.array([theta]), [tuple(last[-2:])])[0]
+        if math.isfinite(value):
+            last.append(theta)
+        return value
+
+    theta, _ = _brent(refine, lo, hi, float(thetas[j]), f[j])
+    return theta, unconverged, gap
+
+
+def _rounds(thetas, legsums, lengths):
+    """(leg sums, NaN where skipped; index of the best; relative gap) of
+    _scan's bisection rounds."""
+    n = len(thetas)
+    f = np.full(n, np.nan)
+    new = np.unique(np.append(np.arange(0, n, SCAN_STRIDE), n - 1))
+    near = None
+    ell = {}  # (i, j) -> chart length between samples i and j
+    while len(new):
+        f[new] = legsums(thetas[new], near)
+        done = np.flatnonzero(~np.isnan(f))
+        j = int(done[np.argmin(f[done])])
+        gaps = [(a, b) for a, b in zip(done[:-1].tolist(), done[1:].tolist()) if b - a > 1]
+        forced = {g for g in gaps if j in g or not np.isfinite(f[list(g)]).all()}
+        need = [g for g in gaps if g not in forced and g not in ell]
+        if need:
+            lo, hi = zip(*need)
+            ell.update(zip(need, lengths(thetas[list(lo)], thetas[list(hi)])))
+        bounds = {g: 0.5 * (f[g[0]] + f[g[1]]) - ell[g] for g in gaps if g not in forced}
+        # a NaN bound stays open
+        gaps = [g for g in gaps if g in forced or not bounds[g] >= f[j] * (1.0 - SCAN_GAP)]
+        new = np.array([(a + b) // 2 for a, b in gaps], dtype=int)
+        near = [(thetas[a], thetas[b]) for a, b in gaps]
+    low = min(bounds.values(), default=f[j])
+    return f, j, max(0.0, (f[j] - low) / f[j]) if 0.0 < f[j] < math.inf else 0.0
+
+
+def _chart_lengths(model, chart, lo, hi):
+    """Riemannian length of the chart over each [lo[k], hi[k]]: the length
+    of its inscribed polygon of SCAN_PIECES pieces, each measured under
+    the metric at its midpoint, +inf for a piece whose midpoint lies outside
+    the domain.  All gaps take one domain test and one metric batch."""
+    t = np.linspace(lo, hi, SCAN_PIECES + 1, axis=1)
+    p = chart(t.ravel()).reshape(len(lo), SCAN_PIECES + 1, -1)
+    step = np.diff(p, axis=1).reshape(-1, p.shape[-1])
+    mid = (0.5 * (p[:, 1:] + p[:, :-1])).reshape(-1, p.shape[-1])
+    out = np.full(len(mid), np.inf)
+    inside = domain_test_batch(model, mid)
+    if inside.any():
+        s = step[inside]
+        G = inverse_metric_batch(model, mid[inside])
+        out[inside] = np.sqrt(np.einsum("ki,kij,kj->k", s, G, s))
+    return out.reshape(len(lo), SCAN_PIECES).sum(axis=1)
 
 
 def _oracle_legsums(model, dist, x, y, chart):
-    """Leg sums of a closed-form oracle: every point of the chart in one
+    """Leg sums of a closed-form oracle: every point of a call in one
     row-batched call per leg."""
-    def legsums(thetas):
+    def legsums(thetas, near=None):
         z = chart(thetas)
         out = np.full(len(z), np.inf)
         inside = domain_test_batch(model, z)
@@ -632,22 +724,23 @@ def _oracle_legsums(model, dist, x, y, chart):
         return out
 
     legsums.unconverged = 0
-    return lambda start=None: legsums
+    return legsums
 
 
 def _predicted_legs(tails, theta, z, x, y):
     """Warm starts (W, 2, N+1, d) of the x-to-z and z-to-y legs at the
-    chart parameters theta[w], points z[w], from the last solved samples
-    tails[w] of each chain, oldest first, as (theta, x-to-z, z-to-y).
+    chart parameters theta[w], points z[w], from one or two solved samples
+    tails[w], as (theta, x-to-z, z-to-y).
 
-    The prediction continues the chain's two last legs L0 and L1 at theta0
-    and theta1 linearly: L1 + r (L1 - L0) with r = (theta - theta1) /
-    (theta1 - theta0), and L1 alone after one sample (the secant predictor
-    of Allgower & Georg 1990, Introduction to Numerical Continuation
-    Methods).  What it misses of z is spread along each leg linearly, with
-    weight k/N at point k of the x-to-z leg and 1 - k/N on the z-to-y leg,
-    and the ends are pinned to x, z and y.  All of it is elementwise per
-    leg, so each leg gets the bits it gets alone.
+    Two samples' legs L0 and L1 at theta0 and theta1 give L1 + r (L1 - L0)
+    with r = (theta - theta1) / (theta1 - theta0), which interpolates for a
+    theta between them (r in (-1, 0)) and extrapolates otherwise (the
+    secant predictor of Allgower & Georg 1990, Introduction to Numerical
+    Continuation Methods); one sample gives its legs.  What the prediction
+    misses of z is spread along each leg linearly, with weight k/N at point
+    k of the x-to-z leg and 1 - k/N on the z-to-y leg, and the ends are
+    pinned to x, z and y.  All of it is elementwise per leg, so each leg
+    gets the bits it gets alone.
     """
     L1 = np.array([t[-1][1:] for t in tails])
     L0 = np.array([t[0][1:] for t in tails])
@@ -664,22 +757,17 @@ def _predicted_legs(tails, theta, z, x, y):
 
 
 def _solver_legsums(model, x, y, chart, opts: SolverOptions):
-    """Leg-sum factory for the path optimizer.
+    """Leg sums of the path optimizer.
 
     Ranking boundary points needs far less accuracy than the reported
     exponent, so the legs are solved at a coarse resolution and loose
-    tolerance with strict=False.  The samples of a call are split into
-    SCAN_CHAINS contiguous chains, and the boundary scan along a chain is
-    a continuation: each sample's legs start from their prediction by
-    _predicted_legs from the chain's last two solved samples, or cold from
-    the chord where that prediction's energy is not finite.  A chain's
-    first sample starts cold, unless an earlier call of the same function
-    left that chain samples to continue from, or the function was made
-    with start=(f, i) and its one chain continues from the legs of sample
-    i of f's last call (kept in f.solved).  The chains advance in
-    lockstep: the legs of one step of every chain are one stack for the
-    path optimizer, and each leg gets the bits it would get alone.  No
-    threads.
+    tolerance with strict=False.  The legs of every point of a call inside
+    the domain are one stack for the path optimizer, in one thread, and
+    each leg gets the bits it would get alone.  A point with near names
+    continues from the legs solved at those parameters (kept in solved):
+    its legs start from their prediction by _predicted_legs, or cold from
+    the chord where that prediction's energy is not finite.  A point
+    without them starts cold.
     """
     opts = replace(
         opts,
@@ -690,51 +778,38 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
         multi_start=1,
         strict=False,
     )
+    solved = {}  # chart parameter -> (theta, x-to-z legs, z-to-y legs)
 
-    def make_legsums(start=None):
-        # chain -> its last one or two solved samples, oldest first; a
-        # start sample outside the domain has no legs
-        tails = {}
-        if start is not None and start[1] in start[0].solved:
-            tails[0] = [start[0].solved[start[1]]]
-
-        def legsums(thetas):
-            z = chart(thetas)
-            out = np.full(len(z), np.inf)
-            legsums.solved = {}
-            inside = np.flatnonzero(domain_test_batch(model, z))
-            chains = np.array_split(inside, min(SCAN_CHAINS, len(inside)) or 1)
-            for step in range(len(chains[0])):
-                live = [(c, chain[step]) for c, chain in enumerate(chains)
-                        if step < len(chain)]
-                X = np.array([p for _, i in live for p in (x, z[i])])
-                Y = np.array([p for _, i in live for p in (z[i], y)])
-                inits = [None] * len(X)
-                warm = [k for k, (c, _) in enumerate(live) if c in tails]
-                if warm:
-                    idx = [live[k][1] for k in warm]
-                    pred = _predicted_legs([tails[live[k][0]] for k in warm],
-                                           thetas[idx], z[idx], x, y)
-                    E0 = _energies(model, pred.reshape(-1, *pred.shape[2:]))
-                    for k, pts, e in zip(warm, pred, E0.reshape(-1, 2)):
-                        for leg in (0, 1):
-                            if np.isfinite(e[leg]):
-                                inits[2 * k + leg] = pts[leg]
-                P, E, _, _, _, unconverged = _solve_legs(model, X, Y, opts, inits)
-                d = np.sqrt(np.maximum(2.0 * E, 0.0))
-                for k, (c, i) in enumerate(live):
-                    # a sample solved again replaces its last solve
-                    last = [t for t in tails.get(c, [])[-1:] if t[0] != thetas[i]]
-                    tails[c] = last + [(thetas[i], P[2 * k], P[2 * k + 1])]
-                    legsums.solved[i] = tails[c][-1]
-                    out[i] = d[2 * k] + d[2 * k + 1]
-                legsums.unconverged += int(unconverged.sum())
+    def legsums(thetas, near=None):
+        z = chart(thetas)
+        out = np.full(len(z), np.inf)
+        inside = np.flatnonzero(domain_test_batch(model, z))
+        if not len(inside):
             return out
+        X = np.array([p for i in inside for p in (x, z[i])])
+        Y = np.array([p for i in inside for p in (z[i], y)])
+        inits = [None] * len(X)
+        tails = [[solved[t] for t in near[i] if t in solved] if near else []
+                 for i in inside]
+        warm = [k for k, tail in enumerate(tails) if tail]
+        if warm:
+            idx = inside[warm]
+            pred = _predicted_legs([tails[k] for k in warm], thetas[idx], z[idx], x, y)
+            E0 = _energies(model, pred.reshape(-1, *pred.shape[2:]))
+            for k, pts, e in zip(warm, pred, E0.reshape(-1, 2)):
+                for leg in (0, 1):
+                    if np.isfinite(e[leg]):
+                        inits[2 * k + leg] = pts[leg]
+        P, E, _, _, _, unconverged = _solve_legs(model, X, Y, opts, inits)
+        d = np.sqrt(np.maximum(2.0 * E, 0.0))
+        for k, i in enumerate(inside):
+            solved[float(thetas[i])] = (thetas[i], P[2 * k], P[2 * k + 1])
+            out[i] = d[2 * k] + d[2 * k + 1]
+        legsums.unconverged += int(unconverged.sum())
+        return out
 
-        legsums.unconverged = 0
-        return legsums
-
-    return make_legsums
+    legsums.unconverged = 0
+    return legsums
 
 
 # ---- The engine ---- #
@@ -742,20 +817,25 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
 
 def _assemble(dist, x, y, d_xy: float, z_star, method: str, J=None,
               geodesic_exits=False, degenerate=False,
-              unconverged_legs=0) -> ExitAsymptotics:
+              unconverged_legs=0, scan_gap=math.nan) -> ExitAsymptotics:
     """Result at z_star with legs from the oracle; J from those legs unless
-    a reflection formula supplies it."""
+    a reflection formula supplies it.  A J or z_star that is not finite
+    (distances past the float range) raises ValueError."""
+    if not all(map(math.isfinite, z_star)):
+        raise ValueError(f"the crossing point z_star = {z_star} is not finite: {TOO_FAR}")
     d_xz = dist(x, z_star)
     d_zy = dist(z_star, y)
     if J is None:
         S = d_xz + d_zy
         J = 0.5 * (S * S - d_xy * d_xy)
+    if not math.isfinite(J):
+        raise ValueError(f"the exit exponent J = {J} is not finite: {TOO_FAR}")
     try:
         u_bar = optimal_crossing_time(d_xz, d_zy)
     except BothZero:
         u_bar = np.nan
     J = max(float(J), 0.0)
-    if J <= EXIT_TOL * max(1.0, d_xy**2):
+    if J <= EXIT_TOL * max(1.0, d_xy * d_xy):
         geodesic_exits = True
     return ExitAsymptotics(
         J=J,
@@ -768,6 +848,7 @@ def _assemble(dist, x, y, d_xy: float, z_star, method: str, J=None,
         geodesic_exits=geodesic_exits,
         degenerate=degenerate,
         unconverged_legs=unconverged_legs,
+        scan_gap=scan_gap,
     )
 
 
@@ -777,8 +858,8 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
 
     The model supplies the dimension, the domain test and the geometry
     that bounds a line's window.  label, when given, replaces the method
-    name of every result.  A scan's result counts the coarse-sweep solver
-    legs that stopped short of tolerance.
+    name of every result.  A solver scan's result counts the legs of its
+    rounds that stopped short of tolerance, and carries its certified gap.
     """
     opts = opts or SolverOptions()
     dist = _oracle(model, geom, opts)
@@ -789,6 +870,8 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
     # Under the path optimizer the x-to-y solve also locates a straddle's crossing.
     xy = solve_geodesic(model, x, y, opts) if geom is None else None
     d_xy = dist(x, y) if xy is None else xy.distance
+    if not math.isfinite(d_xy):
+        raise ValueError(f"d(x, y) = {d_xy} is not finite: {TOO_FAR}")
 
     if plane is None:
         thetas = np.linspace(boundary.theta_min, boundary.theta_max, boundary.samples)
@@ -812,12 +895,14 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
 
     if geom is None:
         legsums = _solver_legsums(model, x, y, chart, opts)
+        theta, unconverged, gap = _scan(
+            thetas, legsums, lambda lo, hi: _chart_lengths(model, chart, lo, hi))
     else:
         legsums = _oracle_legsums(model, dist, x, y, chart)
-    theta, unconverged = _scan(thetas, legsums)
+        theta, unconverged, gap = _scan(thetas, legsums)
     z_star = np.asarray(chart(theta), dtype=float)
     return _assemble(dist, x, y, d_xy, z_star, label or "numeric_1d",
-                     unconverged_legs=unconverged)
+                     unconverged_legs=unconverged, scan_gap=gap)
 
 
 # ---- Public entry points ---- #
@@ -851,7 +936,7 @@ def exit_asymptotics(
     or without force_numeric, and otherwise the part of the line inside the
     domain, which must therefore end (ValueError if it does not).  workers
     is accepted for callers that pass it and changes nothing: the solver
-    scan runs its chains in lockstep in one thread.
+    scan solves each round of samples as one lockstep stack in one thread.
     """
     x, y = _checked_points(model, x=x, y=y)
     geom = None if force_numeric else model.geometry

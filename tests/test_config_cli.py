@@ -470,6 +470,45 @@ def test_boundary_without_a_numeric_chart_exits_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text, message, overflow_warns", [
+    # sinh(sigma_vol * S / 2) of the window's balls overflowed into a traceback
+    ("model.kind = hull_white\nmodel.sigma_vol = 1.5\nmodel.rho = 0.5\n"
+     "x = 1, 0.2\ny = 2, 0.5\nbarrier.kind = vertical\nbarrier.x0 = 1e200\n",
+     "the scan window overflows", False),
+    # printed z_star = (1e+201, nan) and exited 0
+    ("model.kind = hull_white_simple\nx = 1e200, 0.2\ny = -1e200, 0.5\n"
+     "barrier.kind = vertical\nbarrier.x0 = 1e201\n",
+     "the mirror image of y across the barrier overflows", False),
+    # printed J = nan and exited 0; the whitened norm squares its
+    # coordinates with a numpy overflow warning before d(x, y) is refused
+    ("model.kind = constant\nmodel.sigma = 1, 0, 0, 1\nx = 1e200, 0.5\ny = -1e200, 0.3\n"
+     "barrier.kind = hyperplane\nbarrier.normal = 0, 1\nbarrier.offset = 0\n",
+     "d(x, y) = inf is not finite", True),
+], ids=["window_sinh", "half_plane_image", "whitened_distance"])
+def test_exits_past_the_float_range_exit_2(text, message, overflow_warns, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "far.cfg", text)
+    with (pytest.warns(RuntimeWarning, match="overflow") if overflow_warns
+          else contextlib.nullcontext()):
+        assert main(["exit", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_a_result_that_is_not_finite_is_refused():
+    from bridgeexit.exits import _assemble
+
+    def dist(p, q):
+        return float(np.linalg.norm(q - p))
+
+    x, y = np.array([0.0, 1.0]), np.array([1.0, 1.0])
+    with pytest.raises(ValueError, match=r"crossing point z_star = \[ 1. nan\] is not finite"):
+        _assemble(dist, x, y, 1.0, np.array([1.0, np.nan]), "closed_form")
+    with pytest.raises(ValueError, match="exit exponent J = nan is not finite"):
+        _assemble(dist, x, y, 1.0, np.array([0.5, 2.0]), "closed_form", J=math.nan)
+    assert _assemble(dist, x, y, 1.0, np.array([0.5, 2.0]), "closed_form").J > 0.0
+
+
 def test_figure_requires_an_output_path(capsys):
     assert main(["figure", "--config", "figure1"]) == 2
 

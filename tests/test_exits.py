@@ -35,6 +35,7 @@ from bridgeexit import (
     solve_geodesic,
     time_profile,
 )
+from bridgeexit.exits import SCAN_GAP
 from bridgeexit.model import domain_test_batch
 
 import refvalues as ref
@@ -273,6 +274,7 @@ def test_reference_configuration_a_full_result():
     assert res.d_xz + res.d_zy == pytest.approx(ref.A_PATH_SUM, rel=1e-10)
     assert res.u_bar == pytest.approx(0.7470257500197013, rel=1e-9)
     assert not res.geodesic_exits and not res.degenerate
+    assert math.isnan(res.scan_gap)  # a reflection computes no bound
 
 
 def test_reference_configuration_b_full_result():
@@ -313,6 +315,7 @@ def test_constant_metric_hyperplane_reflection():
     assert res.J == pytest.approx(expect, rel=1e-12)
     assert res.z_star[1] == pytest.approx(0.0, abs=1e-12)
     assert res.method == "closed_form"
+    assert math.isnan(res.scan_gap)
 
 
 def test_enlarging_the_domain_never_decreases_the_exponent():
@@ -735,25 +738,20 @@ def test_volatility_window_of_far_endpoints_is_finite_or_refused(tmp_path, capsy
 def test_refinement_needs_few_one_point_calls_per_scan(case, monkeypatch):
     import bridgeexit.exits as exits
 
-    counts = []  # one-point calls of each leg-sum function the scans made
+    calls = []  # the number of points of each call, per leg-sum function
     real = exits._oracle_legsums
 
     def counting(*args):
-        make = real(*args)
+        f = real(*args)
+        sizes = []
+        calls.append(sizes)
 
-        def make_counted(start=None):
-            f = make(start)
-            counts.append(0)
-            k = len(counts) - 1
+        def legsums(thetas, near=None):
+            sizes.append(len(thetas))
+            return f(thetas, near)
 
-            def legsums(thetas):
-                counts[k] += len(thetas) == 1
-                return f(thetas)
-
-            legsums.unconverged = f.unconverged
-            return legsums
-
-        return make_counted
+        legsums.unconverged = f.unconverged
+        return legsums
 
     monkeypatch.setattr(exits, "_oracle_legsums", counting)
     if case == "correlated":
@@ -763,11 +761,10 @@ def test_refinement_needs_few_one_point_calls_per_scan(case, monkeypatch):
         model = hull_white_model(sigma_vol=1.1, rho=0.3)
         boundary = Hyperplane(np.array([1.0, 0.2]), 2.6)
     exit_asymptotics(model, ref.A_X, ref.A_Y, boundary)
-    # each scan: one function for the coarse sweep, one for the refinement
-    assert len(counts) >= 2 and len(counts) % 2 == 0
-    assert counts[0::2] == [0] * (len(counts) // 2)
+    # each scan: the whole window in one call, then one point per call
+    assert calls and all(c[0] == 256 and set(c[1:]) == {1} for c in calls)
     # golden section took 48 (correlated) and 60 (slanted) calls here
-    assert all(0 < n <= 25 for n in counts[1::2])
+    assert all(0 < len(c) - 1 <= 25 for c in calls)
 
 
 def test_scan_keeps_the_coarse_sample_when_its_bracket_is_not_finite():
@@ -776,16 +773,15 @@ def test_scan_keeps_the_coarse_sample_when_its_bracket_is_not_finite():
     # a bracket with a non-finite end, as a window past the float range gives
     calls = []
 
-    def make_legsums():
-        def legsums(thetas):
-            calls.append(len(thetas))
-            assert len(calls) < 100, "refinement does not stop"
-            return np.where(np.isfinite(thetas), thetas * thetas, np.inf)
+    def legsums(thetas, near=None):
+        calls.append(len(thetas))
+        assert len(calls) < 100, "refinement does not stop"
+        return np.where(np.isfinite(thetas), thetas * thetas, np.inf)
 
-        legsums.unconverged = 0
-        return legsums
-
-    assert _scan(np.array([-1.0, 0.5, np.inf]), make_legsums) == (0.5, 0)
+    legsums.unconverged = 0
+    theta, unconverged, gap = _scan(np.array([-1.0, 0.5, np.inf]), legsums)
+    # a closed-form scan certifies no gap
+    assert (theta, unconverged) == (0.5, 0) and math.isnan(gap)
 
 
 def test_solver_straddle_solves_x_to_y_once(monkeypatch):
@@ -884,7 +880,7 @@ def test_batched_scan_matches_scalar_distances_bit_for_bit(kind):
     model, dist, x, y, thetas, chart = _window_case(kind)
     points = [chart(float(t)) for t in thetas]
     assert chart(thetas).tobytes() == np.array(points).tobytes()
-    batched = _oracle_legsums(model, dist, x, y, chart)()(thetas)
+    batched = _oracle_legsums(model, dist, x, y, chart)(thetas)
     scalar = np.array([dist(x, z) + dist(z, y) for z in points])
     assert batched.tobytes() == scalar.tobytes()
     if kind == "constant_curve":
@@ -941,33 +937,34 @@ def test_closed_form_scan_results_are_pinned(case):
     }
     assert got == PINNED_CLOSED_FORM_SCANS[case]
     assert res.method == "numeric_1d"
+    assert math.isnan(res.scan_gap)  # a closed-form scan computes no bound
     assert res.d_xz == hw_distance(sv, rho, ref.A_X, res.z_star)
     assert res.d_zy == hw_distance(sv, rho, res.z_star, ref.A_Y)
     assert res.d_xy == hw_distance(sv, rho, ref.A_X, ref.A_Y)
 
 
-# ---- solver scan: chains in lockstep ---- #
+# ---- solver scan: bisection rounds, each a lockstep stack ---- #
 
 # Full-precision results of config A through the solver scan with Brent
-# refinement.  The coarse sweep's lockstep chains reproduce each chain solved
-# one leg at a time, bit for bit (see below), so only a change of the warm
+# refinement.  Each round's stack reproduces its legs solved one at a time,
+# bit for bit (see below), so only a change of the rounds, of the warm
 # starts, of the refinement or of the solver moves these bits.
 PINNED_SCANS = {
     "grid": {
-        "J": "0x1.e7750bddc5f7ap+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f26e8695b707dp-1"),
-        "u_bar": "0x1.7e7885924eb8cp-1",
+        "J": "0x1.e7750bddbe478p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e85f52a289p-1"),
+        "u_bar": "0x1.7e7885a4a3d02p-1",
         "d_xy": "0x1.468c6d3b8dca8p+1",
-        "d_xz": "0x1.675c8c475d227p+1",
-        "d_zy": "0x1.e6cfcbba94e81p-1",
+        "d_xz": "0x1.675c8c589522ep+1",
+        "d_zy": "0x1.e6cfcb75acb79p-1",
     },
     "force_numeric": {
-        "J": "0x1.e7620e7120bdbp+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f26e882efe8f2p-1"),
-        "u_bar": "0x1.7e772acb8d58fp-1",
+        "J": "0x1.e7620e7120bf5p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e88cef6df7p-1"),
+        "u_bar": "0x1.7e772ab948fe3p-1",
         "d_xy": "0x1.468b1c748ee56p+1",
-        "d_xz": "0x1.6756d56720ae0p+1",
-        "d_zy": "0x1.e6cede9fb63efp-1",
+        "d_xz": "0x1.6756d555f716bp+1",
+        "d_zy": "0x1.e6cedee45c9e1p-1",
     },
 }
 
@@ -991,53 +988,162 @@ def test_solver_scan_results_are_pinned_and_worker_independent(case):
     assert got == PINNED_SCANS[case]
     assert res.method == "numeric_1d"
     assert res.unconverged_legs == 0
+    assert 0.0 <= res.scan_gap <= SCAN_GAP
     two = exit_asymptotics(model, ref.A_X, ref.A_Y, barrier, workers=2, **kw)
-    for name in ("J", "u_bar", "d_xy", "d_xz", "d_zy", "unconverged_legs"):
+    for name in ("J", "u_bar", "d_xy", "d_xz", "d_zy", "unconverged_legs", "scan_gap"):
         assert getattr(two, name) == getattr(res, name)
     assert two.z_star.tobytes() == res.z_star.tobytes()
 
 
-@pytest.mark.parametrize("case", ["grid", "force_numeric"])
-def test_scan_continuation_takes_few_iterations(case, monkeypatch):
+def _record_scan_stacks(monkeypatch):
+    """A list that fills with (phase, legs, iterations) for each stack the
+    scans solve: phase "rounds" until Brent's refinement starts, then
+    "refine"."""
     import bridgeexit.exits as exits
 
-    stacks = []  # (warm-started legs, iterations) of each stack the scan solves
-    solve = exits._solve_legs
+    stacks, phase = [], ["rounds"]
+    solve, brent = exits._solve_legs, exits._brent
 
     def counting(model, X, Y, opts, inits):
         out = solve(model, X, Y, opts, inits)
-        stacks.append((np.array([p is not None for p in inits]), out[3]))
+        stacks.append((phase[0], len(inits), int(out[3].sum())))
         return out
 
+    def refining(*args):
+        phase[0] = "refine"
+        return brent(*args)
+
     monkeypatch.setattr(exits, "_solve_legs", counting)
+    monkeypatch.setattr(exits, "_brent", refining)
+    return stacks
+
+
+@pytest.mark.parametrize("case", ["grid", "force_numeric"])
+def test_scan_continuation_takes_few_iterations(case, monkeypatch):
+    stacks = _record_scan_stacks(monkeypatch)
     if case == "grid":
         model, kw = diag_v_grid(), {}
     else:
         model, kw = hull_white_model(), dict(opts=SolverOptions(n=50), force_numeric=True)
     exit_asymptotics(model, ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER), **kw)
-    # the sweep solves its 256 samples as stacks of chains, the refinement
-    # one sample (two legs) per call
-    sweep = [s for s in stacks if len(s[0]) > 2]
-    refine = [s for s in stacks if len(s[0]) == 2]
-    assert sum(len(warm) for warm, _ in sweep) == 512
-    warm_legs = sum(int(warm.sum()) for warm, _ in sweep)
-    warm_iters = sum(int(iters[warm].sum()) for warm, iters in sweep)
-    # legs warm-started by moving only their end took 2.40 (grid) and 2.23
-    # iterations each, and the refinement 27 and 38 in all
-    assert warm_iters <= 1.2 * warm_legs
-    assert sum(int(iters.sum()) for _, iters in refine) <= 15
+    rounds = [s for s in stacks if s[0] == "rounds"]
+    refine = [s for s in stacks if s[0] == "refine"]
+    # the rounds solved 60 (grid) and 43 of the 256 samples, two legs each,
+    # in 381 and 460 iterations; the 256-sample sweep took 768 and 807
+    assert rounds[0][1] == 2 * 33
+    assert sum(legs for _, legs, _ in rounds) <= 2 * 80
+    assert sum(iters for _, _, iters in rounds) <= 500
+    # the refinement took 5 and 9 iterations, one sample (two legs) a call
+    assert all(legs == 2 for _, legs, _ in refine)
+    assert sum(iters for _, _, iters in refine) <= 15
 
 
-def test_result_counts_scan_legs_that_ran_out_of_budget():
+def test_result_counts_scan_legs_that_ran_out_of_budget(monkeypatch):
+    stacks = _record_scan_stacks(monkeypatch)
     # one iteration: a warm-started Newton leg can converge in two
     opts = SolverOptions(n=50, max_iter=1, strict=False)
     res = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y,
                            VerticalBarrier(ref.A_BARRIER), opts=opts, force_numeric=True)
-    # 256 samples of two legs each, nearly all of them cut short
-    assert 256 < res.unconverged_legs <= 512
+    # nearly every leg of the rounds is cut short: more than the 66 cold
+    # legs of round 0 (82 here), at most two per sample solved
+    legs = sum(legs for phase, legs, _ in stacks if phase == "rounds")
+    assert 66 < res.unconverged_legs <= legs
     closed = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y,
                               VerticalBarrier(ref.A_BARRIER))
     assert closed.unconverged_legs == 0
+
+
+def _full_sweep_case(kind):
+    """(model, x, y, plane, opts) of a solver scan checked against its
+    full sweep."""
+    if kind == "grid13":
+        return (diag_v_grid(), ref.A_X, ref.A_Y,
+                Hyperplane(np.array([1.0, 0.0]), ref.A_BARRIER), SolverOptions())
+    xs = [0.0, 2.1, 2.3, 2.7, 2.9, 4.0]
+    vs = [0.5, 2.0, 2.4, 4.0]
+    scale = [[0.2 if 2.3 <= a <= 2.7 and b <= 2.0 else 1.0 for b in vs] for a in xs]
+    grid = grid_model(xs, vs, np.multiply.outer(scale, np.eye(2)))
+    return (grid, np.array([1.0, 1.0]), np.array([2.0, 1.0]),
+            Hyperplane(np.array([1.0, 0.0]), 2.5), SolverOptions(n=20, max_iter=50, strict=False))
+
+
+@pytest.mark.parametrize("kind", ["grid13", "two_basin_capped"])
+def test_adaptive_scan_bound_holds_against_the_full_sweep(kind):
+    from bridgeexit.exits import _chart_lengths, _line_window, _scan, _solver_legsums
+
+    model, x, y, plane, opts = _full_sweep_case(kind)
+    thetas, chart = _line_window(model, x, y, plane)
+    legsums = _solver_legsums(model, x, y, chart, opts)
+    measured = {}  # chart parameter -> leg sum, of every call the scan made
+
+    def recording(ts, near=None):
+        out = legsums(ts, near)
+        measured.update(zip(ts.tolist(), out.tolist()))
+        return out
+
+    recording.unconverged = 0
+    theta, _, gap = _scan(thetas, recording,
+                          lambda lo, hi: _chart_lengths(model, chart, lo, hi))
+    solved = np.array([t in measured for t in thetas.tolist()])
+    f = np.array([measured.get(t, np.inf) for t in thetas.tolist()])
+    best = int(np.argmin(f))
+    # every sample of the grid, each solved cold in one stack
+    full = _solver_legsums(model, x, y, chart, opts)(thetas)
+    assert int(np.argmin(full)) == best
+    skipped = full[~solved]
+    assert len(skipped) > 128
+    assert (skipped >= f[best] * (1.0 - SCAN_GAP) - 1e-6 * f[best]).all()
+    assert 0.0 <= gap <= SCAN_GAP
+    # Brent refines within one sample of the best
+    assert thetas[best - 1] <= theta <= thetas[best + 1]
+
+
+def test_chart_lengths_measure_the_metric_along_the_chart():
+    from bridgeexit.exits import _chart_lengths
+
+    # a^-1 = I / v^2 on the grid: the vertical piece from v0 to v1 is
+    # log(v1 / v0) long, which 16 midpoints measure from below
+    grid = diag_v_grid()
+
+    def chart(theta):
+        z = np.empty(np.shape(theta) + (2,))
+        z[..., 0] = 2.5
+        z[..., 1] = theta
+        return z
+
+    lo, hi = np.array([0.1, 1.0, 2.0]), np.array([0.2, 3.0, 3.5])
+    got = _chart_lengths(grid, chart, lo, hi)
+    exact = np.log(hi[:2] / lo[:2])
+    assert (got[:2] <= exact).all()
+    np.testing.assert_allclose(got[:2], exact, rtol=1e-3)
+    assert got[2] == np.inf  # its pieces above v = 3 leave the grid
+
+
+def test_scan_rounds_find_a_narrow_well_between_coarse_samples():
+    from bridgeexit.exits import _scan
+
+    # 2-Lipschitz in theta, which is arclength: a broad well with its
+    # bottom (9) on a coarse sample, and a deeper one (4) three samples
+    # wide between the coarse samples 96 and 104, which read 10
+    def leg_sum(t):
+        return np.minimum(9.0 + 0.01 * np.abs(t - 40.0),
+                          10.0 - 2.0 * np.maximum(0.0, 3.0 - np.abs(t - 101.0)))
+
+    thetas = np.arange(256.0)
+    measured = []
+
+    def legsums(ts, near=None):
+        measured.extend(ts.tolist())
+        return leg_sum(ts)
+
+    legsums.unconverged = 0
+    theta, _, gap = _scan(thetas, legsums, lambda lo, hi: hi - lo)
+    # the bound of the gap (96, 104), 10 - 8, kept it open
+    assert theta == pytest.approx(101.0, abs=1e-6)
+    skipped = np.setdiff1d(thetas, measured)
+    assert len(skipped) > 128
+    assert 0.0 <= gap <= SCAN_GAP
+    assert (leg_sum(skipped) >= 4.0 * (1.0 - gap)).all()
 
 
 def _holed_plane():
@@ -1058,12 +1164,14 @@ def _holed_plane():
     )
 
 
-def _sequential_legsums(model, x, y, chart, thetas, opts, chains):
-    """Leg sums of a continuation along each chain in order, one leg at a
-    time: each sample's legs start from the chain's last legs extrapolated
-    linearly in theta from the two samples before, with what they miss of
-    the new point spread along each leg, or cold where that start's energy
-    is not finite."""
+def _sequential_legsums(model, x, y, chart, thetas, near, opts, solved):
+    """Leg sums of the points thetas one leg at a time.  The legs at
+    thetas[k] start from the legs solved at the parameters near[k] (kept
+    in solved, theta -> (x-to-z, z-to-y) points), taken linearly in theta,
+    with what they miss of the new point spread along each leg; they start
+    cold without near, or where that start's energy is not finite.
+    Returns the leg sums and the number of predicted points that fell
+    back to a cold leg."""
     from bridgeexit.geodesic import _energy_of, solve_geodesic
     from bridgeexit.model import domain_test_batch
 
@@ -1082,36 +1190,39 @@ def _sequential_legsums(model, x, y, chart, thetas, opts, chains):
 
     z = chart(thetas)
     out = np.full(len(z), np.inf)
-    inside = np.flatnonzero(domain_test_batch(model, z))
-    colds = 0
-    for chain in np.array_split(inside, min(chains, len(inside))):
-        tail = []  # the chain's last one or two samples: (theta, x-to-z, z-to-y)
-        for i in chain:
-            inits = [predicted(tail, leg, thetas[i], z[i]) if tail else None
-                     for leg in (0, 1)]
-            colds += bool(tail) and None in inits
-            r_xz = solve_geodesic(model, x, z[i], opts, init=inits[0])
-            r_zy = solve_geodesic(model, z[i], y, opts, init=inits[1])
-            tail = tail[-1:] + [(thetas[i], r_xz.path.points, r_zy.path.points)]
-            out[i] = r_xz.distance + r_zy.distance
+    colds, new = 0, {}
+    for i in np.flatnonzero(domain_test_batch(model, z)):
+        tail = [(t, *solved[t]) for t in (near[i] if near else ()) if t in solved]
+        inits = [predicted(tail, leg, thetas[i], z[i]) if tail else None
+                 for leg in (0, 1)]
+        colds += bool(tail) and None in inits
+        r_xz = solve_geodesic(model, x, z[i], opts, init=inits[0])
+        r_zy = solve_geodesic(model, z[i], y, opts, init=inits[1])
+        new[float(thetas[i])] = (r_xz.path.points, r_zy.path.points)
+        out[i] = r_xz.distance + r_zy.distance
+    solved.update(new)
     return out, colds
 
 
 @pytest.mark.parametrize("kind", ["holed_plane", "grid_edge", "grid_jet", "volatility"])
-def test_lockstep_chains_match_sequential_legs_bit_for_bit(kind, monkeypatch):
-    import bridgeexit.exits as exits
+def test_lockstep_chains_match_sequential_legs_bit_for_bit(kind):
+    # The scan's calls as it makes them: a cold round, a round that
+    # bisects between solved neighbors, and refinement's single points that
+    # continue from the last two.  Each call's legs, one lockstep stack for
+    # the path optimizer, match the same legs solved one at a time.
     from bridgeexit.exits import _solver_legsums
 
-    monkeypatch.setattr(exits, "SCAN_CHAINS", 3)
     opts = SolverOptions(n=50, grad_tol_rel=1e-6, max_iter=2000, strict=False)
     if kind == "holed_plane":
-        # each chain steps by 0.05 and then by about 2.6: extrapolated 50
-        # times its last step, the x-to-z leg loops through the hole, where
-        # no chord or geodesic of the scan goes, and that leg starts cold
+        # samples 0.05 apart, then points about 2.6 further on continued
+        # from two of them: extrapolated 50 times their step, the x-to-z leg
+        # loops through the hole, where no chord or geodesic of the scan
+        # goes, and that leg starts cold
         model = _holed_plane()
         x0 = 2.0
         x, y = np.array([0.0, 1.0]), np.array([4.0, 1.0])
-        thetas = np.array([0.3, 0.35, 3.0, 0.4, 0.45, 3.1, 0.5, 0.55, 2.9])
+        thetas = np.array([0.3, 0.35, 0.4, 0.45, 0.5, 0.55])
+        far = np.array([3.0, 3.1, 2.9])
     elif kind == "grid_edge":
         # the x-to-z legs run along the right edge of the box, 5e-8 inside:
         # on a copy without the metric jet their finite-difference probes
@@ -1149,24 +1260,38 @@ def test_lockstep_chains_match_sequential_legs_bit_for_bit(kind, monkeypatch):
         z[..., 1] = theta
         return z
 
-    legsums = _solver_legsums(model, x, y, chart, opts)()
-    got = legsums(thetas)
+    # round 0 solves the even samples cold; round 1 the odd ones between
+    # their two neighbors, or from the one neighbor the last sample has
+    even, odd = thetas[0::2], thetas[1::2]
+    calls = [(even, None),
+             (odd, [tuple(thetas[i - 1:i + 2:2]) for i in range(1, len(thetas), 2)])]
+    if kind == "holed_plane":
+        calls.append((far, [(0.3, 0.35), (0.4, 0.45), (0.5, 0.55)]))
+    legsums = _solver_legsums(model, x, y, chart, opts)
+    solved, colds = {}, 0
+
+    def check(ts, near):
+        nonlocal colds
+        got = legsums(ts, near)
+        want, c = _sequential_legsums(model, x, y, chart, ts, near, opts, solved)
+        assert got.tobytes() == want.tobytes()
+        colds += c
+        return got
+
+    values = {}
+    for ts, near in calls:
+        values.update(zip(ts.tolist(), check(ts, near).tolist()))
     if kind == "grid_edge":
         # a stacked batch raised, not just one leg's own (5 n points)
         assert max(raised) > 5 * opts.n
-    want, colds = _sequential_legsums(model, x, y, chart, thetas, opts, 3)
-    assert got.tobytes() == want.tobytes()
-    assert legsums.unconverged == 0
-    # a function started from a sample's legs measures that sample again
-    # with the same bits, as refinement does from the coarse winner
-    i = int(np.argmin(got))
-    again = _solver_legsums(model, x, y, chart, opts)((legsums, i))
-    assert again(thetas[i:i + 1]).tobytes() == got[i:i + 1].tobytes()
     if kind == "holed_plane":
         assert colds >= 3
-    # a later call continues each chain from where the last call left it,
-    # as refinement does with its one chain
-    first = np.array_split(np.arange(len(thetas)), 3)[0]
-    more = np.append(thetas[first], 1.7)
-    want = _sequential_legsums(model, x, y, chart, more, opts, 1)[0]
-    assert legsums(more[-1:]).tobytes() == want[-1:].tobytes()
+    assert legsums.unconverged == 0
+    # refinement: the best sample continued from its own legs keeps its
+    # bits, and each refined point continues from the last two measured
+    i = 1 + int(np.argmin([values[t] for t in thetas[1:-1].tolist()]))
+    t = float(thetas[i])
+    assert check(np.array([t]), [(t,)])[0] == values[t]
+    left = 0.5 * (t + float(thetas[i - 1]))
+    check(np.array([left]), [(t,)])
+    check(np.array([0.5 * (t + float(thetas[i + 1]))]), [(t, left)])
