@@ -40,15 +40,17 @@ path optimizer measures only the samples that could still beat the best
 one: the leg sum f is 2-Lipschitz in distance along the boundary, so
 between samples i and j, l_ij apart along the chart, f >= (f_i + f_j) / 2
 - l_ij (the Piyavskii-Shubert bound).  Its scan solves every SCAN_STRIDE-th
-sample cold, then bisects in rounds every gap whose bound lies below the
-best sample's f* (1 - SCAN_GAP), the gaps beside the best sample and those
-with an end outside the domain, down to one sample; each round's legs are
-one lockstep stack for the optimizer, in one thread, and a new sample's
-legs start interpolated from its two neighbors' (a predictor-corrector
-continuation).  The result's scan_gap is the relative gap the bound
-certifies over the samples skipped.  Brent's refinement continues from the
-legs at the best sample.  The legs and J of the result come from the
-oracle at z_star.
+sample cold (9 of a 256-sample window), then bisects in rounds every gap
+whose bound lies below the best sample's f* (1 - SCAN_GAP), the gaps beside
+the best sample and those with an end outside the domain, down to one
+sample; each round's legs are one lockstep stack for the optimizer, in one
+thread, and a new sample's legs start interpolated from its two neighbors'
+(a predictor-corrector continuation).  The result's scan_gap is the
+relative gap the bound certifies over the samples skipped.  Brent's
+refinement continues from the legs at the best sample.  The legs and J of
+the result come from the oracle at z_star; under the path optimizer the
+legs x-to-y, x-to-z_star and z_star-to-y are one stack at the caller's
+options, each from its own chord, with the bits of a separate solve.
 The frozen comparator is the same engine on the constant geometry
 a(z0)^{-1}.
 """
@@ -62,7 +64,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import BothZero, IncompleteModel, OutsideDomain
-from .geodesic import SolverOptions, _energies, _solve_legs, path_energy, solve_geodesic
+from .geodesic import (
+    SolverOptions,
+    _energies,
+    _solve_legs,
+    _starts,
+    _validate_endpoint,
+    path_energy,
+    solve_geodesic,
+)
 from .hyperbolic import (
     _barrier_infimum_vertical,
     _hw_distance,
@@ -109,10 +119,12 @@ SQRT_EPS = math.sqrt(np.finfo(float).eps)
 EXIT_TOL = 1e-12
 TOO_FAR = "the endpoints and the boundary are too far apart for float arithmetic"
 # A solver scan first solves every SCAN_STRIDE-th sample of its window
-# (and the last), then bisects the gaps whose Lipschitz bound comes within
-# SCAN_GAP (relative) of the best sample; SCAN_PIECES pieces of an
-# inscribed polygon measure a gap's length.
-SCAN_STRIDE = 8
+# (and the last: 9 cold samples of 256), then bisects the gaps whose
+# Lipschitz bound comes within SCAN_GAP (relative) of the best sample; the
+# bisected samples start warm from both neighbors, so a wide stride costs
+# few iterations.  SCAN_PIECES pieces of an inscribed polygon measure a
+# gap's length.
+SCAN_STRIDE = 32
 SCAN_GAP = 1e-3
 SCAN_PIECES = 16
 
@@ -380,7 +392,10 @@ def _half_plane_reflection(geom: HullWhiteGeometry, x, y, x0: float):
     zs_img, path_sum = _barrier_infimum_vertical(X, Y_ref, x0)
     d_img = float(_poincare(X, Y))
     J = (path_sum**2 - d_img**2) / (2.0 * sv**2)
-    return np.array([x0, sv * zs_img[1]]), J
+    height = sv * float(zs_img[1])
+    if not height > 0.0:
+        raise ValueError(f"the height {height} of the crossing point underflows: {TOO_FAR}")
+    return np.array([x0, height]), J
 
 
 def _constant_reflection(geom: ConstantGeometry, x, y, plane: Hyperplane):
@@ -396,7 +411,12 @@ def _constant_reflection(geom: ConstantGeometry, x, y, plane: Hyperplane):
     delta_x = float(mhat @ xw - chat)
     delta_y = float(mhat @ yw - chat)
     y_ref = yw - 2.0 * (mhat @ yw - chat) * mhat
-    S = float(np.linalg.norm(xw - y_ref))
+    D = xw - y_ref
+    # in Python floats, where an overflow is a silent inf: the norms square
+    # the whitened coordinates
+    if not math.isfinite(sum(v * v for v in D.tolist())):
+        raise ValueError(f"the exit exponent J = inf is not finite: {TOO_FAR}")
+    S = float(np.linalg.norm(D))
     d_xy = float(np.linalg.norm(xw - yw))
     tstar = delta_x / (delta_x + delta_y)
     return Winv @ (xw + tstar * (y_ref - xw)), 0.5 * (S * S - d_xy * d_xy)
@@ -623,9 +643,9 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
     Without lengths (a closed-form oracle) every sample is measured in one
     call and the gap is NaN.  With lengths(lo, hi), the Riemannian lengths
     of the chart over the gaps [lo[k], hi[k]], the scan runs in rounds:
-    round 0 measures every SCAN_STRIDE-th sample and the last, cold, and
-    each later round bisects every open gap between measured neighbors,
-    its new samples continuing from the legs of both ends.  As the leg sum
+    round 0 measures every SCAN_STRIDE-th sample and the last, cold (9 of
+    256), and each later round bisects every open gap between measured
+    neighbors, its new samples continuing from the legs of both ends.  As the leg sum
     f is 2-Lipschitz in distance, f >= (f_i + f_j) / 2 - l_ij on the gap
     between samples i and j (Piyavskii 1972; Shubert 1972), and a gap is
     open while that bound lies below the best sample's f* (1 - SCAN_GAP),
@@ -815,16 +835,31 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
 # ---- The engine ---- #
 
 
-def _assemble(dist, x, y, d_xy: float, z_star, method: str, J=None,
-              geodesic_exits=False, degenerate=False,
-              unconverged_legs=0, scan_gap=math.nan) -> ExitAsymptotics:
-    """Result at z_star with legs from the oracle; J from those legs unless
-    a reflection formula supplies it.  A J or z_star that is not finite
-    (distances past the float range) raises ValueError."""
+def _result_legs(model, x, y, z, opts: SolverOptions):
+    """(d(x, y), d(x, z), d(z, y)) of the path optimizer: the three legs,
+    each from its chord and its multi_start perturbations, as one stack at
+    opts.  Each distance has the bits solve_geodesic gives it alone."""
+    pairs = [(x, y), (x, z), (z, y)]
+    for name, p in (("x", x), ("y", y), ("z_star", z)):
+        _validate_endpoint(model, p, name)
+    starts = [_starts(model, p, q, opts) for p, q in pairs]
+    X = np.array([p for (p, _), s in zip(pairs, starts) for _ in s])
+    Y = np.array([q for (_, q), s in zip(pairs, starts) for _ in s])
+    E = _solve_legs(model, X, Y, opts, [i for s in starts for i in s])[1]
+    # each pair's best start, as solve_geodesic picks it
+    return tuple(math.sqrt(max(2.0 * float(e.min()), 0.0))
+                 for e in np.split(E, np.cumsum([len(s) for s in starts])[:-1]))
+
+
+def _assemble(legs, z_star, method: str, J=None, geodesic_exits=False,
+              degenerate=False, unconverged_legs=0, scan_gap=math.nan) -> ExitAsymptotics:
+    """Result at z_star with its legs (d_xy, d_xz, d_zy) = legs(z_star);
+    J from those legs unless a reflection formula supplies it.  A J or
+    z_star that is not finite (distances past the float range) raises
+    ValueError."""
     if not all(map(math.isfinite, z_star)):
         raise ValueError(f"the crossing point z_star = {z_star} is not finite: {TOO_FAR}")
-    d_xz = dist(x, z_star)
-    d_zy = dist(z_star, y)
+    d_xy, d_xz, d_zy = legs(z_star)
     if J is None:
         S = d_xz + d_zy
         J = 0.5 * (S * S - d_xy * d_xy)
@@ -865,31 +900,41 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
     dist = _oracle(model, geom, opts)
     closed = label or ("closed_form" if geom is not None else "numeric_1d")
     plane = _as_plane(boundary, model.dim)
+    touches = straddles = False
     if plane is not None:
         s_x, s_y = _side_checks(plane, x, y)
-    # Under the path optimizer the x-to-y solve also locates a straddle's crossing.
-    xy = solve_geodesic(model, x, y, opts) if geom is None else None
-    d_xy = dist(x, y) if xy is None else xy.distance
-    if not math.isfinite(d_xy):
-        raise ValueError(f"d(x, y) = {d_xy} is not finite: {TOO_FAR}")
+        touches = s_x == 0.0 or s_y == 0.0
+        straddles = (s_x > 0.0) != (s_y > 0.0)
+    if geom is None and not (touches or straddles):
+        # a solver scan solves d(x, y) in one stack with the legs at z_star
+        def legs(z):
+            return _result_legs(model, x, y, z, opts)
+    else:
+        # Under the path optimizer the x-to-y solve also locates a straddle's crossing.
+        xy = solve_geodesic(model, x, y, opts) if geom is None else None
+        d_xy = dist(x, y) if xy is None else xy.distance
+        if not math.isfinite(d_xy):
+            raise ValueError(f"d(x, y) = {d_xy} is not finite: {TOO_FAR}")
+
+        def legs(z):
+            return d_xy, dist(x, z), dist(z, y)
 
     if plane is None:
         thetas = np.linspace(boundary.theta_min, boundary.theta_max, boundary.samples)
         chart = _curve_chart(boundary)
-    elif s_x == 0.0 or s_y == 0.0:
+    elif touches:
         z_star = x.copy() if s_x == 0.0 else y.copy()
-        return _assemble(dist, x, y, d_xy, z_star, closed, 0.0,
-                         geodesic_exits=True, degenerate=True)
-    elif (s_x > 0.0) != (s_y > 0.0):
+        return _assemble(legs, z_star, closed, 0.0, geodesic_exits=True, degenerate=True)
+    elif straddles:
         z_star = _geodesic_plane_crossing(geom, x, y, plane, xy)
-        return _assemble(dist, x, y, d_xy, z_star, closed, 0.0, geodesic_exits=True)
+        return _assemble(legs, z_star, closed, 0.0, geodesic_exits=True)
     elif isinstance(geom, ConstantGeometry):
         z_star, J = _constant_reflection(geom, x, y, plane)
-        return _assemble(dist, x, y, d_xy, z_star, closed, J)
+        return _assemble(legs, z_star, closed, J)
     elif (isinstance(geom, HullWhiteGeometry) and geom.rho == 0.0
           and abs(plane.normal[0]) == 1.0):
         z_star, J = _half_plane_reflection(geom, x, y, plane.offset / plane.normal[0])
-        return _assemble(dist, x, y, d_xy, z_star, closed, J)
+        return _assemble(legs, z_star, closed, J)
     else:
         thetas, chart = _line_window(model, x, y, plane)
 
@@ -901,7 +946,7 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
         legsums = _oracle_legsums(model, dist, x, y, chart)
         theta, unconverged, gap = _scan(thetas, legsums)
     z_star = np.asarray(chart(theta), dtype=float)
-    return _assemble(dist, x, y, d_xy, z_star, label or "numeric_1d",
+    return _assemble(legs, z_star, label or "numeric_1d",
                      unconverged_legs=unconverged, scan_gap=gap)
 
 

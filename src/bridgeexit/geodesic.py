@@ -531,6 +531,24 @@ def _validate_endpoint(model, z, name):
     return z
 
 
+def _starts(model, x, y, opts: SolverOptions) -> list:
+    """Starts of a solve from x to y: None for the chord, then the
+    multi_start - 1 perturbed chords whose energy is finite."""
+    inits = [None]
+    floor = _chord_floor(model, x, y)
+    for j in range(1, opts.multi_start):
+        rng = np.random.Generator(np.random.Philox(key=[0x9E3779B9, j]))
+        pts = _chords(x[None], y[None], opts.n)[0]
+        scale = 0.05 * max(float(np.abs(y - x).max()), 1e-6)
+        bump = np.sin(np.pi * np.linspace(0, 1, opts.n + 1))[1:-1, None]
+        pts[1:-1] += scale * bump * rng.standard_normal((opts.n - 1, pts.shape[1]))
+        if floor is not None:
+            pts[1:-1] = np.maximum(pts[1:-1], floor)
+        if np.isfinite(_energy_of(model, pts)):
+            inits.append(pts)
+    return inits
+
+
 def _solve_legs(model, X, Y, opts: SolverOptions, inits):
     """Solve the legs X[k] -> Y[k] as one stack at opts.n segments.
 
@@ -594,18 +612,7 @@ def solve_geodesic(
                                 "or meets a singular metric")
         inits = [pts]
     else:
-        inits = [None]
-        floor = _chord_floor(model, x, y)
-        for j in range(1, opts.multi_start):
-            rng = np.random.Generator(np.random.Philox(key=[0x9E3779B9, j]))
-            pts = _chords(x[None], y[None], opts.n)[0]
-            scale = 0.05 * max(float(np.abs(y - x).max()), 1e-6)
-            bump = np.sin(np.pi * np.linspace(0, 1, opts.n + 1))[1:-1, None]
-            pts[1:-1] += scale * bump * rng.standard_normal((opts.n - 1, pts.shape[1]))
-            if floor is not None:
-                pts[1:-1] = np.maximum(pts[1:-1], floor)
-            if np.isfinite(_energy_of(model, pts)):
-                inits.append(pts)
+        inits = _starts(model, x, y, opts)
 
     K = len(inits)
     P, E, gsup, iters, stalled, _ = _solve_legs(

@@ -484,7 +484,18 @@ def test_boundary_without_a_numeric_chart_exits_2(tmp_path, capsys):
     ("model.kind = constant\nmodel.sigma = 1, 0, 0, 1\nx = 1e200, 0.5\ny = -1e200, 0.3\n"
      "barrier.kind = hyperplane\nbarrier.normal = 0, 1\nbarrier.offset = 0\n",
      "d(x, y) = inf is not finite", True),
-], ids=["window_sinh", "half_plane_image", "whitened_distance"])
+    # the crossing's height underflowed to 0, and the distance to it
+    # raised ZeroDivisionError
+    ("model.kind = hull_white_simple\nx = 1, 1e-300\ny = 0.5, 1e20\n"
+     "barrier.kind = vertical\nbarrier.x0 = 2.5\n",
+     "the height 0.0 of the crossing point underflows", False),
+    # the whitened reflection's norms squared a mirror image near 2e200,
+    # with numpy overflow warnings, before J = inf was refused
+    ("model.kind = constant\nmodel.sigma = 1, 0, 0, 1\nx = 0, 0.5\ny = 1, 0.3\n"
+     "barrier.kind = hyperplane\nbarrier.normal = 0, 1\nbarrier.offset = -1e200\n",
+     "the exit exponent J = inf is not finite", False),
+], ids=["window_sinh", "half_plane_image", "whitened_distance", "half_plane_height",
+        "whitened_reflection"])
 def test_exits_past_the_float_range_exit_2(text, message, overflow_warns, tmp_path, capsys):
     cfg = write_cfg(tmp_path, "far.cfg", text)
     with (pytest.warns(RuntimeWarning, match="overflow") if overflow_warns
@@ -502,11 +513,14 @@ def test_a_result_that_is_not_finite_is_refused():
         return float(np.linalg.norm(q - p))
 
     x, y = np.array([0.0, 1.0]), np.array([1.0, 1.0])
+    def legs(z):
+        return 1.0, dist(x, z), dist(z, y)
+
     with pytest.raises(ValueError, match=r"crossing point z_star = \[ 1. nan\] is not finite"):
-        _assemble(dist, x, y, 1.0, np.array([1.0, np.nan]), "closed_form")
+        _assemble(legs, np.array([1.0, np.nan]), "closed_form")
     with pytest.raises(ValueError, match="exit exponent J = nan is not finite"):
-        _assemble(dist, x, y, 1.0, np.array([0.5, 2.0]), "closed_form", J=math.nan)
-    assert _assemble(dist, x, y, 1.0, np.array([0.5, 2.0]), "closed_form").J > 0.0
+        _assemble(legs, np.array([0.5, 2.0]), "closed_form", J=math.nan)
+    assert _assemble(legs, np.array([0.5, 2.0]), "closed_form").J > 0.0
 
 
 def test_figure_requires_an_output_path(capsys):

@@ -951,20 +951,20 @@ def test_closed_form_scan_results_are_pinned(case):
 # starts, of the refinement or of the solver moves these bits.
 PINNED_SCANS = {
     "grid": {
-        "J": "0x1.e7750bddbe478p+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f26e85f52a289p-1"),
-        "u_bar": "0x1.7e7885a4a3d02p-1",
+        "J": "0x1.e7750bddc5f74p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e8695ab67bp-1"),
+        "u_bar": "0x1.7e788592500c9p-1",
         "d_xy": "0x1.468c6d3b8dca8p+1",
-        "d_xz": "0x1.675c8c589522ep+1",
-        "d_zy": "0x1.e6cfcb75acb79p-1",
+        "d_xz": "0x1.675c8c475e61ap+1",
+        "d_zy": "0x1.e6cfcbba8feabp-1",
     },
     "force_numeric": {
-        "J": "0x1.e7620e7120bf5p+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f26e88cef6df7p-1"),
-        "u_bar": "0x1.7e772ab948fe3p-1",
+        "J": "0x1.e7620e7120bf9p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e88cebf415p-1"),
+        "u_bar": "0x1.7e772ab94f580p-1",
         "d_xy": "0x1.468b1c748ee56p+1",
-        "d_xz": "0x1.6756d555f716bp+1",
-        "d_zy": "0x1.e6cedee45c9e1p-1",
+        "d_xz": "0x1.6756d555fd0e4p+1",
+        "d_zy": "0x1.e6cedee444bfep-1",
     },
 }
 
@@ -995,14 +995,25 @@ def test_solver_scan_results_are_pinned_and_worker_independent(case):
     assert two.z_star.tobytes() == res.z_star.tobytes()
 
 
+@pytest.mark.parametrize("multi_start", [1, 3])
+def test_result_stack_keeps_the_bits_of_separate_solves(multi_start):
+    # the scan's result solves d(x, y), d(x, z*) and d(z*, y), with their
+    # perturbed starts, as one stack
+    model, opts = diag_v_grid(), SolverOptions(multi_start=multi_start)
+    res = exit_asymptotics(model, ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER), opts=opts)
+    for got, (p, q) in ((res.d_xy, (ref.A_X, ref.A_Y)), (res.d_xz, (ref.A_X, res.z_star)),
+                        (res.d_zy, (res.z_star, ref.A_Y))):
+        assert got.hex() == solve_geodesic(model, p, q, opts).distance.hex()
+
+
 def _record_scan_stacks(monkeypatch):
     """A list that fills with (phase, legs, iterations) for each stack the
     scans solve: phase "rounds" until Brent's refinement starts, then
-    "refine"."""
+    "refine", then "final" for the stack of the result's legs."""
     import bridgeexit.exits as exits
 
     stacks, phase = [], ["rounds"]
-    solve, brent = exits._solve_legs, exits._brent
+    solve, brent, result = exits._solve_legs, exits._brent, exits._result_legs
 
     def counting(model, X, Y, opts, inits):
         out = solve(model, X, Y, opts, inits)
@@ -1013,8 +1024,13 @@ def _record_scan_stacks(monkeypatch):
         phase[0] = "refine"
         return brent(*args)
 
+    def final(*args):
+        phase[0] = "final"
+        return result(*args)
+
     monkeypatch.setattr(exits, "_solve_legs", counting)
     monkeypatch.setattr(exits, "_brent", refining)
+    monkeypatch.setattr(exits, "_result_legs", final)
     return stacks
 
 
@@ -1028,9 +1044,9 @@ def test_scan_continuation_takes_few_iterations(case, monkeypatch):
     exit_asymptotics(model, ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER), **kw)
     rounds = [s for s in stacks if s[0] == "rounds"]
     refine = [s for s in stacks if s[0] == "refine"]
-    # the rounds solved 60 (grid) and 43 of the 256 samples, two legs each,
-    # in 381 and 460 iterations; the 256-sample sweep took 768 and 807
-    assert rounds[0][1] == 2 * 33
+    # the rounds solved 43 (grid) and 23 of the 256 samples, two legs each,
+    # in 174 and 182 iterations; the 256-sample sweep took 768 and 807
+    assert rounds[0][1] == 2 * 9
     assert sum(legs for _, legs, _ in rounds) <= 2 * 80
     assert sum(iters for _, _, iters in rounds) <= 500
     # the refinement took 5 and 9 iterations, one sample (two legs) a call
@@ -1044,10 +1060,10 @@ def test_result_counts_scan_legs_that_ran_out_of_budget(monkeypatch):
     opts = SolverOptions(n=50, max_iter=1, strict=False)
     res = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y,
                            VerticalBarrier(ref.A_BARRIER), opts=opts, force_numeric=True)
-    # nearly every leg of the rounds is cut short: more than the 66 cold
-    # legs of round 0 (82 here), at most two per sample solved
+    # nearly every leg of the rounds is cut short: more than the 18 cold
+    # legs of round 0 (42 here), at most two per sample solved
     legs = sum(legs for phase, legs, _ in stacks if phase == "rounds")
-    assert 66 < res.unconverged_legs <= legs
+    assert 18 < res.unconverged_legs <= legs
     closed = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y,
                               VerticalBarrier(ref.A_BARRIER))
     assert closed.unconverged_legs == 0
