@@ -138,6 +138,9 @@ def load_run(view: ConfigView, needs=()) -> Run:
         figure_n=view.get_int("figure.n", default=200),
     )
     view.finish()
+    if run.workers < 1:
+        raise ConfigError("mc.workers must be at least 1",
+                          view.lineno("mc.workers"))
     return run
 
 
@@ -394,6 +397,8 @@ def main(argv=None) -> int:
         view = ConfigView(parse_config_text(_resolve_config_text(args.config)))
         if "out" in args.needs and not args.out:
             raise ConfigError(f"{args.command} needs --out <file>")
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError("--workers must be at least 1")
         return args.func(load_run(view, args.needs), args)
     except (ConfigError, OutsideDomain, IncompleteModel, DegenerateCorrelation,
             NotSPD, ValueError) as exc:

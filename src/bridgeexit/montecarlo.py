@@ -12,14 +12,17 @@ one Bernoulli draw per path, u < 1 - prod_i (1 - p_i), which has the law of
 indicators.
 
 Determinism contract: every batch of paths owns a counter-based generator
-keyed by (seed, stream, batch index), all random numbers for a batch are
-drawn up front in a fixed order, and batches are merged by summing counts.
-Estimates are therefore bitwise identical for any number of worker threads.
+keyed by (seed, stream, batch index), draws from it in a fixed order, and
+batches are merged by summing counts.  An exact Gaussian batch draws its
+normals step by step, one (paths, dimension) row per step including the
+unused row of the last step, then one uniform per path; a volatility-model
+batch draws all of its normals, then its uniforms.  Estimates are therefore
+bitwise identical for any number of worker threads.
 
 Every estimate runs on one batch driver, _map_batches, which calls
 run(gen, n) once per batch and returns the results in batch order.  Each
-sampler is one step generator (_bridge_steps, _hw_steps): it draws its
-normals, then yields the states of the whole batch, start point first.  An
+sampler is one step generator (_bridge_steps, _hw_steps): it yields the
+states of the whole batch, start point first, drawing normals as it goes.  An
 estimator watches the barrier over those states and a path sampler keeps
 them, so a new sampler plugs in as one more step generator.
 
@@ -189,24 +192,38 @@ def _chol(cov: np.ndarray) -> np.ndarray:
 def _bridge_steps(x, y, t, L, n_steps, n, gen):
     """States of n exact bridge paths: x, then the state after each step.
 
-    All normals are drawn before the first state is yielded.
+    Step i draws its (n, d) normals when it is reached.  The last step lands
+    on y and uses no normals, but its row is still drawn before y is
+    yielded, so whatever the caller draws next follows n_steps rows.  The
+    yielded states alternate between two buffers that are updated in place:
+    a state is valid until the one after the next is yielded, and a caller
+    that keeps states must copy them.
     """
     d = len(x)
     ds = 1.0 / n_steps
-    xi = gen.standard_normal((n_steps, n, d))
-    if d == 1:
-        # xi[i] @ L.T with the bits of one scalar product per entry, at the
-        # cost of one pass over the draws
-        xi *= L[0, 0]
+    xi = np.empty((n, d))
     z = np.broadcast_to(x, (n, d)).copy()
+    nxt = np.empty((n, d))
     yield z
     for i in range(n_steps - 1):
         s_i = i * ds
         step_var = t * ds * (1.0 - (i + 1) * ds) / (1.0 - s_i)
-        z = (z + (ds / (1.0 - s_i)) * (y - z)
-             + math.sqrt(max(step_var, 0.0)) * (xi[i] if d == 1 else xi[i] @ L.T))
+        gen.standard_normal(out=xi)
+        np.subtract(y, z, out=nxt)
+        nxt *= ds / (1.0 - s_i)
+        nxt += z
+        if d == 1:
+            # xi @ L.T with the bits of one scalar product per entry
+            xi *= L[0, 0]
+            xi *= math.sqrt(max(step_var, 0.0))
+            nxt += xi
+        else:
+            nxt += math.sqrt(max(step_var, 0.0)) * (xi @ L.T)
+        z, nxt = nxt, z
         yield z
-    yield np.broadcast_to(y, (n, d)).copy()
+    gen.standard_normal(out=xi)
+    nxt[:] = y
+    yield nxt
 
 
 def sample_gaussian_bridge(x, y, t: float, cov, n_steps: int,
@@ -218,7 +235,7 @@ def sample_gaussian_bridge(x, y, t: float, cov, n_steps: int,
     _require_positive(n_steps=n_steps)
     states = _bridge_steps(x, y, t, _chol(cov), n_steps, 1,
                            rng.batch_generator(0))
-    return DiscretePath(np.concatenate(list(states)))
+    return DiscretePath(np.concatenate([z.copy() for z in states]))
 
 
 def crossing_probability(
@@ -261,18 +278,28 @@ def crossing_probability(
         states = _bridge_steps(np.array([s_x]), np.array([s_y]), t, root_q,
                                n_steps, n, gen)
         delta_prev = next(states)[:, 0]
+        arg = np.empty(n)
         if not per_step_correction:
             crossed = np.zeros(n, dtype=bool)
             for z in states:
-                crossed |= delta_prev * z[:, 0] <= 0.0
+                np.multiply(delta_prev, z[:, 0], out=arg)
+                crossed |= arg <= 0.0
                 delta_prev = z[:, 0]
             return int(crossed.sum())
-        uni = gen.random(n)
+        # survive holds prod_i expm1(.) = (-1)^n_steps prod_i (1 - p_i):
+        # negation is exact, so the sign is fixed once at the end
         survive = np.ones(n)
         for z in states:
-            survive *= -np.expm1(np.minimum(lam * delta_prev * z[:, 0], 0.0))
+            np.multiply(delta_prev, lam, out=arg)
+            arg *= z[:, 0]
+            np.minimum(arg, 0.0, out=arg)
+            survive *= np.expm1(arg, out=arg)
             delta_prev = z[:, 0]
-        return int((uni < 1.0 - survive).sum())
+        if n_steps % 2:
+            survive += 1.0
+        else:
+            np.subtract(1.0, survive, out=survive)
+        return int((gen.random(n) < survive).sum())
 
     hits = sum(_map_batches(rng, n_paths, batch_size, workers, run))
     return _finish_estimate(t, n_paths, hits, rng.seed)

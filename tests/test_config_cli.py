@@ -698,6 +698,17 @@ def test_mc_refuses_bad_volatility_counts(keys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_mc_refuses_fewer_than_one_worker(workers, tmp_path):
+    # both forms used to run serially and exit 0
+    code, err = run_cli(["mc", "--config", "brownian_barrier", "--workers", workers])
+    assert (code, err) == (2, "error: --workers must be at least 1\n")
+    text = BROWNIAN + f"mc.workers = {workers}\n"
+    code, err = run_cli(["mc", "--config", write_cfg(tmp_path, "w.cfg", text)])
+    line = text.count("\n")
+    assert (code, err) == (2, f"error: line {line}: mc.workers must be at least 1\n")
+
+
 def test_every_getter_names_the_key_and_line_of_a_bad_value():
     v = view_of("a = 1\nf = one\ni = 1.5\nb = maybe\nfs = 1, x\np = 1, 2; 3\n"
                 "s = other\nnan = nan\n")

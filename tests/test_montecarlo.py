@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bridgeexit import (
     sample_gaussian_bridge,
     sample_hw_bridge_rejection,
 )
+from bridgeexit import montecarlo as mc
 from bridgeexit.montecarlo import estimates_to_csv
 
 import refvalues as ref
@@ -423,6 +425,114 @@ def test_estimators_are_bit_for_bit_pinned(workers, per_step, exact_hex,
                                  batch_size=4096, per_step_correction=per_step)
     assert (est.n_paths, est.p_hat.hex()) == (20_000, exact_hex)
     assert (hw.n_paths, hw.p_hat.hex()) == (294, hw_hex)
+
+
+# ---- the streamed sampler against the up-front reference ---- #
+
+
+def _upfront_bridge_steps(x, y, t, L, n_steps, n, gen):
+    """Reference: the exact bridge with every normal of the batch drawn
+    before the first state, each state a new array."""
+    d = len(x)
+    ds = 1.0 / n_steps
+    xi = gen.standard_normal((n_steps, n, d))
+    if d == 1:
+        xi *= L[0, 0]
+    z = np.broadcast_to(x, (n, d)).copy()
+    yield z
+    for i in range(n_steps - 1):
+        s_i = i * ds
+        step_var = t * ds * (1.0 - (i + 1) * ds) / (1.0 - s_i)
+        z = (z + (ds / (1.0 - s_i)) * (y - z)
+             + math.sqrt(max(step_var, 0.0)) * (xi[i] if d == 1 else xi[i] @ L.T))
+        yield z
+    yield np.broadcast_to(y, (n, d)).copy()
+
+
+def _upfront_p_hat(x, y, t, cov, boundary, n_paths, n_steps, rng, batch_size,
+                   per_step_correction):
+    """Reference: crossing_probability's estimate from the up-front sampler,
+    with one uniform per path drawn after all normals."""
+    plane, s_x, s_y = mc._barrier_distances(boundary, x, y)
+    var_rate = mc._var_rate(plane, cov)
+    lam = -2.0 * n_steps / (t * var_rate)
+    root_q = np.array([[math.sqrt(var_rate)]])
+    hits = 0
+    for k, start in enumerate(range(0, n_paths, batch_size)):
+        n = min(batch_size, n_paths - start)
+        gen = rng.batch_generator(k)
+        states = _upfront_bridge_steps(np.array([s_x]), np.array([s_y]), t,
+                                       root_q, n_steps, n, gen)
+        delta_prev = next(states)[:, 0]
+        if not per_step_correction:
+            crossed = np.zeros(n, dtype=bool)
+            for z in states:
+                crossed |= delta_prev * z[:, 0] <= 0.0
+                delta_prev = z[:, 0]
+            hits += int(crossed.sum())
+            continue
+        uni = gen.random(n)
+        survive = np.ones(n)
+        for z in states:
+            survive *= -np.expm1(np.minimum(lam * delta_prev * z[:, 0], 0.0))
+            delta_prev = z[:, 0]
+        hits += int((uni < 1.0 - survive).sum())
+    return hits / n_paths
+
+
+BIT_CASES = {
+    1: (np.array([0.4]), np.array([0.3]), np.array([[1.3]])),
+    2: (X, Y, COV2),
+    3: (np.array([0.1, 0.2, 0.4]), np.array([0.7, 0.3, 0.3]), COV3),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 16, 49])
+def test_streamed_states_keep_the_bits_of_the_upfront_draw(d, n_steps):
+    x, y, cov = BIT_CASES[d]
+    L = mc._chol(cov)
+    gen, ref_gen = (RngSpec(36, d).batch_generator(n_steps) for _ in range(2))
+    ref = _upfront_bridge_steps(x, y, 0.3, L, n_steps, 5, ref_gen)
+    states = 0
+    for z, z_ref in zip(mc._bridge_steps(x, y, 0.3, L, n_steps, 5, gen), ref,
+                        strict=True):
+        assert z.tobytes() == z_ref.tobytes()
+        states += 1
+    assert states == n_steps + 1
+    # the next draw after the last state sits where it did
+    assert gen.random(4).tobytes() == ref_gen.random(4).tobytes()
+
+
+@pytest.mark.parametrize("per_step", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 16, 49])
+def test_streamed_estimate_keeps_the_bits_of_the_upfront_draw(d, n_steps,
+                                                              per_step):
+    x, y, cov = BIT_CASES[d]
+    plane = Hyperplane(np.eye(d)[-1], -0.1)
+    rng = RngSpec(37, n_steps)
+    # 3000 paths in batches of 1024: the last batch is short
+    est = crossing_probability(x, y, 1.0, cov, plane, 3000, n_steps, rng,
+                               batch_size=1024, per_step_correction=per_step)
+    ref = _upfront_p_hat(x, y, 1.0, cov, plane, 3000, n_steps, rng, 1024,
+                         per_step)
+    # one step without the correction watches only the endpoints
+    assert 0.0 < ref < 1.0 or (n_steps, per_step) == (1, False)
+    assert est.p_hat.hex() == ref.hex()
+
+
+def test_one_batch_holds_one_step_of_draws():
+    # 16384 paths x 50 steps drawn up front peaked at 7.0 MB; streamed, a
+    # batch holds a handful of (paths,) arrays
+    tracemalloc.start()
+    try:
+        crossing_probability(X, Y, 0.2, EYE, FLOOR, 16384, 50, RngSpec(38),
+                             batch_size=16384)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 # ---- serialization ---- #
