@@ -35,7 +35,9 @@ constant geometries the part of the line within the anchor's leg sum of
 both endpoints, and under any other model the part of the line inside the
 domain.  No window has a length limit.  Charts and the closed-form
 oracles take arrays, so a window's 256 samples are mapped, domain-tested
-and measured in one call each, bit for bit as one point at a time.  The
+and measured in one call each, bit for bit as one point at a time.  Each
+of Brent's steps measures one point: the model's own domain test and one
+scalar leg sum.  An exit builds one oracle, which maps x and y once.  The
 path optimizer measures only the samples that could still beat the best
 one: the leg sum f is 2-Lipschitz in distance along the boundary, so
 between samples i and j, l_ij apart along the chart, f >= (f_i + f_j) / 2
@@ -75,7 +77,8 @@ from .geodesic import (
 )
 from .hyperbolic import (
     _barrier_infimum_vertical,
-    _hw_distance,
+    _hw_image,
+    _hw_image_distance,
     _poincare,
     hw_geodesic_image,
     hw_transform,
@@ -259,24 +262,55 @@ def _whitened_norm(W: np.ndarray, p: np.ndarray, q: np.ndarray):
     return math.sqrt(s) if s.ndim == 0 else np.sqrt(s)
 
 
-def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None):
-    """d(p, q) under geom; geom None means the path optimizer on the model.
+@dataclass(frozen=True)
+class _Oracle:
+    """The distances of one exit from x to y under one geometry.
 
-    The closed-form oracles also take rows: with p or q an (n, d) array
-    they return the n distances, each bit for bit the distance of its two
-    points, so a scan evaluates all its coarse samples in one call.  They
-    check nothing: p and q are float arrays of points of the domain, as
-    the engine's callers check them once at entry.  The volatility oracle
-    is hw_distance's kernel with hw_transform built once, the same bits.
+    legs(z) is (d(x, z), d(z, y)) for a point z, and the two arrays of
+    distances for (n, d) rows z, each bit for bit the distance of its two
+    points; xy() is d(x, y).  M is the linear map that turns the
+    geometry's distance balls into discs (_certified_line_ends):
+    hw_transform(sigma_vol, rho) for the volatility geometry, the whitening
+    for a constant one, None for the path optimizer.  XY holds the images
+    M x and M y of the volatility geometry.
+    """
+
+    legs: Callable
+    xy: Callable
+    M: np.ndarray | None = None
+    XY: tuple | None = None
+
+
+def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _Oracle:
+    """The oracle of the exit from x to y under geom; geom None means the
+    path optimizer on the model.
+
+    The closed-form oracles check nothing: x, y and z are float arrays of
+    points of the domain, as the engine's callers check them once at entry.
+    The volatility oracle is hw_distance's kernel with hw_transform built
+    once and x and y mapped once, the same bits; a point z is mapped once
+    for both its legs, and one point takes the Python-float path of the
+    half-plane distance.
     """
     if isinstance(geom, HullWhiteGeometry):
         sv = geom.sigma_vol
         A = hw_transform(sv, geom.rho)
-        return lambda p, q: _hw_distance(A, sv, p, q)
+        X, Y = _hw_image(A, x), _hw_image(A, y)
+
+        def legs(z):
+            Z = _hw_image(A, z)
+            return _hw_image_distance(X, Z, sv), _hw_image_distance(Z, Y, sv)
+
+        return _Oracle(legs, lambda: _hw_image_distance(X, Y, sv), A, (X, Y))
     if isinstance(geom, ConstantGeometry):
         W, _ = geom.whitening
-        return lambda p, q: _whitened_norm(W, p, q)
-    return lambda p, q: solve_geodesic(model, p, q, opts).distance
+        return _Oracle(lambda z: (_whitened_norm(W, x, z), _whitened_norm(W, z, y)),
+                       lambda: _whitened_norm(W, x, y), W)
+
+    def dist(p, q):
+        return solve_geodesic(model, p, q, opts).distance
+
+    return _Oracle(lambda z: (dist(x, z), dist(z, y)), lambda: dist(x, y))
 
 
 def model_distance(model: DiffusionModel, p, q,
@@ -287,17 +321,16 @@ def model_distance(model: DiffusionModel, p, q,
     otherwise.
     """
     p, q = (_check_point(model, z, name) for name, z in (("p", p), ("q", q)))
-    return _oracle(model, model.geometry, opts)(p, q)
+    return _oracle(model, model.geometry, opts, p, q).xy()
 
 
 def pointwise_exit_cost(model: DiffusionModel, x, y, z,
                         opts: SolverOptions | None = None) -> float:
     """Cost of forcing the bridge through z: ((d_xz + d_zy)^2 - d_xy^2)/2."""
-    dist = _oracle(model, model.geometry, opts)
     x, y, z = (_check_point(model, p, name) for name, p in (("x", x), ("y", y), ("z", z)))
-    d_xz = dist(x, z)
-    d_zy = dist(z, y)
-    d_xy = dist(x, y)
+    oracle = _oracle(model, model.geometry, opts, x, y)
+    d_xz, d_zy = oracle.legs(z)
+    d_xy = oracle.xy()
     return max(0.5 * ((d_xz + d_zy) ** 2 - d_xy**2), 0.0)
 
 
@@ -377,12 +410,12 @@ def _geodesic_plane_crossing(geom, x, y, plane: Hyperplane, xy):
     return pts[i] + w * (pts[i + 1] - pts[i])
 
 
-def _half_plane_reflection(geom: HullWhiteGeometry, x, y, x0: float):
+def _half_plane_reflection(geom: HullWhiteGeometry, oracle: _Oracle, x0: float):
     """(z_star, J) for a vertical barrier under the uncorrelated volatility
-    geometry, where the barrier is a geodesic mirror of the half-plane."""
+    geometry, where the barrier is a geodesic mirror of the half-plane; the
+    oracle's images of x and y are their half-plane points."""
     sv = geom.sigma_vol
-    A = hw_transform(sv, geom.rho)
-    X, Y = A @ x, A @ y
+    X, Y = oracle.XY
     # in Python floats, where an overflow is a silent inf: the arc through
     # X and the image squares their coordinates
     Y_ref = np.array([2.0 * float(x0) - Y[0], Y[1]])
@@ -393,8 +426,9 @@ def _half_plane_reflection(geom: HullWhiteGeometry, x, y, x0: float):
     d_img = float(_poincare(X, Y))
     J = (path_sum**2 - d_img**2) / (2.0 * sv**2)
     height = sv * float(zs_img[1])
-    if not height > 0.0:
-        raise ValueError(f"the height {height} of the crossing point underflows: {TOO_FAR}")
+    if not 0.0 < height < math.inf:
+        raise ValueError(
+            f"the height {height} of the crossing point is not a positive float: {TOO_FAR}")
     return np.array([x0, height]), J
 
 
@@ -438,16 +472,18 @@ def _curve_chart(curve: ParametricCurve):
     return chart
 
 
-def _line_window(model, x, y, plane: Hyperplane):
+def _line_window(model, x, y, plane: Hyperplane, oracle: _Oracle):
     """(coarse sample parameters, chart) for a plane boundary (d = 2 only).
 
     The plane is the line anchor + theta * tangent through the projection
     of the chord midpoint, and the window is every point of that line that
     could cost less than the anchor.  Under the volatility and constant
     geometries (with or without force_numeric) those points lie in two
-    balls, and _certified_line_ends gives their overlap.  Any other model
-    has no bound on its distance, so its window is the part of the line
-    about the anchor that lies inside the domain (_domain_line_ends).
+    balls, and _certified_line_ends gives their overlap from the exit's
+    closed-form oracle of that geometry.  Any other model (an oracle
+    without M) has no bound on its distance, so its window is the part of
+    the line about the anchor that lies inside the domain
+    (_domain_line_ends).
     """
     if model.dim != 2:
         raise ValueError("the numeric boundary scan supports two-dimensional states only")
@@ -460,8 +496,8 @@ def _line_window(model, x, y, plane: Hyperplane):
             "the chord midpoint projects outside the domain; supply a parametric "
             "boundary chart instead"
         )
-    if isinstance(model.geometry, (HullWhiteGeometry, ConstantGeometry)):
-        lo, hi = _certified_line_ends(model, x, y, anchor, tangent)
+    if oracle.M is not None:
+        lo, hi = _certified_line_ends(model.geometry, oracle, x, y, anchor, tangent)
     else:
         lo, hi = _domain_line_ends(model, anchor, tangent)
 
@@ -471,10 +507,10 @@ def _line_window(model, x, y, plane: Hyperplane):
     return np.linspace(lo, hi, 256), chart
 
 
-def _certified_line_ends(model, x, y, anchor, tangent):
+def _certified_line_ends(geom, oracle: _Oracle, x, y, anchor, tangent):
     """(lo, hi): the part of the line anchor + theta * tangent that holds
-    every point with a lower leg sum than the anchor's, under the model's
-    volatility or constant geometry.
+    every point with a lower leg sum than the anchor's, under the
+    volatility or constant geometry geom and its oracle of the exit.
 
     Such a point z has d(x, z) < S and d(z, y) < S, S = d(x, a) + d(a, y)
     the leg sum at the anchor a.  A linear map M turns each ball of radius
@@ -495,21 +531,18 @@ def _certified_line_ends(model, x, y, anchor, tangent):
     past the float range) raises ValueError rather than reach the scan as
     NaN samples.
     """
-    geom = model.geometry
-    dist = _oracle(model, geom, None)
-    S = dist(x, anchor) + dist(anchor, y)
+    d_xa, d_ay = oracle.legs(anchor)
+    S = d_xa + d_ay
     if isinstance(geom, HullWhiteGeometry):
-        M = hw_transform(geom.sigma_vol, geom.rho)
         try:
             sh = math.sinh(0.5 * geom.sigma_vol * S)
         except OverflowError:  # read as inf, and the window refused below
             sh = math.inf
         k, r = 2.0 * sh * sh, 0.0  # sh * sh overflows to inf; sh ** 2 raises
     else:
-        M = geom.whitening[0]
         k, r = 0.0, S
     e = -math.frexp(max(map(abs, (*anchor, *x, *y))))[1]
-    M = np.ldexp(M, e)
+    M = np.ldexp(oracle.M, e)
     r2 = math.ldexp(r, e) ** 2
     P, T = M @ anchor, M @ tangent
     a = float(T @ T)
@@ -638,7 +671,8 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
     (one lockstep stack of solver legs); its attribute unconverged counts
     the solver legs that stopped short.  near[k], when given, names up to
     two parameters measured earlier whose solver legs the legs at thetas[k]
-    continue from.
+    continue from.  legsums(theta, near) of one parameter, a float, is its
+    leg sum, with near the parameters of its own warm start.
 
     Without lengths (a closed-form oracle) every sample is measured in one
     call and the gap is NaN.  With lengths(lo, hi), the Riemannian lengths
@@ -678,7 +712,7 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
     last = [float(thetas[j])]  # measured points, for the warm starts
 
     def refine(theta):
-        value = legsums(np.array([theta]), [tuple(last[-2:])])[0]
+        value = legsums(theta, tuple(last[-2:]))
         if math.isfinite(value):
             last.append(theta)
         return value
@@ -732,15 +766,22 @@ def _chart_lengths(model, chart, lo, hi):
     return out.reshape(len(lo), SCAN_PIECES).sum(axis=1)
 
 
-def _oracle_legsums(model, dist, x, y, chart):
-    """Leg sums of a closed-form oracle: every point of a call in one
-    row-batched call per leg."""
+def _oracle_legsums(model, legs, chart):
+    """Leg sums of a closed-form oracle's legs.  An array of parameters
+    takes one batch domain test and one row-batched call per leg; one
+    parameter (a step of Brent's method) takes the model's own domain test
+    and the legs of one point, the same bits."""
     def legsums(thetas, near=None):
         z = chart(thetas)
+        if np.ndim(thetas) == 0:
+            if not model.domain_test(z):
+                return math.inf
+            d_xz, d_zy = legs(z)
+            return d_xz + d_zy
         out = np.full(len(z), np.inf)
         inside = domain_test_batch(model, z)
-        z = z[inside]
-        out[inside] = dist(x, z) + dist(z, y)
+        d_xz, d_zy = legs(z[inside])
+        out[inside] = d_xz + d_zy
         return out
 
     legsums.unconverged = 0
@@ -801,6 +842,8 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
     solved = {}  # chart parameter -> (theta, x-to-z legs, z-to-y legs)
 
     def legsums(thetas, near=None):
+        if np.ndim(thetas) == 0:  # one parameter: a stack of one sample
+            return legsums(np.array([thetas]), None if near is None else [near])[0]
         z = chart(thetas)
         out = np.full(len(z), np.inf)
         inside = np.flatnonzero(domain_test_batch(model, z))
@@ -897,7 +940,7 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
     rounds that stopped short of tolerance, and carries its certified gap.
     """
     opts = opts or SolverOptions()
-    dist = _oracle(model, geom, opts)
+    oracle = _oracle(model, geom, opts, x, y)
     closed = label or ("closed_form" if geom is not None else "numeric_1d")
     plane = _as_plane(boundary, model.dim)
     touches = straddles = False
@@ -912,12 +955,12 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
     else:
         # Under the path optimizer the x-to-y solve also locates a straddle's crossing.
         xy = solve_geodesic(model, x, y, opts) if geom is None else None
-        d_xy = dist(x, y) if xy is None else xy.distance
+        d_xy = oracle.xy() if xy is None else xy.distance
         if not math.isfinite(d_xy):
             raise ValueError(f"d(x, y) = {d_xy} is not finite: {TOO_FAR}")
 
         def legs(z):
-            return d_xy, dist(x, z), dist(z, y)
+            return (d_xy, *oracle.legs(z))
 
     if plane is None:
         thetas = np.linspace(boundary.theta_min, boundary.theta_max, boundary.samples)
@@ -933,17 +976,19 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
         return _assemble(legs, z_star, closed, J)
     elif (isinstance(geom, HullWhiteGeometry) and geom.rho == 0.0
           and abs(plane.normal[0]) == 1.0):
-        z_star, J = _half_plane_reflection(geom, x, y, plane.offset / plane.normal[0])
+        z_star, J = _half_plane_reflection(geom, oracle, plane.offset / plane.normal[0])
         return _assemble(legs, z_star, closed, J)
     else:
-        thetas, chart = _line_window(model, x, y, plane)
+        # the window is bounded under the model's own geometry, also under force_numeric
+        bound = oracle if geom is not None else _oracle(model, model.geometry, None, x, y)
+        thetas, chart = _line_window(model, x, y, plane, bound)
 
     if geom is None:
         legsums = _solver_legsums(model, x, y, chart, opts)
         theta, unconverged, gap = _scan(
             thetas, legsums, lambda lo, hi: _chart_lengths(model, chart, lo, hi))
     else:
-        legsums = _oracle_legsums(model, dist, x, y, chart)
+        legsums = _oracle_legsums(model, oracle.legs, chart)
         theta, unconverged, gap = _scan(thetas, legsums)
     z_star = np.asarray(chart(theta), dtype=float)
     return _assemble(legs, z_star, label or "numeric_1d",

@@ -288,9 +288,15 @@ def _barrier_infimum_vertical(x: np.ndarray, y_ref: np.ndarray, x0: float):
     points of the half-plane strictly on either side of x = x0, unchecked."""
     path_sum = _value(_poincare(x, y_ref))
     arc = _geodesic_arc(x, y_ref)
-    # The endpoints sit on opposite sides of the line, so the circle crosses it.
-    h2 = arc.radius**2 - (x0 - arc.center_x) ** 2
-    z_star = np.array([x0, np.sqrt(h2)])
+    # The endpoints sit on opposite sides of the line, so the circle crosses
+    # it.  The squares are pow's, as numpy's scalar power takes them (r * r
+    # differs in the last bit for about one r in a thousand); a square past
+    # the float range raises in Python floats, and its height reads nan.
+    try:
+        h2 = arc.radius**2 - (float(x0) - float(arc.center_x)) ** 2
+    except OverflowError:
+        h2 = math.nan
+    z_star = np.array([x0, math.sqrt(h2) if h2 >= 0.0 else math.nan])
     return z_star, path_sum
 
 
@@ -330,14 +336,19 @@ def hw_distance(sigma_vol: float, rho: float, p, q):
     A = hw_transform(sigma_vol, rho)
     p = _check_half_plane(p, "p", rows=True)
     q = _check_half_plane(q, "q", rows=True)
-    return _hw_distance(A, sigma_vol, p, q)
+    return _hw_image_distance(_hw_image(A, p), _hw_image(A, q), sigma_vol)
 
 
-def _hw_distance(A: np.ndarray, sigma_vol: float, p: np.ndarray, q: np.ndarray):
-    """hw_distance with A = hw_transform(sigma_vol, rho), unchecked: p and
-    q are float arrays of points or rows of the geometry's domain."""
-    return _value(_poincare((A @ p[..., None])[..., 0], (A @ q[..., None])[..., 0])
-                  / sigma_vol)
+def _hw_image(A: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A p for a point, or row by row for rows of points: one stacked
+    matmul, the form that reproduces A @ p bit for bit."""
+    return (A @ p[..., None])[..., 0]
+
+
+def _hw_image_distance(P: np.ndarray, Q: np.ndarray, sigma_vol: float):
+    """hw_distance of two points, or row by row, from their half-plane
+    images P = A p and Q = A q, unchecked: the engine's kernel."""
+    return _value(_poincare(P, Q) / sigma_vol)
 
 
 @dataclass(frozen=True)

@@ -307,6 +307,14 @@ def hull_white_model(
         raise ValueError(f"sigma_vol must be positive, got {sigma_vol}")
     if abs(rho) >= 1.0 or not np.isfinite(rho):
         raise DegenerateCorrelation(f"need |rho| < 1, got {rho}")
+    # C's entries divide by sigma_vol^2 (1 - rho^2): in Python floats, where
+    # an overflow is a silent inf, it and its reciprocal must be finite and
+    # nonzero
+    den = float(sigma_vol) * float(sigma_vol) * (1.0 - float(rho) * float(rho))
+    if not 0.0 < den < math.inf or 1.0 / den == math.inf:
+        raise ValueError(
+            f"sigma_vol = {sigma_vol} is out of range: sigma_vol^2 (1 - rho^2) = {den} "
+            "leaves the float range")
     rb = np.sqrt(1.0 - rho * rho)
     cmat = np.array([[sigma_vol**2, -rho * sigma_vol], [-rho * sigma_vol, 1.0]])
     cmat /= sigma_vol**2 * (1.0 - rho * rho)

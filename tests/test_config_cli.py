@@ -488,7 +488,7 @@ def test_boundary_without_a_numeric_chart_exits_2(tmp_path, capsys):
     # raised ZeroDivisionError
     ("model.kind = hull_white_simple\nx = 1, 1e-300\ny = 0.5, 1e20\n"
      "barrier.kind = vertical\nbarrier.x0 = 2.5\n",
-     "the height 0.0 of the crossing point underflows", False),
+     "the height 0.0 of the crossing point is not a positive float", False),
     # the whitened reflection's norms squared a mirror image near 2e200,
     # with numpy overflow warnings, before J = inf was refused
     ("model.kind = constant\nmodel.sigma = 1, 0, 0, 1\nx = 0, 0.5\ny = 1, 0.3\n"
@@ -504,6 +504,39 @@ def test_exits_past_the_float_range_exit_2(text, message, overflow_warns, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("barrier", [
+    "barrier.kind = vertical\nbarrier.x0 = 0\n",
+    "barrier.kind = hyperplane\nbarrier.normal = 1, 0\nbarrier.offset = 0\n",
+], ids=["vertical", "hyperplane"])
+def test_a_crossing_radius_past_the_float_range_exits_2(barrier, tmp_path, capsys):
+    # the mirror image of y lies 3e-300 across the barrier from x, so the
+    # arc through them has a radius near 1e298, whose square raised
+    # OverflowError out of the half-plane reflection (a traceback, exit 1)
+    cfg = write_cfg(tmp_path, "radius.cfg",
+                    "model.kind = hull_white\nmodel.sigma_vol = 1.5\nmodel.rho = 0\n"
+                    "x = -1e-300, 0.2\ny = -2e-300, 0.5\n" + barrier)
+    assert main(["exit", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: the height nan of the crossing point is not a positive float: "
+                   "the endpoints and the boundary are too far apart for float arithmetic\n")
+
+
+@pytest.mark.parametrize("sv", ["1e200", "1e-200"])
+def test_a_sigma_vol_whose_square_leaves_the_float_range_exits_2(sv, tmp_path, capsys):
+    # 1e200 squared raised OverflowError, reported as a bare errno message;
+    # 1e-200 squared underflowed to 0 and divided the metric by it, with a
+    # numpy warning, into an infinite metric
+    cfg = write_cfg(tmp_path, "sv.cfg",
+                    f"model.kind = hull_white\nmodel.sigma_vol = {sv}\n"
+                    "x = 1, 0.2\ny = 2, 0.5\nbarrier.kind = vertical\nbarrier.x0 = 2.5\n")
+    assert main(["exit", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 2: sigma_vol = {float(sv)} is out of range")
+    assert len(err.splitlines()) == 1
+    with pytest.raises(ValueError, match="sigma_vol = .* is out of range"):
+        hull_white_model(sigma_vol=float(sv), rho=0.5)
 
 
 def test_a_result_that_is_not_finite_is_refused():

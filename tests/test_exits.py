@@ -529,6 +529,14 @@ TRUNC_Y = np.array([0.99883, 0.19572])
 TRUNC_PLANE = Hyperplane(np.array([0.99796, -0.06383]), 1.93711)
 
 
+def line_window(model, x, y, plane):
+    """The engine's scan window of a plane, from the exit's oracle of the
+    model's own geometry."""
+    from bridgeexit.exits import _line_window, _oracle
+
+    return _line_window(model, x, y, plane, _oracle(model, model.geometry, None, x, y))
+
+
 def diag_v_grid():
     # sigma = diag(v, v) on 13 x 13 nodes, as perfbench/data/make_grid.py
     # writes it: the metric of hull_white_simple, reproduced exactly.
@@ -554,11 +562,9 @@ def test_slanted_reproducer_needs_no_widening():
 
 
 def test_grid_window_ends_at_the_domain_edge():
-    from bridgeexit.exits import _line_window
-
     grid = diag_v_grid()
     plane = Hyperplane(np.array([1.0, 0.0]), ref.A_BARRIER)
-    thetas, chart = _line_window(grid, ref.A_X, ref.A_Y, plane)
+    thetas, chart = line_window(grid, ref.A_X, ref.A_Y, plane)
     assert chart(thetas[0])[1] == pytest.approx(0.02, abs=1e-12)
     assert chart(thetas[-1])[1] == pytest.approx(3.0, abs=1e-12)
     # each end is the last point inside the box: one more step along the
@@ -568,15 +574,15 @@ def test_grid_window_ends_at_the_domain_edge():
     # sigma = 0.5 I on a box much taller than d(x, y): the window runs to
     # both edges, where one 4 d(x, y) of arclength long ended near [-3, 5]
     tall = grid_model([0.0, 4.0], [-20.0, 20.0], np.multiply.outer(np.ones((2, 2)), 0.5 * np.eye(2)))
-    thetas, chart = _line_window(tall, np.array([1.0, 1.0]), np.array([2.0, 1.0]),
-                                 Hyperplane(np.array([1.0, 0.0]), 2.5))
+    thetas, chart = line_window(tall, np.array([1.0, 1.0]), np.array([2.0, 1.0]),
+                                Hyperplane(np.array([1.0, 0.0]), 2.5))
     np.testing.assert_allclose(chart(thetas[[0, -1]]), [[2.5, -20.0], [2.5, 20.0]],
                                rtol=0.0, atol=1e-12)
     # the volatility metric through its callbacks alone has no bound on
     # its distance, and its domain v > 0 does not end up the line
     model = replace(hull_white_model(**TRUNC_MODEL), geometry=None)
     with pytest.raises(ValueError, match="does not leave the model domain"):
-        _line_window(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE)
+        line_window(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE)
     with pytest.raises(ValueError, match="does not leave the model domain"):
         exit_asymptotics(model, TRUNC_X, TRUNC_Y, TRUNC_PLANE, opts=SolverOptions(n=20))
 
@@ -605,8 +611,6 @@ def test_grid_exit_finds_the_far_basin():
                                    Hyperplane(np.array([1.0, 0.0]), 1.93711)],
                          ids=["slanted", "horizontal", "correlated_vertical"])
 def test_volatility_window_is_certified(plane):
-    from bridgeexit.exits import _line_window
-
     model = hull_white_model(**TRUNC_MODEL)
     sv, rho = TRUNC_MODEL["sigma_vol"], TRUNC_MODEL["rho"]
     x, y = TRUNC_X, TRUNC_Y
@@ -615,7 +619,7 @@ def test_volatility_window_is_certified(plane):
     def legsums(z):
         return hw_distance(sv, rho, x, z) + hw_distance(sv, rho, z, y)
 
-    thetas, chart = _line_window(model, x, y, plane)
+    thetas, chart = line_window(model, x, y, plane)
     assert np.isfinite(chart(thetas)).all()
     # the window is the overlap of the balls of radius S about x and y, S
     # the leg sum at the anchor: each end lies on the edge of one ball, and
@@ -649,15 +653,13 @@ def certified_models(draw):
        y=st.tuples(st.floats(-1.0, 1.0), st.floats(0.05, 2.0)),
        angle=st.just(0.0) | st.floats(-1.2, 1.2), gap=st.floats(0.05, 1.5))
 def test_volatility_window_holds_every_cheaper_point(model, x, y, angle, gap):
-    from bridgeexit.exits import _line_window
-
     x, y = np.array(x), np.array(y)
     normal = np.array([math.cos(angle), math.sin(angle)])  # angle 0: vertical
     plane = Hyperplane(normal, max(normal @ x, normal @ y) + gap)
     n, c = plane.normal, plane.offset
     mid = 0.5 * (x + y)
     assume((mid - (n @ mid - c) * n)[1] > 0.01)  # the anchor is in the domain
-    thetas, chart = _line_window(model, x, y, plane)
+    thetas, chart = line_window(model, x, y, plane)
     assert np.isfinite(thetas).all()
 
     def legsum(z):
@@ -682,9 +684,7 @@ def test_constant_window_under_force_numeric_is_certified():
     plane = Hyperplane(np.array([1.0, -0.3]), 2.0)
     # the window is the overlap of the whitened balls of radius S about x
     # and y, S the leg sum at the anchor: each end is on the edge of one
-    from bridgeexit.exits import _line_window
-
-    thetas, chart = _line_window(model, x, y, plane)
+    thetas, chart = line_window(model, x, y, plane)
     S = model_distance(model, x, chart(0.0)) + model_distance(model, chart(0.0), y)
     for end in thetas[[0, -1]]:
         z = chart(end)
@@ -702,14 +702,13 @@ def test_volatility_window_of_far_endpoints_is_finite_or_refused(tmp_path, capsy
     # sigma_vol * S = 346: the disc's coefficients once overflowed here and
     # gave the window [nan, 3.6e149] with invalid-value warnings
     from bridgeexit.cli import main
-    from bridgeexit.exits import _line_window
 
     model = hull_white_model(sigma_vol=2.0, rho=0.5)
     x, y = np.array([0.0, 1.0]), np.array([0.0, 1e150])
     plane = Hyperplane(np.array([1.0, 0.3]), 1.0 + 0.15 * (1.0 + 1e150))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        thetas, chart = _line_window(model, x, y, plane)
+        thetas, chart = line_window(model, x, y, plane)
         S = model_distance(model, x, chart(0.0)) + model_distance(model, chart(0.0), y)
         for end in thetas[[0, -1]]:
             z = chart(end)
@@ -724,7 +723,7 @@ def test_volatility_window_of_far_endpoints_is_finite_or_refused(tmp_path, capsy
     far = np.array([0.0, 1e155])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="scan window overflows"):
-            _line_window(model, x, far, plane)
+            line_window(model, x, far, plane)
         with pytest.raises(ValueError, match="scan window overflows"):
             exit_asymptotics(model, x, far, VerticalBarrier(3.0))
         cfg = tmp_path / "far.cfg"
@@ -747,7 +746,7 @@ def test_refinement_needs_few_one_point_calls_per_scan(case, monkeypatch):
         calls.append(sizes)
 
         def legsums(thetas, near=None):
-            sizes.append(len(thetas))
+            sizes.append(np.size(thetas))
             return f(thetas, near)
 
         legsums.unconverged = f.unconverged
@@ -835,10 +834,10 @@ def test_slanted_closed_form_exit_callback_counts(monkeypatch):
 
     def counted_distance(*args):
         counts["distance"] += 1
-        return hyperbolic._hw_distance(*args)
+        return hyperbolic._hw_image_distance(*args)
 
-    # the engine measures with hw_distance's unchecked kernel
-    monkeypatch.setattr(exits, "_hw_distance", counted_distance)
+    # the engine measures half-plane images with hw_distance's unchecked kernel
+    monkeypatch.setattr(exits, "_hw_image_distance", counted_distance)
     plane = Hyperplane(np.array([1.0, 0.2]), 2.6)
     res = exit_asymptotics(replace(model, sigma=counted_sigma), ref.A_X, ref.A_Y, plane)
     # the window march once took its rates from sigma (1,024 calls), and the
@@ -853,35 +852,33 @@ def test_slanted_closed_form_exit_callback_counts(monkeypatch):
 
 def _window_case(kind):
     """(model, oracle, endpoints, coarse samples, chart) of one scan window."""
-    from bridgeexit.exits import _curve_chart, _line_window, _oracle
+    from bridgeexit.exits import _curve_chart, _oracle
 
     x, y = ref.A_X, ref.A_Y
     if kind == "constant_curve":
         model = constant_model(np.array([[1.0, 0.3], [0.0, 0.8]]))
-        dist = _oracle(model, model.geometry, None)
         curve = ParametricCurve(lambda th: np.array([2.5 + 0.3 * np.sin(th), th]),
                                 -2.0, 3.0)
         thetas = np.linspace(curve.theta_min, curve.theta_max, curve.samples)
-        return model, dist, x, y, thetas, _curve_chart(curve)
+        return model, _oracle(model, model.geometry, None, x, y), x, y, thetas, _curve_chart(curve)
     model = hull_white_model(sigma_vol=1.1, rho=0.3)
-    dist = _oracle(model, model.geometry, None)
     if kind == "correlated_vertical":
         plane = Hyperplane(np.array([1.0, 0.0]), ref.A_BARRIER)
     else:
         plane = Hyperplane(np.array([1.0, 0.2]), 2.6)
-    thetas, chart = _line_window(model, x, y, plane)
-    return model, dist, x, y, thetas, chart
+    thetas, chart = line_window(model, x, y, plane)
+    return model, _oracle(model, model.geometry, None, x, y), x, y, thetas, chart
 
 
 @pytest.mark.parametrize("kind", ["correlated_vertical", "slanted_plane", "constant_curve"])
 def test_batched_scan_matches_scalar_distances_bit_for_bit(kind):
     from bridgeexit.exits import _oracle_legsums
 
-    model, dist, x, y, thetas, chart = _window_case(kind)
+    model, oracle, x, y, thetas, chart = _window_case(kind)
     points = [chart(float(t)) for t in thetas]
     assert chart(thetas).tobytes() == np.array(points).tobytes()
-    batched = _oracle_legsums(model, dist, x, y, chart)(thetas)
-    scalar = np.array([dist(x, z) + dist(z, y) for z in points])
+    batched = _oracle_legsums(model, oracle.legs, chart)(thetas)
+    scalar = np.array([sum(oracle.legs(z)) for z in points])
     assert batched.tobytes() == scalar.tobytes()
     if kind == "constant_curve":
         # the whitened norm as it was computed one point at a time
@@ -898,7 +895,19 @@ def test_batched_scan_matches_scalar_distances_bit_for_bit(kind):
 # scan (certified window, coarse samples, Brent refinement) under the
 # volatility geometry: a correlated vertical barrier and a slanted plane.
 # The engine measures with unchecked distance kernels, so these pins and
-# the public hw_distance at z_star hold them to the checked bits.
+# the public hw_distance at z_star hold them to the checked bits.  The
+# close endpoints of config B, an anticorrelated slanted plane and a
+# curve chart were pinned before Brent's steps took one scalar leg sum
+# each, and hold its bits.
+CLOSED_FORM_SCAN_CASES = {
+    "correlated": ((1.5, 0.5), ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER)),
+    "slanted": ((1.1, 0.3), ref.A_X, ref.A_Y, Hyperplane(np.array([1.0, 0.2]), 2.6)),
+    "correlated_close": ((0.8, -0.4), ref.B_X, ref.B_Y, VerticalBarrier(ref.B_BARRIER)),
+    "slanted_anticorrelated": ((1.3, -0.35), ref.A_X, ref.A_Y,
+                               Hyperplane(np.array([1.0, -0.15]), 2.4)),
+    "curve": ((1.2, 0.2), ref.A_X, ref.A_Y,
+              ParametricCurve(lambda th: np.array([2.5 + 0.3 * np.sin(th), th]), 0.05, 3.0)),
+}
 PINNED_CLOSED_FORM_SCANS = {
     "correlated": {
         "J": "0x1.469940651cd08p+0",
@@ -916,17 +925,37 @@ PINNED_CLOSED_FORM_SCANS = {
         "d_xz": "0x1.2a083a0b4f099p+1",
         "d_zy": "0x1.997fbf0b7cd8ep-1",
     },
+    "correlated_close": {
+        "J": "0x1.23b9bfa24fe4ep-3",
+        "z_star": ("0x1.4000000000000p+1", "0x1.9d6d75e78e7abp-4"),
+        "u_bar": "0x1.67b604b45f1ccp-1",
+        "d_xy": "0x1.3545246313d89p-1",
+        "d_xz": "0x1.21f434f7edfbap-1",
+        "d_zy": "0x1.eb0672fae28c8p-3",
+    },
+    "slanted_anticorrelated": {
+        "J": "0x1.0982558d436ecp+2",
+        "z_star": ("0x1.43b5d161585c5p+1", "0x1.b845cf7934494p-1"),
+        "u_bar": "0x1.760bfef3ab7a3p-1",
+        "d_xy": "0x1.3e547429ada00p+1",
+        "d_xz": "0x1.63dcaee99abd9p+1",
+        "d_zy": "0x1.067e223355115p+0",
+    },
+    "curve": {
+        "J": "0x1.ef1f4327b35d8p+1",
+        "z_star": ("0x1.6665a3fab845bp+1", "0x1.954e57f25c664p+0"),
+        "u_bar": "0x1.5e436306977aep-1",
+        "d_xy": "0x1.2a392ab6410aap+1",
+        "d_xz": "0x1.3db716fcf636fp+1",
+        "d_zy": "0x1.256a387074a63p+0",
+    },
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_CLOSED_FORM_SCANS))
 def test_closed_form_scan_results_are_pinned(case):
-    if case == "correlated":
-        sv, rho, boundary = 1.5, 0.5, VerticalBarrier(ref.A_BARRIER)
-    else:
-        sv, rho, boundary = 1.1, 0.3, Hyperplane(np.array([1.0, 0.2]), 2.6)
-    res = exit_asymptotics(hull_white_model(sigma_vol=sv, rho=rho), ref.A_X, ref.A_Y,
-                           boundary)
+    (sv, rho), x, y, boundary = CLOSED_FORM_SCAN_CASES[case]
+    res = exit_asymptotics(hull_white_model(sigma_vol=sv, rho=rho), x, y, boundary)
     got = {
         "J": res.J.hex(),
         "z_star": tuple(float(v).hex() for v in res.z_star),
@@ -938,9 +967,56 @@ def test_closed_form_scan_results_are_pinned(case):
     assert got == PINNED_CLOSED_FORM_SCANS[case]
     assert res.method == "numeric_1d"
     assert math.isnan(res.scan_gap)  # a closed-form scan computes no bound
-    assert res.d_xz == hw_distance(sv, rho, ref.A_X, res.z_star)
-    assert res.d_zy == hw_distance(sv, rho, res.z_star, ref.A_Y)
-    assert res.d_xy == hw_distance(sv, rho, ref.A_X, ref.A_Y)
+    assert res.d_xz == hw_distance(sv, rho, x, res.z_star)
+    assert res.d_zy == hw_distance(sv, rho, res.z_star, y)
+    assert res.d_xy == hw_distance(sv, rho, x, y)
+
+
+@pytest.mark.parametrize("kind", ["correlated_vertical", "constant_curve"])
+def test_one_point_leg_sum_matches_a_row_of_one_bit_for_bit(kind):
+    from bridgeexit.exits import _oracle_legsums
+
+    model, oracle, x, y, thetas, chart = _window_case(kind)
+    if kind == "constant_curve":
+        # the curve's samples below v = 0.3 leave this domain
+        model = replace(model, domain_test=lambda z: z[1] > 0.3,
+                        batch_domain_test=lambda pts: pts[:, 1] > 0.3)
+    lo, hi = thetas[0], thetas[-1]
+    # the window and as far again on each side: the vertical line leaves
+    # v > 0 below the window
+    probe = np.linspace(lo - (hi - lo), hi + (hi - lo), 301)
+    legsums = _oracle_legsums(model, oracle.legs, chart)
+    one = np.array([legsums(float(t)) for t in probe])
+    rows = np.array([legsums(np.array([t]))[0] for t in probe])
+    assert one.tobytes() == rows.tobytes()
+    outside = ~domain_test_batch(model, chart(probe))
+    assert 30 < outside.sum() < 271 and (one[outside] == np.inf).all()
+    assert np.isfinite(one[~outside]).all()
+
+
+@pytest.mark.parametrize("case", ["reflection", "correlated", "slanted"])
+def test_hw_transform_is_built_once_per_volatility_exit(case, monkeypatch):
+    import bridgeexit.exits as exits
+    from bridgeexit import hyperbolic
+
+    built = []
+    real = hyperbolic.hw_transform
+
+    def counting(sv, rho):
+        built.append((sv, rho))
+        return real(sv, rho)
+
+    monkeypatch.setattr(exits, "hw_transform", counting)
+    monkeypatch.setattr(hyperbolic, "hw_transform", counting)
+    if case == "reflection":
+        model, boundary = hull_white_model(sigma_vol=1.5), VerticalBarrier(ref.A_BARRIER)
+    else:
+        (sv, rho), _, _, boundary = CLOSED_FORM_SCAN_CASES[case]
+        model = hull_white_model(sigma_vol=sv, rho=rho)
+    res = exit_asymptotics(model, ref.A_X, ref.A_Y, boundary)
+    # the half-plane reflection once built it twice, and a scan three times
+    assert len(built) == 1
+    assert res.method == ("closed_form" if case == "reflection" else "numeric_1d")
 
 
 # ---- solver scan: bisection rounds, each a lockstep stack ---- #
@@ -1085,16 +1161,16 @@ def _full_sweep_case(kind):
 
 @pytest.mark.parametrize("kind", ["grid13", "two_basin_capped"])
 def test_adaptive_scan_bound_holds_against_the_full_sweep(kind):
-    from bridgeexit.exits import _chart_lengths, _line_window, _scan, _solver_legsums
+    from bridgeexit.exits import _chart_lengths, _scan, _solver_legsums
 
     model, x, y, plane, opts = _full_sweep_case(kind)
-    thetas, chart = _line_window(model, x, y, plane)
+    thetas, chart = line_window(model, x, y, plane)
     legsums = _solver_legsums(model, x, y, chart, opts)
     measured = {}  # chart parameter -> leg sum, of every call the scan made
 
     def recording(ts, near=None):
         out = legsums(ts, near)
-        measured.update(zip(ts.tolist(), out.tolist()))
+        measured.update(zip(np.atleast_1d(ts).tolist(), np.atleast_1d(out).tolist()))
         return out
 
     recording.unconverged = 0
@@ -1149,7 +1225,7 @@ def test_scan_rounds_find_a_narrow_well_between_coarse_samples():
     measured = []
 
     def legsums(ts, near=None):
-        measured.extend(ts.tolist())
+        measured.extend(np.atleast_1d(ts).tolist())
         return leg_sum(ts)
 
     legsums.unconverged = 0
