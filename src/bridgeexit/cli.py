@@ -42,14 +42,13 @@ from .errors import (
 )
 from .exits import (
     Boundary,
-    VerticalBarrier,
     _as_plane,
+    _oracle,
     compare_freezing,
     exit_asymptotics,
     model_distance,
 )
 from .geodesic import SolverOptions, solve_geodesic
-from .hyperbolic import hw_geodesic_image
 from .model import ConstantGeometry, DiffusionModel, HullWhiteGeometry, diffusion_matrix
 from .montecarlo import (
     RngSpec,
@@ -299,22 +298,16 @@ def cmd_mc(run: Run, args) -> int:
 # ---- figure ---- #
 
 
-def _geodesic_curve(model, p, q, opts, n):
-    g = model.geometry
-    if isinstance(g, HullWhiteGeometry):
-        return hw_geodesic_image(g.sigma_vol, g.rho, p, q, n=n).path.points
-    if isinstance(g, ConstantGeometry):
-        u = np.linspace(0.0, 1.0, n + 1)[:, None]
-        return (1.0 - u) * np.asarray(p) + u * np.asarray(q)
-    return solve_geodesic(model, p, q, opts).path.points
-
-
 def cmd_figure(run: Run, args) -> int:
     model, x, y, boundary, opts, n = (run.model, run.x, run.y, run.boundary,
                                       run.opts, run.figure_n)
     if model.dim != 2:
         raise ConfigError("figure supports two-dimensional models only")
-    curves = [Curve(_geodesic_curve(model, x, y, opts, n), "solid", "geodesic")]
+
+    def geodesic(p, q):
+        return _oracle(model, model.geometry, opts, p, q).path(n)
+
+    curves = [Curve(geodesic(x, y), "solid", "geodesic")]
     markers = [
         Marker(float(x[0]), float(x[1]), role="start", label="x"),
         Marker(float(y[0]), float(y[1]), role="end", label="y"),
@@ -322,10 +315,8 @@ def cmd_figure(run: Run, args) -> int:
     if boundary is not None:
         true, *frozen = _freezing_rows(run)
         z = true.result.z_star
-        curves.append(Curve(_geodesic_curve(model, x, z, opts, n), "dotted",
-                            "crossing_leg_in", color="#d62728"))
-        curves.append(Curve(_geodesic_curve(model, z, y, opts, n), "dotted",
-                            "crossing_leg_out", color="#d62728"))
+        curves.append(Curve(geodesic(x, z), "dotted", "crossing_leg_in", color="#d62728"))
+        curves.append(Curve(geodesic(z, y), "dotted", "crossing_leg_out", color="#d62728"))
         markers.append(Marker(float(z[0]), float(z[1]), role="crossing",
                               label="z*", color="#d62728"))
         for k, row in enumerate(frozen):
@@ -345,7 +336,7 @@ def cmd_figure(run: Run, args) -> int:
         xmin, xmax = float(pts[:, 0].min()), float(pts[:, 0].max())
         span = float(np.hypot(xmax - xmin, ymax - ymin)) + 2.0 * pad
         seg = np.stack([anchor - span * tangent, anchor + span * tangent])
-        if isinstance(boundary, VerticalBarrier) or abs(nvec[0]) == 1.0:
+        if abs(nvec[0]) == 1.0:  # a vertical barrier's plane too
             lo = ymin - pad
             if isinstance(model.geometry, HullWhiteGeometry):
                 lo = max(lo, 1e-9)

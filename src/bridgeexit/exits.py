@@ -17,48 +17,40 @@ meaningless, and such models are refused outright.  Whether the boundary is
 reached at the open or closed exit time makes no difference at this level of
 precision; the two exponents are treated as equal throughout.
 
-Engine: one distance oracle per geometry times one boundary chart.  The
-oracle is hw_distance's kernel for the log-price/volatility geometry, the
-whitened norm for a constant geometry, and the path optimizer otherwise
-(or under force_numeric).  The closed-form oracles check nothing: the
-entry points check the endpoints once, the boundary is checked when it
-is built, and a scan only measures points that pass the domain test.
-Reflection formulas answer first where they exist: an endpoint on the
-plane, endpoints on both sides (the geodesic's own crossing), a vertical
-barrier under the uncorrelated volatility geometry (half-plane
+Engine: one oracle per geometry times one boundary chart.  The oracle
+(_oracle, the only code that tells the geometries apart) answers the
+distances, the reflection formula, and the x-to-y geodesic with its
+crossing of a plane: through hw_distance's kernel and the half-plane for
+the log-price/volatility geometry, the whitened norm for a constant
+geometry, and the path optimizer otherwise (or under force_numeric).  The
+closed-form oracles check nothing: the entry points check the endpoints
+once, the boundary is checked when it is built, and a scan only measures
+points that pass the domain test.  No scan runs for an endpoint on the
+plane, for endpoints on both sides (the geodesic's own crossing,
+domain-tested once), or where the oracle has a reflection formula: a
+vertical barrier under the uncorrelated volatility geometry (half-plane
 reflection) and a hyperplane under a constant metric (whitened
-reflection).  Every other case is one scan of d(x,z) + d(z,y) over a chart
--- a window along the line of a plane, or the samples of a ParametricCurve
--- by coarse samples and Brent refinement.  A line's window holds every
-point that could cost less than the anchor: under the volatility and
-constant geometries the part of the line within the anchor's leg sum of
-both endpoints, and under any other model the part of the line inside the
-domain.  No window has a length limit.  Charts and the closed-form
-oracles take arrays, so a window's 256 samples are mapped, domain-tested
-and measured in one call each, bit for bit as one point at a time.  Each
-of Brent's steps measures one point: the model's own domain test and one
-scalar leg sum.  An exit builds one oracle, which maps x and y once.  The
-path optimizer measures only the samples that could still beat the best
-one: the leg sum f is 2-Lipschitz in distance along the boundary, so
-between samples i and j, l_ij apart along the chart, f >= (f_i + f_j) / 2
-- l_ij (the Piyavskii-Shubert bound).  Its scan solves every SCAN_STRIDE-th
-sample cold (9 of a 256-sample window), then bisects in rounds every gap
-whose bound lies below the best sample's f* (1 - SCAN_GAP), the gaps beside
-the best sample and those with an end outside the domain, down to one
-sample; each round's legs are one lockstep stack for the optimizer, in one
-thread, and a new sample's legs start interpolated from its two neighbors'
-(a predictor-corrector continuation).  The result's scan_gap is the
-relative gap the bound certifies over the samples skipped.  Brent's
-refinement continues from the legs at the best sample.  The legs and J of
-the result come from the oracle at z_star; under the path optimizer the
-legs x-to-y, x-to-z_star and z_star-to-y are one stack at the caller's
-options, each from its own chord, with the bits of a separate solve.
-The frozen comparator is the same engine on the constant geometry
-a(z0)^{-1}.
+reflection).  Every other case is one scan of d(x,z) + d(z,y) over a
+chart -- a window along the line of a plane, or the samples of a
+ParametricCurve -- by coarse samples and Brent refinement.  A line's
+window, of any length, holds every point that could cost less than the
+anchor: under the volatility and constant geometries the part of the
+line within the anchor's leg sum of both endpoints, and under any other
+model the part of the line inside the domain.  The closed-form oracles
+measure a window's 256 samples in one call, bit for bit as one point at
+a time, and each of Brent's steps at one point.  The path optimizer
+measures only the samples whose Piyavskii-Shubert bound could still
+beat the best one, in rounds of one lockstep stack each (_scan), and its
+result's scan_gap is the relative gap the bound certifies.  The legs and
+J of the result come from the oracle at z_star; under the path optimizer
+the legs x-to-y, x-to-z_star and z_star-to-y are one stack at the
+caller's options, with the bits of separate solves.  The frozen
+comparator is the same engine on the constant geometry a(z0)^{-1}.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -149,14 +141,23 @@ class Hyperplane:
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
-        norm = float(np.linalg.norm(n))
-        if not np.isfinite(norm) or norm == 0.0:
+        # scaled by a power of two to a largest entry in [1, 2), the squared
+        # norm cannot overflow or underflow, and the quotients keep their bits
+        e = 1 - math.frexp(max(map(abs, n.ravel().tolist()), default=0.0))[1]
+        if e:
+            n = np.ldexp(n, e)
+        v = n.ravel()
+        norm = math.sqrt(v.dot(v))  # np.linalg.norm's bits
+        if not 0.0 < norm < math.inf:
             raise ValueError("hyperplane normal must be nonzero and finite")
         offset = float(self.offset)
         if not math.isfinite(offset):
             raise ValueError(f"hyperplane offset must be finite, got {offset}")
+        if math.frexp(offset / norm)[1] + e > 1024:  # past the float range
+            raise ValueError(f"hyperplane offset {offset} divided by the norm "
+                             "leaves the float range")
         object.__setattr__(self, "normal", n / norm)
-        object.__setattr__(self, "offset", offset / norm)
+        object.__setattr__(self, "offset", math.ldexp(offset / norm, e))
         if self.exit_side is not None and self.exit_side not in (-1, 1):
             raise ValueError("exit_side must be -1, +1, or None")
 
@@ -256,34 +257,38 @@ def exit_probability_equivalent(J: float, t: float) -> float:
 
 def _whitened_norm(W: np.ndarray, p: np.ndarray, q: np.ndarray):
     """|W (q - p)| for points or rows; the stacked matmuls reproduce
-    np.linalg.norm(W @ (q - p)) bit for bit."""
+    np.linalg.norm(W @ (q - p)) bit for bit; inf for one point past 2^512."""
     v = W @ (q - p)[..., None]
+    if v.ndim == 2 and not math.hypot(*v.ravel().tolist()) < 2.0**512:
+        return math.inf  # its square would overflow, with a numpy warning
     s = (v.swapaxes(-1, -2) @ v)[..., 0, 0]
     return math.sqrt(s) if s.ndim == 0 else np.sqrt(s)
 
 
-@dataclass(frozen=True)
 class _Oracle:
-    """The distances of one exit from x to y under one geometry.
+    """The distances and the geodesic of one exit from x to y under one
+    geometry.
 
     legs(z) is (d(x, z), d(z, y)) for a point z, and the two arrays of
     distances for (n, d) rows z, each bit for bit the distance of its two
-    points; xy() is d(x, y).  M is the linear map that turns the
-    geometry's distance balls into discs (_certified_line_ends):
-    hw_transform(sigma_vol, rho) for the volatility geometry, the whitening
-    for a constant one, None for the path optimizer.  XY holds the images
-    M x and M y of the volatility geometry.
+    points; xy() is d(x, y).  reflection(plane) is (z_star, J) by a
+    reflection formula for a plane with x and y strictly on one side, or
+    None where no formula applies.  crossing(plane) is where the x-to-y
+    geodesic meets a plane between x and y, and path(n) that geodesic's
+    points (n + 1 under a closed form).  M maps a distance ball of radius S
+    onto the disc |Z - X|^2 <= 2 X_w Z_w k + r^2 of images, with
+    (k, r) = disc(S); both are None for the path optimizer.
     """
 
-    legs: Callable
-    xy: Callable
-    M: np.ndarray | None = None
-    XY: tuple | None = None
+    def __init__(self, legs, xy, path, crossing, reflection=lambda plane: None,
+                 M=None, disc=None):
+        self.legs, self.xy, self.path, self.crossing = legs, xy, path, crossing
+        self.reflection, self.M, self.disc = reflection, M, disc
 
 
 def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _Oracle:
     """The oracle of the exit from x to y under geom; geom None means the
-    path optimizer on the model.
+    path optimizer on the model, which solves x to y once, when first asked.
 
     The closed-form oracles check nothing: x, y and z are float arrays of
     points of the domain, as the engine's callers check them once at entry.
@@ -293,24 +298,108 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
     half-plane distance.
     """
     if isinstance(geom, HullWhiteGeometry):
-        sv = geom.sigma_vol
-        A = hw_transform(sv, geom.rho)
+        sv, rho = geom.sigma_vol, geom.rho
+        A = hw_transform(sv, rho)
         X, Y = _hw_image(A, x), _hw_image(A, y)
 
         def legs(z):
             Z = _hw_image(A, z)
             return _hw_image_distance(X, Z, sv), _hw_image_distance(Z, Y, sv)
 
-        return _Oracle(legs, lambda: _hw_image_distance(X, Y, sv), A, (X, Y))
+        def path(n):
+            _check_squares("the geodesic arc from x to y overflows", X, Y)
+            return hw_geodesic_image(sv, rho, x, y, n=n).path.points
+
+        def reflection(plane):
+            # the barrier is a geodesic mirror of the half-plane only here
+            if rho != 0.0 or abs(plane.normal[0]) != 1.0:
+                return None
+            x0 = plane.offset / plane.normal[0]
+            Y_ref = np.array([2.0 * float(x0) - Y[0], Y[1]])
+            _check_squares("the mirror image of y across the barrier overflows", X, Y_ref)
+            zs_img, path_sum = _barrier_infimum_vertical(X, Y_ref, x0)
+            d_img = float(_poincare(X, Y))
+            J = (path_sum**2 - d_img**2) / (2.0 * sv**2)
+            height = sv * float(zs_img[1])
+            if not 0.0 < height < math.inf:
+                raise ValueError(f"the height {height} of the crossing point is not "
+                                 f"a positive float: {TOO_FAR}")
+            return np.array([x0, height]), J
+
+        def disc(S):
+            try:
+                sh = math.sinh(0.5 * sv * S)
+            except OverflowError:  # read as inf, and the window refused
+                sh = math.inf
+            return 2.0 * sh * sh, 0.0  # sh * sh overflows to inf; sh ** 2 raises
+
+        return _Oracle(legs, lambda: _hw_image_distance(X, Y, sv), path,
+                       lambda plane: _path_crossing(path(4096), plane), reflection, A, disc)
     if isinstance(geom, ConstantGeometry):
-        W, _ = geom.whitening
+        W, Winv = geom.whitening
+
+        def path(n):
+            u = np.linspace(0.0, 1.0, n + 1)[:, None]
+            return (1.0 - u) * x + u * y
+
+        def crossing(plane):
+            sx = float(plane.normal @ x - plane.offset)
+            sy = float(plane.normal @ y - plane.offset)
+            t = sx / (sx - sy)
+            return x + t * (y - x)
+
+        def reflection(plane):
+            # a mirror reflection in whitened coordinates
+            xw = W @ x
+            yw = W @ y
+            m = Winv @ plane.normal
+            scale = float(np.linalg.norm(m))
+            mhat = m / scale
+            chat = plane.offset / scale
+            delta_x = float(mhat @ xw - chat)
+            delta_y = float(mhat @ yw - chat)
+            y_ref = yw - 2.0 * (mhat @ yw - chat) * mhat
+            D = xw - y_ref
+            _check_squares("the exit exponent J = inf is not finite", D)
+            S = float(np.linalg.norm(D))
+            d_xy = float(np.linalg.norm(xw - yw))
+            tstar = delta_x / (delta_x + delta_y or 1.0)  # 0 + 0: x on the plane
+            return Winv @ (xw + tstar * (y_ref - xw)), 0.5 * (S * S - d_xy * d_xy)
+
         return _Oracle(lambda z: (_whitened_norm(W, x, z), _whitened_norm(W, z, y)),
-                       lambda: _whitened_norm(W, x, y), W)
+                       lambda: _whitened_norm(W, x, y), path, crossing, reflection, W,
+                       lambda S: (0.0, S))
+
+    @functools.cache
+    def geodesic():
+        return solve_geodesic(model, x, y, opts)
 
     def dist(p, q):
         return solve_geodesic(model, p, q, opts).distance
 
-    return _Oracle(lambda z: (dist(x, z), dist(z, y)), lambda: dist(x, y))
+    return _Oracle(lambda z: (dist(x, z), dist(z, y)), lambda: geodesic().distance,
+                   lambda n: geodesic().path.points,
+                   lambda plane: _path_crossing(geodesic().path.points, plane))
+
+
+def _check_squares(what: str, *points):
+    """ValueError naming what when the points' coordinates, as one vector,
+    reach the norm 2^512: their squares would sum past the float range."""
+    if not math.hypot(*[v for p in points for v in p.tolist()]) < 2.0**512:
+        raise ValueError(f"{what}: {TOO_FAR}")
+
+
+def _path_crossing(pts, plane: Hyperplane):
+    """Where the sampled path pts first meets the plane: the linear
+    interpolation between the two samples that bracket it (sides compared
+    by sign, which cannot overflow), or the sample nearest to it."""
+    s = pts @ plane.normal - plane.offset
+    idx = np.flatnonzero(np.sign(s[:-1]) * np.sign(s[1:]) <= 0.0)
+    i = int(idx[0]) if len(idx) else int(np.argmin(np.abs(s)))
+    if i + 1 >= len(pts) or s[i] == s[i + 1]:
+        return pts[i]
+    w = s[i] / (s[i] - s[i + 1])
+    return pts[i] + w * (pts[i + 1] - pts[i])
 
 
 def model_distance(model: DiffusionModel, p, q,
@@ -385,77 +474,6 @@ def _side_checks(plane: Hyperplane, x, y):
     return s_x, s_y
 
 
-# ---- Short-circuits ahead of the scan ---- #
-
-
-def _geodesic_plane_crossing(geom, x, y, plane: Hyperplane, xy):
-    """Point where the x-to-y geodesic under geom meets the plane (straddle
-    case); xy is the solver's x-to-y GeodesicResult when geom is None."""
-    n, c = plane.normal, plane.offset
-    if isinstance(geom, ConstantGeometry):
-        sx = float(n @ x - c)
-        sy = float(n @ y - c)
-        t = sx / (sx - sy)
-        return x + t * (y - x)
-    if isinstance(geom, HullWhiteGeometry):
-        pts = hw_geodesic_image(geom.sigma_vol, geom.rho, x, y, n=4096).path.points
-    else:
-        pts = xy.path.points
-    s = pts @ n - c
-    idx = np.nonzero(s[:-1] * s[1:] <= 0.0)[0]
-    i = int(idx[0]) if len(idx) else int(np.argmin(np.abs(s)))
-    if i + 1 >= len(pts) or s[i] == s[i + 1]:
-        return pts[i]
-    w = s[i] / (s[i] - s[i + 1])
-    return pts[i] + w * (pts[i + 1] - pts[i])
-
-
-def _half_plane_reflection(geom: HullWhiteGeometry, oracle: _Oracle, x0: float):
-    """(z_star, J) for a vertical barrier under the uncorrelated volatility
-    geometry, where the barrier is a geodesic mirror of the half-plane; the
-    oracle's images of x and y are their half-plane points."""
-    sv = geom.sigma_vol
-    X, Y = oracle.XY
-    # in Python floats, where an overflow is a silent inf: the arc through
-    # X and the image squares their coordinates
-    Y_ref = np.array([2.0 * float(x0) - Y[0], Y[1]])
-    (xu, xv), (yu, yv) = X.tolist(), Y_ref.tolist()
-    if not math.isfinite(xu * xu + xv * xv + yu * yu + yv * yv):
-        raise ValueError(f"the mirror image of y across the barrier overflows: {TOO_FAR}")
-    zs_img, path_sum = _barrier_infimum_vertical(X, Y_ref, x0)
-    d_img = float(_poincare(X, Y))
-    J = (path_sum**2 - d_img**2) / (2.0 * sv**2)
-    height = sv * float(zs_img[1])
-    if not 0.0 < height < math.inf:
-        raise ValueError(
-            f"the height {height} of the crossing point is not a positive float: {TOO_FAR}")
-    return np.array([x0, height]), J
-
-
-def _constant_reflection(geom: ConstantGeometry, x, y, plane: Hyperplane):
-    """(z_star, J) for a hyperplane under a constant metric: a mirror
-    reflection in whitened coordinates."""
-    W, Winv = geom.whitening
-    xw = W @ x
-    yw = W @ y
-    m = Winv @ plane.normal
-    scale = float(np.linalg.norm(m))
-    mhat = m / scale
-    chat = plane.offset / scale
-    delta_x = float(mhat @ xw - chat)
-    delta_y = float(mhat @ yw - chat)
-    y_ref = yw - 2.0 * (mhat @ yw - chat) * mhat
-    D = xw - y_ref
-    # in Python floats, where an overflow is a silent inf: the norms square
-    # the whitened coordinates
-    if not math.isfinite(sum(v * v for v in D.tolist())):
-        raise ValueError(f"the exit exponent J = inf is not finite: {TOO_FAR}")
-    S = float(np.linalg.norm(D))
-    d_xy = float(np.linalg.norm(xw - yw))
-    tstar = delta_x / (delta_x + delta_y)
-    return Winv @ (xw + tstar * (y_ref - xw)), 0.5 * (S * S - d_xy * d_xy)
-
-
 # ---- Boundary charts: (sample parameters, theta -> point) ---- #
 #
 # A chart maps one parameter to a point, and an array of n parameters to
@@ -497,7 +515,7 @@ def _line_window(model, x, y, plane: Hyperplane, oracle: _Oracle):
             "boundary chart instead"
         )
     if oracle.M is not None:
-        lo, hi = _certified_line_ends(model.geometry, oracle, x, y, anchor, tangent)
+        lo, hi = _certified_line_ends(oracle, x, y, anchor, tangent)
     else:
         lo, hi = _domain_line_ends(model, anchor, tangent)
 
@@ -507,18 +525,19 @@ def _line_window(model, x, y, plane: Hyperplane, oracle: _Oracle):
     return np.linspace(lo, hi, 256), chart
 
 
-def _certified_line_ends(geom, oracle: _Oracle, x, y, anchor, tangent):
+def _certified_line_ends(oracle: _Oracle, x, y, anchor, tangent):
     """(lo, hi): the part of the line anchor + theta * tangent that holds
-    every point with a lower leg sum than the anchor's, under the
-    volatility or constant geometry geom and its oracle of the exit.
+    every point with a lower leg sum than the anchor's, under the exit's
+    closed-form oracle of the volatility or constant geometry.
 
     Such a point z has d(x, z) < S and d(z, y) < S, S = d(x, a) + d(a, y)
-    the leg sum at the anchor a.  A linear map M turns each ball of radius
-    S into a Euclidean disc: |Z - X|^2 <= 2 X_w Z_w k + r^2 for the images
-    Z of z and X of its centre.  A constant geometry maps by its whitening
-    W, with k = 0 and r = S.  The volatility geometry maps by hw_transform,
-    under which d is the half-plane distance over sigma_vol, so the disc
-    has centre (X_u, X_w cosh s) and radius X_w sinh s, s = sigma_vol * S:
+    the leg sum at the anchor a.  The oracle's linear map M turns each ball
+    of radius S into a Euclidean disc: |Z - X|^2 <= 2 X_w Z_w k + r^2 for
+    the images Z of z and X of its centre, (k, r) = oracle.disc(S).  A
+    constant geometry maps by its whitening W, with k = 0 and r = S.  The
+    volatility geometry maps by hw_transform, under which d is the
+    half-plane distance over sigma_vol, so the disc has centre
+    (X_u, X_w cosh s) and radius X_w sinh s, s = sigma_vol * S:
     k = cosh s - 1 = 2 sinh^2(s / 2) and r = 0.  Along Z = P + theta * T
     (P = M a, T = M t) the disc is a quadratic in theta, negative at
     theta = 0; its roots, taken in the form that does not cancel, bound
@@ -532,15 +551,7 @@ def _certified_line_ends(geom, oracle: _Oracle, x, y, anchor, tangent):
     NaN samples.
     """
     d_xa, d_ay = oracle.legs(anchor)
-    S = d_xa + d_ay
-    if isinstance(geom, HullWhiteGeometry):
-        try:
-            sh = math.sinh(0.5 * geom.sigma_vol * S)
-        except OverflowError:  # read as inf, and the window refused below
-            sh = math.inf
-        k, r = 2.0 * sh * sh, 0.0  # sh * sh overflows to inf; sh ** 2 raises
-    else:
-        k, r = 0.0, S
+    k, r = oracle.disc(d_xa + d_ay)
     e = -math.frexp(max(map(abs, (*anchor, *x, *y))))[1]
     M = np.ldexp(oracle.M, e)
     r2 = math.ldexp(r, e) ** 2
@@ -953,9 +964,7 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
         def legs(z):
             return _result_legs(model, x, y, z, opts)
     else:
-        # Under the path optimizer the x-to-y solve also locates a straddle's crossing.
-        xy = solve_geodesic(model, x, y, opts) if geom is None else None
-        d_xy = oracle.xy() if xy is None else xy.distance
+        d_xy = oracle.xy()
         if not math.isfinite(d_xy):
             raise ValueError(f"d(x, y) = {d_xy} is not finite: {TOO_FAR}")
 
@@ -969,14 +978,13 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
         z_star = x.copy() if s_x == 0.0 else y.copy()
         return _assemble(legs, z_star, closed, 0.0, geodesic_exits=True, degenerate=True)
     elif straddles:
-        z_star = _geodesic_plane_crossing(geom, x, y, plane, xy)
+        z_star = oracle.crossing(plane)  # a sampled one can land on the domain's edge
+        if not model.domain_test(z_star):
+            raise OutsideDomain(f"the crossing point {z_star} of the x-to-y geodesic "
+                                "lies outside the model domain")
         return _assemble(legs, z_star, closed, 0.0, geodesic_exits=True)
-    elif isinstance(geom, ConstantGeometry):
-        z_star, J = _constant_reflection(geom, x, y, plane)
-        return _assemble(legs, z_star, closed, J)
-    elif (isinstance(geom, HullWhiteGeometry) and geom.rho == 0.0
-          and abs(plane.normal[0]) == 1.0):
-        z_star, J = _half_plane_reflection(geom, oracle, plane.offset / plane.normal[0])
+    elif (reflected := oracle.reflection(plane)) is not None:
+        z_star, J = reflected
         return _assemble(legs, z_star, closed, J)
     else:
         # the window is bounded under the model's own geometry, also under force_numeric

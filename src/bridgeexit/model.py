@@ -55,7 +55,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HullWhiteGeometry:
-    """Tag: the model's metric is the correlated log-price/volatility geometry.
+    """The model's metric is the correlated log-price/volatility geometry.
 
     b and mu are the model's drift parameters, carried for the path sampler;
     the metric does not depend on them.
@@ -69,7 +69,7 @@ class HullWhiteGeometry:
 
 @dataclass(frozen=True)
 class ConstantGeometry:
-    """Tag: the model's coefficients are state independent."""
+    """The model's coefficients are state independent."""
 
     inv_metric: np.ndarray
 
@@ -90,8 +90,9 @@ class DiffusionModel:
 
     drift and sigma map a state vector to a vector / d x m matrix; both must
     be pure.  domain_test returns True iff the state is inside the open
-    domain.  geometry is an optional closed-form tag used for dispatch; the
-    batch_* hooks are optional vectorized versions of the pointwise fields.
+    domain.  geometry, when given, is the closed form that exits._oracle
+    builds distances, reflections and geodesics from; the batch_* hooks
+    are optional vectorized versions of the pointwise fields.
 
     batch_inverse_metric_jet, also optional, maps points (n, d) to
     (A, dA, d2A): A is bitwise batch_inverse_metric(pts), shape (n, d, d),

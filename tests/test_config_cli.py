@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import math
@@ -470,40 +471,70 @@ def test_boundary_without_a_numeric_chart_exits_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("text, message, overflow_warns", [
+@pytest.mark.parametrize("text, message", [
     # sinh(sigma_vol * S / 2) of the window's balls overflowed into a traceback
     ("model.kind = hull_white\nmodel.sigma_vol = 1.5\nmodel.rho = 0.5\n"
      "x = 1, 0.2\ny = 2, 0.5\nbarrier.kind = vertical\nbarrier.x0 = 1e200\n",
-     "the scan window overflows", False),
+     "the scan window overflows"),
     # printed z_star = (1e+201, nan) and exited 0
     ("model.kind = hull_white_simple\nx = 1e200, 0.2\ny = -1e200, 0.5\n"
      "barrier.kind = vertical\nbarrier.x0 = 1e201\n",
-     "the mirror image of y across the barrier overflows", False),
-    # printed J = nan and exited 0; the whitened norm squares its
-    # coordinates with a numpy overflow warning before d(x, y) is refused
+     "the mirror image of y across the barrier overflows"),
+    # printed J = nan and exited 0, and later squared the whitened
+    # coordinates with a numpy overflow warning before refusing d(x, y)
     ("model.kind = constant\nmodel.sigma = 1, 0, 0, 1\nx = 1e200, 0.5\ny = -1e200, 0.3\n"
      "barrier.kind = hyperplane\nbarrier.normal = 0, 1\nbarrier.offset = 0\n",
-     "d(x, y) = inf is not finite", True),
+     "d(x, y) = inf is not finite"),
     # the crossing's height underflowed to 0, and the distance to it
     # raised ZeroDivisionError
     ("model.kind = hull_white_simple\nx = 1, 1e-300\ny = 0.5, 1e20\n"
      "barrier.kind = vertical\nbarrier.x0 = 2.5\n",
-     "the height 0.0 of the crossing point is not a positive float", False),
+     "the height 0.0 of the crossing point is not a positive float"),
     # the whitened reflection's norms squared a mirror image near 2e200,
     # with numpy overflow warnings, before J = inf was refused
     ("model.kind = constant\nmodel.sigma = 1, 0, 0, 1\nx = 0, 0.5\ny = 1, 0.3\n"
      "barrier.kind = hyperplane\nbarrier.normal = 0, 1\nbarrier.offset = -1e200\n",
-     "the exit exponent J = inf is not finite", False),
+     "the exit exponent J = inf is not finite"),
+    # the straddle's crossing, interpolated on the sampled geodesic, landed
+    # at v = 0, and measuring its legs raised ZeroDivisionError
+    ("model.kind = hull_white_simple\nx = 0.9118936140904059, 0.6971717174555819\n"
+     "y = -1.0138336670381496, 9.866223672883368e-201\nbarrier.kind = hyperplane\n"
+     "barrier.normal = -1.2028662513475398e-20, -5.821181414383326e+19\n"
+     "barrier.offset = -0.0\n",
+     "of the x-to-y geodesic lies outside the model domain"),
 ], ids=["window_sinh", "half_plane_image", "whitened_distance", "half_plane_height",
-        "whitened_reflection"])
-def test_exits_past_the_float_range_exit_2(text, message, overflow_warns, tmp_path, capsys):
+        "whitened_reflection", "straddle_crossing_off_the_domain"])
+def test_exits_past_the_float_range_exit_2(text, message, tmp_path, capsys):
     cfg = write_cfg(tmp_path, "far.cfg", text)
-    with (pytest.warns(RuntimeWarning, match="overflow") if overflow_warns
-          else contextlib.nullcontext()):
-        assert main(["exit", "--config", cfg]) == 2
+    assert main(["exit", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("normal, offset", [("1e200, 1e200", "3e200"),
+                                            ("1e-200, 1e-200", "3e-200")])
+def test_a_normal_whose_squared_norm_leaves_the_float_range_is_kept(normal, offset, tmp_path,
+                                                                   capsys):
+    # the squared norm overflowed (with a numpy warning) or underflowed, and
+    # the plane was refused as "must be nonzero and finite"
+    for n, c in ((normal, offset), ("1, 1", "3")):
+        cfg = write_cfg(tmp_path, "normal.cfg",
+                        "model.kind = constant\nmodel.sigma = 1, 0, 0, 1\nx = 0, 0.5\n"
+                        f"y = 1, 0.3\nbarrier.kind = hyperplane\nbarrier.normal = {n}\n"
+                        f"barrier.offset = {c}\n")
+        assert main(["exit", "--config", cfg]) == 0
+        assert "[true] J = 4.25 " in capsys.readouterr().out
+
+
+def test_endpoints_a_subnormal_off_the_plane_exit_0(tmp_path, capsys):
+    # both whitened side distances rounded to 0, and the whitened
+    # reflection divided by their sum (ZeroDivisionError, a traceback)
+    cfg = write_cfg(tmp_path, "subnormal.cfg",
+                    "model.kind = constant\nmodel.sigma = 2, -5e-324, 3e-198, 1.7\n"
+                    "x = 0, 0\ny = 0, 0\nbarrier.kind = vertical\nbarrier.x0 = -5e-324\n")
+    assert main(["exit", "--config", cfg]) == 0
+    assert "[true] J = 0 " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("barrier", [
@@ -563,16 +594,24 @@ def test_figure_requires_an_output_path(capsys):
 # ---- exit codes over generated configs ---- #
 
 SINGULAR_SIGMAS = ("0, 0, 0, 0", "1, 2, 2, 4", "1, 0, 0, 0")
+# a magnitude times U(0.5, 1.5), of either sign: zero, values whose
+# squares underflow or overflow, and everything between
+EXTREME = st.builds(lambda m, u, sign: sign * m * u,
+                    st.sampled_from((0.0, 1e-300, 1e-200, 1e-20, 1e-8, 0.1, 1.0, 3.0,
+                                     1e8, 1e20, 1e200, 1e300)),
+                    st.floats(0.5, 1.5), st.sampled_from((-1.0, 1.0)))
 
 
 @st.composite
 def exit_configs(draw):
     """(config text, whether some input is invalid) for the exit command.
 
-    Only closed-form models (constant, hull_white), so no path solve runs.
+    Only closed-form models (constant, hull_white, hull_white_simple), so
+    no path solve runs.
     """
     bad = False
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["constant", "hull_white", "hull_white_simple"]))
+    if kind == "constant":
         if draw(st.integers(0, 3)) == 0:
             sigma = draw(st.sampled_from(SINGULAR_SIGMAS))
             bad = True
@@ -582,7 +621,7 @@ def exit_configs(draw):
             sigma = f"{a!r}, {b!r}, {c!r}, {d!r}"
         lines = ["model.kind = constant", f"model.sigma = {sigma}"]
         v_lo = -3.0  # the whole plane is the domain
-    else:
+    elif kind == "hull_white":
         sv = draw(st.one_of(st.floats(0.2, 3.0), st.floats(-1.0, 0.0)))
         rho = draw(st.one_of(st.floats(-0.95, 0.95),
                              st.sampled_from([-1.0, 1.0, 1.5, 0.0])))
@@ -590,19 +629,26 @@ def exit_configs(draw):
         lines = ["model.kind = hull_white", f"model.sigma_vol = {sv!r}",
                  f"model.rho = {rho!r}"]
         v_lo = 0.05
+    else:
+        lines = ["model.kind = hull_white_simple"]
+        v_lo = 0.05
     for name in ("x", "y"):
-        u = draw(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([math.inf, -math.inf])))
+        u = draw(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([math.inf, -math.inf]),
+                           EXTREME))
         v = draw(st.one_of(st.floats(v_lo, 3.0), st.floats(-2.0, 0.0),
-                           st.sampled_from([math.inf])))
-        bad |= not (math.isfinite(u) and math.isfinite(v)) or v < v_lo
+                           st.sampled_from([math.inf]), EXTREME))
+        # the volatility models' domain is v > 0
+        bad |= not (math.isfinite(u) and math.isfinite(v)) or v_lo > 0.0 and v <= 0.0
         lines.append(f"{name} = {u!r}, {v!r}")
     barrier = draw(st.sampled_from(["vertical", "hyperplane", "hyperplane3"]))
-    offset = draw(st.floats(-4.0, 4.0))
+    offset = draw(st.one_of(st.floats(-4.0, 4.0), EXTREME))
     if barrier == "vertical":
         lines += ["barrier.kind = vertical", f"barrier.x0 = {offset!r}"]
     else:
-        normal = [1.0, draw(st.floats(-0.5, 0.5))] + [0.0] * (barrier == "hyperplane3")
-        bad |= barrier == "hyperplane3"
+        normal = [draw(st.one_of(st.just(1.0), EXTREME)),
+                  draw(st.one_of(st.floats(-0.5, 0.5), EXTREME))]
+        bad |= barrier == "hyperplane3" or not any(normal)
+        normal += [0.0] * (barrier == "hyperplane3")
         lines += ["barrier.kind = hyperplane",
                   "barrier.normal = " + ", ".join(map(repr, normal)),
                   f"barrier.offset = {offset!r}"]
@@ -615,14 +661,18 @@ def test_exit_codes_over_generated_configs(case):
     text, bad = case
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "gen.cfg"
+        cfg, out = Path(tmp) / "gen.cfg", Path(tmp) / "out.csv"
         cfg.write_text(text, encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["exit", "--config", str(cfg)])
+            code = main(["exit", "--config", str(cfg), "--out", str(out)])
+        rows = list(csv.DictReader(out.open())) if code == 0 else []
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     if bad:
         assert code == 2, text
+    for row in rows:
+        J = float(row["J"])
+        assert math.isfinite(J) and J >= 0.0, text
 
 
 
@@ -827,6 +877,7 @@ BUNDLED_OUTPUT_SHA256 = {
     ("exit", "figure2"): "6771aebcffbf03b5f1a18d918a0ee0989393397c05b712bd4f09640e83443a46",
     ("exit", "brownian_barrier"):
         "bdeff9af5d82441b54b69b97961883e8ddfbf32cca49ba4207ed249e3a112710",
+    ("figure", "figure1"): "094ad9067e200ff0981fa313ccd427080b058cffd4baf727e1ef3377fdb59d09",
     ("figure", "figure2"): "72d943c45477969f32a6adf6054c305bc56e12ffd1c9a9d19a3808c1729a6754",
 }
 

@@ -178,6 +178,14 @@ def test_hyperplane_normalizes_its_normal():
     assert p.offset == pytest.approx(2.5)
     with pytest.raises(ValueError):
         Hyperplane(np.array([0.0, 0.0]), 1.0)
+    # np.linalg.norm of these overflowed or underflowed, and the normals
+    # were refused as zero or infinite
+    for scale in (1e200, 1e-200):
+        q = Hyperplane(np.array([2.0, 0.0]) * scale, 5.0 * scale)
+        assert q.normal.tobytes() == p.normal.tobytes()
+        assert q.offset == pytest.approx(2.5, rel=1e-15)
+    with pytest.raises(ValueError, match="divided by the norm leaves the float range"):
+        Hyperplane(np.array([1e-300, 0.0]), 1e300)
 
 
 def test_parametric_curve_validation():
@@ -797,6 +805,7 @@ def test_solver_straddle_solves_x_to_y_once(monkeypatch):
     res = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y, VerticalBarrier(1.5),
                            opts=SolverOptions(n=50), force_numeric=True)
     assert res.geodesic_exits and res.method == "numeric_1d"
+    assert _bits(res) == PINNED_SOLVER_STRADDLE
     assert len(calls) == 3
     assert calls.count((tuple(ref.A_X), tuple(ref.A_Y))) == 1
 
@@ -907,7 +916,17 @@ CLOSED_FORM_SCAN_CASES = {
                                Hyperplane(np.array([1.0, -0.15]), 2.4)),
     "curve": ((1.2, 0.2), ref.A_X, ref.A_Y,
               ParametricCurve(lambda th: np.array([2.5 + 0.3 * np.sin(th), th]), 0.05, 3.0)),
+    # answered without a scan: a straddle (the crossing read off the
+    # sampled geodesic), an endpoint on the plane, and the half-plane
+    # reflection under either sign of the normal
+    "straddle": ((1.5, 0.5), ref.A_X, ref.A_Y, VerticalBarrier(1.5)),
+    "touch": ((1.1, 0.3), ref.A_X, ref.A_Y, VerticalBarrier(ref.A_X[0])),
+    "reflection": ((1.5, 0.0), ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER)),
+    "reflection_flipped": ((0.7, 0.0), ref.B_X, ref.B_Y,
+                           Hyperplane(np.array([-1.0, 0.0]), -ref.B_BARRIER)),
 }
+# the cases above that no scan answers
+CLOSED_FORM_EXIT_CASES = {"straddle", "touch", "reflection", "reflection_flipped"}
 PINNED_CLOSED_FORM_SCANS = {
     "correlated": {
         "J": "0x1.469940651cd08p+0",
@@ -949,14 +968,44 @@ PINNED_CLOSED_FORM_SCANS = {
         "d_xz": "0x1.3db716fcf636fp+1",
         "d_zy": "0x1.256a387074a63p+0",
     },
+    "straddle": {
+        "J": "0x0.0p+0",
+        "z_star": ("0x1.8000000000000p+0", "0x1.9c2e12ddfb1bfp-1"),
+        "u_bar": "0x1.0f754fbcb1b34p-1",
+        "d_xy": "0x1.19c249e8791bap+1",
+        "d_xz": "0x1.2ac5c9cb8285bp+0",
+        "d_zy": "0x1.08beca056fb27p+0",
+    },
+    "touch": {
+        "J": "0x0.0p+0",
+        "z_star": ("0x1.0000000000000p+0", "0x1.999999999999ap-3"),
+        "u_bar": "0x0.0p+0",
+        "d_xy": "0x1.33694314691c1p+1",
+        "d_xz": "0x0.0p+0",
+        "d_zy": "0x1.33694314691c1p+1",
+    },
+    "reflection": {
+        "J": "0x1.1eb9117a1c6c4p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.5f79d967775dep+0"),
+        "u_bar": "0x1.6d8686f0b6220p-1",
+        "d_xy": "0x1.13e63c1054c4ep+1",
+        "d_xz": "0x1.140eb915e76cbp+1",
+        "d_zy": "0x1.ba7d8f46103d1p-1",
+    },
+    "reflection_flipped": {
+        "J": "0x1.ed0446ef5c6f2p-4",
+        "z_star": ("0x1.4000000000000p+1", "0x1.b721e924a81b1p-4"),
+        "u_bar": "0x1.607f2c9c1e748p-1",
+        "d_xy": "0x1.2d037cc80ca38p-1",
+        "d_xz": "0x1.0dece8876a482p-1",
+        "d_zy": "0x1.e88f6abf732e9p-3",
+    },
 }
 
 
-@pytest.mark.parametrize("case", sorted(PINNED_CLOSED_FORM_SCANS))
-def test_closed_form_scan_results_are_pinned(case):
-    (sv, rho), x, y, boundary = CLOSED_FORM_SCAN_CASES[case]
-    res = exit_asymptotics(hull_white_model(sigma_vol=sv, rho=rho), x, y, boundary)
-    got = {
+def _bits(res):
+    """The hex of a result's numbers, for the pins."""
+    return {
         "J": res.J.hex(),
         "z_star": tuple(float(v).hex() for v in res.z_star),
         "u_bar": res.u_bar.hex(),
@@ -964,12 +1013,54 @@ def test_closed_form_scan_results_are_pinned(case):
         "d_xz": res.d_xz.hex(),
         "d_zy": res.d_zy.hex(),
     }
-    assert got == PINNED_CLOSED_FORM_SCANS[case]
-    assert res.method == "numeric_1d"
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CLOSED_FORM_SCANS))
+def test_closed_form_scan_results_are_pinned(case):
+    (sv, rho), x, y, boundary = CLOSED_FORM_SCAN_CASES[case]
+    res = exit_asymptotics(hull_white_model(sigma_vol=sv, rho=rho), x, y, boundary)
+    assert _bits(res) == PINNED_CLOSED_FORM_SCANS[case]
+    assert res.method == ("closed_form" if case in CLOSED_FORM_EXIT_CASES else "numeric_1d")
     assert math.isnan(res.scan_gap)  # a closed-form scan computes no bound
     assert res.d_xz == hw_distance(sv, rho, x, res.z_star)
     assert res.d_zy == hw_distance(sv, rho, res.z_star, y)
     assert res.d_xy == hw_distance(sv, rho, x, y)
+
+
+# Config A's endpoints under a constant model: the whitened reflection and
+# a straddle, whose crossing is on the chord.
+CONSTANT_SIGMA = np.array([[1.0, 0.3], [0.0, 0.8]])
+CONSTANT_EXIT_CASES = {
+    "reflection": Hyperplane(np.array([1.0, 0.3]), 3.0),
+    "straddle": Hyperplane(np.array([1.0, 0.3]), 1.5),
+}
+PINNED_CONSTANT_EXITS = {
+    "reflection": {
+        "J": "0x1.46d68928321afp+1",
+        "z_star": ("0x1.6120a56586187p+1", "0x1.9ba20d61040e8p-1"),
+        "u_bar": "0x1.6403ab95900ecp-1",
+        "d_xy": "0x1.ed4c672afafadp-1",
+        "d_xz": "0x1.b54d19c73d1aap+0",
+        "d_zy": "0x1.7f33ba37d3e50p-1",
+    },
+    "straddle": {
+        "J": "0x0.0p+0",
+        "z_star": ("0x1.6756e62a46756p+0", "0x1.48ceadcc548cep-2"),
+        "u_bar": "0x1.9d5b98a919d57p-2",
+        "d_xy": "0x1.ed4c672afafadp-1",
+        "d_xz": "0x1.8e4261621cd3bp-2",
+        "d_zy": "0x1.262b3679ec910p-1",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CONSTANT_EXITS))
+def test_constant_exits_are_pinned(case):
+    model = constant_model(CONSTANT_SIGMA)
+    res = exit_asymptotics(model, ref.A_X, ref.A_Y, CONSTANT_EXIT_CASES[case])
+    assert _bits(res) == PINNED_CONSTANT_EXITS[case]
+    assert res.method == "closed_form"
+    assert res.geodesic_exits == (case == "straddle")
 
 
 @pytest.mark.parametrize("kind", ["correlated_vertical", "constant_curve"])
@@ -1008,12 +1099,8 @@ def test_hw_transform_is_built_once_per_volatility_exit(case, monkeypatch):
 
     monkeypatch.setattr(exits, "hw_transform", counting)
     monkeypatch.setattr(hyperbolic, "hw_transform", counting)
-    if case == "reflection":
-        model, boundary = hull_white_model(sigma_vol=1.5), VerticalBarrier(ref.A_BARRIER)
-    else:
-        (sv, rho), _, _, boundary = CLOSED_FORM_SCAN_CASES[case]
-        model = hull_white_model(sigma_vol=sv, rho=rho)
-    res = exit_asymptotics(model, ref.A_X, ref.A_Y, boundary)
+    (sv, rho), _, _, boundary = CLOSED_FORM_SCAN_CASES[case]
+    res = exit_asymptotics(hull_white_model(sigma_vol=sv, rho=rho), ref.A_X, ref.A_Y, boundary)
     # the half-plane reflection once built it twice, and a scan three times
     assert len(built) == 1
     assert res.method == ("closed_form" if case == "reflection" else "numeric_1d")
@@ -1043,6 +1130,16 @@ PINNED_SCANS = {
         "d_zy": "0x1.e6cedee444bfep-1",
     },
 }
+# Config A's endpoints straddling x = 1.5 under the path optimizer: the
+# crossing is interpolated on the solved x-to-y geodesic.
+PINNED_SOLVER_STRADDLE = {
+    "J": "0x0.0p+0",
+    "z_star": ("0x1.8000000000000p+0", "0x1.41bfbf5954886p-1"),
+    "u_bar": "0x1.4d258ac838044p-1",
+    "d_xy": "0x1.468b1c748ee56p+1",
+    "d_xz": "0x1.a8f3194951aabp+0",
+    "d_zy": "0x1.c8470a8c7d015p-1",
+}
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_SCANS))
@@ -1053,15 +1150,7 @@ def test_solver_scan_results_are_pinned_and_worker_independent(case):
         model, kw = hull_white_model(), dict(opts=SolverOptions(n=50), force_numeric=True)
     barrier = VerticalBarrier(ref.A_BARRIER)
     res = exit_asymptotics(model, ref.A_X, ref.A_Y, barrier, workers=1, **kw)
-    got = {
-        "J": res.J.hex(),
-        "z_star": tuple(float(v).hex() for v in res.z_star),
-        "u_bar": res.u_bar.hex(),
-        "d_xy": res.d_xy.hex(),
-        "d_xz": res.d_xz.hex(),
-        "d_zy": res.d_zy.hex(),
-    }
-    assert got == PINNED_SCANS[case]
+    assert _bits(res) == PINNED_SCANS[case]
     assert res.method == "numeric_1d"
     assert res.unconverged_legs == 0
     assert 0.0 <= res.scan_gap <= SCAN_GAP
