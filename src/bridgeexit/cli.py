@@ -315,8 +315,9 @@ def cmd_figure(run: Run, args) -> int:
     if boundary is not None:
         true, *frozen = _freezing_rows(run)
         z = true.result.z_star
-        curves.append(Curve(geodesic(x, z), "dotted", "crossing_leg_in", color="#d62728"))
-        curves.append(Curve(geodesic(z, y), "dotted", "crossing_leg_out", color="#d62728"))
+        for p, q, role in ((x, z, "crossing_leg_in"), (z, y, "crossing_leg_out")):
+            if not np.array_equal(p, q):  # an endpoint on the barrier: no leg
+                curves.append(Curve(geodesic(p, q), "dotted", role, color="#d62728"))
         markers.append(Marker(float(z[0]), float(z[1]), role="crossing",
                               label="z*", color="#d62728"))
         for k, row in enumerate(frozen):

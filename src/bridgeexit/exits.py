@@ -22,8 +22,11 @@ Engine: one oracle per geometry times one boundary chart.  The oracle
 distances, the reflection formula, and the x-to-y geodesic with its
 crossing of a plane: through hw_distance's kernel and the half-plane for
 the log-price/volatility geometry, the whitened norm for a constant
-geometry, and the path optimizer otherwise (or under force_numeric).  The
-closed-form oracles check nothing: the entry points check the endpoints
+geometry, and the path optimizer otherwise (or under force_numeric).
+Both closed forms give the crossing and the reflection exactly: a chord
+under a constant geometry, and under the volatility geometry one
+circle-line intersection in the image half-plane (hyperbolic._arc_line).
+The closed-form oracles check nothing: the entry points check the endpoints
 once, the boundary is checked when it is built, and a scan only measures
 points that pass the domain test.  No scan runs for an endpoint on the
 plane, for endpoints on both sides (the geodesic's own crossing,
@@ -44,7 +47,8 @@ beat the best one, in rounds of one lockstep stack each (_scan), and its
 result's scan_gap is the relative gap the bound certifies.  The legs and
 J of the result come from the oracle at z_star; under the path optimizer
 the legs x-to-y, x-to-z_star and z_star-to-y are one stack at the
-caller's options, with the bits of separate solves.  The frozen
+caller's options, with the bits of separate solves.  An endpoint on the
+plane takes d(x, y) and 0 as its legs.  The frozen
 comparator is the same engine on the constant geometry a(z0)^{-1}.
 """
 
@@ -68,9 +72,10 @@ from .geodesic import (
     solve_geodesic,
 )
 from .hyperbolic import (
-    _barrier_infimum_vertical,
+    _arc_line,
     _hw_image,
     _hw_image_distance,
+    _mirror_gap,
     _poincare,
     hw_geodesic_image,
     hw_transform,
@@ -257,12 +262,22 @@ def exit_probability_equivalent(J: float, t: float) -> float:
 
 def _whitened_norm(W: np.ndarray, p: np.ndarray, q: np.ndarray):
     """|W (q - p)| for points or rows; the stacked matmuls reproduce
-    np.linalg.norm(W @ (q - p)) bit for bit; inf for one point past 2^512."""
+    np.linalg.norm(W @ (q - p)) bit for bit; inf for a point or a row past
+    2^512.  Rows with an entry past 2^500 are measured one at a time."""
     v = W @ (q - p)[..., None]
-    if v.ndim == 2 and not math.hypot(*v.ravel().tolist()) < 2.0**512:
-        return math.inf  # its square would overflow, with a numpy warning
-    s = (v.swapaxes(-1, -2) @ v)[..., 0, 0]
-    return math.sqrt(s) if s.ndim == 0 else np.sqrt(s)
+    if v.ndim == 2:
+        return _column_norm(v)
+    if not np.abs(v).max(initial=0.0) < 2.0**500:  # a square might overflow
+        return np.array([_column_norm(c) for c in v])
+    return np.sqrt((v.swapaxes(-1, -2) @ v)[:, 0, 0])
+
+
+def _column_norm(v: np.ndarray) -> float:
+    """|v| of one (d, 1) column, inf past 2^512: its square would overflow,
+    with a numpy warning."""
+    if not math.hypot(*v.ravel().tolist()) < 2.0**512:
+        return math.inf
+    return math.sqrt((v.T @ v)[0, 0])
 
 
 class _Oracle:
@@ -271,16 +286,18 @@ class _Oracle:
 
     legs(z) is (d(x, z), d(z, y)) for a point z, and the two arrays of
     distances for (n, d) rows z, each bit for bit the distance of its two
-    points; xy() is d(x, y).  reflection(plane) is (z_star, J) by a
+    points; xy() is d(x, y).  Both answers for a plane take the sides s_x and
+    s_y of x and y.  reflection(plane, s_x, s_y) is (z_star, J) by a
     reflection formula for a plane with x and y strictly on one side, or
-    None where no formula applies.  crossing(plane) is where the x-to-y
-    geodesic meets a plane between x and y, and path(n) that geodesic's
-    points (n + 1 under a closed form).  M maps a distance ball of radius S
-    onto the disc |Z - X|^2 <= 2 X_w Z_w k + r^2 of images, with
-    (k, r) = disc(S); both are None for the path optimizer.
+    None where no formula applies.  crossing(plane, s_x, s_y) is where the
+    x-to-y geodesic meets a plane between x and y: exact under both closed
+    forms, and read off the solved path under the path optimizer.  path(n)
+    is that geodesic's points (n + 1 under a closed form).  M maps a
+    distance ball of radius S onto the disc |Z - X|^2 <= 2 X_w Z_w k + r^2
+    of images, with (k, r) = disc(S); both are None for the path optimizer.
     """
 
-    def __init__(self, legs, xy, path, crossing, reflection=lambda plane: None,
+    def __init__(self, legs, xy, path, crossing, reflection=lambda plane, *sides: None,
                  M=None, disc=None):
         self.legs, self.xy, self.path, self.crossing = legs, xy, path, crossing
         self.reflection, self.M, self.disc = reflection, M, disc
@@ -300,6 +317,7 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
     if isinstance(geom, HullWhiteGeometry):
         sv, rho = geom.sigma_vol, geom.rho
         A = hw_transform(sv, rho)
+        rb = math.sqrt(1.0 - rho * rho)
         X, Y = _hw_image(A, x), _hw_image(A, y)
 
         def legs(z):
@@ -310,21 +328,26 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
             _check_squares("the geodesic arc from x to y overflows", X, Y)
             return hw_geodesic_image(sv, rho, x, y, n=n).path.points
 
-        def reflection(plane):
+        def crossing(plane, s_x, s_y, P=X, Q=Y):
+            # the image has normal A^-T n; mapped back, n . z = c gives the larger term
+            (n0, n1), c = plane.normal.tolist(), plane.offset
+            Zu, Zw = _arc_line(P, Q, s_x, s_y, (rb * n0, rho * n0 + sv * n1))
+            z0, z1 = rb * Zu + rho * Zw, sv * Zw
+            if abs(n0 * z0) >= abs(n1 * z1):
+                return np.array([(c - n1 * z1) / n0, z1])
+            return np.array([z0, (c - n0 * z0) / n1])
+
+        def reflection(plane, s_x, s_y):
             # the barrier is a geodesic mirror of the half-plane only here
             if rho != 0.0 or abs(plane.normal[0]) != 1.0:
                 return None
-            x0 = plane.offset / plane.normal[0]
-            Y_ref = np.array([2.0 * float(x0) - Y[0], Y[1]])
+            x0 = float(plane.offset / plane.normal[0])
+            Y_ref = np.array([2.0 * x0 - Y[0], Y[1]])
             _check_squares("the mirror image of y across the barrier overflows", X, Y_ref)
-            zs_img, path_sum = _barrier_infimum_vertical(X, Y_ref, x0)
-            d_img = float(_poincare(X, Y))
-            J = (path_sum**2 - d_img**2) / (2.0 * sv**2)
-            height = sv * float(zs_img[1])
-            if not 0.0 < height < math.inf:
-                raise ValueError(f"the height {height} of the crossing point is not "
-                                 f"a positive float: {TOO_FAR}")
-            return np.array([x0, height]), J
+            S, D = float(_poincare(X, Y_ref)), float(_poincare(X, Y))
+            # J = (S^2 - D^2) / (2 sv^2), with no cancellation in S - D
+            J = 0.5 * (_mirror_gap(X, Y, x0) / sv) * ((S + D) / sv)
+            return crossing(plane, s_x, -s_y, Q=Y_ref), J
 
         def disc(S):
             try:
@@ -333,8 +356,8 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
                 sh = math.inf
             return 2.0 * sh * sh, 0.0  # sh * sh overflows to inf; sh ** 2 raises
 
-        return _Oracle(legs, lambda: _hw_image_distance(X, Y, sv), path,
-                       lambda plane: _path_crossing(path(4096), plane), reflection, A, disc)
+        return _Oracle(legs, lambda: _hw_image_distance(X, Y, sv), path, crossing,
+                       reflection, A, disc)
     if isinstance(geom, ConstantGeometry):
         W, Winv = geom.whitening
 
@@ -342,32 +365,22 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
             u = np.linspace(0.0, 1.0, n + 1)[:, None]
             return (1.0 - u) * x + u * y
 
-        def crossing(plane):
-            sx = float(plane.normal @ x - plane.offset)
-            sy = float(plane.normal @ y - plane.offset)
-            t = sx / (sx - sy)
-            return x + t * (y - x)
-
-        def reflection(plane):
-            # a mirror reflection in whitened coordinates
-            xw = W @ x
-            yw = W @ y
+        def reflection(plane, s_x, s_y):
+            # a mirror reflection in whitened coordinates, across the plane
+            # with unit normal mhat, at the side distances delta
             m = Winv @ plane.normal
             scale = float(np.linalg.norm(m))
             mhat = m / scale
-            chat = plane.offset / scale
-            delta_x = float(mhat @ xw - chat)
-            delta_y = float(mhat @ yw - chat)
-            y_ref = yw - 2.0 * (mhat @ yw - chat) * mhat
-            D = xw - y_ref
-            _check_squares("the exit exponent J = inf is not finite", D)
-            S = float(np.linalg.norm(D))
-            d_xy = float(np.linalg.norm(xw - yw))
+            delta_x, delta_y = s_x / scale, s_y / scale
+            xw = W @ x
+            y_ref = W @ y - 2.0 * delta_y * mhat
             tstar = delta_x / (delta_x + delta_y or 1.0)  # 0 + 0: x on the plane
-            return Winv @ (xw + tstar * (y_ref - xw)), 0.5 * (S * S - d_xy * d_xy)
+            # |x - y_ref|^2 - |x - y|^2 = 4 delta_x delta_y
+            return Winv @ (xw + tstar * (y_ref - xw)), 2.0 * delta_x * delta_y
 
         return _Oracle(lambda z: (_whitened_norm(W, x, z), _whitened_norm(W, z, y)),
-                       lambda: _whitened_norm(W, x, y), path, crossing, reflection, W,
+                       lambda: _whitened_norm(W, x, y), path,
+                       lambda plane, s_x, s_y: x + s_x / (s_x - s_y) * (y - x), reflection, W,
                        lambda S: (0.0, S))
 
     @functools.cache
@@ -379,7 +392,7 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
 
     return _Oracle(lambda z: (dist(x, z), dist(z, y)), lambda: geodesic().distance,
                    lambda n: geodesic().path.points,
-                   lambda plane: _path_crossing(geodesic().path.points, plane))
+                   lambda plane, *sides: _path_crossing(geodesic().path.points, plane))
 
 
 def _check_squares(what: str, *points):
@@ -390,15 +403,12 @@ def _check_squares(what: str, *points):
 
 
 def _path_crossing(pts, plane: Hyperplane):
-    """Where the sampled path pts first meets the plane: the linear
-    interpolation between the two samples that bracket it (sides compared
-    by sign, which cannot overflow), or the sample nearest to it."""
+    """Where the sampled path pts, from one side of the plane to the other,
+    first meets it: the linear interpolation between the two samples that
+    bracket it (sides compared by sign, which cannot overflow)."""
     s = pts @ plane.normal - plane.offset
-    idx = np.flatnonzero(np.sign(s[:-1]) * np.sign(s[1:]) <= 0.0)
-    i = int(idx[0]) if len(idx) else int(np.argmin(np.abs(s)))
-    if i + 1 >= len(pts) or s[i] == s[i + 1]:
-        return pts[i]
-    w = s[i] / (s[i] - s[i + 1])
+    i = int(np.flatnonzero(np.sign(s[:-1]) * np.sign(s[1:]) <= 0.0)[0])
+    w = s[i] / (s[i] - s[i + 1]) if s[i] else 0.0
     return pts[i] + w * (pts[i + 1] - pts[i])
 
 
@@ -908,26 +918,24 @@ def _result_legs(model, x, y, z, opts: SolverOptions):
 def _assemble(legs, z_star, method: str, J=None, geodesic_exits=False,
               degenerate=False, unconverged_legs=0, scan_gap=math.nan) -> ExitAsymptotics:
     """Result at z_star with its legs (d_xy, d_xz, d_zy) = legs(z_star);
-    J from those legs unless a reflection formula supplies it.  A J or
-    z_star that is not finite (distances past the float range) raises
-    ValueError."""
+    J from those legs, and then geodesic_exits where it is within EXIT_TOL,
+    unless a reflection formula supplies it.  A J or z_star that is not
+    finite (distances past the float range) raises ValueError."""
     if not all(map(math.isfinite, z_star)):
         raise ValueError(f"the crossing point z_star = {z_star} is not finite: {TOO_FAR}")
     d_xy, d_xz, d_zy = legs(z_star)
     if J is None:
         S = d_xz + d_zy
         J = 0.5 * (S * S - d_xy * d_xy)
+        geodesic_exits = J <= EXIT_TOL * max(1.0, d_xy * d_xy)
     if not math.isfinite(J):
         raise ValueError(f"the exit exponent J = {J} is not finite: {TOO_FAR}")
     try:
         u_bar = optimal_crossing_time(d_xz, d_zy)
     except BothZero:
         u_bar = np.nan
-    J = max(float(J), 0.0)
-    if J <= EXIT_TOL * max(1.0, d_xy * d_xy):
-        geodesic_exits = True
     return ExitAsymptotics(
-        J=J,
+        J=max(float(J), 0.0),
         z_star=np.asarray(z_star, dtype=float),
         u_bar=u_bar,
         d_xy=d_xy,
@@ -974,16 +982,17 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
     if plane is None:
         thetas = np.linspace(boundary.theta_min, boundary.theta_max, boundary.samples)
         chart = _curve_chart(boundary)
-    elif touches:
-        z_star = x.copy() if s_x == 0.0 else y.copy()
-        return _assemble(legs, z_star, closed, 0.0, geodesic_exits=True, degenerate=True)
+    elif touches:  # z_star is x or y: one leg is 0 and the other d(x, y)
+        z_star, at = (x, (d_xy, 0.0, d_xy)) if s_x == 0.0 else (y, (d_xy, d_xy, 0.0))
+        return _assemble(lambda z: at, z_star.copy(), closed, 0.0, geodesic_exits=True,
+                         degenerate=True)
     elif straddles:
-        z_star = oracle.crossing(plane)  # a sampled one can land on the domain's edge
+        z_star = oracle.crossing(plane, s_x, s_y)  # the solver's can land on the edge
         if not model.domain_test(z_star):
             raise OutsideDomain(f"the crossing point {z_star} of the x-to-y geodesic "
                                 "lies outside the model domain")
         return _assemble(legs, z_star, closed, 0.0, geodesic_exits=True)
-    elif (reflected := oracle.reflection(plane)) is not None:
+    elif (reflected := oracle.reflection(plane, s_x, s_y)) is not None:
         z_star, J = reflected
         return _assemble(legs, z_star, closed, J)
     else:

@@ -16,6 +16,12 @@ reproduces sigma_vol^2 times the inverse diffusion matrix, and the resulting
 distances match the generic path-energy minimizer (see tests).  A tempting
 shear substitution (x, y) -> (rb*x + rho*y, y) does NOT have this property;
 the tests pin that failure down.
+
+A plane of the state space maps to a line of the half-plane, so where a
+geodesic crosses it, and the minimizer of a reflection across a vertical
+line, are one circle-line intersection (_arc_line).  It is formed from the
+power of the point where the line cuts the chord, in sums and products:
+no radius is squared, and its bits do not depend on libm's pow.
 """
 
 from __future__ import annotations
@@ -180,13 +186,6 @@ class GeodesicArc:
     theta_a: float
     theta_b: float
 
-    def point_at_angle(self, theta: float) -> np.ndarray:
-        if self.kind == "circle":
-            return np.array(
-                [self.center_x + self.radius * np.cos(theta), self.radius * np.sin(theta)]
-            )
-        return np.array([self.center_x, theta])
-
 
 def geodesic_arc(p, q) -> GeodesicArc:
     """Geodesic through two distinct points of the half-plane.
@@ -199,11 +198,6 @@ def geodesic_arc(p, q) -> GeodesicArc:
     q = _check_half_plane(q, "q")
     if np.array_equal(p, q):
         raise CoincidentPoints("geodesic through a single point is not defined")
-    return _geodesic_arc(p, q)
-
-
-def _geodesic_arc(p: np.ndarray, q: np.ndarray) -> GeodesicArc:
-    """geodesic_arc of two distinct points of the half-plane, unchecked."""
     if p[0] == q[0]:
         return GeodesicArc("vertical", p[0], np.inf, p[1], q[1])
     cx = (q[0] ** 2 + q[1] ** 2 - p[0] ** 2 - p[1] ** 2) / (2.0 * (q[0] - p[0]))
@@ -280,24 +274,59 @@ def barrier_infimum_vertical(x, y, x0: float):
         )
     # the mirror image overflows for a line near the float range
     y_ref = _check_half_plane(reflect_across_vertical(y, x0), "q")
-    return _barrier_infimum_vertical(x, y_ref, x0)
+    height = _arc_line(x, y_ref, sx, -sy, (1.0, 0.0))[1]  # the mirror's side is -sy
+    return np.array([x0, height]), _value(_poincare(x, y_ref))
 
 
-def _barrier_infimum_vertical(x: np.ndarray, y_ref: np.ndarray, x0: float):
-    """barrier_infimum_vertical from x and the mirror image y_ref of y, two
-    points of the half-plane strictly on either side of x = x0, unchecked."""
-    path_sum = _value(_poincare(x, y_ref))
-    arc = _geodesic_arc(x, y_ref)
-    # The endpoints sit on opposite sides of the line, so the circle crosses
-    # it.  The squares are pow's, as numpy's scalar power takes them (r * r
-    # differs in the last bit for about one r in a thousand); a square past
-    # the float range raises in Python floats, and its height reads nan.
-    try:
-        h2 = arc.radius**2 - (float(x0) - float(arc.center_x)) ** 2
-    except OverflowError:
-        h2 = math.nan
-    z_star = np.array([x0, math.sqrt(h2) if h2 >= 0.0 else math.nan])
-    return z_star, path_sum
+def _arc_line(P, Q, sp: float, sq: float, m) -> tuple[float, float]:
+    """Where the geodesic through P and Q meets a line with normal m, from
+    their sides sp and sq of it (of opposite signs), unchecked.  The line
+    cuts the chord at M = (1 - s) P + s Q, s = sp / (sp - sq), where the
+    circle's power is -g^2 = -s (1 - s) |Q - P|^2: along the line's unit
+    direction T, t^2 + 2 T . (M - C) t - g^2 = 0 has a root of each sign, and
+    the arc lies on the side of the chord away from the centre C."""
+    (pu, pw), (qu, qw) = P.tolist(), Q.tolist()
+    s, sbar = sp / (sp - sq), sq / (sq - sp)
+    Mu, Mw = sbar * pu + s * qu, sbar * pw + s * qw
+    du, dw = qu - pu, qw - pw
+    if du == 0.0:  # the geodesic is the vertical line through P and Q
+        return Mu, Mw
+    norm = math.hypot(*m)
+    Tu, Tw = -m[1] / norm, m[0] / norm
+    b = Tw * Mw
+    if Tu:  # a - M_u = (1/2 - s) du + dw (P_w + Q_w) / (2 du)
+        b -= Tu * ((0.5 - s) * du + dw * ((pw + qw) / (2.0 * du)))
+    g = math.sqrt(s * sbar) * math.hypot(du, dw)
+    R = math.hypot(b, g)
+    sign = 1.0 if (sq > 0.0) == (du > 0.0) else -1.0  # sign of T . (away from C)
+    t = sign * R - b if sign * b <= 0.0 else g * (g / (b + sign * R))
+    return Mu + t * Tu, Mw + t * Tw
+
+
+def _mirror_gap(P, Q, u: float) -> float:
+    """d(P, Q') - d(P, Q) for half-plane images P and Q strictly on one side
+    of the vertical line u, Q' the mirror image of Q, unchecked.  With
+    d = acosh(1 + v), the mirror's v exceeds Q's by
+    delta = 2 (P_u - u)(Q_u - u) / (P_w Q_w) > 0, and the gap is a log1p of
+    positive terms in delta, r = sqrt(v (v + 2)) and r'.  Past
+    _ACOSH_LOG_CUTOFF, d = log(2 v) and the gap is log1p(delta / v); where
+    v' passes 2^1000 it is the difference of the distances, above 300."""
+    (pu, pw), (qu, qw) = P.tolist(), Q.tolist()
+    dx, dy = qu - pu, qw - pw
+    den = 2.0 * pw * qw
+    near = (dx * dx + dy * dy) / den if den else math.inf
+    if not near < _ACOSH_LOG_CUTOFF:
+        h = math.hypot(dx, dy)
+        return math.log1p(4.0 * ((pu - u) / h) * ((qu - u) / h))
+    delta = 2.0 * ((pu - u) / pw) * ((qu - u) / qw)
+    far = near + delta
+    if not far < 2.0**1000:
+        Q_ref = np.array([2.0 * u - qu, qw])
+        return float(_poincare(P, Q_ref)) - float(_poincare(P, Q))
+    r_near = math.sqrt(near) * math.sqrt(near + 2.0)
+    r_far = math.sqrt(far) * math.sqrt(far + 2.0)
+    return math.log1p(delta * (1.0 + (near + far + 2.0) / (r_near + r_far))
+                      / (1.0 + near + r_near))
 
 
 # ---- Correlated / scaled volatility plane ---- #

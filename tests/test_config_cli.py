@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from bridgeexit import (
     solve_geodesic,
 )
 from bridgeexit import cli
-from bridgeexit.cli import main
+from bridgeexit.cli import load_run, main
 from bridgeexit.config import (
     ConfigView,
     boundary_from_view,
@@ -39,6 +40,7 @@ from bridgeexit.config import (
 )
 from bridgeexit.svgplot import Curve, Marker, extract_markers, render_svg
 
+import decimalref as dref
 import refvalues as ref
 
 
@@ -361,6 +363,18 @@ NUMERIC_PLANE_TEXT = (
 )
 
 
+def test_figure_with_an_endpoint_on_the_barrier_draws_no_empty_leg(tmp_path, capsys):
+    # z* = x: the leg from x to z* has length 0, and drawing it exited 3
+    svg_path = tmp_path / "fig.svg"
+    cfg = write_cfg(tmp_path, "touch.cfg", "model.kind = hull_white_simple\nx = 1, 0.2\n"
+                    "y = 2, 0.5\nbarrier.kind = vertical\nbarrier.x0 = 1\n")
+    assert main(["figure", "--config", cfg, "--out", str(svg_path)]) == 0
+    svg = svg_path.read_text()
+    assert 'data-role="crossing_leg_out"' in svg and "crossing_leg_in" not in svg
+    assert extract_markers(svg)["crossing"] == pytest.approx((1.0, 0.2), abs=0.0)
+    capsys.readouterr()
+
+
 def test_exit_table_and_figure_agree(tmp_path, capsys):
     # the second config only reaches the solver scan through exit.* keys
     numeric = write_cfg(tmp_path, "numeric.cfg", NUMERIC_PLANE_TEXT)
@@ -485,25 +499,12 @@ def test_boundary_without_a_numeric_chart_exits_2(tmp_path, capsys):
     ("model.kind = constant\nmodel.sigma = 1, 0, 0, 1\nx = 1e200, 0.5\ny = -1e200, 0.3\n"
      "barrier.kind = hyperplane\nbarrier.normal = 0, 1\nbarrier.offset = 0\n",
      "d(x, y) = inf is not finite"),
-    # the crossing's height underflowed to 0, and the distance to it
-    # raised ZeroDivisionError
-    ("model.kind = hull_white_simple\nx = 1, 1e-300\ny = 0.5, 1e20\n"
-     "barrier.kind = vertical\nbarrier.x0 = 2.5\n",
-     "the height 0.0 of the crossing point is not a positive float"),
     # the whitened reflection's norms squared a mirror image near 2e200,
     # with numpy overflow warnings, before J = inf was refused
     ("model.kind = constant\nmodel.sigma = 1, 0, 0, 1\nx = 0, 0.5\ny = 1, 0.3\n"
      "barrier.kind = hyperplane\nbarrier.normal = 0, 1\nbarrier.offset = -1e200\n",
      "the exit exponent J = inf is not finite"),
-    # the straddle's crossing, interpolated on the sampled geodesic, landed
-    # at v = 0, and measuring its legs raised ZeroDivisionError
-    ("model.kind = hull_white_simple\nx = 0.9118936140904059, 0.6971717174555819\n"
-     "y = -1.0138336670381496, 9.866223672883368e-201\nbarrier.kind = hyperplane\n"
-     "barrier.normal = -1.2028662513475398e-20, -5.821181414383326e+19\n"
-     "barrier.offset = -0.0\n",
-     "of the x-to-y geodesic lies outside the model domain"),
-], ids=["window_sinh", "half_plane_image", "whitened_distance", "half_plane_height",
-        "whitened_reflection", "straddle_crossing_off_the_domain"])
+], ids=["window_sinh", "half_plane_image", "whitened_distance", "whitened_reflection"])
 def test_exits_past_the_float_range_exit_2(text, message, tmp_path, capsys):
     cfg = write_cfg(tmp_path, "far.cfg", text)
     assert main(["exit", "--config", cfg]) == 2
@@ -537,21 +538,50 @@ def test_endpoints_a_subnormal_off_the_plane_exit_0(tmp_path, capsys):
     assert "[true] J = 0 " in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("barrier", [
-    "barrier.kind = vertical\nbarrier.x0 = 0\n",
-    "barrier.kind = hyperplane\nbarrier.normal = 1, 0\nbarrier.offset = 0\n",
-], ids=["vertical", "hyperplane"])
-def test_a_crossing_radius_past_the_float_range_exits_2(barrier, tmp_path, capsys):
+RADIUS_TEXT = ("model.kind = hull_white\nmodel.sigma_vol = 1.5\nmodel.rho = 0\n"
+               "x = -1e-300, 0.2\ny = -2e-300, 0.5\n")
+# Inputs once refused as past the float range, whose answers are finite.
+FINITE_NEAR_THE_FLOAT_RANGE = {
+    # the reflection height, from a squared radius, underflowed to 0
+    "half_plane_height": "model.kind = hull_white_simple\nx = 1, 1e-300\ny = 0.5, 1e20\n"
+                         "barrier.kind = vertical\nbarrier.x0 = 2.5\n",
     # the mirror image of y lies 3e-300 across the barrier from x, so the
-    # arc through them has a radius near 1e298, whose square raised
-    # OverflowError out of the half-plane reflection (a traceback, exit 1)
-    cfg = write_cfg(tmp_path, "radius.cfg",
-                    "model.kind = hull_white\nmodel.sigma_vol = 1.5\nmodel.rho = 0\n"
-                    "x = -1e-300, 0.2\ny = -2e-300, 0.5\n" + barrier)
-    assert main(["exit", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err == ("error: the height nan of the crossing point is not a positive float: "
-                   "the endpoints and the boundary are too far apart for float arithmetic\n")
+    # arc through them has a radius near 1e298, whose square overflowed
+    "radius_vertical": RADIUS_TEXT + "barrier.kind = vertical\nbarrier.x0 = 0\n",
+    "radius_hyperplane": RADIUS_TEXT + "barrier.kind = hyperplane\nbarrier.normal = 1, 0\n"
+                                       "barrier.offset = 0\n",
+    # the straddle's crossing, read off a sampled geodesic, landed at v = 0
+    # outside the domain; the exact one is at v = 2.09e-40
+    "straddle_crossing_off_the_domain":
+        "model.kind = hull_white_simple\nx = 0.9118936140904059, 0.6971717174555819\n"
+        "y = -1.0138336670381496, 9.866223672883368e-201\nbarrier.kind = hyperplane\n"
+        "barrier.normal = -1.2028662513475398e-20, -5.821181414383326e+19\n"
+        "barrier.offset = -0.0\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FINITE_NEAR_THE_FLOAT_RANGE))
+def test_finite_answers_near_the_float_range_exit_0(case, tmp_path, capsys):
+    text = FINITE_NEAR_THE_FLOAT_RANGE[case]
+    assert main(["exit", "--config", write_cfg(tmp_path, "near.cfg", text)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("[true] J = ")
+    run = load_run(view_of(text), needs=("barrier",))
+    res = exit_asymptotics(run.model, run.x, run.y, run.boundary)
+    sv, rho, b = run.model.geometry.sigma_vol, run.model.geometry.rho, run.boundary
+    with localcontext() as ctx:
+        ctx.prec = 700  # the radius cases cancel 600 digits of r^2
+        if case.startswith("straddle"):
+            J, z = Decimal(0), dref.straddle(sv, rho, run.x, run.y, b.normal, b.offset)
+        else:
+            x0 = b.x0 if isinstance(b, VerticalBarrier) else b.offset / b.normal[0]
+            J, height = dref.reflection(sv, run.x, run.y, x0)
+            z = (dref.dec(x0), height)
+        # J of the radius cases is about 1e-600, and reads 0
+        assert abs(dref.dec(res.J) - J) <= Decimal("1e-12") * J + Decimal("5e-324")
+        for got, want in zip(res.z_star, z):
+            assert abs(dref.dec(got) - want) <= Decimal("1e-12") * abs(want)
+    assert res.geodesic_exits == case.startswith("straddle")
 
 
 @pytest.mark.parametrize("sv", ["1e200", "1e-200"])

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from bridgeexit import (
 from bridgeexit.exits import SCAN_GAP
 from bridgeexit.model import domain_test_batch
 
+import decimalref as dref
 import refvalues as ref
 
 
@@ -791,7 +793,8 @@ def test_scan_keeps_the_coarse_sample_when_its_bracket_is_not_finite():
     assert (theta, unconverged) == (0.5, 0) and math.isnan(gap)
 
 
-def test_solver_straddle_solves_x_to_y_once(monkeypatch):
+def _counting_solves(monkeypatch):
+    """The (x, y) of every solve_geodesic call the exit engine makes."""
     import bridgeexit.exits as exits
 
     calls = []
@@ -802,12 +805,109 @@ def test_solver_straddle_solves_x_to_y_once(monkeypatch):
         return solve(model, p, q, *args, **kw)
 
     monkeypatch.setattr(exits, "solve_geodesic", counting)
+    return calls
+
+
+def test_solver_straddle_solves_x_to_y_once(monkeypatch):
+    calls = _counting_solves(monkeypatch)
     res = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y, VerticalBarrier(1.5),
                            opts=SolverOptions(n=50), force_numeric=True)
     assert res.geodesic_exits and res.method == "numeric_1d"
     assert _bits(res) == PINNED_SOLVER_STRADDLE
     assert len(calls) == 3
     assert calls.count((tuple(ref.A_X), tuple(ref.A_Y))) == 1
+
+
+@pytest.mark.parametrize("end", ["x", "y"])
+def test_solver_touch_solves_x_to_y_once(end, monkeypatch):
+    # z* = x or y: one leg is 0 and the other d(x, y), with no solve of its own
+    calls = _counting_solves(monkeypatch)
+    z = ref.A_X if end == "x" else ref.A_Y
+    res = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y, VerticalBarrier(z[0]),
+                           opts=SolverOptions(n=50), force_numeric=True)
+    assert calls == [(tuple(ref.A_X), tuple(ref.A_Y))]
+    assert res.degenerate and res.geodesic_exits and res.J == 0.0
+    assert (res.d_xz, res.d_zy) == ((0.0, res.d_xy) if end == "x" else (res.d_xy, 0.0))
+    assert res.z_star.tobytes() == z.tobytes()
+    assert res.d_xy == solve_geodesic(hull_white_model(), ref.A_X, ref.A_Y,
+                                      SolverOptions(n=50)).distance
+
+
+@pytest.mark.parametrize("sv", [10.0**-k for k in range(0, 21, 2)] + [1e-150])
+def test_reflection_exponent_keeps_its_digits_as_sigma_vol_falls(sv):
+    # J = (S^2 - D^2) / (2 sigma_vol^2) cancels: at 1e-8 it read 12.21 and
+    # set geodesic_exits; the two distances agree to 300 digits at 1e-150
+    res = exit_asymptotics(hull_white_model(sigma_vol=sv), ref.A_X, ref.A_Y,
+                           VerticalBarrier(ref.A_BARRIER))
+    with localcontext() as ctx:
+        ctx.prec = 400
+        J, height = dref.reflection(sv, ref.A_X, ref.A_Y, ref.A_BARRIER)
+        assert abs(dref.dec(res.J) - J) <= Decimal("1e-12") * J
+        assert abs(dref.dec(res.z_star[1]) - height) <= Decimal("1e-12") * height
+    assert res.z_star[0] == ref.A_BARRIER
+    assert res.method == "closed_form" and not res.geodesic_exits
+    if sv <= 1e-8:
+        assert f"{res.J:.12g}" == "13.0898675982"
+
+
+def test_volatility_straddles_match_a_decimal_reference_and_the_sampled_crossing():
+    from bridgeexit.exits import _path_crossing
+    from bridgeexit.hyperbolic import hw_geodesic_image
+
+    rng = np.random.default_rng(7)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for k in range(200):
+            sv, rho = rng.uniform(0.3, 2.0), rng.uniform(-0.9, 0.9)
+            x, y = (np.array([rng.uniform(0.0, 3.0), rng.uniform(0.1, 2.0)]) for _ in "xy")
+            normal = np.array([1.0, 0.0 if k % 2 else rng.uniform(-1.0, 1.0)])
+            plane = Hyperplane(normal, rng.uniform(*sorted((normal @ x, normal @ y))))
+            res = exit_asymptotics(hull_white_model(sigma_vol=sv, rho=rho), x, y, plane)
+            assert res.J == 0.0 and res.geodesic_exits and res.method == "closed_form"
+            exact = dref.straddle(sv, rho, x, y, plane.normal, plane.offset)
+            scale = max(map(abs, exact))
+            for got, want in zip(res.z_star, exact):
+                assert abs(dref.dec(got) - want) <= Decimal("1e-12") * scale
+            assert abs(dref.dec(res.z_star[1]) - exact[1]) <= Decimal("1e-12") * exact[1]
+            if k % 2:
+                assert res.z_star[0] == plane.offset
+            if k < 20:  # the 4097-point sample the crossing was read from
+                sampled = _path_crossing(hw_geodesic_image(sv, rho, x, y, n=4096).path.points,
+                                         plane)
+                assert np.abs(res.z_star - sampled).max() <= 1e-6
+
+
+@pytest.mark.parametrize("sv, rho", [(1.0, 0.0), (1.5, 0.5)])
+def test_volatility_straddle_agrees_with_the_path_optimizer(sv, rho):
+    model = hull_white_model(sigma_vol=sv, rho=rho)
+    res = exit_asymptotics(model, ref.A_X, ref.A_Y, VerticalBarrier(1.5))
+    num = exit_asymptotics(model, ref.A_X, ref.A_Y, VerticalBarrier(1.5),
+                           opts=SolverOptions(n=100), force_numeric=True)
+    assert res.geodesic_exits and num.geodesic_exits
+    assert num.z_star[1] == pytest.approx(res.z_star[1], abs=1e-2)
+    assert num.u_bar == pytest.approx(res.u_bar, abs=1e-2)
+    for name in ("d_xy", "d_xz", "d_zy"):
+        assert getattr(num, name) == pytest.approx(getattr(res, name), rel=1e-3)
+
+
+def test_whitened_rows_past_the_float_range_read_inf_without_a_warning():
+    from bridgeexit.exits import _whitened_norm
+
+    # under the suite's RuntimeWarning filter, an overflow in the matmul raises
+    W = np.array([[1.0, 0.2], [0.2, 0.9]])
+    x = np.array([0.0, 0.0])
+    z = np.array([[1.0, 2.0], [1e160, 1.0], [3e153, -2e153], [-1e300, 1e300], [0.5, -0.25]])
+    rows = _whitened_norm(W, x, z)
+    one = np.array([_whitened_norm(W, x, p) for p in z])
+    assert rows.tobytes() == one.tobytes()
+    assert np.isinf(rows[[1, 3]]).all() and np.isfinite(rows[[0, 2, 4]]).all()
+    near = [0, 4]
+    assert rows[near].tobytes() == _whitened_norm(W, x, z[near]).tobytes()
+    # a curve whose every sample lies past the float range
+    curve = ParametricCurve(lambda th: np.array([th, 1e160 * (1.0 + th)]), 0.0, 1.0)
+    with pytest.raises(OutsideDomain):
+        exit_asymptotics(constant_model(np.eye(2)), np.array([0.0, 0.0]),
+                         np.array([1.0, 0.0]), curve)
 
 
 def test_grid_exit_model_callback_counts():
@@ -916,9 +1016,12 @@ CLOSED_FORM_SCAN_CASES = {
                                Hyperplane(np.array([1.0, -0.15]), 2.4)),
     "curve": ((1.2, 0.2), ref.A_X, ref.A_Y,
               ParametricCurve(lambda th: np.array([2.5 + 0.3 * np.sin(th), th]), 0.05, 3.0)),
-    # answered without a scan: a straddle (the crossing read off the
-    # sampled geodesic), an endpoint on the plane, and the half-plane
-    # reflection under either sign of the normal
+    # answered without a scan: a straddle (the crossing of the half-plane
+    # arc with the plane's image), an endpoint on the plane, and the
+    # half-plane reflection under either sign of the normal.  The straddle,
+    # the reflections and the constant reflection below were re-pinned when
+    # the crossing became exact and J lost its cancellation; every moved
+    # value is closer to a decimal reference than the one it replaced.
     "straddle": ((1.5, 0.5), ref.A_X, ref.A_Y, VerticalBarrier(1.5)),
     "touch": ((1.1, 0.3), ref.A_X, ref.A_Y, VerticalBarrier(ref.A_X[0])),
     "reflection": ((1.5, 0.0), ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER)),
@@ -970,11 +1073,11 @@ PINNED_CLOSED_FORM_SCANS = {
     },
     "straddle": {
         "J": "0x0.0p+0",
-        "z_star": ("0x1.8000000000000p+0", "0x1.9c2e12ddfb1bfp-1"),
-        "u_bar": "0x1.0f754fbcb1b34p-1",
+        "z_star": ("0x1.8000000000000p+0", "0x1.9c2e14721a732p-1"),
+        "u_bar": "0x1.0f754fa5279fbp-1",
         "d_xy": "0x1.19c249e8791bap+1",
-        "d_xz": "0x1.2ac5c9cb8285bp+0",
-        "d_zy": "0x1.08beca056fb27p+0",
+        "d_xz": "0x1.2ac5c9b19a185p+0",
+        "d_zy": "0x1.08beca1f581eep+0",
     },
     "touch": {
         "J": "0x0.0p+0",
@@ -985,20 +1088,20 @@ PINNED_CLOSED_FORM_SCANS = {
         "d_zy": "0x1.33694314691c1p+1",
     },
     "reflection": {
-        "J": "0x1.1eb9117a1c6c4p+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.5f79d967775dep+0"),
+        "J": "0x1.1eb9117a1c6c5p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.5f79d967775dcp+0"),
         "u_bar": "0x1.6d8686f0b6220p-1",
         "d_xy": "0x1.13e63c1054c4ep+1",
         "d_xz": "0x1.140eb915e76cbp+1",
         "d_zy": "0x1.ba7d8f46103d1p-1",
     },
     "reflection_flipped": {
-        "J": "0x1.ed0446ef5c6f2p-4",
-        "z_star": ("0x1.4000000000000p+1", "0x1.b721e924a81b1p-4"),
-        "u_bar": "0x1.607f2c9c1e748p-1",
+        "J": "0x1.ed0446ef5c6f1p-4",
+        "z_star": ("0x1.4000000000000p+1", "0x1.b721e924a8172p-4"),
+        "u_bar": "0x1.607f2c9c1e6e5p-1",
         "d_xy": "0x1.2d037cc80ca38p-1",
-        "d_xz": "0x1.0dece8876a482p-1",
-        "d_zy": "0x1.e88f6abf732e9p-3",
+        "d_xz": "0x1.0dece8876a437p-1",
+        "d_zy": "0x1.e88f6abf73417p-3",
     },
 }
 
@@ -1036,12 +1139,12 @@ CONSTANT_EXIT_CASES = {
 }
 PINNED_CONSTANT_EXITS = {
     "reflection": {
-        "J": "0x1.46d68928321afp+1",
-        "z_star": ("0x1.6120a56586187p+1", "0x1.9ba20d61040e8p-1"),
-        "u_bar": "0x1.6403ab95900ecp-1",
+        "J": "0x1.46d68928321b1p+1",
+        "z_star": ("0x1.6120a56586188p+1", "0x1.9ba20d61040eap-1"),
+        "u_bar": "0x1.6403ab95900ebp-1",
         "d_xy": "0x1.ed4c672afafadp-1",
-        "d_xz": "0x1.b54d19c73d1aap+0",
-        "d_zy": "0x1.7f33ba37d3e50p-1",
+        "d_xz": "0x1.b54d19c73d1acp+0",
+        "d_zy": "0x1.7f33ba37d3e55p-1",
     },
     "straddle": {
         "J": "0x0.0p+0",
@@ -1085,7 +1188,7 @@ def test_one_point_leg_sum_matches_a_row_of_one_bit_for_bit(kind):
     assert np.isfinite(one[~outside]).all()
 
 
-@pytest.mark.parametrize("case", ["reflection", "correlated", "slanted"])
+@pytest.mark.parametrize("case", ["reflection", "straddle", "correlated", "slanted"])
 def test_hw_transform_is_built_once_per_volatility_exit(case, monkeypatch):
     import bridgeexit.exits as exits
     from bridgeexit import hyperbolic
@@ -1101,9 +1204,10 @@ def test_hw_transform_is_built_once_per_volatility_exit(case, monkeypatch):
     monkeypatch.setattr(hyperbolic, "hw_transform", counting)
     (sv, rho), _, _, boundary = CLOSED_FORM_SCAN_CASES[case]
     res = exit_asymptotics(hull_white_model(sigma_vol=sv, rho=rho), ref.A_X, ref.A_Y, boundary)
-    # the half-plane reflection once built it twice, and a scan three times
+    # the half-plane reflection once built it twice, a scan three times,
+    # and a straddle twice, sampling its geodesic
     assert len(built) == 1
-    assert res.method == ("closed_form" if case == "reflection" else "numeric_1d")
+    assert res.method == ("closed_form" if case in CLOSED_FORM_EXIT_CASES else "numeric_1d")
 
 
 # ---- solver scan: bisection rounds, each a lockstep stack ---- #

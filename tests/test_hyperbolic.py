@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from bridgeexit import (
     sample_arc,
 )
 from bridgeexit.errors import CoincidentPoints, PointNotOnArc
+from bridgeexit.hyperbolic import _arc_line, _mirror_gap
 
+import decimalref as dref
 import refvalues as ref
 
 
@@ -270,6 +273,76 @@ def test_barrier_infimum_needs_same_side_endpoints():
         barrier_infimum_vertical((1.0, 0.2), (3.0, 0.5), 2.5)
     with pytest.raises(EndpointsStraddleBarrier):
         barrier_infimum_vertical((2.5, 0.2), (2.0, 0.5), 2.5)
+
+
+def _same_side_pair(rng, u):
+    """Two random points of the half-plane strictly on one side of u, with
+    heights and offsets over several decades."""
+    side = rng.choice([-1.0, 1.0])
+    offsets = side * np.exp(rng.uniform(-8.0, 2.0, 2))
+    heights = np.exp(rng.uniform(-6.0, 4.0, 2))
+    return [np.array([u + o, h]) for o, h in zip(offsets, heights)]
+
+
+def test_arc_line_crossings_match_a_decimal_reference():
+    rng = np.random.default_rng(27)
+    tol = Decimal("1e-12")
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for k in range(300):
+            P, Q = (np.array([rng.uniform(-3.0, 3.0), math.exp(rng.uniform(-5.0, 3.0))])
+                    for _ in range(2))
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            m = (1.0, 0.0) if k % 3 == 0 else (math.cos(theta), math.sin(theta))
+            sp, sq = (m[0] * p[0] + m[1] * p[1] for p in (P, Q))
+            c = float(rng.uniform(*sorted((sp, sq))))
+            Zu, Zw = _arc_line(P, Q, sp - c, sq - c, m)
+            ru, rw = dref.arc_line(tuple(map(dref.dec, P)), tuple(map(dref.dec, Q)),
+                                   tuple(map(dref.dec, m)), dref.dec(c))
+            assert abs(dref.dec(Zw) - rw) <= tol * rw
+            assert abs(dref.dec(Zu) - ru) <= tol * max(abs(ru), rw)
+            if m == (1.0, 0.0):
+                # no centre, and a height of at least the lower endpoint's
+                assert Zw >= min(P[1], Q[1])
+
+
+def test_reflection_heights_and_gaps_match_a_decimal_reference():
+    rng = np.random.default_rng(2027)
+    tol = Decimal("1e-12")
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(200):
+            u = float(rng.uniform(-3.0, 3.0))
+            x, y = _same_side_pair(rng, u)
+            z_star, path_sum = barrier_infimum_vertical(x, y, u)
+            X, Y = tuple(map(dref.dec, x)), tuple(map(dref.dec, y))
+            Y_ref = (2 * dref.dec(u) - Y[0], Y[1])
+            height = dref.arc_line(X, Y_ref, (Decimal(1), Decimal(0)), dref.dec(u))[1]
+            assert z_star[0] == u
+            assert abs(dref.dec(z_star[1]) - height) <= tol * height
+            S = dref.half_plane_distance(X, Y_ref)
+            assert abs(dref.dec(path_sum) - S) <= tol * S
+            gap = S - dref.half_plane_distance(X, Y)
+            assert abs(dref.dec(_mirror_gap(x, y, u)) - gap) <= tol * gap
+
+
+@pytest.mark.parametrize("x, y, u", [
+    # high above a line close by, the two distances agree to about 21
+    # digits: their difference in floats is 0, the gap is not
+    ((1.0, 2e10), (2.0, 5e10), 2.5),
+    # distances near 1380, whose v overflows: the gap is 1.2e-39
+    ((1.0, 1e-300), (0.5, 1e20), 2.5),
+    # a mirror image 2e151 away: the gap is the difference of distances
+    ((0.0, 1.0), (1.0, 1.0), 1e151),
+], ids=["close", "far_apart", "far_mirror"])
+def test_a_mirror_gap_keeps_its_digits(x, y, u):
+    x, y = np.array(x), np.array(y)
+    with localcontext() as ctx:
+        ctx.prec = 100
+        X, Y = tuple(map(dref.dec, x)), tuple(map(dref.dec, y))
+        gap = (dref.half_plane_distance(X, (2 * dref.dec(u) - Y[0], Y[1]))
+               - dref.half_plane_distance(X, Y))
+        assert abs(dref.dec(_mirror_gap(x, y, u)) - gap) <= Decimal("1e-15") * gap
 
 
 # ---- correlated / scaled volatility geometry ---- #
