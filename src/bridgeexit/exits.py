@@ -64,7 +64,6 @@ import numpy as np
 from .errors import BothZero, IncompleteModel, OutsideDomain
 from .geodesic import (
     SolverOptions,
-    _energies,
     _solve_legs,
     _starts,
     _validate_endpoint,
@@ -847,9 +846,9 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
     the domain are one stack for the path optimizer, in one thread, and
     each leg gets the bits it would get alone.  A point with near names
     continues from the legs solved at those parameters (kept in solved):
-    its legs start from their prediction by _predicted_legs, or cold from
-    the chord where that prediction's energy is not finite.  A point
-    without them starts cold.
+    its legs start from their prediction by _predicted_legs, which
+    _solve_legs replaces by the chord where its energy is not finite.  A
+    point without them starts cold.
     """
     opts = replace(
         opts,
@@ -879,11 +878,8 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
         if warm:
             idx = inside[warm]
             pred = _predicted_legs([tails[k] for k in warm], thetas[idx], z[idx], x, y)
-            E0 = _energies(model, pred.reshape(-1, *pred.shape[2:]))
-            for k, pts, e in zip(warm, pred, E0.reshape(-1, 2)):
-                for leg in (0, 1):
-                    if np.isfinite(e[leg]):
-                        inits[2 * k + leg] = pts[leg]
+            for k, pts in zip(warm, pred):
+                inits[2 * k], inits[2 * k + 1] = pts
         P, E, _, _, _, unconverged = _solve_legs(model, X, Y, opts, inits)
         d = np.sqrt(np.maximum(2.0 * E, 0.0))
         for k, i in enumerate(inside):

@@ -353,8 +353,11 @@ def _line_search(model, P, E, g, T):
     gets the bits it gets alone; a path that keeps failing tries its next
     lengths in blocks that double each round (1, 2, 4, ... per direction),
     which takes a long backtrack in few rounds and accepts the length the
-    one-by-one search accepts.  Returns the accepted paths, their energies,
-    gradients and segment terms, and which paths moved.
+    one-by-one search accepts.  When every path has a usable Newton
+    direction, the first round, every full step, is one jet batch whose
+    bookkeeping is elementwise, and the paths that fail it go on as above.
+    Returns the accepted paths, their energies, gradients and segment
+    terms, and which paths moved.
     """
     L, n1, _ = P.shape
     p = np.zeros_like(g)
@@ -379,9 +382,25 @@ def _line_search(model, P, E, g, T):
         block[idx] = 1
         return idx[~ok]
 
+    def advance(r, width):
+        # the paths r failed their round's lengths: a full Newton step
+        # whose predicted decrease is below the resolution of E fails by
+        # roundoff alone, and the path is at its floor; the others move on
+        # by width lengths and double their block.  The last Newton length
+        # failed: Gauss-Newton takes over; the last Gauss-Newton length
+        # failed: the search ends.
+        full = r[newton[r] & (tries[r] == 0)]
+        floor = -0.5 * gTp[full] <= RESOLUTION * np.maximum(np.abs(E[full]), 1e-300)
+        searching[full[floor]] = False
+        r = r[searching[r]]
+        alpha[r] *= BACKTRACK ** width[r]
+        tries[r] += width[r]
+        block[r] *= 2
+        searching[r[~newton[r] & (tries[r] == MAX_BACKTRACKS)]] = False
+        searching[solve(r[newton[r] & (tries[r] == NEWTON_TRIES)], False)] = False
+
     # a path with neither direction usable has nothing to search
     searching[solve(solve(np.arange(L), True), False)] = False
-    moved = np.zeros(L, dtype=bool)
     trial = P.copy()
     Et = E.copy()
     gt, Tt = np.empty_like(g), np.empty_like(T)
@@ -390,6 +409,21 @@ def _line_search(model, P, E, g, T):
     # and an accepted one gets them after the search.
     first = np.ones(L, dtype=bool)
     late = np.zeros(L, dtype=bool)
+    if newton.all():
+        # every path has a usable Newton direction: the first round, every
+        # full step, is one jet batch, and its bookkeeping is elementwise
+        trial[:, 1:-1] += p
+        Et, gt, Tt = _energies(model, trial, gradients=True)
+        ok = Et <= E + ARMIJO_C1 * gTp
+        moved = ok & (trial != P).any(axis=(1, 2))
+        if ok.all():
+            return trial, Et, gt, Tt, moved
+        trial[~ok] = P[~ok]
+        searching[ok] = False
+        first[:] = False
+        advance(np.flatnonzero(~ok), np.ones(L, dtype=int))
+    else:
+        moved = np.zeros(L, dtype=bool)
     while searching.any():
         s = np.flatnonzero(searching)
         # the next m lengths of each path's search, alpha BACKTRACK^j for
@@ -423,30 +457,19 @@ def _line_search(model, P, E, g, T):
         moved[done] = (X[at] != P[done]).any(axis=(1, 2))
         late[done[~f[at] & moved[done]]] = True
         searching[done] = False
-        r = s[searching[s]]
-        # A full Newton step whose predicted decrease is below the
-        # resolution of E fails by roundoff alone: the path is at its floor.
-        full = r[newton[r] & (tries[r] == 0)]
-        floor = -0.5 * gTp[full] <= RESOLUTION * np.maximum(np.abs(E[full]), 1e-300)
-        searching[full[floor]] = False
-        r = r[searching[r]]
-        alpha[r] *= BACKTRACK ** width[r]
-        tries[r] += width[r]
-        block[r] *= 2
-        # the last Newton length failed: Gauss-Newton takes over; the last
-        # Gauss-Newton length failed: the search ends
-        searching[r[~newton[r] & (tries[r] == MAX_BACKTRACKS)]] = False
-        searching[solve(r[newton[r] & (tries[r] == NEWTON_TRIES)], False)] = False
+        advance(s[searching[s]], width)
     late = np.flatnonzero(late)
     if late.size:
         Et[late], gt[late], Tt[..., late, :] = _energies(model, trial[late], gradients=True)
     return trial, Et, gt, Tt, moved
 
 
-def _minimize_level(model, P, tol, max_iter):
+def _minimize_level(model, P, tol, max_iter, start=None):
     """Line-searched Newton at fixed resolution on a stack of paths.
 
-    P is a (K, N+1, d) stack and tol holds each path's gradient tolerance.
+    P is a (K, N+1, d) stack, start its energies, gradients and segment
+    terms as _energies gives them (evaluated here when None), and tol
+    holds each path's gradient tolerance.
     Returns (P, E, grad_sup, iters, stalled), one entry per path.  Each
     step is a Newton or a Gauss-Newton step as _line_search says.  A line
     search that leaves the path as it was (no usable direction, a failed
@@ -460,7 +483,9 @@ def _minimize_level(model, P, tol, max_iter):
     """
     K = P.shape[0]
     P = P.copy()
-    E, g, T = _energies(model, P, gradients=True)
+    if start is None:
+        start = _energies(model, P, gradients=True)
+    E, g, T = (a.copy() for a in start)
     iters = np.zeros(K, dtype=int)
     stalled = np.zeros(K, dtype=bool)
     no_progress = np.zeros(K, dtype=int)
@@ -553,31 +578,40 @@ def _solve_legs(model, X, Y, opts: SolverOptions, inits):
     """Solve the legs X[k] -> Y[k] as one stack at opts.n segments.
 
     inits[k] is a point array to warm-start leg k from, resampled to opts.n
-    segments, or None for a cold start from the chord.  A leg's tolerance
+    segments, or None for a cold start from the chord.  Every start is
+    evaluated once, with the jet, in one batch, and a warm start whose
+    energy is not finite starts from its chord instead.  A leg's tolerance
     is grad_tol, or grad_tol_rel times the energy of its chord.  Returns
     (P, E, grad_sup, iters, stalled, short) per leg; short marks a leg that
     spent max_iter above its tolerance without stalling, which raises
     NoConvergence when opts.strict.
     """
     n = opts.n
-    K = len(inits)
-    P = np.empty((K, n + 1, X.shape[1]))
+    chords = _chords(X, Y, n)
+    P = chords.copy()
+    warm = np.array([init is not None for init in inits], dtype=bool)
+    for k in np.flatnonzero(warm):
+        init = inits[k]
+        P[k] = init if init.shape[0] == n + 1 else _resample(init, n)
+    E, g, T = _energies(model, P, gradients=True)
+    back = warm & ~np.isfinite(E)
+    if back.any():
+        P[back] = chords[back]
+        E[back], g[back], T[..., back, :] = _energies(model, P[back], gradients=True)
+        warm &= ~back
     # the chords in use: every leg's when the tolerances come from them,
     # else the cold legs', which start there
-    legs = [k for k in range(K) if opts.grad_tol is None or inits[k] is None]
-    if legs:
-        P[legs] = _chords(X[legs], Y[legs], n)
-        E = _energies(model, P[legs])
-        if not np.all(np.isfinite(E)):
-            raise OutsideDomain("initial chord leaves the domain; supply an explicit init path")
     if opts.grad_tol is not None:
-        tol = np.full(K, float(opts.grad_tol))
+        tol = np.full(len(P), float(opts.grad_tol))
+        chord_E = E[~warm]
     else:
-        tol = opts.grad_tol_rel * E
-    for k, init in enumerate(inits):
-        if init is not None:
-            P[k] = init if init.shape[0] == n + 1 else _resample(init, n)
-    P, E, gsup, iters, stalled = _minimize_level(model, P, tol, opts.max_iter)
+        chord_E = E.copy()
+        if warm.any():
+            chord_E[warm] = _energies(model, chords[warm])
+        tol = opts.grad_tol_rel * chord_E
+    if not np.all(np.isfinite(chord_E)):
+        raise OutsideDomain("initial chord leaves the domain; supply an explicit init path")
+    P, E, gsup, iters, stalled = _minimize_level(model, P, tol, opts.max_iter, (E, g, T))
     short = (iters >= opts.max_iter) & (gsup > tol) & ~stalled
     if opts.strict and short.any():
         k = int(np.argmax(short))
