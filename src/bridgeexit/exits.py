@@ -126,6 +126,13 @@ TOO_FAR = "the endpoints and the boundary are too far apart for float arithmetic
 SCAN_STRIDE = 32
 SCAN_GAP = 1e-3
 SCAN_PIECES = 16
+# A domain-bounded window narrows the bracket of each end by this factor
+# per batch domain test, to adjacent floats in about seven batches.
+LINE_SPLIT = 256
+# Brent's refinement of a solver scan stops once its three best leg sums
+# agree within SCAN_FLAT (relative): the solver legs resolve a leg sum no
+# finer, and further steps only chase their rounding.
+SCAN_FLAT = 1e-12
 
 
 # ---- Boundary descriptions ---- #
@@ -337,8 +344,10 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
             return np.array([z0, (c - n0 * z0) / n1])
 
         def reflection(plane, s_x, s_y):
-            # the barrier is a geodesic mirror of the half-plane only here
-            if rho != 0.0 or abs(plane.normal[0]) != 1.0:
+            # the barrier is a geodesic mirror of the half-plane only here:
+            # uncorrelated, and a normal with no other entry (a normal such
+            # as (1, -1e-300) normalizes to a first entry of 1.0)
+            if rho != 0.0 or plane.normal[1] != 0.0:
                 return None
             x0 = float(plane.offset / plane.normal[0])
             Y_ref = np.array([2.0 * x0 - Y[0], Y[1]])
@@ -590,11 +599,16 @@ def _domain_line_ends(model, anchor, tangent):
     anchor that lies inside the domain.
 
     Each end is found by doubling theta from the anchor until the domain
-    test fails, then bisecting to float resolution; the end is the last
-    parameter found inside.  A line that does not leave the domain before
-    theta overflows raises ValueError: such a model needs a bounded domain
-    or a ParametricCurve.  The metric is evaluated once at the anchor, so a
-    diffusion matrix that is singular there raises NotSPD.
+    test fails, and then by narrowing the bracket [inside, out] to two
+    adjacent floats: each narrowing tests LINE_SPLIT - 1 parameters spread
+    evenly over the floats of the bracket in one domain_test_batch call,
+    and keeps the bracket about the first that fails.  The end is the last
+    parameter found inside: for a domain whose cut by the line is one
+    interval, the last float inside, as bisection finds it.  A line that
+    does not leave the domain before theta overflows raises ValueError:
+    such a model needs a bounded domain or a ParametricCurve.  The metric
+    is evaluated once at the anchor, so a diffusion matrix that is
+    singular there raises NotSPD.
     """
     inverse_metric_batch(model, anchor[None])
 
@@ -607,14 +621,20 @@ def _domain_line_ends(model, anchor, tangent):
                     "the boundary line does not leave the model domain; bound the "
                     "domain or supply a parametric boundary chart instead"
                 )
-        mid = 0.5 * (inside + out)
-        while mid != inside and mid != out:
-            if model.domain_test(anchor + mid * tangent):
-                inside = mid
+        # |theta| in [0, inf) is ordered as its bits are, as int64
+        lo, hi = np.array([abs(inside), abs(out)]).view(np.int64).tolist()
+        while hi - lo > 1:
+            span = hi - lo
+            if span > LINE_SPLIT:
+                bits = lo + np.arange(1, LINE_SPLIT) * (span // LINE_SPLIT)
             else:
-                out = mid
-            mid = 0.5 * (inside + out)
-        return inside
+                bits = np.arange(lo + 1, hi)
+            ok = domain_test_batch(
+                model, anchor + np.multiply.outer(direction * bits.view(float), tangent))
+            k = int(np.argmin(ok)) if not ok.all() else len(ok)
+            lo = int(bits[k - 1]) if k else lo
+            hi = int(bits[k]) if k < len(ok) else hi
+        return direction * np.array(lo).view(float).item() if lo else 0.0
 
     return end(-1.0), end(1.0)
 
@@ -622,7 +642,7 @@ def _domain_line_ends(model, anchor, tangent):
 # ---- The scan: coarse samples, then Brent refinement ---- #
 
 
-def _brent(f, a: float, b: float, x: float, fx: float):
+def _brent(f, a: float, b: float, x: float, fx: float, flat=None):
     """(theta, f(theta)): minimum of f on [a, b] by Brent's method, started
     from the inner point x with fx = f(x) (Brent 1973, Algorithms for
     Minimization without Derivatives, ch. 5).
@@ -631,8 +651,10 @@ def _brent(f, a: float, b: float, x: float, fx: float):
     so far, or a golden-section step into the larger side when that vertex
     falls outside the bracket or the step would not shrink fast enough.
     It stops once x is within 2 * (SQRT_EPS * |x| + GOLDEN_BRACKET / 3) of
-    both bracket ends.  Infinite values (points outside the domain) only
-    ever take golden steps: the parabola through them is not finite.
+    both bracket ends, or, given flat, once the three best points are
+    distinct and their values agree within flat relative.  Infinite values
+    (points outside the domain) only ever take golden steps: the parabola
+    through them is not finite.
     """
     v = w = x
     fv = fw = fx
@@ -642,6 +664,8 @@ def _brent(f, a: float, b: float, x: float, fx: float):
         tol1 = SQRT_EPS * abs(x) + GOLDEN_BRACKET / 3.0
         tol2 = 2.0 * tol1
         if not abs(x - mid) > tol2 - 0.5 * (b - a):
+            return x, fx
+        if flat is not None and x != w != v != x and fv - fx <= flat * abs(fx):
             return x, fx
         parabolic = False
         if abs(e) > tol1:
@@ -696,12 +720,16 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
 
     Without lengths (a closed-form oracle) every sample is measured in one
     call and the gap is NaN.  With lengths(lo, hi), the Riemannian lengths
-    of the chart over the gaps [lo[k], hi[k]], the scan runs in rounds:
-    round 0 measures every SCAN_STRIDE-th sample and the last, cold (9 of
-    256), and each later round bisects every open gap between measured
-    neighbors, its new samples continuing from the legs of both ends.  As the leg sum
-    f is 2-Lipschitz in distance, f >= (f_i + f_j) / 2 - l_ij on the gap
-    between samples i and j (Piyavskii 1972; Shubert 1972), and a gap is
+    of the chart over the gaps [lo[k], hi[k]], the scan runs in rounds,
+    and legsums.legs maps each parameter measured inside the domain to
+    its legs (a, b) = (d(x, z), d(z, y)).  Round 0 measures every
+    SCAN_STRIDE-th sample and the last, cold (9 of 256), and each later
+    round bisects every open gap between measured neighbors, its new
+    samples continuing from the legs of both ends.  As each leg is
+    1-Lipschitz in distance, on the gap between samples i and j
+    a >= a_i - l(i, z) and b >= b_j - l(z, j), so the leg sum is at least
+    max(a_i + b_j, a_j + b_i) - l_ij (Piyavskii 1972; Shubert 1972, with
+    the legs split; never below (f_i + f_j) / 2 - l_ij), and a gap is
     open while that bound lies below the best sample's f* (1 - SCAN_GAP),
     while it borders the best sample, or while an end lies outside the
     domain, and it is wider than one sample.  The gap returned is
@@ -710,7 +738,8 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
     The argmin takes the first index on ties.  Brent's method then refines
     within one sample of the best, one parameter per call, starting from
     that sample's value and continuing from its legs: each refined point's
-    legs are predicted from the last two measured.  Brent only moves to a
+    legs are predicted from the last two measured.  With lengths it stops
+    once its three best leg sums agree within SCAN_FLAT.  Brent only moves to a
     point that is no higher, so the sample stays unless a refined one is as
     low.  A scan without a finite leg sum raises OutsideDomain: the
     distance oracles are only asked about points of the domain, and the
@@ -737,7 +766,8 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
             last.append(theta)
         return value
 
-    theta, _ = _brent(refine, lo, hi, float(thetas[j]), f[j])
+    theta, _ = _brent(refine, lo, hi, float(thetas[j]), f[j],
+                      None if lengths is None else SCAN_FLAT)
     return theta, unconverged, gap
 
 
@@ -749,6 +779,12 @@ def _rounds(thetas, legsums, lengths):
     new = np.unique(np.append(np.arange(0, n, SCAN_STRIDE), n - 1))
     near = None
     ell = {}  # (i, j) -> chart length between samples i and j
+    legs = legsums.legs
+
+    def bound(i, j):
+        (a_i, b_i), (a_j, b_j) = legs[thetas[i]], legs[thetas[j]]
+        return max(a_i + b_j, a_j + b_i) - ell[i, j]
+
     while len(new):
         f[new] = legsums(thetas[new], near)
         done = np.flatnonzero(~np.isnan(f))
@@ -759,7 +795,7 @@ def _rounds(thetas, legsums, lengths):
         if need:
             lo, hi = zip(*need)
             ell.update(zip(need, lengths(thetas[list(lo)], thetas[list(hi)])))
-        bounds = {g: 0.5 * (f[g[0]] + f[g[1]]) - ell[g] for g in gaps if g not in forced}
+        bounds = {g: bound(*g) for g in gaps if g not in forced}
         # a NaN bound stays open
         gaps = [g for g in gaps if g in forced or not bounds[g] >= f[j] * (1.0 - SCAN_GAP)]
         new = np.array([(a + b) // 2 for a, b in gaps], dtype=int)
@@ -848,7 +884,10 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
     continues from the legs solved at those parameters (kept in solved):
     its legs start from their prediction by _predicted_legs, which
     _solve_legs replaces by the chord where its energy is not finite.  A
-    point without them starts cold.
+    point without them starts cold.  The first stack also solves the
+    x-to-y leg, cold, and legsums.warm(theta) gives the paths of the legs
+    x-to-y, x-to-z and z-to-y solved at theta (None where there is none),
+    from which the result's legs start.
     """
     opts = replace(
         opts,
@@ -860,6 +899,7 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
         strict=False,
     )
     solved = {}  # chart parameter -> (theta, x-to-z legs, z-to-y legs)
+    legs = {}  # chart parameter -> (d(x, z), d(z, y))
 
     def legsums(thetas, near=None):
         if np.ndim(thetas) == 0:  # one parameter: a stack of one sample
@@ -869,8 +909,12 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
         inside = np.flatnonzero(domain_test_batch(model, z))
         if not len(inside):
             return out
-        X = np.array([p for i in inside for p in (x, z[i])])
-        Y = np.array([p for i in inside for p in (z[i], y)])
+        X = [p for i in inside for p in (x, z[i])]
+        Y = [p for i in inside for p in (z[i], y)]
+        if legsums.xy is None:  # the x-to-y leg, once, in the first stack
+            X.append(x)
+            Y.append(y)
+        X, Y = np.array(X), np.array(Y)
         inits = [None] * len(X)
         tails = [[solved[t] for t in near[i] if t in solved] if near else []
                  for i in inside]
@@ -884,25 +928,38 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
         d = np.sqrt(np.maximum(2.0 * E, 0.0))
         for k, i in enumerate(inside):
             solved[float(thetas[i])] = (thetas[i], P[2 * k], P[2 * k + 1])
+            legs[float(thetas[i])] = d[2 * k], d[2 * k + 1]
             out[i] = d[2 * k] + d[2 * k + 1]
-        legsums.unconverged += int(unconverged.sum())
+        legsums.unconverged += int(unconverged[:2 * len(inside)].sum())
+        if legsums.xy is None:
+            legsums.xy = P[-1]
         return out
 
+    def warm(theta):
+        _, *paths = solved.get(float(theta), (None, None, None))
+        return [legsums.xy, *paths]
+
     legsums.unconverged = 0
+    legsums.legs = legs
+    legsums.xy = None
+    legsums.warm = warm
     return legsums
 
 
 # ---- The engine ---- #
 
 
-def _result_legs(model, x, y, z, opts: SolverOptions):
+def _result_legs(model, x, y, z, opts: SolverOptions, warm):
     """(d(x, y), d(x, z), d(z, y)) of the path optimizer: the three legs,
-    each from its chord and its multi_start perturbations, as one stack at
-    opts.  Each distance has the bits solve_geodesic gives it alone."""
+    each from its multi_start perturbed chords and from warm[k], the
+    scan's path of that leg at a coarser resolution (its chord where
+    warm[k] is None), as one stack at opts.  Each leg meets the tolerance
+    of a solve_geodesic from the chord, and so agrees with that solve to
+    well within it."""
     pairs = [(x, y), (x, z), (z, y)]
     for name, p in (("x", x), ("y", y), ("z_star", z)):
         _validate_endpoint(model, p, name)
-    starts = [_starts(model, p, q, opts) for p, q in pairs]
+    starts = [[w, *_starts(model, p, q, opts)[1:]] for w, (p, q) in zip(warm, pairs)]
     X = np.array([p for (p, _), s in zip(pairs, starts) for _ in s])
     Y = np.array([q for (_, q), s in zip(pairs, starts) for _ in s])
     E = _solve_legs(model, X, Y, opts, [i for s in starts for i in s])[1]
@@ -945,6 +1002,16 @@ def _assemble(legs, z_star, method: str, J=None, geodesic_exits=False,
     )
 
 
+def _crossing_inside(model, z_star):
+    """z_star, the crossing of a geodesic with a plane, once it passes the
+    model's domain test (OutsideDomain if not: rounding can put it on the
+    domain's edge)."""
+    if not model.domain_test(z_star):
+        raise OutsideDomain(f"the crossing point {z_star} of the geodesic lies outside "
+                            "the model domain")
+    return z_star
+
+
 def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
                  label=None) -> ExitAsymptotics:
     """Exit exponent under geom (None: the path optimizer on the model).
@@ -963,11 +1030,8 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
         s_x, s_y = _side_checks(plane, x, y)
         touches = s_x == 0.0 or s_y == 0.0
         straddles = (s_x > 0.0) != (s_y > 0.0)
-    if geom is None and not (touches or straddles):
-        # a solver scan solves d(x, y) in one stack with the legs at z_star
-        def legs(z):
-            return _result_legs(model, x, y, z, opts)
-    else:
+    # a solver scan solves d(x, y) in one stack with the legs at z_star
+    if geom is not None or touches or straddles:
         d_xy = oracle.xy()
         if not math.isfinite(d_xy):
             raise ValueError(f"d(x, y) = {d_xy} is not finite: {TOO_FAR}")
@@ -984,13 +1048,11 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
                          degenerate=True)
     elif straddles:
         z_star = oracle.crossing(plane, s_x, s_y)  # the solver's can land on the edge
-        if not model.domain_test(z_star):
-            raise OutsideDomain(f"the crossing point {z_star} of the x-to-y geodesic "
-                                "lies outside the model domain")
-        return _assemble(legs, z_star, closed, 0.0, geodesic_exits=True)
+        return _assemble(legs, _crossing_inside(model, z_star), closed, 0.0,
+                         geodesic_exits=True)
     elif (reflected := oracle.reflection(plane, s_x, s_y)) is not None:
         z_star, J = reflected
-        return _assemble(legs, z_star, closed, J)
+        return _assemble(legs, _crossing_inside(model, z_star), closed, J)
     else:
         # the window is bounded under the model's own geometry, also under force_numeric
         bound = oracle if geom is not None else _oracle(model, model.geometry, None, x, y)
@@ -1000,6 +1062,9 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
         legsums = _solver_legsums(model, x, y, chart, opts)
         theta, unconverged, gap = _scan(
             thetas, legsums, lambda lo, hi: _chart_lengths(model, chart, lo, hi))
+
+        def legs(z):
+            return _result_legs(model, x, y, z, opts, legsums.warm(theta))
     else:
         legsums = _oracle_legsums(model, oracle.legs, chart)
         theta, unconverged, gap = _scan(thetas, legsums)

@@ -29,13 +29,15 @@ gets alone.  The boundary scan uses this to solve the legs of many
 boundary samples together.
 
 The gradient is exact for the quadratic-form part, and the derivatives of
-a(m)^{-1} come from model.inverse_metric_jet: one call on the midpoints
-returns the metrics and their first and second derivatives, exact where
-the model has a jet and by finite differences of the metric (first order
-only) where it has none.  Without a second derivative there is no Newton
-direction, and such a model steps by Gauss-Newton.  The line search makes
-that call for each trial step, so an accepted step brings its energy, its
-gradient and its Hessian terms from one metric evaluation.
+a(m)^{-1} come from model.metric_jet: one call on the midpoints returns
+the inverse metrics A and the first and second derivatives of a itself,
+exact where the model has a jet and by finite differences of the metric
+(first order only) where it has none.  Each Newton term is contracted
+along the segment's step delta from w = A delta and u_k = da_k w, so no
+derivative of A is ever formed.  Without a second derivative there is no
+Newton direction, and such a model steps by Gauss-Newton.  The line search
+makes that call for each trial step, so an accepted step brings its
+energy, its gradient and its Hessian terms from one metric evaluation.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .model import (
     _check_point,
     domain_test_batch,
     inverse_metric_batch,
-    inverse_metric_jet,
+    metric_jet,
 )
 from .paths import DiscretePath
 
@@ -199,31 +201,36 @@ def _gradients(model, P):
     The terms of a segment are its midpoint inverse metric A, the matrix
     B[j, k] = 2 (dA_k delta)_j and F[k, l] = delta^T d2A_kl delta, F NaN
     where the model's jet has no second order, with the segments last.
-    All come from one inverse_metric_jet call on the midpoints of every
-    path, and the line search keeps them so the next step needs no second
-    evaluation.
+    All come from one metric_jet call on the midpoints of every path,
+    which gives the derivatives of a = A^{-1}: with w = A delta and
+    u_k = da_k w, dA_k = -A da_k A gives delta^T dA_k delta = -w . u_k and
+    B[:, k] = -2 A u_k, and d2A_kl = A (da_k A da_l + da_l A da_k - d2a_kl) A
+    gives F[k, l] = 2 u_k . A u_l - w . d2a_kl w.  The line search keeps
+    them so the next step needs no second evaluation.
     """
     K, n1, d = P.shape
     n = n1 - 1
-    A, dA, d2A = inverse_metric_jet(model, (0.5 * (P[:, :-1] + P[:, 1:])).reshape(-1, d))
-    # contracted point axis last, where the built-in jets keep it
-    # contiguous: W[k] = dA_k delta, and d(delta^T A delta)/dz_k =
-    # delta^T dA_k delta
+    A, da, d2a = metric_jet(model, (0.5 * (P[:, :-1] + P[:, 1:])).reshape(-1, d))
+    # contracted point axis last, where the built-in jets keep it contiguous
     D = _steps(P)
     A = A.transpose(1, 2, 0)
     q = _q_form(A, D)
-    Av = np.einsum("ijm,jm->im", A, D)
-    W = np.einsum("kijm,jm->kim", dA.transpose(1, 2, 3, 0), D)
-    dq = np.einsum("kim,im->km", W, D)
+    w = np.einsum("ijm,jm->im", A, D)
+    u = np.einsum("kijm,jm->kim", da.transpose(1, 2, 3, 0), w)
+    Au = np.einsum("ijm,kjm->kim", A, u)
+    # -d(delta^T A delta)/dz_k
+    wu = np.einsum("kim,im->km", u, w)
     T = np.empty((3, d, d, K * n))
     T[0] = A
-    np.multiply(W.swapaxes(0, 1), 2.0, out=T[1])
-    if d2A is None:
+    np.multiply(Au.swapaxes(0, 1), -2.0, out=T[1])
+    if d2a is None:
         T[2] = np.nan
     else:
-        np.einsum("klijm,im,jm->klm", d2A.transpose(1, 2, 3, 4, 0), D, D, out=T[2])
-    Av, dq = Av.reshape(d, K, n), dq.reshape(d, K, n)
-    g = n * (Av[..., :-1] - Av[..., 1:]) + 0.25 * n * (dq[..., :-1] + dq[..., 1:])
+        np.einsum("kim,lim->klm", u, Au, out=T[2])
+        T[2] *= 2.0
+        T[2] -= np.einsum("klijm,im,jm->klm", d2a.transpose(1, 2, 3, 4, 0), w, w)
+    w, wu = w.reshape(d, K, n), wu.reshape(d, K, n)
+    g = n * (w[..., :-1] - w[..., 1:]) - 0.25 * n * (wu[..., :-1] + wu[..., 1:])
     return q, np.ascontiguousarray(g.transpose(1, 2, 0)), T.reshape(3, d, d, K, n)
 
 
@@ -578,7 +585,8 @@ def _solve_legs(model, X, Y, opts: SolverOptions, inits):
     """Solve the legs X[k] -> Y[k] as one stack at opts.n segments.
 
     inits[k] is a point array to warm-start leg k from, resampled to opts.n
-    segments, or None for a cold start from the chord.  Every start is
+    segments with its ends pinned to X[k] and Y[k], or None for a cold
+    start from the chord.  Every start is
     evaluated once, with the jet, in one batch, and a warm start whose
     energy is not finite starts from its chord instead.  A leg's tolerance
     is grad_tol, or grad_tol_rel times the energy of its chord.  Returns
@@ -593,6 +601,7 @@ def _solve_legs(model, X, Y, opts: SolverOptions, inits):
     for k in np.flatnonzero(warm):
         init = inits[k]
         P[k] = init if init.shape[0] == n + 1 else _resample(init, n)
+    P[warm, 0], P[warm, -1] = X[warm], Y[warm]
     E, g, T = _energies(model, P, gradients=True)
     back = warm & ~np.isfinite(E)
     if back.any():

@@ -310,16 +310,20 @@ def _mirror_gap(P, Q, u: float) -> float:
     delta = 2 (P_u - u)(Q_u - u) / (P_w Q_w) > 0, and the gap is a log1p of
     positive terms in delta, r = sqrt(v (v + 2)) and r'.  Past
     _ACOSH_LOG_CUTOFF, d = log(2 v) and the gap is log1p(delta / v); where
-    v' passes 2^1000 it is the difference of the distances, above 300."""
+    v' passes 2^1000 it is the difference of the distances, above 300.
+    Where v' underflows to 0 (P = Q included), P, Q and Q' coincide to
+    within the underflow, and the gap is d(P, P') = 2 asinh(|P_u - u| / P_w)."""
     (pu, pw), (qu, qw) = P.tolist(), Q.tolist()
     dx, dy = qu - pu, qw - pw
     den = 2.0 * pw * qw
-    near = (dx * dx + dy * dy) / den if den else math.inf
+    near = (dx * dx + dy * dy) / den if den else math.inf if dx or dy else 0.0
     if not near < _ACOSH_LOG_CUTOFF:
         h = math.hypot(dx, dy)
         return math.log1p(4.0 * ((pu - u) / h) * ((qu - u) / h))
     delta = 2.0 * ((pu - u) / pw) * ((qu - u) / qw)
     far = near + delta
+    if not far:
+        return 2.0 * math.asinh(abs(pu - u) / pw)
     if not far < 2.0**1000:
         Q_ref = np.array([2.0 * u - qu, qw])
         return float(_poincare(P, Q_ref)) - float(_poincare(P, Q))

@@ -11,12 +11,14 @@ declare complete=False.  Nothing here verifies the declaration.
 
 Built-in models expose optional vectorized hooks (batch_inverse_metric,
 batch_domain_test) that the path optimizer uses to evaluate a whole path's
-midpoints in one call, and the grid and volatility models the exact first
-and second derivatives of the inverse metric (batch_inverse_metric_jet).
-Custom callback models work without them, just slower.  inverse_metric_jet
-is where the optimizer's energy gradient and Hessian get the metric's
-derivatives: the model's jet, or finite differences of the metric, to the
-first order only, for a model without one.
+midpoints in one call, and the grid and volatility models a jet
+(batch_metric_jet): the inverse A = a^{-1} with the exact first and second
+derivatives of the diffusion matrix a itself, which is what they are
+simplest in.  Custom callback models work without them, just slower.
+metric_jet is where the optimizer's energy gradient and Hessian get the
+derivatives: the model's jet, or, for a model without one, finite
+differences of its inverse metric converted once to derivatives of a, to
+the first order only.
 grid_model evaluates its bilinear interpolant directly on the lattice
 arrays, bit for bit as scipy's linear RegularGridInterpolator would.  This
 module imports numpy alone: inverses are numpy's, checked positive
@@ -94,18 +96,17 @@ class DiffusionModel:
     builds distances, reflections and geodesics from; the batch_* hooks
     are optional vectorized versions of the pointwise fields.
 
-    batch_inverse_metric_jet, also optional, maps points (n, d) to
-    (A, dA, d2A): A is bitwise batch_inverse_metric(pts), shape (n, d, d),
-    dA[:, k], shape (n, d, d), is the exact derivative dA/dz_k, and
-    d2A[:, k, l], shape (n, d, d), is the exact second derivative
-    d2A/dz_k dz_l, or d2A is None for a jet of the first order.
-    inverse_metric_jet returns it, and takes finite differences of the
+    batch_metric_jet, also optional, maps points (n, d) to (A, da, d2a):
+    A is bitwise batch_inverse_metric(pts), shape (n, d, d), da[:, k],
+    shape (n, d, d), is the exact derivative da/dz_k of the diffusion
+    matrix a = A^{-1}, and d2a[:, k, l], shape (n, d, d), is its exact
+    second derivative d2a/dz_k dz_l, or d2a is None for a jet of the first
+    order.  metric_jet returns it, and takes finite differences of the
     metric hook for a model without one.  Each array, and the metric hook's
     output, may be a view in any memory layout; the built-in hooks and jets
     keep the point axis contiguous, which is the layout the energy, the
-    gradient and the Hessian contract fastest.  The path
-    optimizer takes Newton steps where it has d2A and Gauss-Newton steps
-    where it does not.
+    gradient and the Hessian contract fastest.  The path optimizer takes
+    Newton steps where it has d2a and Gauss-Newton steps where it does not.
     """
 
     dim: int
@@ -120,8 +121,8 @@ class DiffusionModel:
     batch_domain_test: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False
     )
-    batch_inverse_metric_jet: Callable[
-        [np.ndarray], tuple[np.ndarray, np.ndarray]
+    batch_metric_jet: Callable[
+        [np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray | None]
     ] | None = field(default=None, repr=False)
 
 
@@ -200,24 +201,24 @@ def domain_test_batch(model: DiffusionModel, pts: np.ndarray) -> np.ndarray:
                        count=pts.shape[0])
 
 
-def inverse_metric_jet(model: DiffusionModel, pts: np.ndarray):
-    """(A, dA, d2A) at each row of pts: A is inverse_metric_batch(pts),
-    shape (n, d, d), dA[:, k], shape (n, d, d), is dA/dz_k, and d2A[:, k, l]
-    is d2A/dz_k dz_l, or None.
+def metric_jet(model: DiffusionModel, pts: np.ndarray):
+    """(A, da, d2a) at each row of pts: A is inverse_metric_batch(pts),
+    shape (n, d, d), da[:, k], shape (n, d, d), is the derivative da/dz_k
+    of a = A^{-1}, and d2a[:, k, l] is d2a/dz_k dz_l, or None.
 
-    A model's batch_inverse_metric_jet gives the exact derivatives, and
-    d2A where it has a second order.  For a model without one, d2A is None
-    and dA is the central difference of the metric hook with
-    step FD_STEP_SCALE times the point's coordinate scale.  A probe outside
-    the domain is left out: one probe out gives a one-sided difference, both
+    A model's batch_metric_jet gives the exact derivatives, and d2a where
+    it has a second order.  For a model without one, d2a is None and da is
+    -a dA_k a, dA_k the central difference of the metric hook with step
+    FD_STEP_SCALE times the point's coordinate scale.  A probe outside the
+    domain is left out: one probe out gives a one-sided difference, both
     out give zero.  The points and their probes go through one batch call;
     when it raises, the probes are evaluated one at a time, and a probe
     whose metric raises is left out too.  Each row gets the bits it gets
     alone.  As in inverse_metric_batch, pts itself is not gated.
     """
     pts = np.asarray(pts, dtype=float)
-    if model.batch_inverse_metric_jet is not None:
-        return model.batch_inverse_metric_jet(pts)
+    if model.batch_metric_jet is not None:
+        return model.batch_metric_jet(pts)
     n, d = pts.shape
     # column by column: numpy's max over a short last axis is ten times slower
     h = FD_STEP_SCALE * reduce(np.maximum, np.abs(pts).T, 1.0)
@@ -244,13 +245,14 @@ def inverse_metric_jet(model: DiffusionModel, pts: np.ndarray):
     # both are left out and the difference is zero
     span = h * np.maximum(ok.sum(axis=1), 1)
     dA = (Q[:, 0] - Q[:, 1]) / span[..., None, None]
-    return A, dA.transpose(1, 0, 2, 3), None
+    a = np.linalg.inv(A)[:, None]
+    return A, -(a @ dA.transpose(1, 0, 2, 3) @ a), None
 
 
 def _inv_2x2(a00, a01, a11, what: str):
     """Analytic SPD inverse of symmetric 2x2 matrices given by their entry
-    arrays, shape (n,).  Returns the inverses component by component,
-    shape (2, 2, n), and the determinants."""
+    arrays, shape (n,): the inverses component by component, shape
+    (2, 2, n)."""
     det = a00 * a11 - a01 * a01
     ok = (a00 > 0) & (det > 0)
     if not ok.all():
@@ -262,7 +264,7 @@ def _inv_2x2(a00, a01, a11, what: str):
     # a10 has the bits of a01, so this is -0.5 (a01 + a10) / det
     np.divide(-0.5 * (a01 + a01), det, out=inv[0, 1])
     inv[1, 0] = inv[0, 1]
-    return inv, det
+    return inv
 
 
 # ---- Built-in models ---- #
@@ -319,6 +321,8 @@ def hull_white_model(
     rb = np.sqrt(1.0 - rho * rho)
     cmat = np.array([[sigma_vol**2, -rho * sigma_vol], [-rho * sigma_vol, 1.0]])
     cmat /= sigma_vol**2 * (1.0 - rho * rho)
+    # a = v^2 C^{-1}
+    amat = np.array([[1.0, rho * sigma_vol], [rho * sigma_vol, sigma_vol * sigma_vol]])
 
     def drift(z):
         return np.array([b - 0.5 * z[1] ** 2, mu * z[1]])
@@ -331,17 +335,16 @@ def hull_white_model(
         v = pts[:, 1]
         return (cmat[:, :, None] / (v * v)).transpose(2, 0, 1)
 
-    def batch_inv_jet(pts):
-        # A = C / v^2 does not depend on xi, dA/dv = -2 A / v and
-        # d2A/dv2 = 6 A / v^2; component by component, the point axis last
+    def batch_jet(pts):
+        # a = v^2 C^{-1} does not depend on xi, da/dv = 2 v C^{-1} and
+        # d2a/dv2 = 2 C^{-1}; component by component, the point axis last
         v = pts[:, 1]
-        v2 = v * v
-        A = cmat[:, :, None] / v2
-        dA = np.zeros((2,) + A.shape)
-        np.divide(-2.0 * A, v, out=dA[1])
-        d2A = np.zeros((2, 2) + A.shape)
-        np.divide(6.0 * A, v2, out=d2A[1, 1])
-        return A.transpose(2, 0, 1), dA.transpose(3, 0, 1, 2), d2A.transpose(4, 0, 1, 2, 3)
+        A = cmat[:, :, None] / (v * v)
+        da = np.zeros((2,) + A.shape)
+        np.multiply(amat[:, :, None], 2.0 * v, out=da[1])
+        d2a = np.zeros((2, 2) + A.shape)
+        d2a[1, 1] = 2.0 * amat[:, :, None]
+        return A.transpose(2, 0, 1), da.transpose(3, 0, 1, 2), d2a.transpose(4, 0, 1, 2, 3)
 
     return DiffusionModel(
         dim=2,
@@ -352,7 +355,7 @@ def hull_white_model(
         geometry=HullWhiteGeometry(float(sigma_vol), float(rho), float(b), float(mu)),
         batch_inverse_metric=batch_inv,
         batch_domain_test=lambda pts: pts[:, 1] > 0.0,
-        batch_inverse_metric_jet=batch_inv_jet,
+        batch_metric_jet=batch_jet,
     )
 
 
@@ -492,49 +495,29 @@ def grid_model(x_nodes, v_nodes, entries, complete: bool = True) -> DiffusionMod
         return (2.0 * (s00 * t00 + s01 * t01), s00 * t10 + t00 * s10 + s01 * t11 + t01 * s11,
                 2.0 * (s10 * t10 + s11 * t11))
 
-    def mixed(a, b):
-        # tr(adj(a) b) of symmetric a and b, the derivative of det along b
-        return a[2] * b[0] - (a[1] + a[1]) * b[1] + a[0] * b[2]
-
     def batch_inv(pts):
-        inv, _ = _inv_2x2(*gram(interp(pts)), "grid model")
-        return inv.transpose(2, 0, 1)
+        return _inv_2x2(*gram(interp(pts)), "grid model").transpose(2, 0, 1)
 
-    def batch_inv_jet(pts):
+    def batch_jet(pts):
         # component by component, the point axis last, both directions at
-        # once.  With da_k = ds_k s^T + s ds_k^T and t_k = tr(adj(a) da_k),
-        # dA_k = -A da_k A = (adj(da_k) - A t_k) / det, and its derivative
-        # d2A_kl = (adj(d2a_kl) - dA_k t_l - dA_l t_k
-        #           - A (tr(adj(da_k) da_l) + tr(adj(a) d2a_kl))) / det,
-        # where d2a_kl = ds_k ds_l^T + ds_l ds_k^T, plus s T^T + T s^T for
-        # k != l, T = d2s/dx dv
+        # once: da_k = ds_k s^T + s ds_k^T and d2a_kl = ds_k ds_l^T +
+        # ds_l ds_k^T, plus s T^T + T s^T for k != l, T = d2s/dx dv
         s, ds, T = interp(pts, jet=True)
-        a = gram(s)
-        A, det = _inv_2x2(*a, "grid model")
+        A = _inv_2x2(*gram(s), "grid model")
         ds = ds.transpose(1, 2, 0, 3)
-        da = cross(s, ds)
-        t = mixed(a, da)
-        dA = np.empty((2,) + A.shape)
-        np.divide(da[2] - A[0, 0] * t, det, out=dA[:, 0, 0])
-        np.divide(da[1] + A[0, 1] * t, -det, out=dA[:, 0, 1])
-        dA[:, 1, 0] = dA[:, 0, 1]
-        np.divide(da[0] - A[1, 1] * t, det, out=dA[:, 1, 1])
+        da = np.empty((2,) + A.shape)
+        da[:, 0, 0], da[:, 0, 1], da[:, 1, 1] = cross(s, ds)
+        da[:, 1, 0] = da[:, 0, 1]
         # the pairs (k, l) on two axes, by broadcasting
-        d2a = cross(ds[:, :, :, None], ds[:, :, None])
-        for e, f in zip(d2a, cross(s, T)):
-            e[0, 1] += f
-            e[1, 0] += f
-        c = mixed([e[:, None] for e in da], [e[None] for e in da]) + mixed(a, d2a)
-        d2A = np.empty((2, 2) + c.shape)
-        for (i, j), adj in (((0, 0), d2a[2]), ((0, 1), -d2a[1]), ((1, 1), d2a[0])):
-            e = adj - A[i, j] * c
-            e -= dA[:, None, i, j] * t[None]
-            e -= dA[None, :, i, j] * t[:, None]
-            np.divide(e, det, out=d2A[i, j])
+        d2a = np.empty((2, 2) + A.shape)
+        d2a[:, :, 0, 0], d2a[:, :, 0, 1], d2a[:, :, 1, 1] = cross(ds[:, :, :, None],
+                                                                  ds[:, :, None])
+        for (i, j), f in zip(((0, 0), (0, 1), (1, 1)), cross(s, T)):
+            d2a[0, 1, i, j] += f
         # symmetric in (i, j) and, bit for bit, in (k, l)
-        d2A[1, 0] = d2A[0, 1]
-        d2A[:, :, 1, 0] = d2A[:, :, 0, 1]
-        return A.transpose(2, 0, 1), dA.transpose(3, 0, 1, 2), d2A.transpose(4, 2, 3, 0, 1)
+        d2a[:, :, 1, 0] = d2a[:, :, 0, 1]
+        d2a[1, 0] = d2a[0, 1]
+        return A.transpose(2, 0, 1), da.transpose(3, 0, 1, 2), d2a.transpose(4, 0, 1, 2, 3)
 
     zero = np.zeros(2)
     return DiffusionModel(
@@ -546,7 +529,7 @@ def grid_model(x_nodes, v_nodes, entries, complete: bool = True) -> DiffusionMod
         geometry=None,
         batch_inverse_metric=batch_inv,
         batch_domain_test=batch_inside,
-        batch_inverse_metric_jet=batch_inv_jet,
+        batch_metric_jet=batch_jet,
     )
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bridgeexit import (
     ConfigError,
@@ -685,8 +685,27 @@ def exit_configs(draw):
     return "\n".join(lines) + "\n", bad
 
 
+# Configs this test once drew that raised: a plane whose normal normalizes to
+# a first entry of 1.0 without being vertical (mirrored as a vertical one),
+# and reflections with x = y whose mirror gap underflows.
+NEAR_VERTICAL = ("model.kind = hull_white_simple\nx = 0, 1\ny = 1e-300, 2\n"
+                 "barrier.kind = hyperplane\nbarrier.normal = 1.0, -1e-300\n"
+                 "barrier.offset = 0.0\n")
+NEAR_VERTICAL_UP = ("model.kind = hull_white_simple\nx = 0, 1\ny = 0, 2\n"
+                    "barrier.kind = hyperplane\n"
+                    "barrier.normal = 1.0, 3.5134758369485516e-267\nbarrier.offset = 0.0\n")
+COINCIDENT_ENDPOINTS = ("model.kind = hull_white_simple\nx = 0, 1\ny = 0, 1\n"
+                        "barrier.kind = vertical\nbarrier.x0 = 3.5134758369485516e-267\n")
+COINCIDENT_LOW = ("model.kind = hull_white_simple\nx = 1e-300, 1e-300\ny = 1e-300, 1e-300\n"
+                  "barrier.kind = vertical\nbarrier.x0 = 0.0\n")
+
+
 @given(exit_configs())
 @settings(max_examples=60, deadline=None)
+@example((NEAR_VERTICAL, False))
+@example((NEAR_VERTICAL_UP, False))
+@example((COINCIDENT_ENDPOINTS, False))
+@example((COINCIDENT_LOW, False))
 def test_exit_codes_over_generated_configs(case):
     text, bad = case
     err = io.StringIO()
@@ -704,6 +723,24 @@ def test_exit_codes_over_generated_configs(case):
         J = float(row["J"])
         assert math.isfinite(J) and J >= 0.0, text
 
+
+@pytest.mark.parametrize("text, J", [(NEAR_VERTICAL, 0.0), (NEAR_VERTICAL_UP, 0.0),
+                                     (COINCIDENT_ENDPOINTS, 0.0),
+                                     # d(x, x') = 2 asinh(1) at every scale
+                                     (COINCIDENT_LOW, 2.0 * math.asinh(1.0) ** 2)])
+def test_near_vertical_planes_and_coincident_endpoints_exit_cleanly(text, J, tmp_path):
+    # without a numpy warning, with a crossing inside the domain
+    import warnings
+
+    cfg, out = tmp_path / "gen.cfg", tmp_path / "out.csv"
+    cfg.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_cli(["exit", "--config", str(cfg), "--out", str(out)])
+    assert code == 0 and "Traceback" not in err
+    row = next(csv.DictReader(out.open()))
+    assert float(row["J"]) == pytest.approx(J, rel=1e-10)
+    assert float(row["z_star_1"]) > 0.0
 
 
 # ---- one loader for every command ---- #

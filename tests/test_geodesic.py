@@ -78,7 +78,7 @@ def test_exact_gradient_matches_energy_differences_on_a_grid():
     # the grid model's metric jet in the gradient, against central
     # differences of the energy; the path's points stay inside lattice cells
     model = _twisted_grid()
-    assert model.batch_inverse_metric_jet is not None
+    assert model.batch_metric_jet is not None
     s = np.linspace(0.0, 1.0, 41)
     pts = np.column_stack([0.4 + 3.0 * s, 0.5 + 1.5 * s + 0.3 * np.sin(np.pi * s)])
     g = energy_gradient(model, DiscretePath(pts))
@@ -108,38 +108,65 @@ def _twisted_grid():
     return grid_model(xs, vs, entries)
 
 
-def test_newton_hessian_matches_gradient_differences():
-    # the assembled band, the exact Hessian of the energy, against central
-    # differences of energy_gradient on curved paths; the grid path's
-    # midpoints and their shifted copies stay inside lattice cells
+def _assert_hessian_matches_gradient_differences(model):
+    """The assembled band, the exact Hessian of the energy, against central
+    differences of energy_gradient on a curved path; on the 13 x 13
+    lattices below its midpoints and their shifted copies stay inside
+    lattice cells."""
     from bridgeexit.geodesic import _gradients, _hessian
 
     s = np.linspace(0.0, 1.0, 41)
     curved = np.column_stack([0.4 + 3.0 * s, 0.5 + 1.5 * s + 0.3 * np.sin(np.pi * s)])
+    n = len(curved) - 1
+    _, _, T = _gradients(model, curved[None])
+    D, U = _hessian(T, n, True)
+    m = n - 1
+    H = np.zeros((m, 2, m, 2))
+    for i in range(m):
+        H[i, :, i, :] = np.triu(D[..., 0, i]) + np.triu(D[..., 0, i], 1).T
+    for i in range(m - 1):
+        H[i, :, i + 1, :] = U[..., 0, i]
+        H[i + 1, :, i, :] = U[..., 0, i].T
+    fd = np.zeros_like(H)
+    h = 1e-6
+    for i in range(m):
+        for c in range(2):
+            up, dn = curved.copy(), curved.copy()
+            up[i + 1, c] += h
+            dn[i + 1, c] -= h
+            fd[:, :, i, c] = (energy_gradient(model, DiscretePath(up))
+                              - energy_gradient(model, DiscretePath(dn))) / (2 * h)
+    assert np.abs(fd - H).max() <= 1e-6 * np.abs(H).max()
+    # the upper triangle of each diagonal block is what the solve reads;
+    # the lower one agrees with it to roundoff
+    assert np.allclose(D[0, 1], D[1, 0], rtol=1e-12, atol=1e-12 * np.abs(D).max())
+
+
+def test_newton_hessian_matches_gradient_differences():
     for model in (_twisted_grid(), hull_white_model(sigma_vol=1.3, rho=0.4)):
-        n = len(curved) - 1
-        _, _, T = _gradients(model, curved[None])
-        D, U = _hessian(T, n, True)
-        m = n - 1
-        H = np.zeros((m, 2, m, 2))
-        for i in range(m):
-            H[i, :, i, :] = np.triu(D[..., 0, i]) + np.triu(D[..., 0, i], 1).T
-        for i in range(m - 1):
-            H[i, :, i + 1, :] = U[..., 0, i]
-            H[i + 1, :, i, :] = U[..., 0, i].T
-        fd = np.zeros_like(H)
-        h = 1e-6
-        for i in range(m):
-            for c in range(2):
-                up, dn = curved.copy(), curved.copy()
-                up[i + 1, c] += h
-                dn[i + 1, c] -= h
-                fd[:, :, i, c] = (energy_gradient(model, DiscretePath(up))
-                                  - energy_gradient(model, DiscretePath(dn))) / (2 * h)
-        assert np.abs(fd - H).max() <= 1e-6 * np.abs(H).max()
-        # the upper triangle of each diagonal block is what the solve reads;
-        # the lower one agrees with it to roundoff
-        assert np.allclose(D[0, 1], D[1, 0], rtol=1e-12, atol=1e-12 * np.abs(D).max())
+        _assert_hessian_matches_gradient_differences(model)
+
+
+@pytest.mark.parametrize("kind", ["random_lattice", "volatility"])
+def test_newton_hessian_contracts_every_term_of_the_jet(kind):
+    # the terms of d2a that neither the benchmark's grid (sigma linear in
+    # v) nor the pins reach: on a random lattice the twist
+    # T = d2 sigma / dx dv adds s T^T + T s^T to d2a_xv, and under the
+    # correlated volatility model a has off-diagonal entries
+    if kind == "volatility":
+        model = hull_white_model(sigma_vol=1.2, rho=0.3)
+    else:
+        from bridgeexit.model import grid_model
+
+        rng = np.random.default_rng(41)
+        xs = np.linspace(0.0, 4.0, 13)
+        vs = np.linspace(0.02, 3.0, 13)
+        entries = 2.0 * np.eye(2) + 0.3 * rng.standard_normal((13, 13, 2, 2))
+        model = grid_model(xs, vs, entries)
+        # the twist of nearly every cell and entry is not zero
+        twist = entries[1:, 1:] - entries[1:, :-1] - entries[:-1, 1:] + entries[:-1, :-1]
+        assert (np.abs(twist) > 1e-3).mean() > 0.9
+    _assert_hessian_matches_gradient_differences(model)
 
 
 def test_gradient_vanishes_on_straight_line_in_flat_metric():
@@ -412,15 +439,17 @@ def _assert_jet_is_per_point(model, P):
     """The difference jet at the midpoints of the stack P, and P's
     gradients, keep the bits of each point and each path alone."""
     from bridgeexit.geodesic import _gradients
-    from bridgeexit.model import inverse_metric_jet
+    from bridgeexit.model import metric_jet
 
     d = P.shape[2]
     mids = (0.5 * (P[:, :-1] + P[:, 1:])).reshape(-1, d)
-    A, dA, d2A = inverse_metric_jet(model, mids)
+    A, da, d2a = metric_jet(model, mids)
     A_ref, dA_ref = _per_point_jet(model, mids)
     assert A.tobytes() == A_ref.tobytes()
-    assert dA.tobytes() == dA_ref.tobytes()
-    assert d2A is None
+    # the differences of A, converted to derivatives of a = A^{-1}
+    a = np.linalg.inv(A_ref)[:, None]
+    assert da.tobytes() == (-(a @ dA_ref @ a)).tobytes()
+    assert d2a is None
     q, g, T = _gradients(model, P)
     q = q.reshape(len(P), -1)
     for k in range(len(P)):
@@ -464,11 +493,11 @@ def test_batched_gradient_probes_match_per_probe_evaluation():
         ])))
         for model, P in cases:
             # the difference jet, as a callback model without a jet gets it
-            _assert_jet_is_per_point(replace(model, batch_inverse_metric_jet=None), P)
+            _assert_jet_is_per_point(replace(model, batch_metric_jet=None), P)
 
 
 def test_a_probe_whose_metric_raises_gets_a_one_sided_difference():
-    from bridgeexit.model import DiffusionModel, inverse_metric_batch, inverse_metric_jet
+    from bridgeexit.model import DiffusionModel, inverse_metric_batch, metric_jet
 
     def sigma(z):
         # rank one on the strip 1 <= x <= 1 + 1e-6, a line thickened to the
@@ -488,9 +517,10 @@ def test_a_probe_whose_metric_raises_gets_a_one_sided_difference():
     mid = 0.5 * (near[2] + near[3])
     with pytest.raises(NotSPD):
         inverse_metric_batch(model, (mid + [1e-6, 0.0])[None])
-    A, dA, _ = inverse_metric_jet(model, mid[None])
+    A, da, _ = metric_jet(model, mid[None])
     A_dn = inverse_metric_batch(model, (mid - [1e-6, 0.0])[None])
-    assert dA[0, 0].tobytes() == ((A[0] - A_dn[0]) / 1e-6).tobytes()
+    a = np.linalg.inv(A[0])
+    assert da[0, 0].tobytes() == (-(a @ ((A[0] - A_dn[0]) / 1e-6) @ a)).tobytes()
     g = _assert_jet_is_per_point(model, np.stack([near, far]))
     assert np.isfinite(g).all()
 
@@ -520,7 +550,7 @@ def test_a_stack_does_not_change_a_leg():
     # stall at gradient sup-norms up to 5e-9 with the jet and 1e-9 without,
     # so the leg that must converge first has a tolerance above that floor
     tol = 1e-8
-    for model in (base, replace(base, batch_inverse_metric_jet=None)):
+    for model in (base, replace(base, batch_metric_jet=None)):
         rng = np.random.default_rng(3)
         converged = solve_geodesic(model, x, y, SolverOptions(n=30)).path.points
         P = np.stack([converged, wiggly_path(rng, x, y, n=30, amp=0.1).points,
@@ -559,7 +589,7 @@ def test_a_stack_whose_metric_batch_raises_falls_back_leg_by_leg():
         return grid.batch_inverse_metric(pts)
 
     # without the jet, the gradient probes the metric hook
-    model = replace(grid, batch_inverse_metric=hook, batch_inverse_metric_jet=None)
+    model = replace(grid, batch_inverse_metric=hook, batch_metric_jet=None)
     rng = np.random.default_rng(8)
     n = 25
     edge = 4.0 - 5e-8
@@ -604,9 +634,9 @@ def test_a_path_whose_metric_raises_reads_infinite_in_its_stack():
 
     def jet(pts):
         strip(pts)
-        return grid.batch_inverse_metric_jet(pts)
+        return grid.batch_metric_jet(pts)
 
-    model = replace(grid, batch_inverse_metric=hook, batch_inverse_metric_jet=jet)
+    model = replace(grid, batch_inverse_metric=hook, batch_metric_jet=jet)
     rng = np.random.default_rng(5)
     n = 12
     ends = [([0.5, 0.4], [3.2, 2.1]), ([1.0, 0.2], [2.5, 0.9]),
@@ -667,11 +697,11 @@ def test_newton_and_gauss_newton_legs_share_a_round_with_a_stuck_leg(monkeypatch
 
     def jet(pts):
         # past x = 3 the jet has no usable second order: Gauss-Newton
-        _, dA, d2A = base.batch_inverse_metric_jet(pts)
-        dA = np.where((pts[:, 0] > 5.0)[:, None, None, None], dA * flip, dA)
-        return inv(pts), dA, np.where((pts[:, 0] > 3.0)[:, None, None, None, None], np.nan, d2A)
+        _, da, d2a = base.batch_metric_jet(pts)
+        da = np.where((pts[:, 0] > 5.0)[:, None, None, None], da * flip, da)
+        return inv(pts), da, np.where((pts[:, 0] > 3.0)[:, None, None, None, None], np.nan, d2a)
 
-    model = replace(base, batch_inverse_metric=inv, batch_inverse_metric_jet=jet)
+    model = replace(base, batch_inverse_metric=inv, batch_metric_jet=jet)
     rng = np.random.default_rng(9)
     n = 20
     x, y = np.array([1.0, 0.2]), np.array([2.0, 0.5])

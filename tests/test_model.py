@@ -275,7 +275,7 @@ def test_grid_metric_hook_keeps_the_bits_of_the_einsum_product():
             # a = s s^T as the model once formed it
             a = np.einsum("nij,nkj->nik", s, s)
             assert a[:, 0, 1].tobytes() == a[:, 1, 0].tobytes()
-            want, _ = _inv_2x2(a[:, 0, 0], a[:, 0, 1], a[:, 1, 1], "grid model")
+            want = _inv_2x2(a[:, 0, 0], a[:, 0, 1], a[:, 1, 1], "grid model")
             assert hook(pts).tobytes() == want.transpose(2, 0, 1).tobytes()
 
 
@@ -288,6 +288,12 @@ def _cell_interiors(xs, vs, rng, n=400):
                             vs[j] + tv * (vs[j + 1] - vs[j])])
 
 
+def _diffusion(model, pts):
+    """a = sigma sigma^T at each row of pts, from the model's sigma."""
+    s = np.array([model.sigma(z) for z in pts])
+    return s @ s.swapaxes(1, 2)
+
+
 def test_grid_metric_jet_is_the_hook_and_differentiates_it():
     rng = np.random.default_rng(31)
     xs = np.linspace(-1.0, 3.0, 9)
@@ -295,43 +301,52 @@ def test_grid_metric_jet_is_the_hook_and_differentiates_it():
     for entries in (sample_field(xs, vs), rng.standard_normal((9, 7, 2, 2))):
         model = grid_model(xs, vs, entries)
         for pts in _lattice_probes(xs, vs, rng):
-            A, dA, _ = model.batch_inverse_metric_jet(pts)
+            A, da, _ = model.batch_metric_jet(pts)
             assert A.tobytes() == model.batch_inverse_metric(pts).tobytes()
-            assert dA.shape == (len(pts), 2, 2, 2)
+            assert da.shape == (len(pts), 2, 2, 2)
         with pytest.raises(ValueError):
-            model.batch_inverse_metric_jet(np.array([[xs[-1] + 1e-9, 1.0]]))
-    # central differences inside cells, on well-conditioned fields
+            model.batch_metric_jet(np.array([[xs[-1] + 1e-9, 1.0]]))
+    # central differences of a = sigma sigma^T inside cells, on
+    # well-conditioned fields
     for entries in (sample_field(xs, vs),
                     2.0 * np.eye(2) + 0.3 * rng.standard_normal((9, 7, 2, 2))):
         model = grid_model(xs, vs, entries)
         pts = _cell_interiors(xs, vs, rng)
-        A, dA, _ = model.batch_inverse_metric_jet(pts)
+        A, da, _ = model.batch_metric_jet(pts)
         h = 1e-5 * np.array([xs[1] - xs[0], np.diff(vs).min()])
         for k in range(2):
             step = np.zeros(2)
             step[k] = h[k]
-            fd = (model.batch_inverse_metric(pts + step)
-                  - model.batch_inverse_metric(pts - step)) / (2.0 * h[k])
-            scale = np.abs(dA[:, k]).max(axis=(1, 2))
-            assert (np.abs(fd - dA[:, k]).max(axis=(1, 2)) <= 1e-6 * scale).all()
-            # symmetric, as A is
-            assert dA[:, k].tobytes() == dA[:, k].swapaxes(1, 2).tobytes()
+            fd = (_diffusion(model, pts + step) - _diffusion(model, pts - step)) / (2.0 * h[k])
+            scale = np.abs(da[:, k]).max(axis=(1, 2))
+            assert (np.abs(fd - da[:, k]).max(axis=(1, 2)) <= 1e-6 * scale).all()
+            # symmetric, as a is
+            assert da[:, k].tobytes() == da[:, k].swapaxes(1, 2).tobytes()
 
 
-def test_volatility_metric_jet_is_minus_two_a_over_v():
+def _volatility_a0(sigma_vol, rho):
+    """a / v^2 of the volatility model."""
+    return np.array([[1.0, rho * sigma_vol], [rho * sigma_vol, sigma_vol * sigma_vol]])
+
+
+def test_volatility_metric_jet_is_two_a_over_v():
     rng = np.random.default_rng(32)
     pts = random_half_plane_points(rng, 50)
     model = hull_white_model(sigma_vol=1.7, rho=-0.4)
-    A, dA, _ = model.batch_inverse_metric_jet(pts)
+    A, da, _ = model.batch_metric_jet(pts)
     assert A.tobytes() == model.batch_inverse_metric(pts).tobytes()
-    assert (dA[:, 0] == 0.0).all()
-    assert dA[:, 1].tobytes() == (-2.0 * A / pts[:, 1, None, None]).tobytes()
-
+    assert (da[:, 0] == 0.0).all()
+    v = pts[:, 1]
+    assert da[:, 1].tobytes() == (_volatility_a0(1.7, -0.4) * (2.0 * v)[:, None, None]).tobytes()
+    # the inverse of a = v^2 a0, to rounding
+    a = v[:, None, None] ** 2 * _volatility_a0(1.7, -0.4)
+    np.testing.assert_allclose(A @ a, np.broadcast_to(np.eye(2), a.shape), atol=1e-14)
 
 
 def test_grid_metric_jet_second_order_differentiates_its_first():
-    # d2A against central differences of the jet's own dA, inside cells,
-    # on the fields of the first-order test
+    # d2a against central differences of the jet's own da, inside cells,
+    # on the fields of the first-order test, one with a twist
+    # T = d2 sigma / dx dv that is not zero
     rng = np.random.default_rng(33)
     xs = np.linspace(-1.0, 3.0, 9)
     vs = np.geomspace(0.02, 3.0, 7)
@@ -339,38 +354,44 @@ def test_grid_metric_jet_second_order_differentiates_its_first():
                     2.0 * np.eye(2) + 0.3 * rng.standard_normal((9, 7, 2, 2))):
         model = grid_model(xs, vs, entries)
         pts = _cell_interiors(xs, vs, rng)
-        A, dA, d2A = model.batch_inverse_metric_jet(pts)
-        assert d2A.shape == (len(pts), 2, 2, 2, 2)
+        A, da, d2a = model.batch_metric_jet(pts)
+        assert d2a.shape == (len(pts), 2, 2, 2, 2)
         h = 1e-5 * np.array([xs[1] - xs[0], np.diff(vs).min()])
+        # at each point over every (k, l): a block of a field linear in v is
+        # exactly 0, where the differences leave roundoff
+        scale = np.abs(d2a).max(axis=(1, 2, 3, 4))
         for l in range(2):
             step = np.zeros(2)
             step[l] = h[l]
-            fd = (model.batch_inverse_metric_jet(pts + step)[1]
-                  - model.batch_inverse_metric_jet(pts - step)[1]) / (2.0 * h[l])
+            fd = (model.batch_metric_jet(pts + step)[1]
+                  - model.batch_metric_jet(pts - step)[1]) / (2.0 * h[l])
             for k in range(2):
-                scale = np.abs(d2A[:, k, l]).max(axis=(1, 2))
-                assert (np.abs(fd[:, k] - d2A[:, k, l]).max(axis=(1, 2)) <= 1e-6 * scale).all()
-                # symmetric in the entries, as A is
-                assert d2A[:, k, l].tobytes() == d2A[:, k, l].swapaxes(1, 2).tobytes()
-        assert d2A[:, 0, 1].tobytes() == d2A[:, 1, 0].tobytes()
+                assert (np.abs(fd[:, k] - d2a[:, k, l]).max(axis=(1, 2)) <= 1e-6 * scale).all()
+                # symmetric in the entries, as a is
+                assert d2a[:, k, l].tobytes() == d2a[:, k, l].swapaxes(1, 2).tobytes()
+        assert d2a[:, 0, 1].tobytes() == d2a[:, 1, 0].tobytes()
 
 
-def test_volatility_metric_jet_second_order_is_six_a_over_v_squared():
+def test_volatility_metric_jet_second_order_is_two_a_over_v_squared():
     rng = np.random.default_rng(34)
     pts = random_half_plane_points(rng, 50)
     model = hull_white_model(sigma_vol=1.7, rho=-0.4)
-    A, _, d2A = model.batch_inverse_metric_jet(pts)
-    v = pts[:, 1]
-    assert d2A[:, 1, 1].tobytes() == (6.0 * A / (v * v)[:, None, None]).tobytes()
-    assert (d2A[:, 0] == 0.0).all() and (d2A[:, 1, 0] == 0.0).all()
+    _, _, d2a = model.batch_metric_jet(pts)
+    assert (d2a[:, 1, 1] == 2.0 * _volatility_a0(1.7, -0.4)).all()
+    assert (d2a[:, 0] == 0.0).all() and (d2a[:, 1, 0] == 0.0).all()
 
 
 def test_a_model_without_a_jet_has_no_second_order():
     from dataclasses import replace
 
-    from bridgeexit.model import inverse_metric_jet
+    from bridgeexit.model import metric_jet
 
-    model = replace(hull_white_model(), batch_inverse_metric_jet=None)
+    model = replace(hull_white_model(sigma_vol=1.7, rho=-0.4), batch_metric_jet=None)
     pts = random_half_plane_points(np.random.default_rng(35), 5)
-    A, dA, d2A = inverse_metric_jet(model, pts)
-    assert d2A is None and dA.shape == (5, 2, 2, 2)
+    A, da, d2a = metric_jet(model, pts)
+    assert d2a is None and da.shape == (5, 2, 2, 2)
+    # the differences of A, converted to the derivatives of a = v^2 a0
+    assert A.tobytes() == model.batch_inverse_metric(pts).tobytes()
+    want = _volatility_a0(1.7, -0.4) * (2.0 * pts[:, 1])[:, None, None]
+    np.testing.assert_allclose(da[:, 1], want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
+    assert np.abs(da[:, 0]).max() <= 1e-8 * np.abs(want).max()
