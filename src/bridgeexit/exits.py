@@ -42,13 +42,14 @@ line within the anchor's leg sum of both endpoints, and under any other
 model the part of the line inside the domain.  The closed-form oracles
 measure a window's 256 samples in one call, bit for bit as one point at
 a time, and each of Brent's steps at one point.  The path optimizer
-measures only the samples whose Piyavskii-Shubert bound could still
-beat the best one, in rounds of one lockstep stack each (_scan), and its
-result's scan_gap is the relative gap the bound certifies.  The legs and
-J of the result come from the oracle at z_star; under the path optimizer
-the legs x-to-y, x-to-z_star and z_star-to-y are one stack at the
-caller's options, with the bits of separate solves.  An endpoint on the
-plane takes d(x, y) and 0 as its legs.  The frozen
+measures only the samples whose Piyavskii-Shubert bound, over the split
+legs, could still beat the best one, in rounds of one lockstep stack each
+(_scan), and its result's scan_gap is the relative gap the bound
+certifies.  The legs and J of the result come from the oracle at z_star;
+under the path optimizer the legs x-to-y, x-to-z_star and z_star-to-y
+are one stack at the caller's options, started from the scan's paths of
+those legs and solved to the tolerance of separate solves from the
+chord.  An endpoint on the plane takes d(x, y) and 0 as its legs.  The frozen
 comparator is the same engine on the constant geometry a(z0)^{-1}.
 """
 
@@ -295,9 +296,11 @@ class _Oracle:
     points; xy() is d(x, y).  Both answers for a plane take the sides s_x and
     s_y of x and y.  reflection(plane, s_x, s_y) is (z_star, J) by a
     reflection formula for a plane with x and y strictly on one side, or
-    None where no formula applies.  crossing(plane, s_x, s_y) is where the
-    x-to-y geodesic meets a plane between x and y: exact under both closed
-    forms, and read off the solved path under the path optimizer.  path(n)
+    None where no formula applies; the half-plane reflection's z_star is
+    domain-tested, as a straddle's crossing is.  crossing(plane, s_x, s_y)
+    is where the x-to-y geodesic meets a plane between x and y: exact under
+    both closed forms, and read off the solved path under the path
+    optimizer.  path(n)
     is that geodesic's points (n + 1 under a closed form).  M maps a
     distance ball of radius S onto the disc |Z - X|^2 <= 2 X_w Z_w k + r^2
     of images, with (k, r) = disc(S); both are None for the path optimizer.
@@ -355,7 +358,7 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
             S, D = float(_poincare(X, Y_ref)), float(_poincare(X, Y))
             # J = (S^2 - D^2) / (2 sv^2), with no cancellation in S - D
             J = 0.5 * (_mirror_gap(X, Y, x0) / sv) * ((S + D) / sv)
-            return crossing(plane, s_x, -s_y, Q=Y_ref), J
+            return _crossing_inside(model, crossing(plane, s_x, -s_y, Q=Y_ref)), J
 
         def disc(S):
             try:
@@ -739,9 +742,9 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
     within one sample of the best, one parameter per call, starting from
     that sample's value and continuing from its legs: each refined point's
     legs are predicted from the last two measured.  With lengths it stops
-    once its three best leg sums agree within SCAN_FLAT.  Brent only moves to a
-    point that is no higher, so the sample stays unless a refined one is as
-    low.  A scan without a finite leg sum raises OutsideDomain: the
+    once its three best leg sums agree within SCAN_FLAT.  Brent only moves
+    to a point that is no higher, so the sample stays unless a refined one
+    is as low.  A scan without a finite leg sum raises OutsideDomain: the
     distance oracles are only asked about points of the domain, and the
     chart gave none.
     """
@@ -900,6 +903,7 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
     )
     solved = {}  # chart parameter -> (theta, x-to-z legs, z-to-y legs)
     legs = {}  # chart parameter -> (d(x, z), d(z, y))
+    xy = []  # the x-to-y leg's path, once solved
 
     def legsums(thetas, near=None):
         if np.ndim(thetas) == 0:  # one parameter: a stack of one sample
@@ -911,7 +915,7 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
             return out
         X = [p for i in inside for p in (x, z[i])]
         Y = [p for i in inside for p in (z[i], y)]
-        if legsums.xy is None:  # the x-to-y leg, once, in the first stack
+        if not xy:  # the x-to-y leg, once, in the first stack
             X.append(x)
             Y.append(y)
         X, Y = np.array(X), np.array(Y)
@@ -931,17 +935,16 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
             legs[float(thetas[i])] = d[2 * k], d[2 * k + 1]
             out[i] = d[2 * k] + d[2 * k + 1]
         legsums.unconverged += int(unconverged[:2 * len(inside)].sum())
-        if legsums.xy is None:
-            legsums.xy = P[-1]
+        if not xy:
+            xy.append(P[-1])
         return out
 
     def warm(theta):
         _, *paths = solved.get(float(theta), (None, None, None))
-        return [legsums.xy, *paths]
+        return [xy[0] if xy else None, *paths]
 
     legsums.unconverged = 0
     legsums.legs = legs
-    legsums.xy = None
     legsums.warm = warm
     return legsums
 
@@ -955,17 +958,24 @@ def _result_legs(model, x, y, z, opts: SolverOptions, warm):
     scan's path of that leg at a coarser resolution (its chord where
     warm[k] is None), as one stack at opts.  Each leg meets the tolerance
     of a solve_geodesic from the chord, and so agrees with that solve to
-    well within it."""
+    well within it.  A warm leg that stalls short of its tolerance (a kink
+    of a piecewise metric can hold it where the chord's solve goes on) is
+    solved again from its chord, and keeps the lower energy."""
     pairs = [(x, y), (x, z), (z, y)]
     for name, p in (("x", x), ("y", y), ("z_star", z)):
         _validate_endpoint(model, p, name)
     starts = [[w, *_starts(model, p, q, opts)[1:]] for w, (p, q) in zip(warm, pairs)]
     X = np.array([p for (p, _), s in zip(pairs, starts) for _ in s])
     Y = np.array([q for (_, q), s in zip(pairs, starts) for _ in s])
-    E = _solve_legs(model, X, Y, opts, [i for s in starts for i in s])[1]
+    inits = [i for s in starts for i in s]
+    first = np.cumsum([0] + [len(s) for s in starts])
+    _, E, _, _, stalled, _ = _solve_legs(model, X, Y, opts, inits)
+    again = [k for k in first[:-1] if inits[k] is not None and stalled[k]]
+    if again:
+        cold = _solve_legs(model, X[again], Y[again], opts, [None] * len(again))[1]
+        E[again] = np.minimum(E[again], cold)
     # each pair's best start, as solve_geodesic picks it
-    return tuple(math.sqrt(max(2.0 * float(e.min()), 0.0))
-                 for e in np.split(E, np.cumsum([len(s) for s in starts])[:-1]))
+    return tuple(math.sqrt(max(2.0 * float(e.min()), 0.0)) for e in np.split(E, first[1:-1]))
 
 
 def _assemble(legs, z_star, method: str, J=None, geodesic_exits=False,
@@ -1030,7 +1040,8 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
         s_x, s_y = _side_checks(plane, x, y)
         touches = s_x == 0.0 or s_y == 0.0
         straddles = (s_x > 0.0) != (s_y > 0.0)
-    # a solver scan solves d(x, y) in one stack with the legs at z_star
+    # a solver scan solves d(x, y) after the scan, in one stack with the
+    # legs at z_star
     if geom is not None or touches or straddles:
         d_xy = oracle.xy()
         if not math.isfinite(d_xy):
@@ -1052,7 +1063,7 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
                          geodesic_exits=True)
     elif (reflected := oracle.reflection(plane, s_x, s_y)) is not None:
         z_star, J = reflected
-        return _assemble(legs, _crossing_inside(model, z_star), closed, J)
+        return _assemble(legs, z_star, closed, J)
     else:
         # the window is bounded under the model's own geometry, also under force_numeric
         bound = oracle if geom is not None else _oracle(model, model.geometry, None, x, y)

@@ -471,28 +471,25 @@ def _line_search(model, P, E, g, T):
     return trial, Et, gt, Tt, moved
 
 
-def _minimize_level(model, P, tol, max_iter, start=None):
+def _minimize_level(model, P, tol, max_iter, start):
     """Line-searched Newton at fixed resolution on a stack of paths.
 
     P is a (K, N+1, d) stack, start its energies, gradients and segment
-    terms as _energies gives them (evaluated here when None), and tol
-    holds each path's gradient tolerance.
-    Returns (P, E, grad_sup, iters, stalled), one entry per path.  Each
-    step is a Newton or a Gauss-Newton step as _line_search says.  A line
-    search that leaves the path as it was (no usable direction, a failed
-    Newton step below the energy's resolution, a Gauss-Newton search out
-    of lengths, or an accepted step that changes no point), or a run of
-    STALL_WINDOW accepted steps whose decrease is below that resolution,
-    is reported as a stall (the path is at its floating-point floor).  A
-    path leaves the stack when it converges, stalls or spends max_iter;
-    the line search brings the gradients and the Hessian terms of the
-    accepted paths along.
+    terms as _energies gives them (updated in place), and tol holds each
+    path's gradient tolerance.  Returns (P, E, grad_sup, iters, stalled),
+    one entry per path.  Each step is a Newton or a Gauss-Newton step as
+    _line_search says.  A line search that leaves the path as it was (no
+    usable direction, a failed Newton step below the energy's resolution,
+    a Gauss-Newton search out of lengths, or an accepted step that changes
+    no point), or a run of STALL_WINDOW accepted steps whose decrease is
+    below that resolution, is reported as a stall (the path is at its
+    floating-point floor).  A path leaves the stack when it converges,
+    stalls or spends max_iter; the line search brings the gradients and
+    the Hessian terms of the accepted paths along.
     """
     K = P.shape[0]
     P = P.copy()
-    if start is None:
-        start = _energies(model, P, gradients=True)
-    E, g, T = (a.copy() for a in start)
+    E, g, T = start
     iters = np.zeros(K, dtype=int)
     stalled = np.zeros(K, dtype=bool)
     no_progress = np.zeros(K, dtype=int)
@@ -586,10 +583,10 @@ def _solve_legs(model, X, Y, opts: SolverOptions, inits):
 
     inits[k] is a point array to warm-start leg k from, resampled to opts.n
     segments with its ends pinned to X[k] and Y[k], or None for a cold
-    start from the chord.  Every start is
-    evaluated once, with the jet, in one batch, and a warm start whose
-    energy is not finite starts from its chord instead.  A leg's tolerance
-    is grad_tol, or grad_tol_rel times the energy of its chord.  Returns
+    start from the chord.  Every start is evaluated once, with the jet, in
+    one batch, and a warm start whose energy is not finite starts from its
+    chord instead.  A leg's tolerance is grad_tol, or grad_tol_rel times
+    the energy of its chord.  Returns
     (P, E, grad_sup, iters, stalled, short) per leg; short marks a leg that
     spent max_iter above its tolerance without stalling, which raises
     NoConvergence when opts.strict.

@@ -488,35 +488,24 @@ def grid_model(x_nodes, v_nodes, entries, complete: bool = True) -> DiffusionMod
         (s00, s01), (s10, s11) = s
         return s00 * s00 + s01 * s01, s00 * s10 + s01 * s11, s10 * s10 + s11 * s11
 
-    def cross(s, t):
-        # the entries of s t^T + t s^T
-        (s00, s01), (s10, s11) = s
-        (t00, t01), (t10, t11) = t
-        return (2.0 * (s00 * t00 + s01 * t01), s00 * t10 + t00 * s10 + s01 * t11 + t01 * s11,
-                2.0 * (s10 * t10 + s11 * t11))
-
     def batch_inv(pts):
         return _inv_2x2(*gram(interp(pts)), "grid model").transpose(2, 0, 1)
 
     def batch_jet(pts):
         # component by component, the point axis last, both directions at
         # once: da_k = ds_k s^T + s ds_k^T and d2a_kl = ds_k ds_l^T +
-        # ds_l ds_k^T, plus s T^T + T s^T for k != l, T = d2s/dx dv
+        # ds_l ds_k^T, plus s T^T + T s^T for k != l, T = d2s/dx dv; each
+        # a product and its transpose, so symmetric bit for bit
         s, ds, T = interp(pts, jet=True)
         A = _inv_2x2(*gram(s), "grid model")
-        ds = ds.transpose(1, 2, 0, 3)
-        da = np.empty((2,) + A.shape)
-        da[:, 0, 0], da[:, 0, 1], da[:, 1, 1] = cross(s, ds)
-        da[:, 1, 0] = da[:, 0, 1]
-        # the pairs (k, l) on two axes, by broadcasting
-        d2a = np.empty((2, 2) + A.shape)
-        d2a[:, :, 0, 0], d2a[:, :, 0, 1], d2a[:, :, 1, 1] = cross(ds[:, :, :, None],
-                                                                  ds[:, :, None])
-        for (i, j), f in zip(((0, 0), (0, 1), (1, 1)), cross(s, T)):
-            d2a[0, 1, i, j] += f
-        # symmetric in (i, j) and, bit for bit, in (k, l)
-        d2a[:, :, 1, 0] = d2a[:, :, 0, 1]
-        d2a[1, 0] = d2a[0, 1]
+        M = np.einsum("kipn,jpn->kijn", ds, s)
+        da = M + M.transpose(0, 2, 1, 3)
+        N = np.einsum("kipn,ljpn->klijn", ds, ds)
+        d2a = N + N.transpose(1, 0, 2, 3, 4)
+        S = np.einsum("ipn,jpn->ijn", s, T)
+        S = S + S.transpose(1, 0, 2)
+        d2a[0, 1] += S
+        d2a[1, 0] += S
         return A.transpose(2, 0, 1), da.transpose(3, 0, 1, 2), d2a.transpose(4, 0, 1, 2, 3)
 
     zero = np.zeros(2)

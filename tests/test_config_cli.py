@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bridgeexit import (
     ConfigError,
@@ -685,27 +685,8 @@ def exit_configs(draw):
     return "\n".join(lines) + "\n", bad
 
 
-# Configs this test once drew that raised: a plane whose normal normalizes to
-# a first entry of 1.0 without being vertical (mirrored as a vertical one),
-# and reflections with x = y whose mirror gap underflows.
-NEAR_VERTICAL = ("model.kind = hull_white_simple\nx = 0, 1\ny = 1e-300, 2\n"
-                 "barrier.kind = hyperplane\nbarrier.normal = 1.0, -1e-300\n"
-                 "barrier.offset = 0.0\n")
-NEAR_VERTICAL_UP = ("model.kind = hull_white_simple\nx = 0, 1\ny = 0, 2\n"
-                    "barrier.kind = hyperplane\n"
-                    "barrier.normal = 1.0, 3.5134758369485516e-267\nbarrier.offset = 0.0\n")
-COINCIDENT_ENDPOINTS = ("model.kind = hull_white_simple\nx = 0, 1\ny = 0, 1\n"
-                        "barrier.kind = vertical\nbarrier.x0 = 3.5134758369485516e-267\n")
-COINCIDENT_LOW = ("model.kind = hull_white_simple\nx = 1e-300, 1e-300\ny = 1e-300, 1e-300\n"
-                  "barrier.kind = vertical\nbarrier.x0 = 0.0\n")
-
-
 @given(exit_configs())
 @settings(max_examples=60, deadline=None)
-@example((NEAR_VERTICAL, False))
-@example((NEAR_VERTICAL_UP, False))
-@example((COINCIDENT_ENDPOINTS, False))
-@example((COINCIDENT_LOW, False))
 def test_exit_codes_over_generated_configs(case):
     text, bad = case
     err = io.StringIO()
@@ -724,10 +705,27 @@ def test_exit_codes_over_generated_configs(case):
         assert math.isfinite(J) and J >= 0.0, text
 
 
+# Configs the property test above once drew that raised: a plane whose
+# normal normalizes to a first entry of 1.0 without being vertical
+# (mirrored as a vertical one), and reflections with x = y whose mirror gap
+# underflows.
+NEAR_VERTICAL = ("model.kind = hull_white_simple\nx = 0, 1\ny = 1e-300, 2\n"
+                 "barrier.kind = hyperplane\nbarrier.normal = 1.0, -1e-300\n"
+                 "barrier.offset = 0.0\n")
+NEAR_VERTICAL_UP = ("model.kind = hull_white_simple\nx = 0, 1\ny = 0, 2\n"
+                    "barrier.kind = hyperplane\n"
+                    "barrier.normal = 1.0, 3.5134758369485516e-267\nbarrier.offset = 0.0\n")
+COINCIDENT_ENDPOINTS = ("model.kind = hull_white_simple\nx = 0, 1\ny = 0, 1\n"
+                        "barrier.kind = vertical\nbarrier.x0 = 3.5134758369485516e-267\n")
+COINCIDENT_LOW = ("model.kind = hull_white_simple\nx = 1e-300, 1e-300\ny = 1e-300, 1e-300\n"
+                  "barrier.kind = vertical\nbarrier.x0 = 0.0\n")
+
+
 @pytest.mark.parametrize("text, J", [(NEAR_VERTICAL, 0.0), (NEAR_VERTICAL_UP, 0.0),
                                      (COINCIDENT_ENDPOINTS, 0.0),
                                      # d(x, x') = 2 asinh(1) at every scale
-                                     (COINCIDENT_LOW, 2.0 * math.asinh(1.0) ** 2)])
+                                     (COINCIDENT_LOW, 2.0 * math.asinh(1.0) ** 2)],
+                         ids=["near_vertical", "near_vertical_up", "coincident", "coincident_low"])
 def test_near_vertical_planes_and_coincident_endpoints_exit_cleanly(text, J, tmp_path):
     # without a numpy warning, with a crossing inside the domain
     import warnings

@@ -656,6 +656,12 @@ def test_grid_exit_finds_the_far_basin():
     assert res.z_star[0] == 2.5 and 2.2 < res.z_star[1] < 2.5
     assert res.J < near - 0.5
     assert res.J == pytest.approx(6.718, abs=5e-3)
+    # the result's legs start from the scan's; here two of them stall at
+    # kinks of the metric, are solved again from their chords, and keep
+    # the lower energy: no leg is longer than a solve from its chord
+    for got, (p, q) in ((res.d_xy, (x, y)), (res.d_xz, (x, res.z_star)),
+                        (res.d_zy, (res.z_star, y))):
+        assert got <= solve_geodesic(grid, p, q, opts).distance
 
 
 @pytest.mark.parametrize("plane", [TRUNC_PLANE, Hyperplane(np.array([0.0, 1.0]), 0.1),

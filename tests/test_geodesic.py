@@ -108,65 +108,50 @@ def _twisted_grid():
     return grid_model(xs, vs, entries)
 
 
-def _assert_hessian_matches_gradient_differences(model):
-    """The assembled band, the exact Hessian of the energy, against central
-    differences of energy_gradient on a curved path; on the 13 x 13
-    lattices below its midpoints and their shifted copies stay inside
-    lattice cells."""
+def _random_lattice():
+    # a 13 x 13 grid of random sigma: the twist T = d2 sigma / dx dv of
+    # nearly every cell and entry is not zero, which adds s T^T + T s^T to
+    # the jet's d2a_xv
+    from bridgeexit.model import grid_model
+
+    rng = np.random.default_rng(41)
+    entries = 2.0 * np.eye(2) + 0.3 * rng.standard_normal((13, 13, 2, 2))
+    return grid_model(np.linspace(0.0, 4.0, 13), np.linspace(0.02, 3.0, 13), entries)
+
+
+def test_newton_hessian_matches_gradient_differences():
+    # the assembled band, the exact Hessian of the energy, against central
+    # differences of energy_gradient on curved paths; the grid path's
+    # midpoints and their shifted copies stay inside lattice cells
     from bridgeexit.geodesic import _gradients, _hessian
 
     s = np.linspace(0.0, 1.0, 41)
     curved = np.column_stack([0.4 + 3.0 * s, 0.5 + 1.5 * s + 0.3 * np.sin(np.pi * s)])
-    n = len(curved) - 1
-    _, _, T = _gradients(model, curved[None])
-    D, U = _hessian(T, n, True)
-    m = n - 1
-    H = np.zeros((m, 2, m, 2))
-    for i in range(m):
-        H[i, :, i, :] = np.triu(D[..., 0, i]) + np.triu(D[..., 0, i], 1).T
-    for i in range(m - 1):
-        H[i, :, i + 1, :] = U[..., 0, i]
-        H[i + 1, :, i, :] = U[..., 0, i].T
-    fd = np.zeros_like(H)
-    h = 1e-6
-    for i in range(m):
-        for c in range(2):
-            up, dn = curved.copy(), curved.copy()
-            up[i + 1, c] += h
-            dn[i + 1, c] -= h
-            fd[:, :, i, c] = (energy_gradient(model, DiscretePath(up))
-                              - energy_gradient(model, DiscretePath(dn))) / (2 * h)
-    assert np.abs(fd - H).max() <= 1e-6 * np.abs(H).max()
-    # the upper triangle of each diagonal block is what the solve reads;
-    # the lower one agrees with it to roundoff
-    assert np.allclose(D[0, 1], D[1, 0], rtol=1e-12, atol=1e-12 * np.abs(D).max())
-
-
-def test_newton_hessian_matches_gradient_differences():
-    for model in (_twisted_grid(), hull_white_model(sigma_vol=1.3, rho=0.4)):
-        _assert_hessian_matches_gradient_differences(model)
-
-
-@pytest.mark.parametrize("kind", ["random_lattice", "volatility"])
-def test_newton_hessian_contracts_every_term_of_the_jet(kind):
-    # the terms of d2a that neither the benchmark's grid (sigma linear in
-    # v) nor the pins reach: on a random lattice the twist
-    # T = d2 sigma / dx dv adds s T^T + T s^T to d2a_xv, and under the
-    # correlated volatility model a has off-diagonal entries
-    if kind == "volatility":
-        model = hull_white_model(sigma_vol=1.2, rho=0.3)
-    else:
-        from bridgeexit.model import grid_model
-
-        rng = np.random.default_rng(41)
-        xs = np.linspace(0.0, 4.0, 13)
-        vs = np.linspace(0.02, 3.0, 13)
-        entries = 2.0 * np.eye(2) + 0.3 * rng.standard_normal((13, 13, 2, 2))
-        model = grid_model(xs, vs, entries)
-        # the twist of nearly every cell and entry is not zero
-        twist = entries[1:, 1:] - entries[1:, :-1] - entries[:-1, 1:] + entries[:-1, :-1]
-        assert (np.abs(twist) > 1e-3).mean() > 0.9
-    _assert_hessian_matches_gradient_differences(model)
+    for model in (_twisted_grid(), _random_lattice(), hull_white_model(sigma_vol=1.3, rho=0.4),
+                  hull_white_model(sigma_vol=1.2, rho=0.3)):
+        n = len(curved) - 1
+        _, _, T = _gradients(model, curved[None])
+        D, U = _hessian(T, n, True)
+        m = n - 1
+        H = np.zeros((m, 2, m, 2))
+        for i in range(m):
+            H[i, :, i, :] = np.triu(D[..., 0, i]) + np.triu(D[..., 0, i], 1).T
+        for i in range(m - 1):
+            H[i, :, i + 1, :] = U[..., 0, i]
+            H[i + 1, :, i, :] = U[..., 0, i].T
+        fd = np.zeros_like(H)
+        h = 1e-6
+        for i in range(m):
+            for c in range(2):
+                up, dn = curved.copy(), curved.copy()
+                up[i + 1, c] += h
+                dn[i + 1, c] -= h
+                fd[:, :, i, c] = (energy_gradient(model, DiscretePath(up))
+                                  - energy_gradient(model, DiscretePath(dn))) / (2 * h)
+        assert np.abs(fd - H).max() <= 1e-6 * np.abs(H).max()
+        # the upper triangle of each diagonal block is what the solve reads;
+        # the lower one agrees with it to roundoff
+        assert np.allclose(D[0, 1], D[1, 0], rtol=1e-12, atol=1e-12 * np.abs(D).max())
 
 
 def test_gradient_vanishes_on_straight_line_in_flat_metric():
@@ -531,12 +516,15 @@ def test_a_probe_whose_metric_raises_gets_a_one_sided_difference():
 def _stacked_and_alone(model, P, tol, max_iter):
     """_minimize_level on the stack, checked leg by leg against each leg
     minimized alone: every output keeps its bits."""
-    from bridgeexit.geodesic import _minimize_level
+    from bridgeexit.geodesic import _energies, _minimize_level
 
-    stacked = _minimize_level(model, P, np.asarray(tol, dtype=float), max_iter)
+    def minimize(P, tol):
+        start = _energies(model, P, gradients=True)
+        return _minimize_level(model, P, np.asarray(tol, dtype=float), max_iter, start)
+
+    stacked = minimize(P, tol)
     for k in range(len(P)):
-        alone = _minimize_level(model, P[k:k + 1], np.asarray(tol[k:k + 1], dtype=float),
-                                max_iter)
+        alone = minimize(P[k:k + 1], tol[k:k + 1])
         for a, b in zip(stacked, alone):
             assert a[k:k + 1].tobytes() == b.tobytes()
     return stacked
@@ -719,7 +707,8 @@ def test_newton_and_gauss_newton_legs_share_a_round_with_a_stuck_leg(monkeypatch
         return p, ok
 
     monkeypatch.setattr(geodesic, "_band_solve", spy)
-    _, E, _, iters, stalled = geodesic._minimize_level(model, P, np.full(3, 1e-9), 1)
+    start = geodesic._energies(model, P, gradients=True)
+    _, E, _, iters, stalled = geodesic._minimize_level(model, P, np.full(3, 1e-9), 1, start)
     # the first round: Newton for all three, then Gauss-Newton for the two
     # it failed, which fails the third: that leg stalls where it starts
     assert usable[:2] == [[True, False, False], [True, False]]
