@@ -311,12 +311,18 @@ def _mirror_gap(P, Q, u: float) -> float:
     positive terms in delta, r = sqrt(v (v + 2)) and r'.  Past
     _ACOSH_LOG_CUTOFF, d = log(2 v) and the gap is log1p(delta / v); where
     v' passes 2^1000 it is the difference of the distances, above 300.
-    Where v' underflows to 0 (P = Q included), P, Q and Q' coincide to
-    within the underflow, and the gap is d(P, P') = 2 asinh(|P_u - u| / P_w)."""
+    Where 2 P_w Q_w underflows to 0, v is formed from h = |P - Q| as
+    (h / P_w)(h / Q_w) / 2, as _poincare forms it.  Where v' underflows to
+    0, P, Q and Q' coincide to within the underflow, and the gap is
+    d(P, P') = 2 asinh(|P_u - u| / P_w)."""
     (pu, pw), (qu, qw) = P.tolist(), Q.tolist()
     dx, dy = qu - pu, qw - pw
     den = 2.0 * pw * qw
-    near = (dx * dx + dy * dy) / den if den else math.inf if dx or dy else 0.0
+    if den:
+        near = (dx * dx + dy * dy) / den
+    else:
+        h = math.hypot(dx, dy)
+        near = 0.5 * (h / pw) * (h / qw)
     if not near < _ACOSH_LOG_CUTOFF:
         h = math.hypot(dx, dy)
         return math.log1p(4.0 * ((pu - u) / h) * ((qu - u) / h))

@@ -708,7 +708,7 @@ def test_exit_codes_over_generated_configs(case):
 # Configs the property test above once drew that raised: a plane whose
 # normal normalizes to a first entry of 1.0 without being vertical
 # (mirrored as a vertical one), and reflections with x = y whose mirror gap
-# underflows.
+# underflows.  Half-plane distances do not depend on scale.
 NEAR_VERTICAL = ("model.kind = hull_white_simple\nx = 0, 1\ny = 1e-300, 2\n"
                  "barrier.kind = hyperplane\nbarrier.normal = 1.0, -1e-300\n"
                  "barrier.offset = 0.0\n")
@@ -719,13 +719,20 @@ COINCIDENT_ENDPOINTS = ("model.kind = hull_white_simple\nx = 0, 1\ny = 0, 1\n"
                         "barrier.kind = vertical\nbarrier.x0 = 3.5134758369485516e-267\n")
 COINCIDENT_LOW = ("model.kind = hull_white_simple\nx = 1e-300, 1e-300\ny = 1e-300, 1e-300\n"
                   "barrier.kind = vertical\nbarrier.x0 = 0.0\n")
+# x = (1, 1) and y = (2, 1) scaled by 1e-300, whose 2 x_v y_v underflows:
+# the mirror gap once read log(9) for acosh(5.5) - acosh(1.5)
+SCALED_LOW = ("model.kind = hull_white_simple\nx = 1e-300, 1e-300\ny = 2e-300, 1e-300\n"
+              "barrier.kind = vertical\nbarrier.x0 = 0.0\n")
 
 
 @pytest.mark.parametrize("text, J", [(NEAR_VERTICAL, 0.0), (NEAR_VERTICAL_UP, 0.0),
                                      (COINCIDENT_ENDPOINTS, 0.0),
                                      # d(x, x') = 2 asinh(1) at every scale
-                                     (COINCIDENT_LOW, 2.0 * math.asinh(1.0) ** 2)],
-                         ids=["near_vertical", "near_vertical_up", "coincident", "coincident_low"])
+                                     (COINCIDENT_LOW, 2.0 * math.asinh(1.0) ** 2),
+                                     (SCALED_LOW, 0.5 * (math.acosh(5.5) ** 2
+                                                         - math.acosh(1.5) ** 2))],
+                         ids=["near_vertical", "near_vertical_up", "coincident", "coincident_low",
+                              "scaled_low"])
 def test_near_vertical_planes_and_coincident_endpoints_exit_cleanly(text, J, tmp_path):
     # without a numpy warning, with a crossing inside the domain
     import warnings
