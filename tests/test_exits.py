@@ -617,7 +617,7 @@ def _bisected_line_ends(model, anchor, tangent):
 
 
 @pytest.mark.parametrize("kind", ["config_a", "slanted", "tall"])
-def test_batched_window_ends_are_the_bisected_floats(kind, monkeypatch):
+def test_batched_window_ends_are_the_bisected_floats(kind):
     import bridgeexit.exits as exits
 
     grid = diag_v_grid()
@@ -1345,7 +1345,7 @@ def test_result_stack_matches_cold_solves(multi_start, monkeypatch):
     # the scan's result solves d(x, y), d(x, z*) and d(z*, y), with their
     # perturbed starts, as one stack, warm from the scan's x-to-y leg and
     # the legs at z*; each meets the tolerance of a cold solve, and the
-    # distances agree to well within it (4.4e-16 here)
+    # distances agree to well within it (1.6e-16 here)
     stacks = _record_scan_stacks(monkeypatch)
     model, opts = diag_v_grid(), SolverOptions(multi_start=multi_start)
     res = exit_asymptotics(model, ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER), opts=opts)
@@ -1389,7 +1389,7 @@ def test_result_counts_scan_legs_that_ran_out_of_budget(monkeypatch):
     res = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y,
                            VerticalBarrier(ref.A_BARRIER), opts=opts, force_numeric=True)
     # nearly every leg of the rounds is cut short: more than the 18 cold
-    # legs of round 0 (42 here), at most two per sample solved
+    # legs of round 0 (38 here), at most two per sample solved
     legs = sum(legs for phase, legs, _, _ in stacks if phase == "rounds")
     assert 18 < res.unconverged_legs <= legs
     closed = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y,
