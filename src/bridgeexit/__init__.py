@@ -20,7 +20,6 @@ from .errors import (
     NoConvergence,
     NotSPD,
     OutsideDomain,
-    PointNotOnArc,
     RejectionBudgetExceeded,
 )
 from .exits import (
@@ -50,15 +49,11 @@ from .geodesic import (
 )
 from .hyperbolic import (
     GeodesicArc,
-    HwGeodesicImage,
     barrier_infimum_vertical,
     geodesic_arc,
     hw_distance,
-    hw_geodesic_image,
     hw_transform,
-    hw_transform_inverse,
     poincare_distance,
-    reflect_across_vertical,
     sample_arc,
 )
 from .model import (

@@ -49,7 +49,13 @@ from .exits import (
     model_distance,
 )
 from .geodesic import SolverOptions, solve_geodesic
-from .model import ConstantGeometry, DiffusionModel, HullWhiteGeometry, diffusion_matrix
+from .model import (
+    ConstantGeometry,
+    DiffusionModel,
+    HullWhiteGeometry,
+    _check_point,
+    diffusion_matrix,
+)
 from .montecarlo import (
     RngSpec,
     crossing_curve,
@@ -303,6 +309,8 @@ def cmd_figure(run: Run, args) -> int:
                                       run.opts, run.figure_n)
     if model.dim != 2:
         raise ConfigError("figure supports two-dimensional models only")
+    for name, p in (("x", x), ("y", y)):  # the oracles take points of the domain
+        _check_point(model, p, name)
 
     def geodesic(p, q):
         return _oracle(model, model.geometry, opts, p, q).path(n)

@@ -8,7 +8,6 @@ __all__ = [
     "NotSPD",
     "DegenerateCorrelation",
     "CoincidentPoints",
-    "PointNotOnArc",
     "EndpointsStraddleBarrier",
     "NoConvergence",
     "IncompleteModel",
@@ -37,10 +36,6 @@ class DegenerateCorrelation(BridgeExitError):
 
 class CoincidentPoints(BridgeExitError):
     """Two distinct points were required but the arguments coincide."""
-
-
-class PointNotOnArc(BridgeExitError):
-    """A point claimed to lie on a geodesic arc does not."""
 
 
 class EndpointsStraddleBarrier(BridgeExitError):

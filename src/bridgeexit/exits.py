@@ -19,16 +19,18 @@ precision; the two exponents are treated as equal throughout.
 
 Engine: one oracle per geometry times one boundary chart.  The oracle
 (_oracle, the only code that tells the geometries apart) answers the
-distances, the reflection formula, and the x-to-y geodesic with its
-crossing of a plane: through hw_distance's kernel and the half-plane for
-the log-price/volatility geometry, the whitened norm for a constant
-geometry, and the path optimizer otherwise (or under force_numeric).
-Both closed forms give the crossing and the reflection exactly: a chord
-under a constant geometry, and under the volatility geometry one
-circle-line intersection in the image half-plane (hyperbolic._arc_line).
-The closed-form oracles check nothing: the entry points check the endpoints
-once, the boundary is checked when it is built, and a scan only measures
-points that pass the domain test.  No scan runs for an endpoint on the
+distances, the reflection formula, the x-to-y geodesic with its crossing of
+a plane, a line's scan window, the scan and the legs of its result, and
+the method name: through hw_distance's kernel and the half-plane for the
+log-price/volatility geometry, the whitened norm for a constant geometry,
+and the path optimizer otherwise (or under force_numeric); the engine
+asks it, and tests no geometry.  Both closed forms give the crossing and
+the reflection exactly: a chord under a constant geometry, and under the
+volatility geometry one circle-line intersection in the image half-plane
+(hyperbolic._arc_line).
+The closed-form oracles check only that d(x, y) is finite: the entry points
+check the endpoints once, the boundary is checked when it is built, and a
+scan only measures points that pass the domain test.  No scan runs for an endpoint on the
 plane, for endpoints on both sides (the geodesic's own crossing,
 domain-tested once), or where the oracle has a reflection formula: a
 vertical barrier under the uncorrelated volatility geometry (half-plane
@@ -49,8 +51,10 @@ certifies.  The legs and J of the result come from the oracle at z_star;
 under the path optimizer the legs x-to-y, x-to-z_star and z_star-to-y
 are one stack at the caller's options, started from the scan's paths of
 those legs and solved to the tolerance of separate solves from the
-chord.  An endpoint on the plane takes d(x, y) and 0 as its legs.  The frozen
-comparator is the same engine on the constant geometry a(z0)^{-1}.
+chord; outside a scan, the legs at z_star are one cold stack, with the
+bits of separate solves.  An endpoint on the plane takes d(x, y) and 0 as
+its legs.  The frozen comparator is the same engine on the constant
+geometry a(z0)^{-1}.
 """
 
 from __future__ import annotations
@@ -77,8 +81,8 @@ from .hyperbolic import (
     _hw_image_distance,
     _mirror_gap,
     _poincare,
-    hw_geodesic_image,
     hw_transform,
+    sample_arc,
 )
 from .model import (
     ConstantGeometry,
@@ -291,54 +295,90 @@ class _Oracle:
     """The distances and the geodesic of one exit from x to y under one
     geometry.
 
-    legs(z) is (d(x, z), d(z, y)) for a point z, and the two arrays of
-    distances for (n, d) rows z, each bit for bit the distance of its two
-    points; xy() is d(x, y).  Both answers for a plane take the sides s_x and
-    s_y of x and y.  reflection(plane, s_x, s_y) is (z_star, J) by a
-    reflection formula for a plane with x and y strictly on one side, or
-    None where no formula applies; the half-plane reflection's z_star is
-    domain-tested, as a straddle's crossing is.  crossing(plane, s_x, s_y)
-    is where the x-to-y geodesic meets a plane between x and y: exact under
-    both closed forms, and read off the solved path under the path
-    optimizer.  path(n)
-    is that geodesic's points (n + 1 under a closed form).  M maps a
-    distance ball of radius S onto the disc |Z - X|^2 <= 2 X_w Z_w k + r^2
-    of images, with (k, r) = disc(S); both are None for the path optimizer.
+    legs(z) is (d(x, z), d(z, y)) for a point z, and under a closed form
+    also the two arrays of distances for (n, d) rows z, each bit for bit the
+    distance of its two points; xy() is d(x, y).  Both answers for a plane
+    take the sides s_x and s_y of x and y.  reflection(plane, s_x, s_y) is
+    (z_star, J) by a reflection formula for a plane with x and y strictly
+    on one side, or None where no formula applies; the half-plane
+    reflection's z_star is domain-tested, as a straddle's crossing is.
+    crossing(plane, s_x, s_y) is where the x-to-y geodesic meets a plane
+    between x and y: exact under both closed forms, and read off the solved
+    path under the path optimizer.  path(n) is that geodesic's points (n + 1
+    under a closed form).  ends(anchor, tangent) bounds a line's scan window
+    (_line_window).  scan(thetas, chart) is _scan's (theta, unconverged,
+    gap) over the chart with the legs (d(x, y), d(x, z), d(z, y)) of its
+    result at z, and method names a result that no scan found.
     """
 
-    def __init__(self, legs, xy, path, crossing, reflection=lambda plane, *sides: None,
-                 M=None, disc=None):
-        self.legs, self.xy, self.path, self.crossing = legs, xy, path, crossing
-        self.reflection, self.M, self.disc = reflection, M, disc
+    def __init__(self, method, legs, xy, path, crossing, ends, scan,
+                 reflection=lambda plane, *sides: None):
+        self.method, self.legs, self.xy, self.path = method, legs, xy, path
+        self.crossing, self.ends, self.scan = crossing, ends, scan
+        self.reflection = reflection
 
 
 def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _Oracle:
     """The oracle of the exit from x to y under geom; geom None means the
     path optimizer on the model, which solves x to y once, when first asked.
 
-    The closed-form oracles check nothing: x, y and z are float arrays of
+    The closed-form oracles check nothing but d(x, y), which they refuse
+    past the float range (ValueError): x, y and z are float arrays of
     points of the domain, as the engine's callers check them once at entry.
     The volatility oracle is hw_distance's kernel with hw_transform built
     once and x and y mapped once, the same bits; a point z is mapped once
     for both its legs, and one point takes the Python-float path of the
     half-plane distance.
     """
+    if geom is None:
+        opts = opts or SolverOptions()
+
+        @functools.cache
+        def geodesic():
+            return solve_geodesic(model, x, y, opts)
+
+        def scan(thetas, chart):
+            legsums = _solver_legsums(model, x, y, chart, opts)
+            theta, unconverged, gap = _scan(
+                thetas, legsums, lambda lo, hi: _chart_lengths(model, chart, lo, hi))
+
+            def result(z):
+                return _result_legs(model, [(x, y), (x, z), (z, y)], opts,
+                                    legsums.warm(theta))
+
+            return theta, unconverged, gap, result
+
+        if model.geometry is None:
+            ends = functools.partial(_domain_line_ends, model)
+        else:
+            ends = _oracle(model, model.geometry, None, x, y).ends
+        return _Oracle("numeric_1d",
+                       lambda z: _result_legs(model, [(x, z), (z, y)], opts, [None, None]),
+                       lambda: geodesic().distance, lambda n: geodesic().path.points,
+                       lambda plane, *sides: _path_crossing(geodesic().path.points, plane),
+                       ends, scan)
     if isinstance(geom, HullWhiteGeometry):
         sv, rho = geom.sigma_vol, geom.rho
-        A = hw_transform(sv, rho)
+        M = hw_transform(sv, rho)
         rb = math.sqrt(1.0 - rho * rho)
-        X, Y = _hw_image(A, x), _hw_image(A, y)
+        X, Y = _hw_image(M, x), _hw_image(M, y)
 
         def legs(z):
-            Z = _hw_image(A, z)
+            Z = _hw_image(M, z)
             return _hw_image_distance(X, Z, sv), _hw_image_distance(Z, Y, sv)
 
+        d_xy = _hw_image_distance(X, Y, sv)
+
         def path(n):
-            _check_squares("the geodesic arc from x to y overflows", X, Y)
-            return hw_geodesic_image(sv, rho, x, y, n=n).path.points
+            # the half-plane arc, which squares the images' coordinates, mapped back by M^-1
+            if not math.hypot(*X, *Y) < 2.0**512:
+                raise ValueError(f"the geodesic arc from x to y overflows: {TOO_FAR}")
+            pts = sample_arc(X, Y, n).points @ np.array([[rb, rho], [0.0, sv]]).T
+            pts[0], pts[-1] = x, y
+            return pts
 
         def crossing(plane, s_x, s_y, P=X, Q=Y):
-            # the image has normal A^-T n; mapped back, n . z = c gives the larger term
+            # the image has normal M^-T n; mapped back, n . z = c gives the larger term
             (n0, n1), c = plane.normal.tolist(), plane.offset
             Zu, Zw = _arc_line(P, Q, s_x, s_y, (rb * n0, rho * n0 + sv * n1))
             z0, z1 = rb * Zu + rho * Zw, sv * Zw
@@ -353,9 +393,10 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
             if rho != 0.0 or plane.normal[1] != 0.0:
                 return None
             x0 = float(plane.offset / plane.normal[0])
-            Y_ref = np.array([2.0 * x0 - Y[0], Y[1]])
-            _check_squares("the mirror image of y across the barrier overflows", X, Y_ref)
+            Y_ref = np.array([2.0 * x0 - float(Y[0]), Y[1]])  # in Python floats, no warning
             S, D = float(_poincare(X, Y_ref)), float(_poincare(X, Y))
+            if not math.isfinite(S):  # the mirror image, or its distance from x
+                raise ValueError(f"the mirror image of y across the barrier overflows: {TOO_FAR}")
             # J = (S^2 - D^2) / (2 sv^2), with no cancellation in S - D
             J = 0.5 * (_mirror_gap(X, Y, x0) / sv) * ((S + D) / sv)
             return _crossing_inside(model, crossing(plane, s_x, -s_y, Q=Y_ref)), J
@@ -366,15 +407,20 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
             except OverflowError:  # read as inf, and the window refused
                 sh = math.inf
             return 2.0 * sh * sh, 0.0  # sh * sh overflows to inf; sh ** 2 raises
+    else:
+        M, Winv = geom.whitening
 
-        return _Oracle(legs, lambda: _hw_image_distance(X, Y, sv), path, crossing,
-                       reflection, A, disc)
-    if isinstance(geom, ConstantGeometry):
-        W, Winv = geom.whitening
+        def legs(z):
+            return _whitened_norm(M, x, z), _whitened_norm(M, z, y)
+
+        d_xy = _whitened_norm(M, x, y)
 
         def path(n):
             u = np.linspace(0.0, 1.0, n + 1)[:, None]
             return (1.0 - u) * x + u * y
+
+        def crossing(plane, s_x, s_y):
+            return x + s_x / (s_x - s_y) * (y - x)
 
         def reflection(plane, s_x, s_y):
             # a mirror reflection in whitened coordinates, across the plane
@@ -383,34 +429,26 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
             scale = float(np.linalg.norm(m))
             mhat = m / scale
             delta_x, delta_y = s_x / scale, s_y / scale
-            xw = W @ x
-            y_ref = W @ y - 2.0 * delta_y * mhat
+            xw = M @ x
+            y_ref = M @ y - 2.0 * delta_y * mhat
             tstar = delta_x / (delta_x + delta_y or 1.0)  # 0 + 0: x on the plane
             # |x - y_ref|^2 - |x - y|^2 = 4 delta_x delta_y
             return Winv @ (xw + tstar * (y_ref - xw)), 2.0 * delta_x * delta_y
 
-        return _Oracle(lambda z: (_whitened_norm(W, x, z), _whitened_norm(W, z, y)),
-                       lambda: _whitened_norm(W, x, y), path,
-                       lambda plane, s_x, s_y: x + s_x / (s_x - s_y) * (y - x), reflection, W,
-                       lambda S: (0.0, S))
+        def disc(S):
+            return 0.0, S
 
-    @functools.cache
-    def geodesic():
-        return solve_geodesic(model, x, y, opts)
+    if not math.isfinite(d_xy):
+        raise ValueError(f"d(x, y) = {d_xy} is not finite: {TOO_FAR}")
 
-    def dist(p, q):
-        return solve_geodesic(model, p, q, opts).distance
+    def scan(thetas, chart):
+        # every sample in one call, then Brent's steps at one point each
+        return (*_scan(thetas, _oracle_legsums(model, legs, chart)),
+                lambda z: (d_xy, *legs(z)))
 
-    return _Oracle(lambda z: (dist(x, z), dist(z, y)), lambda: geodesic().distance,
-                   lambda n: geodesic().path.points,
-                   lambda plane, *sides: _path_crossing(geodesic().path.points, plane))
-
-
-def _check_squares(what: str, *points):
-    """ValueError naming what when the points' coordinates, as one vector,
-    reach the norm 2^512: their squares would sum past the float range."""
-    if not math.hypot(*[v for p in points for v in p.tolist()]) < 2.0**512:
-        raise ValueError(f"{what}: {TOO_FAR}")
+    return _Oracle("closed_form", legs, lambda: d_xy, path, crossing,
+                   functools.partial(_certified_line_ends, legs, M, disc, x, y), scan,
+                   reflection)
 
 
 def _path_crossing(pts, plane: Hyperplane):
@@ -428,7 +466,8 @@ def model_distance(model: DiffusionModel, p, q,
     """Distance induced by the model's diffusion matrix.
 
     Closed form for the volatility and constant geometries, path optimizer
-    otherwise.
+    otherwise.  A closed-form distance past the float range raises
+    ValueError.
     """
     p, q = (_check_point(model, z, name) for name, z in (("p", p), ("q", q)))
     return _oracle(model, model.geometry, opts, p, q).xy()
@@ -487,9 +526,13 @@ def _as_plane(boundary: Boundary, dim: int) -> Hyperplane | None:
 
 
 def _side_checks(plane: Hyperplane, x, y):
-    """Returns (s_x, s_y); raises if x sits in the declared exit region."""
-    s_x = float(plane.normal @ x - plane.offset)
-    s_y = float(plane.normal @ y - plane.offset)
+    """Returns (s_x, s_y); raises if x sits in the declared exit region, or
+    if a side is past the float range."""
+    with np.errstate(over="ignore"):  # a dot past the float range reads inf
+        d_x, d_y = float(plane.normal @ x), float(plane.normal @ y)
+    s_x, s_y = d_x - plane.offset, d_y - plane.offset  # Python floats: a silent inf
+    if not (math.isfinite(s_x) and math.isfinite(s_y)):
+        raise ValueError(f"the distance of x or y from the plane is not finite: {TOO_FAR}")
     if plane.exit_side is not None and s_x * plane.exit_side > 0.0:
         raise ValueError("x lies strictly on the declared exit side")
     return s_x, s_y
@@ -511,18 +554,18 @@ def _curve_chart(curve: ParametricCurve):
     return chart
 
 
-def _line_window(model, x, y, plane: Hyperplane, oracle: _Oracle):
+def _line_window(model, x, y, plane: Hyperplane, ends):
     """(coarse sample parameters, chart) for a plane boundary (d = 2 only).
 
     The plane is the line anchor + theta * tangent through the projection
     of the chord midpoint, and the window is every point of that line that
-    could cost less than the anchor.  Under the volatility and constant
-    geometries (with or without force_numeric) those points lie in two
-    balls, and _certified_line_ends gives their overlap from the exit's
-    closed-form oracle of that geometry.  Any other model (an oracle
-    without M) has no bound on its distance, so its window is the part of
-    the line about the anchor that lies inside the domain
-    (_domain_line_ends).
+    could cost less than the anchor, from ends(anchor, tangent), the
+    oracle's bound.  Under the volatility and constant geometries (with or
+    without force_numeric) those points lie in two balls, and
+    _certified_line_ends gives their overlap from the exit's closed-form
+    oracle of that geometry.  Any other model has no bound on its distance,
+    so its window is the part of the line about the anchor that lies inside
+    the domain (_domain_line_ends).
     """
     if model.dim != 2:
         raise ValueError("the numeric boundary scan supports two-dimensional states only")
@@ -535,10 +578,7 @@ def _line_window(model, x, y, plane: Hyperplane, oracle: _Oracle):
             "the chord midpoint projects outside the domain; supply a parametric "
             "boundary chart instead"
         )
-    if oracle.M is not None:
-        lo, hi = _certified_line_ends(oracle, x, y, anchor, tangent)
-    else:
-        lo, hi = _domain_line_ends(model, anchor, tangent)
+    lo, hi = ends(anchor, tangent)
 
     def chart(theta) -> np.ndarray:
         return anchor + np.multiply.outer(theta, tangent)
@@ -546,15 +586,15 @@ def _line_window(model, x, y, plane: Hyperplane, oracle: _Oracle):
     return np.linspace(lo, hi, 256), chart
 
 
-def _certified_line_ends(oracle: _Oracle, x, y, anchor, tangent):
+def _certified_line_ends(legs, M, disc, x, y, anchor, tangent):
     """(lo, hi): the part of the line anchor + theta * tangent that holds
-    every point with a lower leg sum than the anchor's, under the exit's
-    closed-form oracle of the volatility or constant geometry.
+    every point with a lower leg sum than the anchor's, under the legs of
+    the exit's closed-form oracle of the volatility or constant geometry.
 
     Such a point z has d(x, z) < S and d(z, y) < S, S = d(x, a) + d(a, y)
-    the leg sum at the anchor a.  The oracle's linear map M turns each ball
-    of radius S into a Euclidean disc: |Z - X|^2 <= 2 X_w Z_w k + r^2 for
-    the images Z of z and X of its centre, (k, r) = oracle.disc(S).  A
+    the leg sum at the anchor a.  The geometry's linear map M turns each
+    ball of radius S into a Euclidean disc: |Z - X|^2 <= 2 X_w Z_w k + r^2
+    for the images Z of z and X of its centre, (k, r) = disc(S).  A
     constant geometry maps by its whitening W, with k = 0 and r = S.  The
     volatility geometry maps by hw_transform, under which d is the
     half-plane distance over sigma_vol, so the disc has centre
@@ -571,10 +611,10 @@ def _certified_line_ends(oracle: _Oracle, x, y, anchor, tangent):
     past the float range) raises ValueError rather than reach the scan as
     NaN samples.
     """
-    d_xa, d_ay = oracle.legs(anchor)
-    k, r = oracle.disc(d_xa + d_ay)
+    d_xa, d_ay = legs(anchor)
+    k, r = disc(d_xa + d_ay)
     e = -math.frexp(max(map(abs, (*anchor, *x, *y))))[1]
-    M = np.ldexp(oracle.M, e)
+    M = np.ldexp(M, e)
     r2 = math.ldexp(r, e) ** 2
     P, T = M @ anchor, M @ tangent
     a = float(T @ T)
@@ -952,18 +992,19 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
 # ---- The engine ---- #
 
 
-def _result_legs(model, x, y, z, opts: SolverOptions, warm):
-    """(d(x, y), d(x, z), d(z, y)) of the path optimizer: the three legs,
-    each from its multi_start perturbed chords and from warm[k], the
-    scan's path of that leg at a coarser resolution (its chord where
-    warm[k] is None), as one stack at opts.  Each leg meets the tolerance
-    of a solve_geodesic from the chord, and so agrees with that solve to
-    well within it.  A warm leg that stalls short of its tolerance (a kink
-    of a piecewise metric can hold it where the chord's solve goes on) is
-    solved again from its chord, and keeps the lower energy."""
-    pairs = [(x, y), (x, z), (z, y)]
-    for name, p in (("x", x), ("y", y), ("z_star", z)):
-        _validate_endpoint(model, p, name)
+def _result_legs(model, pairs, opts: SolverOptions, warm):
+    """The distances of the path optimizer's legs pairs[k] = (p, q), each
+    from its multi_start perturbed chords and from warm[k], the scan's path
+    of that leg at a coarser resolution (its chord where warm[k] is None),
+    as one stack at opts.  Each leg meets the tolerance of a solve_geodesic
+    from the chord, and so agrees with that solve to well within it; a cold
+    stack has the bits of separate solves, whose endpoint checks it makes.
+    A warm leg that stalls short of its tolerance (a kink of a piecewise
+    metric can hold it where the chord's solve goes on) is solved again
+    from its chord, and keeps the lower energy."""
+    for p, q in pairs:
+        _validate_endpoint(model, p, "x")
+        _validate_endpoint(model, q, "y")
     starts = [[w, *_starts(model, p, q, opts)[1:]] for w, (p, q) in zip(warm, pairs)]
     X = np.array([p for (p, _), s in zip(pairs, starts) for _ in s])
     Y = np.array([q for (_, q), s in zip(pairs, starts) for _ in s])
@@ -982,11 +1023,13 @@ def _assemble(legs, z_star, method: str, J=None, geodesic_exits=False,
               degenerate=False, unconverged_legs=0, scan_gap=math.nan) -> ExitAsymptotics:
     """Result at z_star with its legs (d_xy, d_xz, d_zy) = legs(z_star);
     J from those legs, and then geodesic_exits where it is within EXIT_TOL,
-    unless a reflection formula supplies it.  A J or z_star that is not
-    finite (distances past the float range) raises ValueError."""
+    unless a reflection formula supplies it.  A z_star, d(x, y) or J that
+    is not finite (distances past the float range) raises ValueError."""
     if not all(map(math.isfinite, z_star)):
         raise ValueError(f"the crossing point z_star = {z_star} is not finite: {TOO_FAR}")
     d_xy, d_xz, d_zy = legs(z_star)
+    if not math.isfinite(d_xy):
+        raise ValueError(f"d(x, y) = {d_xy} is not finite: {TOO_FAR}")
     if J is None:
         S = d_xz + d_zy
         J = 0.5 * (S * S - d_xy * d_xy)
@@ -1026,61 +1069,38 @@ def _exit_engine(model, geom, x, y, boundary: Boundary, opts,
                  label=None) -> ExitAsymptotics:
     """Exit exponent under geom (None: the path optimizer on the model).
 
-    The model supplies the dimension, the domain test and the geometry
-    that bounds a line's window.  label, when given, replaces the method
+    The model supplies the dimension and the domain test; the oracle of
+    geom answers everything else.  label, when given, replaces the method
     name of every result.  A solver scan's result counts the legs of its
     rounds that stopped short of tolerance, and carries its certified gap.
     """
-    opts = opts or SolverOptions()
-    oracle = _oracle(model, geom, opts, x, y)
-    closed = label or ("closed_form" if geom is not None else "numeric_1d")
     plane = _as_plane(boundary, model.dim)
-    touches = straddles = False
-    if plane is not None:
+    if plane is not None:  # the sides are refused before a d(x, y) past the float range
         s_x, s_y = _side_checks(plane, x, y)
-        touches = s_x == 0.0 or s_y == 0.0
-        straddles = (s_x > 0.0) != (s_y > 0.0)
-    # a solver scan solves d(x, y) after the scan, in one stack with the
-    # legs at z_star
-    if geom is not None or touches or straddles:
-        d_xy = oracle.xy()
-        if not math.isfinite(d_xy):
-            raise ValueError(f"d(x, y) = {d_xy} is not finite: {TOO_FAR}")
-
-        def legs(z):
-            return (d_xy, *oracle.legs(z))
-
+    oracle = _oracle(model, geom, opts, x, y)
+    method = label or oracle.method
     if plane is None:
         thetas = np.linspace(boundary.theta_min, boundary.theta_max, boundary.samples)
         chart = _curve_chart(boundary)
-    elif touches:  # z_star is x or y: one leg is 0 and the other d(x, y)
-        z_star, at = (x, (d_xy, 0.0, d_xy)) if s_x == 0.0 else (y, (d_xy, d_xy, 0.0))
-        return _assemble(lambda z: at, z_star.copy(), closed, 0.0, geodesic_exits=True,
-                         degenerate=True)
-    elif straddles:
-        z_star = oracle.crossing(plane, s_x, s_y)  # the solver's can land on the edge
-        return _assemble(legs, _crossing_inside(model, z_star), closed, 0.0,
-                         geodesic_exits=True)
-    elif (reflected := oracle.reflection(plane, s_x, s_y)) is not None:
-        z_star, J = reflected
-        return _assemble(legs, z_star, closed, J)
     else:
-        # the window is bounded under the model's own geometry, also under force_numeric
-        bound = oracle if geom is not None else _oracle(model, model.geometry, None, x, y)
-        thetas, chart = _line_window(model, x, y, plane, bound)
-
-    if geom is None:
-        legsums = _solver_legsums(model, x, y, chart, opts)
-        theta, unconverged, gap = _scan(
-            thetas, legsums, lambda lo, hi: _chart_lengths(model, chart, lo, hi))
-
         def legs(z):
-            return _result_legs(model, x, y, z, opts, legsums.warm(theta))
-    else:
-        legsums = _oracle_legsums(model, oracle.legs, chart)
-        theta, unconverged, gap = _scan(thetas, legsums)
-    z_star = np.asarray(chart(theta), dtype=float)
-    return _assemble(legs, z_star, label or "numeric_1d",
+            return (oracle.xy(), *oracle.legs(z))
+
+        if s_x == 0.0 or s_y == 0.0:  # z_star is x or y: one leg is 0 and the other d(x, y)
+            d_xy = oracle.xy()
+            z_star, at = (x, (d_xy, 0.0, d_xy)) if s_x == 0.0 else (y, (d_xy, d_xy, 0.0))
+            return _assemble(lambda z: at, z_star.copy(), method, 0.0, geodesic_exits=True,
+                             degenerate=True)
+        if (s_x > 0.0) != (s_y > 0.0):
+            z_star = oracle.crossing(plane, s_x, s_y)  # the solver's can land on the edge
+            return _assemble(legs, _crossing_inside(model, z_star), method, 0.0,
+                             geodesic_exits=True)
+        if (reflected := oracle.reflection(plane, s_x, s_y)) is not None:
+            z_star, J = reflected
+            return _assemble(legs, z_star, method, J)
+        thetas, chart = _line_window(model, x, y, plane, oracle.ends)
+    theta, unconverged, gap, legs = oracle.scan(thetas, chart)
+    return _assemble(legs, np.asarray(chart(theta), dtype=float), label or "numeric_1d",
                      unconverged_legs=unconverged, scan_gap=gap)
 
 

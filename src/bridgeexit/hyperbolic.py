@@ -21,7 +21,9 @@ A plane of the state space maps to a line of the half-plane, so where a
 geodesic crosses it, and the minimizer of a reflection across a vertical
 line, are one circle-line intersection (_arc_line).  It is formed from the
 power of the point where the line cuts the chord, in sums and products:
-no radius is squared, and its bits do not depend on libm's pow.
+no radius is squared, and its bits do not depend on libm's pow.  A
+geodesic is drawn by sample_arc in the half-plane; the exit engine's
+volatility oracle maps those samples back to the state space itself.
 """
 
 from __future__ import annotations
@@ -31,12 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoincidentPoints,
-    DegenerateCorrelation,
-    EndpointsStraddleBarrier,
-    PointNotOnArc,
-)
+from .errors import CoincidentPoints, DegenerateCorrelation, EndpointsStraddleBarrier
 from .paths import DiscretePath
 
 __all__ = [
@@ -44,13 +41,9 @@ __all__ = [
     "GeodesicArc",
     "geodesic_arc",
     "sample_arc",
-    "reflect_across_vertical",
     "barrier_infimum_vertical",
     "hw_transform",
-    "hw_transform_inverse",
     "hw_distance",
-    "HwGeodesicImage",
-    "hw_geodesic_image",
 ]
 
 # Series fallback threshold for acosh(1 + u); below this the log form loses
@@ -59,6 +52,9 @@ _ACOSH_SERIES_CUTOFF = 1e-8
 # Above this, acosh(1 + u) is taken as log(u) + log1p(...): u*(u + 2)
 # overflows once u passes about 1.3e154.
 _ACOSH_LOG_CUTOFF = 2.0**500
+# Below this (the smallest normal float), 2 p_y q_y has lost digits, and the
+# acosh argument is formed from |p - q| instead.
+_MIN_NORMAL = 2.0**-1022
 
 
 def _check_half_plane(p, name: str, rows: bool = False) -> np.ndarray:
@@ -115,37 +111,41 @@ def _poincare(p, q):
 
     One pair, as points or as one-row arrays (a one-point scan step), is
     computed in Python floats: they give the bits of numpy scalars sooner,
-    and an overflow is a silent inf (a denominator that underflows to 0 is
-    read as inf too).  Where u reads inf or nan, it is formed again from
-    hypot(h = |p - q|), which holds every finite u; where even that u
-    overflows (distances past about 710), the distance is
-    log(2 u) = 2 log h - log p_y - log q_y, exact to double precision there.
+    and an overflow is a silent inf.  Where u reads inf or nan, or the
+    denominator 2 p_y q_y is below the normal range, u is formed again from
+    hypot(h = |p - q|) as (h / p_y)(h / q_y) / 2, which holds every finite
+    u; where even that u overflows (distances past about 710), the distance
+    is log(2 u) = 2 log h - log p_y - log q_y, exact to double precision
+    there.
     """
     if p.size == 2 and q.size == 2:
         (px, py), (qx, qy) = p.reshape(2).tolist(), q.reshape(2).tolist()
         dx = qx - px
         dy = qy - py
         den = 2.0 * py * qy
-        u = (dx * dx + dy * dy) / den if den else math.inf
-        if not u < math.inf:
+        u = (dx * dx + dy * dy) / den if den >= _MIN_NORMAL else math.inf
+        if not u < math.inf and py and qy:
             h = math.hypot(dx, dy)
             u = 0.5 * (h / py) * (h / qy)
         if u < math.inf:
             d = _acosh1p(u)
-        else:
+        elif py and qy:
             d = 2.0 * math.log(h) - math.log(py) - math.log(qy)
+        else:  # a height that underflowed to 0 lies at infinity, as the rows read it
+            d = math.inf
         return d if p.ndim == q.ndim == 1 else np.array([d])
     px, py = p.T
     qx, qy = q.T
     dx = qx - px
     dy = qy - py
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u = (dx * dx + dy * dy) / (2.0 * py * qy)
-    if u.max(initial=0.0) < np.inf:
+        den = 2.0 * py * qy
+        u = (dx * dx + dy * dy) / den
+    if u.max(initial=0.0) < np.inf and den.min(initial=np.inf) >= _MIN_NORMAL:
         return _acosh1p(u)
     h = np.hypot(dx, dy)
     with np.errstate(over="ignore", divide="ignore"):
-        u = np.where(u < np.inf, u, 0.5 * (h / py) * (h / qy))
+        u = np.where((u < np.inf) & (den >= _MIN_NORMAL), u, 0.5 * (h / py) * (h / qy))
         far = ~(u < np.inf)
         log_far = 2.0 * np.log(h) - np.log(py) - np.log(qy)
     return np.where(far, log_far, _acosh1p(np.where(far, 1.0, u)))
@@ -207,21 +207,9 @@ def geodesic_arc(p, q) -> GeodesicArc:
     return GeodesicArc("circle", cx, r, ta, tb)
 
 
-def _angle_on_arc(arc: GeodesicArc, p, tol: float = 1e-9) -> float:
-    """Angle (or height, for vertical arcs) of p on arc; PointNotOnArc otherwise."""
-    p = _check_half_plane(p, "p")
-    if arc.kind == "vertical":
-        if abs(p[0] - arc.center_x) > tol * max(1.0, abs(arc.center_x)):
-            raise PointNotOnArc(f"{p} is not on the vertical line x = {arc.center_x}")
-        return float(p[1])
-    r = np.hypot(p[0] - arc.center_x, p[1])
-    if abs(r - arc.radius) > tol * max(1.0, arc.radius):
-        raise PointNotOnArc(f"{p} is not on the circle ({arc.center_x}, r={arc.radius})")
-    return float(np.arctan2(p[1], p[0] - arc.center_x))
-
-
-def sample_arc(arc: GeodesicArc, p, q, n: int) -> DiscretePath:
-    """n+1 points from p to q along arc, equally spaced in hyperbolic length.
+def sample_arc(p, q, n: int) -> DiscretePath:
+    """n+1 points from p to q along their geodesic, equally spaced in
+    hyperbolic length; n+1 copies of p where q = p.
 
     On a circle the arclength parameter is lam(theta) = log(tan(theta/2)); on
     a vertical line it is log(y).  Linear interpolation in lam therefore gives
@@ -229,16 +217,16 @@ def sample_arc(arc: GeodesicArc, p, q, n: int) -> DiscretePath:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if np.array_equal(p, q):
+        return DiscretePath(np.tile(_check_half_plane(p, "p"), (n + 1, 1)))
+    arc = geodesic_arc(p, q)  # checks p and q
     if arc.kind == "vertical":
-        ya = _angle_on_arc(arc, p)
-        yb = _angle_on_arc(arc, q)
-        lam = np.linspace(np.log(ya), np.log(yb), n + 1)
+        lam = np.linspace(np.log(arc.theta_a), np.log(arc.theta_b), n + 1)
         ys = np.exp(lam)
         pts = np.column_stack([np.full(n + 1, arc.center_x), ys])
     else:
-        ta = _angle_on_arc(arc, p)
-        tb = _angle_on_arc(arc, q)
-        lam = np.linspace(np.log(np.tan(ta / 2.0)), np.log(np.tan(tb / 2.0)), n + 1)
+        lam = np.linspace(np.log(np.tan(arc.theta_a / 2.0)),
+                          np.log(np.tan(arc.theta_b / 2.0)), n + 1)
         theta = 2.0 * np.arctan(np.exp(lam))
         pts = np.column_stack(
             [arc.center_x + arc.radius * np.cos(theta), arc.radius * np.sin(theta)]
@@ -247,12 +235,6 @@ def sample_arc(arc: GeodesicArc, p, q, n: int) -> DiscretePath:
     pts[0] = p
     pts[-1] = q
     return DiscretePath(pts)
-
-
-def reflect_across_vertical(p, x0: float) -> np.ndarray:
-    """Mirror image of p across the vertical line x = x0 (a hyperbolic isometry)."""
-    p = _check_half_plane(p, "p")
-    return np.array([2.0 * x0 - p[0], p[1]])
 
 
 def barrier_infimum_vertical(x, y, x0: float):
@@ -273,7 +255,7 @@ def barrier_infimum_vertical(x, y, x0: float):
             f"endpoints must lie strictly on one side of x = {x0}"
         )
     # the mirror image overflows for a line near the float range
-    y_ref = _check_half_plane(reflect_across_vertical(y, x0), "q")
+    y_ref = _check_half_plane(np.array([2.0 * x0 - y[0], y[1]]), "q")
     height = _arc_line(x, y_ref, sx, -sy, (1.0, 0.0))[1]  # the mirror's side is -sy
     return np.array([x0, height]), _value(_poincare(x, y_ref))
 
@@ -311,14 +293,14 @@ def _mirror_gap(P, Q, u: float) -> float:
     positive terms in delta, r = sqrt(v (v + 2)) and r'.  Past
     _ACOSH_LOG_CUTOFF, d = log(2 v) and the gap is log1p(delta / v); where
     v' passes 2^1000 it is the difference of the distances, above 300.
-    Where 2 P_w Q_w underflows to 0, v is formed from h = |P - Q| as
-    (h / P_w)(h / Q_w) / 2, as _poincare forms it.  Where v' underflows to
+    Where 2 P_w Q_w is below the normal range, v is formed from h = |P - Q|
+    as (h / P_w)(h / Q_w) / 2, as _poincare forms it.  Where v' underflows to
     0, P, Q and Q' coincide to within the underflow, and the gap is
     d(P, P') = 2 asinh(|P_u - u| / P_w)."""
     (pu, pw), (qu, qw) = P.tolist(), Q.tolist()
     dx, dy = qu - pu, qw - pw
     den = 2.0 * pw * qw
-    if den:
+    if den >= _MIN_NORMAL:
         near = (dx * dx + dy * dy) / den
     else:
         h = math.hypot(dx, dy)
@@ -342,24 +324,14 @@ def _mirror_gap(P, Q, u: float) -> float:
 # ---- Correlated / scaled volatility plane ---- #
 
 
-def _check_vol_params(sigma_vol: float, rho: float) -> float:
-    """sqrt(1 - rho^2), once sigma_vol and rho are checked."""
+def hw_transform(sigma_vol: float, rho: float) -> np.ndarray:
+    """Linear map taking the (sigma_vol, rho) geometry onto the half-plane."""
     if not math.isfinite(sigma_vol) or sigma_vol <= 0.0:
         raise ValueError(f"sigma_vol must be positive, got {sigma_vol}")
     if not math.isfinite(rho) or abs(rho) >= 1.0:
         raise DegenerateCorrelation(f"need |rho| < 1, got {rho}")
-    return math.sqrt(1.0 - rho * rho)
-
-
-def hw_transform(sigma_vol: float, rho: float) -> np.ndarray:
-    """Linear map taking the (sigma_vol, rho) geometry onto the half-plane."""
-    rb = _check_vol_params(sigma_vol, rho)
+    rb = math.sqrt(1.0 - rho * rho)
     return np.array([[1.0 / rb, -rho / (sigma_vol * rb)], [0.0, 1.0 / sigma_vol]])
-
-
-def hw_transform_inverse(sigma_vol: float, rho: float) -> np.ndarray:
-    rb = _check_vol_params(sigma_vol, rho)
-    return np.array([[rb, rho], [0.0, sigma_vol]])
 
 
 def hw_distance(sigma_vol: float, rho: float, p, q):
@@ -388,46 +360,3 @@ def _hw_image_distance(P: np.ndarray, Q: np.ndarray, sigma_vol: float):
     """hw_distance of two points, or row by row, from their half-plane
     images P = A p and Q = A q, unchecked: the engine's kernel."""
     return _value(_poincare(P, Q) / sigma_vol)
-
-
-@dataclass(frozen=True)
-class HwGeodesicImage:
-    """Geodesic of the (sigma_vol, rho) geometry as a state-space object.
-
-    path samples it at constant speed.  For kind "circle" the points satisfy
-    (u - alpha)^2 + w^2 = radius^2 where (u, w) = A z; in state coordinates
-    that locus is an ellipse.  kind "line" (image of a vertical half-plane
-    geodesic) has alpha = radius = nan.
-    """
-
-    path: DiscretePath
-    kind: str
-    alpha: float
-    radius: float
-    sigma_vol: float
-    rho: float
-
-    def implicit_residual(self, z) -> float:
-        if self.kind != "circle":
-            raise ValueError("implicit equation only exists for the circle kind")
-        A = hw_transform(self.sigma_vol, self.rho)
-        u, w = A @ np.asarray(z, dtype=float)
-        return (u - self.alpha) ** 2 + w**2 - self.radius**2
-
-
-def hw_geodesic_image(sigma_vol: float, rho: float, p, q, n: int = 200) -> HwGeodesicImage:
-    """Sampled geodesic between p and q for the (sigma_vol, rho) geometry."""
-    A = hw_transform(sigma_vol, rho)
-    Ainv = hw_transform_inverse(sigma_vol, rho)
-    p = _check_half_plane(p, "p")
-    q = _check_half_plane(q, "q")
-    arc = geodesic_arc(A @ p, A @ q)
-    upper = sample_arc(arc, A @ p, A @ q, n)
-    pts = upper.points @ Ainv.T
-    pts[0] = p
-    pts[-1] = q
-    if arc.kind == "circle":
-        return HwGeodesicImage(DiscretePath(pts), "circle", arc.center_x, arc.radius,
-                               sigma_vol, rho)
-    return HwGeodesicImage(DiscretePath(pts), "line", np.nan, np.nan, sigma_vol, rho)
-

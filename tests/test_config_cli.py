@@ -375,6 +375,18 @@ def test_figure_with_an_endpoint_on_the_barrier_draws_no_empty_leg(tmp_path, cap
     capsys.readouterr()
 
 
+def test_figure_of_a_volatility_bridge_from_x_to_itself_exits_0(tmp_path, capsys):
+    # the geodesic from x to x is one point, as the chord of a constant
+    # geometry is; the half-plane arc through one point exited 3
+    svg_path = tmp_path / "fig.svg"
+    cfg = write_cfg(tmp_path, "loop.cfg", "model.kind = hull_white_simple\nx = 1, 0.5\n"
+                    "y = 1, 0.5\nbarrier.kind = vertical\nbarrier.x0 = 2.5\n")
+    assert main(["figure", "--config", cfg, "--out", str(svg_path)]) == 0
+    assert 'data-role="geodesic"' in svg_path.read_text()
+    assert main(["exit", "--config", cfg]) == 0
+    assert "[true] J = 6.61349505019 " in capsys.readouterr().out
+
+
 def test_exit_table_and_figure_agree(tmp_path, capsys):
     # the second config only reaches the solver scan through exit.* keys
     numeric = write_cfg(tmp_path, "numeric.cfg", NUMERIC_PLANE_TEXT)
@@ -490,10 +502,13 @@ def test_boundary_without_a_numeric_chart_exits_2(tmp_path, capsys):
     ("model.kind = hull_white\nmodel.sigma_vol = 1.5\nmodel.rho = 0.5\n"
      "x = 1, 0.2\ny = 2, 0.5\nbarrier.kind = vertical\nbarrier.x0 = 1e200\n",
      "the scan window overflows"),
-    # printed z_star = (1e+201, nan) and exited 0
-    ("model.kind = hull_white_simple\nx = 1e200, 0.2\ny = -1e200, 0.5\n"
-     "barrier.kind = vertical\nbarrier.x0 = 1e201\n",
-     "the mirror image of y across the barrier overflows"),
+    # n . x - c overflowed with a numpy warning (a traceback under -W error)
+    ("model.kind = hull_white_simple\nx = 1.7e308, 0.2\ny = 1.6e308, 0.5\n"
+     "barrier.kind = vertical\nbarrier.x0 = -1.7e308\n",
+     "the distance of x or y from the plane is not finite"),
+    ("model.kind = hull_white_simple\nx = 1e200, 0.2\ny = -1.7e308, 0.5\n"
+     "barrier.kind = vertical\nbarrier.x0 = 8e307\n",
+     "the distance of x or y from the plane is not finite"),
     # printed J = nan and exited 0, and later squared the whitened
     # coordinates with a numpy overflow warning before refusing d(x, y)
     ("model.kind = constant\nmodel.sigma = 1, 0, 0, 1\nx = 1e200, 0.5\ny = -1e200, 0.3\n"
@@ -504,7 +519,7 @@ def test_boundary_without_a_numeric_chart_exits_2(tmp_path, capsys):
     ("model.kind = constant\nmodel.sigma = 1, 0, 0, 1\nx = 0, 0.5\ny = 1, 0.3\n"
      "barrier.kind = hyperplane\nbarrier.normal = 0, 1\nbarrier.offset = -1e200\n",
      "the exit exponent J = inf is not finite"),
-], ids=["window_sinh", "half_plane_image", "whitened_distance", "whitened_reflection"])
+], ids=["window_sinh", "side_of_x", "side_of_y", "whitened_distance", "whitened_reflection"])
 def test_exits_past_the_float_range_exit_2(text, message, tmp_path, capsys):
     cfg = write_cfg(tmp_path, "far.cfg", text)
     assert main(["exit", "--config", cfg]) == 2
@@ -550,6 +565,10 @@ FINITE_NEAR_THE_FLOAT_RANGE = {
     "radius_vertical": RADIUS_TEXT + "barrier.kind = vertical\nbarrier.x0 = 0\n",
     "radius_hyperplane": RADIUS_TEXT + "barrier.kind = hyperplane\nbarrier.normal = 1, 0\n"
                                        "barrier.offset = 0\n",
+    # the mirror image of y near -1.1e201 was refused because its squares
+    # overflow, although nothing squares it; once it printed z_star = (1e+201, nan)
+    "half_plane_image": "model.kind = hull_white_simple\nx = 1e200, 0.2\ny = -1e200, 0.5\n"
+                        "barrier.kind = vertical\nbarrier.x0 = 1e201\n",
     # the straddle's crossing, read off a sampled geodesic, landed at v = 0
     # outside the domain; the exact one is at v = 2.09e-40
     "straddle_crossing_off_the_domain":

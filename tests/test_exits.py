@@ -24,7 +24,6 @@ from bridgeexit import (
     exit_asymptotics,
     exit_probability_equivalent,
     frozen_exit_asymptotics,
-    geodesic_arc,
     grid_model,
     hull_white_model,
     hw_distance,
@@ -98,8 +97,7 @@ def test_probability_equivalent():
 
 def test_pointwise_cost_vanishes_on_the_connecting_geodesic():
     model = hull_white_model()
-    arc = geodesic_arc(ref.A_X, ref.A_Y)
-    mid = sample_arc(arc, ref.A_X, ref.A_Y, 8).points[3]
+    mid = sample_arc(ref.A_X, ref.A_Y, 8).points[3]
     assert pointwise_exit_cost(model, ref.A_X, ref.A_Y, mid) == pytest.approx(
         0.0, abs=1e-9
     )
@@ -111,6 +109,17 @@ def test_pointwise_cost_at_reference_crossing():
     assert pointwise_exit_cost(model, ref.A_X, ref.A_Y, z) == pytest.approx(
         ref.A_J, rel=1e-10
     )
+
+
+def test_pointwise_cost_under_the_path_optimizer_has_the_bits_of_separate_solves():
+    # the legs at z are one cold stack, without options as with them
+    model = diag_v_grid()
+    z = np.array([ref.A_BARRIER, 0.9])
+    opts = SolverOptions()
+    d_xy, d_xz, d_zy = (solve_geodesic(model, p, q, opts).distance
+                        for p, q in ((ref.A_X, ref.A_Y), (ref.A_X, z), (z, ref.A_Y)))
+    assert pointwise_exit_cost(model, ref.A_X, ref.A_Y, z) == max(
+        0.5 * ((d_xz + d_zy) ** 2 - d_xy**2), 0.0)
 
 
 def test_pointwise_cost_flat_reflection_value():
@@ -135,8 +144,7 @@ def test_pointwise_cost_flat_reflection_value():
 
 def test_bridge_rate_of_connecting_geodesic_is_zero():
     model = hull_white_model()
-    arc = geodesic_arc(ref.A_X, ref.A_Y)
-    path = sample_arc(arc, ref.A_X, ref.A_Y, 200)
+    path = sample_arc(ref.A_X, ref.A_Y, 200)
     assert bridge_rate(model, path, ref.A_X, ref.A_Y) == pytest.approx(
         0.0, abs=1e-6
     )
@@ -151,8 +159,8 @@ def test_bridge_rate_of_detour_is_positive():
     u_bar = d_xz / (d_xz + d_zy)
     n = 400
     n1 = int(round(u_bar * n))
-    leg1 = sample_arc(geodesic_arc(ref.B_X, z), ref.B_X, z, n1).points
-    leg2 = sample_arc(geodesic_arc(z, ref.B_Y), z, ref.B_Y, n - n1).points
+    leg1 = sample_arc(ref.B_X, z, n1).points
+    leg2 = sample_arc(z, ref.B_Y, n - n1).points
     path = DiscretePath(np.vstack([leg1, leg2[1:]]))
     rate = bridge_rate(model, path, ref.B_X, ref.B_Y)
     assert rate == pytest.approx(ref.B_J, abs=1e-3)
@@ -544,7 +552,7 @@ def line_window(model, x, y, plane):
     model's own geometry."""
     from bridgeexit.exits import _line_window, _oracle
 
-    return _line_window(model, x, y, plane, _oracle(model, model.geometry, None, x, y))
+    return _line_window(model, x, y, plane, _oracle(model, model.geometry, None, x, y).ends)
 
 
 def diag_v_grid():
@@ -841,17 +849,19 @@ def test_scan_keeps_the_coarse_sample_when_its_bracket_is_not_finite():
 
 
 def _counting_solves(monkeypatch):
-    """The (x, y) of every solve_geodesic call the exit engine makes."""
+    """The (x, y) of every leg the exit engine solves, alone or in a stack."""
     import bridgeexit.exits as exits
+    import bridgeexit.geodesic as geodesic
 
     calls = []
-    solve = exits.solve_geodesic
+    solve = geodesic._solve_legs
 
-    def counting(model, p, q, *args, **kw):
-        calls.append((tuple(p), tuple(q)))
-        return solve(model, p, q, *args, **kw)
+    def counting(model, X, Y, *args):
+        calls.extend((tuple(p), tuple(q)) for p, q in zip(X, Y))
+        return solve(model, X, Y, *args)
 
-    monkeypatch.setattr(exits, "solve_geodesic", counting)
+    monkeypatch.setattr(geodesic, "_solve_legs", counting)
+    monkeypatch.setattr(exits, "_solve_legs", counting)
     return calls
 
 
@@ -897,9 +907,23 @@ def test_reflection_exponent_keeps_its_digits_as_sigma_vol_falls(sv):
         assert f"{res.J:.12g}" == "13.0898675982"
 
 
+def test_reflection_keeps_its_digits_where_the_heights_multiply_to_a_subnormal():
+    # 2 p_y q_y of x and z* near 1e-160 is subnormal, and u_bar read
+    # 0.380818311436 against 0.380809416503 at scale 1; the half-plane
+    # distance is invariant under dilation, and so is every result
+    model = hull_white_model()
+    x, y = np.array([1.0, 1.0]), np.array([2.0, 1.0])
+    one = exit_asymptotics(model, x, y, VerticalBarrier(0.0))
+    tiny = exit_asymptotics(model, 1e-160 * x, 1e-160 * y, VerticalBarrier(0.0))
+    assert tiny.u_bar == pytest.approx(one.u_bar, rel=1e-12)
+    assert tiny.J == pytest.approx(one.J, rel=1e-12)
+    rows = np.array([y, [3.3, 0.7], [1.7, 1.9]])  # once 5e-5 off, row by row
+    assert poincare_distance(1e-160 * x, 1e-160 * rows) == pytest.approx(
+        poincare_distance(x, rows), rel=1e-12)
+
+
 def test_volatility_straddles_match_a_decimal_reference_and_the_sampled_crossing():
-    from bridgeexit.exits import _path_crossing
-    from bridgeexit.hyperbolic import hw_geodesic_image
+    from bridgeexit.exits import _oracle, _path_crossing
 
     rng = np.random.default_rng(7)
     with localcontext() as ctx:
@@ -909,7 +933,8 @@ def test_volatility_straddles_match_a_decimal_reference_and_the_sampled_crossing
             x, y = (np.array([rng.uniform(0.0, 3.0), rng.uniform(0.1, 2.0)]) for _ in "xy")
             normal = np.array([1.0, 0.0 if k % 2 else rng.uniform(-1.0, 1.0)])
             plane = Hyperplane(normal, rng.uniform(*sorted((normal @ x, normal @ y))))
-            res = exit_asymptotics(hull_white_model(sigma_vol=sv, rho=rho), x, y, plane)
+            model = hull_white_model(sigma_vol=sv, rho=rho)
+            res = exit_asymptotics(model, x, y, plane)
             assert res.J == 0.0 and res.geodesic_exits and res.method == "closed_form"
             exact = dref.straddle(sv, rho, x, y, plane.normal, plane.offset)
             scale = max(map(abs, exact))
@@ -919,7 +944,7 @@ def test_volatility_straddles_match_a_decimal_reference_and_the_sampled_crossing
             if k % 2:
                 assert res.z_star[0] == plane.offset
             if k < 20:  # the 4097-point sample the crossing was read from
-                sampled = _path_crossing(hw_geodesic_image(sv, rho, x, y, n=4096).path.points,
+                sampled = _path_crossing(_oracle(model, model.geometry, None, x, y).path(4096),
                                          plane)
                 assert np.abs(res.z_star - sampled).max() <= 1e-6
 

@@ -10,15 +10,13 @@ from bridgeexit import (
     EndpointsStraddleBarrier,
     barrier_infimum_vertical,
     geodesic_arc,
+    hull_white_model,
     hw_distance,
-    hw_geodesic_image,
     hw_transform,
-    hw_transform_inverse,
     poincare_distance,
-    reflect_across_vertical,
     sample_arc,
 )
-from bridgeexit.errors import CoincidentPoints, PointNotOnArc
+from bridgeexit.errors import CoincidentPoints
 from bridgeexit.hyperbolic import _arc_line, _mirror_gap
 
 import decimalref as dref
@@ -168,25 +166,17 @@ def test_dilation_about_origin_is_an_isometry(p, q, lam):
        x0=st.floats(-4.0, 4.0, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_reflection_is_an_isometry(p, q, x0):
-    pr = reflect_across_vertical(p, x0)
-    qr = reflect_across_vertical(q, x0)
+    pr, qr = ((2.0 * x0 - z[0], z[1]) for z in (p, q))
     assert poincare_distance(pr, qr) == pytest.approx(
         poincare_distance(p, q), abs=1e-12, rel=1e-12
     )
-
-
-def test_reflection_is_an_involution():
-    p = np.array([1.7, 0.4])
-    assert np.allclose(reflect_across_vertical(reflect_across_vertical(p, 2.5), 2.5), p)
-    assert reflect_across_vertical(p, 2.5)[0] == pytest.approx(3.3)
-    assert reflect_across_vertical(p, 2.5)[1] == 0.4
 
 
 # ---- arcs ---- #
 
 
 def test_arc_through_reference_reflection_has_expected_center():
-    y_ref = reflect_across_vertical(ref.A_Y, ref.A_BARRIER)
+    y_ref = np.array([2.0 * ref.A_BARRIER - ref.A_Y[0], ref.A_Y[1]])
     arc = geodesic_arc(ref.A_X, y_ref)
     assert arc.kind == "circle"
     assert arc.center_x == pytest.approx(ref.A_CENTER_X, abs=1e-12)
@@ -209,7 +199,7 @@ def test_arc_requires_distinct_points():
 
 def test_sampled_arc_is_pinned_and_constant_speed():
     n = 64
-    path = sample_arc(geodesic_arc(ref.A_X, ref.A_Y), ref.A_X, ref.A_Y, n)
+    path = sample_arc(ref.A_X, ref.A_Y, n)
     pts = path.points
     assert pts.shape == (n + 1, 2)
     np.testing.assert_array_equal(pts[0], ref.A_X)
@@ -224,16 +214,15 @@ def test_sampled_arc_is_pinned_and_constant_speed():
 
 
 def test_sampled_vertical_arc_spacing_is_geometric():
-    path = sample_arc(geodesic_arc((0.0, 1.0), (0.0, 4.0)), (0.0, 1.0),
-                      (0.0, 4.0), 2)
+    path = sample_arc((0.0, 1.0), (0.0, 4.0), 2)
     # constant hyperbolic speed on a vertical line means geometric heights
     assert path.points[1][1] == pytest.approx(2.0, rel=1e-12)
 
 
-def test_sample_arc_rejects_points_off_the_arc():
-    arc = geodesic_arc(ref.A_X, ref.A_Y)
-    with pytest.raises(PointNotOnArc):
-        sample_arc(arc, ref.A_X, np.array([0.0, 7.0]), 8)
+def test_sampled_arc_of_one_point_repeats_it():
+    # the geodesic of a point and itself is that point, as a chord's is
+    path = sample_arc(ref.A_X, ref.A_X, 4)
+    np.testing.assert_array_equal(path.points, np.tile(ref.A_X, (5, 1)))
 
 
 # ---- barrier infimum by reflection ---- #
@@ -354,9 +343,8 @@ def test_transform_matrix_entries():
     A = hw_transform(sv, rho)
     expect = np.array([[1.0 / rb, -rho / (sv * rb)], [0.0, 1.0 / sv]])
     np.testing.assert_allclose(A, expect, rtol=1e-14)
-    np.testing.assert_allclose(
-        hw_transform_inverse(sv, rho) @ A, np.eye(2), atol=1e-14
-    )
+    # the inverse that maps half-plane samples back to the state space
+    np.testing.assert_allclose(np.array([[rb, rho], [0.0, sv]]) @ A, np.eye(2), atol=1e-14)
 
 
 def test_unit_parameters_reduce_to_plain_distance():
@@ -418,14 +406,22 @@ def test_shear_image_formula_disagrees_with_the_metric():
 
 
 def test_geodesic_image_endpoints_and_implicit_equation():
+    # the volatility oracle's path: its images A z lie on the half-plane
+    # circle through A x and A y, (u - alpha)^2 + w^2 = radius^2
+    from bridgeexit.exits import _oracle
+
     sv, rho = 2.0, -0.4
-    img = hw_geodesic_image(sv, rho, ref.A_X, ref.A_Y, n=50)
-    pts = img.path.points
-    np.testing.assert_allclose(pts[0], ref.A_X, atol=1e-14)
-    np.testing.assert_allclose(pts[-1], ref.A_Y, atol=1e-14)
-    assert img.kind == "circle"
-    res = np.array([img.implicit_residual(z) for z in pts])
-    assert np.abs(res).max() < 1e-9 * img.radius**2
+    model = hull_white_model(sigma_vol=sv, rho=rho)
+    pts = _oracle(model, model.geometry, None, ref.A_X, ref.A_Y).path(50)
+    assert pts.shape == (51, 2)
+    np.testing.assert_array_equal(pts[0], ref.A_X)
+    np.testing.assert_array_equal(pts[-1], ref.A_Y)
+    A = hw_transform(sv, rho)
+    arc = geodesic_arc(A @ ref.A_X, A @ ref.A_Y)
+    assert arc.kind == "circle"
+    u, w = (pts @ A.T).T
+    res = (u - arc.center_x) ** 2 + w**2 - arc.radius**2
+    assert np.abs(res).max() < 1e-9 * arc.radius**2
 
 
 # ---- input validation of the public functions ---- #
@@ -501,12 +497,10 @@ def test_volatility_parameters_are_rejected_with_their_messages(form):
 
     p, q = (_form(g, form) for g in GOOD)
     for sv in (0.0, -1.0, math.inf, math.nan, np.float64(-2.0)):
-        for fn in (lambda: hw_distance(sv, 0.4, p, q), lambda: hw_transform(sv, 0.4),
-                   lambda: hw_transform_inverse(sv, 0.4)):
+        for fn in (lambda: hw_distance(sv, 0.4, p, q), lambda: hw_transform(sv, 0.4)):
             _raises(ValueError, f"sigma_vol must be positive, got {sv}", fn)
     for rho in (1.0, -1.0, math.nan, math.inf, -math.inf, np.float64(1.5)):
-        for fn in (lambda: hw_distance(1.3, rho, p, q), lambda: hw_transform(1.3, rho),
-                   lambda: hw_transform_inverse(1.3, rho)):
+        for fn in (lambda: hw_distance(1.3, rho, p, q), lambda: hw_transform(1.3, rho)):
             _raises(DegenerateCorrelation, f"need |rho| < 1, got {rho}", fn)
     # the parameters are checked before the points
     _raises(ValueError, "sigma_vol must be positive, got 0.0",
