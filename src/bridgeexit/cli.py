@@ -154,8 +154,9 @@ def load_run(view: ConfigView, needs=()) -> Run:
 
 def cmd_distance(run: Run, args) -> int:
     model, x, y = run.model, run.x, run.y
-    numeric = solve_geodesic(model, x, y, run.opts).distance
+    # the closed form first: it refuses a distance past the float range
     closed = model_distance(model, x, y) if model.geometry is not None else None
+    numeric = solve_geodesic(model, x, y, run.opts).distance
     print(f"numeric = {format_sig(numeric)}")
     if closed is not None:
         gap = abs(closed - numeric) / max(abs(closed), 1e-300)

@@ -145,15 +145,10 @@ SCAN_FLAT = 1e-12
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """Affine hyperplane {z : normal . z = offset}; normalized on construction.
-
-    exit_side, when given, is the sign of normal . z - offset on the exit
-    region; None means "whichever side x does not lie on".
-    """
+    """Affine hyperplane {z : normal . z = offset}; normalized on construction."""
 
     normal: np.ndarray
     offset: float
-    exit_side: int | None = None
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
@@ -174,8 +169,6 @@ class Hyperplane:
                              "leaves the float range")
         object.__setattr__(self, "normal", n / norm)
         object.__setattr__(self, "offset", math.ldexp(offset / norm, e))
-        if self.exit_side is not None and self.exit_side not in (-1, 1):
-            raise ValueError("exit_side must be -1, +1, or None")
 
 
 @dataclass(frozen=True)
@@ -274,8 +267,16 @@ def exit_probability_equivalent(J: float, t: float) -> float:
 def _whitened_norm(W: np.ndarray, p: np.ndarray, q: np.ndarray):
     """|W (q - p)| for points or rows; the stacked matmuls reproduce
     np.linalg.norm(W @ (q - p)) bit for bit; inf for a point or a row past
-    2^512.  Rows with an entry past 2^500 are measured one at a time."""
-    v = W @ (q - p)[..., None]
+    2^512, or whose difference or image overflows.  Two points whose
+    entries and W's have a norm h below 2^250 (in Python floats) cannot
+    overflow: |W (q - p)| <= 2 h^2.  Rows with an entry past 2^500 are
+    measured one at a time."""
+    if p.ndim == q.ndim == 1 and math.hypot(*p.tolist(), *q.tolist(),
+                                            *W.ravel().tolist()) < 2.0**250:
+        v = W @ (q - p)
+        return math.sqrt(v @ v)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or NaN from 0 * inf
+        v = W @ (q - p)[..., None]
     if v.ndim == 2:
         return _column_norm(v)
     if not np.abs(v).max(initial=0.0) < 2.0**500:  # a square might overflow
@@ -284,8 +285,8 @@ def _whitened_norm(W: np.ndarray, p: np.ndarray, q: np.ndarray):
 
 
 def _column_norm(v: np.ndarray) -> float:
-    """|v| of one (d, 1) column, inf past 2^512: its square would overflow,
-    with a numpy warning."""
+    """|v| of one (d, 1) column, inf past 2^512 or with an entry that is
+    not finite: its square would overflow, with a numpy warning."""
     if not math.hypot(*v.ravel().tolist()) < 2.0**512:
         return math.inf
     return math.sqrt((v.T @ v)[0, 0])
@@ -526,15 +527,12 @@ def _as_plane(boundary: Boundary, dim: int) -> Hyperplane | None:
 
 
 def _side_checks(plane: Hyperplane, x, y):
-    """Returns (s_x, s_y); raises if x sits in the declared exit region, or
-    if a side is past the float range."""
+    """Returns (s_x, s_y); raises if a side is past the float range."""
     with np.errstate(over="ignore"):  # a dot past the float range reads inf
         d_x, d_y = float(plane.normal @ x), float(plane.normal @ y)
     s_x, s_y = d_x - plane.offset, d_y - plane.offset  # Python floats: a silent inf
     if not (math.isfinite(s_x) and math.isfinite(s_y)):
         raise ValueError(f"the distance of x or y from the plane is not finite: {TOO_FAR}")
-    if plane.exit_side is not None and s_x * plane.exit_side > 0.0:
-        raise ValueError("x lies strictly on the declared exit side")
     return s_x, s_y
 
 
@@ -753,13 +751,12 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
     legs of the sampling rounds that stopped short of tolerance, relative
     gap certified over the skipped samples).
 
-    legsums(thetas, near=None) maps an array of chart parameters to the
-    array of their leg sums (+inf outside the domain), each call one batch
-    (one lockstep stack of solver legs); its attribute unconverged counts
-    the solver legs that stopped short.  near[k], when given, names up to
-    two parameters measured earlier whose solver legs the legs at thetas[k]
-    continue from.  legsums(theta, near) of one parameter, a float, is its
-    leg sum, with near the parameters of its own warm start.
+    legsums(thetas) maps an array of chart parameters to the array of
+    their leg sums (+inf outside the domain), each call one batch (one
+    lockstep stack of solver legs); its attribute unconverged counts the
+    solver legs that stopped short.  legsums(theta) of one parameter, a
+    float, is its leg sum.  A solver's legsums picks each point's warm
+    start itself (_solver_legsums).
 
     Without lengths (a closed-form oracle) every sample is measured in one
     call and the gap is NaN.  With lengths(lo, hi), the Riemannian lengths
@@ -767,8 +764,7 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
     and legsums.legs maps each parameter measured inside the domain to
     its legs (a, b) = (d(x, z), d(z, y)).  Round 0 measures every
     SCAN_STRIDE-th sample and the last, cold (9 of 256), and each later
-    round bisects every open gap between measured neighbors, its new
-    samples continuing from the legs of both ends.  As each leg is
+    round bisects every open gap between measured neighbors.  As each leg is
     1-Lipschitz in distance, on the gap between samples i and j
     a >= a_i - l(i, z) and b >= b_j - l(z, j), so the leg sum is at least
     max(a_i + b_j, a_j + b_i) - l_ij (Piyavskii 1972; Shubert 1972, with
@@ -780,9 +776,8 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
 
     The argmin takes the first index on ties.  Brent's method then refines
     within one sample of the best, one parameter per call, starting from
-    that sample's value and continuing from its legs: each refined point's
-    legs are predicted from the last two measured.  With lengths it stops
-    once its three best leg sums agree within SCAN_FLAT.  Brent only moves
+    that sample's value.  With lengths it stops once its three best leg
+    sums agree within SCAN_FLAT.  Brent only moves
     to a point that is no higher, so the sample stays unless a refined one
     is as low.  A scan without a finite leg sum raises OutsideDomain: the
     distance oracles are only asked about points of the domain, and the
@@ -801,15 +796,7 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
     hi = float(thetas[min(j + 1, len(thetas) - 1)])
     if not (lo < hi and math.isfinite(hi - lo)):
         return float(thetas[j]), unconverged, gap
-    last = [float(thetas[j])]  # measured points, for the warm starts
-
-    def refine(theta):
-        value = legsums(theta, tuple(last[-2:]))
-        if math.isfinite(value):
-            last.append(theta)
-        return value
-
-    theta, _ = _brent(refine, lo, hi, float(thetas[j]), f[j],
+    theta, _ = _brent(legsums, lo, hi, float(thetas[j]), f[j],
                       None if lengths is None else SCAN_FLAT)
     return theta, unconverged, gap
 
@@ -820,7 +807,6 @@ def _rounds(thetas, legsums, lengths):
     n = len(thetas)
     f = np.full(n, np.nan)
     new = np.unique(np.append(np.arange(0, n, SCAN_STRIDE), n - 1))
-    near = None
     ell = {}  # (i, j) -> chart length between samples i and j
     legs = legsums.legs
 
@@ -829,7 +815,7 @@ def _rounds(thetas, legsums, lengths):
         return max(a_i + b_j, a_j + b_i) - ell[i, j]
 
     while len(new):
-        f[new] = legsums(thetas[new], near)
+        f[new] = legsums(thetas[new])
         done = np.flatnonzero(~np.isnan(f))
         j = int(done[np.argmin(f[done])])
         gaps = [(a, b) for a, b in zip(done[:-1].tolist(), done[1:].tolist()) if b - a > 1]
@@ -842,7 +828,6 @@ def _rounds(thetas, legsums, lengths):
         # a NaN bound stays open
         gaps = [g for g in gaps if g in forced or not bounds[g] >= f[j] * (1.0 - SCAN_GAP)]
         new = np.array([(a + b) // 2 for a, b in gaps], dtype=int)
-        near = [(thetas[a], thetas[b]) for a, b in gaps]
     low = min(bounds.values(), default=f[j])
     return f, j, max(0.0, (f[j] - low) / f[j]) if 0.0 < f[j] < math.inf else 0.0
 
@@ -870,7 +855,7 @@ def _oracle_legsums(model, legs, chart):
     takes one batch domain test and one row-batched call per leg; one
     parameter (a step of Brent's method) takes the model's own domain test
     and the legs of one point, the same bits."""
-    def legsums(thetas, near=None):
+    def legsums(thetas):
         z = chart(thetas)
         if np.ndim(thetas) == 0:
             if not model.domain_test(z):
@@ -892,15 +877,13 @@ def _predicted_legs(tails, theta, z, x, y):
     chart parameters theta[w], points z[w], from one or two solved samples
     tails[w], as (theta, x-to-z, z-to-y).
 
-    Two samples' legs L0 and L1 at theta0 and theta1 give L1 + r (L1 - L0)
-    with r = (theta - theta1) / (theta1 - theta0), which interpolates for a
-    theta between them (r in (-1, 0)) and extrapolates otherwise (the
-    secant predictor of Allgower & Georg 1990, Introduction to Numerical
-    Continuation Methods); one sample gives its legs.  What the prediction
-    misses of z is spread along each leg linearly, with weight k/N at point
-    k of the x-to-z leg and 1 - k/N on the z-to-y leg, and the ends are
-    pinned to x, z and y.  All of it is elementwise per leg, so each leg
-    gets the bits it gets alone.
+    Two samples' legs L0 and L1 at theta0 < theta <= theta1 give
+    L1 + r (L1 - L0) with r = (theta - theta1) / (theta1 - theta0) in
+    (-1, 0], their linear interpolation; one sample gives its legs.  What
+    the prediction misses of z is spread along each leg linearly, with
+    weight k/N at point k of the x-to-z leg and 1 - k/N on the z-to-y leg,
+    and the ends are pinned to x, z and y.  All of it is elementwise per
+    leg, so each leg gets the bits it gets alone.
     """
     L1 = np.array([t[-1][1:] for t in tails])
     L0 = np.array([t[0][1:] for t in tails])
@@ -923,14 +906,17 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
     exponent, so the legs are solved at a coarse resolution and loose
     tolerance with strict=False.  The legs of every point of a call inside
     the domain are one stack for the path optimizer, in one thread, and
-    each leg gets the bits it would get alone.  A point with near names
-    continues from the legs solved at those parameters (kept in solved):
-    its legs start from their prediction by _predicted_legs, which
-    _solve_legs replaces by the chord where its energy is not finite.  A
-    point without them starts cold.  The first stack also solves the
-    x-to-y leg, cold, and legsums.warm(theta) gives the paths of the legs
-    x-to-y, x-to-z and z-to-y solved at theta (None where there is none),
-    from which the result's legs start.
+    each leg gets the bits it would get alone.  Every parameter asked,
+    inside the domain or not, joins the sorted list asked, and the legs of
+    a new point start from those solved at the parameters asked next to it
+    on either side: interpolated between two by _predicted_legs, copied
+    from one, and cold where neither was solved.  In the bisection rounds
+    those neighbors are the ends of the gap bisected, and in Brent's
+    refinement the points that bracket its step.  _solve_legs replaces a
+    start by the chord where its energy is not finite.  The first stack
+    also solves the x-to-y leg, cold, and legsums.warm(theta) gives the
+    paths of the legs x-to-y, x-to-z and z-to-y solved at theta (None
+    where there is none), from which the result's legs start.
     """
     opts = replace(
         opts,
@@ -941,16 +927,21 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
         multi_start=1,
         strict=False,
     )
+    asked = []  # every chart parameter asked, sorted
     solved = {}  # chart parameter -> (theta, x-to-z legs, z-to-y legs)
     legs = {}  # chart parameter -> (d(x, z), d(z, y))
     xy = []  # the x-to-y leg's path, once solved
 
-    def legsums(thetas, near=None):
+    def legsums(thetas):
         if np.ndim(thetas) == 0:  # one parameter: a stack of one sample
-            return legsums(np.array([thetas]), None if near is None else [near])[0]
+            return legsums(np.array([thetas]))[0]
         z = chart(thetas)
         out = np.full(len(z), np.inf)
         inside = np.flatnonzero(domain_test_batch(model, z))
+        # the solved legs at the parameters asked next to each point, in order
+        tails = [[solved[t] for t in asked[max(k - 1, 0):k + 1] if t in solved]
+                 for k in np.searchsorted(asked, thetas[inside]).tolist()]
+        asked[:] = sorted(asked + thetas.tolist())
         if not len(inside):
             return out
         X = [p for i in inside for p in (x, z[i])]
@@ -960,8 +951,6 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
             Y.append(y)
         X, Y = np.array(X), np.array(Y)
         inits = [None] * len(X)
-        tails = [[solved[t] for t in near[i] if t in solved] if near else []
-                 for i in inside]
         warm = [k for k, tail in enumerate(tails) if tail]
         if warm:
             idx = inside[warm]
@@ -1159,12 +1148,8 @@ def frozen_exit_asymptotics(
     exit_asymptotics for every z0 in everything but the method name.
     """
     x, y, z0 = _checked_points(model, x=x, y=y, z0=z0)
-    if isinstance(model.geometry, ConstantGeometry):
-        G = model.geometry.inv_metric
-    else:
-        G = inverse_metric(model, z0)
-    return _exit_engine(model, ConstantGeometry(G), x, y, boundary, opts,
-                        label="frozen")
+    return _exit_engine(model, ConstantGeometry(inverse_metric(model, z0)), x, y, boundary,
+                        opts, label="frozen")
 
 
 # ---- Freezing comparison ---- #

@@ -556,7 +556,11 @@ def _chords(X, Y, n) -> np.ndarray:
 
 def _validate_endpoint(model, z, name):
     z = _check_point(model, z, name)
-    inverse_metric_batch(model, z[None])  # NotSPD where the metric is singular
+    # NotSPD where the metric is singular, ValueError where it overflows
+    with np.errstate(all="ignore"):
+        G = inverse_metric_batch(model, z[None])
+    if not np.isfinite(G).all():
+        raise ValueError(f"the metric at {name} = {z} leaves the float range")
     return z
 
 

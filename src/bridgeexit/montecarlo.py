@@ -47,7 +47,7 @@ from .errors import (
     NotSPD,
     RejectionBudgetExceeded,
 )
-from .exits import Hyperplane, _as_plane
+from .exits import Hyperplane, _as_plane, _side_checks
 from .paths import DiscretePath, format_sig
 
 __all__ = [
@@ -159,12 +159,12 @@ def _map_batches(rng: RngSpec, n_total: int, batch_size: int, workers: int,
 
 
 def _barrier_distances(boundary, x, y):
-    """The barrier as a hyperplane, and the signed distances of x and y."""
+    """The barrier as a hyperplane, and the signed distances of x and y,
+    refused past the float range before any path is drawn."""
     plane = _as_plane(boundary, len(x))
     if plane is None:
         raise ValueError("Monte Carlo barriers must be hyperplanes")
-    return (plane, float(plane.normal @ x - plane.offset),
-            float(plane.normal @ y - plane.offset))
+    return (plane, *_side_checks(plane, x, y))
 
 
 def _var_rate(plane: Hyperplane, cov: np.ndarray) -> float:

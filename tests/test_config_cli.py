@@ -519,13 +519,52 @@ def test_boundary_without_a_numeric_chart_exits_2(tmp_path, capsys):
     ("model.kind = constant\nmodel.sigma = 1, 0, 0, 1\nx = 0, 0.5\ny = 1, 0.3\n"
      "barrier.kind = hyperplane\nbarrier.normal = 0, 1\nbarrier.offset = -1e200\n",
      "the exit exponent J = inf is not finite"),
-], ids=["window_sinh", "side_of_x", "side_of_y", "whitened_distance", "whitened_reflection"])
+    # W @ (q - p) overflowed in the whitened norm, with a numpy warning
+    ("model.kind = constant\nmodel.sigma = 0.7846407923160713, -0.12038743482830142, "
+     "0.11480068553423206, 0.5082606174883146\n"
+     "x = -1.184078178741398, 1.4531197236835232e+308\n"
+     "y = 5.810321363694806e+307, 0.7488872458491528\nbarrier.kind = hyperplane\n"
+     "barrier.normal = -0.08501654271430015, 0.23613528655132898\n"
+     "barrier.offset = -2.877385345101687\n",
+     "d(x, y) = inf is not finite"),
+], ids=["window_sinh", "side_of_x", "side_of_y", "whitened_distance", "whitened_reflection",
+        "whitened_difference"])
 def test_exits_past_the_float_range_exit_2(text, message, tmp_path, capsys):
     cfg = write_cfg(tmp_path, "far.cfg", text)
     assert main(["exit", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+# mc and distance on inputs past the float range: each exits 2 with one
+# error line, where a numpy warning once ended it with a traceback under
+# -W error.
+FAR_COMMANDS = {
+    # n . x - c overflowed, and mc simulated every horizon on inf sides
+    "mc_sides": ("mc", "model.kind = constant\nmodel.sigma = 1, 0, 0, 1\nx = 0, 1e308\n"
+                 "y = 1, 1.5e308\nbarrier.kind = hyperplane\nbarrier.normal = 0, 1\n"
+                 "barrier.offset = -1e308\nt = 0.1, 0.05, 0.02\n",
+                 "the distance of x or y from the plane is not finite"),
+    # the numeric solve ran before the closed form, and its chord overflowed
+    "distance_far": ("distance", "model.kind = constant\nmodel.sigma = 1, 0, 0, 1\n"
+                     "x = 1e308, 0.5\ny = -1e308, 0.3\n", "d(x, y) = inf is not finite"),
+    # v^2 of x underflowed in the metric, read as "initial chord leaves the
+    # domain"
+    "distance_subnormal": ("distance", "model.kind = hull_white_simple\nx = 1e300, 1e-300\n"
+                           "y = -1e300, 0.3\n", "the metric at x = "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAR_COMMANDS))
+def test_commands_past_the_float_range_exit_2(case, tmp_path, capsys):
+    command, text, message = FAR_COMMANDS[case]
+    cfg = write_cfg(tmp_path, "far.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert out == ""  # refused before any horizon or solve is reported
 
 
 @pytest.mark.parametrize("normal, offset", [("1e200, 1e200", "3e200"),

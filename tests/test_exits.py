@@ -810,9 +810,9 @@ def test_refinement_needs_few_one_point_calls_per_scan(case, monkeypatch):
         sizes = []
         calls.append(sizes)
 
-        def legsums(thetas, near=None):
+        def legsums(thetas):
             sizes.append(np.size(thetas))
-            return f(thetas, near)
+            return f(thetas)
 
         legsums.unconverged = f.unconverged
         return legsums
@@ -837,7 +837,7 @@ def test_scan_keeps_the_coarse_sample_when_its_bracket_is_not_finite():
     # a bracket with a non-finite end, as a window past the float range gives
     calls = []
 
-    def legsums(thetas, near=None):
+    def legsums(thetas):
         calls.append(len(thetas))
         assert len(calls) < 100, "refinement does not stop"
         return np.where(np.isfinite(thetas), thetas * thetas, np.inf)
@@ -1290,20 +1290,20 @@ def test_hw_transform_is_built_once_per_volatility_exit(case, monkeypatch):
 # starts, of the refinement or of the solver moves these bits.
 PINNED_SCANS = {
     "grid": {
-        "J": "0x1.e7750bddc2216p+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f26e864593241p-1"),
-        "u_bar": "0x1.7e78859b7552ap-1",
+        "J": "0x1.e7750bddc5a54p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e868efac63p-1"),
+        "u_bar": "0x1.7e788593139b0p-1",
         "d_xy": "0x1.468c6d3b8dca8p+1",
-        "d_xz": "0x1.675c8c4ff56e3p+1",
-        "d_zy": "0x1.e6cfcb982fa38p-1",
+        "d_xz": "0x1.675c8c48160efp+1",
+        "d_zy": "0x1.e6cfcbb7b0de4p-1",
     },
     "force_numeric": {
-        "J": "0x1.e7620e7120bf9p+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f26e88cebf415p-1"),
-        "u_bar": "0x1.7e772ab94f580p-1",
+        "J": "0x1.e7620e7120bb9p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26e86290ec03p-1"),
+        "u_bar": "0x1.7e772b06b209bp-1",
         "d_xy": "0x1.468b1c748ee56p+1",
-        "d_xz": "0x1.6756d555fd0e4p+1",
-        "d_zy": "0x1.e6cedee444bfep-1",
+        "d_xz": "0x1.6756d59eb1ddap+1",
+        "d_zy": "0x1.e6ceddc1717e3p-1",
     },
 }
 # Config A's endpoints straddling x = 1.5 under the path optimizer: the
@@ -1445,8 +1445,8 @@ def test_adaptive_scan_bound_holds_against_the_full_sweep(kind):
     legsums = _solver_legsums(model, x, y, chart, opts)
     measured = {}  # chart parameter -> leg sum, of every call the scan made
 
-    def recording(ts, near=None):
-        out = legsums(ts, near)
+    def recording(ts):
+        out = legsums(ts)
         measured.update(zip(np.atleast_1d(ts).tolist(), np.atleast_1d(out).tolist()))
         return out
 
@@ -1502,7 +1502,7 @@ def test_scan_rounds_find_a_narrow_well_between_coarse_samples():
     thetas = np.arange(256.0)
     measured = []
 
-    def legsums(ts, near=None):
+    def legsums(ts):
         measured.extend(np.atleast_1d(ts).tolist())
         f = leg_sum(ts)
         # split in halves, each 1-Lipschitz
@@ -1523,13 +1523,13 @@ def test_scan_rounds_find_a_narrow_well_between_coarse_samples():
 
 def _holed_plane():
     """The metric I / v^2 of sigma = v I on the upper half-plane minus the
-    open disk of radius 1 about (0, 4): not convex, so a warm start can
-    leave the domain."""
-    center = np.array([0.0, 4.0])
+    open disk of radius 0.12 about (0.3, 1.2): not convex, so a warm start
+    can leave the domain."""
+    center = np.array([0.3, 1.2])
     eye = np.eye(2)
 
     def inside(pts):
-        return (((pts - center) ** 2).sum(axis=-1) >= 1.0) & (pts[..., 1] > 0.0)
+        return (((pts - center) ** 2).sum(axis=-1) >= 0.12**2) & (pts[..., 1] > 0.0)
 
     return DiffusionModel(
         dim=2, drift=lambda z: np.zeros(2), sigma=lambda z: z[1] * eye,
@@ -1539,14 +1539,15 @@ def _holed_plane():
     )
 
 
-def _sequential_legsums(model, x, y, chart, thetas, near, opts, solved):
+def _sequential_legsums(model, x, y, chart, thetas, opts, asked, solved):
     """Leg sums of the points thetas one leg at a time.  The legs at
-    thetas[k] start from the legs solved at the parameters near[k] (kept
-    in solved, theta -> (x-to-z, z-to-y) points), taken linearly in theta,
-    with what they miss of the new point spread along each leg; they start
-    cold without near, or where that start's energy is not finite.
-    Returns the leg sums and the number of predicted points that fell
-    back to a cold leg."""
+    thetas[k] start from the legs solved at the parameters asked earlier
+    (the set asked) next to it on either side (kept in solved, theta ->
+    (x-to-z, z-to-y) points): taken linearly in theta between two, copied
+    from one, with what they miss of the new point spread along each leg;
+    they start cold where neither was solved, or where that start's energy
+    is not finite.  thetas then join asked.  Returns the leg sums and the
+    number of predicted points that fell back to a cold leg."""
     from bridgeexit.geodesic import _energy_of, solve_geodesic
     from bridgeexit.model import domain_test_batch
 
@@ -1567,7 +1568,9 @@ def _sequential_legsums(model, x, y, chart, thetas, near, opts, solved):
     out = np.full(len(z), np.inf)
     colds, new = 0, {}
     for i in np.flatnonzero(domain_test_batch(model, z)):
-        tail = [(t, *solved[t]) for t in (near[i] if near else ()) if t in solved]
+        below = max((t for t in asked if t < thetas[i]), default=None)
+        above = min((t for t in asked if t >= thetas[i]), default=None)
+        tail = [(t, *solved[t]) for t in (below, above) if t in solved]
         inits = [predicted(tail, leg, thetas[i], z[i]) if tail else None
                  for leg in (0, 1)]
         colds += bool(tail) and None in inits
@@ -1575,6 +1578,7 @@ def _sequential_legsums(model, x, y, chart, thetas, near, opts, solved):
         r_zy = solve_geodesic(model, z[i], y, opts, init=inits[1])
         new[float(thetas[i])] = (r_xz.path.points, r_zy.path.points)
         out[i] = r_xz.distance + r_zy.distance
+    asked.update(thetas.tolist())
     solved.update(new)
     return out, colds
 
@@ -1582,22 +1586,21 @@ def _sequential_legsums(model, x, y, chart, thetas, near, opts, solved):
 @pytest.mark.parametrize("kind", ["holed_plane", "grid_edge", "grid_jet", "volatility"])
 def test_lockstep_chains_match_sequential_legs_bit_for_bit(kind):
     # The scan's calls as it makes them: a cold round, a round that
-    # bisects between solved neighbors, and refinement's single points that
-    # continue from the last two.  Each call's legs, one lockstep stack for
-    # the path optimizer, match the same legs solved one at a time.
+    # bisects between solved neighbors, and refinement's single points
+    # between the points asked next to them.  Each call's legs, one
+    # lockstep stack for the path optimizer, match the same legs solved
+    # one at a time.
     from bridgeexit.exits import _solver_legsums
 
     opts = SolverOptions(n=50, grad_tol_rel=1e-6, max_iter=2000, strict=False)
     if kind == "holed_plane":
-        # samples 0.05 apart, then points about 2.6 further on continued
-        # from two of them: extrapolated 50 times their step, the x-to-z leg
-        # loops through the hole, where no chord or geodesic of the scan
-        # goes, and that leg starts cold
+        # the x-to-z legs to v = 0.2 and 0.3 skirt the hole, and their
+        # interpolation at v = 0.25 cuts into it, where no chord to
+        # 0.2 <= v <= 1.3 goes: that leg starts cold
         model = _holed_plane()
         x0 = 2.0
         x, y = np.array([0.0, 1.0]), np.array([4.0, 1.0])
-        thetas = np.array([0.3, 0.35, 0.4, 0.45, 0.5, 0.55])
-        far = np.array([3.0, 3.1, 2.9])
+        thetas = np.array([0.2, 0.25, 0.3, 0.75, 1.2])
     elif kind == "grid_edge":
         # the x-to-z legs run along the right edge of the box, 5e-8 inside:
         # on a copy without the metric jet their finite-difference probes
@@ -1637,36 +1640,64 @@ def test_lockstep_chains_match_sequential_legs_bit_for_bit(kind):
 
     # round 0 solves the even samples cold; round 1 the odd ones between
     # their two neighbors, or from the one neighbor the last sample has
-    even, odd = thetas[0::2], thetas[1::2]
-    calls = [(even, None),
-             (odd, [tuple(thetas[i - 1:i + 2:2]) for i in range(1, len(thetas), 2)])]
-    if kind == "holed_plane":
-        calls.append((far, [(0.3, 0.35), (0.4, 0.45), (0.5, 0.55)]))
     legsums = _solver_legsums(model, x, y, chart, opts)
-    solved, colds = {}, 0
+    asked, solved, colds = set(), {}, 0
 
-    def check(ts, near):
+    def check(ts):
         nonlocal colds
-        got = legsums(ts, near)
-        want, c = _sequential_legsums(model, x, y, chart, ts, near, opts, solved)
+        got = legsums(ts)
+        want, c = _sequential_legsums(model, x, y, chart, ts, opts, asked, solved)
         assert got.tobytes() == want.tobytes()
         colds += c
         return got
 
     values = {}
-    for ts, near in calls:
-        values.update(zip(ts.tolist(), check(ts, near).tolist()))
+    for ts in (thetas[0::2], thetas[1::2]):
+        values.update(zip(ts.tolist(), check(ts).tolist()))
     if kind == "grid_edge":
         # a stacked batch raised, not just one leg's own (5 n points)
         assert max(raised) > 5 * opts.n
     if kind == "holed_plane":
-        assert colds >= 3
+        assert colds >= 1
     assert legsums.unconverged == 0
-    # refinement: the best sample continued from its own legs keeps its
-    # bits, and each refined point continues from the last two measured
+    # refinement: the best sample asked again starts from its own legs and
+    # keeps its bits, and each refined point starts between the points
+    # asked next to it
     i = 1 + int(np.argmin([values[t] for t in thetas[1:-1].tolist()]))
     t = float(thetas[i])
-    assert check(np.array([t]), [(t,)])[0] == values[t]
+    assert check(np.array([t]))[0] == values[t]
     left = 0.5 * (t + float(thetas[i - 1]))
-    check(np.array([left]), [(t,)])
-    check(np.array([0.5 * (t + float(thetas[i + 1]))]), [(t, left)])
+    check(np.array([left]))
+    check(np.array([0.5 * (left + t)]))
+    check(np.array([0.5 * (t + float(thetas[i + 1]))]))
+
+
+@pytest.mark.parametrize("case", ["grid", "force_numeric", "holed_plane"])
+def test_every_warm_start_interpolates(case, monkeypatch):
+    # every solver leg that starts warm starts between the legs solved at
+    # the parameters asked next to it, in the rounds and in Brent's steps
+    # alike: an extrapolated start once looped 2.44 away from its leg
+    import bridgeexit.exits as exits
+
+    predict, starts = exits._predicted_legs, []
+
+    def recording(tails, theta, *args):
+        starts.extend(zip(theta.tolist(), [[t[0] for t in tail] for tail in tails]))
+        return predict(tails, theta, *args)
+
+    monkeypatch.setattr(exits, "_predicted_legs", recording)
+    if case == "holed_plane":
+        # the hole lies between the legs to the curve's ends
+        curve = ParametricCurve(lambda th: np.array([2.0, th]), 0.3, 1.2)
+        res = exit_asymptotics(_holed_plane(), np.array([0.0, 1.0]), np.array([4.0, 1.0]),
+                               curve, opts=SolverOptions(n=20))
+    elif case == "grid":
+        res = exit_asymptotics(diag_v_grid(), ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER))
+    else:
+        res = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y,
+                               VerticalBarrier(ref.A_BARRIER), opts=SolverOptions(n=50),
+                               force_numeric=True)
+    assert math.isfinite(res.J)
+    assert len(starts) > 10
+    for theta, tail in starts:
+        assert len(tail) == 2 and tail[0] < theta < tail[1]
