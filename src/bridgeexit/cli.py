@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration or input problem, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import sys
 from dataclasses import dataclass
@@ -373,6 +374,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built once per process: each parse_args starts a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bridgeexit",

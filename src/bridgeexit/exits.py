@@ -425,16 +425,16 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
 
         def reflection(plane, s_x, s_y):
             # a mirror reflection in whitened coordinates, across the plane
-            # with unit normal mhat, at the side distances delta
+            # with unit normal mhat, at the side distances delta; z* is
+            # formed in model coordinates, where the plane's offset is kept
             m = Winv @ plane.normal
             scale = float(np.linalg.norm(m))
             mhat = m / scale
             delta_x, delta_y = s_x / scale, s_y / scale
-            xw = M @ x
-            y_ref = M @ y - 2.0 * delta_y * mhat
             tstar = delta_x / (delta_x + delta_y or 1.0)  # 0 + 0: x on the plane
             # |x - y_ref|^2 - |x - y|^2 = 4 delta_x delta_y
-            return Winv @ (xw + tstar * (y_ref - xw)), 2.0 * delta_x * delta_y
+            z = x + tstar * ((y - x) - 2.0 * delta_y * (Winv @ mhat))
+            return z, 2.0 * delta_x * delta_y
 
         def disc(S):
             return 0.0, S
@@ -991,9 +991,13 @@ def _result_legs(model, pairs, opts: SolverOptions, warm):
     A warm leg that stalls short of its tolerance (a kink of a piecewise
     metric can hold it where the chord's solve goes on) is solved again
     from its chord, and keeps the lower energy."""
+    # each distinct endpoint once, named as its first pair names it
+    ends = {}
     for p, q in pairs:
-        _validate_endpoint(model, p, "x")
-        _validate_endpoint(model, q, "y")
+        ends.setdefault(p.tobytes(), (p, "x"))
+        ends.setdefault(q.tobytes(), (q, "y"))
+    for z, name in ends.values():
+        _validate_endpoint(model, z, name)
     starts = [[w, *_starts(model, p, q, opts)[1:]] for w, (p, q) in zip(warm, pairs)]
     X = np.array([p for (p, _), s in zip(pairs, starts) for _ in s])
     Y = np.array([q for (_, q), s in zip(pairs, starts) for _ in s])
@@ -1012,8 +1016,8 @@ def _assemble(legs, z_star, method: str, J=None, geodesic_exits=False,
               degenerate=False, unconverged_legs=0, scan_gap=math.nan) -> ExitAsymptotics:
     """Result at z_star with its legs (d_xy, d_xz, d_zy) = legs(z_star);
     J from those legs, and then geodesic_exits where it is within EXIT_TOL,
-    unless a reflection formula supplies it.  A z_star, d(x, y) or J that
-    is not finite (distances past the float range) raises ValueError."""
+    unless a reflection formula supplies it.  A z_star, leg or J that is
+    not finite (distances past the float range) raises ValueError."""
     if not all(map(math.isfinite, z_star)):
         raise ValueError(f"the crossing point z_star = {z_star} is not finite: {TOO_FAR}")
     d_xy, d_xz, d_zy = legs(z_star)
@@ -1025,6 +1029,9 @@ def _assemble(legs, z_star, method: str, J=None, geodesic_exits=False,
         geodesic_exits = J <= EXIT_TOL * max(1.0, d_xy * d_xy)
     if not math.isfinite(J):
         raise ValueError(f"the exit exponent J = {J} is not finite: {TOO_FAR}")
+    for name, d in (("d(x, z_star)", d_xz), ("d(z_star, y)", d_zy)):
+        if not math.isfinite(d):  # beside a J that a reflection formula gives
+            raise ValueError(f"{name} = {d} is not finite: {TOO_FAR}")
     try:
         u_bar = optimal_crossing_time(d_xz, d_zy)
     except BothZero:

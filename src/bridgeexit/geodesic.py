@@ -36,8 +36,10 @@ exact where the model has a jet and by finite differences of the metric
 along the segment's step delta from w = A delta and u_k = da_k w, so no
 derivative of A is ever formed.  Without a second derivative there is no
 Newton direction, and such a model steps by Gauss-Newton.  The line search
-makes that call for each trial step, so an accepted step brings its
-energy, its gradient and its Hessian terms from one metric evaluation.
+makes that call once per round, on all its trial steps together, and a
+stack's starts take it once with the chords of its warm legs, so an
+accepted step brings its energy, its gradient and its Hessian terms from
+the one metric evaluation that priced it.
 """
 
 from __future__ import annotations
@@ -135,42 +137,48 @@ def _energies(model, P, gradients=False):
     metric fails there.
 
     gradients=True also returns what _gradients gives for every path, from
-    the same metric evaluation (NaN where the energy is infinite): the line
-    search evaluates the jet on a path's first trial, so that a trial
-    accepted there brings its gradient and its Hessian terms along.
+    the same metric evaluation (NaN where the energy is infinite): the
+    solver takes the jet in each of its batches, so that a path accepted
+    from one brings its gradient and its Hessian terms along.  When every
+    path is finite, these are the evaluation's own arrays.
     """
     K, n1, d = P.shape
     n = n1 - 1
     mids = 0.5 * (P[:, :-1] + P[:, 1:])
     E = np.full(K, np.inf)
-    out = E
-    if gradients:
-        out = E, np.full((K, n - 1, d), np.nan), np.full((3, d, d, K, n), np.nan)
     ok = domain_test_batch(model, mids.reshape(-1, d)).reshape(K, n).all(axis=1)
-    if not ok.any():
-        return out
-    try:
-        if gradients:
-            q, g, T = _gradients(model, P[ok])
+    kept = np.flatnonzero(ok)
+    if kept.size:
+        # the paths inside the domain: the stack itself when all are
+        Q, M = (P, mids) if kept.size == K else (P[ok], mids[ok])
+        try:
+            if gradients:
+                q, g, T = _gradients(model, Q, M)
+            else:
+                A = inverse_metric_batch(model, M.reshape(-1, d))
+                q = _q_form(A.transpose(1, 2, 0), _steps(Q))
+        except (NotSPD, ValueError):
+            if K > 1:
+                # each half of the stack on its own, down to single paths
+                parts = (_energies(model, P[:K // 2], gradients),
+                         _energies(model, P[K // 2:], gradients))
+                if not gradients:
+                    return np.concatenate(parts)
+                return tuple(np.concatenate(c, axis=a) for c, a in zip(zip(*parts), (0, 0, -2)))
+            kept = kept[:0]
         else:
-            A = inverse_metric_batch(model, mids[ok].reshape(-1, d))
-            q = _q_form(A.transpose(1, 2, 0), _steps(P[ok]))
-    except (NotSPD, ValueError):
-        if K == 1:
-            return out
-        # each half of the stack on its own, down to single paths
-        parts = _energies(model, P[:K // 2], gradients), _energies(model, P[K // 2:], gradients)
-        if not gradients:
-            return np.concatenate(parts)
-        return tuple(np.concatenate(c, axis=a) for c, a in zip(zip(*parts), (0, 0, -2)))
-    q = q.reshape(-1, n)
-    finite = np.isfinite(q).all(axis=1)
-    kept = np.flatnonzero(ok)[finite]
-    E[kept] = 0.5 * n * q[finite].sum(axis=1)
-    if gradients:
-        out[1][kept] = g[finite]
-        out[2][..., kept, :] = T[..., finite, :]
-    return out
+            q = q.reshape(-1, n)
+            finite = np.isfinite(q).all(axis=1)
+            kept = kept[finite]
+            E[kept] = 0.5 * n * q[finite].sum(axis=1)
+    if not gradients:
+        return E
+    if 0 < kept.size == K:
+        return E, g, T
+    G, S = np.full((K, n - 1, d), np.nan), np.full((3, d, d, K, n), np.nan)
+    if kept.size:
+        G[kept], S[..., kept, :] = g[finite], T[..., finite, :]
+    return E, G, S
 
 
 def _energy_of(model, pts) -> float:
@@ -194,7 +202,7 @@ def _q_form(A, D):
     return np.einsum("ijm,im,jm->m", np.ascontiguousarray(A), D, D)
 
 
-def _gradients(model, P):
+def _gradients(model, P, mids=None):
     """Segment quadratic forms (K N,), gradients w.r.t. interior points
     (K, N-1, d), and the Hessian terms of each segment (3, d, d, K, N).
 
@@ -210,7 +218,9 @@ def _gradients(model, P):
     """
     K, n1, d = P.shape
     n = n1 - 1
-    A, da, d2a = metric_jet(model, (0.5 * (P[:, :-1] + P[:, 1:])).reshape(-1, d))
+    if mids is None:
+        mids = 0.5 * (P[:, :-1] + P[:, 1:])
+    A, da, d2a = metric_jet(model, mids.reshape(-1, d))
     # contracted point axis last, where the built-in jets keep it contiguous
     D = _steps(P)
     A = A.transpose(1, 2, 0)
@@ -355,12 +365,12 @@ def _line_search(model, P, E, g, T):
     MAX_BACKTRACKS halvings.  A path accepts the first length of this
     sequence that passes Armijo; one with no usable direction left, at its
     floor, or whose accepted trial equals the path, does not move.  The
-    paths search in lockstep, with the trials of a round in one energy
-    batch (two, when some are first trials, which take the jet), and each
-    gets the bits it gets alone; a path that keeps failing tries its next
-    lengths in blocks that double each round (1, 2, 4, ... per direction),
-    which takes a long backtrack in few rounds and accepts the length the
-    one-by-one search accepts.  When every path has a usable Newton
+    paths search in lockstep, with the trials of a round in one jet batch
+    (an accepted trial brings its gradient and segment terms along), and
+    each gets the bits it gets alone; a path that keeps failing tries its
+    next lengths in blocks that double each round (1, 2, 4, ... per
+    direction), which takes a long backtrack in few rounds and accepts the
+    length the one-by-one search accepts.  When every path has a usable Newton
     direction, the first round, every full step, is one jet batch whose
     bookkeeping is elementwise, and the paths that fail it go on as above.
     Returns the accepted paths, their energies, gradients and segment
@@ -380,8 +390,9 @@ def _line_search(model, P, E, g, T):
         # returns the paths where it is unusable
         if not idx.size:
             return idx
-        p[idx], ok = _band_solve(*_hessian(T[..., idx, :], n1 - 1, exact), g[idx])
-        gTp[idx] = (g[idx] * p[idx]).reshape(len(idx), -1).sum(axis=1)
+        Ti, gi = (T, g) if idx.size == L else (T[..., idx, :], g[idx])
+        p[idx], ok = _band_solve(*_hessian(Ti, n1 - 1, exact), gi)
+        gTp[idx] = (gi * p[idx]).reshape(len(idx), -1).sum(axis=1)
         ok &= gTp[idx] < 0.0
         alpha[idx] = 1.0
         newton[idx] = exact
@@ -411,11 +422,6 @@ def _line_search(model, P, E, g, T):
     trial = P.copy()
     Et = E.copy()
     gt, Tt = np.empty_like(g), np.empty_like(T)
-    # A path's first trial, the likeliest to be accepted, brings its
-    # gradient and Hessian terms along; later trials take the energy alone,
-    # and an accepted one gets them after the search.
-    first = np.ones(L, dtype=bool)
-    late = np.zeros(L, dtype=bool)
     if newton.all():
         # every path has a usable Newton direction: the first round, every
         # full step, is one jet batch, and its bookkeeping is elementwise
@@ -427,7 +433,6 @@ def _line_search(model, P, E, g, T):
             return trial, Et, gt, Tt, moved
         trial[~ok] = P[~ok]
         searching[ok] = False
-        first[:] = False
         advance(np.flatnonzero(~ok), np.ones(L, dtype=int))
     else:
         moved = np.zeros(L, dtype=bool)
@@ -442,32 +447,17 @@ def _line_search(model, P, E, g, T):
         a = alpha[rows] * BACKTRACK ** (np.arange(len(rows)) - np.repeat(np.cumsum(m) - m, m))
         X = P[rows]
         X[:, 1:-1] += a[:, None, None] * p[rows]
-        f = first[rows]
-        Es = np.empty(len(rows))
-        if f.any():
-            Es[f], gs, Ts = _energies(model, X[f], gradients=True)
-        if not f.all():
-            Es[~f] = _energies(model, X[~f])
-        first[s] = False
+        Es, gs, Ts = _energies(model, X, gradients=True)
         ok = np.flatnonzero(Es <= E[rows] + ARMIJO_C1 * a * gTp[rows])
         # each path's first length that passes; a step too short to change
         # any point leaves the path where it was
         done, at = np.unique(rows[ok], return_index=True)
         at = ok[at]
         trial[done] = X[at]
-        Et[done] = Es[at]
-        if f.any():
-            fresh = f[at]
-            k = (np.cumsum(f) - 1)[at[fresh]]
-            gt[done[fresh]] = gs[k]
-            Tt[..., done[fresh], :] = Ts[..., k, :]
+        Et[done], gt[done], Tt[..., done, :] = Es[at], gs[at], Ts[..., at, :]
         moved[done] = (X[at] != P[done]).any(axis=(1, 2))
-        late[done[~f[at] & moved[done]]] = True
         searching[done] = False
         advance(s[searching[s]], width)
-    late = np.flatnonzero(late)
-    if late.size:
-        Et[late], gt[late], Tt[..., late, :] = _energies(model, trial[late], gradients=True)
     return trial, Et, gt, Tt, moved
 
 
@@ -499,8 +489,9 @@ def _minimize_level(model, P, tol, max_iter, start):
         live = live[(iters[live] < max_iter) & ~((gsup <= tol[live]) | (gsup == 0.0))]
         if not live.size:
             break
-        trial, Et, gt, Tt, moved = _line_search(model, P[live], E[live], g[live],
-                                                T[..., live, :])
+        # the stack itself while every path runs
+        now = (P, E, g, T) if live.size == K else (P[live], E[live], g[live], T[..., live, :])
+        trial, Et, gt, Tt, moved = _line_search(model, *now)
         # No step changes the path: the energy is at its double-precision
         # floor for this path.
         stalled[live[~moved]] = True
@@ -587,37 +578,40 @@ def _solve_legs(model, X, Y, opts: SolverOptions, inits):
 
     inits[k] is a point array to warm-start leg k from, resampled to opts.n
     segments with its ends pinned to X[k] and Y[k], or None for a cold
-    start from the chord.  Every start is evaluated once, with the jet, in
-    one batch, and a warm start whose energy is not finite starts from its
-    chord instead.  A leg's tolerance is grad_tol, or grad_tol_rel times
-    the energy of its chord.  Returns
+    start from the chord.  Every start and the chord of every warm leg are
+    evaluated once, with the jet, in one batch, and a warm start whose
+    energy is not finite starts from its chord's row instead.  A leg's
+    tolerance is grad_tol, or grad_tol_rel times the energy of its chord.
+    Returns
     (P, E, grad_sup, iters, stalled, short) per leg; short marks a leg that
     spent max_iter above its tolerance without stalling, which raises
     NoConvergence when opts.strict.
     """
-    n = opts.n
+    n, K = opts.n, len(X)
     chords = _chords(X, Y, n)
-    P = chords.copy()
     warm = np.array([init is not None for init in inits], dtype=bool)
-    for k in np.flatnonzero(warm):
+    w = np.flatnonzero(warm)
+    # rows K on hold the chords of the warm legs
+    chord = np.arange(K)
+    chord[w] = K + np.arange(w.size)
+    P = np.concatenate([chords, chords[w]])
+    for k in w:
         init = inits[k]
         P[k] = init if init.shape[0] == n + 1 else _resample(init, n)
-    P[warm, 0], P[warm, -1] = X[warm], Y[warm]
+    P[w, 0], P[w, -1] = X[w], Y[w]
     E, g, T = _energies(model, P, gradients=True)
-    back = warm & ~np.isfinite(E)
-    if back.any():
-        P[back] = chords[back]
-        E[back], g[back], T[..., back, :] = _energies(model, P[back], gradients=True)
-        warm &= ~back
+    chord_E = E[chord]
+    # a warm start whose energy is not finite starts from its chord's row
+    warm &= np.isfinite(E[:K])
+    if w.size:
+        rows = np.where(warm, np.arange(K), chord)
+        P, E, g, T = P[rows], E[rows], g[rows], T[..., rows, :]
     # the chords in use: every leg's when the tolerances come from them,
     # else the cold legs', which start there
     if opts.grad_tol is not None:
-        tol = np.full(len(P), float(opts.grad_tol))
-        chord_E = E[~warm]
+        tol = np.full(K, float(opts.grad_tol))
+        chord_E = chord_E[~warm]
     else:
-        chord_E = E.copy()
-        if warm.any():
-            chord_E[warm] = _energies(model, chords[warm])
         tol = opts.grad_tol_rel * chord_E
     if not np.all(np.isfinite(chord_E)):
         raise OutsideDomain("initial chord leaves the domain; supply an explicit init path")

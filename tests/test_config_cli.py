@@ -326,6 +326,21 @@ def test_mc_seed_flag_overrides_the_config(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
 
+def test_no_flag_carries_over_between_commands_in_one_process(tmp_path):
+    cfg = write_cfg(tmp_path, "b.cfg", BROWNIAN)
+    out = [str(tmp_path / f"{k}.csv") for k in range(2)]
+    runs = (["mc", "--config", cfg, "--out", out[0], "--seed", "7", "--workers", "2"],
+            ["distance", "--config", cfg],
+            ["mc", "--config", cfg, "--out", out[1]])
+    for argv in runs:
+        assert run_cli(argv) == (0, ""), argv
+    assert cli.build_parser() is cli.build_parser()
+    # the second mc run takes the config's seed, and distance wrote no table
+    # over the first
+    seeds = [{row["seed"] for row in csv.DictReader(open(path))} for path in out]
+    assert seeds == [{"7"}, {"99"}]
+
+
 def test_mc_degenerate_horizon_exits_4_but_writes_the_table(tmp_path, capsys):
     text = BROWNIAN.replace("t = 0.2, 0.1, 0.05", "t = 0.2, 0.1, 0.005")
     text = text.replace("mc.n_paths = 20000", "mc.n_paths = 500")
@@ -592,6 +607,30 @@ def test_endpoints_a_subnormal_off_the_plane_exit_0(tmp_path, capsys):
     assert "[true] J = 0 " in capsys.readouterr().out
 
 
+def test_a_whitened_reflection_near_the_float_range_keeps_the_plane_offset(tmp_path):
+    # x = y near 1e307 against the plane z_0 = 5.6e7: mapped back from
+    # whitened coordinates, z* lost the plane's offset and read
+    # (2.9e291, 6.8e307), with infinite legs and u_bar = nan, at exit 0
+    import warnings
+
+    text = ("model.kind = constant\nmodel.sigma = 1.4889281429640675, 0.2066795376678668, "
+            "0.08361421861048646, 1.4573866162339595\n"
+            "x = 1.4738153700843828, 6.781744150300541e+307\n"
+            "y = 1.4738153700843828, 6.781744150300541e+307\n"
+            "barrier.kind = hyperplane\nbarrier.normal = 1, 0\n"
+            "barrier.offset = 56330200.09410207\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_cli(["exit", "--config", write_cfg(tmp_path, "offset.cfg", text)])
+        assert (code, err) == (0, "")
+        run = load_run(view_of(text), needs=("barrier",))
+        res = exit_asymptotics(run.model, run.x, run.y, run.boundary)
+    c = run.boundary.offset
+    assert abs(res.z_star[0] - c) <= 4 * math.ulp(c)
+    assert math.isfinite(res.d_xz) and math.isfinite(res.d_zy)
+    assert res.u_bar == 0.5
+
+
 RADIUS_TEXT = ("model.kind = hull_white\nmodel.sigma_vol = 1.5\nmodel.rho = 0\n"
                "x = -1e-300, 0.2\ny = -2e-300, 0.5\n")
 # Inputs once refused as past the float range, whose answers are finite.
@@ -672,6 +711,11 @@ def test_a_result_that_is_not_finite_is_refused():
         _assemble(legs, np.array([1.0, np.nan]), "closed_form")
     with pytest.raises(ValueError, match="exit exponent J = nan is not finite"):
         _assemble(legs, np.array([0.5, 2.0]), "closed_form", J=math.nan)
+    # a finite J beside a leg past the float range
+    with pytest.raises(ValueError, match=r"d\(x, z_star\) = inf is not finite"):
+        _assemble(lambda z: (1.0, math.inf, 1.0), np.array([0.5, 2.0]), "closed_form", J=1.0)
+    with pytest.raises(ValueError, match=r"d\(z_star, y\) = inf is not finite"):
+        _assemble(lambda z: (1.0, 1.0, math.inf), np.array([0.5, 2.0]), "closed_form", J=1.0)
     assert _assemble(legs, np.array([0.5, 2.0]), "closed_form").J > 0.0
 
 

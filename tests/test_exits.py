@@ -1336,6 +1336,26 @@ def test_solver_scan_results_are_pinned_and_worker_independent(case):
     assert two.z_star.tobytes() == res.z_star.tobytes()
 
 
+
+def test_grid_scan_makes_one_metric_batch_per_solver_step():
+    # a line-search round and a stack's starts with its warm legs' chords
+    # are one jet batch each; the metric hook alone checks the endpoints
+    grid = diag_v_grid()
+    calls = {"jet": 0, "inverse": 0}
+
+    def counted(name, hook):
+        def wrapped(pts):
+            calls[name] += 1
+            return hook(pts)
+        return wrapped
+
+    model = replace(grid, batch_metric_jet=counted("jet", grid.batch_metric_jet),
+                    batch_inverse_metric=counted("inverse", grid.batch_inverse_metric))
+    res = exit_asymptotics(model, ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER), workers=1)
+    assert _bits(res) == PINNED_SCANS["grid"]
+    # 28 hook and 38 jet calls when warm chords and late trials took the hook
+    assert calls["inverse"] <= 9 and calls["jet"] <= 38
+
 def _record_scan_stacks(monkeypatch):
     """A list that fills with (phase, legs, iterations, lockstep
     iterations) for each stack the scans solve: phase "rounds" until

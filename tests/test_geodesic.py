@@ -671,6 +671,31 @@ def test_cold_and_warm_legs_solve_together_as_alone():
     assert res.path.points.tobytes() == stacked[0][0].tobytes()
 
 
+
+def test_a_warm_start_that_leaves_the_domain_solves_cold_in_its_stack():
+    from bridgeexit.geodesic import _solve_legs
+
+    rng = np.random.default_rng(6)
+    model = hull_white_model(sigma_vol=0.8, rho=-0.2)
+    X = np.array([[1.0, 0.2], [0.0, 1.0], [1.0, 0.2], [-1.0, 0.5]])
+    Y = np.array([[2.0, 0.5], [1.5, 0.3], [2.5, 0.9], [0.5, 2.0]])
+    out = np.linspace(X[2], Y[2], 41)
+    out[18:23, 1] = -0.1  # midpoints below v = 0
+    inits = [wiggly_path(rng, X[0], Y[0], n=60).points, None, out,
+             wiggly_path(rng, X[3], Y[3], n=40).points]
+    for opts in (SolverOptions(n=60, strict=False), SolverOptions(n=60, grad_tol=1e-7)):
+        stacked = _solve_legs(model, X, Y, opts, inits)
+        for k in range(4):
+            # leg 2 gets the bits of its cold solve, every other leg those
+            # of its own start
+            alone = _solve_legs(model, X[k:k + 1], Y[k:k + 1], opts,
+                                [None] if k == 2 else inits[k:k + 1])
+            for a, b in zip(stacked, alone):
+                assert a[k:k + 1].tobytes() == b.tobytes()
+    # a warm start inside the domain is not its chord's solve
+    cold = _solve_legs(model, X[:1], Y[:1], opts, [None])
+    assert cold[0].tobytes() != stacked[0][:1].tobytes()
+
 def test_newton_and_gauss_newton_legs_share_a_round_with_a_stuck_leg(monkeypatch):
     import bridgeexit.geodesic as geodesic
 
