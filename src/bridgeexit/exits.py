@@ -37,7 +37,7 @@ vertical barrier under the uncorrelated volatility geometry (half-plane
 reflection) and a hyperplane under a constant metric (whitened
 reflection).  Every other case is one scan of d(x,z) + d(z,y) over a
 chart -- a window along the line of a plane, or the samples of a
-ParametricCurve -- by coarse samples and Brent refinement.  A line's
+ParametricCurve -- by coarse samples and a refinement.  A line's
 window, of any length, holds every point that could cost less than the
 anchor: under the volatility and constant geometries the part of the
 line within the anchor's leg sum of both endpoints, and under any other
@@ -46,8 +46,10 @@ measure a window's 256 samples in one call, bit for bit as one point at
 a time, and each of Brent's steps at one point.  The path optimizer
 measures only the samples whose Piyavskii-Shubert bound, over the split
 legs, could still beat the best one, in rounds of one lockstep stack each
-(_scan), and its result's scan_gap is the relative gap the bound
-certifies.  The legs and J of the result come from the oracle at z_star;
+(_scan), with legs to SCAN_TOL, and its result's scan_gap is the relative
+gap the bound certifies; it refines to the vertex of the quartic through
+the five samples about the best (_refine), by Brent only where that
+fails.  The legs and J of the result come from the oracle at z_star;
 under the path optimizer the legs x-to-y, x-to-z_star and z_star-to-y
 are one stack at the caller's options, started from the scan's paths of
 those legs and solved to the tolerance of separate solves from the
@@ -134,9 +136,13 @@ SCAN_PIECES = 16
 # A domain-bounded window narrows the bracket of each end by this factor
 # per batch domain test, to adjacent floats in about seven batches.
 LINE_SPLIT = 256
-# Brent's refinement of a solver scan stops once its three best leg sums
-# agree within SCAN_FLAT (relative): the solver legs resolve a leg sum no
-# finer, and further steps only chase their rounding.
+# A solver scan's legs meet at least SCAN_TOL times their chord energy in
+# gradient: the argmin of its n = 50 legs lies 7e-5 to 1e-4 (in v) from
+# that of the n = 200 legs the result reports (grid13, 3 seeds), which
+# costs J 7-9e-9 relative, so tighter legs buy the result nothing.  Where
+# the quartic cannot refine (_refine), Brent does, until its three best
+# leg sums agree within SCAN_FLAT (relative).
+SCAN_TOL = 1e-4
 SCAN_FLAT = 1e-12
 
 
@@ -774,14 +780,12 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
     domain, and it is wider than one sample.  The gap returned is
     (f* - the lowest bound over the gaps left) / f*, at least 0.
 
-    The argmin takes the first index on ties.  Brent's method then refines
-    within one sample of the best, one parameter per call, starting from
-    that sample's value.  With lengths it stops once its three best leg
-    sums agree within SCAN_FLAT.  Brent only moves
-    to a point that is no higher, so the sample stays unless a refined one
-    is as low.  A scan without a finite leg sum raises OutsideDomain: the
-    distance oracles are only asked about points of the domain, and the
-    chart gave none.
+    The argmin takes the first index on ties, and the result stays within
+    one sample of it and no higher: with lengths, the quartic's vertex
+    (_refine); without, Brent's method, one parameter per call, from that
+    sample's value.  A scan without a finite leg sum raises OutsideDomain:
+    the distance oracles are only asked about points of the domain, and
+    the chart gave none.
     """
     if lengths is None:
         f = legsums(thetas)
@@ -796,9 +800,36 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
     hi = float(thetas[min(j + 1, len(thetas) - 1)])
     if not (lo < hi and math.isfinite(hi - lo)):
         return float(thetas[j]), unconverged, gap
-    theta, _ = _brent(legsums, lo, hi, float(thetas[j]), f[j],
-                      None if lengths is None else SCAN_FLAT)
-    return theta, unconverged, gap
+    if lengths is not None:
+        return _refine(thetas, f, j, legsums, lo, hi), unconverged, gap
+    return _brent(legsums, lo, hi, float(thetas[j]), f[j])[0], unconverged, gap
+
+
+def _refine(thetas, f, j, legsums, lo, hi):
+    """A solver scan's result near its best sample j: the minimum of the
+    quartic through samples j-2..j+2 (those not asked yet in one call), by
+    Newton's method from theta_j on its central differences d1..d4 (s in
+    samples), kept if its own leg sum is no higher than f[j].  A stencil
+    past the window or outside the domain, or a step out of (lo, hi) or
+    at a curvature that is not positive, takes Brent's steps instead."""
+    k = np.arange(j - 2, j + 3)
+    if 2 <= j < len(thetas) - 2 and len(new := k[np.isnan(f[k])]):
+        f[new] = legsums(thetas[new])
+    if 2 <= j < len(thetas) - 2 and np.isfinite(f[k]).all():
+        fa, fb, fc, fd, fe = f[k].tolist()
+        d1, d3 = (fa - fe + 8.0 * (fd - fb)) / 12.0, 0.5 * (fe - fa) - (fd - fb)
+        d2 = (16.0 * (fb + fd) - fa - fe - 30.0 * fc) / 12.0
+        d4 = fa + fe - 4.0 * (fb + fd) + 6.0 * fc
+        s = 0.0
+        for _ in range(50):
+            if not (abs(s) < 1.0 and (curv := d2 + s * (d3 + 0.5 * s * d4)) > 0.0):
+                break
+            step = (d1 + s * (d2 + s * (0.5 * d3 + s * d4 / 6.0))) / curv
+            s -= step
+            if abs(step) <= 1e-12 and abs(s) < 1.0:
+                theta = float(thetas[j]) + s * 0.5 * (hi - lo)
+                return theta if legsums(theta) <= f[j] else float(thetas[j])
+    return _brent(legsums, lo, hi, float(thetas[j]), f[j], SCAN_FLAT)[0]
 
 
 def _rounds(thetas, legsums, lengths):
@@ -899,34 +930,34 @@ def _predicted_legs(tails, theta, z, x, y):
     return P
 
 
+def _scan_options(opts: SolverOptions) -> SolverOptions:
+    """A solver scan's leg options (_solver_legsums)."""
+    return replace(opts, n=min(opts.n, 50), max_iter=min(opts.max_iter, 2000),
+                   grad_tol_rel=max(opts.grad_tol_rel, SCAN_TOL) if opts.grad_tol is None
+                   else opts.grad_tol_rel, multi_start=1, strict=False)
+
+
 def _solver_legsums(model, x, y, chart, opts: SolverOptions):
     """Leg sums of the path optimizer.
 
     Ranking boundary points needs far less accuracy than the reported
-    exponent, so the legs are solved at a coarse resolution and loose
-    tolerance with strict=False.  The legs of every point of a call inside
+    exponent, so the legs are solved at n <= 50 segments to a gradient
+    tolerance of at least SCAN_TOL (an absolute grad_tol passes through),
+    strict=False (_scan_options).  The legs of every point of a call inside
     the domain are one stack for the path optimizer, in one thread, and
     each leg gets the bits it would get alone.  Every parameter asked,
     inside the domain or not, joins the sorted list asked, and the legs of
     a new point start from those solved at the parameters asked next to it
     on either side: interpolated between two by _predicted_legs, copied
     from one, and cold where neither was solved.  In the bisection rounds
-    those neighbors are the ends of the gap bisected, and in Brent's
-    refinement the points that bracket its step.  _solve_legs replaces a
+    those neighbors are the ends of the gap bisected, and in the
+    refinement the samples that bracket its point.  _solve_legs replaces a
     start by the chord where its energy is not finite.  The first stack
     also solves the x-to-y leg, cold, and legsums.warm(theta) gives the
     paths of the legs x-to-y, x-to-z and z-to-y solved at theta (None
     where there is none), from which the result's legs start.
     """
-    opts = replace(
-        opts,
-        n=min(opts.n, 50),
-        grad_tol_rel=max(opts.grad_tol_rel, 1e-6) if opts.grad_tol is None
-        else opts.grad_tol_rel,
-        max_iter=min(opts.max_iter, 2000),
-        multi_start=1,
-        strict=False,
-    )
+    opts = _scan_options(opts)
     asked = []  # every chart parameter asked, sorted
     solved = {}  # chart parameter -> (theta, x-to-z legs, z-to-y legs)
     legs = {}  # chart parameter -> (d(x, z), d(z, y))

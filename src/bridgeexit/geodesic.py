@@ -36,10 +36,11 @@ exact where the model has a jet and by finite differences of the metric
 along the segment's step delta from w = A delta and u_k = da_k w, so no
 derivative of A is ever formed.  Without a second derivative there is no
 Newton direction, and such a model steps by Gauss-Newton.  The line search
-makes that call once per round, on all its trial steps together, and a
-stack's starts take it once with the chords of its warm legs, so an
-accepted step brings its energy, its gradient and its Hessian terms from
-the one metric evaluation that priced it.
+makes that call once per round, on all its trial steps together, and
+contracts it only in a round that accepts a step; a stack's starts take
+it once with the chords of its warm legs.  So an accepted step brings its
+energy, its gradient and its Hessian terms from the one metric evaluation
+that priced it.
 """
 
 from __future__ import annotations
@@ -134,14 +135,18 @@ class GeodesicResult:
 
 def _energies(model, P, gradients=False):
     """Energy of each path, +inf where a midpoint leaves the domain or the
-    metric fails there.
+    metric fails there; gradients=True adds every path's gradients and
+    segment terms from the same metric evaluation, as _priced gives them."""
+    E, grads = _priced(model, P, gradients)
+    return (E, *grads()) if gradients else E
 
-    gradients=True also returns what _gradients gives for every path, from
-    the same metric evaluation (NaN where the energy is infinite): the
-    solver takes the jet in each of its batches, so that a path accepted
-    from one brings its gradient and its Hessian terms along.  When every
-    path is finite, these are the evaluation's own arrays.
-    """
+
+def _priced(model, P, jet):
+    """(energies, grads) of the stack P from one metric batch, the jet's if
+    jet.  grads(rows) contracts the gradients and segment terms of every
+    path (_contract) and gives those of rows, all by default, NaN where
+    the energy is infinite: a line-search round that accepts no trial
+    contracts nothing."""
     K, n1, d = P.shape
     n = n1 - 1
     mids = 0.5 * (P[:, :-1] + P[:, 1:])
@@ -152,33 +157,35 @@ def _energies(model, P, gradients=False):
         # the paths inside the domain: the stack itself when all are
         Q, M = (P, mids) if kept.size == K else (P[ok], mids[ok])
         try:
-            if gradients:
-                q, g, T = _gradients(model, Q, M)
-            else:
-                A = inverse_metric_batch(model, M.reshape(-1, d))
-                q = _q_form(A.transpose(1, 2, 0), _steps(Q))
+            A, *da = (metric_jet(model, M.reshape(-1, d)) if jet
+                      else (inverse_metric_batch(model, M.reshape(-1, d)),))
+            q = _q_form(A.transpose(1, 2, 0), D := _steps(Q))
         except (NotSPD, ValueError):
             if K > 1:
                 # each half of the stack on its own, down to single paths
-                parts = (_energies(model, P[:K // 2], gradients),
-                         _energies(model, P[K // 2:], gradients))
-                if not gradients:
-                    return np.concatenate(parts)
-                return tuple(np.concatenate(c, axis=a) for c, a in zip(zip(*parts), (0, 0, -2)))
+                parts = (_energies(model, P[:K // 2], jet), _energies(model, P[K // 2:], jet))
+                if not jet:
+                    return np.concatenate(parts), None
+                E, g, T = (np.concatenate(c, axis=a) for c, a in zip(zip(*parts), (0, 0, -2)))
+                return E, lambda rows=slice(None): (g[rows], T[..., rows, :])
             kept = kept[:0]
         else:
             q = q.reshape(-1, n)
             finite = np.isfinite(q).all(axis=1)
             kept = kept[finite]
             E[kept] = 0.5 * n * q[finite].sum(axis=1)
-    if not gradients:
-        return E
-    if 0 < kept.size == K:
-        return E, g, T
-    G, S = np.full((K, n - 1, d), np.nan), np.full((3, d, d, K, n), np.nan)
-    if kept.size:
-        G[kept], S[..., kept, :] = g[finite], T[..., finite, :]
-    return E, G, S
+
+    def grads(rows=slice(None)):
+        if 0 < kept.size == K:
+            g, T = _contract(D, n, A, *da)
+            return g[rows], T[..., rows, :]
+        G, S = np.full((K, n - 1, d), np.nan), np.full((3, d, d, K, n), np.nan)
+        if kept.size:
+            g, T = _contract(D, n, A, *da)
+            G[kept], S[..., kept, :] = g[finite], T[..., finite, :]
+        return G[rows], S[..., rows, :]
+
+    return E, grads
 
 
 def _energy_of(model, pts) -> float:
@@ -202,29 +209,33 @@ def _q_form(A, D):
     return np.einsum("ijm,im,jm->m", np.ascontiguousarray(A), D, D)
 
 
-def _gradients(model, P, mids=None):
-    """Segment quadratic forms (K N,), gradients w.r.t. interior points
-    (K, N-1, d), and the Hessian terms of each segment (3, d, d, K, N).
+def _gradients(model, P):
+    """Segment quadratic forms (K N,) and _contract's terms of the stack P."""
+    A, da, d2a = metric_jet(model, (0.5 * (P[:, :-1] + P[:, 1:])).reshape(-1, P.shape[2]))
+    D = _steps(P)
+    return (_q_form(A.transpose(1, 2, 0), D), *_contract(D, P.shape[1] - 1, A, da, d2a))
+
+
+def _contract(D, n, A, da, d2a):
+    """Gradients w.r.t. interior points (K, N-1, d), and the Hessian terms
+    of each segment (3, d, d, K, N), from the steps D (_steps) of a stack
+    of paths of n segments and the metric jet (A, da, d2a) at their
+    midpoints.
 
     The terms of a segment are its midpoint inverse metric A, the matrix
     B[j, k] = 2 (dA_k delta)_j and F[k, l] = delta^T d2A_kl delta, F NaN
     where the model's jet has no second order, with the segments last.
-    All come from one metric_jet call on the midpoints of every path,
-    which gives the derivatives of a = A^{-1}: with w = A delta and
+    The jet gives the derivatives of a = A^{-1}: with w = A delta and
     u_k = da_k w, dA_k = -A da_k A gives delta^T dA_k delta = -w . u_k and
     B[:, k] = -2 A u_k, and d2A_kl = A (da_k A da_l + da_l A da_k - d2a_kl) A
     gives F[k, l] = 2 u_k . A u_l - w . d2a_kl w.  The line search keeps
-    them so the next step needs no second evaluation.
+    them so the next step needs no second evaluation.  Every term is
+    elementwise along the points, so each path gets the bits it gets alone.
     """
-    K, n1, d = P.shape
-    n = n1 - 1
-    if mids is None:
-        mids = 0.5 * (P[:, :-1] + P[:, 1:])
-    A, da, d2a = metric_jet(model, mids.reshape(-1, d))
+    d, m = D.shape
+    K = m // n
     # contracted point axis last, where the built-in jets keep it contiguous
-    D = _steps(P)
     A = A.transpose(1, 2, 0)
-    q = _q_form(A, D)
     w = np.einsum("ijm,jm->im", A, D)
     u = np.einsum("kijm,jm->kim", da.transpose(1, 2, 3, 0), w)
     Au = np.einsum("ijm,kjm->kim", A, u)
@@ -241,7 +252,7 @@ def _gradients(model, P, mids=None):
         T[2] -= np.einsum("klijm,im,jm->klm", d2a.transpose(1, 2, 3, 4, 0), w, w)
     w, wu = w.reshape(d, K, n), wu.reshape(d, K, n)
     g = n * (w[..., :-1] - w[..., 1:]) - 0.25 * n * (wu[..., :-1] + wu[..., 1:])
-    return q, np.ascontiguousarray(g.transpose(1, 2, 0)), T.reshape(3, d, d, K, n)
+    return np.ascontiguousarray(g.transpose(1, 2, 0)), T.reshape(3, d, d, K, n)
 
 
 def _check_path(model: DiffusionModel, path: DiscretePath) -> np.ndarray:
@@ -366,7 +377,8 @@ def _line_search(model, P, E, g, T):
     sequence that passes Armijo; one with no usable direction left, at its
     floor, or whose accepted trial equals the path, does not move.  The
     paths search in lockstep, with the trials of a round in one jet batch
-    (an accepted trial brings its gradient and segment terms along), and
+    (an accepted trial brings its gradient and segment terms along,
+    contracted only in a round that accepts one), and
     each gets the bits it gets alone; a path that keeps failing tries its
     next lengths in blocks that double each round (1, 2, 4, ... per
     direction), which takes a long backtrack in few rounds and accepts the
@@ -426,12 +438,14 @@ def _line_search(model, P, E, g, T):
         # every path has a usable Newton direction: the first round, every
         # full step, is one jet batch, and its bookkeeping is elementwise
         trial[:, 1:-1] += p
-        Et, gt, Tt = _energies(model, trial, gradients=True)
+        Et, grads = _priced(model, trial, True)
         ok = Et <= E + ARMIJO_C1 * gTp
         moved = ok & (trial != P).any(axis=(1, 2))
         if ok.all():
-            return trial, Et, gt, Tt, moved
+            return trial, Et, *grads(), moved
         trial[~ok] = P[~ok]
+        if ok.any():
+            gt, Tt = grads()
         searching[ok] = False
         advance(np.flatnonzero(~ok), np.ones(L, dtype=int))
     else:
@@ -447,14 +461,17 @@ def _line_search(model, P, E, g, T):
         a = alpha[rows] * BACKTRACK ** (np.arange(len(rows)) - np.repeat(np.cumsum(m) - m, m))
         X = P[rows]
         X[:, 1:-1] += a[:, None, None] * p[rows]
-        Es, gs, Ts = _energies(model, X, gradients=True)
+        Es, grads = _priced(model, X, True)
         ok = np.flatnonzero(Es <= E[rows] + ARMIJO_C1 * a * gTp[rows])
-        # each path's first length that passes; a step too short to change
-        # any point leaves the path where it was
+        # each path's first length that passes (a round that accepts none
+        # contracts nothing); a step too short to change any point leaves
+        # the path where it was
         done, at = np.unique(rows[ok], return_index=True)
         at = ok[at]
         trial[done] = X[at]
-        Et[done], gt[done], Tt[..., done, :] = Es[at], gs[at], Ts[..., at, :]
+        Et[done] = Es[at]
+        if done.size:
+            gt[done], Tt[..., done, :] = grads(at)
         moved[done] = (X[at] != P[done]).any(axis=(1, 2))
         searching[done] = False
         advance(s[searching[s]], width)
