@@ -79,6 +79,6 @@ from .montecarlo import (
     sample_gaussian_bridge,
     sample_hw_bridge_rejection,
 )
-from .paths import DiscretePath, path_from_csv, path_to_csv
+from .paths import DiscretePath, path_to_csv
 
 __version__ = "0.1.0"

@@ -222,8 +222,8 @@ class ExitAsymptotics:
     method: str
     geodesic_exits: bool = False
     degenerate: bool = False
-    # Solver legs of the scan's samples that spent their max_iter above
-    # tolerance without stalling.
+    # Solver legs of the scan's samples, in its rounds and its refinement,
+    # that spent their max_iter above tolerance without stalling.
     unconverged_legs: int = 0
     # Relative gap certified by a solver scan: every sample of its window
     # that it skipped has a leg sum of at least (1 - scan_gap) times the
@@ -754,8 +754,8 @@ def _brent(f, a: float, b: float, x: float, fx: float, flat=None):
 
 def _scan(thetas: np.ndarray, legsums, lengths=None):
     """(chart parameter of the smallest leg sum d(x, z) + d(z, y), solver
-    legs of the sampling rounds that stopped short of tolerance, relative
-    gap certified over the skipped samples).
+    legs of the sampling rounds and the refinement that stopped short of
+    tolerance, relative gap certified over the skipped samples).
 
     legsums(thetas) maps an array of chart parameters to the array of
     their leg sums (+inf outside the domain), each call one batch (one
@@ -795,14 +795,16 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
         f, j, gap = _rounds(thetas, legsums, lengths)
     if not math.isfinite(f[j]):
         raise OutsideDomain("no sample of the boundary lies inside the model domain")
-    unconverged = legsums.unconverged
     lo = float(thetas[max(j - 1, 0)])
     hi = float(thetas[min(j + 1, len(thetas) - 1)])
     if not (lo < hi and math.isfinite(hi - lo)):
-        return float(thetas[j]), unconverged, gap
-    if lengths is not None:
-        return _refine(thetas, f, j, legsums, lo, hi), unconverged, gap
-    return _brent(legsums, lo, hi, float(thetas[j]), f[j])[0], unconverged, gap
+        theta = float(thetas[j])
+    elif lengths is not None:
+        theta = _refine(thetas, f, j, legsums, lo, hi)
+    else:
+        theta = _brent(legsums, lo, hi, float(thetas[j]), f[j])[0]
+    # read after the refinement, whose legs can stop short too
+    return theta, legsums.unconverged, gap
 
 
 def _refine(thetas, f, j, legsums, lo, hi):

@@ -35,12 +35,14 @@ exact where the model has a jet and by finite differences of the metric
 (first order only) where it has none.  Each Newton term is contracted
 along the segment's step delta from w = A delta and u_k = da_k w, so no
 derivative of A is ever formed.  Without a second derivative there is no
-Newton direction, and such a model steps by Gauss-Newton.  The line search
-makes that call once per round, on all its trial steps together, and
-contracts it only in a round that accepts a step; a stack's starts take
-it once with the chords of its warm legs.  So an accepted step brings its
-energy, its gradient and its Hessian terms from the one metric evaluation
-that priced it.
+Newton direction, and such a model steps by Gauss-Newton.  That call is
+the one way a stack of paths is priced (_priced): the line search makes
+it once per round, on all its trial steps together, and contracts it only
+in a round that accepts a step; a stack's starts take it once with the
+chords of its warm legs.  So an accepted step brings its energy, its
+gradient and its Hessian terms from the one metric evaluation that priced
+it.  Only path_energy and a result's segment lengths (_segment_q) read the
+inverse metric alone, and they raise where the metric is singular.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ import numpy as np
 from .errors import NoConvergence, NotSPD, OutsideDomain
 from .model import (
     DiffusionModel,
-    HullWhiteGeometry,
     _check_point,
     domain_test_batch,
     inverse_metric_batch,
@@ -133,17 +134,10 @@ class GeodesicResult:
 # paths.
 
 
-def _energies(model, P, gradients=False):
-    """Energy of each path, +inf where a midpoint leaves the domain or the
-    metric fails there; gradients=True adds every path's gradients and
-    segment terms from the same metric evaluation, as _priced gives them."""
-    E, grads = _priced(model, P, gradients)
-    return (E, *grads()) if gradients else E
-
-
-def _priced(model, P, jet):
-    """(energies, grads) of the stack P from one metric batch, the jet's if
-    jet.  grads(rows) contracts the gradients and segment terms of every
+def _priced(model, P):
+    """(energies, grads) of the stack P from one metric_jet batch, the
+    energy +inf where a midpoint leaves the domain or the metric fails
+    there.  grads(rows) contracts the gradients and segment terms of every
     path (_contract) and gives those of rows, all by default, NaN where
     the energy is infinite: a line-search round that accepts no trial
     contracts nothing."""
@@ -157,15 +151,13 @@ def _priced(model, P, jet):
         # the paths inside the domain: the stack itself when all are
         Q, M = (P, mids) if kept.size == K else (P[ok], mids[ok])
         try:
-            A, *da = (metric_jet(model, M.reshape(-1, d)) if jet
-                      else (inverse_metric_batch(model, M.reshape(-1, d)),))
+            A, *da = metric_jet(model, M.reshape(-1, d))
             q = _q_form(A.transpose(1, 2, 0), D := _steps(Q))
         except (NotSPD, ValueError):
             if K > 1:
                 # each half of the stack on its own, down to single paths
-                parts = (_energies(model, P[:K // 2], jet), _energies(model, P[K // 2:], jet))
-                if not jet:
-                    return np.concatenate(parts), None
+                parts = [(e, *h()) for e, h in (_priced(model, P[:K // 2]),
+                                                _priced(model, P[K // 2:]))]
                 E, g, T = (np.concatenate(c, axis=a) for c, a in zip(zip(*parts), (0, 0, -2)))
                 return E, lambda rows=slice(None): (g[rows], T[..., rows, :])
             kept = kept[:0]
@@ -190,7 +182,7 @@ def _priced(model, P, jet):
 
 def _energy_of(model, pts) -> float:
     """Energy of one point array, +inf if any midpoint leaves the domain."""
-    return float(_energies(model, pts[None])[0])
+    return float(_priced(model, pts[None])[0][0])
 
 
 def _segment_q(model, pts) -> np.ndarray:
@@ -207,13 +199,6 @@ def _q_form(A, D):
     """delta^T A delta of each step, from A (d, d, m) and the steps D (d, m),
     contracted with the point axis last and contiguous."""
     return np.einsum("ijm,im,jm->m", np.ascontiguousarray(A), D, D)
-
-
-def _gradients(model, P):
-    """Segment quadratic forms (K N,) and _contract's terms of the stack P."""
-    A, da, d2a = metric_jet(model, (0.5 * (P[:, :-1] + P[:, 1:])).reshape(-1, P.shape[2]))
-    D = _steps(P)
-    return (_q_form(A.transpose(1, 2, 0), D), *_contract(D, P.shape[1] - 1, A, da, d2a))
 
 
 def _contract(D, n, A, da, d2a):
@@ -276,7 +261,10 @@ def path_energy(model: DiffusionModel, path: DiscretePath) -> float:
 
 def energy_gradient(model: DiffusionModel, path: DiscretePath) -> np.ndarray:
     """Energy gradient w.r.t. the interior points, shape (N-1, d)."""
-    return _gradients(model, _check_path(model, path)[None])[1][0]
+    pts = _check_path(model, path)
+    # the jet itself, not _priced: a singular metric raises NotSPD here
+    A, da, d2a = metric_jet(model, 0.5 * (pts[:-1] + pts[1:]))
+    return _contract(_steps(pts[None]), path.n_segments, A, da, d2a)[0][0]
 
 
 # ---- Minimization ---- #
@@ -378,15 +366,13 @@ def _line_search(model, P, E, g, T):
     floor, or whose accepted trial equals the path, does not move.  The
     paths search in lockstep, with the trials of a round in one jet batch
     (an accepted trial brings its gradient and segment terms along,
-    contracted only in a round that accepts one), and
-    each gets the bits it gets alone; a path that keeps failing tries its
-    next lengths in blocks that double each round (1, 2, 4, ... per
-    direction), which takes a long backtrack in few rounds and accepts the
-    length the one-by-one search accepts.  When every path has a usable Newton
-    direction, the first round, every full step, is one jet batch whose
-    bookkeeping is elementwise, and the paths that fail it go on as above.
-    Returns the accepted paths, their energies, gradients and segment
-    terms, and which paths moved.
+    contracted only in a round that accepts one), and each gets the bits
+    it gets alone; a path that keeps failing tries its next lengths in
+    blocks that double each round (1, 2, 4, ... per direction), which
+    takes a long backtrack in few rounds and accepts the length the
+    one-by-one search accepts.  The first round tries every path's full
+    step.  Returns the accepted paths, their energies, gradients and
+    segment terms, and which paths moved.
     """
     L, n1, _ = P.shape
     p = np.zeros_like(g)
@@ -434,22 +420,7 @@ def _line_search(model, P, E, g, T):
     trial = P.copy()
     Et = E.copy()
     gt, Tt = np.empty_like(g), np.empty_like(T)
-    if newton.all():
-        # every path has a usable Newton direction: the first round, every
-        # full step, is one jet batch, and its bookkeeping is elementwise
-        trial[:, 1:-1] += p
-        Et, grads = _priced(model, trial, True)
-        ok = Et <= E + ARMIJO_C1 * gTp
-        moved = ok & (trial != P).any(axis=(1, 2))
-        if ok.all():
-            return trial, Et, *grads(), moved
-        trial[~ok] = P[~ok]
-        if ok.any():
-            gt, Tt = grads()
-        searching[ok] = False
-        advance(np.flatnonzero(~ok), np.ones(L, dtype=int))
-    else:
-        moved = np.zeros(L, dtype=bool)
+    moved = np.zeros(L, dtype=bool)
     while searching.any():
         s = np.flatnonzero(searching)
         # the next m lengths of each path's search, alpha BACKTRACK^j for
@@ -461,8 +432,12 @@ def _line_search(model, P, E, g, T):
         a = alpha[rows] * BACKTRACK ** (np.arange(len(rows)) - np.repeat(np.cumsum(m) - m, m))
         X = P[rows]
         X[:, 1:-1] += a[:, None, None] * p[rows]
-        Es, grads = _priced(model, X, True)
+        Es, grads = _priced(model, X)
         ok = np.flatnonzero(Es <= E[rows] + ARMIJO_C1 * a * gTp[rows])
+        if ok.size == len(rows) == s.size == L:
+            # one row per path, and each passes: the round's batch is the
+            # result, in path order
+            return X, Es, *grads(), (X != P).any(axis=(1, 2))
         # each path's first length that passes (a round that accepts none
         # contracts nothing); a step too short to change any point leaves
         # the path where it was
@@ -482,7 +457,7 @@ def _minimize_level(model, P, tol, max_iter, start):
     """Line-searched Newton at fixed resolution on a stack of paths.
 
     P is a (K, N+1, d) stack, start its energies, gradients and segment
-    terms as _energies gives them (updated in place), and tol holds each
+    terms, _priced's (E, *grads()) (updated in place), and tol holds each
     path's gradient tolerance.  Returns (P, E, grad_sup, iters, stalled),
     one entry per path.  Each step is a Newton or a Gauss-Newton step as
     _line_search says.  A line search that leaves the path as it was (no
@@ -537,16 +512,6 @@ def _resample(pts: np.ndarray, new_n: int) -> np.ndarray:
     return np.column_stack([np.interp(new, old, pts[:, k]) for k in range(pts.shape[1])])
 
 
-def _chord_floor(model: DiffusionModel, x, y) -> np.ndarray | None:
-    """Coordinatewise lower bound (d,) of the perturbed chords from x to y,
-    or None."""
-    if isinstance(model.geometry, HullWhiteGeometry):
-        f = np.full(x.shape, -np.inf)
-        f[1] = 1e-3 * min(x[1], y[1])
-        return f
-    return None
-
-
 def _chords(X, Y, n) -> np.ndarray:
     """The chords from X[k] to Y[k] at n segments, (K, n+1, d).
 
@@ -574,17 +539,15 @@ def _validate_endpoint(model, z, name):
 
 def _starts(model, x, y, opts: SolverOptions) -> list:
     """Starts of a solve from x to y: None for the chord, then the
-    multi_start - 1 perturbed chords whose energy is finite."""
+    multi_start - 1 perturbed chords whose energy is finite.  A perturbed
+    chord that leaves the domain is dropped, under every model."""
     inits = [None]
-    floor = _chord_floor(model, x, y)
     for j in range(1, opts.multi_start):
         rng = np.random.Generator(np.random.Philox(key=[0x9E3779B9, j]))
         pts = _chords(x[None], y[None], opts.n)[0]
         scale = 0.05 * max(float(np.abs(y - x).max()), 1e-6)
         bump = np.sin(np.pi * np.linspace(0, 1, opts.n + 1))[1:-1, None]
         pts[1:-1] += scale * bump * rng.standard_normal((opts.n - 1, pts.shape[1]))
-        if floor is not None:
-            pts[1:-1] = np.maximum(pts[1:-1], floor)
         if np.isfinite(_energy_of(model, pts)):
             inits.append(pts)
     return inits
@@ -616,7 +579,8 @@ def _solve_legs(model, X, Y, opts: SolverOptions, inits):
         init = inits[k]
         P[k] = init if init.shape[0] == n + 1 else _resample(init, n)
     P[w, 0], P[w, -1] = X[w], Y[w]
-    E, g, T = _energies(model, P, gradients=True)
+    E, grads = _priced(model, P)
+    g, T = grads()
     chord_E = E[chord]
     # a warm start whose energy is not finite starts from its chord's row
     warm &= np.isfinite(E[:K])

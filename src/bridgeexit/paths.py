@@ -1,4 +1,4 @@
-"""Discrete paths on the uniform unit-interval grid, plus CSV round-tripping.
+"""Discrete paths on the uniform unit-interval grid, plus their CSV text.
 
 A path with N segments stores its N+1 points at grid times s_i = i/N.
 The container itself is dumb on purpose: domain membership and energy are
@@ -58,13 +58,3 @@ def path_to_csv(path: DiscretePath) -> str:
         lines.append(",".join([format_sig(s)] + [format_sig(v) for v in row]))
     return "\n".join(lines) + "\n"
 
-
-def path_from_csv(text: str) -> DiscretePath:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("s,"):
-        raise ValueError("not a path CSV: missing 's,coord_...' header")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rows.append([float(c) for c in cells[1:]])
-    return DiscretePath(np.asarray(rows, dtype=float))

@@ -1464,14 +1464,44 @@ def test_result_counts_scan_legs_that_ran_out_of_budget(monkeypatch):
     opts = SolverOptions(n=50, max_iter=1, strict=False)
     res = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y,
                            VerticalBarrier(ref.A_BARRIER), opts=opts, force_numeric=True)
-    # nearly every leg of the rounds is cut short: more than the 18 cold
-    # legs of round 0 (38 here), at most two per sample solved
-    legs = sum(legs for phase, legs, _, _ in stacks if phase == "rounds")
+    # nearly every leg of the rounds and the refinement is cut short: more
+    # than the 18 cold legs of round 0 (42 here), at most two per sample
+    # solved
+    legs = sum(legs for phase, legs, _, _ in stacks if phase != "final")
     assert 18 < res.unconverged_legs <= legs
     assert_consistent(res, VerticalBarrier(ref.A_BARRIER))
     closed = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y,
                               VerticalBarrier(ref.A_BARRIER))
     assert closed.unconverged_legs == 0
+
+
+def test_result_counts_refinement_legs_that_ran_out_of_budget(monkeypatch):
+    import bridgeexit.exits as exits
+
+    # the sample legs each scan stack cut short, by phase; the first
+    # stack's last leg is x to y, no sample's
+    short, phase = {"rounds": 0, "refine": 0, "final": 0}, ["rounds"]
+    solve, refine = exits._solve_legs, exits._refine
+
+    def counting(model, X, Y, opts, inits):
+        out = solve(model, X, Y, opts, inits)
+        short[phase[0]] += int(out[5][:len(inits) // 2 * 2].sum())
+        return out
+
+    def refining(*args):
+        phase[0] = "refine"
+        theta = refine(*args)
+        phase[0] = "final"
+        return theta
+
+    monkeypatch.setattr(exits, "_solve_legs", counting)
+    monkeypatch.setattr(exits, "_refine", refining)
+    opts = SolverOptions(n=50, max_iter=1, strict=False)
+    res = exit_asymptotics(hull_white_model(), ref.A_X, ref.A_Y,
+                           VerticalBarrier(ref.A_BARRIER), opts=opts, force_numeric=True)
+    # the refinement's legs stop short too (4 of 4 here), and count
+    assert short["refine"] > 0
+    assert res.unconverged_legs == short["rounds"] + short["refine"]
 
 
 def _full_sweep_case(kind):

@@ -18,7 +18,7 @@ from bridgeexit import (
     path_energy,
     solve_geodesic,
 )
-from bridgeexit.paths import path_from_csv, path_to_csv
+from bridgeexit.paths import path_to_csv
 
 import refvalues as ref
 
@@ -123,14 +123,14 @@ def test_newton_hessian_matches_gradient_differences():
     # the assembled band, the exact Hessian of the energy, against central
     # differences of energy_gradient on curved paths; the grid path's
     # midpoints and their shifted copies stay inside lattice cells
-    from bridgeexit.geodesic import _gradients, _hessian
+    from bridgeexit.geodesic import _hessian, _priced
 
     s = np.linspace(0.0, 1.0, 41)
     curved = np.column_stack([0.4 + 3.0 * s, 0.5 + 1.5 * s + 0.3 * np.sin(np.pi * s)])
     for model in (_twisted_grid(), _random_lattice(), hull_white_model(sigma_vol=1.3, rho=0.4),
                   hull_white_model(sigma_vol=1.2, rho=0.3)):
         n = len(curved) - 1
-        _, _, T = _gradients(model, curved[None])
+        _, T = _priced(model, curved[None])[1]()
         D, U = _hessian(T, n, True)
         m = n - 1
         H = np.zeros((m, 2, m, 2))
@@ -361,6 +361,21 @@ def test_multi_start_reports_spread_and_keeps_the_best():
     assert multi.distance <= single.distance * (1.0 + 1e-8)
 
 
+def test_multi_start_drops_perturbed_chords_that_leave_the_domain():
+    from bridgeexit.geodesic import _starts
+
+    # a chord at v = 0.02: each perturbed chord crosses v = 0, under the
+    # volatility model as under any other, so only the chord is solved
+    model = hull_white_model()
+    x, y = np.array([0.0, 0.02]), np.array([1.0, 0.02])
+    opts = SolverOptions(n=50, multi_start=4)
+    assert _starts(model, x, y, opts) == [None]
+    res = solve_geodesic(model, x, y, opts)
+    assert res.distance.hex() == "0x1.f428ae5924304p+2"
+    assert res.distance == solve_geodesic(model, x, y, SolverOptions(n=50)).distance
+    assert res.multistart_spread == 0.0
+
+
 def test_warm_start_from_supplied_path():
     model = hull_white_model()
     res = solve_geodesic(model, ref.A_X, ref.A_Y, SolverOptions(n=60))
@@ -379,7 +394,7 @@ def test_path_csv_round_trip():
     path = wiggly_path(rng, np.array([0.0, 1.0]), np.array([2.0, 0.5]), n=6)
     text = path_to_csv(path)
     assert text.splitlines()[0] == "s,coord_0,coord_1"
-    back = path_from_csv(text)
+    back = DiscretePath(np.loadtxt(text.splitlines(), delimiter=",", skiprows=1)[:, 1:])
     assert back.n_segments == 6
     assert np.abs(back.points - path.points).max() < 1e-10
 
@@ -423,7 +438,7 @@ def _per_point_jet(model, pts):
 def _assert_jet_is_per_point(model, P):
     """The difference jet at the midpoints of the stack P, and P's
     gradients, keep the bits of each point and each path alone."""
-    from bridgeexit.geodesic import _gradients
+    from bridgeexit.geodesic import _priced
     from bridgeexit.model import metric_jet
 
     d = P.shape[2]
@@ -435,11 +450,12 @@ def _assert_jet_is_per_point(model, P):
     a = np.linalg.inv(A_ref)[:, None]
     assert da.tobytes() == (-(a @ dA_ref @ a)).tobytes()
     assert d2a is None
-    q, g, T = _gradients(model, P)
-    q = q.reshape(len(P), -1)
+    E, grads = _priced(model, P)
+    g, T = grads()
     for k in range(len(P)):
-        q_k, g_k, T_k = _gradients(model, P[k:k + 1])
-        assert q[k].tobytes() == q_k.tobytes()
+        E_k, grads_k = _priced(model, P[k:k + 1])
+        g_k, T_k = grads_k()
+        assert E[k:k + 1].tobytes() == E_k.tobytes()
         assert g[k:k + 1].tobytes() == g_k.tobytes()
         assert T[..., k:k + 1, :].tobytes() == T_k.tobytes()
     return g
@@ -516,10 +532,11 @@ def test_a_probe_whose_metric_raises_gets_a_one_sided_difference():
 def _stacked_and_alone(model, P, tol, max_iter):
     """_minimize_level on the stack, checked leg by leg against each leg
     minimized alone: every output keeps its bits."""
-    from bridgeexit.geodesic import _energies, _minimize_level
+    from bridgeexit.geodesic import _minimize_level, _priced
 
     def minimize(P, tol):
-        start = _energies(model, P, gradients=True)
+        E, grads = _priced(model, P)
+        start = (E, *grads())
         return _minimize_level(model, P, np.asarray(tol, dtype=float), max_iter, start)
 
     stacked = minimize(P, tol)
@@ -599,7 +616,7 @@ def test_a_stack_whose_metric_batch_raises_falls_back_leg_by_leg():
 
 
 def test_a_path_whose_metric_raises_reads_infinite_in_its_stack():
-    from bridgeexit.geodesic import _energies
+    from bridgeexit.geodesic import _priced
     from bridgeexit.model import grid_model
 
     xs = np.linspace(0.0, 4.0, 13)
@@ -635,19 +652,17 @@ def test_a_path_whose_metric_raises_reads_infinite_in_its_stack():
     # the energies, the gradients and the segment terms have their path
     # axis at 0, 0 and -2
     axes = (0, 0, -2)
-    for gradients in (False, True):
-        raised.clear()
-        stacked = _energies(model, P, gradients)
-        # the whole stack's batch raised, with every path's midpoints
-        assert max(raised) >= 5 * n
-        stacked = stacked if gradients else (stacked,)
-        assert stacked[0][2] == np.inf
-        for out, axis in zip(stacked[1:], axes[1:]):
-            assert np.isnan(np.take(out, 2, axis=axis)).all()
-        for k in (0, 1, 3, 4):
-            alone = _energies(model, P[k:k + 1], gradients)
-            for out, one, axis in zip(stacked, alone if gradients else (alone,), axes):
-                assert np.take(out, [k], axis=axis).tobytes() == one.tobytes()
+    E, grads = _priced(model, P)
+    stacked = (E, *grads())
+    # the whole stack's batch raised, with every path's midpoints
+    assert max(raised) >= 5 * n
+    assert stacked[0][2] == np.inf
+    for out, axis in zip(stacked[1:], axes[1:]):
+        assert np.isnan(np.take(out, 2, axis=axis)).all()
+    for k in (0, 1, 3, 4):
+        E_k, grads_k = _priced(model, P[k:k + 1])
+        for out, one, axis in zip(stacked, (E_k, *grads_k()), axes):
+            assert np.take(out, [k], axis=axis).tobytes() == one.tobytes()
 
 
 def test_cold_and_warm_legs_solve_together_as_alone():
@@ -696,6 +711,37 @@ def test_a_warm_start_that_leaves_the_domain_solves_cold_in_its_stack():
     cold = _solve_legs(model, X[:1], Y[:1], opts, [None])
     assert cold[0].tobytes() != stacked[0][:1].tobytes()
 
+
+def test_a_round_of_one_paths_lengths_keeps_its_bookkeeping(monkeypatch):
+    import bridgeexit.geodesic as geodesic
+
+    model = hull_white_model(sigma_vol=1.2, rho=0.3)
+    x, y = np.array([1.0, 0.2]), np.array([2.0, 0.5])
+    rng = np.random.default_rng(3)
+    P = np.stack([wiggly_path(rng, x, y, n=20, amp=0.02).points,
+                  wiggly_path(rng, x, y, n=20, amp=0.1).points])
+    priced = geodesic._priced
+    rounds = []
+
+    def spy(model, X):
+        rounds.append(len(X))
+        return priced(model, X)
+
+    E, grads = priced(model, P)
+    monkeypatch.setattr(geodesic, "_priced", spy)
+    stacked = geodesic._line_search(model, P, E, *grads())
+    # path 0 takes its full step; path 1 fails its own and tries its next
+    # two lengths, which both pass: a round of one row per path in the
+    # stack, both from path 1, which takes the first
+    assert rounds == [2, 2]
+    for k in range(2):
+        E_k, grads_k = priced(model, P[k:k + 1])
+        alone = geodesic._line_search(model, P[k:k + 1], E_k, *grads_k())
+        for out, one, axis in zip(stacked, alone, (0, 0, 0, -2, 0)):
+            assert np.take(out, [k], axis=axis).tobytes() == one.tobytes()
+    _stacked_and_alone(model, P, [1e-9] * 2, 1)
+
+
 def test_newton_and_gauss_newton_legs_share_a_round_with_a_stuck_leg(monkeypatch):
     import bridgeexit.geodesic as geodesic
 
@@ -732,7 +778,8 @@ def test_newton_and_gauss_newton_legs_share_a_round_with_a_stuck_leg(monkeypatch
         return p, ok
 
     monkeypatch.setattr(geodesic, "_band_solve", spy)
-    start = geodesic._energies(model, P, gradients=True)
+    E, grads = geodesic._priced(model, P)
+    start = (E, *grads())
     _, E, _, iters, stalled = geodesic._minimize_level(model, P, np.full(3, 1e-9), 1, start)
     # the first round: Newton for all three, then Gauss-Newton for the two
     # it failed, which fails the third: that leg stalls where it starts
