@@ -46,7 +46,9 @@ measure a window's 256 samples in one call, bit for bit as one point at
 a time, and each of Brent's steps at one point.  The path optimizer
 measures only the samples whose Piyavskii-Shubert bound, over the split
 legs, could still beat the best one, in rounds of one lockstep stack each
-(_scan), with legs to SCAN_TOL, and its result's scan_gap is the relative
+(_scan), with legs to SCAN_TOL; round 0's legs start from the shortest
+paths of a lattice distance field (_lattice_field), the only use of
+scipy.sparse, loaded there.  Its result's scan_gap is the relative
 gap the bound certifies; it refines to the vertex of the quartic through
 the five samples about the best (_refine), by Brent only where that
 fails.  The legs and J of the result come from the oracle at z_star;
@@ -125,14 +127,20 @@ SQRT_EPS = math.sqrt(np.finfo(float).eps)
 EXIT_TOL = 1e-12
 TOO_FAR = "the endpoints and the boundary are too far apart for float arithmetic"
 # A solver scan first solves every SCAN_STRIDE-th sample of its window
-# (and the last: 9 cold samples of 256), then bisects the gaps whose
-# Lipschitz bound comes within SCAN_GAP (relative) of the best sample; the
-# bisected samples start warm from both neighbors, so a wide stride costs
-# few iterations.  SCAN_PIECES pieces of an inscribed polygon measure a
-# gap's length.
+# (and the last: 9 samples of 256, their legs started from the lattice
+# field), then bisects the gaps whose Lipschitz bound comes within
+# SCAN_GAP (relative) of the best sample; the bisected samples start warm
+# from both neighbors, so a wide stride costs few iterations.  SCAN_PIECES
+# pieces of an inscribed polygon measure each interval between adjacent
+# samples, and a gap's length is the sum of its intervals'.
 SCAN_STRIDE = 32
 SCAN_GAP = 1e-3
-SCAN_PIECES = 16
+SCAN_PIECES = 2
+# The lattice field of a solver scan (_lattice_field): FIELD_NODES nodes a
+# side, each joined to its 16 neighbours (the 8 of FIELD_STENCIL and their
+# opposites).
+FIELD_NODES = 17
+FIELD_STENCIL = np.array([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1)])
 # A domain-bounded window narrows the bracket of each end by this factor
 # per batch domain test, to adjacent floats in about seven batches.
 LINE_SPLIT = 256
@@ -345,7 +353,8 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
             return solve_geodesic(model, x, y, opts)
 
         def scan(thetas, chart):
-            legsums = _solver_legsums(model, x, y, chart, opts)
+            field = _lattice_field(model, x, y, chart(thetas[[0, -1]]))
+            legsums = _solver_legsums(model, x, y, chart, opts, field)
             theta, unconverged, gap = _scan(
                 thetas, legsums, lambda lo, hi: _chart_lengths(model, chart, lo, hi))
 
@@ -766,11 +775,14 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
 
     Without lengths (a closed-form oracle) every sample is measured in one
     call and the gap is NaN.  With lengths(lo, hi), the Riemannian lengths
-    of the chart over the gaps [lo[k], hi[k]], the scan runs in rounds,
-    and legsums.legs maps each parameter measured inside the domain to
-    its legs (a, b) = (d(x, z), d(z, y)).  Round 0 measures every
-    SCAN_STRIDE-th sample and the last, cold (9 of 256), and each later
-    round bisects every open gap between measured neighbors.  As each leg is
+    of the chart over the intervals [lo[k], hi[k]], asked once for every
+    pair of adjacent samples, the scan runs in rounds, and legsums.legs
+    maps each parameter measured inside the domain to its legs (a, b) =
+    (d(x, z), d(z, y)).  Round 0 measures every SCAN_STRIDE-th sample and
+    the last (9 of 256), and each later round bisects every open gap
+    between measured neighbors.  l_ij, the length of the gap between
+    samples i and j, sums its intervals, and is infinite where one of them
+    is.  As each leg is
     1-Lipschitz in distance, on the gap between samples i and j
     a >= a_i - l(i, z) and b >= b_j - l(z, j), so the leg sum is at least
     max(a_i + b_j, a_j + b_i) - l_ij (Piyavskii 1972; Shubert 1972, with
@@ -840,12 +852,17 @@ def _rounds(thetas, legsums, lengths):
     n = len(thetas)
     f = np.full(n, np.nan)
     new = np.unique(np.append(np.arange(0, n, SCAN_STRIDE), n - 1))
-    ell = {}  # (i, j) -> chart length between samples i and j
+    # every interval between adjacent samples, measured once; a gap's
+    # length is a difference of running sums, infinite across an interval
+    # outside the domain
+    step = lengths(thetas[:-1], thetas[1:])
+    run = np.concatenate([[0.0], np.cumsum(np.where(np.isfinite(step), step, 0.0))])
+    out = np.concatenate([[0], np.cumsum(~np.isfinite(step))])
     legs = legsums.legs
 
     def bound(i, j):
         (a_i, b_i), (a_j, b_j) = legs[thetas[i]], legs[thetas[j]]
-        return max(a_i + b_j, a_j + b_i) - ell[i, j]
+        return max(a_i + b_j, a_j + b_i) - (run[j] - run[i] if out[i] == out[j] else math.inf)
 
     while len(new):
         f[new] = legsums(thetas[new])
@@ -853,10 +870,6 @@ def _rounds(thetas, legsums, lengths):
         j = int(done[np.argmin(f[done])])
         gaps = [(a, b) for a, b in zip(done[:-1].tolist(), done[1:].tolist()) if b - a > 1]
         forced = {g for g in gaps if j in g or not np.isfinite(f[list(g)]).all()}
-        need = [g for g in gaps if g not in forced and g not in ell]
-        if need:
-            lo, hi = zip(*need)
-            ell.update(zip(need, lengths(thetas[list(lo)], thetas[list(hi)])))
         bounds = {g: bound(*g) for g in gaps if g not in forced}
         # a NaN bound stays open
         gaps = [g for g in gaps if g in forced or not bounds[g] >= f[j] * (1.0 - SCAN_GAP)]
@@ -867,11 +880,16 @@ def _rounds(thetas, legsums, lengths):
 
 def _chart_lengths(model, chart, lo, hi):
     """Riemannian length of the chart over each [lo[k], hi[k]]: the length
-    of its inscribed polygon of SCAN_PIECES pieces, each measured under
-    the metric at its midpoint, +inf for a piece whose midpoint lies outside
-    the domain.  All gaps take one domain test and one metric batch."""
+    of its inscribed polygon of SCAN_PIECES pieces (_polygon_lengths)."""
     t = np.linspace(lo, hi, SCAN_PIECES + 1, axis=1)
-    p = chart(t.ravel()).reshape(len(lo), SCAN_PIECES + 1, -1)
+    return _polygon_lengths(model, chart(t.ravel()).reshape(len(lo), SCAN_PIECES + 1, -1))
+
+
+def _polygon_lengths(model, p):
+    """Riemannian length of each polygon p[k] (p of shape (m, pieces + 1,
+    d)), each piece measured under the metric at its midpoint, +inf for a
+    polygon with a piece whose midpoint lies outside the domain.  All
+    polygons take one domain test and one metric batch."""
     step = np.diff(p, axis=1).reshape(-1, p.shape[-1])
     mid = (0.5 * (p[:, 1:] + p[:, :-1])).reshape(-1, p.shape[-1])
     out = np.full(len(mid), np.inf)
@@ -880,7 +898,111 @@ def _chart_lengths(model, chart, lo, hi):
         s = step[inside]
         G = inverse_metric_batch(model, mid[inside])
         out[inside] = np.sqrt(np.einsum("ki,kij,kj->k", s, G, s))
-    return out.reshape(len(lo), SCAN_PIECES).sum(axis=1)
+    return out.reshape(len(p), -1).sum(axis=1)
+
+
+@functools.cache
+def _lattice_pairs():
+    """(ij, a, b): the (row, column) of each node of the lattice of
+    FIELD_NODES a side, and the nodes a[k] and b[k] of each of its edges,
+    each once."""
+    ij = np.indices((FIELD_NODES, FIELD_NODES)).reshape(2, -1).T
+    to = ij[:, None] + FIELD_STENCIL
+    a, k = np.nonzero(((to >= 0) & (to < FIELD_NODES)).all(axis=-1))
+    return ij, a, to[a, k] @ [FIELD_NODES, 1]
+
+
+def _lattice_field(model, x, y, ends):
+    """Start paths for the cold legs of a solver scan from x to y whose
+    window ends at the points ends: the shortest paths of a lattice
+    (Dijkstra 1959, Numer. Math. 1, with the 16-neighbour stencil of
+    Tsitsiklis 1995, IEEE TAC 40), or None where x and y are not joined.
+
+    The lattice has FIELD_NODES nodes a side on the box of x, y and ends,
+    padded by a quarter of its extent on every side (of the larger extent
+    on an axis without one), less the nodes outside the domain.  x and y
+    are two more nodes, linked to every node within two cells of them.  An
+    edge is its straight segment, weighted by the metric at its midpoint
+    (_polygon_lengths, one piece) and left out where that is infinite.
+    One dijkstra call gives the shortest-path trees from x and from y.
+
+    paths(Z, n) is (x-to-Z, Z-to-y), the start legs to the rows of Z at
+    n + 1 points of equal field length.  Each Z[k] is linked to the tree
+    as x and y are, through the node that brings it nearest the root; the
+    field's distances are the running lengths along each path, and binary
+    lifting over the predecessors finds every point of every leg at once.
+    A Z[k] without a finite link on both trees gets its chords.  The
+    field's lengths carry the lattice's metrication bias, so it starts
+    legs and never reports a distance.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    box = np.array([x, y, *ends])
+    roots = box[:2]
+    ext = box.max(axis=0) - box.min(axis=0)
+    ext = np.where(ext > 0.0, ext, ext.max())
+    origin, cell = box.min(axis=0) - 0.25 * ext, 1.5 * ext / (FIELD_NODES - 1)
+    if not (np.isfinite(origin).all() and np.isfinite(cell).all() and (cell > 0.0).all()):
+        return None
+    ij, a, b = _lattice_pairs()
+    inside = domain_test_batch(model, origin + ij * cell)
+    index = np.cumsum(inside) - 1  # node number of each lattice point inside
+    a, b = index[a[inside[a] & inside[b]]], index[b[inside[a] & inside[b]]]
+    cells = np.concatenate([ij[inside], (roots - origin) / cell])
+    nodes = np.concatenate([origin + ij[inside] * cell, roots])
+    N = len(nodes) - 2
+
+    def links(Z):
+        """(k, i): each node i within two cells of Z[k]."""
+        return np.nonzero((np.abs(((Z - origin) / cell)[:, None] - cells) <= 2.0).all(axis=-1))
+
+    k, i = links(roots)
+    keep = i < N + k  # no root to itself, and x to y once
+    a, b = np.concatenate([a, N + k[keep]]), np.concatenate([b, i[keep]])
+    w = _polygon_lengths(model, np.stack([nodes[a], nodes[b]], axis=1))
+    keep = np.isfinite(w) & (w > 0.0)
+    a, b, w = a[keep], b[keep], w[keep]
+    graph = csr_matrix((np.concatenate([w, w]), (np.concatenate([a, b]), np.concatenate([b, a]))),
+                       shape=(N + 2, N + 2))
+    dist, pred = dijkstra(graph, indices=[N, N + 1], return_predecessors=True)
+    if not math.isfinite(dist[0, N + 1]):
+        return None
+    parent = np.where(pred < 0, np.arange(N + 2), pred)
+
+    def paths(Z, n):
+        m, u = len(Z), np.arange(n + 1) / n
+        k, i = links(Z)
+        # Z[k] hangs off the linked node i that brings it nearest each root
+        tot = np.full((2, m, N + 2), np.inf)
+        tot[:, k, i] = dist[:, i] + _polygon_lengths(model, np.stack([nodes[i], Z[k]], axis=1))
+        t = tot.argmin(axis=2)
+        D = np.take_along_axis(tot, t[..., None], axis=2)[..., 0]
+        ok = np.isfinite(D).all(axis=0)
+        # both trees with Z on them, as one forest of 2M nodes, and jumps[j]
+        # the 2^j-th ancestor of each (a root is its own parent)
+        M = N + 2 + m
+        d = np.concatenate([dist, np.where(ok, D, 0.0)], axis=1).ravel()
+        jumps = [(np.concatenate([parent, t], axis=1) + [[0], [M]]).ravel()]
+        while not np.array_equal(up := jumps[-1][jumps[-1]], jumps[-1]):
+            jumps.append(up)
+        # each point's length s along its leg, the node at or past it, and
+        # that node's parent, short of it
+        end = np.concatenate([N + 2 + np.arange(m), M + N + 2 + np.arange(m)])
+        s = d[end, None] * u
+        cur = np.repeat(end[:, None], n + 1, axis=1)
+        for up in reversed(jumps):
+            cur = np.where(d[up[cur]] > s, up[cur], cur)
+        par = jumps[0][cur]
+        lo, hi = d[par], d[cur]
+        w = np.divide(s - lo, hi - lo, out=np.ones_like(s), where=hi > lo)[..., None]
+        pts = np.concatenate([nodes, Z, nodes, Z])
+        P = (pts[par] + w * (pts[cur] - pts[par])).reshape(2, m, n + 1, -1)
+        if not ok.all():
+            P[:, ~ok] = roots[:, None, None] + u[:, None] * (Z[~ok, None] - roots[:, None, None])
+        return P[0], P[1][:, ::-1]
+
+    return paths
 
 
 def _oracle_legsums(model, legs, chart):
@@ -939,7 +1061,7 @@ def _scan_options(opts: SolverOptions) -> SolverOptions:
                    else opts.grad_tol_rel, multi_start=1, strict=False)
 
 
-def _solver_legsums(model, x, y, chart, opts: SolverOptions):
+def _solver_legsums(model, x, y, chart, opts: SolverOptions, field=None):
     """Leg sums of the path optimizer.
 
     Ranking boundary points needs far less accuracy than the reported
@@ -951,13 +1073,15 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
     inside the domain or not, joins the sorted list asked, and the legs of
     a new point start from those solved at the parameters asked next to it
     on either side: interpolated between two by _predicted_legs, copied
-    from one, and cold where neither was solved.  In the bisection rounds
+    from one, and, where neither was solved, from the paths of field
+    (_lattice_field; their chords without one).  In the bisection rounds
     those neighbors are the ends of the gap bisected, and in the
-    refinement the samples that bracket its point.  _solve_legs replaces a
-    start by the chord where its energy is not finite.  The first stack
-    also solves the x-to-y leg, cold, and legsums.warm(theta) gives the
-    paths of the legs x-to-y, x-to-z and z-to-y solved at theta (None
-    where there is none), from which the result's legs start.
+    refinement the samples that bracket its point; round 0's legs all
+    start from the field.  _solve_legs replaces a start by the chord where
+    its energy is not finite.  The first stack also solves the x-to-y leg,
+    from the field's path, and legsums.warm(theta) gives the paths of the
+    legs x-to-y, x-to-z and z-to-y solved at theta (None where there is
+    none), from which the result's legs start.
     """
     opts = _scan_options(opts)
     asked = []  # every chart parameter asked, sorted
@@ -990,6 +1114,14 @@ def _solver_legsums(model, x, y, chart, opts: SolverOptions):
             pred = _predicted_legs([tails[k] for k in warm], thetas[idx], z[idx], x, y)
             for k, pts in zip(warm, pred):
                 inits[2 * k], inits[2 * k + 1] = pts
+        cold = [k for k, tail in enumerate(tails) if not tail]
+        if field is not None and (cold or not xy):
+            ends = z[inside[cold]] if xy else np.concatenate([z[inside[cold]], [y]])
+            to_end, from_end = field(ends, opts.n)
+            for k, p, q in zip(cold, to_end, from_end):
+                inits[2 * k], inits[2 * k + 1] = p, q
+            if not xy:
+                inits[-1] = to_end[-1]
         P, E, _, _, _, unconverged = _solve_legs(model, X, Y, opts, inits)
         d = np.sqrt(np.maximum(2.0 * E, 0.0))
         for k, i in enumerate(inside):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .paths import format_sig
 
-__all__ = ["Curve", "Marker", "render_svg", "extract_markers"]
+__all__ = ["Curve", "Marker", "render_svg"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 DASH = {"solid": None, "dashed": "8 5", "dotted": "2 4"}
@@ -126,16 +126,3 @@ def render_svg(curves, markers=(), width: int = 640, height: int = 480,
             )
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def extract_markers(svg_text: str) -> dict:
-    """data-role -> (x, y) in data coordinates, read back from the attributes."""
-    import re
-
-    out = {}
-    pat = re.compile(
-        r'<circle[^>]*data-role="([^"]+)"[^>]*data-x="([^"]+)"[^>]*data-y="([^"]+)"'
-    )
-    for role, xs, ys in pat.findall(svg_text):
-        out[role] = (float(xs), float(ys))
-    return out

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -38,7 +39,7 @@ from bridgeexit.config import (
     solver_from_view,
     t_list_from_view,
 )
-from bridgeexit.svgplot import Curve, Marker, extract_markers, render_svg
+from bridgeexit.svgplot import Curve, Marker, render_svg
 
 import decimalref as dref
 import refvalues as ref
@@ -46,6 +47,13 @@ import refvalues as ref
 
 def view_of(text: str) -> ConfigView:
     return ConfigView(parse_config_text(text))
+
+
+def extract_markers(svg_text: str) -> dict:
+    """data-role -> (x, y) in data coordinates, read back from the
+    attributes render_svg writes on each marker."""
+    pat = re.compile(r'<circle[^>]*data-role="([^"]+)"[^>]*data-x="([^"]+)"[^>]*data-y="([^"]+)"')
+    return {role: (float(xs), float(ys)) for role, xs, ys in pat.findall(svg_text)}
 
 
 # ---- parser ---- #
@@ -1075,13 +1083,18 @@ def run(*argv):
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+def sparse_modules():
+    return [m for m in scipy_modules() if m.startswith("scipy.sparse")]
+
+# only a solver scan's lattice field loads scipy.sparse
+print(sparse_modules())
 for name in ("figure1", "figure2", "brownian_barrier"):
     run("exit", "--config", name)
 run("mc", "--config", sys.argv[1])
 print(scipy_modules())
 # the path optimizer does load it: the check above can fail
 run("distance", "--config", "figure1")
-print("scipy.linalg" in scipy_modules())
+print("scipy.linalg" in scipy_modules(), sparse_modules())
 """
 
 
@@ -1096,4 +1109,4 @@ def test_closed_form_and_monte_carlo_commands_never_import_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", COLD_SCRIPT, cfg], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "True"]
+    assert done.stdout.splitlines() == ["[]", "[]", "True []"]

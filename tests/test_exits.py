@@ -1314,20 +1314,20 @@ def test_hw_transform_is_built_once_per_volatility_exit(case, monkeypatch):
 # solver moves these bits.
 PINNED_SCANS = {
     "grid": {
-        "J": "0x1.e7750bd0c97b6p+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f26d6b0fff886p-1"),
-        "u_bar": "0x1.7e78a5f2031bep-1",
+        "J": "0x1.e7750bd0c92dap+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f26d6b09084dfp-1"),
+        "u_bar": "0x1.7e78a5f2ceb9bp-1",
         "d_xy": "0x1.468c6d3b8dca8p+1",
-        "d_xz": "0x1.675caaafbc597p+1",
-        "d_zy": "0x1.e6cf520b45c69p-1",
+        "d_xz": "0x1.675caab07b9a5p+1",
+        "d_zy": "0x1.e6cf520848703p-1",
     },
     "force_numeric": {
-        "J": "0x1.e7620eb7383d5p+1",
-        "z_star": ("0x1.4000000000000p+1", "0x1.f2627838a93cdp-1"),
-        "u_bar": "0x1.7e788b66f0046p-1",
+        "J": "0x1.e7620eb7383d9p+1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.f2627838a79c3p-1"),
+        "u_bar": "0x1.7e788b66f033fp-1",
         "d_xy": "0x1.468b1c748ee56p+1",
-        "d_xz": "0x1.675820be4dba4p+1",
-        "d_zy": "0x1.e6c9b18d9c5bdp-1",
+        "d_xz": "0x1.675820be4de70p+1",
+        "d_zy": "0x1.e6c9b18d9ba91p-1",
     },
 }
 # Config A's endpoints straddling x = 1.5 under the path optimizer: the
@@ -1379,8 +1379,11 @@ def test_grid_scan_makes_one_metric_batch_per_solver_step():
     res = exit_asymptotics(model, ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER), workers=1)
     assert _bits(res) == PINNED_SCANS["grid"]
     assert_consistent(res, VerticalBarrier(ref.A_BARRIER))
-    # 28 hook and 38 jet calls when warm chords and late trials took the hook
-    assert calls["inverse"] <= 9 and calls["jet"] <= 38
+    # 7 hook calls: the window's anchor, one batch of chart lengths, the
+    # lattice field's edges and its links, and the result's three
+    # endpoints; 24 jet calls, each pricing the starts of one of the 8
+    # stacks or one line-search round
+    assert calls["inverse"] <= 7 and calls["jet"] <= 24
 
 def _record_scan_stacks(monkeypatch):
     """A list that fills with (phase, legs, iterations, lockstep
@@ -1409,6 +1412,38 @@ def _record_scan_stacks(monkeypatch):
     monkeypatch.setattr(exits, "_refine", refining)
     monkeypatch.setattr(exits, "_result_legs", final)
     return stacks
+
+
+@pytest.mark.parametrize("case", ["grid", "force_numeric"])
+def test_round_zero_starts_from_the_lattice_field(case, monkeypatch):
+    import bridgeexit.exits as exits
+
+    # round 0's legs start from the field's shortest paths: config A's
+    # takes 6 lockstep iterations (grid) and 5, where its chords took 12
+    # and 7; every start ends where its leg does
+    starts = []
+    solve = exits._solve_legs
+
+    def recording(model, X, Y, opts, inits):
+        starts.append((X, Y, inits))
+        return solve(model, X, Y, opts, inits)
+
+    monkeypatch.setattr(exits, "_solve_legs", recording)
+    stacks = _record_scan_stacks(monkeypatch)
+    if case == "grid":
+        model, kw = diag_v_grid(), {}
+    else:
+        model, kw = hull_white_model(), dict(opts=SolverOptions(n=50), force_numeric=True)
+    res = exit_asymptotics(model, ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER), **kw)
+    assert_consistent(res, VerticalBarrier(ref.A_BARRIER))
+    phase, legs, _, lockstep = stacks[0]
+    assert phase == "rounds" and legs == 2 * 9 + 1
+    assert lockstep <= 6
+    X, Y, inits = starts[0]
+    assert all(p is not None for p in inits)
+    for p, q, path in zip(X, Y, inits):
+        assert path.shape == (51, 2)
+        np.testing.assert_allclose(path[[0, -1]], [p, q], rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("multi_start", [1, 3])
@@ -1554,7 +1589,8 @@ def test_chart_lengths_measure_the_metric_along_the_chart():
     from bridgeexit.exits import _chart_lengths
 
     # a^-1 = I / v^2 on the grid: the vertical piece from v0 to v1 is
-    # log(v1 / v0) long, which 16 midpoints measure from below
+    # log(v1 / v0) long, which 16 midpoints measure from below, here as
+    # the scan sums them: 8 adjacent intervals of SCAN_PIECES = 2 pieces
     grid = diag_v_grid()
 
     def chart(theta):
@@ -1564,7 +1600,8 @@ def test_chart_lengths_measure_the_metric_along_the_chart():
         return z
 
     lo, hi = np.array([0.1, 1.0, 2.0]), np.array([0.2, 3.0, 3.5])
-    got = _chart_lengths(grid, chart, lo, hi)
+    t = np.linspace(lo, hi, 9, axis=1)
+    got = _chart_lengths(grid, chart, t[:, :-1].ravel(), t[:, 1:].ravel()).reshape(3, 8).sum(axis=1)
     exact = np.log(hi[:2] / lo[:2])
     assert (got[:2] <= exact).all()
     np.testing.assert_allclose(got[:2], exact, rtol=1e-3)
