@@ -76,8 +76,6 @@ from .montecarlo import (
     crossing_probability,
     hw_crossing_probability,
     ld_slope,
-    sample_gaussian_bridge,
-    sample_hw_bridge_rejection,
 )
 from .paths import DiscretePath, path_to_csv
 

@@ -43,7 +43,9 @@ anchor: under the volatility and constant geometries the part of the
 line within the anchor's leg sum of both endpoints, and under any other
 model the part of the line inside the domain.  The closed-form oracles
 measure a window's 256 samples in one call, bit for bit as one point at
-a time, and each of Brent's steps at one point.  The path optimizer
+a time; along a line under the volatility geometry Newton's steps on
+the leg sum's exact slope refine (_newton), and elsewhere, or where they
+fail, Brent's, each measured at one point.  The path optimizer
 measures only the samples whose Piyavskii-Shubert bound, over the split
 legs, could still beat the best one, in rounds of one lockstep stack each
 (_scan), with legs to SCAN_TOL; round 0's legs start from the shortest
@@ -83,6 +85,7 @@ from .hyperbolic import (
     _arc_line,
     _hw_image,
     _hw_image_distance,
+    _line_slope,
     _mirror_gap,
     _poincare,
     hw_transform,
@@ -423,6 +426,10 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
             except OverflowError:  # read as inf, and the window refused
                 sh = math.inf
             return 2.0 * sh * sh, 0.0  # sh * sh overflows to inf; sh ** 2 raises
+
+        def slope(chart):
+            line = getattr(chart, "line", None)
+            return None if line is None else _line_slope(M, *line, X, Y)
     else:
         M, Winv = geom.whitening
 
@@ -454,12 +461,16 @@ def _oracle(model: DiffusionModel, geom, opts: SolverOptions | None, x, y) -> _O
         def disc(S):
             return 0.0, S
 
+        def slope(chart):  # a plane is a mirror here: only curves are scanned
+            return None
+
     if not math.isfinite(d_xy):
         raise ValueError(f"d(x, y) = {d_xy} is not finite: {TOO_FAR}")
 
     def scan(thetas, chart):
-        # every sample in one call, then Brent's steps at one point each
-        return (*_scan(thetas, _oracle_legsums(model, legs, chart)),
+        # every sample in one call, then Newton's steps on a line's slope,
+        # or Brent's at one point each
+        return (*_scan(thetas, _oracle_legsums(model, legs, chart), slope=slope(chart)),
                 lambda z: (d_xy, *legs(z)))
 
     return _Oracle("closed_form", legs, lambda: d_xy, path, crossing,
@@ -596,6 +607,7 @@ def _line_window(model, x, y, plane: Hyperplane, ends):
     def chart(theta) -> np.ndarray:
         return anchor + np.multiply.outer(theta, tangent)
 
+    chart.line = anchor, tangent  # for a closed form's slope, never differenced
     return np.linspace(lo, hi, 256), chart
 
 
@@ -695,7 +707,7 @@ def _domain_line_ends(model, anchor, tangent):
     return end(-1.0), end(1.0)
 
 
-# ---- The scan: coarse samples, then Brent refinement ---- #
+# ---- The scan: coarse samples, then Newton or Brent refinement ---- #
 
 
 def _brent(f, a: float, b: float, x: float, fx: float, flat=None):
@@ -761,7 +773,35 @@ def _brent(f, a: float, b: float, x: float, fx: float, flat=None):
                 v, fv = u, fu
 
 
-def _scan(thetas: np.ndarray, legsums, lengths=None):
+def _newton(slope, legsums, lo: float, hi: float, x: float, fx: float):
+    """The zero of the leg sum's slope f' near the best sample x (fx = f(x))
+    by Newton's steps on slope(theta) = (f', f'') from x, within the half
+    of [lo, hi] that f' points into, where f' must rise from - to +; a
+    step that would leave it bisects it, and each slope narrows it
+    ("rtsafe": Press et al., Numerical Recipes, 2nd ed., 9.4).  They stop
+    at a step within Brent's own tolerance, and keep their point if its
+    leg sum is no higher than fx.  None (Brent's steps instead) for a slope
+    that is not finite, a bracket with no sign change, 64 steps, or a
+    higher leg sum."""
+    g, h = slope(x)
+    a, b = (lo, x) if g > 0.0 else (x, hi)
+    if not (g > 0.0 and slope(lo)[0] < 0.0 or g < 0.0 < slope(hi)[0]):
+        return None
+    for _ in range(64):
+        if not (math.isfinite(g) and math.isfinite(h)):
+            return None
+        t = x - g / h if h > 0.0 else math.nan
+        if not a < t < b:
+            t = 0.5 * (a + b)
+        step, x = abs(t - x), t
+        if step <= SQRT_EPS * abs(x) + GOLDEN_BRACKET / 3.0:
+            return x if legsums(x) <= fx else None
+        g, h = slope(x)
+        a, b = (x, b) if g < 0.0 else (a, x)
+    return None
+
+
+def _scan(thetas: np.ndarray, legsums, lengths=None, slope=None):
     """(chart parameter of the smallest leg sum d(x, z) + d(z, y), solver
     legs of the sampling rounds and the refinement that stopped short of
     tolerance, relative gap certified over the skipped samples).
@@ -794,8 +834,10 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
 
     The argmin takes the first index on ties, and the result stays within
     one sample of it and no higher: with lengths, the quartic's vertex
-    (_refine); without, Brent's method, one parameter per call, from that
-    sample's value.  A scan without a finite leg sum raises OutsideDomain:
+    (_refine); without, given slope(theta) = (f', f''), Newton's steps on
+    f' (_newton), which measure one parameter; otherwise, or where they
+    fail, Brent's method, one parameter per call, from that sample's
+    value.  A scan without a finite leg sum raises OutsideDomain:
     the distance oracles are only asked about points of the domain, and
     the chart gave none.
     """
@@ -814,7 +856,10 @@ def _scan(thetas: np.ndarray, legsums, lengths=None):
     elif lengths is not None:
         theta = _refine(thetas, f, j, legsums, lo, hi)
     else:
-        theta = _brent(legsums, lo, hi, float(thetas[j]), f[j])[0]
+        theta = None if slope is None else _newton(slope, legsums, lo, hi,
+                                                   float(thetas[j]), f[j])
+        if theta is None:
+            theta = _brent(legsums, lo, hi, float(thetas[j]), f[j])[0]
     # read after the refinement, whose legs can stop short too
     return theta, legsums.unconverged, gap
 
@@ -1008,8 +1053,9 @@ def _lattice_field(model, x, y, ends):
 def _oracle_legsums(model, legs, chart):
     """Leg sums of a closed-form oracle's legs.  An array of parameters
     takes one batch domain test and one row-batched call per leg; one
-    parameter (a step of Brent's method) takes the model's own domain test
-    and the legs of one point, the same bits."""
+    parameter (the point of Newton's steps, or a step of Brent's method)
+    takes the model's own domain test and the legs of one point, the same
+    bits."""
     def legsums(thetas):
         z = chart(thetas)
         if np.ndim(thetas) == 0:

@@ -151,6 +151,44 @@ def _poincare(p, q):
     return np.where(far, log_far, _acosh1p(np.where(far, 1.0, u)))
 
 
+def _line_slope(A, anchor, tangent, P, Q):
+    """slope(theta) = (f', f'') of the half-plane leg sum f = d(P, Z) + d(Z, Q)
+    along Z = A a + theta A t, the image of the line a + theta t, in Python
+    floats; not finite where a term overflows or Z leaves the half-plane.
+    A leg is acosh(1 + u), u = |D|^2 / (2 P_w Z_w), D = Z - P: with
+    s = sqrt(u (u + 2)), u' = (D.T - u P_w T_w) / (P_w Z_w) and
+    u'' = (T.T - 2 u' P_w T_w) / (P_w Z_w), its derivatives are u' / s and
+    (u'' - (u' / s)^2 (u + 1)) / s.  The volatility leg sum is f / sigma_vol,
+    with the same roots and Newton steps."""
+    (a00, a01), (a10, a11) = A.tolist()
+    (a0, a1), (t0, t1) = anchor.tolist(), tangent.tolist()
+    zu0, zw0 = a00 * a0 + a01 * a1, a10 * a0 + a11 * a1
+    tu, tw = a00 * t0 + a01 * t1, a10 * t0 + a11 * t1
+    tt = tu * tu + tw * tw
+    ends = (P.tolist(), Q.tolist())
+
+    def slope(theta):
+        zu, zw = zu0 + theta * tu, zw0 + theta * tw
+        g = h = 0.0
+        for pu, pw in ends:
+            du, dw = zu - pu, zw - pw
+            den = pw * zw
+            if not 0.0 < den < math.inf:
+                return math.nan, math.nan
+            u = 0.5 * (du * du + dw * dw) / den
+            u1 = (du * tu + dw * tw - u * pw * tw) / den
+            u2 = (tt - 2.0 * u1 * pw * tw) / den
+            s = math.sqrt(u) * math.sqrt(u + 2.0)
+            if not s > 0.0:
+                return math.nan, math.nan
+            q = u1 / s
+            g += q
+            h += (u2 - q * q * (u + 1.0)) / s
+        return g, h
+
+    return slope
+
+
 def _value(d):
     return float(d) if np.ndim(d) == 0 else d
 

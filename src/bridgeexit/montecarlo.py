@@ -23,8 +23,8 @@ Every estimate runs on one batch driver, _map_batches, which calls
 run(gen, n) once per batch and returns the results in batch order.  Each
 sampler is one step generator (_bridge_steps, _hw_steps): it yields the
 states of the whole batch, start point first, drawing normals as it goes.  An
-estimator watches the barrier over those states and a path sampler keeps
-them, so a new sampler plugs in as one more step generator.
+estimator watches the barrier over those states (the tests' path samplers
+keep them), so a new sampler plugs in as one more step generator.
 
 Volatility-model bridges have no exact sampler here; they are produced by
 forward simulation (exact lognormal volatility, Euler log-price) and
@@ -48,18 +48,16 @@ from .errors import (
     RejectionBudgetExceeded,
 )
 from .exits import Hyperplane, _as_plane, _side_checks
-from .paths import DiscretePath, format_sig
+from .paths import format_sig
 
 __all__ = [
     "RngSpec",
     "CrossingEstimate",
     "LdFit",
-    "sample_gaussian_bridge",
     "crossing_probability",
     "crossing_curve",
     "brownian_crossing_exact",
     "ld_slope",
-    "sample_hw_bridge_rejection",
     "hw_crossing_probability",
     "estimates_to_csv",
 ]
@@ -224,18 +222,6 @@ def _bridge_steps(x, y, t, L, n_steps, n, gen):
     gen.standard_normal(out=xi)
     nxt[:] = y
     yield nxt
-
-
-def sample_gaussian_bridge(x, y, t: float, cov, n_steps: int,
-                           rng: RngSpec) -> DiscretePath:
-    """One exact bridge path from x to y over horizon t with covariance cov."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _require_horizon(t)
-    _require_positive(n_steps=n_steps)
-    states = _bridge_steps(x, y, t, _chol(cov), n_steps, 1,
-                           rng.batch_generator(0))
-    return DiscretePath(np.concatenate([z.copy() for z in states]))
 
 
 def crossing_probability(
@@ -403,47 +389,6 @@ def _hw_steps(sigma_vol, rho, b, mu, x, t, n_steps, n, gen):
         X = X + (b - 0.5 * v0 * v0) * dt + v0 * (rho * dW + rho_bar * dZ)
         v = v0 * np.exp(sigma_vol * dW + vol_drift)
         yield X, v, v0
-
-
-def sample_hw_bridge_rejection(
-    sigma_vol: float,
-    rho: float,
-    b: float,
-    mu: float,
-    x,
-    y,
-    t: float,
-    n_steps: int,
-    rng: RngSpec,
-    eps: float,
-    max_attempts: int = 200000,
-    batch_size: int = 2048,
-) -> DiscretePath:
-    """One approximate volatility-model bridge: forward paths, accept the
-    first whose endpoint lands within eps of y.  Endpoint bias is O(eps)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    _require_horizon(t)
-    _require_positive(n_steps=n_steps)
-
-    def run(gen, n):
-        states = list(_hw_steps(sigma_vol, rho, b, mu, x, t, n_steps, n, gen))
-        X, v, _ = states[-1]
-        hit = (X - y[0]) ** 2 + (v - y[1]) ** 2 <= eps * eps
-        if not hit.any():
-            return None
-        j = int(np.argmax(hit))
-        return DiscretePath(np.array([(Xs[j], vs[j]) for Xs, vs, _ in states]))
-
-    for path in _map_batches(rng, max_attempts, batch_size, 1, run):
-        if path is not None:
-            return path
-    raise RejectionBudgetExceeded(
-        f"no endpoint landed within eps = {eps:g} of y after {max_attempts} "
-        "attempts; widen eps or raise the budget"
-    )
 
 
 def hw_crossing_probability(

@@ -10,11 +10,13 @@ from decimal import Decimal
 
 
 def dec(v):
-    return Decimal(float(v))
+    """v as a Decimal: a Decimal as it is, anything else through float."""
+    return v if isinstance(v, Decimal) else Decimal(float(v))
 
 
 def image(sigma_vol, rho, z):
-    """The half-plane image A z of a state point under (sigma_vol, rho)."""
+    """The half-plane image A z of a state point under (sigma_vol, rho); a
+    point of Decimal coordinates keeps its digits."""
     sv, rho = dec(sigma_vol), dec(rho)
     rb = (1 - rho * rho).sqrt()
     u, v = dec(z[0]), dec(z[1])

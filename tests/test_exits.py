@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -820,12 +821,14 @@ def test_volatility_window_of_far_endpoints_is_finite_or_refused(tmp_path, capsy
     assert "scan window overflows" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["correlated", "slanted"])
+@pytest.mark.parametrize(
+    "case", ["correlated", "slanted", "correlated_close", "slanted_anticorrelated"])
 def test_refinement_needs_few_one_point_calls_per_scan(case, monkeypatch):
     import bridgeexit.exits as exits
 
     calls = []  # the number of points of each call, per leg-sum function
-    real = exits._oracle_legsums
+    slopes = []  # the number of slopes taken, per line
+    real, real_slope = exits._oracle_legsums, exits._line_slope
 
     def counting(*args):
         f = real(*args)
@@ -839,18 +842,26 @@ def test_refinement_needs_few_one_point_calls_per_scan(case, monkeypatch):
         legsums.unconverged = f.unconverged
         return legsums
 
+    def counting_slope(*args):
+        slope = real_slope(*args)
+        slopes.append(0)
+
+        def counted(theta):
+            slopes[-1] += 1
+            return slope(theta)
+
+        return counted
+
     monkeypatch.setattr(exits, "_oracle_legsums", counting)
-    if case == "correlated":
-        model = hull_white_model(sigma_vol=1.5, rho=0.5)
-        boundary = VerticalBarrier(ref.A_BARRIER)
-    else:
-        model = hull_white_model(sigma_vol=1.1, rho=0.3)
-        boundary = Hyperplane(np.array([1.0, 0.2]), 2.6)
-    exit_asymptotics(model, ref.A_X, ref.A_Y, boundary)
-    # each scan: the whole window in one call, then one point per call
-    assert calls and all(c[0] == 256 and set(c[1:]) == {1} for c in calls)
-    # golden section took 48 (correlated) and 60 (slanted) calls here
-    assert all(0 < len(c) - 1 <= 25 for c in calls)
+    monkeypatch.setattr(exits, "_line_slope", counting_slope)
+    (sv, rho), x, y, boundary = CLOSED_FORM_SCAN_CASES[case]
+    exit_asymptotics(hull_white_model(sigma_vol=sv, rho=rho), x, y, boundary)
+    # the whole window in one call, then Newton's steps on the slope (4 or
+    # 5 here) and one leg sum at their point; Brent's steps took 10 to 15
+    # one-point calls here, and golden section 48 (correlated) and 60
+    # (slanted)
+    assert calls == [[256, 1]]
+    assert len(slopes) == 1 and 3 <= slopes[0] <= 6
 
 
 def test_scan_keeps_the_coarse_sample_when_its_bracket_is_not_finite():
@@ -1096,13 +1107,14 @@ def test_batched_scan_matches_scalar_distances_bit_for_bit(kind):
 
 
 # Full-precision results of config A's endpoints through the closed-form
-# scan (certified window, coarse samples, Brent refinement) under the
-# volatility geometry: a correlated vertical barrier and a slanted plane.
-# The engine measures with unchecked distance kernels, so these pins and
-# the public hw_distance at z_star hold them to the checked bits.  The
-# close endpoints of config B, an anticorrelated slanted plane and a
-# curve chart were pinned before Brent's steps took one scalar leg sum
-# each, and hold its bits.
+# scan (certified window, coarse samples, then Newton's steps on the leg
+# sum's slope along a line, with Brent's method as the fallback and for
+# a curve chart) under the volatility geometry: a correlated vertical
+# barrier, a slanted plane, the close endpoints of config B, an
+# anticorrelated slanted plane and a curve.  The engine measures with
+# unchecked distance kernels, so these pins and the public hw_distance at
+# z_star hold them to the checked bits.  Brent's steps take one scalar
+# leg sum each, and the curve holds the bits they gave it.
 CLOSED_FORM_SCAN_CASES = {
     "correlated": ((1.5, 0.5), ref.A_X, ref.A_Y, VerticalBarrier(ref.A_BARRIER)),
     "slanted": ((1.1, 0.3), ref.A_X, ref.A_Y, Hyperplane(np.array([1.0, 0.2]), 2.6)),
@@ -1128,35 +1140,35 @@ CLOSED_FORM_EXIT_CASES = {"straddle", "touch", "reflection", "reflection_flipped
 PINNED_CLOSED_FORM_SCANS = {
     "correlated": {
         "J": "0x1.469940651cd08p+0",
-        "z_star": ("0x1.4000000000000p+1", "0x1.8e3437e220abcp+0"),
-        "u_bar": "0x1.6dd2983bfa372p-1",
+        "z_star": ("0x1.4000000000000p+1", "0x1.8e343795391eep+0"),
+        "u_bar": "0x1.6dd2984dac393p-1",
         "d_xy": "0x1.19c249e8791bap+1",
-        "d_xz": "0x1.f178e759591e9p+0",
-        "d_zy": "0x1.8d90b556a9230p-1",
+        "d_xz": "0x1.f178e771695acp+0",
+        "d_zy": "0x1.8d90b52688aa7p-1",
     },
     "slanted": {
         "J": "0x1.01200adb42754p+1",
-        "z_star": ("0x1.2f41a96c94a1ap+1", "0x1.276f61c231aefp+0"),
-        "u_bar": "0x1.7d17ee2a4dd98p-1",
+        "z_star": ("0x1.2f41a97401c0cp+1", "0x1.276f6177ee77ap+0"),
+        "u_bar": "0x1.7d17ee42e115fp-1",
         "d_xy": "0x1.33694314691c1p+1",
-        "d_xz": "0x1.2a083a0b4f099p+1",
-        "d_zy": "0x1.997fbf0b7cd8ep-1",
+        "d_xz": "0x1.2a083a1e8710bp+1",
+        "d_zy": "0x1.997fbebe9cbc2p-1",
     },
     "correlated_close": {
-        "J": "0x1.23b9bfa24fe4ep-3",
-        "z_star": ("0x1.4000000000000p+1", "0x1.9d6d75e78e7abp-4"),
-        "u_bar": "0x1.67b604b45f1ccp-1",
+        "J": "0x1.23b9bfa24fe54p-3",
+        "z_star": ("0x1.4000000000000p+1", "0x1.9d6d76a78c49cp-4"),
+        "u_bar": "0x1.67b605c7b01c4p-1",
         "d_xy": "0x1.3545246313d89p-1",
-        "d_xz": "0x1.21f434f7edfbap-1",
-        "d_zy": "0x1.eb0672fae28c8p-3",
+        "d_xz": "0x1.21f435d5daee3p-1",
+        "d_zy": "0x1.eb066f832ec2dp-3",
     },
     "slanted_anticorrelated": {
         "J": "0x1.0982558d436ecp+2",
-        "z_star": ("0x1.43b5d161585c5p+1", "0x1.b845cf7934494p-1"),
-        "u_bar": "0x1.760bfef3ab7a3p-1",
+        "z_star": ("0x1.43b5d1648520fp+1", "0x1.b845cfcdde196p-1"),
+        "u_bar": "0x1.760bfeebbed6ep-1",
         "d_xy": "0x1.3e547429ada00p+1",
-        "d_xz": "0x1.63dcaee99abd9p+1",
-        "d_zy": "0x1.067e223355115p+0",
+        "d_xz": "0x1.63dcaee210ba5p+1",
+        "d_zy": "0x1.067e22426917fp+0",
     },
     "curve": {
         "J": "0x1.ef1f4327b35d8p+1",
@@ -1200,6 +1212,43 @@ PINNED_CLOSED_FORM_SCANS = {
     },
 }
 
+# The four line scans as Brent's steps refine them from the same sample,
+# as they did before Newton's: where the slope is not finite.
+PINNED_BRENT_LINE_SCANS = {
+    "correlated": {
+        "J": "0x1.469940651cd08p+0",
+        "z_star": ("0x1.4000000000000p+1", "0x1.8e3437e220abcp+0"),
+        "u_bar": "0x1.6dd2983bfa372p-1",
+        "d_xy": "0x1.19c249e8791bap+1",
+        "d_xz": "0x1.f178e759591e9p+0",
+        "d_zy": "0x1.8d90b556a9230p-1",
+    },
+    "slanted": {
+        "J": "0x1.01200adb42754p+1",
+        "z_star": ("0x1.2f41a96c94a1ap+1", "0x1.276f61c231aefp+0"),
+        "u_bar": "0x1.7d17ee2a4dd98p-1",
+        "d_xy": "0x1.33694314691c1p+1",
+        "d_xz": "0x1.2a083a0b4f099p+1",
+        "d_zy": "0x1.997fbf0b7cd8ep-1",
+    },
+    "correlated_close": {
+        "J": "0x1.23b9bfa24fe4ep-3",
+        "z_star": ("0x1.4000000000000p+1", "0x1.9d6d75e78e7abp-4"),
+        "u_bar": "0x1.67b604b45f1ccp-1",
+        "d_xy": "0x1.3545246313d89p-1",
+        "d_xz": "0x1.21f434f7edfbap-1",
+        "d_zy": "0x1.eb0672fae28c8p-3",
+    },
+    "slanted_anticorrelated": {
+        "J": "0x1.0982558d436ecp+2",
+        "z_star": ("0x1.43b5d161585c5p+1", "0x1.b845cf7934494p-1"),
+        "u_bar": "0x1.760bfef3ab7a3p-1",
+        "d_xy": "0x1.3e547429ada00p+1",
+        "d_xz": "0x1.63dcaee99abd9p+1",
+        "d_zy": "0x1.067e223355115p+0",
+    },
+}
+
 
 def _bits(res):
     """The hex of a result's numbers, for the pins."""
@@ -1223,6 +1272,152 @@ def test_closed_form_scan_results_are_pinned(case):
     assert res.d_xz == hw_distance(sv, rho, x, res.z_star)
     assert res.d_zy == hw_distance(sv, rho, res.z_star, y)
     assert res.d_xy == hw_distance(sv, rho, x, y)
+
+
+LINE_SCAN_CASES = sorted(PINNED_BRENT_LINE_SCANS)
+
+
+@pytest.mark.parametrize("finite_slopes", [0, 2])
+@pytest.mark.parametrize("case", LINE_SCAN_CASES)
+def test_line_scan_takes_brent_where_the_slope_is_not_finite(case, finite_slopes,
+                                                             monkeypatch):
+    # the slope reads NaN from the first call, or from the first Newton
+    # step past the two that set the bracket: Brent refines from the same
+    # sample, with the bits it gave before Newton's steps
+    import bridgeexit.exits as exits
+
+    brent = []
+    real_brent, real_slope = exits._brent, exits._line_slope
+
+    def recording(*args):
+        brent.append(args)
+        return real_brent(*args)
+
+    def failing_slope(*args):
+        slope, calls = real_slope(*args), []
+
+        def failing(theta):
+            calls.append(theta)
+            return slope(theta) if len(calls) <= finite_slopes else (math.nan, math.nan)
+
+        return failing
+
+    monkeypatch.setattr(exits, "_brent", recording)
+    monkeypatch.setattr(exits, "_line_slope", failing_slope)
+    (sv, rho), x, y, boundary = CLOSED_FORM_SCAN_CASES[case]
+    res = exit_asymptotics(hull_white_model(sigma_vol=sv, rho=rho), x, y, boundary)
+    assert len(brent) == 1 and _bits(res) == PINNED_BRENT_LINE_SCANS[case]
+
+
+def _decimal_line(sv, rho, x, y, plane):
+    """(z, f, theta) for the library's normalized plane n . z = c in Decimal,
+    under the caller's context: z(theta) = c n / |n|^2 + theta (-n_1, n_0)
+    lies on it exactly, f(theta) is the leg sum at z(theta), and theta(p)
+    is the parameter of a float point p's projection onto the plane."""
+    (n0, n1), c = map(dref.dec, plane.normal), dref.dec(plane.offset)
+    nn = n0 * n0 + n1 * n1
+
+    def z(theta):
+        return c * n0 / nn - theta * n1, c * n1 / nn + theta * n0
+
+    def f(theta):
+        return (dref.vol_distance(sv, rho, x, z(theta))
+                + dref.vol_distance(sv, rho, z(theta), y))
+
+    def theta(p):
+        return (n0 * dref.dec(p[1]) - n1 * dref.dec(p[0])) / nn
+
+    return z, f, theta
+
+
+# Examples of the property test below: a hundred take under half a second
+# in the tier-1 run; CI runs it again with more under python -W error.
+LINE_SCAN_EXAMPLES = int(os.environ.get("BRIDGEEXIT_LINE_SCAN_EXAMPLES", "100"))
+
+
+@settings(max_examples=LINE_SCAN_EXAMPLES, deadline=None)
+@given(sv=st.floats(0.3, 2.5), rho=st.floats(-0.8, 0.8),
+       x=st.tuples(st.floats(-1.0, 1.0), st.floats(0.05, 2.0)),
+       y=st.tuples(st.floats(-1.0, 1.0), st.floats(0.05, 2.0)),
+       angle=st.just(0.0) | st.floats(-1.2, 1.2), gap=st.floats(0.05, 1.5))
+def test_newton_refinement_matches_brent_on_random_line_scans(sv, rho, x, y, angle, gap):
+    # a vertical (angle 0) or slanted barrier beyond both endpoints; Brent's
+    # steps refine the same scan where the slope reads NaN
+    import bridgeexit.exits as exits
+
+    assume(angle != 0.0 or rho != 0.0)  # the uncorrelated mirror takes no scan
+    model = hull_white_model(sigma_vol=sv, rho=rho)
+    x, y = np.array(x), np.array(y)
+    normal = np.array([math.cos(angle), math.sin(angle)])
+    plane = Hyperplane(normal, max(normal @ x, normal @ y) + gap)
+    mid = 0.5 * (x + y)
+    assume((mid - (plane.normal @ mid - plane.offset) * plane.normal)[1] > 0.01)
+    seen = []
+    real_newton = exits._newton
+
+    def recording(*args):
+        seen.append(args)
+        return real_newton(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exits, "_newton", recording)
+        res = exit_asymptotics(model, x, y, plane)
+        mp.setattr(exits, "_line_slope", lambda *args: lambda theta: (math.nan, math.nan))
+        brent = exit_asymptotics(model, x, y, plane)
+    assert len(seen) == 2  # one scan each
+    for r in (res, brent):
+        assert_consistent(r, plane)
+    # Newton's point is no worse than Brent's, in exact leg sums along the
+    # plane.  The float sums, and exact ones at the float points, also carry
+    # rounding (32 ulps at x = y = (1, 1), sigma_vol 0.3125, rho 0.5,
+    # x0 = 1.0625), of which Brent's many points keep the lowest
+    with localcontext() as ctx:
+        ctx.prec = 40
+        _, f, theta = _decimal_line(sv, rho, x, y, plane)
+        exact = [float(f(theta(r.z_star))) for r in (res, brent)]
+    assert exact[0] <= exact[1] * (1.0 + 8.0 * EPS)
+    # J = (S^2 - d_xy^2) / 2 carries that rounding too, and the rounding of
+    # S^2, which a J << S^2 cannot hold to 1e-12 relative (J = 0.0065 with
+    # S = 9.47, 3e-12 apart)
+    S, S_brent = res.d_xz + res.d_zy, brent.d_xz + brent.d_zy
+    rounding = abs(S - exact[0]) + abs(S_brent - exact[1]) + 4.0 * EPS * S
+    assert abs(res.J - brent.J) <= 1e-12 * brent.J + S * rounding
+
+
+@pytest.mark.parametrize("case", LINE_SCAN_CASES)
+def test_line_scans_match_a_decimal_minimization(case):
+    # the leg sum minimized at 60 digits by golden section along the
+    # library's normalized plane, with z kept in Decimal
+    from bridgeexit.exits import _as_plane
+
+    (sv, rho), x, y, boundary = CLOSED_FORM_SCAN_CASES[case]
+    res = exit_asymptotics(hull_white_model(sigma_vol=sv, rho=rho), x, y, boundary)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        z, f, theta_of = _decimal_line(sv, rho, x, y, _as_plane(boundary, 2))
+        found = theta_of(res.z_star)
+        a, b = found - Decimal("0.01"), found + Decimal("0.01")
+        ratio = (3 - Decimal(5).sqrt()) / 2
+        p, q = a + ratio * (b - a), b - ratio * (b - a)
+        fp, fq = f(p), f(q)
+        while b - a > Decimal("1e-28"):
+            if fp <= fq:
+                b, q, fq = q, p, fp
+                p = a + ratio * (b - a)
+                fp = f(p)
+            else:
+                a, p, fp = p, q, fq
+                q = b - ratio * (b - a)
+                fq = f(q)
+        theta = (a + b) / 2
+        assert abs(theta - found) < Decimal("0.009")  # inside the bracket
+        z_ref = z(theta)
+        S, D = f(theta), dref.vol_distance(sv, rho, x, y)
+        J = (S * S - D * D) / 2
+        scale = max(abs(v) for v in z_ref)
+        assert all(abs(dref.dec(got) - want) <= Decimal("1e-12") * scale
+                   for got, want in zip(res.z_star, z_ref))
+        assert abs(dref.dec(res.J) - J) <= Decimal("1e-14") * J
 
 
 # Config A's endpoints under a constant model: the whitened reflection and

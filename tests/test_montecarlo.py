@@ -18,13 +18,12 @@ from bridgeexit import (
     crossing_probability,
     hw_crossing_probability,
     ld_slope,
-    sample_gaussian_bridge,
-    sample_hw_bridge_rejection,
 )
 from bridgeexit import montecarlo as mc
 from bridgeexit.montecarlo import estimates_to_csv
 
 import refvalues as ref
+from samplers import sample_gaussian_bridge, sample_hw_bridge_rejection
 
 FLOOR = Hyperplane(np.array([0.0, 1.0]), 0.0)
 X = np.array([0.0, 0.5])
